@@ -95,7 +95,8 @@ def test_parallel_figure_cache_speedup(tmp_path_factory):
 
     clear_trace_cache()
     start = time.perf_counter()
-    cold_seq = run_figure(spec, scale=scale, jobs=1, cache=False)
+    cold_seq = run_figure(spec, scale=scale,
+                          runner=ParallelRunner(jobs=1, use_cache=False))
     t_cold_seq = time.perf_counter() - start
 
     clear_trace_cache()

@@ -22,7 +22,13 @@ from typing import Dict
 
 import pytest
 
-from repro.harness import FIGURES, env_flag, env_int, run_figure
+from repro.harness import (
+    FIGURES,
+    ParallelRunner,
+    env_flag,
+    env_int,
+    run_figure,
+)
 from repro.harness.experiments import FigureResult, figure7_specs
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -53,7 +59,8 @@ def bench_cache() -> bool:
 def get_figure(figure_id: str) -> FigureResult:
     """Run (or fetch the memoised run of) one figure at bench scale."""
     if figure_id not in _figure_cache:
-        kwargs = dict(jobs=bench_jobs(), cache=bench_cache())
+        kwargs = dict(runner=ParallelRunner(jobs=bench_jobs(),
+                                            use_cache=bench_cache()))
         if figure_id.startswith("fig7"):
             for spec in figure7_specs():
                 if spec.figure_id == figure_id:

@@ -17,7 +17,7 @@ for any worker count.
 import os
 import sys
 
-from repro.harness import run_sweep, spare_capacity_grid
+from repro.harness import ParallelRunner, run_sweep, spare_capacity_grid
 from repro.uarch import starting_config
 
 MAX_ALU = 3
@@ -32,7 +32,8 @@ def main() -> None:
                                  max_mult=MAX_MULT)
     print(f"sweeping {len(points)} configurations "
           f"({scale} instructions x 6 benchmarks each, {jobs} worker(s))...")
-    results = run_sweep(points, scale=scale, jobs=jobs)
+    results = run_sweep(points, scale=scale,
+                        runner=ParallelRunner(jobs=jobs, use_cache=False))
     baseline_ipc = results[0].average_ipc
 
     print()

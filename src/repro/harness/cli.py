@@ -60,10 +60,10 @@ from ..reese.faults import EnvironmentalFaultModel
 from ..uarch.config import starting_config
 from ..uarch.observe import ObserveConfig
 from ..uarch.sampling import SamplingSpec
-from ..workloads.suite import BENCHMARK_ORDER, BENCHMARKS
+from ..workloads.suite import BENCHMARK_ORDER, BENCHMARKS, trace_for
 from . import expectations, experiments, reporting
-from .parallel import ParallelRunner, SimJob
-from .runner import bench_scale, run_benchmark
+from .parallel import ParallelRunner, SimJob, run_sampled_jobs
+from .runner import bench_scale, run_model
 
 
 def _runner_from(args) -> ParallelRunner:
@@ -73,15 +73,9 @@ def _runner_from(args) -> ParallelRunner:
         use_cache=not args.no_cache,
         observe=args.observe,
         check_invariants=args.check_invariants,
-        profile=getattr(args, "profile", False),
-        telemetry_path=getattr(args, "telemetry", None),
+        profile=args.profile,
+        telemetry_path=args.telemetry,
     )
-
-
-def _profile_flag(args) -> Optional[bool]:
-    """``--profile`` for the single-run paths: ``True`` when given,
-    ``None`` otherwise so the ``REPRO_PROFILE`` env gate still applies."""
-    return True if getattr(args, "profile", False) else None
 
 
 def _sampling_from(args) -> Optional[SamplingSpec]:
@@ -103,18 +97,6 @@ def _trace_path(args, label: Optional[str] = None) -> Optional[str]:
         return args.trace
     root, ext = os.path.splitext(args.trace)
     return f"{root}.{label}{ext or '.jsonl'}"
-
-
-def _observe_from(args, label: Optional[str] = None) -> Optional[ObserveConfig]:
-    """Build the ObserveConfig the global flags describe (or ``None``)."""
-    trace = _trace_path(args, label)
-    if not (args.observe or args.check_invariants or trace):
-        return None
-    return ObserveConfig(
-        metrics=args.observe,
-        check_invariants=args.check_invariants,
-        trace_path=trace,
-    )
 
 
 def _emit_metrics(args, label: str, stats) -> None:
@@ -192,45 +174,28 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench_sampled(args, sampling: SamplingSpec) -> int:
-    """``bench`` under ``--sample``: interval fan-out via the runner."""
-    from .parallel import SimJob, run_sampled_jobs
-
+def _cmd_bench(args) -> int:
     runner = _runner_from(args)
+    sampling = _sampling_from(args)
     config = starting_config()
     scale = args.scale or bench_scale()
-    base, reese = run_sampled_jobs(
-        [
-            SimJob(args.benchmark, config, scale, sampling=sampling),
-            SimJob(args.benchmark, config.with_reese(), scale,
-                   sampling=sampling),
-        ],
-        runner,
-    )
-    print(f"{args.benchmark}: baseline {base.summary()}")
-    print(f"{args.benchmark}: reese    {reese.summary()}")
-    print(f"IPC ratio reese/baseline = {reese.ipc / base.ipc:.3f}")
-    _emit_telemetry(runner)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    sampling = _sampling_from(args)
+    jobs = [
+        SimJob(args.benchmark, cfg, scale, sampling=sampling,
+               trace_path=_trace_path(args, label))
+        for label, cfg in (("baseline", config),
+                           ("reese", config.with_reese()))
+    ]
     if sampling is not None:
-        return _cmd_bench_sampled(args, sampling)
-    config = starting_config()
-    base = run_benchmark(args.benchmark, config, scale=args.scale,
-                         observe=_observe_from(args, "baseline"),
-                         profile=_profile_flag(args))
-    reese = run_benchmark(args.benchmark, config.with_reese(),
-                          scale=args.scale,
-                          observe=_observe_from(args, "reese"),
-                          profile=_profile_flag(args))
+        base, reese = run_sampled_jobs(jobs, runner)
+    else:
+        base, reese = runner.run(jobs)
     print(f"{args.benchmark}: baseline {base.summary()}")
     print(f"{args.benchmark}: reese    {reese.summary()}")
     print(f"IPC ratio reese/baseline = {reese.ipc / base.ipc:.3f}")
-    _emit_metrics(args, "baseline", base)
-    _emit_metrics(args, "reese", reese)
+    if sampling is None:
+        _emit_metrics(args, "baseline", base)
+        _emit_metrics(args, "reese", reese)
+    _emit_telemetry(runner)
     return 0
 
 
@@ -262,13 +227,18 @@ def _cmd_faults(args) -> int:
         print(f"recoveries:          {stats.recoveries}")
         print(f"final IPC:           {result.ipc:.3f}")
         return 0
+    # A live model rather than a SimJob: the report reads its strikes.
     model = EnvironmentalFaultModel(
         rate=args.rate, duration=args.duration, seed=args.seed
     )
-    stats = run_benchmark(
-        args.benchmark, config, scale=args.scale, fault_model=model,
-        observe=_observe_from(args),
-    )
+    observe = None
+    if args.observe or args.check_invariants or args.trace:
+        observe = ObserveConfig(metrics=args.observe,
+                                check_invariants=args.check_invariants,
+                                trace_path=args.trace)
+    program, trace = trace_for(args.benchmark, args.scale or bench_scale())
+    stats = run_model(program, trace, config, fault_model=model,
+                      observe=observe, profile=args.profile)
     print(f"workload:            {args.benchmark}")
     print(f"fault events struck: {model.strikes}")
     print(f"errors detected:     {stats.errors_detected}")
@@ -372,26 +342,27 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    runner = _runner_from(args)
     config = starting_config()
     models = [
         ("baseline", config),
         ("REESE", config.with_reese()),
         ("dispatch-dup", config.with_dispatch_dup()),
     ]
-    base_ipc = None
-    observed = []
-    for label, model_config in models:
-        stats = run_benchmark(args.benchmark, model_config, scale=args.scale,
-                              observe=_observe_from(args, label),
-                              profile=_profile_flag(args))
-        if base_ipc is None:
-            base_ipc = stats.ipc
+    scale = args.scale or bench_scale()
+    all_stats = runner.run([
+        SimJob(args.benchmark, model_config, scale,
+               trace_path=_trace_path(args, label))
+        for label, model_config in models
+    ])
+    base_ipc = all_stats[0].ipc
+    for (label, _), stats in zip(models, all_stats):
         gap = 1 - stats.ipc / base_ipc
         print(f"{label:14s} IPC {stats.ipc:.3f} ({gap:+.1%})  "
               f"cycles {stats.cycles}  R-execs {stats.issued_r}")
-        observed.append((label, stats))
-    for label, stats in observed:
+    for (label, _), stats in zip(models, all_stats):
         _emit_metrics(args, label, stats)
+    _emit_telemetry(runner)
     return 0
 
 

@@ -23,7 +23,6 @@ Series naming follows the paper: ``Baseline``, ``REESE``, ``R+1 ALU``,
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +36,7 @@ from ..uarch.config import (
 )
 from ..uarch.sampling import SamplingSpec
 from ..workloads.suite import BENCHMARK_ORDER
-from .parallel import ParallelRunner, SimJob, resolve_runner, run_sampled_jobs
+from .parallel import ParallelRunner, SimJob, run_sampled_jobs
 from .runner import bench_scale
 
 #: The paper's series labels, in presentation order.
@@ -216,15 +215,12 @@ def run_figure(
     spec: FigureSpec,
     scale: Optional[int] = None,
     seed: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: bool = False,
-    cache_dir: Optional[os.PathLike] = None,
     runner: Optional[ParallelRunner] = None,
     sampling: Optional[SamplingSpec] = None,
 ) -> FigureResult:
     """Execute every (benchmark, series) cell of a figure.
 
-    Cells fan out over :class:`~repro.harness.parallel.ParallelRunner`;
+    Cells fan out over ``runner`` (default: sequential and uncached);
     the benchmark-major job order keeps consecutive jobs on the same
     trace so pool chunking preserves per-worker trace reuse.
 
@@ -235,7 +231,7 @@ def run_figure(
     every cell shares one job batch).
     """
     scale = scale or bench_scale()
-    runner = resolve_runner(runner, jobs, cache, cache_dir)
+    runner = runner or ParallelRunner(jobs=1, use_cache=False)
     sim_jobs = [
         SimJob(bench, config, scale, seed=seed, sampling=sampling)
         for bench in spec.benchmarks
@@ -257,9 +253,6 @@ def run_figure(
 
 def run_summary_figure(
     scale: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: bool = False,
-    cache_dir: Optional[os.PathLike] = None,
     runner: Optional[ParallelRunner] = None,
     sampling: Optional[SamplingSpec] = None,
 ) -> Dict[str, Dict[str, float]]:
@@ -269,7 +262,7 @@ def run_summary_figure(
     estimate instead of a full detailed run.
     """
     scale = scale or bench_scale()
-    runner = resolve_runner(runner, jobs, cache, cache_dir)
+    runner = runner or ParallelRunner(jobs=1, use_cache=False)
     grid: List[Tuple[str, str]] = []
     sim_jobs: List[SimJob] = []
     for variation, factory in FIG6_VARIATIONS:

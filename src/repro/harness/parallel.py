@@ -5,15 +5,19 @@ spare-capacity sweep, the fault campaigns — decomposes into independent
 ``(benchmark, config, seed, fault model)`` simulation jobs.  This module
 is the single execution layer they all route through:
 
-* :class:`SimJob` describes one simulation; :func:`job_fingerprint`
-  derives a stable content hash of everything that determines its
-  result (benchmark, scale, resolved seed, the full
+* :class:`SimJob` is the one description of a simulation;
+  :func:`job_fingerprint` hashes every one of its fields except
+  :data:`UNKEYED_FIELDS` (the resolved seed, the full
   :class:`~repro.uarch.config.MachineConfig` contents minus the cosmetic
-  ``name``, and the fault-model parameters).
+  ``name``, the fault and sampling specs, the observability flags).
 * :class:`ResultCache` persists :class:`~repro.uarch.stats.Stats` under
   ``.repro_cache/`` (override with ``REPRO_CACHE_DIR``) keyed by that
   fingerprint, so re-running a figure after an unrelated code change is
   a cache hit.
+* :meth:`ParallelRunner.resolve` is the one step that turns run knobs
+  (the runner's CLI-derived flags and the ``REPRO_CHECK_INVARIANTS``
+  and ``REPRO_PROFILE`` environment gates) into job fields, before
+  fingerprinting — so a gated run never hits an ungated entry.
 * :class:`ParallelRunner` executes a job list: cache lookups first, then
   the misses over a ``multiprocessing`` pool (in-process when one worker
   suffices).  Results come back in input order and are bit-identical
@@ -24,7 +28,8 @@ is the single execution layer they all route through:
 * Sampled simulation (:mod:`repro.uarch.sampling`) plugs in at two
   granularities.  A :class:`SimJob` whose ``sampling`` spec names a
   single interval (``spec.index`` set) simulates just that measurement
-  window — a self-contained, cacheable unit.  :func:`run_sampled_jobs`
+  window — a self-contained, cacheable unit; one with ``index=None``
+  runs as its interval jobs, in process.  :func:`run_sampled_jobs`
   expands whole sampled jobs into those interval jobs, runs them all in
   one flat batch (so every interval of every cell shares the pool), and
   merges each job's interval Stats back into a
@@ -53,6 +58,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from ..env import env_flag
 from ..reese.faults import (
     BernoulliFaultModel,
     EnvironmentalFaultModel,
@@ -66,12 +72,11 @@ from ..uarch.sampling import (
     SamplingSpec,
     mispredict_profile,
     run_interval,
-    run_sampled,
     select_intervals,
 )
 from ..uarch.stats import Stats
-from ..workloads.suite import BENCHMARKS
-from .runner import _env_observe, _env_profile, run_model
+from ..workloads.suite import BENCHMARKS, trace_for
+from .runner import run_model
 from .telemetry import write_job_telemetry
 
 #: Bump to invalidate every on-disk cache entry after a model change.
@@ -144,13 +149,10 @@ class SimJob:
     trace_path: Optional[str] = None
     #: Sampled simulation (``None`` = full detailed run).  With
     #: ``sampling.index`` set the job simulates that one measurement
-    #: interval; with ``index=None`` it runs the whole sampled
-    #: simulation in process and returns the merged interval Stats
-    #: (use :func:`run_sampled_jobs` to fan intervals over workers and
-    #: keep the :class:`~repro.uarch.sampling.SampledResult` estimate).
-    #: Observability attaches to interval jobs only — a whole-run
-    #: sampled job spawns one pipeline per interval, which the
-    #: single-observer plumbing does not model.
+    #: interval; with ``index=None`` it runs its interval jobs in
+    #: process and returns the merged interval Stats (use
+    #: :func:`run_sampled_jobs` to fan intervals over workers and keep
+    #: the :class:`~repro.uarch.sampling.SampledResult` estimate).
     sampling: Optional[SamplingSpec] = None
     #: Attach the cycle-accounting profiler: the job's Stats carry the
     #: top-down slot/cycle attribution account and detection-latency
@@ -176,39 +178,31 @@ def derive_seed(base: int, *parts: Any) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+#: SimJob fields left out of :func:`job_fingerprint`.  A trace file is
+#: a side effect the result cache cannot replay, so a job with a trace
+#: path always simulates and its destination never changes the Stats.
+UNKEYED_FIELDS = frozenset({"trace_path"})
+
+
 def job_fingerprint(job: SimJob) -> str:
     """Content hash of everything that determines a job's Stats.
 
-    The config's cosmetic ``name`` is excluded: two configs that differ
-    only in label simulate identically and share a cache entry.
+    Derived from ``dataclasses.fields(SimJob)``: every field but
+    :data:`UNKEYED_FIELDS` is keyed — nested dataclasses (config, fault
+    and sampling specs) by their full contents — so a new field is part
+    of the key unless it is declared unkeyed.  Two normalisations let
+    equal runs share an entry: the seed is the resolved seed, and the
+    config's cosmetic ``name`` is dropped.
     """
-    config = dataclasses.asdict(job.config)
-    config.pop("name", None)
-    payload = {
-        "version": CACHE_VERSION,
-        "benchmark": job.benchmark,
-        "scale": job.scale,
-        "seed": job.resolved_seed(),
-        "warm": job.warm,
-        "config": config,
-        "fault": (
-            {"kind": job.fault.kind, "params": list(job.fault.params)}
-            if job.fault
-            else None
-        ),
-        # Observability changes the Stats payload (stage_metrics) but
-        # not the simulated outcome; it is part of the key so observed
-        # and unobserved runs never serve each other's entries.  The
-        # trace path is a pure side-effect destination and is excluded.
-        "observe": job.observe,
-        "check_invariants": job.check_invariants,
-        "sampling": (
-            dataclasses.asdict(job.sampling) if job.sampling else None
-        ),
-        # Profiling likewise changes the payload (Stats.accounting):
-        # profiled and unprofiled runs never share an entry.
-        "profile": job.profile,
-    }
+    payload: Dict[str, Any] = {"version": CACHE_VERSION}
+    for spec in dataclasses.fields(job):
+        if spec.name not in UNKEYED_FIELDS:
+            value = getattr(job, spec.name)
+            if dataclasses.is_dataclass(value):
+                value = dataclasses.asdict(value)
+            payload[spec.name] = value
+    payload["seed"] = job.resolved_seed()
+    del payload["config"]["name"]
     blob = json.dumps(payload, sort_keys=True, default=repr).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -337,37 +331,14 @@ def interval_fault_spec(fault: FaultSpec, index: int) -> FaultSpec:
     return FaultSpec.make(fault.kind, **params)
 
 
-def _execute_sampled(job: SimJob, program, trace, observe) -> Stats:
-    """Sampled branch of :func:`_execute_job` (spec index decides shape)."""
+def _simulate(job: SimJob) -> Stats:
+    """Simulate one resolved job in this process."""
     spec = job.sampling
-    if spec.index is not None:
-        fault = job.fault.build() if job.fault else None
-        if observe is None:
-            observe = _env_observe(fault)
-        return run_interval(
-            program, trace, job.config, spec, spec.index,
-            fault_model=fault, warm=job.warm,
-            observer=build_observability(observe),
-            profile_run=job.profile,
-        )
-    factory = None
-    if job.fault is not None:
-        base = job.fault
-
-        def factory(index: int):
-            return interval_fault_spec(base, index).build()
-
-    result = run_sampled(program, trace, job.config, spec,
-                         fault_factory=factory, warm=job.warm,
-                         profile_run=job.profile)
-    return result.stats
-
-
-def _execute_job(job: SimJob) -> Tuple[Stats, float, int]:
-    """Worker entry point: simulate one job, report timing and pid."""
-    from ..workloads.suite import trace_for
-
-    start = time.perf_counter()
+    if spec is not None and spec.index is None:
+        interval_jobs, total, profile = expand_sampled_job(job)
+        chunk = [_simulate(interval_job) for interval_job in interval_jobs]
+        return SampledResult.from_interval_stats(spec, total, chunk,
+                                                 profile).stats
     program, trace = trace_for(job.benchmark, job.scale, job.seed)
     observe = None
     if job.observe or job.check_invariants or job.trace_path:
@@ -376,16 +347,22 @@ def _execute_job(job: SimJob) -> Tuple[Stats, float, int]:
             check_invariants=job.check_invariants,
             trace_path=job.trace_path,
         )
-    if job.sampling is not None:
-        stats = _execute_sampled(job, program, trace, observe)
-    else:
-        fault = job.fault.build() if job.fault else None
-        # profile is passed explicitly (never None): the runner resolved
-        # the REPRO_PROFILE gate into the job before fingerprinting, so
-        # a worker-side env read would desynchronise payload and key.
-        stats = run_model(program, trace, job.config, fault_model=fault,
-                          warm=job.warm, observe=observe,
-                          profile=job.profile)
+    fault = job.fault.build() if job.fault else None
+    if spec is not None:
+        return run_interval(
+            program, trace, job.config, spec, spec.index,
+            fault_model=fault, warm=job.warm,
+            observer=build_observability(observe),
+            profile_run=job.profile,
+        )
+    return run_model(program, trace, job.config, fault_model=fault,
+                     warm=job.warm, observe=observe, profile=job.profile)
+
+
+def _execute_job(job: SimJob) -> Tuple[Stats, float, int]:
+    """Worker entry point: simulate one job, report timing and pid."""
+    start = time.perf_counter()
+    stats = _simulate(job)
     return stats, time.perf_counter() - start, os.getpid()
 
 
@@ -416,20 +393,17 @@ class ParallelRunner:
         use_cache: consult/populate the on-disk result cache.
         cache_dir: cache location (default ``REPRO_CACHE_DIR`` or
             ``.repro_cache``).
-        observe: collect per-stage metrics for every job (applied on
-            top of each job's own ``observe`` field).
+        observe: collect per-stage metrics for every job.
         check_invariants: run every job under the runtime invariant
-            checker (likewise applied on top of per-job fields).
-        profile: attach the cycle-accounting profiler to every job
-            (applied on top of per-job fields; the ``REPRO_PROFILE``
-            environment gate is folded in here, at job level, so cache
-            fingerprints always reflect whether a run was profiled).
+            checker.
+        profile: attach the cycle-accounting profiler to every job.
         telemetry_path: after every :meth:`run`, write the per-job
             records as an atomic JSONL file at this path (see
             :mod:`repro.harness.telemetry`).
 
-    After each :meth:`run`, :attr:`telemetry` holds the
-    :class:`RunTelemetry` for that call.
+    The three flags, like the environment gates, are folded into each
+    job by :meth:`resolve`.  After each :meth:`run`, :attr:`telemetry`
+    holds the :class:`RunTelemetry` for that call.
     """
 
     def __init__(
@@ -448,29 +422,36 @@ class ParallelRunner:
         )
         self.observe = observe
         self.check_invariants = check_invariants
-        self.profile = profile or _env_profile()
+        self.profile = profile
         self.telemetry_path = telemetry_path
         self.telemetry: Optional[RunTelemetry] = None
 
-    def _apply_defaults(self, job: SimJob) -> SimJob:
-        """Fold runner-level observability/profiling flags into a job."""
-        if (
-            (self.observe and not job.observe)
-            or (self.check_invariants and not job.check_invariants)
-            or (self.profile and not job.profile)
-        ):
-            job = dataclasses.replace(
-                job,
-                observe=job.observe or self.observe,
-                check_invariants=job.check_invariants or self.check_invariants,
-                profile=job.profile or self.profile,
-            )
-        return job
+    def resolve(self, job: SimJob) -> SimJob:
+        """The one step that turns run knobs into job fields.
+
+        Folds the runner's flags and the ``REPRO_CHECK_INVARIANTS`` and
+        ``REPRO_PROFILE`` environment gates into the job before it is
+        fingerprinted, so the cache key always says what a run
+        collected.  The invariant gate skips fault-injected jobs, which
+        commit corrupted values on purpose.
+        """
+        return dataclasses.replace(
+            job,
+            observe=job.observe or self.observe,
+            check_invariants=(
+                job.check_invariants
+                or self.check_invariants
+                or (job.fault is None
+                    and env_flag("REPRO_CHECK_INVARIANTS"))
+            ),
+            profile=(job.profile or self.profile
+                     or env_flag("REPRO_PROFILE")),
+        )
 
     def run(self, sim_jobs: Sequence[SimJob]) -> List[Stats]:
         """Run every job; results are returned in input order."""
         start = time.perf_counter()
-        sim_jobs = [self._apply_defaults(job) for job in sim_jobs]
+        sim_jobs = [self.resolve(job) for job in sim_jobs]
         fingerprints = [job_fingerprint(job) for job in sim_jobs]
         results: List[Optional[Stats]] = [None] * len(sim_jobs)
         records: List[Optional[JobRecord]] = [None] * len(sim_jobs)
@@ -522,24 +503,6 @@ class ParallelRunner:
         return [stats for stats in results if stats is not None]
 
 
-def resolve_runner(
-    runner: Optional[ParallelRunner],
-    jobs: Optional[int],
-    cache: bool,
-    cache_dir: Optional[os.PathLike] = None,
-) -> ParallelRunner:
-    """The shared ``runner=None`` convention of the experiment drivers.
-
-    An explicit runner wins; otherwise one is built from the scalar
-    knobs (``jobs=None`` meaning *sequential* here — library callers
-    opt into parallelism, only the CLI defaults to all cores).
-    """
-    if runner is not None:
-        return runner
-    return ParallelRunner(jobs=jobs or 1, use_cache=cache,
-                          cache_dir=cache_dir)
-
-
 def expand_sampled_job(
     job: SimJob,
 ) -> Tuple[List[SimJob], int, Optional[List[int]]]:
@@ -557,8 +520,6 @@ def expand_sampled_job(
     Trace-path side effects are dropped from interval jobs: one JSONL
     destination cannot serve k concurrent pipelines.
     """
-    from ..workloads.suite import trace_for
-
     spec = job.sampling
     if spec is None:
         raise ValueError("expand_sampled_job needs a job with a sampling spec")
@@ -608,8 +569,6 @@ def run_sampled_jobs(
     for job, (interval_jobs, total, profile) in zip(sim_jobs, expanded):
         chunk = all_stats[cursor:cursor + len(interval_jobs)]
         cursor += len(interval_jobs)
-        spec = dataclasses.replace(job.sampling, index=None)
-        results.append(
-            SampledResult.from_interval_stats(spec, total, chunk, profile)
-        )
+        results.append(SampledResult.from_interval_stats(
+            job.sampling, total, chunk, profile))
     return results

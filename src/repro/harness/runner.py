@@ -1,26 +1,23 @@
 """Model runner: one simulation = (workload, machine config) -> Stats.
 
-This is the narrow waist between the workloads, the timing models and
-the experiment definitions.  All figure experiments run through
-:func:`run_benchmark`, which
-
-* memoises the workload trace (shared across the 4-5 machine models of
-  a figure),
-* enables cache and predictor warm-up (the paper's 100 M-instruction
-  runs are effectively warm; see DESIGN.md §5), and
-* honours the ``REPRO_BENCH_INSTRUCTIONS`` environment variable so the
-  whole figure suite can be scaled to the machine it runs on.
+This is the narrow waist between the workloads and the timing models.
+:func:`run_model` simulates one trace exactly as its arguments say;
+:func:`run_benchmark` is the one-call spelling of a single
+:class:`~repro.harness.parallel.SimJob` (memoised workload trace, warm
+caches and predictor — the paper's 100 M-instruction runs are
+effectively warm; see DESIGN.md §5).  :func:`bench_scale` honours the
+``REPRO_BENCH_INSTRUCTIONS`` environment variable so the whole figure
+suite can be scaled to the machine it runs on.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Optional
 
 from ..arch.trace import Trace
+from ..env import env_int
 from ..isa.program import Program
-from ..reese.faults import FaultModel, NoFaults
+from ..reese.faults import FaultModel
 from ..uarch.accounting import CycleAccountant
 from ..uarch.config import MachineConfig
 from ..uarch.observe import ObserveConfig, build_observability
@@ -31,68 +28,6 @@ from ..uarch.stats import Stats
 # single source of truth lives with the workload builders so the suite
 # and the harness can never disagree on "the default trace" again.
 from ..workloads.suite import DEFAULT_SCALE, trace_for
-
-
-def env_int(name: str, default: int, minimum: int = 1) -> int:
-    """Integer environment knob with warn-and-default error handling.
-
-    An unset or empty variable silently yields ``default``; a malformed
-    value (``"2e4"``, ``"20k"``) or one below ``minimum`` warns and
-    yields ``default`` instead of crashing — or worse, silently running
-    every experiment with the wrong knob.  The shared parser behind
-    ``REPRO_BENCH_INSTRUCTIONS``, ``REPRO_BENCH_JOBS`` and friends.
-    """
-    value = os.environ.get(name, "")
-    if not value:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {name}={value!r} "
-            f"(expected a positive integer); using {default}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
-    if parsed < minimum:
-        qualifier = "not positive" if minimum == 1 else f"below {minimum}"
-        warnings.warn(
-            f"{name}={value!r} is {qualifier}; using {default}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
-    return parsed
-
-
-#: Spellings accepted by :func:`env_flag` (case-insensitive).
-_FLAG_TRUE = frozenset(("1", "true", "yes", "on"))
-_FLAG_FALSE = frozenset(("0", "false", "no", "off", ""))
-
-
-def env_flag(name: str, default: bool = False) -> bool:
-    """Boolean environment knob with warn-and-default error handling.
-
-    Accepts the usual spellings (``1/0``, ``true/false``, ``yes/no``,
-    ``on/off``, any case); an empty set-but-blank variable reads as
-    false; anything else warns and yields ``default``.
-    """
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    norm = value.strip().lower()
-    if norm in _FLAG_TRUE:
-        return True
-    if norm in _FLAG_FALSE:
-        return False
-    warnings.warn(
-        f"ignoring malformed {name}={value!r} "
-        f"(expected a boolean like 1/0/true/false); using {default}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return default
 
 
 def bench_scale() -> int:
@@ -107,36 +42,6 @@ def bench_scale() -> int:
     return env_int("REPRO_BENCH_INSTRUCTIONS", DEFAULT_SCALE)
 
 
-def _env_observe(fault_model: Optional[FaultModel]) -> Optional[ObserveConfig]:
-    """The ``REPRO_CHECK_INVARIANTS`` smoke gate.
-
-    When the variable is set (to anything but ``0``/empty), every
-    harness-driven simulation runs under the runtime invariant checker
-    — except fault-injected ones, whose whole point is to commit
-    corrupted values the checker would (correctly) reject.  This is how
-    CI runs the tier-1 suite with invariant checking on without every
-    test opting in individually.
-    """
-    if os.environ.get("REPRO_CHECK_INVARIANTS", "") in ("", "0"):
-        return None
-    if fault_model is not None and not isinstance(fault_model, NoFaults):
-        return None
-    return ObserveConfig(check_invariants=True)
-
-
-def _env_profile() -> bool:
-    """The ``REPRO_PROFILE`` profiling gate.
-
-    When set, every harness-driven simulation attaches the cycle-
-    accounting profiler (:mod:`repro.uarch.accounting`), so
-    ``Stats.accounting`` carries the top-down slot/cycle attribution
-    and detection-latency telemetry.  Mirrors the
-    ``REPRO_CHECK_INVARIANTS`` gate; the CLI's ``--profile`` flag is
-    the per-invocation spelling of the same switch.
-    """
-    return env_flag("REPRO_PROFILE", False)
-
-
 def run_model(
     program: Program,
     trace: Trace,
@@ -145,27 +50,22 @@ def run_model(
     warm: bool = True,
     max_cycles: Optional[int] = None,
     observe: Optional[ObserveConfig] = None,
-    profile: Optional[bool] = None,
+    profile: bool = False,
 ) -> Stats:
     """Simulate one program trace on one machine configuration.
+
+    Runs exactly what its arguments say and reads no environment: the
+    ``REPRO_*`` gates are resolved into :class:`~repro.harness.parallel.SimJob`
+    fields by :meth:`~repro.harness.parallel.ParallelRunner.resolve`.
 
     Args:
         observe: optional observability attachment (event trace,
             per-stage metrics, invariant checker); ``None`` keeps the
-            observer-free fast path unless ``REPRO_CHECK_INVARIANTS``
-            is set in the environment (see :func:`_env_observe`).
+            observer-free fast path.
         profile: attach the cycle-accounting profiler so the returned
             Stats carry the top-down attribution account
-            (``Stats.accounting``).  ``None`` defers to the
-            ``REPRO_PROFILE`` environment gate; an explicit ``False``
-            keeps the profiler off regardless (what the parallel layer
-            passes, having already resolved the gate at job level so
-            cache fingerprints stay honest).
+            (``Stats.accounting``).
     """
-    if observe is None:
-        observe = _env_observe(fault_model)
-    if profile is None:
-        profile = _env_profile()
     pipeline = Pipeline(
         program,
         trace,
@@ -184,15 +84,19 @@ def run_benchmark(
     config: MachineConfig,
     scale: Optional[int] = None,
     seed: Optional[int] = None,
-    fault_model: Optional[FaultModel] = None,
     warm: bool = True,
-    observe: Optional[ObserveConfig] = None,
-    profile: Optional[bool] = None,
 ) -> Stats:
-    """Simulate one named benchmark on one machine configuration."""
-    program, trace = trace_for(name, scale or bench_scale(), seed)
-    return run_model(program, trace, config, fault_model=fault_model,
-                     warm=warm, observe=observe, profile=profile)
+    """Simulate one named benchmark on one machine configuration.
+
+    A one-job :class:`~repro.harness.parallel.ParallelRunner` run
+    (in process, uncached), so the ``REPRO_CHECK_INVARIANTS`` and
+    ``REPRO_PROFILE`` gates apply exactly as they do to every other
+    harness-driven simulation.
+    """
+    from .parallel import ParallelRunner, SimJob
+
+    job = SimJob(name, config, scale or bench_scale(), seed=seed, warm=warm)
+    return ParallelRunner(jobs=1, use_cache=False).run([job])[0]
 
 
 def run_sampled_benchmark(

@@ -8,7 +8,6 @@ transformations against the benchmark suite and collect average IPC
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -16,7 +15,7 @@ from ..uarch.config import MachineConfig
 from ..uarch.sampling import SamplingSpec
 from ..uarch.stats import Stats
 from ..workloads.suite import BENCHMARK_ORDER
-from .parallel import ParallelRunner, SimJob, resolve_runner, run_sampled_jobs
+from .parallel import ParallelRunner, SimJob, run_sampled_jobs
 from .runner import bench_scale
 
 
@@ -48,25 +47,21 @@ def run_sweep(
     points: Sequence,
     benchmarks: Optional[Iterable[str]] = None,
     scale: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: bool = False,
-    cache_dir: Optional[os.PathLike] = None,
     runner: Optional[ParallelRunner] = None,
     sampling: Optional[SamplingSpec] = None,
 ) -> List[SweepPoint]:
     """Run a list of (label, config) pairs over the benchmark suite.
 
-    The (point x benchmark) grid is executed through
-    :class:`~repro.harness.parallel.ParallelRunner`; results are
-    bit-identical for any ``jobs`` value.  ``jobs=None`` runs
-    sequentially; pass ``runner`` to share a cache/telemetry context
-    across several drivers.  With ``sampling`` set, every grid cell
-    uses the sampled engine (interval-level fan-out) and ``stats``
+    The (point x benchmark) grid is executed through ``runner``
+    (default: sequential and uncached); results are bit-identical for
+    any worker count.  Pass one runner to share a cache/telemetry
+    context across several drivers.  With ``sampling`` set, every grid
+    cell uses the sampled engine (interval-level fan-out) and ``stats``
     holds :class:`~repro.uarch.sampling.SampledResult` values.
     """
     benchmarks = list(benchmarks or BENCHMARK_ORDER)
     scale = scale or bench_scale()
-    runner = resolve_runner(runner, jobs, cache, cache_dir)
+    runner = runner or ParallelRunner(jobs=1, use_cache=False)
     sim_jobs = [
         SimJob(bench, config, scale, sampling=sampling)
         for _, config in points

@@ -10,14 +10,13 @@ workload's trace in every figure.
 
 from __future__ import annotations
 
-import os
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..arch.emulator import emulate
 from ..arch.trace import Trace
+from ..env import env_int
 from ..isa.program import Program
 from . import profiles
 
@@ -32,26 +31,7 @@ DEFAULT_SCALE = 20_000
 
 def _trace_cache_limit() -> int:
     """Trace-cache LRU bound (``REPRO_TRACE_CACHE`` overrides)."""
-    raw = os.environ.get("REPRO_TRACE_CACHE", "")
-    if raw:
-        try:
-            parsed = int(raw)
-            if parsed > 0:
-                return parsed
-            warnings.warn(
-                f"REPRO_TRACE_CACHE={raw!r} is not positive; "
-                f"using default {TRACE_CACHE_LIMIT}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        except ValueError:
-            warnings.warn(
-                f"ignoring malformed REPRO_TRACE_CACHE={raw!r}; "
-                f"using default {TRACE_CACHE_LIMIT}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return TRACE_CACHE_LIMIT
+    return env_int("REPRO_TRACE_CACHE", TRACE_CACHE_LIMIT)
 
 
 #: Default LRU bound of the memoised-trace cache.  Sized for the

@@ -11,12 +11,15 @@ import json
 import pytest
 
 from repro.harness.cli import build_parser, main
-from repro.harness.parallel import ParallelRunner, SimJob, job_fingerprint
+from repro.harness.parallel import (
+    FaultSpec,
+    ParallelRunner,
+    SimJob,
+    job_fingerprint,
+)
 from repro.harness.reporting import metrics_report
-from repro.harness.runner import _env_observe, run_benchmark
-from repro.reese.faults import NoFaults, ScheduledFaultModel
+from repro.harness.runner import run_benchmark
 from repro.uarch.config import starting_config
-from repro.uarch.observe import ObserveConfig
 from repro.uarch.stats import Stats
 
 
@@ -25,33 +28,59 @@ def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
 
+def _resolved(job):
+    return ParallelRunner(jobs=1, use_cache=False).resolve(job)
+
+
 class TestEnvGate:
+    @pytest.fixture(autouse=True)
+    def _no_profile_gate(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-        assert _env_observe(None) is None
+        job = SimJob("go", starting_config(), 300)
+        assert _resolved(job) == job
 
-    @pytest.mark.parametrize("value", ["", "0"])
+    @pytest.mark.parametrize("value", ["", "0", "false", "no", "off"])
     def test_disabled_values(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", value)
-        assert _env_observe(None) is None
+        job = SimJob("go", starting_config(), 300)
+        assert not _resolved(job).check_invariants
 
     def test_enabled_for_unfaulted_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        observe = _env_observe(None)
-        assert observe is not None and observe.check_invariants
-        assert _env_observe(NoFaults()) is not None
+        job = _resolved(SimJob("go", starting_config(), 300))
+        assert job.check_invariants
+        assert not job.observe and not job.profile
 
     def test_skips_faulted_runs(self, monkeypatch):
         """Fault-injected runs commit corrupted values on purpose; the
         smoke gate must not turn those into invariant failures."""
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        assert _env_observe(ScheduledFaultModel([(0, 5, 1)])) is None
+        fault = FaultSpec.make("scheduled", events=((0, 5, 1),))
+        job = SimJob("go", starting_config(), 300, fault=fault)
+        assert not _resolved(job).check_invariants
 
     def test_gated_benchmark_run_passes(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         stats = run_benchmark("go", starting_config().with_reese(),
                               scale=300)
         assert stats.committed > 0
+
+    def test_gated_run_is_not_served_an_unchecked_entry(self, tmp_path,
+                                                        monkeypatch):
+        """The gate is part of the cache key: a run cached with the gate
+        off must be simulated again, under the checker, with it on."""
+        job = SimJob("go", starting_config().with_reese(), 300)
+        runner = ParallelRunner(jobs=1, cache_dir=tmp_path / "gate")
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        runner.run([job])
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        runner.run([job])
+        assert runner.telemetry.cache_hits == 0
+        runner.run([job])
+        assert runner.telemetry.cache_hits == 1
 
 
 class TestJobFingerprint:

@@ -1,5 +1,6 @@
 """Tests for the parallel execution layer: jobs, fingerprints, cache, pool."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from repro.harness.parallel import (
     FaultSpec,
     ParallelRunner,
     ResultCache,
+    UNKEYED_FIELDS,
     SimJob,
     derive_seed,
     job_fingerprint,
@@ -17,6 +19,7 @@ from repro.harness.parallel import (
 from repro.harness.campaign import _chunk_indices
 from repro.reese.faults import BernoulliFaultModel, EnvironmentalFaultModel
 from repro.uarch.config import starting_config
+from repro.uarch.sampling import SamplingSpec
 from repro.uarch.stats import Stats
 from repro.workloads.suite import BENCHMARKS
 
@@ -78,6 +81,82 @@ class TestFingerprint:
         explicit = SimJob("go", starting_config(), TINY,
                           seed=BENCHMARKS["go"].default_seed)
         assert job_fingerprint(implicit) == job_fingerprint(explicit)
+
+
+#: Cache keys computed by the hand-listed fingerprint payload that
+#: preceded the field-derived one.  They must never change without a
+#: CACHE_VERSION bump: every existing .repro_cache entry depends on them.
+PINNED_KEYS = [
+    (SimJob("go", starting_config(), 900),
+     "5a24a4b48cd3ab000b7037069b2d78764818e76187e1e048c6b4f504830a75f0"),
+    (SimJob("gcc", starting_config().with_reese(), 2000, seed=7),
+     "6c31b5c9a76cd1c82ddbb046acd305b3d49310ef9fadeb0b1e8b824b4d7c845a"),
+    (SimJob("li", starting_config().with_reese(), 1500,
+            fault=FaultSpec.make("environmental", rate=1e-3, duration=3,
+                                 seed=11)),
+     "90b55ad379ac439de10132f65c52478bb9c4d98875b0e37a1cc0e897e869560d"),
+    (SimJob("perl", starting_config().with_reese(), 1500,
+            fault=FaultSpec.make("scheduled", events=((10, 2, 3),)),
+            warm=False),
+     "36574d72364e1a021f9f49301699cc2c90172a6f5ccfbfda6995f6af2590c852"),
+    (SimJob("vortex", starting_config().with_spares(2, 0).with_reese(), 2000,
+            sampling=SamplingSpec(4, 120, warmup=30, cooldown=30, index=2),
+            observe=True, check_invariants=True, profile=True),
+     "55d8afcc960978f5aa622edc1822076addab18f61add661ed87d0d5fe5f92e1c"),
+]
+
+#: One changed value per SimJob field (against ``SimJob("go", cfg, TINY)``).
+ALTERNATE_VALUES = {
+    "benchmark": "gcc",
+    "config": starting_config().with_reese(),
+    "scale": TINY + 1,
+    "seed": 1,
+    "fault": FaultSpec.make("bernoulli", rate=1e-4, seed=5),
+    "warm": False,
+    "observe": True,
+    "check_invariants": True,
+    "trace_path": "run.jsonl",
+    "sampling": SamplingSpec(4, 120),
+    "profile": True,
+}
+
+
+class TestFingerprintDerivation:
+    def test_cache_version_unchanged(self):
+        assert CACHE_VERSION == 4
+
+    @pytest.mark.parametrize("index", range(len(PINNED_KEYS)))
+    def test_pinned_keys(self, index):
+        job, key = PINNED_KEYS[index]
+        assert job_fingerprint(job) == key
+
+    def test_every_field_is_keyed_unless_declared(self):
+        names = {spec.name for spec in dataclasses.fields(SimJob)}
+        # A new SimJob field needs an alternate value here, and a
+        # decision: keyed (the default) or listed in UNKEYED_FIELDS.
+        assert names == set(ALTERNATE_VALUES)
+        base = SimJob("go", starting_config(), TINY)
+        for name, value in ALTERNATE_VALUES.items():
+            changed = dataclasses.replace(base, **{name: value})
+            keyed = job_fingerprint(changed) != job_fingerprint(base)
+            assert keyed == (name not in UNKEYED_FIELDS), name
+
+    def test_every_config_field_but_name_is_keyed(self):
+        config = starting_config()
+        base = job_fingerprint(SimJob("go", config, TINY))
+        for spec in dataclasses.fields(config):
+            value = getattr(config, spec.name)
+            if isinstance(value, bool):
+                value = not value
+            elif isinstance(value, int):
+                value += 1
+            elif isinstance(value, str):
+                value += "-x"
+            else:
+                continue
+            changed = dataclasses.replace(config, **{spec.name: value})
+            keyed = job_fingerprint(SimJob("go", changed, TINY)) != base
+            assert keyed == (spec.name != "name"), spec.name
 
 
 class TestFaultSpec:

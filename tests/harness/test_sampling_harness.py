@@ -159,6 +159,17 @@ class TestRunSampledJobs:
         assert merged.state_dict() == reference.stats.state_dict()
 
 
+    def test_whole_run_sampled_job_observes_like_its_intervals(
+        self, runner
+    ):
+        job = SimJob("li", starting_config().with_reese(), SCALE,
+                     sampling=SPEC, observe=True, check_invariants=True)
+        [whole] = runner.run([job])
+        [fanned] = run_sampled_jobs([job], runner)
+        assert whole.stage_metrics
+        assert whole.state_dict() == fanned.stats.state_dict()
+
+
 class TestSampledEntryPoints:
     def test_run_sampled_benchmark(self):
         result = run_sampled_benchmark(

@@ -22,9 +22,10 @@ from repro.harness.telemetry import (
     render_jsonl,
     write_job_telemetry,
 )
-from repro.harness.runner import run_benchmark
+from repro.harness.runner import run_model
 from repro.uarch.config import starting_config
 from repro.uarch.observe import JSONLSink, ObserveConfig, TraceEvent
+from repro.workloads.suite import trace_for
 
 
 @pytest.fixture(autouse=True)
@@ -144,12 +145,14 @@ class TestJSONLSinkAtomicity:
         assert target.exists()
 
 
+def _observed_go(observe):
+    program, trace = trace_for("go", 300)
+    return run_model(program, trace, starting_config(), observe=observe)
+
+
 class TestDroppedEvents:
     def test_overflow_surfaces_in_stats_and_report(self):
-        stats = run_benchmark(
-            "go", starting_config(), scale=300,
-            observe=ObserveConfig(metrics=True, ring_capacity=8),
-        )
+        stats = _observed_go(ObserveConfig(metrics=True, ring_capacity=8))
         dropped = stats.stage_metrics.get("dropped_events", 0)
         assert dropped > 0
         assert stats.state_dict()["stage_metrics"]["dropped_events"] == dropped
@@ -157,9 +160,7 @@ class TestDroppedEvents:
         assert "WARNING" in report and str(dropped) in report
 
     def test_no_overflow_no_warning(self):
-        stats = run_benchmark(
-            "go", starting_config(), scale=300,
-            observe=ObserveConfig(metrics=True, ring_capacity=10**6),
-        )
+        stats = _observed_go(
+            ObserveConfig(metrics=True, ring_capacity=10**6))
         assert stats.stage_metrics.get("dropped_events") == 0
         assert "WARNING" not in metrics_report(stats)

@@ -91,8 +91,12 @@ class TestParallelDeterminism:
 
     def test_sweep_jobs_1_vs_4_identical(self):
         kwargs = dict(benchmarks=["go", "perl"], scale=1500)
-        sequential = run_sweep(self.points(), jobs=1, **kwargs)
-        parallel = run_sweep(self.points(), jobs=4, **kwargs)
+        sequential = run_sweep(
+            self.points(), runner=ParallelRunner(jobs=1, use_cache=False),
+            **kwargs)
+        parallel = run_sweep(
+            self.points(), runner=ParallelRunner(jobs=4, use_cache=False),
+            **kwargs)
         assert len(sequential) == len(parallel)
         for seq_point, par_point in zip(sequential, parallel):
             assert seq_point.label == par_point.label
@@ -105,10 +109,13 @@ class TestParallelDeterminism:
             }
 
     def test_cache_hit_rerun_returns_equal_stats(self, tmp_path):
-        kwargs = dict(benchmarks=["go"], scale=1500, cache=True,
-                      cache_dir=tmp_path)
-        cold = run_sweep(self.points(), jobs=2, **kwargs)
-        warm = run_sweep(self.points(), jobs=2, **kwargs)
+        kwargs = dict(benchmarks=["go"], scale=1500)
+        cold = run_sweep(self.points(),
+                         runner=ParallelRunner(jobs=2, cache_dir=tmp_path),
+                         **kwargs)
+        warm = run_sweep(self.points(),
+                         runner=ParallelRunner(jobs=2, cache_dir=tmp_path),
+                         **kwargs)
         for cold_point, warm_point in zip(cold, warm):
             for bench in cold_point.stats:
                 assert (
