@@ -44,10 +44,10 @@ from repro.harness.experiments import (  # noqa: E402
 )
 from repro.uarch.accounting import (  # noqa: E402
     SLOT_CAUSES,
-    latency_summary,
     merge_accounting,
     r_share_of_delta,
 )
+from repro.uarch.stats import Stats  # noqa: E402
 
 #: Bump when the entry layout changes (validate_trajectory checks it).
 TRAJECTORY_SCHEMA_VERSION = 1
@@ -95,8 +95,10 @@ def collect_entry(label: str, scale: int, jobs: int,
     stats = iter(runner.run(sim_jobs))
     per_bench: Dict[str, Dict[str, float]] = {}
     suite_accounts: Dict[str, Dict[str, Any]] = {}
+    reese_runs: List[Stats] = []
     for bench in BENCHMARK_ORDER:
         cells = {lab: next(stats) for lab, _cfg in series}
+        reese_runs.append(cells[SERIES_REESE])
         base_ipc = cells[SERIES_BASELINE].ipc
         per_bench[bench] = {
             "baseline_ipc": round(base_ipc, 4),
@@ -121,7 +123,7 @@ def collect_entry(label: str, scale: int, jobs: int,
         ((cause, reese_slots.get(cause, 0)) for cause in SLOT_CAUSES),
         key=lambda item: -item[1],
     )[:5]
-    detect = latency_summary(suite_accounts[SERIES_REESE])["detect_latency"]
+    detect = Stats.merged(reese_runs).detection_latency()["detect_latency"]
     return {
         "label": label,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -16,6 +16,7 @@ Run:  python examples/custom_workload.py
 
 from repro import assemble, emulate, starting_config
 from repro.harness import run_model
+from repro.uarch import ObserveConfig
 
 SOURCE = """
 .data
@@ -59,7 +60,10 @@ def main() -> None:
 
     config = starting_config()
     baseline = run_model(program, emu.trace, config, warm=False)
-    reese = run_model(program, emu.trace, config.with_reese(), warm=False)
+    # Per-cycle occupancy is recorded only on observed runs.
+    reese = run_model(program, emu.trace, config.with_reese(), warm=False,
+                      observe=ObserveConfig(metrics=True))
+    rqueue_occupancy = reese.stage_metrics["occupancy"]["rqueue"]
 
     print(f"{'metric':28s} {'baseline':>10s} {'REESE':>10s}")
     rows = [
@@ -71,7 +75,8 @@ def main() -> None:
          baseline.cache_stats["l1d"]["misses"],
          reese.cache_stats["l1d"]["misses"]),
         ("R-stream executions", baseline.issued_r, reese.issued_r),
-        ("peak R-queue occupancy", "-", reese.rqueue_occ_max),
+        ("peak R-queue occupancy", "-",
+         max(int(occ) for occ in rqueue_occupancy)),
     ]
     for label, base_value, reese_value in rows:
         print(f"{label:28s} {base_value!s:>10s} {reese_value!s:>10s}")

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Watch REESE work, instruction by instruction.
 
-Attaches a :class:`~repro.uarch.ptrace.PipeTrace` observer to the
-pipeline and prints a SimpleScalar-ptrace-style stage timeline for a
-small loop:
+Collects the pipeline's event trace (:class:`~repro.uarch.observe.EventTracer`
+into a list) and prints it with :func:`~repro.uarch.observe.render_timeline`
+as a SimpleScalar-ptrace-style stage timeline for a small loop:
 
 * ``F D I X``     — the normal out-of-order P-stream life cycle;
 * ``Q``           — the instruction enters the R-stream Queue;
@@ -19,7 +19,7 @@ Run:  python examples/pipeline_visualizer.py
 
 from repro import assemble, emulate, starting_config
 from repro.reese import ScheduledFaultModel
-from repro.uarch import Pipeline, PipeTrace
+from repro.uarch import CallbackSink, EventTracer, Pipeline, render_timeline
 
 SOURCE = """
 .data
@@ -47,12 +47,13 @@ def run(label: str, fault_model=None) -> None:
     print("=" * 72)
     program = assemble(SOURCE, name="vis")
     trace = emulate(program).trace
-    tracer = PipeTrace(max_records=96)
+    events = []
+    tracer = EventTracer(CallbackSink(events.append))
     config = starting_config().with_reese()
     stats = Pipeline(
         program, trace, config, fault_model=fault_model, observer=tracer
     ).run()
-    print(tracer.render(limit=40))
+    print(render_timeline(events, trace, limit=40))
     print()
     print(f"cycles={stats.cycles}  committed={stats.committed}  "
           f"R-issued={stats.issued_r}  detected={stats.errors_detected}")

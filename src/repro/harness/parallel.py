@@ -87,7 +87,11 @@ from .telemetry import write_job_telemetry
 #: sampled runs with different specs — never share an entry.
 #: v4: Stats gained ``accounting`` and jobs gained the ``profile``
 #: flag (profiled runs populate the attribution account).
-CACHE_VERSION = 4
+#: v5: Stats gained the ``detect_latency``/``rqueue_residency``
+#: histograms (recorded on every REESE run; the account lost its copies)
+#: and lost ``pr_separation_*``, ``rqueue_occ_*``, ``ifq_empty_cycles``
+#: and ``stage_metrics["stalls"]``.
+CACHE_VERSION = 5
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -235,7 +239,7 @@ class ResultCache:
         if data.get("version") != CACHE_VERSION:
             return None
         try:
-            return Stats.from_dict(data["stats"])
+            return Stats.from_state_dict(data["stats"])
         except (KeyError, TypeError):
             return None
 

@@ -13,11 +13,10 @@ from ..analysis import AnalysisResult, CLASSES
 from ..uarch.accounting import (
     SLOT_CAUSES,
     accounting_identity_errors,
-    latency_summary,
+    hist_mean,
     merge_accounting,
     r_share_of_delta,
 )
-from ..uarch.observe import occupancy_mean
 from ..uarch.stats import Stats
 from .campaign import OUTCOMES, SiteCampaignResult
 from .experiments import (
@@ -169,8 +168,8 @@ def metrics_report(stats: Stats) -> str:
     """Render ``Stats.stage_metrics`` (an observed run) as text.
 
     Shows, per pipeline structure, the mean/max occupancy over the run;
-    then the stall-reason counters and the P/R functional-unit issue
-    split.  Returns a placeholder line when the run was not observed.
+    then the P/R functional-unit issue split.  Returns a placeholder
+    line when the run was not observed.
     """
     metrics = stats.stage_metrics
     if not metrics:
@@ -179,12 +178,8 @@ def metrics_report(stats: Stats) -> str:
     rows: List[List[str]] = [["structure", "mean occ", "max occ"]]
     for key, hist in metrics.get("occupancy", {}).items():
         peak = max((int(occ) for occ in hist), default=0)
-        rows.append([key, f"{occupancy_mean(hist):.2f}", str(peak)])
+        rows.append([key, f"{hist_mean(hist):.2f}", str(peak)])
     lines.append(format_table(rows))
-    stalls = ", ".join(
-        f"{key}={count}" for key, count in metrics.get("stalls", {}).items()
-    )
-    lines.append(f"stalls: {stalls}")
     dropped = metrics.get("dropped_events", 0)
     if dropped:
         lines.append(
@@ -389,7 +384,10 @@ def profile_report(
             f"{r_delta} ({share:.1%}) attributable to R-stream causes",
         ]
     if SERIES_REESE in suite:
-        summary = latency_summary(suite[SERIES_REESE])
+        summary = Stats.merged(
+            series[SERIES_REESE] for series in results.values()
+            if SERIES_REESE in series
+        ).detection_latency()
         det = summary["detect_latency"]
         res = summary["rqueue_residency"]
         lines += [

@@ -54,19 +54,15 @@ causes.  One cause per slot, no remainder.
 
 R-attributable causes — ``issued_r``, ``recovery``, ``fu_busy_r``,
 ``rqueue_backpressure``, ``r_drain`` — are the paper's "contention"
-buckets; :func:`attribution_delta` computes their share of a
+buckets; :func:`r_share_of_delta` computes their share of a
 REESE-minus-baseline slot delta.
 
-Detection-latency telemetry
----------------------------
-
-Two histograms (cycle-lag -> count), populated only under REESE:
-
-* ``detect_latency`` — R-queue insertion to R-execution completion:
-  the paper's §2 detection window (an environmental event shorter
-  than this lag is always caught).
-* ``rqueue_residency`` — R-queue insertion to final commit: how long
-  an instruction's architectural effect is held back by verification.
+The accountant records no fact the pipeline already counts: issue
+counts, dispatch blocks, R-queue backpressure and recovery flushes are
+per-cycle deltas of the always-on ``Stats`` counters.  Only the two
+facts no counter carries arrive as notes from the stage code: the
+stream to blame for a failed FU acquire and the start of a mispredict
+refill.
 
 Sampled-mode aggregation: every measurement interval produces its own
 account (reset with the other Stats at ``measure_from``), and
@@ -79,10 +75,12 @@ accounts ride the on-disk result cache inside ``Stats.accounting``.
 
 from __future__ import annotations
 
+from operator import attrgetter, sub
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Schema tag stored in every account dict (bump on layout change).
-ACCOUNTING_SCHEMA_VERSION = 1
+#: v2: the detection-lag histograms moved out to ``Stats``.
+ACCOUNTING_SCHEMA_VERSION = 2
 
 #: Slot-account causes, cascade priority order (issued slots first).
 SLOT_CAUSES = (
@@ -113,114 +111,101 @@ R_CAUSES = frozenset(
 )
 
 
+#: The ``Stats`` counters :meth:`CycleAccountant.on_cycle` settles from.
+_COUNTERS = attrgetter(
+    "issued", "issued_wrong_path", "issued_r", "rqueue_full_events",
+    "ruu_full_events", "lsq_full_events", "recoveries", "committed",
+)
+_ZERO_COUNTERS = (0,) * 8
+
+
 class CycleAccountant:
     """Per-cycle slot/cycle attribution state for one pipeline.
 
-    The pipeline pokes the ``cyc_*`` transients from its stage methods
-    (guarded by ``accountant is not None``, so the default path pays
-    one pointer test per site) and calls :meth:`on_cycle` at end of
-    cycle, which settles the cascade and resets the transients.
+    :meth:`on_cycle`, called at end of cycle, settles the cascade from
+    how the ``Stats`` counters moved this cycle and resets the FU blame
+    notes of :meth:`note_fu_block`.
     """
 
     __slots__ = (
         "width",
-        "_pipe",
+        "_dup",
+        "_fupool",
         "slots",
         "cycles",
         "cycles_total",
-        "detect_latency",
-        "rqueue_residency",
         "_refill",
-        "_last_committed",
-        # Per-cycle transients, reset by on_cycle().
-        "cyc_issued_p",
-        "cyc_issued_wp",
-        "cyc_issued_r",
+        "_last",           # _COUNTERS at the end of the previous cycle
+        # Per-cycle FU blame notes, reset by on_cycle().
         "cyc_fu_block_p",
         "cyc_fu_block_r",
-        "cyc_dispatch_block",
-        "cyc_rqueue_block",
-        "cyc_flush",
     )
 
     def __init__(self) -> None:
         self.width = 0
-        self._pipe = None
+        self._dup = False
+        self._fupool = None
         self.slots: Dict[str, int] = {cause: 0 for cause in SLOT_CAUSES}
         self.cycles: Dict[str, int] = {cause: 0 for cause in CYCLE_CAUSES}
         self.cycles_total = 0
-        self.detect_latency: Dict[int, int] = {}
-        self.rqueue_residency: Dict[int, int] = {}
         self._refill: Optional[str] = None
-        self._last_committed = 0
-        self.cyc_issued_p = 0
-        self.cyc_issued_wp = 0
-        self.cyc_issued_r = 0
+        self._last = _ZERO_COUNTERS
         self.cyc_fu_block_p = 0
         self.cyc_fu_block_r = 0
-        self.cyc_dispatch_block: Optional[str] = None
-        self.cyc_rqueue_block = False
-        self.cyc_flush = False
 
     def bind(self, pipe) -> None:
-        """Attach to a pipeline (records the issue width)."""
-        self._pipe = pipe
+        """Attach to a pipeline: its issue width, whether ``issued``
+        counts dispatch-dup shadow copies, and the FU pool to blame."""
         self.width = pipe.config.issue_width
+        self._dup = pipe.config.dispatch_dup
+        self._fupool = pipe.fupool
 
     def reset(self) -> None:
-        """Zero the account (the ``measure_from`` window open)."""
+        """Zero the account (the ``measure_from`` window open).
+
+        The pipeline zeroes its ``Stats`` counters at the same moment.
+        """
         self.slots = {cause: 0 for cause in SLOT_CAUSES}
         self.cycles = {cause: 0 for cause in CYCLE_CAUSES}
         self.cycles_total = 0
-        self.detect_latency = {}
-        self.rqueue_residency = {}
-        self._last_committed = 0
+        self._last = _ZERO_COUNTERS
         # Sticky refill state survives: a flush straddling the window
         # boundary still shadows the first measured cycles.
 
     # -- event notes from the pipeline ---------------------------------
 
-    def note_fu_block(self, holder: str, r_work: bool) -> None:
-        """A ready instruction found every unit of its class busy.
+    def note_fu_block(self, fu_class, cycle: int, r_work: bool) -> None:
+        """A ready instruction found every unit of ``fu_class`` busy.
 
-        Args:
-            holder: ``"R"`` if an R-stream issue holds one of the busy
-                units past this cycle (see :meth:`FUPool.blame`).
-            r_work: the blocked instruction itself is R-stream work.
+        Blamed on the R stream when the blocked instruction is R-stream
+        work (``r_work``) or an R-stream issue holds one of the busy
+        units (:meth:`FUPool.blame`).
         """
-        if r_work or holder == "R":
+        if r_work or self._fupool.blame(fu_class, cycle) == "R":
             self.cyc_fu_block_r += 1
         else:
             self.cyc_fu_block_p += 1
-
-    def note_flush(self) -> None:
-        """Compare-mismatch recovery flush this cycle."""
-        self.cyc_flush = True
-        self._refill = "recovery"
 
     def note_mispredict(self) -> None:
         """Mispredict recovery: fetch redirected to the correct path."""
         if self._refill != "recovery":
             self._refill = "mispredict"
 
-    def record_detect(self, lag: int) -> None:
-        """R-queue insertion -> R-completion lag (detection latency)."""
-        hist = self.detect_latency
-        hist[lag] = hist.get(lag, 0) + 1
-
-    def record_residency(self, lag: int) -> None:
-        """R-queue insertion -> final-commit lag (queue residency)."""
-        hist = self.rqueue_residency
-        hist[lag] = hist.get(lag, 0) + 1
-
     # -- end-of-cycle settlement ----------------------------------------
 
     def on_cycle(self, pipe) -> None:
-        """Charge this cycle's slots and cycle cause; reset transients."""
+        """Charge this cycle's slots and cycle cause; reset the notes."""
+        now = _COUNTERS(pipe.stats)
+        (issued, issued_wp, issued_r, rqueue_full, ruu_full, lsq_full,
+         recoveries, committed) = map(sub, now, self._last)
+        self._last = now
+        # Under dispatch-dup ``issued`` also counts the shadow copies,
+        # which ``issued_r`` counts too.
+        issued_p = issued - issued_wp - (issued_r if self._dup else 0)
+        if recoveries:
+            self._refill = "recovery"  # compare-mismatch flush
+
         slots = self.slots
-        issued_p = self.cyc_issued_p
-        issued_wp = self.cyc_issued_wp
-        issued_r = self.cyc_issued_r
         slots["issued_p"] += issued_p
         slots["issued_wp"] += issued_wp
         slots["issued_r"] += issued_r
@@ -228,7 +213,7 @@ class CycleAccountant:
         first_cause: Optional[str] = None
 
         if unused > 0:
-            if self.cyc_flush or self._refill == "recovery":
+            if self._refill == "recovery":
                 slots["recovery"] += unused
                 first_cause = "recovery"
             else:
@@ -245,39 +230,33 @@ class CycleAccountant:
                     if first_cause is None:
                         first_cause = "fu_busy_p"
                 if remaining:
-                    cause = self._residual_cause(pipe)
+                    if rqueue_full:
+                        cause = "rqueue_backpressure"
+                    elif ruu_full:
+                        cause = "ruu_full"
+                    elif lsq_full:
+                        cause = "lsq_full"
+                    else:
+                        cause = self._residual_cause(pipe)
                     slots[cause] += remaining
                     if first_cause is None:
                         first_cause = cause
 
-        committed_delta = pipe.stats.committed - self._last_committed
-        self._last_committed = pipe.stats.committed
-        if issued_p or issued_wp or issued_r or committed_delta:
+        if issued_p or issued_wp or issued_r or committed:
             self.cycles["active"] += 1
         else:
             self.cycles[first_cause or "idle"] += 1
         self.cycles_total += 1
 
-        if self.cyc_issued_p:
+        if issued_p:
             # Correct-path work issued again: the refill shadow ends.
             self._refill = None
-        self.cyc_issued_p = 0
-        self.cyc_issued_wp = 0
-        self.cyc_issued_r = 0
         self.cyc_fu_block_p = 0
         self.cyc_fu_block_r = 0
-        self.cyc_dispatch_block = None
-        self.cyc_rqueue_block = False
-        self.cyc_flush = False
 
     def _residual_cause(self, pipe) -> str:
-        """The single cause charged for leftover (non-FU-blocked) slots."""
-        if self.cyc_rqueue_block:
-            return "rqueue_backpressure"
-        if self.cyc_dispatch_block == "ruu":
-            return "ruu_full"
-        if self.cyc_dispatch_block == "lsq":
-            return "lsq_full"
+        """The cause charged for leftover slots when neither the R-queue
+        nor dispatch was blocked this cycle."""
         has_unready_wp = False
         for entry in pipe.ruu:
             if not entry.issued and not entry.squashed:
@@ -311,14 +290,6 @@ class CycleAccountant:
             "cycles": {
                 cause: count for cause, count in self.cycles.items() if count
             },
-            "detect_latency": {
-                str(lag): count
-                for lag, count in sorted(self.detect_latency.items())
-            },
-            "rqueue_residency": {
-                str(lag): count
-                for lag, count in sorted(self.rqueue_residency.items())
-            },
         }
 
 
@@ -348,7 +319,7 @@ def merge_accounting(
     into["slots_total"] = (
         into.get("slots_total", 0) + other.get("slots_total", 0)
     )
-    for field in ("slots", "cycles", "detect_latency", "rqueue_residency"):
+    for field in ("slots", "cycles"):
         merged = into.setdefault(field, {})
         for key, count in other.get(field, {}).items():
             merged[key] = merged.get(key, 0) + count
@@ -413,7 +384,7 @@ def r_share_of_delta(
 
 
 # ----------------------------------------------------------------------
-# histogram summaries (detection-latency telemetry)
+# {value: count} histogram summaries (detection lags, occupancies)
 # ----------------------------------------------------------------------
 
 
@@ -423,7 +394,7 @@ def hist_count(hist: Dict[Any, int]) -> int:
 
 
 def hist_mean(hist: Dict[Any, int]) -> float:
-    """Mean lag of a ``{lag: count}`` histogram (0.0 when empty)."""
+    """Mean value of a ``{value: count}`` histogram (0.0 when empty)."""
     total = 0
     weight = 0
     for lag, count in hist.items():
@@ -453,18 +424,3 @@ def hist_percentile(hist: Dict[Any, int], q: float) -> int:
 def hist_max(hist: Dict[Any, int]) -> int:
     """Largest observed lag (0 when empty)."""
     return max((int(lag) for lag in hist), default=0)
-
-
-def latency_summary(account: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
-    """mean/p50/p99/max for both latency histograms of an account."""
-    out: Dict[str, Dict[str, float]] = {}
-    for field in ("detect_latency", "rqueue_residency"):
-        hist = account.get(field, {}) if account else {}
-        out[field] = {
-            "count": hist_count(hist),
-            "mean": hist_mean(hist),
-            "p50": hist_percentile(hist, 0.50),
-            "p99": hist_percentile(hist, 0.99),
-            "max": hist_max(hist),
-        }
-    return out

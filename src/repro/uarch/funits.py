@@ -40,7 +40,6 @@ class FUPool:
     }
 
     def __init__(self, config: MachineConfig) -> None:
-        self.config = config
         lat = config.latencies
         # Per-pool list of "next cycle this unit can accept an op".
         self._pools: Dict[str, List[int]] = {
@@ -59,9 +58,11 @@ class FUPool:
         }
         #: Record which stream holds each busy unit (profiling only).
         self.track_streams = False
-        # FUClass -> (pool, r_until, oplat, issuelat); mem uses oplat 0
-        # sentinel.
-        self._dispatch: Dict[int, Tuple[List[int], List[int], int, int]] = {}
+        # FUClass -> (pool, r_until, oplat, issuelat, pool key); mem uses
+        # oplat 0 sentinel.
+        self._dispatch: Dict[
+            int, Tuple[List[int], List[int], int, int, str]
+        ] = {}
         for fu_class, (pool_key, op_attr, issue_attr) in self._OP_MAP.items():
             pool = self._pools[pool_key]
             if fu_class is FUClass.MEM_PORT:
@@ -70,39 +71,43 @@ class FUPool:
                 oplat = getattr(lat, op_attr)
                 issuelat = getattr(lat, issue_attr)
             self._dispatch[int(fu_class)] = (
-                pool, self._r_until[pool_key], oplat, issuelat,
+                pool, self._r_until[pool_key], oplat, issuelat, pool_key,
             )
         self.issues: Dict[str, int] = {key: 0 for key in self._pools}
         #: R-stream-only slice of :attr:`issues` (REESE re-executions
         #: and dispatch-duplication shadow copies), for the per-stage
         #: metrics registry's P/R utilisation split.
         self.issues_r: Dict[str, int] = {key: 0 for key in self._pools}
-        self._class_of_pool = {
-            key: key for key in self._pools
-        }
 
     def acquire(
         self, fu_class: FUClass, cycle: int, r_stream: bool = False
     ) -> Optional[int]:
         """Try to start an operation of ``fu_class`` at ``cycle``.
 
+        A successful acquire is the one record of an issue: it counts
+        into :attr:`issues` (and :attr:`issues_r` for R-stream work).
+
         Args:
             r_stream: the acquiring operation belongs to the redundant
-                stream; only consulted when :attr:`track_streams` is on
-                (so :meth:`blame` can say which stream holds a busy
-                unit).
+                stream (an R-stream re-execution or a dispatch-dup
+                shadow copy); when :attr:`track_streams` is on it also
+                marks the unit so :meth:`blame` can say which stream
+                holds it.
 
         Returns:
             The operation latency (0 for memory ports, whose latency the
             caller computes from the cache model), or ``None`` if every
             unit of the class is busy this cycle.
         """
-        pool, r_until, oplat, issuelat = self._dispatch[int(fu_class)]
+        pool, r_until, oplat, issuelat, key = self._dispatch[int(fu_class)]
         for index, next_free in enumerate(pool):
             if next_free <= cycle:
                 pool[index] = cycle + issuelat
                 if self.track_streams:
                     r_until[index] = cycle + issuelat if r_stream else 0
+                self.issues[key] += 1
+                if r_stream:
+                    self.issues_r[key] += 1
                 return oplat
         return None
 
@@ -115,49 +120,8 @@ class FUPool:
         meaningful right after an acquire returned ``None`` with
         :attr:`track_streams` on.
         """
-        pool, r_until, _, _ = self._dispatch[int(fu_class)]
+        pool, r_until, _, _, _ = self._dispatch[int(fu_class)]
         for index, next_free in enumerate(pool):
             if next_free > cycle and r_until[index] >= next_free:
                 return "R"
         return "P"
-
-    def available(self, fu_class: FUClass, cycle: int) -> int:
-        """Number of units of the class free to accept an op this cycle."""
-        pool = self._dispatch[int(fu_class)][0]
-        return sum(1 for next_free in pool if next_free <= cycle)
-
-    def record_issue(self, fu_class: FUClass, r_stream: bool = False) -> None:
-        """Update per-pool issue counters (reporting only).
-
-        Args:
-            fu_class: the class the operation issued to.
-            r_stream: the issue belongs to the redundant stream (an
-                R-stream re-execution or a dispatch-dup shadow copy).
-        """
-        pool_key = self._OP_MAP[fu_class][0]
-        self.issues[pool_key] += 1
-        if r_stream:
-            self.issues_r[pool_key] += 1
-
-    def utilization(self, cycles: int) -> Dict[str, float]:
-        """Approximate issue-slot utilization per pool."""
-        if not cycles:
-            return {key: 0.0 for key in self._pools}
-        return {
-            key: self.issues[key] / (len(pool) * cycles) if pool else 0.0
-            for key, pool in self._pools.items()
-        }
-
-    def utilization_split(self, cycles: int) -> Dict[str, Dict[str, float]]:
-        """Issue-slot utilization per pool, split by P vs R stream."""
-        if not cycles:
-            zero = {key: 0.0 for key in self._pools}
-            return {"P": dict(zero), "R": dict(zero)}
-        out: Dict[str, Dict[str, float]] = {"P": {}, "R": {}}
-        for key, pool in self._pools.items():
-            slots = len(pool) * cycles
-            r_issues = self.issues_r[key]
-            p_issues = self.issues[key] - r_issues
-            out["P"][key] = p_issues / slots if slots else 0.0
-            out["R"][key] = r_issues / slots if slots else 0.0
-        return out

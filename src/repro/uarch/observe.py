@@ -17,11 +17,14 @@ comparator — visible and checkable.  Three cooperating pieces, all
   pluggable sink: :class:`RingBufferSink` (bounded, in-memory),
   :class:`JSONLSink` (deterministic, byte-stable JSON lines — the
   golden-file oracle for regression tests) or :class:`CallbackSink`.
+  :func:`render_timeline` turns a list of events into a
+  SimpleScalar-``ptrace``-style per-instruction stage table.
 
 * :class:`StageMetrics` — a **per-stage metrics registry**: per-cycle
   occupancy histograms for the fetch queue, RUU, LSQ and R-stream
-  Queue, functional-unit issue counts split by P vs R stream, and
-  stall-reason counters.  The registry folds into
+  Queue, and functional-unit issue counts split by P vs R stream.
+  (Stall causes live in one place, the cycle accountant of
+  :mod:`repro.uarch.accounting`.)  The registry folds into
   ``Stats.stage_metrics`` (hence ``Stats.state_dict()``), so the
   on-disk result cache and the reporting layer carry it for free.
 
@@ -51,7 +54,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..reese.comparator import describe_mismatch, p_value, reexecute, values_equal
 from ..reese.faults import corrupt_value
@@ -263,7 +266,6 @@ class EventTracer:
 
     def __init__(self, sink: EventSink) -> None:
         self.sink = sink
-        self.emitted = 0
 
     def notify(self, event: str, cycle: int, entry=None, **info) -> None:
         mapped = _NOTIFY_KINDS.get(event)
@@ -294,10 +296,103 @@ class EventTracer:
             extra["match"] = bool(info.get("match"))
         self.sink.emit(TraceEvent(cycle, kind, stream, seq, iseq, op, fu,
                                   extra))
-        self.emitted += 1
 
     def finalize(self, stats) -> None:
         self.sink.close()
+
+
+# ----------------------------------------------------------------------
+# stage-timeline renderer
+# ----------------------------------------------------------------------
+
+#: Timeline columns: fetched, dispatched, issued, executed, entered the
+#: R-stream Queue, redundant execution issued, committed.
+TIMELINE_STAGES = ("F", "D", "I", "X", "Q", "R", "C")
+
+#: Event kind -> column for events that carry a pipeline ``seq``
+#: (dispatch-dup shadow copies share their original's row).
+_ENTRY_STAGES = {
+    "fetch": "F",
+    "dispatch": "D",
+    "issue": "I",
+    "writeback": "X",
+    "rqueue_insert": "Q",
+    "commit": "C",
+}
+#: Event kind -> column for REESE events raised after the instruction
+#: left the RUU (no ``seq``): they attach to the most recent row of
+#: their dynamic instruction.
+_TRACE_STAGES = {"issue": "R", "commit": "C"}
+
+
+def render_timeline(
+    events: Iterable[TraceEvent], trace, limit: Optional[int] = None
+) -> str:
+    """Per-instruction stage timeline of a traced run, as a text table.
+
+    One row per pipeline ``seq`` in first-seen order, giving the cycle
+    each stage first happened (columns :data:`TIMELINE_STAGES`), with
+    ``wrong-path`` and ``squashed`` notes, followed by the cycles of any
+    recovery flushes.  Squashed attempts keep their rows, so
+    misprediction and error-recovery behaviour is visible.
+
+    Args:
+        events: the run's :class:`TraceEvent` stream, e.g. collected
+            with ``EventTracer(CallbackSink(events.append))``.
+        trace: the run's dynamic trace (supplies each row's pc).
+        limit: render only the first ``limit`` rows.
+    """
+    first: Dict[int, TraceEvent] = {}  # seq -> its row's first event
+    stages: Dict[int, Dict[str, int]] = {}  # seq -> stage -> cycle
+    squashed = set()
+    latest: Dict[int, int] = {}  # iseq -> seq of its newest row
+    recoveries: List[int] = []
+    for event in events:
+        kind = event.kind
+        if kind == "flush":
+            recoveries.append(event.cycle)
+            continue
+        if event.seq is None:
+            seq = latest.get(event.iseq)
+            stage = _TRACE_STAGES.get(kind)
+        else:
+            seq = event.seq
+            stage = _ENTRY_STAGES.get(kind)
+            if seq not in first:
+                first[seq] = event
+                stages[seq] = {}
+                if event.iseq is not None:
+                    latest[event.iseq] = seq
+            if kind == "squash":
+                squashed.add(seq)
+        if seq is not None and stage is not None:
+            stages[seq].setdefault(stage, event.cycle)
+
+    header = (
+        f"{'seq':>5s} {'dyn':>5s} {'op':<8s} {'pc':>10s} "
+        + " ".join(f"{stage:>6s}" for stage in TIMELINE_STAGES)
+        + "  notes"
+    )
+    lines = [header, "-" * len(header)]
+    for seq, event in list(first.items())[: limit or len(first)]:
+        notes = []
+        if event.extra and event.extra.get("wp"):
+            notes.append("wrong-path")
+        if seq in squashed:
+            notes.append("squashed")
+        cells = " ".join(
+            f"{stages[seq].get(stage, ''):>6}" for stage in TIMELINE_STAGES
+        )
+        iseq = event.iseq  # None on the wrong path
+        dyn = "-" if iseq is None else str(iseq)
+        pc = 0 if iseq is None else trace[iseq].pc
+        lines.append(
+            f"{seq:>5d} {dyn:>5s} {event.op:<8s} {pc:#010x} {cells}  "
+            f"{' '.join(notes)}"
+        )
+    if recoveries:
+        lines.append(f"recoveries at cycles: {recoveries}")
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -306,24 +401,25 @@ class EventTracer:
 
 
 class StageMetrics:
-    """Per-cycle occupancy histograms, FU split and stall counters.
+    """Per-cycle occupancy histograms and the P/R FU issue split.
 
     Sampled once per simulated cycle via the pipeline's ``on_cycle``
-    hook; folded into ``Stats.stage_metrics`` at finalisation.
+    hook; zeroed with the other statistics when the ``measure_from``
+    window opens; folded into ``Stats.stage_metrics`` at finalisation.
     Histogram bins are stored with **string keys** so the registry
     round-trips unchanged through the JSON result cache.
     """
 
     STRUCTURES = ("ifq", "ruu", "lsq", "rqueue")
-    STALLS = ("fetch_blocked", "rqueue_full", "empty_window", "no_commit")
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
         self.cycles_sampled = 0
         self.occupancy: Dict[str, Dict[int, int]] = {
             key: {} for key in self.STRUCTURES
         }
-        self.stalls: Dict[str, int] = {key: 0 for key in self.STALLS}
-        self._last_committed = 0
 
     def on_cycle(self, pipe) -> None:
         self.cycles_sampled += 1
@@ -336,20 +432,8 @@ class StageMetrics:
         ):
             hist = self.occupancy[key]
             hist[occ] = hist.get(occ, 0) + 1
-        stalls = self.stalls
-        if pipe.fetch_blocked_until > pipe.cycle:
-            stalls["fetch_blocked"] += 1
-        if rqueue is not None and rqueue.full:
-            stalls["rqueue_full"] += 1
-        if not pipe.ruu and not pipe.ifq:
-            stalls["empty_window"] += 1
-        committed = pipe.stats.committed
-        if committed == self._last_committed:
-            stalls["no_commit"] += 1
-        else:
-            self._last_committed = committed
 
-    def state_dict(self, pipe=None) -> Dict[str, Any]:
+    def state_dict(self, pipe) -> Dict[str, Any]:
         """JSON-serialisable registry (the ``Stats.stage_metrics`` value)."""
         out: Dict[str, Any] = {
             "schema": EVENT_SCHEMA_VERSION,
@@ -358,24 +442,14 @@ class StageMetrics:
                 key: {str(occ): count for occ, count in sorted(hist.items())}
                 for key, hist in self.occupancy.items()
             },
-            "stalls": dict(self.stalls),
         }
-        if pipe is not None:
-            total = pipe.fupool.issues
-            r_only = pipe.fupool.issues_r
-            out["fu_issued"] = {
-                "P": {k: total[k] - r_only.get(k, 0) for k in sorted(total)},
-                "R": {k: r_only[k] for k in sorted(r_only)},
-            }
+        total = pipe.fupool.issues
+        r_only = pipe.fupool.issues_r
+        out["fu_issued"] = {
+            "P": {k: total[k] - r_only.get(k, 0) for k in sorted(total)},
+            "R": {k: r_only[k] for k in sorted(r_only)},
+        }
         return out
-
-
-def occupancy_mean(hist: Dict[str, int]) -> float:
-    """Mean occupancy of one ``state_dict`` histogram (string bins)."""
-    total = sum(hist.values())
-    if not total:
-        return 0.0
-    return sum(int(occ) * count for occ, count in hist.items()) / total
 
 
 # ----------------------------------------------------------------------
@@ -667,8 +741,8 @@ class Observability:
     """Composite observer: tracer and/or metrics and/or checker.
 
     Implements the full pipeline observer protocol (``notify``,
-    ``on_cycle``, ``bind``, ``finalize``); each sub-piece is optional
-    and the hooks skip whatever is absent.
+    ``on_cycle``, ``bind``, ``reset``, ``finalize``); each sub-piece is
+    optional and the hooks skip whatever is absent.
     """
 
     def __init__(
@@ -700,6 +774,12 @@ class Observability:
             self.metrics.on_cycle(pipe)
         if self.checker is not None:
             self.checker.on_cycle(pipe)
+
+    def reset(self) -> None:
+        """The ``measure_from`` window opened: restart the metrics (the
+        checker's commit order and the event stream run on)."""
+        if self.metrics is not None:
+            self.metrics.reset()
 
     def _ring_sinks(self) -> List[RingBufferSink]:
         """Ring-buffer sinks reachable through the tracer (if any)."""

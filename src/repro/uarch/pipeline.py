@@ -223,15 +223,15 @@ class Pipeline:
             warm_predictor: likewise pre-train the direction predictor
                 on one pass of the branch stream.
             observer: optional stage-event observer (e.g.
-                :class:`repro.uarch.ptrace.PipeTrace` or
                 :class:`repro.uarch.observe.Observability`); its
                 ``notify`` method is called at fetch/dispatch/issue/
                 complete/commit/squash/R-stream/compare/flush events.
                 Optional observer hooks, resolved once here so an
                 absent hook costs nothing per cycle: ``bind(pipeline)``
                 at construction, ``on_cycle(pipeline)`` at the end of
-                every simulated cycle, ``finalize(stats)`` after the
-                run.
+                every simulated cycle, ``reset()`` when the
+                ``measure_from`` window opens, ``finalize(stats)``
+                after the run.
             warm_state: optional pre-warmed architectural state (an
                 object with ``mem``, ``predictor``, ``btb`` and ``ras``
                 attributes, e.g. :class:`repro.uarch.sampling.WarmState`).
@@ -250,11 +250,12 @@ class Pipeline:
                 whole run.
             accountant: optional
                 :class:`repro.uarch.accounting.CycleAccountant`; when
-                given, every stage reports issue/stall facts to it and
-                the end of every cycle settles the top-down slot/cycle
-                attribution cascade.  ``None`` (the default) keeps the
-                profiler-free fast path: every hook site is a single
-                ``is not None`` test.
+                given, the end of every cycle settles the top-down
+                slot/cycle attribution cascade from this cycle's Stats
+                counter deltas, and issue reports FU-blame and
+                mispredict notes to it.  ``None`` (the default) keeps
+                the profiler-free fast path: every note site is a
+                single ``is not None`` test.
             stop_after: trace seq whose commit ends the run — younger
                 trace instructions are fetched/executed (keeping the
                 machine realistically busy behind the measured window)
@@ -271,6 +272,7 @@ class Pipeline:
         self.warm_predictor = warm_predictor
         self.observer = observer
         self._on_cycle = getattr(observer, "on_cycle", None)
+        self._observer_reset = getattr(observer, "reset", None)
         bind = getattr(observer, "bind", None)
         if bind is not None:
             bind(self)
@@ -394,11 +396,6 @@ class Pipeline:
                 acct.on_cycle(self)  # settle the attribution cascade
             self.cycle += 1
             self.stats.cycles += 1
-            if self.reese_on:
-                occ = len(self.rqueue)
-                self.stats.rqueue_occ_sum += occ
-                if occ > self.stats.rqueue_occ_max:
-                    self.stats.rqueue_occ_max = occ
             if not self.ifq and not self.ruu:
                 if self.commit_seq >= total:
                     self._done = True
@@ -443,8 +440,8 @@ class Pipeline:
         stats = self.stats
         for name in Stats._SUM_FIELDS:
             setattr(stats, name, 0)
-        for name in Stats._MAX_FIELDS:
-            setattr(stats, name, 0)
+        for name in Stats._HIST_FIELDS:
+            setattr(stats, name, {})
         self.mem.reset_stats()
         self.predictor.lookups = 0
         self.predictor.correct = 0
@@ -454,6 +451,8 @@ class Pipeline:
             self.fupool.issues_r[key] = 0
         if self.accountant is not None:
             self.accountant.reset()
+        if self._observer_reset is not None:
+            self._observer_reset()
 
     def _finalize(self) -> Stats:
         stats = self.stats
@@ -490,7 +489,6 @@ class Pipeline:
             if head.is_store:
                 if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
                     break
-                self.fupool.record_issue(FUClass.MEM_PORT)
                 self.mem.daccess(head.dyn.ea, is_write=True)
             self._retire_entry(head)
             ruu.pop(0)
@@ -552,7 +550,6 @@ class Pipeline:
             if head.is_store:
                 if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
                     break
-                self.fupool.record_issue(FUClass.MEM_PORT)
                 self.mem.daccess(head.dyn.ea, is_write=True)
             self.retry.record_success(head.trace_seq)
             if observer is not None:
@@ -596,7 +593,6 @@ class Pipeline:
         budget = self.config.commit_width
         rqueue = self.rqueue
         observer = self.observer
-        acct = self.accountant
         while budget:
             rentry = rqueue.committable(self.commit_seq)
             if rentry is None:
@@ -627,13 +623,13 @@ class Pipeline:
             if dyn.is_store:
                 if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
                     break
-                self.fupool.record_issue(FUClass.MEM_PORT)
                 self.mem.daccess(dyn.ea, is_write=True)
                 if rentry.lsq_entry is not None:
                     self._lsq_remove(rentry.lsq_entry)
             rqueue.pop(rentry.seq)
-            if acct is not None:
-                acct.record_residency(self.cycle - rentry.inserted_cycle)
+            lag = str(self.cycle - rentry.inserted_cycle)
+            residency = self.stats.rqueue_residency
+            residency[lag] = residency.get(lag, 0) + 1
             self.retry.record_success(rentry.seq)
             if observer is not None:
                 observer.notify(
@@ -670,8 +666,6 @@ class Pipeline:
                 break
             if rqueue.free_slots <= older_unmoved:
                 self.stats.rqueue_full_events += 1
-                if acct is not None:
-                    acct.cyc_rqueue_block = True
                 break
             self._move_to_rqueue(entry)
             ruu.pop(index)
@@ -737,8 +731,6 @@ class Pipeline:
         self.rq_epoch += 1
         if self.rqueue is not None:
             self.rqueue.clear()
-        if self.accountant is not None:
-            self.accountant.note_flush()
         self.wp_active = False
         self.wp_index = -1
         self.fetch_cursor = refetch_cursor
@@ -785,13 +777,9 @@ class Pipeline:
             self._recover_mispredict(entry)
 
     def _complete_r(self, rentry: REntry) -> None:
-        separation = self.cycle - rentry.inserted_cycle
-        self.stats.pr_separation_sum += separation
-        self.stats.pr_separation_count += 1
-        if separation > self.stats.pr_separation_max:
-            self.stats.pr_separation_max = separation
-        if self.accountant is not None:
-            self.accountant.record_detect(separation)
+        lag = str(self.cycle - rentry.inserted_cycle)
+        detect = self.stats.detect_latency
+        detect[lag] = detect.get(lag, 0) + 1
         r_val = reese_reexecute(rentry.dyn)
         bit = self.fault_model.sample(self.cycle)
         if bit is not None and r_val is not None:
@@ -872,7 +860,6 @@ class Pipeline:
         leftover: List[_Entry] = []
         cycle = self.cycle
         observer = self.observer
-        acct = self.accountant
         for entry in self.ready:
             if entry.squashed or entry.issued:
                 continue
@@ -892,13 +879,6 @@ class Pipeline:
                 self.stats.issued_wrong_path += 1
             if entry.is_shadow:
                 self.stats.issued_r += 1  # redundant copy (dispatch dup)
-            if acct is not None:
-                if entry.wrong_path:
-                    acct.cyc_issued_wp += 1
-                elif entry.is_shadow:
-                    acct.cyc_issued_r += 1
-                else:
-                    acct.cyc_issued_p += 1
             budget -= 1
         self.ready = leftover
         return budget
@@ -914,11 +894,8 @@ class Pipeline:
         if grant is None:
             acct = self.accountant
             if acct is not None:
-                acct.note_fu_block(
-                    self.fupool.blame(entry.fu, cycle), entry.is_shadow
-                )
+                acct.note_fu_block(entry.fu, cycle, entry.is_shadow)
             return None
-        self.fupool.record_issue(entry.fu, entry.is_shadow)
         return max(1, grant)
 
     def _try_issue_load(self, entry: _Entry, cycle: int) -> Optional[int]:
@@ -945,12 +922,8 @@ class Pipeline:
         if grant is None:
             acct = self.accountant
             if acct is not None:
-                acct.note_fu_block(
-                    self.fupool.blame(FUClass.MEM_PORT, cycle),
-                    entry.is_shadow,
-                )
+                acct.note_fu_block(FUClass.MEM_PORT, cycle, entry.is_shadow)
             return None
-        self.fupool.record_issue(FUClass.MEM_PORT, entry.is_shadow)
         if entry.wrong_path or ea is None:
             return self._l1d_hit  # wrong path: no cache state pollution
         return max(1, self.mem.daccess(ea, is_write=False))
@@ -966,9 +939,8 @@ class Pipeline:
             grant = self.fupool.acquire(rentry.fu, cycle, True)
             if grant is None:
                 if acct is not None:
-                    acct.cyc_fu_block_r += 1
+                    acct.note_fu_block(rentry.fu, cycle, True)
                 continue  # FU busy: skip — R entries are independent
-            self.fupool.record_issue(rentry.fu, True)
             if rentry.fu is FUClass.MEM_PORT:
                 latency = self._l1d_hit  # R loads always hit in L1 (§4.4)
             else:
@@ -980,8 +952,6 @@ class Pipeline:
                     "r_issue", cycle, trace_seq=rentry.seq, rentry=rentry
                 )
             self.stats.issued_r += 1
-            if acct is not None:
-                acct.cyc_issued_r += 1
             budget -= 1
         return budget
 
@@ -1004,7 +974,6 @@ class Pipeline:
         ruu_size = self.config.ruu_size
         lsq_size = self.config.lsq_size
         ifq = self.ifq
-        acct = self.accountant
         while budget and ifq:
             entry = ifq[0]
             duplicate = (
@@ -1016,13 +985,9 @@ class Pipeline:
             slots_needed = 2 if duplicate else 1
             if len(self.ruu) > ruu_size - slots_needed:
                 self.stats.ruu_full_events += 1
-                if acct is not None:
-                    acct.cyc_dispatch_block = "ruu"
                 break
             if entry.is_mem and len(self.lsq) > lsq_size - slots_needed:
                 self.stats.lsq_full_events += 1
-                if acct is not None:
-                    acct.cyc_dispatch_block = "lsq"
                 break
             if duplicate and budget < 2:
                 break  # original and duplicate dispatch together
@@ -1099,21 +1064,16 @@ class Pipeline:
         budget = self.config.fetch_width
         ifq_cap = self.config.fetch_queue_size
         trace = self.trace
-        fetched_any = False
         while budget and len(self.ifq) < ifq_cap:
             if self.wp_active:
                 if not self._fetch_wrong_path():
                     break
-                fetched_any = True
             else:
                 if self.fetch_cursor >= len(trace):
                     break
                 if not self._fetch_correct_path(trace[self.fetch_cursor]):
                     break
-                fetched_any = True
             budget -= 1
-        if not fetched_any and not self.ifq:
-            self.stats.ifq_empty_cycles += 1
 
     def _fetch_correct_path(self, dyn: DynInst) -> bool:
         # Instruction-cache probe (one access per line).

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Optional
 
-from .accounting import latency_summary, merge_accounting
+from .accounting import (
+    hist_count,
+    hist_max,
+    hist_mean,
+    hist_percentile,
+    merge_accounting,
+)
 
 
 def _merge_cache_level(
@@ -51,9 +57,6 @@ def _merge_stage_metrics(
         merged = occupancy.setdefault(structure, {})
         for bin_key, count in hist.items():
             merged[bin_key] = merged.get(bin_key, 0) + count
-    stalls = into.setdefault("stalls", {})
-    for reason, count in other.get("stalls", {}).items():
-        stalls[reason] = stalls.get(reason, 0) + count
     if "dropped_events" in into or "dropped_events" in other:
         into["dropped_events"] = (
             into.get("dropped_events", 0) + other.get("dropped_events", 0)
@@ -96,16 +99,10 @@ class Stats:
         "loads",
         "stores",
         "load_forwards",
-        "ifq_empty_cycles",
         "ruu_full_events",
         "lsq_full_events",
         "rqueue_full_events",
         "rqueue_moves",
-        "rqueue_occ_sum",
-        "rqueue_occ_max",
-        "pr_separation_sum",
-        "pr_separation_max",
-        "pr_separation_count",
         "r_skipped_duty",
         "comparisons",
         "errors_detected",
@@ -117,6 +114,8 @@ class Stats:
         "bpred_accuracy",
         "fu_issues",
         "cache_stats",
+        "detect_latency",
+        "rqueue_residency",
         "stage_metrics",
         "accounting",
     )
@@ -138,16 +137,10 @@ class Stats:
         self.loads = 0
         self.stores = 0
         self.load_forwards = 0
-        self.ifq_empty_cycles = 0
         self.ruu_full_events = 0
         self.lsq_full_events = 0
         self.rqueue_full_events = 0
         self.rqueue_moves = 0
-        self.rqueue_occ_sum = 0
-        self.rqueue_occ_max = 0
-        self.pr_separation_sum = 0
-        self.pr_separation_max = 0
-        self.pr_separation_count = 0
         self.r_skipped_duty = 0
         self.comparisons = 0
         self.errors_detected = 0
@@ -159,8 +152,14 @@ class Stats:
         self.bpred_accuracy = 0.0
         self.fu_issues: Dict[str, int] = {}
         self.cache_stats: Dict[str, Dict[str, float]] = {}
+        #: REESE lag histograms ``{str(lag): count}`` (str keys survive
+        #: the JSON cache): R-queue insertion -> R completion, the §2
+        #: P->R separation (``detect_latency``), and insertion -> final
+        #: commit (``rqueue_residency``).  Empty unless REESE ran.
+        self.detect_latency: Dict[str, int] = {}
+        self.rqueue_residency: Dict[str, int] = {}
         #: Per-stage metrics registry (occupancy histograms, P/R FU
-        #: split, stall reasons) — populated only when the run was
+        #: split) — populated only when the run was
         #: observed (``repro.uarch.observe.StageMetrics``), empty
         #: otherwise.  JSON-serialisable by construction, so it rides
         #: the on-disk result cache with every other counter.
@@ -187,10 +186,6 @@ class Stats:
         )
 
     @property
-    def rqueue_mean_occupancy(self) -> float:
-        return self.rqueue_occ_sum / self.cycles if self.cycles else 0.0
-
-    @property
     def mean_pr_separation(self) -> float:
         """Mean cycles between queue insertion and R-execution completion.
 
@@ -198,22 +193,28 @@ class Stats:
         duration Δt escapes exactly when the P and R executions both
         fall inside it, so this separation is the machine's effective
         coverage window (events shorter than it are always caught).
+        The mean of the :attr:`detect_latency` histogram.
         """
-        return (
-            self.pr_separation_sum / self.pr_separation_count
-            if self.pr_separation_count
-            else 0.0
-        )
+        return hist_mean(self.detect_latency)
 
     def detection_latency(self) -> Dict[str, Dict[str, float]]:
         """mean/p50/p99/max of the REESE detection-latency telemetry.
 
-        Summarises the two lag histograms of :attr:`accounting`
-        (``detect_latency``: queue insertion -> R-verify;
-        ``rqueue_residency``: queue insertion -> final commit).  All
-        zeros when the run was not profiled or not REESE.
+        Summarises the two lag histograms (``detect_latency``: queue
+        insertion -> R-verify; ``rqueue_residency``: queue insertion ->
+        final commit).  All zeros when the run was not REESE.
         """
-        return latency_summary(self.accounting)
+        out: Dict[str, Dict[str, float]] = {}
+        for field in self._HIST_FIELDS:
+            hist = getattr(self, field)
+            out[field] = {
+                "count": hist_count(hist),
+                "mean": hist_mean(hist),
+                "p50": hist_percentile(hist, 0.50),
+                "p99": hist_percentile(hist, 0.99),
+                "max": hist_max(hist),
+            }
+        return out
 
     # -- aggregation (the sampled-simulation merge path) -----------------
 
@@ -223,21 +224,20 @@ class Stats:
         "dispatched", "dispatched_wrong_path", "issued",
         "issued_wrong_path", "issued_r", "squashed", "branches",
         "cond_branches", "mispredictions", "loads", "stores",
-        "load_forwards", "ifq_empty_cycles", "ruu_full_events",
-        "lsq_full_events", "rqueue_full_events", "rqueue_moves",
-        "rqueue_occ_sum", "pr_separation_sum", "pr_separation_count",
-        "r_skipped_duty", "comparisons", "errors_detected",
-        "errors_undetected_same_event", "sdc_commits", "recoveries",
+        "load_forwards", "ruu_full_events", "lsq_full_events",
+        "rqueue_full_events", "rqueue_moves", "r_skipped_duty",
+        "comparisons", "errors_detected", "errors_undetected_same_event",
+        "sdc_commits", "recoveries",
     )
-    #: Watermarks combined by maximum.
-    _MAX_FIELDS = ("rqueue_occ_max", "pr_separation_max")
+    #: ``{key: count}`` histograms combined by key-wise summation.
+    _HIST_FIELDS = ("detect_latency", "rqueue_residency")
 
     def merge(self, other: "Stats") -> "Stats":
         """Fold another run's counters into this one, in place.
 
         This is the aggregation path of the sampled-simulation engine
         (:mod:`repro.uarch.sampling`): per-interval Stats merge into one
-        whole-run view.  Counters sum, watermarks take the maximum,
+        whole-run view.  Counters and histograms sum,
         ``unrecoverable`` ORs, ``halted`` ANDs (the merged run finished
         only if every interval did), predictor accuracy is weighted by
         conditional-branch count, and the nested registries
@@ -257,8 +257,10 @@ class Stats:
             ) / total_weight
         for name in self._SUM_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        for name in self._MAX_FIELDS:
-            setattr(self, name, max(getattr(self, name), getattr(other, name)))
+        for name in self._HIST_FIELDS:
+            hist = getattr(self, name)
+            for key, count in (getattr(other, name) or {}).items():
+                hist[key] = hist.get(key, 0) + count
         self.unrecoverable = self.unrecoverable or other.unrecoverable
         self.halted = self.halted and other.halted
         for unit, count in (other.fu_issues or {}).items():
@@ -305,15 +307,11 @@ class Stats:
                 setattr(stats, name, state[name])
         return stats
 
-    #: Backward-compatible alias (pre-sampling name).
-    from_dict = from_state_dict
-
     def to_dict(self) -> Dict[str, Any]:
         """Flat reporting dict with counters and derived metrics."""
         out: Dict[str, Any] = self.state_dict()
         out["ipc"] = self.ipc
         out["misprediction_rate"] = self.misprediction_rate
-        out["rqueue_mean_occupancy"] = self.rqueue_mean_occupancy
         out["mean_pr_separation"] = self.mean_pr_separation
         return out
 

@@ -162,18 +162,17 @@ class TestMetricsReport:
     def test_placeholder_for_unobserved_stats(self):
         assert "not observed" in metrics_report(Stats())
 
-    def test_renders_occupancy_and_stalls(self):
+    def test_renders_occupancy_and_fu_split(self):
         stats = Stats()
         stats.stage_metrics = {
             "schema": 1,
             "cycles_sampled": 10,
             "occupancy": {"ruu": {"0": 5, "8": 5}},
-            "stalls": {"fetch_blocked": 3},
             "fu_issued": {"P": {"ialu": 7}, "R": {"ialu": 2}},
         }
         report = metrics_report(stats)
         assert "stage metrics over 10 cycles" in report
         assert "ruu" in report and "4.00" in report and "8" in report
-        assert "fetch_blocked=3" in report
+        assert "stalls" not in report  # the cycle account owns stalls
         assert "FU issues (P-stream): ialu=7" in report
         assert "FU issues (R-stream): ialu=2" in report

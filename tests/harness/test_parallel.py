@@ -83,26 +83,27 @@ class TestFingerprint:
         assert job_fingerprint(implicit) == job_fingerprint(explicit)
 
 
-#: Cache keys computed by the hand-listed fingerprint payload that
-#: preceded the field-derived one.  They must never change without a
-#: CACHE_VERSION bump: every existing .repro_cache entry depends on them.
+#: Cache keys at CACHE_VERSION 5 (the v4 keys of the hand-listed
+#: fingerprint payload that preceded the field-derived one, with only the
+#: version changed).  They must never change without a CACHE_VERSION
+#: bump: every existing .repro_cache entry depends on them.
 PINNED_KEYS = [
     (SimJob("go", starting_config(), 900),
-     "5a24a4b48cd3ab000b7037069b2d78764818e76187e1e048c6b4f504830a75f0"),
+     "c9fd3ea4a8d920bf59461cf26b1fe80d59886b5fbde648fcd3b27ae91a1849e5"),
     (SimJob("gcc", starting_config().with_reese(), 2000, seed=7),
-     "6c31b5c9a76cd1c82ddbb046acd305b3d49310ef9fadeb0b1e8b824b4d7c845a"),
+     "fc5356fdcde60b34becced65a651e50b52b6097bd142482ad09ae112b786171e"),
     (SimJob("li", starting_config().with_reese(), 1500,
             fault=FaultSpec.make("environmental", rate=1e-3, duration=3,
                                  seed=11)),
-     "90b55ad379ac439de10132f65c52478bb9c4d98875b0e37a1cc0e897e869560d"),
+     "3897efd5e803185e13d7426a99bd10414c31d6914115c6d5cd51330c73f9847e"),
     (SimJob("perl", starting_config().with_reese(), 1500,
             fault=FaultSpec.make("scheduled", events=((10, 2, 3),)),
             warm=False),
-     "36574d72364e1a021f9f49301699cc2c90172a6f5ccfbfda6995f6af2590c852"),
+     "281a055b5e9dbbb37923293b4401fba91a4e7e1e50e70e4eafa3a131ba612416"),
     (SimJob("vortex", starting_config().with_spares(2, 0).with_reese(), 2000,
             sampling=SamplingSpec(4, 120, warmup=30, cooldown=30, index=2),
             observe=True, check_invariants=True, profile=True),
-     "55d8afcc960978f5aa622edc1822076addab18f61add661ed87d0d5fe5f92e1c"),
+     "e902d62e6e3266de3468f8cafa3775d541d29b5213b4ab2edbf61c67ae5b623a"),
 ]
 
 #: One changed value per SimJob field (against ``SimJob("go", cfg, TINY)``).
@@ -123,7 +124,7 @@ ALTERNATE_VALUES = {
 
 class TestFingerprintDerivation:
     def test_cache_version_unchanged(self):
-        assert CACHE_VERSION == 4
+        assert CACHE_VERSION == 5
 
     @pytest.mark.parametrize("index", range(len(PINNED_KEYS)))
     def test_pinned_keys(self, index):

@@ -75,14 +75,12 @@ def _fake_stats(width, cycles, slots):
     stats.cycles = cycles
     stats.committed = cycles * 2
     stats.accounting = {
-        "schema": 1,
+        "schema": 2,
         "width": width,
         "cycles_total": cycles,
         "slots_total": width * cycles,
         "slots": dict(slots),
         "cycles": {"active": cycles},
-        "detect_latency": {},
-        "rqueue_residency": {},
     }
     return stats
 
@@ -92,7 +90,7 @@ class TestProfileReport:
         base = _fake_stats(4, 100, {"issued_p": 200, "ruu_full": 200})
         reese = _fake_stats(4, 150, {"issued_p": 200, "issued_r": 200,
                                      "fu_busy_r": 150, "ruu_full": 50})
-        reese.accounting["detect_latency"] = {"3": 5, "8": 5}
+        reese.detect_latency = {"3": 5, "8": 5}
         r2a = _fake_stats(4, 110, {"issued_p": 200, "issued_r": 200,
                                    "ruu_full": 40})
         return {"go": {SERIES_BASELINE: base, SERIES_REESE: reese,

@@ -120,11 +120,12 @@ class TestIntervalFaultSpec:
 class TestRunSampledJobs:
     def test_matches_in_process_run_sampled(self, runner):
         cfg = starting_config().with_reese()
-        [result] = run_sampled_jobs(
-            [SimJob("li", cfg, SCALE, sampling=SPEC)], runner
-        )
+        job = SimJob("li", cfg, SCALE, sampling=SPEC)
+        [result] = run_sampled_jobs([job], runner)
         program, trace = trace_for("li", SCALE)
-        reference = run_sampled(program, trace, cfg, SPEC)
+        # The runner folds the REPRO_PROFILE gate into the job.
+        reference = run_sampled(program, trace, cfg, SPEC,
+                                profile_run=runner.resolve(job).profile)
         assert isinstance(result, SampledResult)
         assert [s.state_dict() for s in result.interval_stats] == \
             [s.state_dict() for s in reference.interval_stats]
@@ -155,7 +156,8 @@ class TestRunSampledJobs:
         job = SimJob("li", cfg, SCALE, sampling=SPEC)
         [merged] = runner.run([job])
         program, trace = trace_for("li", SCALE)
-        reference = run_sampled(program, trace, cfg, SPEC)
+        reference = run_sampled(program, trace, cfg, SPEC,
+                                profile_run=runner.resolve(job).profile)
         assert merged.state_dict() == reference.stats.state_dict()
 
 

@@ -1,7 +1,7 @@
 """Worker-count invariance of the profiled accounting payload.
 
-The detection-latency histograms (and the whole attribution account)
-are part of the Stats payload, so they ride the result cache and feed
+The attribution account and the detection-latency histograms are part
+of the Stats payload, so they ride the result cache and feed
 golden comparisons.  They must therefore be a pure function of the
 job — byte-identical canonical JSON whether the suite ran on one
 worker or fanned out over four, fresh or via the cache.
@@ -33,7 +33,11 @@ def _canonical_accounts(jobs_n):
     runner = ParallelRunner(jobs=jobs_n, use_cache=False)
     results = runner.run(_profiled_jobs())
     return [
-        json.dumps(stats.accounting, sort_keys=True) for stats in results
+        json.dumps(
+            [stats.accounting, stats.detect_latency, stats.rqueue_residency],
+            sort_keys=True,
+        )
+        for stats in results
     ]
 
 
@@ -46,12 +50,11 @@ class TestProfileDeterminism:
     def test_detection_histograms_populated_for_reese_only(self):
         runner = ParallelRunner(jobs=1, use_cache=False)
         base, reese, _ = runner.run(_profiled_jobs())
-        assert base.accounting["detect_latency"] == {}
-        assert reese.accounting["detect_latency"]
-        # str-keyed, sorted — the canonical on-disk form.
-        lags = list(reese.accounting["detect_latency"])
-        assert all(isinstance(lag, str) for lag in lags)
-        assert lags == sorted(lags, key=int)
+        assert base.detect_latency == {} and base.rqueue_residency == {}
+        assert reese.detect_latency and reese.rqueue_residency
+        # str-keyed: the form that round-trips through the JSON cache.
+        for hist in (reese.detect_latency, reese.rqueue_residency):
+            assert all(isinstance(lag, str) for lag in hist)
 
     def test_cache_round_trip_preserves_account(self):
         jobs = _profiled_jobs()[:1]

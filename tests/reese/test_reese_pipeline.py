@@ -10,7 +10,7 @@ from repro.reese import (
     ScheduledFaultModel,
     UnrecoverableFaultError,
 )
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Observability, Pipeline, StageMetrics, starting_config
 from repro.workloads import kernels
 
 
@@ -54,8 +54,11 @@ class TestRedundantExecution:
 
     def test_rqueue_occupancy_tracked(self, mixed_trace):
         program, trace = mixed_trace
-        stats = run_reese(program, trace)
-        assert stats.rqueue_occ_max >= 1
+        stats = run_reese(
+            program, trace, observer=Observability(metrics=StageMetrics())
+        )
+        occupancy = stats.stage_metrics["occupancy"]["rqueue"]
+        assert max(int(occ) for occ in occupancy) >= 1
         assert stats.rqueue_moves == stats.committed
 
     def test_no_detection_without_faults(self, mixed_trace):

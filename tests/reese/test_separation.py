@@ -5,6 +5,7 @@ import pytest
 from repro.arch import emulate
 from repro.reese import EnvironmentalFaultModel
 from repro.uarch import Pipeline, starting_config
+from repro.uarch.accounting import hist_count, hist_max
 from repro.workloads import kernels
 from repro.workloads.suite import trace_for
 
@@ -16,10 +17,10 @@ class TestSeparationAccounting:
         reese = Pipeline(
             program, trace, starting_config().with_reese()
         ).run()
-        assert base.pr_separation_count == 0
-        assert reese.pr_separation_count > 0
+        assert base.detect_latency == {}
+        assert hist_count(reese.detect_latency) > 0
         assert reese.mean_pr_separation >= 1.0
-        assert reese.pr_separation_max >= reese.mean_pr_separation
+        assert hist_max(reese.detect_latency) >= reese.mean_pr_separation
 
     def test_counts_match_r_completions(self, mixed_trace):
         program, trace = mixed_trace
@@ -27,7 +28,7 @@ class TestSeparationAccounting:
             program, trace, starting_config().with_reese()
         ).run()
         # Every R completion contributes exactly one sample.
-        assert stats.pr_separation_count >= stats.comparisons
+        assert hist_count(stats.detect_latency) >= stats.comparisons
 
     def test_fuller_queue_means_longer_separation(self):
         program = kernels.ilp_block(400, 8)

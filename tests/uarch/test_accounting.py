@@ -1,9 +1,10 @@
 """Unit tests for the cycle-accounting profiler.
 
-The cascade is tested against a stub pipeline (so each priority rung
-can be exercised in isolation), the FU blame rule against a real
-FUPool, and the account arithmetic (merge, identities, R-share,
-histogram summaries) as pure functions over state_dict payloads.
+The cascade is tested against a stub pipeline whose Stats counters a
+test bumps the way the stage code would (so each priority rung can be
+exercised in isolation), the FU blame rule against a real FUPool, and
+the account arithmetic (merge, identities, R-share, histogram
+summaries) as pure functions over state_dict payloads.
 """
 
 import pytest
@@ -20,17 +21,12 @@ from repro.uarch.accounting import (
     hist_max,
     hist_mean,
     hist_percentile,
-    latency_summary,
     merge_accounting,
     r_share_of_delta,
 )
 from repro.uarch.config import starting_config
 from repro.uarch.funits import FUPool
-
-
-class _Stats:
-    def __init__(self):
-        self.committed = 0
+from repro.uarch.stats import Stats
 
 
 class _Entry:
@@ -42,6 +38,7 @@ class _Entry:
 
 class _Config:
     issue_width = 4
+    dispatch_dup = False
 
 
 class _Pipe:
@@ -49,7 +46,8 @@ class _Pipe:
 
     def __init__(self):
         self.config = _Config()
-        self.stats = _Stats()
+        self.stats = Stats()
+        self.fupool = FUPool(starting_config())
         self.ruu = []
         self.wp_active = False
         self.fetch_blocked_until = 0
@@ -67,11 +65,17 @@ def acct():
     return accountant
 
 
+def _issue(pipe, p=0, wp=0, r=0):
+    """Bump the issue counters the way the stage code does."""
+    pipe.stats.issued += p + wp
+    pipe.stats.issued_wrong_path += wp
+    pipe.stats.issued_r += r
+
+
 class TestCascade:
     def test_issued_slots_charge_first(self, acct):
         pipe = _Pipe()
-        acct.cyc_issued_p = 2
-        acct.cyc_issued_r = 1
+        _issue(pipe, p=2, r=1)
         acct.on_cycle(pipe)
         assert acct.slots["issued_p"] == 2
         assert acct.slots["issued_r"] == 1
@@ -79,33 +83,37 @@ class TestCascade:
 
     def test_recovery_wins_over_everything(self, acct):
         pipe = _Pipe()
-        acct.cyc_flush = True
+        pipe.stats.recoveries += 1
         acct.cyc_fu_block_r = 4
-        acct.cyc_rqueue_block = True
+        pipe.stats.rqueue_full_events += 1
         acct.on_cycle(pipe)
         assert acct.slots["recovery"] == 4
         assert acct.slots["fu_busy_r"] == 0
 
     def test_recovery_shadow_is_sticky_until_p_issue(self, acct):
         pipe = _Pipe()
-        acct.note_flush()
+        pipe.stats.recoveries += 1
         acct.on_cycle(pipe)
         acct.on_cycle(pipe)  # still refilling
         assert acct.slots["recovery"] == 8
-        acct.cyc_issued_p = 4
+        _issue(pipe, p=4)
         acct.on_cycle(pipe)  # P work issued: shadow ends
         acct.on_cycle(pipe)
         assert acct.slots["recovery"] == 8
         assert acct.slots["issued_p"] == 4
 
     def test_mispredict_does_not_downgrade_recovery(self, acct):
-        acct.note_flush()
+        pipe = _Pipe()
+        pipe.stats.recoveries += 1
+        acct.note_mispredict()
+        acct.on_cycle(pipe)
+        assert acct._refill == "recovery"
         acct.note_mispredict()
         assert acct._refill == "recovery"
 
     def test_fu_busy_split_caps_at_unused(self, acct):
         pipe = _Pipe()
-        acct.cyc_issued_p = 2
+        _issue(pipe, p=2)
         acct.cyc_fu_block_r = 5
         acct.cyc_fu_block_p = 5
         acct.on_cycle(pipe)
@@ -116,18 +124,32 @@ class TestCascade:
     def test_rqueue_backpressure_beats_operands(self, acct):
         pipe = _Pipe()
         pipe.ruu = [_Entry()]  # unready P work present
-        acct.cyc_rqueue_block = True
+        pipe.stats.rqueue_full_events += 1
         acct.on_cycle(pipe)
         assert acct.slots["rqueue_backpressure"] == 4
+        acct.on_cycle(pipe)  # counter unchanged: no backpressure now
+        assert acct.slots["operands_not_ready"] == 4
 
     def test_dispatch_blocks(self, acct):
         pipe = _Pipe()
-        acct.cyc_dispatch_block = "ruu"
+        pipe.stats.ruu_full_events += 1
         acct.on_cycle(pipe)
-        acct.cyc_dispatch_block = "lsq"
+        pipe.stats.lsq_full_events += 1
         acct.on_cycle(pipe)
         assert acct.slots["ruu_full"] == 4
         assert acct.slots["lsq_full"] == 4
+
+    def test_dispatch_dup_shadow_issues_charge_r(self):
+        pipe = _Pipe()
+        pipe.config.dispatch_dup = True
+        accountant = CycleAccountant()
+        accountant.bind(pipe)
+        # Two originals and their two shadows: ``issued`` counts all
+        # four, ``issued_r`` the shadows.
+        _issue(pipe, p=4, r=2)
+        accountant.on_cycle(pipe)
+        assert accountant.slots["issued_p"] == 2
+        assert accountant.slots["issued_r"] == 2
 
     def test_operands_not_ready_needs_true_path_work(self, acct):
         pipe = _Pipe()
@@ -162,14 +184,25 @@ class TestCascade:
 
     def test_reset_keeps_sticky_refill(self, acct):
         pipe = _Pipe()
-        acct.note_flush()
+        pipe.stats.recoveries += 1
         acct.on_cycle(pipe)
         acct.reset()
+        pipe.stats = Stats()  # the pipeline zeroes its counters too
         assert acct.cycles_total == 0
         assert sum(acct.slots.values()) == 0
         acct.on_cycle(pipe)
         # Flush straddling the measurement boundary still shadows.
         assert acct.slots["recovery"] == 4
+
+    def test_reset_restarts_the_counter_deltas(self, acct):
+        pipe = _Pipe()
+        _issue(pipe, p=3)
+        acct.on_cycle(pipe)
+        acct.reset()
+        pipe.stats = Stats()
+        _issue(pipe, p=1)
+        acct.on_cycle(pipe)
+        assert acct.slots["issued_p"] == 1
 
 
 class TestFUBlame:
@@ -190,6 +223,19 @@ class TestFUBlame:
             assert pool.acquire(FUClass.INT_DIV, 0) is not None
         assert pool.blame(FUClass.INT_DIV, 0) == "P"
 
+    def test_note_fu_block_charges_the_blamed_stream(self):
+        pipe = _Pipe()
+        pipe.fupool.track_streams = True
+        accountant = CycleAccountant()
+        accountant.bind(pipe)
+        for _ in range(starting_config().int_alu):
+            pipe.fupool.acquire(FUClass.INT_ALU, 0, r_stream=True)
+        pipe.fupool.acquire(FUClass.INT_DIV, 0)
+        accountant.note_fu_block(FUClass.INT_ALU, 0, False)  # R holds
+        accountant.note_fu_block(FUClass.INT_DIV, 0, False)  # P holds
+        accountant.note_fu_block(FUClass.INT_DIV, 0, True)  # R work
+        assert (accountant.cyc_fu_block_r, accountant.cyc_fu_block_p) == (2, 1)
+
     def test_blame_untracked_defaults_to_p(self):
         config = starting_config()
         pool = FUPool(config)  # track_streams off
@@ -204,10 +250,8 @@ class TestStateDictAndMerge:
         accountant.bind(_Pipe())
         pipe = _Pipe()
         for _ in range(acct_cycles):
-            accountant.cyc_issued_p = 4
+            _issue(pipe, p=4)
             accountant.on_cycle(pipe)
-        accountant.record_detect(3)
-        accountant.record_residency(5)
         return accountant.state_dict()
 
     def test_state_dict_shape(self):
@@ -216,14 +260,14 @@ class TestStateDictAndMerge:
         assert account["width"] == 4
         assert account["slots_total"] == account["width"] * account["cycles_total"]
         assert account["slots"] == {"issued_p": 8}  # zero causes elided
-        assert account["detect_latency"] == {"3": 1}
+        assert "detect_latency" not in account  # a Stats field now
         assert not accounting_identity_errors(account)
 
     def test_merge_preserves_identities(self):
         merged = merge_accounting(self._account(2), self._account(3))
         assert merged["cycles_total"] == 5
         assert merged["slots_total"] == 20
-        assert merged["detect_latency"] == {"3": 2}
+        assert merged["slots"] == {"issued_p": 20}
         assert not accounting_identity_errors(merged)
 
     def test_merge_tolerates_empty_sides(self):
@@ -271,6 +315,6 @@ class TestHistograms:
         assert hist_mean({}) == 0.0
         assert hist_percentile({}, 0.99) == 0
         assert hist_max({}) == 0
-        summary = latency_summary({})
+        summary = Stats().detection_latency()
         assert summary["detect_latency"]["count"] == 0
         assert summary["rqueue_residency"]["mean"] == 0.0

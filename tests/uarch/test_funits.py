@@ -1,9 +1,11 @@
 """Unit tests for the functional-unit pools."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.isa.instructions import FUClass
-from repro.uarch import FUPool, starting_config
+from repro.uarch import FUPool, StageMetrics, starting_config
 
 
 @pytest.fixture
@@ -53,35 +55,34 @@ class TestAcquire:
 
 
 class TestAvailability:
-    def test_available_counts(self, pool):
-        assert pool.available(FUClass.INT_ALU, 0) == 4
-        pool.acquire(FUClass.INT_ALU, 0)
-        assert pool.available(FUClass.INT_ALU, 0) == 3
-        assert pool.available(FUClass.INT_ALU, 1) == 4
-
     def test_utilization(self, pool):
+        """A successful acquire is the issue record utilisation counts."""
         pool.acquire(FUClass.INT_ALU, 0)
-        pool.record_issue(FUClass.INT_ALU)
-        util = pool.utilization(cycles=10)
-        assert util["ialu"] == pytest.approx(1 / 40)
-        assert util["mem"] == 0.0
+        pool.acquire(FUClass.INT_MULT, 0)
+        assert pool.acquire(FUClass.INT_DIV, 0) is None  # unit busy
+        assert pool.issues["ialu"] == 1
+        assert pool.issues["imultdiv"] == 1
+        assert pool.issues["mem"] == 0
+
+    def test_failed_acquire_counts_nothing(self, pool):
+        grants = [pool.acquire(FUClass.MEM_PORT, 0) for _ in range(3)]
+        assert grants[2] is None
+        assert pool.issues["mem"] == 2
 
     def test_utilization_split_by_stream(self, pool):
         for _ in range(3):
-            pool.record_issue(FUClass.INT_ALU)
-        pool.record_issue(FUClass.INT_ALU, r_stream=True)
-        split = pool.utilization_split(cycles=10)
-        assert split["P"]["ialu"] == pytest.approx(3 / 40)
-        assert split["R"]["ialu"] == pytest.approx(1 / 40)
-        # P + R always recompose the combined utilization.
-        combined = pool.utilization(cycles=10)
-        for key in combined:
-            assert split["P"][key] + split["R"][key] == pytest.approx(
-                combined[key]
-            )
+            pool.acquire(FUClass.INT_ALU, 0)
+        pool.acquire(FUClass.INT_ALU, 0, r_stream=True)
+        split = StageMetrics().state_dict(SimpleNamespace(fupool=pool))
+        assert split["fu_issued"]["P"]["ialu"] == 3
+        assert split["fu_issued"]["R"]["ialu"] == 1
+        # P + R always recompose the per-pool issue count.
+        for key, total in pool.issues.items():
+            assert (split["fu_issued"]["P"][key]
+                    + split["fu_issued"]["R"][key]) == total
 
     def test_utilization_split_zero_cycles(self, pool):
-        split = pool.utilization_split(cycles=0)
-        assert set(split) == {"P", "R"}
-        assert all(v == 0.0 for v in split["P"].values())
-        assert all(v == 0.0 for v in split["R"].values())
+        split = StageMetrics().state_dict(SimpleNamespace(fupool=pool))
+        assert set(split["fu_issued"]) == {"P", "R"}
+        assert all(v == 0 for v in split["fu_issued"]["P"].values())
+        assert all(v == 0 for v in split["fu_issued"]["R"].values())

@@ -25,8 +25,8 @@ from repro.uarch.observe import (
     StageMetrics,
     TraceEvent,
     build_observability,
-    occupancy_mean,
 )
+from repro.uarch.accounting import hist_mean
 
 
 class TestTraceEvent:
@@ -148,17 +148,32 @@ class TestStageMetrics:
         assert sum(fu["R"].values()) == stats.issued_r
         assert all(count >= 0 for count in fu["P"].values())
 
-    def test_stall_counters_present(self, loop_trace, cfg):
-        program, trace = loop_trace
-        stats = Pipeline(program, trace, cfg,
-                         observer=Observability(metrics=StageMetrics())).run()
-        stalls = stats.stage_metrics["stalls"]
-        assert set(stalls) == set(StageMetrics.STALLS)
-        assert all(0 <= count <= stats.cycles for count in stalls.values())
+    def test_sampled_interval_covers_only_the_measured_window(self):
+        """The ``measure_from`` reset restarts the metrics too.
+
+        Without it the registry of a sampled interval also counted the
+        detailed warm-up cycles before its measured window.
+        """
+        from repro.uarch.sampling import SamplingSpec, run_interval
+        from repro.workloads.suite import trace_for
+
+        program, trace = trace_for("go", 2000)
+        stats = run_interval(
+            program, trace, starting_config().with_reese(),
+            SamplingSpec(2, 100), 1,
+            observer=Observability(metrics=StageMetrics()),
+        )
+        registry = stats.stage_metrics
+        assert registry["cycles_sampled"] == stats.cycles
+        for hist in registry["occupancy"].values():
+            assert sum(hist.values()) == stats.cycles
+        fu = registry["fu_issued"]
+        assert sum(fu["R"].values()) == stats.issued_r
 
     def test_occupancy_mean(self):
-        assert occupancy_mean({"0": 2, "4": 2}) == pytest.approx(2.0)
-        assert occupancy_mean({}) == 0.0
+        # Occupancy histograms share the lag histograms' mean helper.
+        assert hist_mean({"0": 2, "4": 2}) == pytest.approx(2.0)
+        assert hist_mean({}) == 0.0
 
 
 def _rentry_for(dyn, seq=None):

@@ -1,96 +1,121 @@
-"""Tests for the pipeline tracer (ptrace)."""
+"""Tests for the stage-timeline renderer (``render_timeline``).
+
+The renderer reads the :class:`TraceEvent` stream an
+:class:`EventTracer` emits; rows are parsed back from the fixed-width
+table so the tests pin what a reader of the timeline sees.
+"""
 
 import pytest
 
 from repro.arch import emulate
 from repro.isa import assemble
-from repro.uarch import Pipeline, starting_config
-from repro.uarch.ptrace import PipeTrace
+from repro.uarch import (
+    CallbackSink,
+    EventTracer,
+    Pipeline,
+    render_timeline,
+    starting_config,
+)
+from repro.uarch.observe import TIMELINE_STAGES
+
+
+def _traced(program, trace, config, **kwargs):
+    events = []
+    stats = Pipeline(
+        program, trace, config,
+        observer=EventTracer(CallbackSink(events.append)), **kwargs
+    ).run()
+    return events, stats
+
+
+def _rows(text):
+    """Parse rendered rows: {"seq", "dyn", "op", "stages", "notes"}."""
+    rows = []
+    for line in text.splitlines()[2:]:
+        if line.startswith("recoveries"):
+            continue
+        stages = {}
+        for index, stage in enumerate(TIMELINE_STAGES):
+            cell = line[32 + 7 * index: 38 + 7 * index].strip()
+            if cell:
+                stages[stage] = int(cell)
+        rows.append({
+            "seq": int(line[0:5]),
+            "dyn": line[6:11].strip(),
+            "op": line[12:20].strip(),
+            "stages": stages,
+            "notes": line[82:].split(),
+        })
+    return rows
 
 
 @pytest.fixture
 def traced_run(loop_trace):
     program, trace = loop_trace
-    tracer = PipeTrace(max_records=128)
-    stats = Pipeline(
-        program, trace, starting_config(), observer=tracer
-    ).run()
-    return tracer, stats
+    events, stats = _traced(program, trace, starting_config())
+    return _rows(render_timeline(events, trace)), stats
 
 
 class TestStageTimelines:
     def test_records_created(self, traced_run):
-        tracer, _ = traced_run
-        assert len(tracer) > 0
-        assert tracer.events > 0
+        rows, _ = traced_run
+        assert len(rows) > 0
 
     def test_stage_order_monotonic(self, traced_run):
-        tracer, _ = traced_run
-        for seq in list(tracer._records)[:50]:
-            record = tracer.record_for(seq)
-            stages = record.stages
+        rows, _ = traced_run
+        for row in rows[:50]:
+            stages = row["stages"]
             order = ["F", "D", "I", "X", "C"]
             present = [stages[s] for s in order if s in stages]
-            assert present == sorted(present), record.op
+            assert present == sorted(present), row["op"]
 
     def test_committed_instructions_reach_commit_stage(self, traced_run):
-        tracer, _ = traced_run
-        committed = [
-            r for r in tracer._records.values()
-            if "C" in r.stages
-        ]
-        assert committed
-        for record in committed:
-            assert not record.wrong_path
+        rows, stats = traced_run
+        committed = [row for row in rows if "C" in row["stages"]]
+        assert len(committed) == stats.committed
+        for row in committed:
+            assert "wrong-path" not in row["notes"]
 
-    def test_render(self, traced_run):
-        tracer, _ = traced_run
-        text = tracer.render(limit=10)
+    def test_render(self, loop_trace):
+        program, trace = loop_trace
+        events, _ = _traced(program, trace, starting_config())
+        text = render_timeline(events, trace, limit=10)
         assert "seq" in text
         assert "addi" in text or "add" in text
 
-    def test_max_records_bounds_memory(self, loop_trace):
+    def test_limit_bounds_rendered_rows(self, loop_trace):
         program, trace = loop_trace
-        tracer = PipeTrace(max_records=5)
-        Pipeline(program, trace, starting_config(), observer=tracer).run()
-        assert len(tracer) == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PipeTrace(max_records=0)
+        events, _ = _traced(program, trace, starting_config())
+        assert len(_rows(render_timeline(events, trace, limit=5))) == 5
 
 
 class TestReeseEvents:
     def test_rqueue_and_r_issue_recorded(self, loop_trace):
         program, trace = loop_trace
-        tracer = PipeTrace(max_records=256)
-        Pipeline(
-            program, trace, starting_config().with_reese(),
-            observer=tracer,
-        ).run()
-        with_queue = [
-            r for r in tracer._records.values() if "Q" in r.stages
-        ]
-        with_r = [r for r in tracer._records.values() if "R" in r.stages]
+        events, _ = _traced(program, trace, starting_config().with_reese())
+        rows = _rows(render_timeline(events, trace))
+        with_queue = [row for row in rows if "Q" in row["stages"]]
+        with_r = [row for row in rows if "R" in row["stages"]]
         assert with_queue
         assert with_r
-        for record in with_r:
+        for row in with_r:
             # Redundant issue strictly after queue insertion.
-            assert record.stages["R"] >= record.stages["Q"]
+            assert row["stages"]["R"] >= row["stages"]["Q"]
 
     def test_recovery_events_recorded(self):
         from repro.reese import ScheduledFaultModel
         from repro.workloads.suite import trace_for
         program, trace = trace_for("vortex", scale=3000)
-        tracer = PipeTrace()
         model = ScheduledFaultModel([(c, 2, 9) for c in range(50, 600, 50)])
-        Pipeline(
+        events, stats = _traced(
             program, trace, starting_config().with_reese(),
-            fault_model=model, observer=tracer,
-            warm_caches=True, warm_predictor=True,
-        ).run()
-        assert tracer.recoveries
-        assert "recoveries at cycles" in tracer.render(limit=1)
+            fault_model=model, warm_caches=True, warm_predictor=True,
+        )
+        assert stats.recoveries
+        text = render_timeline(events, trace, limit=1)
+        assert "recoveries at cycles" in text
+        recoveries = text.splitlines()[-1].split(":", 1)[1]
+        assert recoveries.count(",") + 1 == stats.recoveries
 
 
 class TestWrongPathVisibility:
@@ -114,14 +139,13 @@ class TestWrongPathVisibility:
         """
         program = assemble(source)
         trace = emulate(program).trace
-        tracer = PipeTrace(max_records=2048)
-        stats = Pipeline(
-            program, trace, starting_config(), observer=tracer
-        ).run()
+        events, stats = _traced(program, trace, starting_config())
         assert stats.mispredictions > 0
-        wrong_path = [
-            r for r in tracer._records.values() if r.wrong_path
-        ]
+        rows = _rows(render_timeline(events, trace))
+        wrong_path = [row for row in rows if "wrong-path" in row["notes"]]
         assert wrong_path
-        rendered = tracer.render()
-        assert "wrong-path" in rendered
+        for row in wrong_path:
+            assert row["dyn"] == "-"
+            assert "C" not in row["stages"]
+        # Window-resident wrong-path work is squashed at branch resolve.
+        assert any("squashed" in row["notes"] for row in wrong_path)
