@@ -23,17 +23,22 @@ is the single execution layer they all route through:
   suffices).  Results come back in input order and are bit-identical
   regardless of worker count or scheduling, because each job is fully
   determined by its own fields — nothing is sampled from shared state.
+  The pool's unit of work is a *warm group* (:func:`warm_key`): the
+  pending single-interval sampled jobs that share one functional sweep.
 * :class:`RunTelemetry` records per-job timing/outcome for
   :func:`repro.harness.reporting.telemetry_report`.
 * Sampled simulation (:mod:`repro.uarch.sampling`) plugs in at two
   granularities.  A :class:`SimJob` whose ``sampling`` spec names a
   single interval (``spec.index`` set) simulates just that measurement
-  window — a self-contained, cacheable unit; one with ``index=None``
-  runs as its interval jobs, in process.  :func:`run_sampled_jobs`
+  window — the cacheable unit; one with ``index=None`` runs as its
+  interval jobs, in process, as one warm group.  :func:`run_sampled_jobs`
   expands whole sampled jobs into those interval jobs, runs them all in
   one flat batch (so every interval of every cell shares the pool), and
   merges each job's interval Stats back into a
-  :class:`~repro.uarch.sampling.SampledResult`.
+  :class:`~repro.uarch.sampling.SampledResult`.  Interval jobs are
+  cached one by one but executed per warm group: the jobs of a group
+  run in trace order on one :class:`~repro.uarch.sampling.WarmSweep`,
+  which gives each the Stats it would get alone.
 
 Worker lifecycle: each worker process keeps its own module-level
 memoised trace cache (:func:`repro.workloads.suite.trace_for`), so a
@@ -68,8 +73,10 @@ from ..reese.faults import (
 from ..uarch.config import MachineConfig
 from ..uarch.observe import ObserveConfig, build_observability
 from ..uarch.sampling import (
+    WARM_FIELDS,
     SampledResult,
     SamplingSpec,
+    WarmSweep,
     mispredict_profile,
     run_interval,
     select_intervals,
@@ -216,8 +223,10 @@ class ResultCache:
 
     Entries are JSON files under ``<root>/<fp[:2]>/<fp>.json``; writes
     go through a temp file + ``os.replace`` so concurrent workers never
-    expose a torn entry.  Unreadable or version-mismatched entries are
-    treated as misses.
+    expose a torn entry.  Every entry that is not what :meth:`put`
+    writes for the requested fingerprint at this :data:`CACHE_VERSION`
+    — unreadable, not a JSON object, another version or fingerprint,
+    ``stats`` not an object — is a miss.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
@@ -236,12 +245,14 @@ class ResultCache:
             data = json.loads(self.path_for(fingerprint).read_text())
         except (OSError, ValueError):
             return None
-        if data.get("version") != CACHE_VERSION:
+        if (
+            not isinstance(data, dict)
+            or data.get("version") != CACHE_VERSION
+            or data.get("fingerprint") != fingerprint
+            or not isinstance(data.get("stats"), dict)
+        ):
             return None
-        try:
-            return Stats.from_state_dict(data["stats"])
-        except (KeyError, TypeError):
-            return None
+        return Stats.from_state_dict(data["stats"])
 
     def put(self, fingerprint: str, stats: Stats) -> None:
         blob = json.dumps(
@@ -335,15 +346,39 @@ def interval_fault_spec(fault: FaultSpec, index: int) -> FaultSpec:
     return FaultSpec.make(fault.kind, **params)
 
 
-def _simulate(job: SimJob) -> Stats:
-    """Simulate one resolved job in this process."""
+def warm_key(job: SimJob) -> str:
+    """What a sampled job's interval bounds and warm states depend on.
+
+    The trace (benchmark, scale, resolved seed), ``warm``, the config's
+    :data:`~repro.uarch.sampling.WARM_FIELDS` and the sampling spec bar
+    ``index``.  Pending interval jobs with one key form a warm group
+    and share one :class:`~repro.uarch.sampling.WarmSweep`; everything
+    else about a job (its other config fields, fault, observability)
+    only affects its detailed window.
+    """
+    return json.dumps(
+        [
+            job.benchmark, job.scale, job.resolved_seed(), job.warm,
+            dataclasses.replace(job.sampling, index=None),
+            {name: getattr(job.config, name) for name in WARM_FIELDS},
+        ],
+        sort_keys=True, default=repr,
+    )
+
+
+def _simulate(job: SimJob, sweep: Optional[WarmSweep] = None) -> Stats:
+    """Simulate one resolved job in this process.
+
+    ``sweep`` is the warm group's shared sweep for an interval job.
+    """
     spec = job.sampling
-    if spec is not None and spec.index is None:
-        interval_jobs, total, profile = expand_sampled_job(job)
-        chunk = [_simulate(interval_job) for interval_job in interval_jobs]
-        return SampledResult.from_interval_stats(spec, total, chunk,
-                                                 profile).stats
     program, trace = trace_for(job.benchmark, job.scale, job.seed)
+    if spec is not None and spec.index is None:
+        sweep = WarmSweep(program, trace, job.config, spec, job.warm)
+        return sweep.result([
+            _simulate(interval_job, sweep)
+            for interval_job in _interval_jobs(job, len(sweep.bounds))
+        ]).stats
     observe = None
     if job.observe or job.check_invariants or job.trace_path:
         observe = ObserveConfig(
@@ -357,17 +392,72 @@ def _simulate(job: SimJob) -> Stats:
             program, trace, job.config, spec, spec.index,
             fault_model=fault, warm=job.warm,
             observer=build_observability(observe),
-            profile_run=job.profile,
+            profile_run=job.profile, sweep=sweep,
         )
     return run_model(program, trace, job.config, fault_model=fault,
                      warm=job.warm, observe=observe, profile=job.profile)
 
 
-def _execute_job(job: SimJob) -> Tuple[Stats, float, int]:
-    """Worker entry point: simulate one job, report timing and pid."""
-    start = time.perf_counter()
-    stats = _simulate(job)
-    return stats, time.perf_counter() - start, os.getpid()
+def _warm_groups(jobs: Sequence[SimJob], indices: Sequence[int],
+                 workers: int) -> List[List[int]]:
+    """Partition ``indices`` into the pool's units of work.
+
+    Single-interval sampled jobs with one :func:`warm_key` form a warm
+    group, in interval (= trace) order; every other job is a unit of
+    its own.  Units keep the order of their first job.  When there are
+    fewer units than ``workers``, each warm group is cut into
+    contiguous runs so every worker gets one (each run pays its own
+    warm pass).
+    """
+    units: List[List[int]] = []
+    groups: Dict[str, List[int]] = {}
+    for index in indices:
+        spec = jobs[index].sampling
+        if spec is None or spec.index is None:
+            units.append([index])
+            continue
+        key = warm_key(jobs[index])
+        if key not in groups:
+            groups[key] = []
+            units.append(groups[key])
+        groups[key].append(index)
+    for group in groups.values():
+        group.sort(key=lambda index: jobs[index].sampling.index)
+    if not units or len(units) >= workers:
+        return units
+    parts = -(-workers // len(units))
+    split: List[List[int]] = []
+    for unit in units:
+        size = -(-len(unit) // parts)
+        split.extend(unit[i:i + size] for i in range(0, len(unit), size))
+    return split
+
+
+def _execute_group(
+    group: Sequence[SimJob],
+) -> Tuple[List[Tuple[Stats, float]], int]:
+    """Worker entry point: simulate one unit of work, report each job's
+    Stats and seconds, and the pid.
+
+    A warm group's jobs share one sweep.  Each job is charged the time
+    since the previous job finished, so the sweep's shared work
+    (profile, warm pass, replay) lands in the jobs' times and they sum
+    to the unit's wall time.
+    """
+    mark = time.perf_counter()
+    first = group[0]
+    sweep = None
+    if first.sampling is not None and first.sampling.index is not None:
+        program, trace = trace_for(first.benchmark, first.scale, first.seed)
+        sweep = WarmSweep(program, trace, first.config, first.sampling,
+                          first.warm)
+    out: List[Tuple[Stats, float]] = []
+    for job in group:
+        stats = _simulate(job, sweep)
+        now = time.perf_counter()
+        out.append((stats, now - mark))
+        mark = now
+    return out, os.getpid()
 
 
 def parallel_map(
@@ -476,24 +566,26 @@ class ParallelRunner:
             else:
                 pending.append(index)
 
-        workers = max(1, min(self.jobs, len(pending)))
-        if pending:
-            batch = [sim_jobs[i] for i in pending]
+        units = _warm_groups(sim_jobs, pending, self.jobs)
+        workers = max(1, min(self.jobs, len(units)))
+        if units:
+            batch = [[sim_jobs[i] for i in unit] for unit in units]
             if workers == 1:
-                outputs = [_execute_job(job) for job in batch]
+                outputs = [_execute_group(group) for group in batch]
             else:
                 with _mp_context().Pool(workers) as pool:
-                    outputs = pool.map(_execute_job, batch)
-            for index, (stats, elapsed, pid) in zip(pending, outputs):
-                job = sim_jobs[index]
-                results[index] = stats
-                records[index] = JobRecord(
-                    index, job.benchmark, job.config.name, job.scale,
-                    job.resolved_seed(), False, elapsed, pid,
-                    stats.cycles,
-                )
-                if self.cache:
-                    self.cache.put(fingerprints[index], stats)
+                    outputs = pool.map(_execute_group, batch)
+            for unit, (timed, pid) in zip(units, outputs):
+                for index, (stats, elapsed) in zip(unit, timed):
+                    job = sim_jobs[index]
+                    results[index] = stats
+                    records[index] = JobRecord(
+                        index, job.benchmark, job.config.name, job.scale,
+                        job.resolved_seed(), False, elapsed, pid,
+                        stats.cycles,
+                    )
+                    if self.cache:
+                        self.cache.put(fingerprints[index], stats)
 
         self.telemetry = RunTelemetry(
             jobs=len(sim_jobs),
@@ -507,8 +599,22 @@ class ParallelRunner:
         return [stats for stats in results if stats is not None]
 
 
+def _interval_jobs(job: SimJob, count: int) -> List[SimJob]:
+    """The first ``count`` interval jobs of a whole sampled job."""
+    return [
+        dataclasses.replace(
+            job,
+            sampling=dataclasses.replace(job.sampling, index=index),
+            fault=interval_fault_spec(job.fault, index) if job.fault else None,
+            trace_path=None,
+        )
+        for index in range(count)
+    ]
+
+
 def expand_sampled_job(
     job: SimJob,
+    profiles: Optional[Dict[str, Optional[List[int]]]] = None,
 ) -> Tuple[List[SimJob], int, Optional[List[int]]]:
     """Interval-level SimJobs for one sampled job, plus its merge inputs.
 
@@ -523,6 +629,9 @@ def expand_sampled_job(
 
     Trace-path side effects are dropped from interval jobs: one JSONL
     destination cannot serve k concurrent pipelines.
+
+    ``profiles`` maps :func:`warm_key` to profile; pass one dict for a
+    batch of jobs so each warm group's profile is computed once.
     """
     spec = job.sampling
     if spec is None:
@@ -531,22 +640,14 @@ def expand_sampled_job(
         raise ValueError("job is already a single-interval job "
                          f"(index={spec.index})")
     program, trace = trace_for(job.benchmark, job.scale, job.seed)
-    profile = None
-    if spec.placement == "profile":
-        profile = mispredict_profile(program, trace, job.config)
-    bounds = select_intervals(len(trace), spec, profile)
-    interval_jobs = []
-    for index in range(len(bounds)):
-        fault = interval_fault_spec(job.fault, index) if job.fault else None
-        interval_jobs.append(
-            dataclasses.replace(
-                job,
-                sampling=dataclasses.replace(spec, index=index),
-                fault=fault,
-                trace_path=None,
-            )
-        )
-    return interval_jobs, len(trace), profile
+    profiles = {} if profiles is None else profiles
+    key = warm_key(job)
+    if key not in profiles:
+        profiles[key] = (mispredict_profile(program, trace, job.config)
+                         if spec.placement == "profile" else None)
+    profile = profiles[key]
+    count = len(select_intervals(len(trace), spec, profile))
+    return _interval_jobs(job, count), len(trace), profile
 
 
 def run_sampled_jobs(
@@ -555,17 +656,19 @@ def run_sampled_jobs(
 ) -> List[SampledResult]:
     """Run sampled jobs with interval-level parallelism.
 
-    Expands every job into its per-interval SimJobs, executes them all
-    as one flat batch — so the pool load-balances across intervals of
-    *all* cells, not one cell at a time — and merges each job's
-    interval Stats into a :class:`~repro.uarch.sampling.SampledResult`
-    (point estimate plus confidence interval).  Interval jobs are
+    Expands every job into its per-interval SimJobs (computing each
+    warm group's mispredict profile once), executes them all as one
+    flat batch — so the pool balances the warm groups of *all* cells,
+    not one cell at a time — and merges each job's interval Stats into
+    a :class:`~repro.uarch.sampling.SampledResult` (point estimate
+    plus confidence interval).  Interval jobs are
     cached individually, so re-running with a different grouping, job
     order or worker count is a pure cache hit, and results are
     bit-identical to :func:`~repro.uarch.sampling.run_sampled` in
     process.
     """
-    expanded = [expand_sampled_job(job) for job in sim_jobs]
+    profiles: Dict[str, Optional[List[int]]] = {}
+    expanded = [expand_sampled_job(job, profiles) for job in sim_jobs]
     flat = [ij for interval_jobs, _, _ in expanded for ij in interval_jobs]
     all_stats = runner.run(flat)
     results: List[SampledResult] = []

@@ -44,12 +44,16 @@ Design (mirrors SMARTS / RepTFD's checkpoint-and-replay split):
   deterministic fold: (1) the full-trace architectural warm pass
   (identical to ``warm=True`` full runs — the paper's caches run warm)
   then (2) a functional replay of the prefix ``[0, w)``.  The fold
-  depends only on ``(trace, config, w)``, so an interval simulated
-  in-process and the same interval simulated as an independent
-  :class:`~repro.harness.parallel.SimJob` in a worker produce
-  **bit-identical Stats** — the property the jobs-invariance tests pin.
-  Snapshots use the model classes' cheap ``clone_state`` methods, not
-  ``copy.deepcopy``.
+  depends only on ``(trace, config, w)`` — and of the config only on
+  :data:`WARM_FIELDS` — and is associative over trace prefixes.  A
+  :class:`WarmSweep` exploits both: the intervals of one *warm group*
+  (jobs that agree on the trace, ``WARM_FIELDS``, ``warm`` and the
+  spec bar ``index``) share one mispredict profile, one warm pass and
+  one replay that advances through their starts in trace order, and
+  each interval still gets **bit-identical Stats** to a from-scratch
+  fold — the property the jobs-invariance tests pin, whichever
+  intervals a group holds.  Snapshots use the model classes' cheap
+  ``clone_state`` methods, not ``copy.deepcopy``.
 * **Detailed warm-up and drain padding** bound the two truncation
   biases of short intervals.  The pipeline runs ``warmup`` extra
   instructions before the measured region and resets every statistic
@@ -96,6 +100,15 @@ from .stats import Stats
 
 #: Two-sided 95 % normal quantile for the CLT confidence interval.
 Z_95 = 1.96
+
+#: The :class:`MachineConfig` fields a warm state depends on: the memory
+#: hierarchy the functional replay warms and the direction predictor,
+#: BTB and return-address stack it trains — which also decide the
+#: mispredict profile that places profile-sampled intervals.  Two
+#: configs that agree on these fields share every interval's bounds
+#: and warm state.
+WARM_FIELDS = ("mem", "predictor", "predictor_kwargs", "btb_entries",
+               "ras_depth")
 
 #: An interval: (warm_start, measure_start, end) trace positions.
 #: Detailed simulation covers ``[warm_start, end + cooldown)``;
@@ -417,24 +430,70 @@ class WarmState:
         return clone
 
 
-def build_warm_state(
-    program,
-    config: MachineConfig,
-    trace: Trace,
-    start: int,
-    warm: bool = True,
-) -> WarmState:
-    """Self-contained warm state for a detailed window starting at
-    ``start``.
+class WarmSweep:
+    """The work the intervals of one warm group share.
 
-    Used by the per-interval job path; the in-process driver reaches
-    the identical state incrementally (the fold is associative over
-    trace prefixes).
+    Selects the intervals once (the mispredict profile and bounds of
+    ``spec``, whose ``index`` it ignores) and keeps one live
+    :class:`WarmState` that :func:`build_warm_state` advances through
+    the group's interval starts in trace order.  Every job of the group
+    may pass its own ``config``: only :data:`WARM_FIELDS` reach the
+    sweep, and those the group agrees on.
     """
-    state = WarmState(program, config)
-    if warm:
-        state.warm_full(trace)
-    state.advance(trace, 0, start)
+
+    __slots__ = ("program", "trace", "config", "spec", "warm", "profile",
+                 "bounds", "state", "position")
+
+    def __init__(
+        self,
+        program,
+        trace: Trace,
+        config: MachineConfig,
+        spec: SamplingSpec,
+        warm: bool = True,
+    ) -> None:
+        self.program = program
+        self.trace = trace
+        self.config = config
+        self.spec = spec
+        self.warm = warm
+        self.profile: Optional[List[int]] = None
+        if spec.placement == "profile":
+            self.profile = mispredict_profile(program, trace, config)
+        self.bounds = select_intervals(len(trace), spec, self.profile)
+        #: The live fold (built by the first :func:`build_warm_state`)
+        #: and the trace position its replay has reached.
+        self.state: Optional[WarmState] = None
+        self.position = 0
+
+    def result(self, interval_stats: List[Stats]) -> "SampledResult":
+        """The sampled result of this sweep's intervals' Stats."""
+        return SampledResult.from_interval_stats(
+            self.spec, len(self.trace), interval_stats, self.profile
+        )
+
+
+def build_warm_state(sweep: WarmSweep, start: int) -> WarmState:
+    """Warm state for a detailed window starting at ``start``.
+
+    The first call on a sweep runs the full-trace warm pass (when
+    ``sweep.warm``); every call then replays only the trace since the
+    previous call's start and snapshots the result.  Because the fold
+    is associative over trace prefixes, each snapshot equals the state
+    a fresh sweep builds for ``start`` alone — so ``start`` may not lie
+    behind an earlier call's.
+    """
+    if start < sweep.position:
+        raise ValueError(
+            f"warm sweep is at {sweep.position}, past start {start}"
+        )
+    state = sweep.state
+    if state is None:
+        state = sweep.state = WarmState(sweep.program, sweep.config)
+        if sweep.warm:
+            state.warm_full(sweep.trace)
+    state.advance(sweep.trace, sweep.position, start)
+    sweep.position = start
     return state.snapshot()
 
 
@@ -682,34 +741,6 @@ class SampledResult:
         )
 
 
-def _run_window(
-    program,
-    trace: Trace,
-    config: MachineConfig,
-    spec: SamplingSpec,
-    bounds: IntervalBounds,
-    state: WarmState,
-    fault_model: Optional[FaultModel],
-    observer,
-    accountant=None,
-) -> Stats:
-    """Detailed simulation of one interval window from a warm state."""
-    warm_start, measure_start, end = bounds
-    pad_end = min(end + spec.cooldown, len(trace))
-    pipeline = Pipeline(
-        program,
-        resequence(trace, warm_start, pad_end),
-        config,
-        fault_model=fault_model,
-        observer=observer,
-        warm_state=state,
-        measure_from=measure_start - warm_start,
-        stop_after=end - 1 - warm_start,
-        accountant=accountant,
-    )
-    return pipeline.run()
-
-
 def run_interval(
     program,
     trace: Trace,
@@ -720,13 +751,15 @@ def run_interval(
     warm: bool = True,
     observer=None,
     profile_run: bool = False,
+    sweep: Optional[WarmSweep] = None,
 ) -> Stats:
-    """Detailed simulation of one measurement interval, self-contained.
+    """Detailed simulation of one measurement interval.
 
-    Builds the interval's warm state from scratch (full-trace warm +
-    prefix replay), so the call depends only on its arguments — what
-    makes interval-level jobs safe to fan out over workers in any
-    order.
+    Without ``sweep`` the call builds its own, so it depends only on
+    its arguments — what makes interval-level jobs safe to fan out over
+    workers in any order.  A warm group passes its shared ``sweep``
+    instead and runs its intervals in trace order; the Stats are
+    bit-identical either way.
 
     Args:
         profile_run: attach a fresh
@@ -734,17 +767,25 @@ def run_interval(
             interval's Stats carry a slot/cycle attribution account
             covering exactly the measured window (the accountant
             resets with every other counter at ``measure_from``).
+        sweep: the warm group's :class:`WarmSweep`, built from this
+            trace, ``spec`` (bar ``index``) and ``warm``.
     """
-    profile = None
-    if spec.placement == "profile":
-        profile = mispredict_profile(program, trace, config)
-    bounds = select_intervals(len(trace), spec, profile)[index]
-    state = build_warm_state(program, config, trace, bounds[0], warm=warm)
-    accountant = CycleAccountant() if profile_run else None
-    return _run_window(
-        program, trace, config, spec, bounds, state, fault_model, observer,
-        accountant=accountant,
+    if sweep is None:
+        sweep = WarmSweep(program, trace, config, spec, warm)
+    warm_start, measure_start, end = sweep.bounds[index]
+    state = build_warm_state(sweep, warm_start)
+    pipeline = Pipeline(
+        program,
+        resequence(trace, warm_start, min(end + spec.cooldown, len(trace))),
+        config,
+        fault_model=fault_model,
+        observer=observer,
+        warm_state=state,
+        measure_from=measure_start - warm_start,
+        stop_after=end - 1 - warm_start,
+        accountant=CycleAccountant() if profile_run else None,
     )
+    return pipeline.run()
 
 
 def run_sampled(
@@ -758,13 +799,13 @@ def run_sampled(
 ) -> SampledResult:
     """Sampled simulation of one workload, in process.
 
-    Makes a *single* functional sweep over the trace — fast-forwarding
-    through skipped regions and snapshotting the warm state at each
-    window boundary — so warming cost is paid once per run rather than
-    once per interval.  The sweep only ever sees the functional
-    replay, never the detailed runs' cache/predictor side effects, so
-    its state at any boundary equals the pure prefix fold the fan-out
-    path (:func:`run_interval`) computes independently.
+    Runs every interval as one warm group: a single
+    :class:`WarmSweep` selects the intervals, warms once and
+    fast-forwards through the trace, snapshotting at each window
+    start — so warming cost is paid once per run rather than once per
+    interval.  The sweep only ever sees the functional replay, never
+    the detailed runs' cache/predictor side effects, so each interval's
+    Stats equal a from-scratch :func:`run_interval`.
 
     Args:
         fault_factory: optional per-interval fault-model builder
@@ -779,34 +820,12 @@ def run_sampled(
             completeness identities survive because each interval
             satisfies them individually.
     """
-    total = len(trace)
-    profile = None
-    if spec.placement == "profile":
-        profile = mispredict_profile(program, trace, config)
-    bounds = select_intervals(total, spec, profile)
-    sweep = WarmState(program, config)
-    if warm:
-        sweep.warm_full(trace)
-    cursor = 0
-    interval_stats: List[Stats] = []
-    for index, (warm_start, measure_start, end) in enumerate(bounds):
-        sweep.advance(trace, cursor, warm_start)
-        fault = fault_factory(index) if fault_factory else None
-        accountant = CycleAccountant() if profile_run else None
-        interval_stats.append(
-            _run_window(
-                program, trace, config, spec,
-                (warm_start, measure_start, end),
-                sweep.snapshot(), fault, None,
-                accountant=accountant,
-            )
+    sweep = WarmSweep(program, trace, config, spec, warm)
+    return sweep.result([
+        run_interval(
+            program, trace, config, spec, index,
+            fault_model=fault_factory(index) if fault_factory else None,
+            warm=warm, profile_run=profile_run, sweep=sweep,
         )
-        sweep.advance(trace, warm_start, end)
-        cursor = end
-    mispredicts = total_mispredicts = None
-    if profile is not None:
-        mispredicts = [profile[end] - profile[m0] for _, m0, end in bounds]
-        total_mispredicts = profile[-1]
-    return SampledResult(
-        spec, total, bounds, interval_stats, mispredicts, total_mispredicts
-    )
+        for index in range(len(sweep.bounds))
+    ])

@@ -212,6 +212,35 @@ class TestResultCache:
         path.write_text(json.dumps(data))
         assert cache.get("aa" * 32) is None
 
+    def _rewrite(self, cache, key, **changes):
+        """Store an entry under ``key``, then edit its JSON."""
+        cache.put(key, self._stats())
+        path = cache.path_for(key)
+        data = json.loads(path.read_text())
+        data.update(changes)
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_non_object_entry_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = self._rewrite(cache, "bb" * 32)
+        path.write_text(json.dumps([CACHE_VERSION, "bb" * 32]))
+        assert cache.get("bb" * 32) is None
+
+    @pytest.mark.parametrize("stats", ["garbage", [1, 2, 3], None])
+    def test_non_object_stats_is_a_miss(self, tmp_path, stats):
+        cache = ResultCache(tmp_path)
+        self._rewrite(cache, "bc" * 32, stats=stats)
+        assert cache.get("bc" * 32) is None
+
+    def test_other_fingerprint_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        self._rewrite(cache, "bd" * 32, fingerprint="be" * 32)
+        assert cache.get("bd" * 32) is None
+        # The unedited entry still loads.
+        self._rewrite(cache, "bd" * 32)
+        assert cache.get("bd" * 32).cycles == 123
+
     def test_unwritable_root_degrades_to_uncached(self, tmp_path):
         cache = ResultCache(tmp_path / "missing" / "nope")
         (tmp_path / "missing").write_text("a file, not a directory")

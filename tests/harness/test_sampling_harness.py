@@ -6,6 +6,7 @@ figure/sweep sampled entry points.
 """
 
 import dataclasses
+import time
 
 import pytest
 
@@ -15,15 +16,20 @@ from repro.harness.parallel import (
     FaultSpec,
     ParallelRunner,
     SimJob,
+    _warm_groups,
     expand_sampled_job,
     interval_fault_spec,
     job_fingerprint,
     run_sampled_jobs,
+    warm_key,
 )
 from repro.harness.runner import run_sampled_benchmark
 from repro.harness.sweep import run_sweep
-from repro.uarch import SampledResult, SamplingSpec, run_sampled
-from repro.uarch.config import starting_config
+from repro.memhier.hierarchy import MemHierParams
+from repro.uarch import SampledResult, SamplingSpec, run_sampled, sampling
+from repro.uarch.config import LatencyConfig, ReeseConfig, starting_config
+from repro.uarch.observe import ObserveConfig, build_observability
+from repro.uarch.sampling import WARM_FIELDS, run_interval
 from repro.workloads.suite import trace_for
 
 SCALE = 2000
@@ -202,3 +208,200 @@ class TestSampledEntryPoints:
             isinstance(p.stats["li"], SampledResult) for p in results
         )
         assert results[0].average_ipc > 0
+
+
+#: MachineConfig fields a warm state does not depend on: they shape only
+#: the detailed window.  A new field must be added here or to
+#: ``WARM_FIELDS`` (and given an alternate value below).
+WARM_INDEPENDENT_FIELDS = frozenset({
+    "name", "fetch_queue_size", "fetch_width", "decode_width",
+    "issue_width", "commit_width", "ruu_size", "lsq_size", "int_alu",
+    "int_mult", "fp_alu", "fp_mult", "mem_ports", "latencies", "reese",
+    "dispatch_dup",
+})
+
+CONFIG_ALTERNATES = {
+    "name": "other",
+    "fetch_queue_size": 8,
+    "fetch_width": 4,
+    "decode_width": 4,
+    "issue_width": 4,
+    "commit_width": 4,
+    "ruu_size": 32,
+    "lsq_size": 4,
+    "int_alu": 6,
+    "int_mult": 2,
+    "fp_alu": 2,
+    "fp_mult": 2,
+    "mem_ports": 1,
+    "latencies": LatencyConfig(int_mult=4),
+    "predictor": "bimodal",
+    "predictor_kwargs": {"entries": 1024},
+    "btb_entries": 256,
+    "ras_depth": 8,
+    "mem": MemHierParams(memory_latency=80),
+    "reese": ReeseConfig(enabled=True),
+    "dispatch_dup": True,
+}
+
+#: SimJob fields outside the warm key, and an alternate for every field.
+WARM_INDEPENDENT_JOB_FIELDS = frozenset({
+    "fault", "observe", "check_invariants", "trace_path", "profile",
+})
+JOB_ALTERNATES = {
+    "benchmark": "go",
+    "config": starting_config(btb_entries=256),
+    "scale": SCALE + 1,
+    "seed": 99,
+    "fault": FaultSpec.make("bernoulli", rate=1e-3, seed=3),
+    "warm": False,
+    "observe": True,
+    "check_invariants": True,
+    "trace_path": "out.jsonl",
+    "sampling": dataclasses.replace(SPEC, interval_length=150),
+    "profile": True,
+}
+
+
+def _interval(job, index=0):
+    return dataclasses.replace(
+        job, sampling=dataclasses.replace(job.sampling, index=index))
+
+
+class TestWarmKey:
+    def test_every_config_field_is_classified(self):
+        names = {f.name for f in dataclasses.fields(starting_config())}
+        assert not set(WARM_FIELDS) & WARM_INDEPENDENT_FIELDS
+        assert names == set(WARM_FIELDS) | WARM_INDEPENDENT_FIELDS
+        assert names == set(CONFIG_ALTERNATES)
+        base = SimJob("li", starting_config(), SCALE, sampling=SPEC)
+        for name, value in CONFIG_ALTERNATES.items():
+            config = dataclasses.replace(base.config, **{name: value})
+            changed = dataclasses.replace(base, config=config)
+            keyed = warm_key(changed) != warm_key(base)
+            assert keyed == (name in WARM_FIELDS), name
+
+    def test_every_job_field_is_classified(self):
+        names = {f.name for f in dataclasses.fields(SimJob)}
+        assert names == set(JOB_ALTERNATES)
+        base = SimJob("li", starting_config(), SCALE, sampling=SPEC)
+        for name, value in JOB_ALTERNATES.items():
+            changed = dataclasses.replace(base, **{name: value})
+            keyed = warm_key(changed) != warm_key(base)
+            assert keyed == (name not in WARM_INDEPENDENT_JOB_FIELDS), name
+
+    def test_interval_index_and_default_seed_are_not_keyed(self):
+        job = SimJob("li", starting_config(), SCALE, sampling=SPEC)
+        seeded = dataclasses.replace(
+            job, seed=job.resolved_seed(), sampling=_interval(job, 2).sampling)
+        assert warm_key(seeded) == warm_key(job)
+
+
+class TestWarmGroups:
+    def test_groups_share_a_key_and_run_in_trace_order(self):
+        cfg = starting_config()
+        li = SimJob("li", cfg, SCALE, sampling=SPEC)
+        jobs = [
+            _interval(li, 2),
+            SimJob("li", cfg, SCALE),                              # full run
+            _interval(dataclasses.replace(li, config=cfg.with_reese()), 0),
+            _interval(dataclasses.replace(
+                li, config=cfg.replace(predictor="bimodal")), 1),
+            _interval(li, 1),
+        ]
+        assert _warm_groups(jobs, range(len(jobs)), 1) == [
+            [2, 4, 0], [1], [3],
+        ]
+        # Only the pending indices are grouped.
+        assert _warm_groups(jobs, [0, 3], 1) == [[0], [3]]
+
+    def test_fewer_units_than_workers_split_contiguously(self):
+        li = SimJob("li", starting_config(), SCALE, sampling=SPEC)
+        jobs = [_interval(li, i) for i in range(4)]
+        assert _warm_groups(jobs, range(4), 2) == [[0, 1], [2, 3]]
+        assert _warm_groups(jobs, range(4), 3) == [[0, 1], [2, 3]]
+        assert _warm_groups(jobs, range(4), 8) == [[0], [1], [2], [3]]
+
+    def test_sweep_time_is_charged_to_the_groups_jobs(self, monkeypatch):
+        # Make the group's shared work slow: the pause must show up in
+        # the jobs' records, not as unaccounted runner time.
+        pause = 0.4
+        original = sampling.mispredict_profile
+
+        def slow_profile(*args):
+            time.sleep(pause)
+            return original(*args)
+
+        job = SimJob("li", starting_config(), SCALE, sampling=SPEC)
+        interval_jobs, _, _ = expand_sampled_job(job)
+        monkeypatch.setattr(sampling, "mispredict_profile", slow_profile)
+        runner = ParallelRunner(jobs=1, use_cache=False)
+        runner.run(interval_jobs)
+        telemetry = runner.telemetry
+        charged = sum(record.elapsed for record in telemetry.records)
+        assert len(telemetry.records) == len(interval_jobs)
+        assert charged >= pause
+        assert telemetry.wall_seconds - charged < pause / 2
+
+
+def _mixed_batch():
+    """Whole sampled jobs spanning several warm groups and, within a
+    group, every kind of warm-independent difference."""
+    cfg = starting_config()
+    reese = cfg.with_reese()
+    fault = FaultSpec.make("environmental", rate=2e-3, duration=3, seed=17)
+    li = SimJob("li", cfg, SCALE, sampling=SPEC)
+    return [
+        li,
+        dataclasses.replace(li, config=reese),
+        dataclasses.replace(li, config=cfg.with_spares(alu=2)),
+        dataclasses.replace(li, config=cfg.replace(predictor="bimodal")),
+        dataclasses.replace(li, config=reese, fault=fault),
+        dataclasses.replace(li, observe=True),
+        dataclasses.replace(li, config=reese, check_invariants=True),
+        dataclasses.replace(li, profile=True),
+        SimJob("go", reese, SCALE, sampling=SPEC, observe=True),
+    ]
+
+
+def _from_scratch(job):
+    """One interval simulated alone, straight through ``run_interval``."""
+    program, trace = trace_for(job.benchmark, job.scale, job.seed)
+    observer = None
+    if job.observe or job.check_invariants:
+        observer = build_observability(ObserveConfig(
+            metrics=job.observe, check_invariants=job.check_invariants))
+    return run_interval(
+        program, trace, job.config, job.sampling, job.sampling.index,
+        fault_model=job.fault.build() if job.fault else None,
+        warm=job.warm, observer=observer, profile_run=job.profile,
+    )
+
+
+class TestGroupEquivalence:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_batch_matches_from_scratch_intervals(self, workers):
+        runner = ParallelRunner(jobs=workers, use_cache=False)
+        interval_jobs = [
+            ij for job in _mixed_batch() for ij in expand_sampled_job(job)[0]
+        ]
+        # Reversed: a group must still run its intervals in trace order.
+        batch = interval_jobs[::-1]
+        assert len(_warm_groups(batch, range(len(batch)), 1)) == 3
+        results = runner.run(batch)
+        for job, stats in zip(batch, results):
+            reference = _from_scratch(runner.resolve(job))
+            assert stats.state_dict() == reference.state_dict(), job
+
+    def test_partly_cached_group_matches(self, tmp_path):
+        # Cache hits leave gaps in a group: its sweep skips them.
+        runner = ParallelRunner(jobs=1, cache_dir=tmp_path)
+        job = SimJob("li", starting_config().with_reese(), SCALE,
+                     sampling=SPEC)
+        interval_jobs, _, _ = expand_sampled_job(job)
+        runner.run(interval_jobs[1::2])
+        results = runner.run(interval_jobs)
+        assert runner.telemetry.cache_hits == len(interval_jobs[1::2])
+        for ij, stats in zip(interval_jobs, results):
+            reference = _from_scratch(runner.resolve(ij))
+            assert stats.state_dict() == reference.state_dict()

@@ -8,6 +8,7 @@ from repro.uarch import (
     SamplingSpec,
     Stats,
     WarmState,
+    WarmSweep,
     build_warm_state,
     mispredict_profile,
     run_interval,
@@ -173,12 +174,23 @@ class TestWarmState:
         incremental.warm_full(trace)
         incremental.advance(trace, 0, 700)
         incremental.advance(trace, 700, 1400)
-        reference = build_warm_state(program, cfg, trace, 1400)
+        spec = SamplingSpec(1, placement="end")
+        reference = build_warm_state(WarmSweep(program, trace, cfg, spec),
+                                     1400)
         snap = incremental.snapshot()
         assert snap.btb._tags == reference.btb._tags
         assert snap.btb._targets == reference.btb._targets
         assert snap.ras._stack == reference.ras._stack
         assert snap.mem.l1d._tags == reference.mem.l1d._tags
+
+
+    def test_sweep_only_moves_forward(self, workload, cfg):
+        program, trace = workload
+        spec = SamplingSpec(1, placement="end")
+        sweep = WarmSweep(program, trace, cfg, spec)
+        build_warm_state(sweep, 900)
+        with pytest.raises(ValueError, match="past start"):
+            build_warm_state(sweep, 400)
 
 
 class TestRunSampled:
