@@ -18,6 +18,16 @@ clean       no fault struck this run.
 This is the "machine without REESE" side of the reproduction's fault
 study; the timing-level REESE campaign (detection/recovery) lives in
 the pipeline itself via :class:`repro.reese.faults.FaultModel`.
+
+Both campaigns run on one engine.  Each injected run follows a *plan*:
+ascending ``(ordinal, bit)`` pairs, where ordinals number the eligible
+instructions of the run (every instruction but ``nop`` and ``halt``;
+see :mod:`repro.arch.emulator`).  The emulator calls the injection hook
+at the planned ordinals only, and the hook corrupts the instruction by
+:func:`repro.reese.faults.corrupt_instruction`.  A Bernoulli campaign
+plans each run with a :class:`repro.reese.faults.BernoulliPlan`; a site
+campaign plans one pair, the ordinal at which the golden run executes
+the sampled occurrence of the sampled instruction.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from ..analysis import AnalysisResult, CLASS_DEAD, CLASSES, analyze_program
 from ..arch.emulator import EmulatorError, emulate
 from ..arch.memory import MisalignedAccessError
 from ..isa.program import Program
-from ..reese.faults import corrupt_value, make_emulator_injector
+from ..reese.faults import BernoulliPlan, Plan, PlannedInjector
 from .parallel import parallel_map
 
 #: Outcome labels in severity order.
@@ -64,52 +74,70 @@ class CampaignResult:
         ]
         for outcome in OUTCOMES:
             count = self.outcomes.get(outcome, 0)
-            lines.append(f"  {outcome:7s} {count:5d} ({count / self.runs:.0%})")
+            share = count / self.runs if self.runs else 0.0
+            lines.append(f"  {outcome:7s} {count:5d} ({share:.0%})")
         return "\n".join(lines)
 
 
-def _classify_run(
+def _classify(
     program: Program,
-    rate: float,
-    run_seed: int,
+    plan: Plan,
     max_instructions: int,
     golden_state: Tuple,
-) -> Tuple[str, int]:
-    """One injected emulation: (outcome label, injections performed)."""
-    hook, log = make_emulator_injector(rate=rate, seed=run_seed)
-    try:
-        outcome_run = emulate(
-            program, max_instructions=max_instructions,
-            collect_trace=False, inject=hook,
-        )
-    except (MisalignedAccessError, EmulatorError):
-        return "crash", len(log)
-    if not log:
-        return "clean", len(log)
-    if not outcome_run.halted:
-        return "hang", len(log)
-    if (outcome_run.output, outcome_run.memory.snapshot()) == golden_state:
-        return "masked", len(log)
-    return "sdc", len(log)
+) -> Tuple[str, List[Tuple[int, str, int]]]:
+    """One injected emulation: its outcome label and its injection log.
 
-
-def _campaign_chunk(payload) -> Tuple[Counter, int]:
-    """Pool worker: classify a contiguous chunk of run indices.
-
-    Each run's RNG seed is ``seed + run_index`` — a function of the
-    run's identity alone — so the aggregate is independent of how the
-    index space is chunked or which worker draws which chunk.
+    A run whose plan corrupted nothing is ``clean``.
     """
-    program, rate, seed, max_instructions, golden_state, indices = payload
-    outcomes: Counter = Counter()
-    injections = 0
-    for run_index in indices:
-        outcome, injected = _classify_run(
-            program, rate, seed + run_index, max_instructions, golden_state
-        )
-        outcomes[outcome] += 1
-        injections += injected
-    return outcomes, injections
+    injector = PlannedInjector(plan)
+    try:
+        run = emulate(program, max_instructions=max_instructions,
+                      collect_trace=False, inject=injector.hook,
+                      schedule=injector.schedule())
+    except (MisalignedAccessError, EmulatorError):
+        return "crash", injector.log
+    if not injector.log:
+        return "clean", injector.log
+    if not run.halted:
+        return "hang", injector.log
+    if (run.output, run.memory.snapshot()) == golden_state:
+        return "masked", injector.log
+    return "sdc", injector.log
+
+
+def _plans_chunk(payload) -> List[Tuple[str, int]]:
+    """Pool worker: ``(outcome, injections)`` of each plan of a chunk."""
+    program, max_instructions, golden_state, plans = payload
+    out: List[Tuple[str, int]] = []
+    for plan in plans:
+        outcome, log = _classify(program, plan, max_instructions,
+                                 golden_state)
+        out.append((outcome, len(log)))
+    return out
+
+
+def _run_plans(
+    program: Program,
+    plans: Sequence[Plan],
+    max_instructions: int,
+    golden_state: Tuple,
+    jobs: Optional[int],
+) -> List[Tuple[str, int]]:
+    """``(outcome, injections)`` of every plan, in plan order.
+
+    Every plan is fixed in the parent as a function of the campaign's
+    seed, so the results do not depend on ``jobs`` or on chunking.
+    """
+    payloads = [
+        (program, max_instructions, golden_state,
+         [plans[i] for i in chunk])
+        for chunk in _chunk_indices(len(plans), jobs or 1)
+    ]
+    return [
+        result
+        for chunk in parallel_map(_plans_chunk, payloads, jobs)
+        for result in chunk
+    ]
 
 
 def run_campaign(
@@ -126,11 +154,18 @@ def run_campaign(
         program: the workload (must normally halt within the budget).
         runs: number of injected runs.
         rate: per-instruction bit-flip probability.
-        seed: base RNG seed; run ``i`` uses ``seed + i``.
+        seed: base RNG seed; run ``i`` draws its
+            :class:`~repro.reese.faults.BernoulliPlan` from ``seed + i``.
         max_instructions: hang-detection budget.
         jobs: worker processes (``None``/``1`` = sequential).  Outcome
             counts are identical for any value.
+
+    Raises:
+        ValueError: when ``rate`` is not a probability, or the golden
+            run does not halt within ``max_instructions``.
     """
+    if not 0 <= rate <= 1:
+        raise ValueError("rate must be a probability")
     golden = emulate(program, max_instructions=max_instructions,
                      collect_trace=False)
     if not golden.halted:
@@ -138,13 +173,11 @@ def run_campaign(
     golden_state = (golden.output, golden.memory.snapshot())
 
     result = CampaignResult(program.name, runs, rate)
-    chunks = _chunk_indices(runs, jobs or 1)
-    payloads = [
-        (program, rate, seed, max_instructions, golden_state, chunk)
-        for chunk in chunks
-    ]
-    for outcomes, injections in parallel_map(_campaign_chunk, payloads, jobs):
-        result.outcomes.update(outcomes)
+    plans = [BernoulliPlan(rate, seed + run_index, max_instructions)
+             for run_index in range(runs)]
+    for outcome, injections in _run_plans(program, plans, max_instructions,
+                                          golden_state, jobs):
+        result.outcomes[outcome] += 1
         result.injections += injections
     return result
 
@@ -206,33 +239,32 @@ class OracleMismatch(Exception):
         super().__init__("\n".join(lines))
 
 
-def make_site_injector(index: int, occurrence: int, bit: int):
-    """An ``inject`` hook corrupting one specific dynamic execution.
+class ExecutionCounts(Counter):
+    """Golden-run executions per static instruction, and their order.
 
-    Flips ``bit`` of the result of the ``occurrence``-th execution of
-    static instruction ``index``.  Returns ``(hook, log)``; ``log``
-    records the single injection as ``(seq, op_name, bit)``, matching
-    :func:`repro.reese.faults.make_emulator_injector`.
+    A Counter of static index -> executions.  ``order`` holds the static
+    index of each eligible instruction of the golden run, by ordinal
+    (see :mod:`repro.arch.emulator`).
     """
-    state = {"seen": 0}
-    log: List[Tuple[int, str, int]] = []
 
-    def hook(dyn) -> None:
-        if dyn.static_index != index:
-            return
-        seen = state["seen"]
-        state["seen"] = seen + 1
-        if seen != occurrence or dyn.result is None:
-            return
-        dyn.result = corrupt_value(dyn.result, bit)
-        log.append((dyn.seq, dyn.op.name, bit))
+    order: List[int]
 
-    return hook, log
+    def ordinal(self, index: int, occurrence: int) -> Optional[int]:
+        """The ordinal of execution ``occurrence`` (from 0) of ``index``.
+
+        ``None`` when the golden run executes ``index`` fewer times.
+        """
+        if not 0 <= occurrence < self[index]:
+            return None
+        position = -1
+        for _ in range(occurrence + 1):
+            position = self.order.index(index, position + 1)
+        return position
 
 
 def count_site_executions(
     program: Program, max_instructions: int = 200_000
-) -> Tuple[Tuple, Counter]:
+) -> Tuple[Tuple, ExecutionCounts]:
     """Golden run plus per-static-instruction execution counts.
 
     Returns ``(golden_state, counts)`` where ``golden_state`` is the
@@ -241,15 +273,18 @@ def count_site_executions(
     Raises:
         ValueError: when the golden run does not halt in budget.
     """
-    counts: Counter = Counter()
+    order: List[int] = []
+    record = order.append
 
     def counting_hook(dyn) -> None:
-        counts[dyn.static_index] += 1
+        record(dyn.static_index)
 
     golden = emulate(program, max_instructions=max_instructions,
                      collect_trace=False, inject=counting_hook)
     if not golden.halted:
         raise ValueError("golden run did not halt; raise max_instructions")
+    counts = ExecutionCounts(order)
+    counts.order = order
     return (golden.output, golden.memory.snapshot()), counts
 
 
@@ -317,6 +352,17 @@ def sample_sites(
     return samples
 
 
+def site_plan(counts: ExecutionCounts, sample: SiteSample) -> Plan:
+    """The one-injection plan of ``sample``.
+
+    Up to the injection, the run is the golden run, so the sampled
+    occurrence falls at the ordinal the golden run gave it.  A plan for
+    an occurrence the golden run never reaches is empty.
+    """
+    ordinal = counts.ordinal(sample.index, sample.occurrence)
+    return () if ordinal is None else ((ordinal, sample.bit),)
+
+
 @dataclass
 class SiteCampaignResult:
     """Aggregated outcome of a site-level (oracle) campaign."""
@@ -380,41 +426,6 @@ class SiteCampaignResult:
         return "\n".join(lines)
 
 
-def _classify_site_run(
-    program: Program,
-    sample: SiteSample,
-    max_instructions: int,
-    golden_state: Tuple,
-) -> str:
-    """Outcome label of one targeted injection."""
-    hook, log = make_site_injector(sample.index, sample.occurrence,
-                                   sample.bit)
-    try:
-        run = emulate(program, max_instructions=max_instructions,
-                      collect_trace=False, inject=hook)
-    except (MisalignedAccessError, EmulatorError):
-        return "crash"
-    if not log:
-        return "clean"  # defensive: occurrence beyond execution count
-    if not run.halted:
-        return "hang"
-    if (run.output, run.memory.snapshot()) == golden_state:
-        return "masked"
-    return "sdc"
-
-
-def _site_chunk(payload) -> List[Tuple[int, str]]:
-    """Pool worker: classify a chunk of planned site injections."""
-    program, max_instructions, golden_state, samples, indices = payload
-    out: List[Tuple[int, str]] = []
-    for sample_index in indices:
-        outcome = _classify_site_run(
-            program, samples[sample_index], max_instructions, golden_state
-        )
-        out.append((sample_index, outcome))
-    return out
-
-
 def run_site_campaign(
     program: Program,
     runs: int = 60,
@@ -474,36 +485,31 @@ def run_site_campaign(
             result.site_pool[klass] = executable
         result.by_class[klass] = Counter()
 
-    pending: List[int] = []
-    for sample_index, sample in enumerate(samples):
+    pending: List[SiteSample] = []
+    for sample in samples:
         if skip_dead and sample.klass == CLASS_DEAD:
             result.by_class[CLASS_DEAD]["masked"] += 1
             result.skipped_dead += 1
         else:
-            pending.append(sample_index)
+            pending.append(sample)
 
-    chunks = _chunk_indices(len(pending), jobs or 1)
-    payloads = [
-        (program, max_instructions, golden_state, samples,
-         [pending[i] for i in chunk])
-        for chunk in chunks
-    ]
-    for chunk_result in parallel_map(_site_chunk, payloads, jobs):
-        for sample_index, outcome in chunk_result:
-            sample = samples[sample_index]
-            result.by_class[sample.klass][outcome] += 1
-            result.emulations += 1
-            if sample.klass == CLASS_DEAD and outcome in VISIBLE_OUTCOMES:
-                result.mismatches.append(MismatchRecord(
-                    program_name=program.name,
-                    index=sample.index,
-                    reg=sample.reg,
-                    klass=sample.klass,
-                    occurrence=sample.occurrence,
-                    bit=sample.bit,
-                    outcome=outcome,
-                    instruction=str(program.code[sample.index]),
-                ))
+    plans = [site_plan(exec_counts, sample) for sample in pending]
+    outcomes = _run_plans(program, plans, max_instructions, golden_state,
+                          jobs)
+    for sample, (outcome, _injections) in zip(pending, outcomes):
+        result.by_class[sample.klass][outcome] += 1
+        result.emulations += 1
+        if sample.klass == CLASS_DEAD and outcome in VISIBLE_OUTCOMES:
+            result.mismatches.append(MismatchRecord(
+                program_name=program.name,
+                index=sample.index,
+                reg=sample.reg,
+                klass=sample.klass,
+                occurrence=sample.occurrence,
+                bit=sample.bit,
+                outcome=outcome,
+                instruction=str(program.code[sample.index]),
+            ))
     if strict:
         result.raise_on_mismatch()
     return result

@@ -18,14 +18,16 @@ out-of-order core (:mod:`repro.uarch.pipeline`):
 from .comparator import p_value, reexecute, values_equal, verify
 from .faults import (
     BernoulliFaultModel,
+    BernoulliPlan,
     EnvironmentalFaultModel,
     FaultModel,
     NoFaults,
+    PlannedInjector,
     ScheduledFaultModel,
+    corrupt_instruction,
     corrupt_value,
     flip_float_bit,
     flip_int_bit,
-    make_emulator_injector,
 )
 from .recovery import RetryTracker, UnrecoverableFaultError
 from .rqueue import R_DONE, R_ISSUED, R_WAITING, REntry, RStreamQueue
@@ -36,14 +38,16 @@ __all__ = [
     "values_equal",
     "verify",
     "BernoulliFaultModel",
+    "BernoulliPlan",
     "EnvironmentalFaultModel",
     "FaultModel",
     "NoFaults",
+    "PlannedInjector",
     "ScheduledFaultModel",
+    "corrupt_instruction",
     "corrupt_value",
     "flip_float_bit",
     "flip_int_bit",
-    "make_emulator_injector",
     "RetryTracker",
     "UnrecoverableFaultError",
     "R_DONE",

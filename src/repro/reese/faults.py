@@ -15,6 +15,10 @@ the timing simulators and the functional emulator:
   with probability ``rate`` (the classic SER-per-instruction model).
 * :class:`ScheduledFaultModel` — an explicit list of (start, duration,
   bit) events, for deterministic unit tests.
+* :class:`BernoulliPlan` — per-instruction strikes for the functional
+  emulator's campaigns, as a plan of the eligible instructions to
+  corrupt, which a :class:`PlannedInjector` applies (see
+  :mod:`repro.harness.campaign`).
 
 Corruption helpers flip one bit of a comparable value: integers flip a
 bit of their 32-bit representation, floats a bit of their IEEE-754
@@ -25,12 +29,18 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..arch.trace import DynInst
 from ..isa.semantics import bits_to_float, float_to_bits, to_i32
 
 Comparable = Union[int, float, Tuple, None]
+
+#: An emulator run's faults: ascending ``(ordinal, bit)`` pairs, where
+#: ordinals number the run's eligible instructions (see
+#: :mod:`repro.arch.emulator`).  A plan is read lazily and once.
+Plan = Iterable[Tuple[int, int]]
 
 
 def flip_int_bit(value: int, bit: int) -> int:
@@ -187,33 +197,71 @@ class BernoulliFaultModel(FaultModel):
         return None
 
 
-def make_emulator_injector(rate: float, seed: int = 2001):
-    """Build an ``inject`` hook for the functional emulator.
+class PlannedInjector:
+    """Corrupts the instructions a plan names, on the functional emulator.
 
-    The hook flips one result bit per affected instruction with
-    probability ``rate`` and records what it corrupted.  Used for
-    silent-data-corruption campaigns on a machine *without* REESE
-    (extension C in DESIGN.md).
-
-    Returns:
-        (hook, log): the callable to pass as ``Emulator(inject=...)``
-        and a list that accrues ``(seq, op_name, bit)`` records.
+    Pass :attr:`hook` as ``inject`` and :meth:`schedule` as ``schedule``
+    to :func:`repro.arch.emulator.emulate`.  The hook flips the planned
+    bit by :func:`corrupt_instruction`, and :attr:`log` accrues a
+    ``(seq, op_name, bit)`` record for each instruction it corrupted.
     """
-    rng = random.Random(seed)
-    log: List[Tuple[int, str, int]] = []
 
-    def hook(dyn: DynInst) -> None:
-        if rng.random() >= rate:
-            return
-        bit = rng.randrange(32)
-        if dyn.is_store:
-            dyn.store_value = corrupt_value(dyn.store_value, bit)
-        elif dyn.is_cond_branch:
-            dyn.taken = not dyn.taken
-        elif dyn.result is not None:
-            dyn.result = corrupt_value(dyn.result, bit)
-        else:
-            return  # nothing corruptible (nop, j, ...)
-        log.append((dyn.seq, dyn.op.name, bit))
+    def __init__(self, plan: Plan) -> None:
+        self.plan = plan
+        self.log: List[Tuple[int, str, int]] = []
+        self._bit = 0
 
-    return hook, log
+    def schedule(self) -> Iterator[int]:
+        # The emulator draws the next ordinal only after the hook has
+        # run at the current one, so ``_bit`` is the due ordinal's bit.
+        for ordinal, self._bit in self.plan:
+            yield ordinal
+
+    def hook(self, dyn: DynInst) -> None:
+        if corrupt_instruction(dyn, self._bit):
+            self.log.append((dyn.seq, dyn.op.name, self._bit))
+
+
+def corrupt_instruction(dyn: DynInst, bit: int) -> bool:
+    """The emulator campaigns' corruption rule: flip one bit of an outcome.
+
+    A store corrupts its data, a conditional branch its direction, and
+    anything else its result.  An instruction with none of these
+    (``j``, ``putint``, ...) is left as it is, and the call returns
+    False; otherwise it returns True.
+    """
+    if dyn.is_store:
+        dyn.store_value = corrupt_value(dyn.store_value, bit)
+    elif dyn.is_cond_branch:
+        dyn.taken = not dyn.taken
+    elif dyn.result is not None:
+        dyn.result = corrupt_value(dyn.result, bit)
+    else:
+        return False
+    return True
+
+
+@dataclass(frozen=True)
+class BernoulliPlan:
+    """Independent per-instruction strikes as a lazy ``(ordinal, bit)`` plan.
+
+    Every eligible emulated instruction (see :mod:`repro.arch.emulator`)
+    is struck with probability ``rate``.  The plan replays the draws of
+    a per-instruction hook on ``random.Random(seed)``: one ``random()``
+    per eligible instruction, then ``randrange(32)`` for the bit of each
+    strike.  Ordinals stop at ``limit``, the run's instruction budget,
+    so that a plan at ``rate=0`` ends.  Used for silent-data-corruption
+    campaigns on a machine *without* REESE (extension C in DESIGN.md).
+    """
+
+    rate: float
+    seed: int
+    limit: int
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        rng = random.Random(self.seed)
+        draw = rng.random
+        rate = self.rate
+        for ordinal in range(self.limit):
+            if draw() < rate:
+                yield ordinal, rng.randrange(32)

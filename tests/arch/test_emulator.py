@@ -237,6 +237,109 @@ class TestInjectionHook:
         assert emulate(program, inject=flip).output == [123]
 
 
+class TestInjectionSchedule:
+    """A schedule calls the hook at the named eligible ordinals only."""
+
+    SOURCE = """
+    main:
+        li   r1, 3
+        nop
+    loop:
+        addi r1, r1, -1
+        nop
+        bnez r1, loop
+        putint r1
+        halt
+    """
+
+    @staticmethod
+    def _seen(program, schedule, **kwargs):
+        seen = []
+        result = emulate(program, inject=lambda dyn: seen.append(dyn.seq),
+                         schedule=schedule, **kwargs)
+        return result, seen
+
+    def test_ordinals_skip_nop_and_halt(self):
+        program = assemble(self.SOURCE)
+        _result, every = self._seen(program, None)
+        # 8 eligible instructions; the two nops and halt are not offered.
+        assert len(every) == 8
+        for ordinals in ([0], [1, 3, 5], [7], list(range(8))):
+            _result, seen = self._seen(program, ordinals)
+            assert seen == [every[k] for k in ordinals]
+
+    def test_ordinal_past_the_halt_is_never_reached(self):
+        program = assemble(self.SOURCE)
+        result, seen = self._seen(program, [2, 8, 50])
+        assert result.halted and result.output == [0]
+        assert len(seen) == 1
+
+    def test_empty_schedule_runs_hookless(self):
+        program = assemble(self.SOURCE)
+        result, seen = self._seen(program, [])
+        assert seen == []
+        assert result.output == emulate(program).output
+
+    def test_schedule_is_read_lazily(self):
+        program = assemble(self.SOURCE)
+        events = []
+
+        def schedule():
+            for ordinal in (1, 4):
+                events.append(("due", ordinal))
+                yield ordinal
+
+        emulate(program, inject=lambda dyn: events.append(("hook", dyn.seq)),
+                schedule=schedule())
+        assert [kind for kind, _ in events] == ["due", "hook", "due", "hook"]
+
+    def test_scheduled_corruption_matches_a_filtering_hook(self):
+        program, _ = kernels.bubble_sort(n=12, seed=4)
+        targets = {5, 40, 41, 300}
+
+        def flip(dyn):
+            if dyn.result is not None and not dyn.is_cond_branch:
+                dyn.result = dyn.result ^ 1
+
+        count = [0]
+
+        def filtering(dyn):
+            if count[0] in targets:
+                flip(dyn)
+            count[0] += 1
+
+        reference = emulate(program, inject=filtering)
+        scheduled = emulate(program, inject=flip, schedule=sorted(targets))
+        assert scheduled.output == reference.output
+        assert scheduled.memory.snapshot() == reference.memory.snapshot()
+        assert scheduled.instructions == reference.instructions
+
+    def test_instruction_cap_applies(self):
+        program = assemble("x: addi r1, r1, 1\n j x")
+        result, seen = self._seen(program, [3, 1000], max_instructions=50)
+        assert not result.halted and result.instructions == 50
+        assert len(seen) == 1
+
+    def test_trace_still_collected_in_full(self, loop_program):
+        full = emulate(loop_program)
+        result, seen = self._seen(loop_program, [2])
+        assert result.trace is not None
+        assert len(result.trace) == len(full.trace)
+        assert len(seen) == 1
+
+    def test_schedule_must_ascend(self):
+        program = assemble(self.SOURCE)
+        with pytest.raises(ValueError):
+            self._seen(program, [3, 3])
+        with pytest.raises(ValueError):
+            self._seen(program, [4, 1])
+
+    def test_schedule_needs_a_hook(self):
+        program = assemble(self.SOURCE)
+        with pytest.raises(ValueError):
+            emulate(program, schedule=[0])
+
+
 class TestRecursiveKernels:
     def test_quicksort_sorts(self):
         from repro.isa.program import DATA_BASE

@@ -8,10 +8,11 @@ from repro.harness.campaign import (
     MismatchRecord,
     OracleMismatch,
     SiteSample,
+    _classify,
     count_site_executions,
-    make_site_injector,
     run_site_campaign,
     sample_sites,
+    site_plan,
 )
 from repro.workloads.suite import BENCHMARKS
 
@@ -48,21 +49,43 @@ def dead_program():
 
 class TestSiteInjector:
     def test_corrupts_only_the_requested_occurrence(self, live_program):
+        from repro.arch import emulate
+        from repro.reese import PlannedInjector
         golden, counts = count_site_executions(live_program)
         assert counts[0] == 1
-        hook, log = make_site_injector(index=0, occurrence=0, bit=0)
-        from repro.arch import emulate
-        run = emulate(live_program, inject=hook)
-        assert len(log) == 1
+        plan = site_plan(counts, SiteSample(0, 1, CLASS_LIVE, 0, 0))
+        assert plan == ((0, 0),)
+        injector = PlannedInjector(plan)
+        run = emulate(live_program, inject=injector.hook,
+                      schedule=injector.schedule())
+        assert len(injector.log) == 1
         assert run.output[0] == 4  # 5 with bit 0 flipped
         assert run.output[1] == 7  # untouched
+        assert _classify(live_program, plan, 100, golden)[0] == "sdc"
 
     def test_occurrence_beyond_count_is_a_noop(self, live_program):
-        hook, log = make_site_injector(index=0, occurrence=5, bit=0)
-        from repro.arch import emulate
-        run = emulate(live_program, inject=hook)
-        assert log == []
-        assert run.output == [5, 7]
+        golden, counts = count_site_executions(live_program)
+        plan = site_plan(counts, SiteSample(0, 1, CLASS_LIVE, 5, 0))
+        assert plan == ()
+        assert _classify(live_program, plan, 100, golden) == ("clean", [])
+
+    def test_ordinal_counts_eligible_instructions_only(self):
+        # The nops and the halt are not eligible: ``li`` is ordinal 0,
+        # then ``addi`` and ``bnez`` alternate, so ``addi`` runs at 1, 3, 5.
+        program = assemble("""
+        main:
+            li   r1, 3
+            nop
+        loop:
+            addi r1, r1, -1
+            nop
+            bnez r1, loop
+            putint r1
+            halt
+        """, name="nops")
+        _golden, counts = count_site_executions(program)
+        assert counts[2] == 3
+        assert [counts.ordinal(2, k) for k in range(4)] == [1, 3, 5, None]
 
 
 class TestSampling:

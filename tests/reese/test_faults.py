@@ -5,13 +5,14 @@ import pytest
 from repro.arch import emulate
 from repro.reese import (
     BernoulliFaultModel,
+    BernoulliPlan,
     EnvironmentalFaultModel,
     NoFaults,
+    PlannedInjector,
     ScheduledFaultModel,
     corrupt_value,
     flip_float_bit,
     flip_int_bit,
-    make_emulator_injector,
 )
 
 
@@ -150,12 +151,19 @@ class TestBernoulli:
             BernoulliFaultModel(rate=1.5)
 
 
+def _run_plan(program, plan):
+    injector = PlannedInjector(plan)
+    run = emulate(program, inject=injector.hook,
+                  schedule=injector.schedule())
+    return run, injector.log
+
+
 class TestEmulatorInjector:
     def test_corrupts_and_logs(self):
         from repro.workloads import kernels
         program, expected = kernels.vector_sum(64, seed=2)
-        hook, log = make_emulator_injector(rate=0.05, seed=9)
-        corrupted = emulate(program, inject=hook)
+        corrupted, log = _run_plan(
+            program, BernoulliPlan(rate=0.05, seed=9, limit=10_000))
         clean = emulate(program)
         assert log, "expected at least one injection at 5% rate"
         assert clean.output == [expected]
@@ -165,7 +173,22 @@ class TestEmulatorInjector:
     def test_zero_rate_is_transparent(self):
         from repro.workloads import kernels
         program, expected = kernels.fibonacci(25)
-        hook, log = make_emulator_injector(rate=0.0)
-        result = emulate(program, inject=hook)
+        plan = BernoulliPlan(rate=0.0, seed=2001, limit=10_000)
+        assert list(plan) == []
+        result, log = _run_plan(program, plan)
         assert result.output == [expected]
         assert log == []
+
+    def test_plan_replays_per_instruction_draws(self):
+        import random
+        rng = random.Random(5)
+        expected = []
+        for ordinal in range(2000):
+            if rng.random() < 0.01:
+                expected.append((ordinal, rng.randrange(32)))
+        assert list(BernoulliPlan(rate=0.01, seed=5, limit=2000)) == expected
+
+    def test_rate_one_strikes_every_ordinal(self):
+        plan = list(BernoulliPlan(rate=1.0, seed=3, limit=50))
+        assert [ordinal for ordinal, _bit in plan] == list(range(50))
+        assert all(0 <= bit < 32 for _ordinal, bit in plan)
