@@ -51,6 +51,8 @@ class CacheParams:
             raise ValueError(f"{self.name}: number of sets must be a power of two")
         if self.policy not in ("lru", "fifo", "random"):
             raise ValueError(f"{self.name}: unknown policy {self.policy!r}")
+        if self.hit_latency < 1:
+            raise ValueError(f"{self.name}: hit_latency must be >= 1")
 
     @property
     def n_sets(self) -> int:

@@ -42,6 +42,11 @@ from ..isa.semantics import (
 
 Comparable = Union[int, float, Tuple, None]
 
+# Bound once: the helpers below run per instruction, and a module
+# global is far cheaper to read than an enum class attribute or a call.
+_JAL, _JR, _JALR = Op.JAL, Op.JR, Op.JALR
+_COMPUTE_OPS = frozenset(op for op in Op if has_compute(op))
+
 
 def p_value(dyn: DynInst) -> Comparable:
     """The P-stream comparable value of a dynamic instruction."""
@@ -52,13 +57,13 @@ def p_value(dyn: DynInst) -> Comparable:
         return dyn.result
     if dyn.is_cond_branch:
         return int(dyn.taken)
-    if op is Op.JAL:
+    if op is _JAL:
         return dyn.result
-    if op is Op.JR:
+    if op is _JR:
         return dyn.target_index
-    if op is Op.JALR:
+    if op is _JALR:
         return (dyn.result, dyn.target_index)
-    if has_compute(op):
+    if op in _COMPUTE_OPS:
         return dyn.result
     return None  # j, nop, halt, putint/putch: nothing data-dependent
 
@@ -78,20 +83,22 @@ def reexecute(dyn: DynInst) -> Comparable:
         return dyn.result
     if dyn.is_cond_branch:
         return int(branch_taken(op, dyn.a, dyn.b))
-    if op is Op.JAL:
+    if op is _JAL:
         return TEXT_BASE + (dyn.static_index + 1) * INST_SIZE
-    if op is Op.JR:
+    if op is _JR:
         return (int(dyn.a) - TEXT_BASE) // INST_SIZE
-    if op is Op.JALR:
+    if op is _JALR:
         link = TEXT_BASE + (dyn.static_index + 1) * INST_SIZE
         return (link, (int(dyn.a) - TEXT_BASE) // INST_SIZE)
-    if has_compute(op):
+    if op in _COMPUTE_OPS:
         return compute(op, dyn.a, dyn.b, dyn.imm)
     return None
 
 
 def values_equal(p: Comparable, r: Comparable) -> bool:
     """Hardware-comparator equality: floats compared bit-for-bit."""
+    if type(p) is int and type(r) is int:
+        return p == r  # the common case, decided before any dispatch
     if isinstance(p, tuple) and isinstance(r, tuple):
         return len(p) == len(r) and all(
             values_equal(pi, ri) for pi, ri in zip(p, r)

@@ -18,11 +18,19 @@ With the ``early_remove`` optimisation, instructions may enter the
 queue out of program order (as soon as they complete), so the queue
 tracks pending *issue* in insertion order while *commitment* remains in
 program order via sequence-number lookup.
+
+Entries waiting for R issue sit in one FIFO per functional-unit class
+(:attr:`RStreamQueue.pending`), each entry stamped with its insertion
+number (:attr:`REntry.order`).  The issue stage merges the FIFO heads
+oldest-first and drops a class once its unit pool is exhausted for the
+cycle, which visits the same entries in the same order as one scan over
+all waiting entries in insertion order, without building that list.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Deque, Dict, Iterable, List, Optional
 
 from ..arch.trace import DynInst
@@ -32,6 +40,8 @@ from ..isa.instructions import FUClass
 R_WAITING = 0   # in queue, not yet issued to a functional unit
 R_ISSUED = 1    # executing redundantly
 R_DONE = 2      # R result available (or re-execution skipped)
+
+_by_order = attrgetter("order")
 
 
 class REntry:
@@ -45,6 +55,7 @@ class REntry:
         "state",
         "skip_r",        # True when re-execution is skipped (nop/halt/duty)
         "fu",            # FUClass the R execution uses
+        "order",         # insertion number (the R-issue merge order)
         "inserted_cycle",
         "p_fault_bit",   # bit flipped in the P value by a fault, or None
         "r_fault_bit",   # bit flipped in the R value by a fault, or None
@@ -67,6 +78,7 @@ class REntry:
         self.state = R_DONE if skip_r else R_WAITING
         self.skip_r = skip_r
         self.fu = fu
+        self.order = -1
         self.inserted_cycle = inserted_cycle
         self.p_fault_bit: Optional[int] = None
         self.r_fault_bit: Optional[int] = None
@@ -84,7 +96,8 @@ class RStreamQueue:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._by_seq: Dict[int, REntry] = {}
-        self._pending_issue: Deque[REntry] = deque()
+        #: FUClass -> entries awaiting R issue, in insertion order.
+        self.pending: Dict[FUClass, Deque[REntry]] = {}
         self.total_inserted = 0
 
     # -- capacity ----------------------------------------------------------
@@ -109,58 +122,47 @@ class RStreamQueue:
             OverflowError: if the queue is full (callers must check
                 :attr:`full`; a full queue stalls the RUU instead).
         """
-        if self.full:
+        by_seq = self._by_seq
+        if len(by_seq) >= self.capacity:
             raise OverflowError("R-stream Queue is full")
-        if entry.seq in self._by_seq:
+        if entry.seq in by_seq:
             raise ValueError(f"duplicate sequence number {entry.seq}")
-        self._by_seq[entry.seq] = entry
+        by_seq[entry.seq] = entry
+        entry.order = self.total_inserted
         if entry.state == R_WAITING:
-            self._pending_issue.append(entry)
+            fifo = self.pending.get(entry.fu)
+            if fifo is None:
+                fifo = self.pending[entry.fu] = deque()
+            fifo.append(entry)
         self.total_inserted += 1
 
     # -- R-stream issue ------------------------------------------------------
 
     def peek_unissued(self) -> Optional[REntry]:
         """The next entry awaiting R-stream issue (insertion order)."""
-        while self._pending_issue:
-            entry = self._pending_issue[0]
-            # Entries may have been dropped by a flush; skip stale refs.
-            if self._by_seq.get(entry.seq) is entry and entry.state == R_WAITING:
-                return entry
-            self._pending_issue.popleft()
-        return None
+        heads = [fifo[0] for fifo in self.pending.values() if fifo]
+        return min(heads, key=_by_order) if heads else None
 
     def waiting_entries(self) -> List[REntry]:
-        """Entries awaiting issue, in insertion order (a safe snapshot).
+        """Entries awaiting issue, in insertion order (a snapshot).
 
         R-stream instructions carry their operands, so they have no
         dependences on one another; the issue stage may skip an entry
         whose functional unit is busy and issue a younger one (final
-        commitment stays in program order regardless).  Stale references
-        left behind by a flush are pruned here.
+        commitment stays in program order regardless).  The issue stage
+        itself merges the per-class FIFOs of :attr:`pending` in place.
         """
-        alive = [
-            entry
-            for entry in self._pending_issue
-            if self._by_seq.get(entry.seq) is entry
-            and entry.state == R_WAITING
-        ]
-        if len(alive) != len(self._pending_issue):
-            self._pending_issue = deque(alive)
-        return alive
+        waiting = [entry for fifo in self.pending.values() for entry in fifo]
+        waiting.sort(key=_by_order)
+        return waiting
 
     def mark_issued(self, entry: REntry) -> None:
-        """Transition an entry to ISSUED and advance the issue pointer."""
-        if entry.state != R_WAITING:
+        """Transition a waiting entry to ISSUED, leaving its FIFO."""
+        fifo = self.pending.get(entry.fu, ())
+        if entry.state != R_WAITING or entry not in fifo:
             raise ValueError(f"entry {entry.seq} is not waiting")
+        fifo.remove(entry)
         entry.state = R_ISSUED
-        if self._pending_issue and self._pending_issue[0] is entry:
-            self._pending_issue.popleft()
-        else:
-            try:
-                self._pending_issue.remove(entry)
-            except ValueError:
-                pass
 
     # -- commitment -----------------------------------------------------------
 
@@ -189,9 +191,8 @@ class RStreamQueue:
 
         Returns a list of problem descriptions (empty when healthy):
         occupancy within capacity, the seq index keyed correctly, entry
-        states legal, and every *live* entry still pending issue in
-        ``R_WAITING`` state (stale flush leftovers in the pending deque
-        are legal — they are pruned lazily).
+        states legal, and every entry pending issue live, in
+        ``R_WAITING`` state and in its own class's FIFO.
         """
         problems: List[str] = []
         if len(self._by_seq) > self.capacity:
@@ -212,12 +213,17 @@ class RStreamQueue:
                 problems.append(
                     f"entry {seq} skips re-execution but is not DONE"
                 )
-        for entry in self._pending_issue:
-            if self._by_seq.get(entry.seq) is entry and entry.state != R_WAITING:
-                problems.append(
-                    f"live pending-issue entry {entry.seq} is in state "
-                    f"{entry.state!r}, not WAITING"
-                )
+        for fu, fifo in self.pending.items():
+            for entry in fifo:
+                if (
+                    self._by_seq.get(entry.seq) is not entry
+                    or entry.state != R_WAITING
+                    or entry.fu != fu
+                ):
+                    problems.append(
+                        f"pending-issue entry {entry.seq} is not a live "
+                        f"WAITING {fu!r} entry"
+                    )
         return problems
 
     # -- flush -------------------------------------------------------------------
@@ -226,7 +232,8 @@ class RStreamQueue:
         """Drop every entry (error recovery); returns how many were dropped."""
         dropped = len(self._by_seq)
         self._by_seq.clear()
-        self._pending_issue.clear()
+        for fifo in self.pending.values():
+            fifo.clear()
         return dropped
 
     def entries(self) -> Iterable[REntry]:

@@ -55,6 +55,13 @@ class LatencyConfig:
     fp_div: int = 12
     fp_div_issue: int = 12
 
+    def __post_init__(self) -> None:
+        # The pipeline's completion wheel needs every operation to finish
+        # strictly after the cycle that issues it.
+        for name, value in dataclasses.asdict(self).items():
+            if value < 1:
+                raise ValueError(f"latency {name} must be >= 1, got {value}")
+
 
 @dataclass(frozen=True)
 class ReeseConfig:

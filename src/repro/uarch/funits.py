@@ -14,7 +14,11 @@ Physical units follow SimpleScalar's resource classes:
 
 Each unit tracks the cycle at which it can next *accept* an operation;
 an acquire succeeds when some unit in the class is free this cycle and
-advances that unit by the op's issue latency.
+advances that unit by the op's issue latency.  Each physical pool also
+keeps one "exhausted at cycle" cell, shared by the classes that map to
+it: a failed acquire records its cycle there, and every later acquire
+of that cycle fails without scanning the pool.  This is exact because
+units only ever get busier within a cycle.
 """
 
 from __future__ import annotations
@@ -58,10 +62,15 @@ class FUPool:
         }
         #: Record which stream holds each busy unit (profiling only).
         self.track_streams = False
-        # FUClass -> (pool, r_until, oplat, issuelat, pool key); mem uses
-        # oplat 0 sentinel.
+        # Per-pool one-item "every unit busy at cycle" cell.
+        cells = {key: [-1] for key in self._pools}
+        #: FUClass -> its pool's exhausted cell: ``cell[0] == cycle``
+        #: means an acquire of that class fails at ``cycle``.
+        self.exhausted: Dict[FUClass, List[int]] = {}
+        # FUClass -> (pool, r_until, oplat, issuelat, pool key, cell);
+        # mem uses oplat 0 sentinel.
         self._dispatch: Dict[
-            int, Tuple[List[int], List[int], int, int, str]
+            FUClass, Tuple[List[int], List[int], int, int, str, List[int]]
         ] = {}
         for fu_class, (pool_key, op_attr, issue_attr) in self._OP_MAP.items():
             pool = self._pools[pool_key]
@@ -70,9 +79,11 @@ class FUPool:
             else:
                 oplat = getattr(lat, op_attr)
                 issuelat = getattr(lat, issue_attr)
-            self._dispatch[int(fu_class)] = (
+            self._dispatch[fu_class] = (
                 pool, self._r_until[pool_key], oplat, issuelat, pool_key,
+                cells[pool_key],
             )
+            self.exhausted[fu_class] = cells[pool_key]
         self.issues: Dict[str, int] = {key: 0 for key in self._pools}
         #: R-stream-only slice of :attr:`issues` (REESE re-executions
         #: and dispatch-duplication shadow copies), for the per-stage
@@ -99,8 +110,11 @@ class FUPool:
             caller computes from the cache model), or ``None`` if every
             unit of the class is busy this cycle.
         """
-        pool, r_until, oplat, issuelat, key = self._dispatch[int(fu_class)]
-        for index, next_free in enumerate(pool):
+        pool, r_until, oplat, issuelat, key, cell = self._dispatch[fu_class]
+        if cell[0] == cycle:
+            return None
+        index = 0
+        for next_free in pool:
             if next_free <= cycle:
                 pool[index] = cycle + issuelat
                 if self.track_streams:
@@ -109,6 +123,8 @@ class FUPool:
                 if r_stream:
                     self.issues_r[key] += 1
                 return oplat
+            index += 1
+        cell[0] = cycle
         return None
 
     def blame(self, fu_class: FUClass, cycle: int) -> str:
@@ -120,7 +136,7 @@ class FUPool:
         meaningful right after an acquire returned ``None`` with
         :attr:`track_streams` on.
         """
-        pool, r_until, _, _, _ = self._dispatch[int(fu_class)]
+        pool, r_until, _, _, _, _ = self._dispatch[fu_class]
         for index, next_free in enumerate(pool):
             if next_free > cycle and r_until[index] >= next_free:
                 return "R"

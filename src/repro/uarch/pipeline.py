@@ -39,8 +39,8 @@ detects any P/R mismatch.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+from collections import defaultdict, deque
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional
 
 from ..arch.trace import DynInst, Trace
@@ -55,10 +55,15 @@ from ..reese.comparator import reexecute as reese_reexecute
 from ..reese.comparator import values_equal
 from ..reese.faults import FaultModel, NoFaults, corrupt_value
 from ..reese.recovery import RetryTracker, UnrecoverableFaultError
-from ..reese.rqueue import R_DONE, R_WAITING, REntry, RStreamQueue
+from ..reese.rqueue import R_DONE, R_ISSUED, REntry, RStreamQueue
 from .config import MachineConfig
 from .funits import FUPool
 from .stats import Stats
+
+# Enum members used per instruction, bound once: a module global is an
+# order of magnitude cheaper to read than an enum class attribute.
+_HALT, _J, _JAL, _JR, _JALR = Op.HALT, Op.J, Op.JAL, Op.JR, Op.JALR
+_FU_NONE, _FU_MEM, _FU_ALU = FUClass.NONE, FUClass.MEM_PORT, FUClass.INT_ALU
 
 
 class SimulationDeadlockError(Exception):
@@ -136,7 +141,6 @@ class _Entry:
         "seq",            # dispatch-order id, unique across refetches
         "dyn",            # DynInst for correct-path, None for wrong path
         "trace_seq",      # dyn.seq, or -1 for wrong path
-        "static_index",
         "op",
         "fu",
         "is_load",
@@ -160,21 +164,35 @@ class _Entry:
         "shadow",          # dispatch-dup: original -> its duplicate
     )
 
-    def __init__(self) -> None:
-        self.seq = 0
-        self.dyn: Optional[DynInst] = None
-        self.trace_seq = -1
-        self.static_index = 0
-        self.op = Op.NOP
-        self.fu = FUClass.NONE
-        self.is_load = False
-        self.is_store = False
-        self.is_mem = False
-        self.is_branch = False
-        self.is_halt = False
-        self.wrong_path = False
-        self.srcs = ()
-        self.dst = -1
+    def __init__(self, seq: int, dyn: Optional[DynInst], inst=None) -> None:
+        """A correct-path entry for ``dyn``, or (``dyn`` None) a
+        wrong-path entry for the static instruction ``inst``."""
+        self.seq = seq
+        self.dyn = dyn
+        if dyn is not None:
+            self.trace_seq = dyn.seq
+            self.op = dyn.op
+            self.fu = dyn.fu
+            is_load = self.is_load = dyn.is_load
+            is_store = self.is_store = dyn.is_store
+            self.is_branch = dyn.is_branch
+            self.is_halt = dyn.op is _HALT
+            self.wrong_path = False
+            self.srcs = dyn.srcs
+            self.dst = dyn.dst
+        else:
+            info = OPINFO[inst.op]
+            self.trace_seq = -1
+            self.op = inst.op
+            self.fu = info.fu
+            is_load = self.is_load = info.is_load
+            is_store = self.is_store = info.is_store
+            self.is_branch = info.is_branch
+            self.is_halt = info.is_halt
+            self.wrong_path = True
+            self.srcs = inst.srcs()
+            self.dst = inst.dst()
+        self.is_mem = is_load or is_store
         self.deps = 0
         self.consumers: List["_Entry"] = []
         self.issued = False
@@ -186,6 +204,9 @@ class _Entry:
         self.p_fault_bit: Optional[int] = None
         self.is_shadow = False
         self.shadow: Optional["_Entry"] = None
+
+
+_by_seq = attrgetter("seq")
 
 
 class Pipeline:
@@ -268,6 +289,11 @@ class Pipeline:
         self.trace = trace
         self.config = config
         self.fault_model = fault_model or NoFaults()
+        # The quiet default never strikes: skip its per-completion query.
+        self._sample_fault = (
+            None if type(self.fault_model) is NoFaults
+            else self.fault_model.sample
+        )
         self.warm_caches = warm_caches
         self.warm_predictor = warm_predictor
         self.observer = observer
@@ -301,7 +327,6 @@ class Pipeline:
         self.cycle = 0
         self._done = False
         self._next_seq = 0
-        self._event_tie = 0
         self._measure_from = measure_from
         self._stop_after = stop_after
 
@@ -322,8 +347,13 @@ class Pipeline:
         self.ready: List[_Entry] = []
         self.create: Dict[int, _Entry] = {}
 
-        # Completion events: (cycle, tie, kind, payload, epoch)
-        self._events: List = []
+        # Completion wheel: finish cycle -> the P entries and R entries
+        # completing then, in scheduling order.  Every latency is >= 1,
+        # so each event lands strictly after the cycle that schedules it.
+        self._wheel: Dict[int, list] = defaultdict(list)
+        # REESE lag histograms, int-keyed while running (see _finalize).
+        self._detect_latency: Dict[int, int] = {}
+        self._rqueue_residency: Dict[int, int] = {}
 
         # Architectural progress.
         self.commit_seq = 0            # next trace seq expected to commit
@@ -336,7 +366,6 @@ class Pipeline:
         self.reese_on = reese.enabled
         rqueue_size = reese.rqueue_size or max(32, config.ruu_size)
         self.rqueue = RStreamQueue(rqueue_size) if self.reese_on else None
-        self.rq_epoch = 0
         self.retry = RetryTracker(reese.max_retry)
         self._r_high_water = rqueue_size - min(
             reese.high_water_margin, rqueue_size - 1
@@ -381,8 +410,13 @@ class Pipeline:
         cap = max_cycles if max_cycles is not None else 400 * total + 100_000
         last_commit_cycle = 0
         last_committed = 0
-        on_cycle = self._on_cycle  # hoisted: fixed for the whole run
-        acct = self.accountant     # hoisted: fixed for the whole run
+        # Hoisted: fixed for the whole run (_begin_measurement zeroes
+        # the Stats counters in place).
+        on_cycle = self._on_cycle
+        acct = self.accountant
+        stats = self.stats
+        ifq = self.ifq
+        window = self.DEADLOCK_WINDOW
 
         while not self._done and self.cycle < cap:
             self._commit()
@@ -395,16 +429,15 @@ class Pipeline:
             if acct is not None:
                 acct.on_cycle(self)  # settle the attribution cascade
             self.cycle += 1
-            self.stats.cycles += 1
-            if not self.ifq and not self.ruu:
-                if self.commit_seq >= total:
-                    self._done = True
-            if self.stats.committed != last_committed:
-                last_committed = self.stats.committed
+            stats.cycles += 1
+            if not ifq and not self.ruu and self.commit_seq >= total:
+                self._done = True
+            if stats.committed != last_committed:
+                last_committed = stats.committed
                 last_commit_cycle = self.cycle
-            elif self.cycle - last_commit_cycle > self.DEADLOCK_WINDOW:
+            elif self.cycle - last_commit_cycle > window:
                 raise SimulationDeadlockError(
-                    f"no commit for {self.DEADLOCK_WINDOW} cycles at cycle "
+                    f"no commit for {window} cycles at cycle "
                     f"{self.cycle} (commit_seq={self.commit_seq}/{total}, "
                     f"ruu={len(self.ruu)}, ifq={len(self.ifq)}, "
                     f"rqueue={len(self.rqueue) if self.rqueue else 0})"
@@ -440,8 +473,8 @@ class Pipeline:
         stats = self.stats
         for name in Stats._SUM_FIELDS:
             setattr(stats, name, 0)
-        for name in Stats._HIST_FIELDS:
-            setattr(stats, name, {})
+        self._detect_latency.clear()
+        self._rqueue_residency.clear()
         self.mem.reset_stats()
         self.predictor.lookups = 0
         self.predictor.correct = 0
@@ -459,6 +492,13 @@ class Pipeline:
         stats.halted = self._done
         stats.bpred_accuracy = self.predictor.accuracy
         stats.fu_issues = dict(self.fupool.issues)
+        # Str keys survive the JSON cache; first-seen key order is kept.
+        stats.detect_latency = {
+            str(lag): count for lag, count in self._detect_latency.items()
+        }
+        stats.rqueue_residency = {
+            str(lag): count for lag, count in self._rqueue_residency.items()
+        }
         stats.cache_stats = self.mem.stat_dict()
         if self.accountant is not None:
             stats.accounting = self.accountant.state_dict()
@@ -482,19 +522,32 @@ class Pipeline:
     def _commit_baseline(self) -> None:
         budget = self.config.commit_width
         ruu = self.ruu
+        cycle = self.cycle
+        stats = self.stats
+        observer = self.observer
         while budget and ruu:
             head = ruu[0]
             if head.wrong_path or not head.completed:
                 break
             if head.is_store:
-                if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
+                if self.fupool.acquire(_FU_MEM, cycle) is None:
                     break
                 self.mem.daccess(head.dyn.ea, is_write=True)
-            self._retire_entry(head)
+            trace_seq = head.trace_seq
+            if trace_seq == self._measure_from:
+                self._begin_measurement()
+            if observer is not None:
+                observer.notify("commit", cycle, head)
+            if head.p_fault_bit is not None:
+                # No comparator: the corrupted result commits silently.
+                stats.sdc_commits += 1
+            stats.committed += 1
+            self.commit_seq = trace_seq + 1
             ruu.pop(0)
             if head.is_mem:
                 self._lsq_remove(head)
-            if self._done:
+            if head.is_halt or trace_seq == self._stop_after:
+                self._done = True
                 return
             budget -= 1
 
@@ -548,7 +601,7 @@ class Pipeline:
                 ):
                     self.stats.errors_undetected_same_event += 1
             if head.is_store:
-                if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
+                if self.fupool.acquire(_FU_MEM, self.cycle) is None:
                     break
                 self.mem.daccess(head.dyn.ea, is_write=True)
             self.retry.record_success(head.trace_seq)
@@ -573,39 +626,31 @@ class Pipeline:
                 return
             budget -= 1
 
-    def _retire_entry(self, entry: _Entry) -> None:
-        """Architectural retirement bookkeeping (baseline path)."""
-        if entry.trace_seq == self._measure_from:
-            self._begin_measurement()
-        if self.observer is not None:
-            self.observer.notify("commit", self.cycle, entry)
-        if entry.p_fault_bit is not None:
-            # No comparator: the corrupted result commits silently.
-            self.stats.sdc_commits += 1
-        self.stats.committed += 1
-        self.commit_seq = entry.trace_seq + 1
-        if entry.is_halt or entry.trace_seq == self._stop_after:
-            self._done = True
-
     def _commit_reese(self) -> None:
         # Phase 1: final commit — compare and retire from the R-stream
         # Queue in program order (frees queue slots for phase 2).
         budget = self.config.commit_width
         rqueue = self.rqueue
+        committable = rqueue.committable
         observer = self.observer
+        stats = self.stats
+        cycle = self.cycle
+        residency = self._rqueue_residency
+        record_success = self.retry.record_success
         while budget:
-            rentry = rqueue.committable(self.commit_seq)
+            rentry = committable(self.commit_seq)
             if rentry is None:
                 break
             dyn = rentry.dyn
-            if rentry.seq == self._measure_from:
+            seq = rentry.seq
+            if seq == self._measure_from:
                 self._begin_measurement()
             if not rentry.skip_r:
-                self.stats.comparisons += 1
+                stats.comparisons += 1
                 match = values_equal(rentry.p_value, rentry.r_value)
                 if observer is not None:
                     observer.notify(
-                        "compare", self.cycle, rentry=rentry, match=match
+                        "compare", cycle, rentry=rentry, match=match
                     )
                 if not match:
                     self._handle_detected_error(rentry)
@@ -616,29 +661,27 @@ class Pipeline:
                 ):
                     # Both corrupted identically inside one environmental
                     # event: comparison passes, the error escapes.
-                    self.stats.errors_undetected_same_event += 1
+                    stats.errors_undetected_same_event += 1
             elif rentry.p_fault_bit is not None:
                 # Re-execution skipped (duty cycle): corruption escapes.
-                self.stats.sdc_commits += 1
+                stats.sdc_commits += 1
             if dyn.is_store:
-                if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
+                if self.fupool.acquire(_FU_MEM, cycle) is None:
                     break
                 self.mem.daccess(dyn.ea, is_write=True)
                 if rentry.lsq_entry is not None:
                     self._lsq_remove(rentry.lsq_entry)
-            rqueue.pop(rentry.seq)
-            lag = str(self.cycle - rentry.inserted_cycle)
-            residency = self.stats.rqueue_residency
+            rqueue.pop(seq)
+            lag = cycle - rentry.inserted_cycle
             residency[lag] = residency.get(lag, 0) + 1
-            self.retry.record_success(rentry.seq)
+            record_success(seq)
             if observer is not None:
                 observer.notify(
-                    "commit", self.cycle, trace_seq=rentry.seq,
-                    rentry=rentry,
+                    "commit", cycle, trace_seq=seq, rentry=rentry,
                 )
-            self.stats.committed += 1
-            self.commit_seq = rentry.seq + 1
-            if dyn.op is Op.HALT or rentry.seq == self._stop_after:
+            stats.committed += 1
+            self.commit_seq = seq + 1
+            if dyn.op is _HALT or seq == self._stop_after:
                 self._done = True
                 return
             budget -= 1
@@ -652,6 +695,8 @@ class Pipeline:
         moves = self.config.commit_width
         early = self.config.reese.early_remove
         ruu = self.ruu
+        push = rqueue.push
+        free_slots = rqueue.free_slots
         index = 0
         older_unmoved = 0
         while moves and index < len(ruu):
@@ -664,10 +709,34 @@ class Pipeline:
                     index += 1
                     continue
                 break
-            if rqueue.free_slots <= older_unmoved:
-                self.stats.rqueue_full_events += 1
+            if free_slots <= older_unmoved:
+                stats.rqueue_full_events += 1
                 break
-            self._move_to_rqueue(entry)
+            dyn = entry.dyn
+            p_val = reese_p_value(dyn)
+            fault_bit = entry.p_fault_bit
+            if fault_bit is not None:
+                p_val = corrupt_value(p_val, fault_bit)
+            # The redundant execution's unit: loads re-read through a
+            # memory port; address and direction recomputation (stores,
+            # branches) and unit-less ops run on an integer ALU.
+            if entry.is_load:
+                r_fu = _FU_MEM
+            elif entry.is_store or entry.is_branch or entry.fu is _FU_NONE:
+                r_fu = _FU_ALU
+            else:
+                r_fu = entry.fu
+            rentry = REntry(
+                entry.trace_seq, dyn, p_val, r_fu, cycle, entry.skip_r
+            )
+            rentry.p_fault_bit = fault_bit
+            if entry.is_store:
+                rentry.lsq_entry = entry
+            push(rentry)
+            free_slots -= 1
+            if observer is not None:
+                observer.notify("rqueue", cycle, entry)
+            stats.rqueue_moves += 1
             ruu.pop(index)
             if entry.is_load:
                 self._lsq_remove(entry)
@@ -675,40 +744,6 @@ class Pipeline:
             # the LSQ entry is the store buffer, and memory must not be
             # written before the R-stream verification passes (§4.3).
             moves -= 1
-
-    def _move_to_rqueue(self, entry: _Entry) -> None:
-        dyn = entry.dyn
-        skip_r = entry.skip_r
-        p_val = reese_p_value(dyn)
-        if entry.p_fault_bit is not None:
-            p_val = corrupt_value(p_val, entry.p_fault_bit)
-        rentry = REntry(
-            seq=entry.trace_seq,
-            dyn=dyn,
-            p_value=p_val,
-            fu=self._r_fu_class(entry),
-            inserted_cycle=self.cycle,
-            skip_r=skip_r,
-        )
-        rentry.p_fault_bit = entry.p_fault_bit
-        if entry.is_store:
-            rentry.lsq_entry = entry
-        self.rqueue.push(rentry)
-        if self.observer is not None:
-            self.observer.notify("rqueue", self.cycle, entry)
-        self.stats.rqueue_moves += 1
-
-    @staticmethod
-    def _r_fu_class(entry: _Entry) -> FUClass:
-        """Functional-unit class used by the redundant execution."""
-        if entry.is_load:
-            return FUClass.MEM_PORT
-        if entry.is_store or entry.is_branch:
-            # Address / direction recomputation runs on an integer ALU.
-            return FUClass.INT_ALU
-        if entry.fu is FUClass.NONE:
-            return FUClass.INT_ALU
-        return entry.fu
 
     def _handle_detected_error(self, rentry: REntry) -> None:
         self.stats.errors_detected += 1
@@ -728,7 +763,9 @@ class Pipeline:
         self.lsq.clear()
         self.ready.clear()
         self.create.clear()
-        self.rq_epoch += 1
+        # Every pending completion now belongs to a squashed P entry or
+        # a dropped R entry, so none of them can have any effect.
+        self._wheel.clear()
         if self.rqueue is not None:
             self.rqueue.clear()
         self.wp_active = False
@@ -746,52 +783,52 @@ class Pipeline:
     # ==================================================================
 
     def _writeback(self) -> None:
-        events = self._events
-        cycle = self.cycle
-        while events and events[0][0] <= cycle:
-            _, _, kind, payload, epoch = heapq.heappop(events)
-            if kind == 0:
-                self._complete_p(payload)
-            else:
-                if epoch == self.rq_epoch:
-                    self._complete_r(payload)
-
-    def _complete_p(self, entry: _Entry) -> None:
-        if entry.squashed:
+        bucket = self._wheel.pop(self.cycle, None)
+        if bucket is None:
             return
-        entry.completed = True
-        if self.observer is not None:
-            self.observer.notify("complete", self.cycle, entry)
-        if not entry.wrong_path and entry.dyn is not None:
-            bit = self.fault_model.sample(self.cycle)
-            if bit is not None and reese_p_value(entry.dyn) is not None:
-                entry.p_fault_bit = bit
-        for consumer in entry.consumers:
-            if consumer.squashed or consumer.issued:
-                continue
-            consumer.deps -= 1
-            if consumer.deps == 0:
-                self.ready.append(consumer)
-        entry.consumers = []
-        if entry.mispredicted and not entry.squashed:
-            self._recover_mispredict(entry)
-
-    def _complete_r(self, rentry: REntry) -> None:
-        lag = str(self.cycle - rentry.inserted_cycle)
-        detect = self.stats.detect_latency
-        detect[lag] = detect.get(lag, 0) + 1
-        r_val = reese_reexecute(rentry.dyn)
-        bit = self.fault_model.sample(self.cycle)
-        if bit is not None and r_val is not None:
-            r_val = corrupt_value(r_val, bit)
-            rentry.r_fault_bit = bit
-        rentry.r_value = r_val
-        rentry.state = R_DONE
-        if self.observer is not None:
-            self.observer.notify(
-                "r_complete", self.cycle, trace_seq=rentry.seq,
-                rentry=rentry,
-            )
+        cycle = self.cycle
+        observer = self.observer
+        sample = self._sample_fault
+        detect = self._detect_latency
+        for event in bucket:
+            if event.__class__ is _Entry:  # P completion
+                if event.squashed:
+                    continue
+                event.completed = True
+                if observer is not None:
+                    observer.notify("complete", cycle, event)
+                if sample is not None and event.dyn is not None:
+                    bit = sample(cycle)
+                    if bit is not None and reese_p_value(event.dyn) is not None:
+                        event.p_fault_bit = bit
+                consumers = event.consumers
+                if consumers:
+                    ready = self.ready
+                    for consumer in consumers:
+                        if consumer.squashed or consumer.issued:
+                            continue
+                        consumer.deps -= 1
+                        if consumer.deps == 0:
+                            ready.append(consumer)
+                    event.consumers = []
+                if event.mispredicted:
+                    self._recover_mispredict(event)
+            else:  # R completion
+                lag = cycle - event.inserted_cycle
+                detect[lag] = detect.get(lag, 0) + 1
+                r_val = reese_reexecute(event.dyn)
+                if sample is not None:
+                    bit = sample(cycle)
+                    if bit is not None and r_val is not None:
+                        r_val = corrupt_value(r_val, bit)
+                        event.r_fault_bit = bit
+                event.r_value = r_val
+                event.state = R_DONE
+                if observer is not None:
+                    observer.notify(
+                        "r_complete", cycle, trace_seq=event.seq,
+                        rentry=event,
+                    )
 
     def _recover_mispredict(self, branch: _Entry) -> None:
         """Squash everything younger than a resolved mispredicted branch."""
@@ -842,283 +879,343 @@ class Pipeline:
 
     def _issue(self) -> None:
         budget = self.config.issue_width
-        r_budget = self._r_issue_width if self.reese_on else 0
-        if self.reese_on and len(self.rqueue) >= self._r_high_water:
+        if not self.reese_on:
+            self._issue_p(budget)
+            return
+        r_budget = self._r_issue_width
+        if len(self.rqueue) >= self._r_high_water:
             before = min(budget, r_budget)
-            left = self._issue_r(before)
-            issued = before - left
+            issued = before - self._issue_r(before)
             budget -= issued
             r_budget -= issued
         budget = self._issue_p(budget)
-        if self.reese_on and budget and r_budget:
+        if budget and r_budget:
             self._issue_r(min(budget, r_budget))
 
     def _issue_p(self, budget: int) -> int:
-        if not budget or not self.ready:
+        ready = self.ready
+        if not budget or not ready:
             return budget
-        self.ready.sort(key=lambda entry: entry.seq)
+        ready.sort(key=_by_seq)
         leftover: List[_Entry] = []
         cycle = self.cycle
         observer = self.observer
-        for entry in self.ready:
+        acct = self.accountant
+        stats = self.stats
+        exhausted = self.fupool.exhausted
+        acquire = self.fupool.acquire
+        wheel = self._wheel
+        for entry in ready:
             if entry.squashed or entry.issued:
                 continue
             if not budget:
                 leftover.append(entry)
                 continue
-            latency = self._try_issue_entry(entry, cycle)
-            if latency is None:
-                leftover.append(entry)
-                continue
+            if entry.is_store:
+                # Stores need no FU: address+data merge into the LSQ entry.
+                latency = 1
+            elif entry.is_load:
+                dyn = entry.dyn
+                ea = dyn.ea if dyn is not None else None
+                forward = False
+                for older in self.lsq:
+                    if older is entry:
+                        break
+                    if not older.is_store:
+                        continue
+                    if not older.completed:
+                        forward = None  # older store address unknown
+                        break
+                    older_dyn = older.dyn
+                    if (
+                        ea is not None
+                        and older_dyn is not None
+                        and older_dyn.ea is not None
+                        and (older_dyn.ea & ~3) == (ea & ~3)
+                    ):
+                        forward = True  # youngest older match wins
+                if forward is None:
+                    leftover.append(entry)  # blocked behind the store
+                    continue
+                if forward:
+                    stats.load_forwards += 1
+                    latency = 1  # store-to-load forwarding inside the LSQ
+                elif (
+                    exhausted[_FU_MEM][0] == cycle
+                    or acquire(_FU_MEM, cycle, entry.is_shadow) is None
+                ):
+                    if acct is not None:
+                        acct.note_fu_block(_FU_MEM, cycle, entry.is_shadow)
+                    leftover.append(entry)
+                    continue
+                elif entry.wrong_path or ea is None:
+                    latency = self._l1d_hit  # no cache state pollution
+                else:
+                    latency = max(1, self.mem.daccess(ea, is_write=False))
+            else:
+                fu = entry.fu
+                grant = (
+                    None if exhausted[fu][0] == cycle
+                    else acquire(fu, cycle, entry.is_shadow)
+                )
+                if grant is None:
+                    if acct is not None:
+                        acct.note_fu_block(fu, cycle, entry.is_shadow)
+                    leftover.append(entry)
+                    continue
+                latency = grant if grant > 1 else 1
             entry.issued = True
-            self._schedule_p(entry, cycle + latency)
+            wheel[cycle + latency].append(entry)
             if observer is not None:
                 observer.notify("issue", cycle, entry)
-            self.stats.issued += 1
+            stats.issued += 1
             if entry.wrong_path:
-                self.stats.issued_wrong_path += 1
+                stats.issued_wrong_path += 1
             if entry.is_shadow:
-                self.stats.issued_r += 1  # redundant copy (dispatch dup)
+                stats.issued_r += 1  # redundant copy (dispatch dup)
             budget -= 1
         self.ready = leftover
         return budget
 
-    def _try_issue_entry(self, entry: _Entry, cycle: int) -> Optional[int]:
-        """Attempt to issue one P-stream entry; returns latency or None."""
-        if entry.is_store:
-            # Stores need no FU: address+data merge into the LSQ entry.
-            return 1
-        if entry.is_load:
-            return self._try_issue_load(entry, cycle)
-        grant = self.fupool.acquire(entry.fu, cycle, entry.is_shadow)
-        if grant is None:
-            acct = self.accountant
-            if acct is not None:
-                acct.note_fu_block(entry.fu, cycle, entry.is_shadow)
-            return None
-        return max(1, grant)
-
-    def _try_issue_load(self, entry: _Entry, cycle: int) -> Optional[int]:
-        ea = entry.dyn.ea if entry.dyn is not None else None
-        forward = False
-        for older in self.lsq:
-            if older is entry:
-                break
-            if not older.is_store:
-                continue
-            if not older.completed:
-                return None  # older store address unknown: block the load
-            if (
-                ea is not None
-                and older.dyn is not None
-                and older.dyn.ea is not None
-                and (older.dyn.ea & ~3) == (ea & ~3)
-            ):
-                forward = True  # youngest older match wins; keep scanning
-        if forward:
-            self.stats.load_forwards += 1
-            return 1  # store-to-load forwarding inside the LSQ
-        grant = self.fupool.acquire(FUClass.MEM_PORT, cycle, entry.is_shadow)
-        if grant is None:
-            acct = self.accountant
-            if acct is not None:
-                acct.note_fu_block(FUClass.MEM_PORT, cycle, entry.is_shadow)
-            return None
-        if entry.wrong_path or ea is None:
-            return self._l1d_hit  # wrong path: no cache state pollution
-        return max(1, self.mem.daccess(ea, is_write=False))
-
     def _issue_r(self, budget: int) -> int:
-        cycle = self.cycle
-        rqueue = self.rqueue
-        observer = self.observer
+        """Issue R-stream entries oldest-first into idle units.
+
+        Merges the heads of the R-stream Queue's per-class FIFOs by
+        insertion order and drops a class once its pool is exhausted
+        this cycle: the entries issued, and their order, are those of
+        one insertion-order scan that skips every entry whose unit is
+        busy.  With an accountant bound, every blocked entry that scan
+        would have visited (each one older than the last issue, or all
+        of them if the budget outlasted the queue) is charged once.
+        """
+        if not budget:
+            return budget
+        live = list(filter(None, self.rqueue.pending.values()))
+        if not live:
+            return budget
         acct = self.accountant
-        for rentry in rqueue.waiting_entries():
-            if not budget:
-                break
-            grant = self.fupool.acquire(rentry.fu, cycle, True)
-            if grant is None:
+        blocked: List[Deque[REntry]] = []
+        cycle = self.cycle
+        exhausted = self.fupool.exhausted
+        acquire = self.fupool.acquire
+        observer = self.observer
+        stats = self.stats
+        wheel = self._wheel
+        last = -1
+        while live:
+            fifo = live[0]
+            rentry = fifo[0]
+            for other in live:  # the oldest head across the FIFOs
+                if other[0].order < rentry.order:
+                    fifo = other
+                    rentry = other[0]
+            fu = rentry.fu
+            grant = (
+                None if exhausted[fu][0] == cycle
+                else acquire(fu, cycle, True)
+            )
+            if grant is None:  # FU busy: skip — R entries are independent
+                live.remove(fifo)
                 if acct is not None:
-                    acct.note_fu_block(rentry.fu, cycle, True)
-                continue  # FU busy: skip — R entries are independent
-            if rentry.fu is FUClass.MEM_PORT:
+                    blocked.append(fifo)
+                continue
+            fifo.popleft()
+            if not fifo:
+                live.remove(fifo)
+            rentry.state = R_ISSUED
+            if fu is _FU_MEM:
                 latency = self._l1d_hit  # R loads always hit in L1 (§4.4)
             else:
-                latency = max(1, grant)
-            rqueue.mark_issued(rentry)
-            self._schedule_r(rentry, cycle + latency)
+                latency = grant if grant > 1 else 1
+            wheel[cycle + latency].append(rentry)
             if observer is not None:
                 observer.notify(
                     "r_issue", cycle, trace_seq=rentry.seq, rentry=rentry
                 )
-            self.stats.issued_r += 1
+            stats.issued_r += 1
+            last = rentry.order
             budget -= 1
+            if not budget:
+                break
+        if acct is not None:
+            for fifo in blocked:
+                for rentry in fifo:
+                    if not budget and rentry.order > last:
+                        break
+                    acct.note_fu_block(rentry.fu, cycle, True)
         return budget
-
-    def _schedule_p(self, entry: _Entry, finish: int) -> None:
-        self._event_tie += 1
-        heapq.heappush(self._events, (finish, self._event_tie, 0, entry, 0))
-
-    def _schedule_r(self, rentry: REntry, finish: int) -> None:
-        self._event_tie += 1
-        heapq.heappush(
-            self._events, (finish, self._event_tie, 1, rentry, self.rq_epoch)
-        )
 
     # ==================================================================
     # dispatch
     # ==================================================================
 
     def _dispatch(self) -> None:
-        budget = self.config.decode_width
-        ruu_size = self.config.ruu_size
-        lsq_size = self.config.lsq_size
         ifq = self.ifq
+        if not ifq:
+            return
+        budget = self.config.decode_width
+        ruu = self.ruu
+        lsq = self.lsq
+        ready = self.ready
+        create = self.create
+        stats = self.stats
+        observer = self.observer
+        cycle = self.cycle
+        dup_on = self.dup_on
+        ruu_room = self.config.ruu_size - len(ruu)
+        lsq_room = self.config.lsq_size - len(lsq)
         while budget and ifq:
             entry = ifq[0]
             duplicate = (
-                self.dup_on
+                dup_on
+                and not entry.is_shadow
                 and not entry.wrong_path
-                and entry.fu is not FUClass.NONE
+                and entry.fu is not _FU_NONE
                 and not entry.is_halt
             )
             slots_needed = 2 if duplicate else 1
-            if len(self.ruu) > ruu_size - slots_needed:
-                self.stats.ruu_full_events += 1
+            if ruu_room < slots_needed:
+                stats.ruu_full_events += 1
                 break
-            if entry.is_mem and len(self.lsq) > lsq_size - slots_needed:
-                self.stats.lsq_full_events += 1
+            if entry.is_mem and lsq_room < slots_needed:
+                stats.lsq_full_events += 1
                 break
             if duplicate and budget < 2:
                 break  # original and duplicate dispatch together
             ifq.popleft()
-            self._dispatch_one(entry)
-            budget -= 1
             if duplicate:
-                shadow = self._make_shadow(entry)
-                entry.shadow = shadow
-                self._dispatch_one(shadow)
-                budget -= 1
-
-    def _dispatch_one(self, entry: _Entry) -> None:
-        if self.observer is not None:
-            self.observer.notify("dispatch", self.cycle, entry)
-        self._rename(entry)
-        self.ruu.append(entry)
-        if entry.is_mem:
-            self.lsq.append(entry)
-        self.stats.dispatched += 1
-        if entry.wrong_path:
-            self.stats.dispatched_wrong_path += 1
-        if entry.fu is FUClass.NONE:
-            # nop/halt: no execution; completes next cycle.
-            entry.issued = True
-            self._schedule_p(entry, self.cycle + 1)
-        elif entry.deps == 0:
-            self.ready.append(entry)
-
-    def _make_shadow(self, original: _Entry) -> _Entry:
-        """The duplicate copy for the dispatch-duplication scheme."""
-        shadow = _Entry()
-        # The duplicate shares its original's age: squash decisions and
-        # issue-priority ordering must treat the pair as one instruction.
-        shadow.seq = original.seq
-        shadow.dyn = original.dyn
-        shadow.trace_seq = original.trace_seq
-        shadow.static_index = original.static_index
-        shadow.op = original.op
-        shadow.fu = original.fu
-        shadow.is_load = original.is_load
-        shadow.is_store = original.is_store
-        shadow.is_branch = original.is_branch
-        shadow.is_mem = original.is_mem
-        shadow.is_halt = original.is_halt
-        shadow.srcs = original.srcs
-        shadow.dst = -1  # the duplicate produces nothing architectural
-        shadow.is_shadow = True
-        return shadow
-
-    def _rename(self, entry: _Entry) -> None:
-        deps = 0
-        create = self.create
-        for src in entry.srcs:
-            producer = create.get(src)
-            if (
-                producer is not None
-                and not producer.completed
-                and not producer.squashed
-            ):
-                deps += 1
-                producer.consumers.append(entry)
-        entry.deps = deps
-        if entry.dst >= 0:
-            create[entry.dst] = entry
+                # The duplicate shares its original's age: squash and
+                # issue-priority decisions treat the pair as one
+                # instruction.  It produces nothing architectural, and
+                # it dispatches next, into the slots reserved above.
+                shadow = entry.shadow = _Entry(entry.seq, entry.dyn)
+                shadow.dst = -1
+                shadow.is_shadow = True
+                ifq.appendleft(shadow)
+            if observer is not None:
+                observer.notify("dispatch", cycle, entry)
+            # Rename: wait on each in-flight producer of a source.
+            deps = 0
+            for src in entry.srcs:
+                producer = create.get(src)
+                if (
+                    producer is not None
+                    and not producer.completed
+                    and not producer.squashed
+                ):
+                    deps += 1
+                    producer.consumers.append(entry)
+            entry.deps = deps
+            if entry.dst >= 0:
+                create[entry.dst] = entry
+            ruu.append(entry)
+            ruu_room -= 1
+            if entry.is_mem:
+                lsq.append(entry)
+                lsq_room -= 1
+            stats.dispatched += 1
+            if entry.wrong_path:
+                stats.dispatched_wrong_path += 1
+            if entry.fu is _FU_NONE:
+                # nop/halt: no execution; completes next cycle.
+                entry.issued = True
+                self._wheel[cycle + 1].append(entry)
+            elif deps == 0:
+                ready.append(entry)
+            budget -= 1
 
     # ==================================================================
     # fetch
     # ==================================================================
 
     def _fetch(self) -> None:
-        if self.fetch_blocked_until > self.cycle:
+        cycle = self.cycle
+        ifq = self.ifq
+        room = self.config.fetch_queue_size - len(ifq)
+        if self.fetch_blocked_until > cycle or room <= 0:
             return
-        budget = self.config.fetch_width
-        ifq_cap = self.config.fetch_queue_size
+        budget = min(self.config.fetch_width, room)
         trace = self.trace
-        while budget and len(self.ifq) < ifq_cap:
+        total = len(trace)
+        stats = self.stats
+        observer = self.observer
+        reese_on = self.reese_on
+        line_shift = self._line_shift
+        l1i_hit = self._l1i_hit
+        next_seq = self._next_seq
+        duty_period = self._duty_period
+        while budget:
             if self.wp_active:
-                if not self._fetch_wrong_path():
-                    break
+                index = self.wp_index
+                code = self.program.code
+                if index < 0 or index >= len(code):
+                    break  # wrong-path fetch has nowhere to go: stall
+                inst = code[index]
+                entry = _Entry(next_seq, None, inst)
+                next_seq += 1
+                stats.fetched_wrong_path += 1
+                # Walk the wrong path by predictor direction / direct
+                # targets.
+                op = inst.op
+                info = OPINFO[op]
+                if info.is_halt:
+                    self.wp_index = -1
+                elif info.is_cond_branch:
+                    pc = TEXT_BASE + index * INST_SIZE
+                    taken = self.predictor.predict(pc)  # consult, never train
+                    self.wp_index = inst.imm if taken else index + 1
+                elif op is _J or op is _JAL:
+                    self.wp_index = inst.imm
+                elif op is _JR or op is _JALR:
+                    self.wp_index = -1  # indirect target unknown here
+                else:
+                    self.wp_index = index + 1
             else:
-                if self.fetch_cursor >= len(trace):
+                cursor = self.fetch_cursor
+                if cursor >= total:
                     break
-                if not self._fetch_correct_path(trace[self.fetch_cursor]):
-                    break
+                dyn = trace[cursor]
+                # Instruction-cache probe (one access per line).
+                line = dyn.pc >> line_shift
+                if line != self._last_fetch_line:
+                    self._last_fetch_line = line
+                    latency = self.mem.ifetch(dyn.pc)
+                    if latency > l1i_hit:
+                        # Miss: fetch stalls for the extra cycles.
+                        self.fetch_blocked_until = cycle + (latency - l1i_hit)
+                        break
+                entry = _Entry(next_seq, dyn)
+                next_seq += 1
+                stats.fetched += 1
+                if dyn.is_load:
+                    stats.loads += 1
+                elif dyn.is_store:
+                    stats.stores += 1
+                if reese_on:
+                    if entry.fu is _FU_NONE or entry.is_halt:
+                        entry.skip_r = True
+                    elif dyn.seq % duty_period:
+                        entry.skip_r = True
+                        stats.r_skipped_duty += 1
+                if dyn.is_branch:
+                    stats.branches += 1
+                    predicted = self._predict_next(dyn)
+                    if predicted == dyn.next_index:
+                        self.fetch_cursor = cursor + 1
+                    else:
+                        stats.mispredictions += 1
+                        entry.mispredicted = True
+                        entry.recover_cursor = cursor + 1
+                        self.wp_active = True
+                        self.wp_index = predicted  # -1 stalls wrong-path fetch
+                        self._last_fetch_line = -1
+                else:
+                    self.fetch_cursor = cursor + 1
+            ifq.append(entry)
+            if observer is not None:
+                observer.notify("fetch", cycle, entry)
             budget -= 1
-
-    def _fetch_correct_path(self, dyn: DynInst) -> bool:
-        # Instruction-cache probe (one access per line).
-        line = dyn.pc >> self._line_shift
-        if line != self._last_fetch_line:
-            self._last_fetch_line = line
-            latency = self.mem.ifetch(dyn.pc)
-            if latency > self._l1i_hit:
-                # Miss: fetch stalls for the extra cycles.
-                self.fetch_blocked_until = self.cycle + (latency - self._l1i_hit)
-                return False
-
-        entry = self._make_entry(dyn=dyn, static_index=dyn.static_index)
-        self.stats.fetched += 1
-        if dyn.is_load:
-            self.stats.loads += 1
-        elif dyn.is_store:
-            self.stats.stores += 1
-        if self.reese_on:
-            entry.skip_r = (
-                entry.fu is FUClass.NONE
-                or entry.is_halt
-                or (dyn.seq % self._duty_period) != 0
-            )
-            if entry.skip_r and entry.fu is not FUClass.NONE and not entry.is_halt:
-                self.stats.r_skipped_duty += 1
-
-        if dyn.is_branch:
-            self.stats.branches += 1
-            predicted = self._predict_next(dyn)
-            if predicted == dyn.next_index:
-                self.fetch_cursor += 1
-            else:
-                self.stats.mispredictions += 1
-                entry.mispredicted = True
-                entry.recover_cursor = self.fetch_cursor + 1
-                self.wp_active = True
-                self.wp_index = predicted  # -1 stalls wrong-path fetch
-                self._last_fetch_line = -1
-        else:
-            self.fetch_cursor += 1
-        self.ifq.append(entry)
-        if self.observer is not None:
-            self.observer.notify("fetch", self.cycle, entry)
-        return True
+        self._next_seq = next_seq
 
     def _predict_next(self, dyn: DynInst) -> int:
         """Predicted next static index for a control-flow instruction."""
@@ -1132,88 +1229,24 @@ class Pipeline:
                 predictor.prime(dyn.taken)
             taken_pred = predictor.predict_and_update(dyn.pc, dyn.taken)
             return dyn.target_index if taken_pred else fallthrough
-        if op is Op.J:
+        if op is _J:
             return dyn.target_index  # direct: target in the instruction word
-        if op is Op.JAL:
+        if op is _JAL:
             self.ras.push(fallthrough)
             return dyn.target_index
-        if op is Op.JR:
+        if op is _JR:
             if inst.rs1 == REG_RA:
                 predicted = self.ras.pop()
             else:
                 predicted = self.btb.lookup(dyn.pc)
             self.btb.update(dyn.pc, dyn.target_index)
             return predicted if predicted is not None else -1
-        if op is Op.JALR:
+        if op is _JALR:
             self.ras.push(fallthrough)
             predicted = self.btb.lookup(dyn.pc)
             self.btb.update(dyn.pc, dyn.target_index)
             return predicted if predicted is not None else -1
         raise AssertionError(f"not a branch: {op}")
-
-    def _fetch_wrong_path(self) -> bool:
-        index = self.wp_index
-        code = self.program.code
-        if index < 0 or index >= len(code):
-            return False  # wrong-path fetch has nowhere to go: stall
-        inst = code[index]
-        info = OPINFO[inst.op]
-        entry = self._make_entry(dyn=None, static_index=index, inst=inst)
-        entry.wrong_path = True
-        self.stats.fetched_wrong_path += 1
-
-        # Walk the wrong path by predictor direction / direct targets.
-        op = inst.op
-        if info.is_halt:
-            self.wp_index = -1
-        elif info.is_cond_branch:
-            pc = TEXT_BASE + index * INST_SIZE
-            taken = self.predictor.predict(pc)  # consult, never train
-            self.wp_index = inst.imm if taken else index + 1
-        elif op in (Op.J, Op.JAL):
-            self.wp_index = inst.imm
-        elif op in (Op.JR, Op.JALR):
-            self.wp_index = -1  # indirect target unknown on the wrong path
-        else:
-            self.wp_index = index + 1
-        self.ifq.append(entry)
-        if self.observer is not None:
-            self.observer.notify("fetch", self.cycle, entry)
-        return True
-
-    def _make_entry(
-        self,
-        dyn: Optional[DynInst],
-        static_index: int,
-        inst=None,
-    ) -> _Entry:
-        entry = _Entry()
-        entry.seq = self._next_seq
-        self._next_seq += 1
-        entry.static_index = static_index
-        if dyn is not None:
-            entry.dyn = dyn
-            entry.trace_seq = dyn.seq
-            entry.op = dyn.op
-            entry.fu = dyn.fu
-            entry.is_load = dyn.is_load
-            entry.is_store = dyn.is_store
-            entry.is_branch = dyn.is_branch
-            entry.srcs = dyn.srcs
-            entry.dst = dyn.dst
-            entry.is_halt = dyn.op is Op.HALT
-        else:
-            info = OPINFO[inst.op]
-            entry.op = inst.op
-            entry.fu = info.fu
-            entry.is_load = info.is_load
-            entry.is_store = info.is_store
-            entry.is_branch = info.is_branch
-            entry.srcs = inst.srcs()
-            entry.dst = inst.dst()
-            entry.is_halt = info.is_halt
-        entry.is_mem = entry.is_load or entry.is_store
-        return entry
 
     # ==================================================================
     # helpers

@@ -26,6 +26,8 @@ class TestParamsValidation:
             dict(size=1000),              # not divisible
             dict(size=96, assoc=1, line_size=32),  # 3 sets: not pow2
             dict(policy="clock"),
+            dict(hit_latency=0),
+            dict(hit_latency=-3),
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -9,11 +9,14 @@ from repro.isa.instructions import FUClass, Op
 from repro.reese import R_DONE, R_ISSUED, R_WAITING, REntry, RStreamQueue
 
 
-def make_entry(seq):
+R_CLASSES = [FUClass.INT_ALU, FUClass.MEM_PORT, FUClass.INT_MULT]
+
+
+def make_entry(seq, fu=FUClass.INT_ALU):
     dyn = DynInst()
     dyn.seq = seq
     dyn.op = Op.ADD
-    return REntry(seq, dyn, p_value=seq, fu=FUClass.INT_ALU, inserted_cycle=0)
+    return REntry(seq, dyn, p_value=seq, fu=fu, inserted_cycle=0)
 
 
 class RQueueMachine(RuleBasedStateMachine):
@@ -27,11 +30,11 @@ class RQueueMachine(RuleBasedStateMachine):
         self.next_seq = 0
         self.entries = {}
 
-    @rule()
-    def push(self):
+    @rule(fu=st.sampled_from(R_CLASSES))
+    def push(self, fu):
         if self.queue.full:
             return
-        entry = make_entry(self.next_seq)
+        entry = make_entry(self.next_seq, fu)
         self.queue.push(entry)
         self.entries[self.next_seq] = entry
         self.model[self.next_seq] = R_WAITING
@@ -49,6 +52,16 @@ class RQueueMachine(RuleBasedStateMachine):
         assert entry.seq == waiting[0]
         self.queue.mark_issued(entry)
         self.model[entry.seq] = R_ISSUED
+
+    @rule(data=st.data())
+    def issue_any(self, data):
+        # The issue stage may skip a busy class and issue a younger entry.
+        waiting = [s for s in self.insertion if self.model.get(s) == R_WAITING]
+        if not waiting:
+            return
+        seq = data.draw(st.sampled_from(waiting))
+        self.queue.mark_issued(self.entries[seq])
+        self.model[seq] = R_ISSUED
 
     @rule(data=st.data())
     def complete_some_issued(self, data):
@@ -91,12 +104,20 @@ class RQueueMachine(RuleBasedStateMachine):
         assert seqs == sorted(self.model)
 
     @invariant()
-    def waiting_set_consistent(self):
-        waiting = {entry.seq for entry in self.queue.waiting_entries()}
-        model_waiting = {
-            seq for seq, state in self.model.items() if state == R_WAITING
-        }
+    def waiting_in_insertion_order(self):
+        waiting = [entry.seq for entry in self.queue.waiting_entries()]
+        model_waiting = [
+            seq for seq in self.insertion if self.model.get(seq) == R_WAITING
+        ]
         assert waiting == model_waiting
+
+    @invariant()
+    def fifos_hold_their_class_in_order(self):
+        for fu, fifo in self.queue.pending.items():
+            orders = [entry.order for entry in fifo]
+            assert orders == sorted(orders)
+            assert all(entry.fu == fu for entry in fifo)
+        assert self.queue.validate() == []
 
 
 TestRQueueStateMachine = RQueueMachine.TestCase
@@ -106,12 +127,14 @@ TestRQueueStateMachine.settings = settings(
 
 
 class TestSimpleProperties:
-    @given(st.lists(st.integers(0, 1000), unique=True, min_size=1,
-                    max_size=32))
-    def test_insertion_order_preserved_for_issue(self, seqs):
+    @given(st.lists(st.tuples(st.integers(0, 1000),
+                              st.sampled_from(R_CLASSES)),
+                    unique_by=lambda item: item[0], min_size=1, max_size=32))
+    def test_insertion_order_preserved_for_issue(self, items):
         queue = RStreamQueue(capacity=32)
-        for seq in seqs:
-            queue.push(make_entry(seq))
+        seqs = [seq for seq, _ in items]
+        for seq, fu in items:
+            queue.push(make_entry(seq, fu))
         issued = []
         while True:
             entry = queue.peek_unissued()

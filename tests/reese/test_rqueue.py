@@ -1,5 +1,7 @@
 """Unit tests for the R-stream Queue."""
 
+from collections import deque
+
 import pytest
 
 from repro.arch.trace import DynInst
@@ -61,6 +63,51 @@ class TestIssueOrder:
         queue.mark_issued(entries[1])  # out-of-order issue (skip-scan)
         waiting = queue.waiting_entries()
         assert [e.seq for e in waiting] == [0, 2, 3]
+
+    def test_one_fifo_per_class_in_insertion_order(self):
+        queue = RStreamQueue()
+        fus = [FUClass.MEM_PORT, FUClass.INT_ALU, FUClass.MEM_PORT,
+               FUClass.INT_MULT, FUClass.INT_ALU]
+        for seq, fu in zip((9, 4, 7, 5, 8), fus):
+            queue.push(make_entry(seq, fu=fu))
+        assert {fu: [e.seq for e in fifo]
+                for fu, fifo in queue.pending.items()} == {
+            FUClass.MEM_PORT: [9, 7],
+            FUClass.INT_ALU: [4, 8],
+            FUClass.INT_MULT: [5],
+        }
+        # The merged snapshot and the head follow insertion numbers.
+        assert [e.order for e in queue.waiting_entries()] == [0, 1, 2, 3, 4]
+        assert [e.seq for e in queue.waiting_entries()] == [9, 4, 7, 5, 8]
+        assert queue.peek_unissued().seq == 9
+
+    def test_mark_issued_leaves_its_fifo(self):
+        queue = RStreamQueue()
+        entries = [make_entry(seq, fu=fu) for seq, fu in
+                   enumerate([FUClass.INT_ALU, FUClass.MEM_PORT,
+                              FUClass.INT_ALU])]
+        for entry in entries:
+            queue.push(entry)
+        queue.mark_issued(entries[2])  # not its FIFO's head
+        assert [e.seq for e in queue.pending[FUClass.INT_ALU]] == [0]
+        queue.mark_issued(entries[0])
+        assert queue.peek_unissued() is entries[1]
+        assert queue.validate() == []
+
+    def test_validate_flags_a_misfiled_entry(self):
+        queue = RStreamQueue()
+        entry = make_entry(0)
+        queue.push(entry)
+        queue.pending.setdefault(FUClass.MEM_PORT, deque()).append(entry)
+        assert queue.validate()
+
+    def test_mark_issued_rejects_a_dropped_entry(self):
+        queue = RStreamQueue()
+        entry = make_entry(0)
+        queue.push(entry)
+        queue.clear()
+        with pytest.raises(ValueError):
+            queue.mark_issued(entry)
 
     def test_skip_r_entries_never_pending(self):
         queue = RStreamQueue()
@@ -127,15 +174,17 @@ class TestFlush:
         assert len(queue) == 0
         assert queue.peek_unissued() is None
 
-    def test_stale_refs_pruned_after_clear_and_refill(self):
+    def test_clear_empties_every_fifo(self):
         queue = RStreamQueue()
-        old = make_entry(0)
-        queue.push(old)
+        queue.push(make_entry(0))
+        queue.push(make_entry(1, fu=FUClass.MEM_PORT))
         queue.clear()
+        assert all(not fifo for fifo in queue.pending.values())
         fresh = make_entry(0)
         queue.push(fresh)
         assert queue.peek_unissued() is fresh
         assert queue.waiting_entries() == [fresh]
+        assert queue.validate() == []
 
     def test_entries_iterates_in_program_order(self):
         queue = RStreamQueue()

@@ -152,6 +152,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             ReeseConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(int_alu=0),
+            dict(int_div_issue=-100),
+            dict(fp_div=0),
+        ],
+    )
+    def test_latency_config_rejects_non_positive(self, kwargs):
+        with pytest.raises(ValueError):
+            LatencyConfig(**kwargs)
+
     def test_reese_auto_defaults(self):
         reese = ReeseConfig()
         assert reese.rqueue_size == 0       # auto: max(32, ruu)
