@@ -27,16 +27,24 @@ execution order; these are their *ordinals*.  A fault campaign that
 corrupts a few known ordinals passes them as an ascending ``schedule``.
 The emulator then builds the :class:`DynInst` and calls the hook at
 those ordinals only, and runs the hookless fast path everywhere else.
+A scheduled run given a golden run's checkpoints resumes from the latest
+one at or before its first ordinal, and once nothing is due stops as
+``converged`` at the first later checkpoint its state matches exactly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from bisect import bisect_right
+from collections import namedtuple
+from functools import partial
+from struct import pack
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..isa.instructions import INST_SIZE, Instruction, Op, OPINFO, FUClass
 from ..isa.program import Program, STACK_BASE, TEXT_BASE
 from ..isa.registers import NUM_REGS, REG_SP
-from ..isa.semantics import branch_taken, compute, to_i32
+from ..isa.semantics import (_BRANCH_TAKEN, _COMPUTE, branch_taken, compute,
+                             to_i32)
 from .memory import Memory
 from .trace import DynInst, Trace
 
@@ -53,9 +61,35 @@ _CAT_JUMP_REG = 6
 _CAT_HALT = 7
 _CAT_PUT = 8
 
+#: Retired instructions between two checkpoints of a golden run.
+CHECKPOINT_INTERVAL = 256
+
 
 class EmulatorError(Exception):
     """Raised when a program performs an illegal action (bad PC, etc.)."""
+
+
+#: The state just before the instruction at retired position ``retired``;
+#: ``regs``, ``words`` (raw, zero words kept) and ``output`` are copies.
+Checkpoint = namedtuple("Checkpoint", "idx retired nops regs words output")
+
+
+def _resume_point(golden: Sequence[Checkpoint], due: int) -> Checkpoint:
+    """The latest checkpoint at or before ordinal ``due`` (if due)."""
+    ordinals = [point.retired - point.nops for point in golden]
+    return golden[bisect_right(ordinals, due) - 1 if due >= 0 else -1]
+
+
+def _same_state(point: Checkpoint, idx: int, nops: int, regs: List[Value],
+                memory: Memory, output: List[int]) -> bool:
+    """Whether a run's state equals ``point`` bit for bit: ``-0.0`` does
+    not match ``0.0``, and a NaN matches only itself (the same object)."""
+    return (idx == point.idx and nops == point.nops and regs == point.regs
+            and output == point.output
+            and memory.words() == point.words.items()
+            and all(type(a) is type(b) and (type(a) is not float
+                                            or pack("<d", a) == pack("<d", b))
+                    for a, b in zip(regs, point.regs)))
 
 
 class EmulationResult:
@@ -70,6 +104,8 @@ class EmulationResult:
         trace: Optional[Trace],
         halted: bool,
         instructions: int,
+        checkpoints: Optional[List[Checkpoint]] = None,
+        converged: bool = False,
     ) -> None:
         self.program = program
         self.regs = regs
@@ -78,27 +114,19 @@ class EmulationResult:
         self.trace = trace
         #: True if the program reached ``halt`` (vs. hitting the instruction cap).
         self.halted = halted
-        #: Number of instructions retired.
+        #: Retired position where the run stopped (absolute when resumed).
         self.instructions = instructions
-
-    @property
-    def int_regs(self) -> List[int]:
-        """The 32 integer registers."""
-        return self.regs[:32]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        status = "halted" if self.halted else "capped"
-        return (
-            f"<EmulationResult {self.program.name!r}: "
-            f"{self.instructions} insts, {status}>"
-        )
+        self.checkpoints = checkpoints  # recorded, if asked for
+        self.converged = converged  # stopped on matching a golden checkpoint
 
 
 def _decode_program(program: Program):
-    """Precompute per-instruction dispatch tuples for the hot loop."""
+    """Precompute per-instruction dispatch tuples for the hot loop; an op
+    without compute or branch semantics raises ``KeyError`` when it runs."""
     decoded = []
     for inst in program.code:
         info = OPINFO[inst.op]
+        fn = None
         if info.is_halt:
             cat = _CAT_HALT
         elif inst.op in (Op.PUTINT, Op.PUTCH):
@@ -109,6 +137,7 @@ def _decode_program(program: Program):
             cat = _CAT_STORE
         elif info.is_cond_branch:
             cat = _CAT_COND_BRANCH
+            fn = _BRANCH_TAKEN.get(inst.op) or partial(branch_taken, inst.op)
         elif inst.op in (Op.J, Op.JAL):
             cat = _CAT_JUMP
         elif inst.op in (Op.JR, Op.JALR):
@@ -117,7 +146,8 @@ def _decode_program(program: Program):
             cat = _CAT_NOP
         else:
             cat = _CAT_COMPUTE
-        decoded.append((cat, inst, info))
+            fn = _COMPUTE.get(inst.op) or partial(compute, inst.op)
+        decoded.append((cat, inst, info, fn))
     return decoded
 
 
@@ -130,6 +160,7 @@ class Emulator:
         max_instructions: int = 2_000_000,
         inject: Optional[Callable[[DynInst], None]] = None,
         schedule: Optional[Iterable[int]] = None,
+        golden: Optional[Sequence[Checkpoint]] = None,
     ) -> None:
         if schedule is not None and inject is None:
             raise ValueError("a schedule needs an inject hook")
@@ -141,55 +172,79 @@ class Emulator:
         #: It is read lazily: the next ordinal is drawn only after the
         #: hook has run at the current one.
         self.schedule = schedule
+        self.golden = golden  # the golden run's checkpoints
 
-    def run(self, collect_trace: bool = True) -> EmulationResult:
-        """Execute the program from its first instruction.
+    def run(self, collect_trace: bool = True,
+            checkpoints: bool = False) -> EmulationResult:
+        """Execute the program from its start or its resume point.
 
         Args:
             collect_trace: when True (the default), build the dynamic
                 trace used by the timing models; turn off for pure
                 architectural runs (fault campaigns) to save memory.
+            checkpoints: record a :class:`Checkpoint` every
+                :data:`CHECKPOINT_INTERVAL` retired instructions.
 
         Returns:
             An :class:`EmulationResult`.
 
         Raises:
             EmulatorError: on a jump outside the text segment.
+            ValueError: on golden checkpoints without a traceless schedule.
         """
         program = self.program
         code = program.code
         decoded = _decode_program(program)
         n_code = len(code)
 
-        regs: List[Value] = [0] * NUM_REGS
-        for fp_index in range(32, NUM_REGS):
-            regs[fp_index] = 0.0
-        regs[REG_SP] = STACK_BASE
-        memory = Memory(program.data)
-        output: List[int] = []
+        # A scheduled run alternates hookless stretches, which stop where
+        # the next scheduled ordinal is due, with single armed steps that
+        # build the DynInst and call the hook.  ``retired - nops`` counts
+        # the eligible instructions run so far (``halt`` ends the run).
+        # Stretches also stop at checkpoint positions, to record or compare.
+        schedule = None if self.schedule is None else iter(self.schedule)
+        due = -1 if schedule is None else next(schedule, -1)
+        golden = self.golden
+        if golden is not None and (schedule is None or collect_trace):
+            raise ValueError("golden checkpoints resume a traceless schedule")
+        if golden is None:  # checkpoint 0
+            start = Checkpoint(0, 0, 0, [0] * 32 + [0.0] * (NUM_REGS - 32),
+                               dict(Memory(program.data).words()), [])
+            start.regs[REG_SP] = STACK_BASE
+        else:
+            start = _resume_point(golden, due)
+        idx, retired, nops = start.idx, start.retired, start.nops
+        regs = list(start.regs)
+        memory = Memory.of_words(start.words)
+        output = list(start.output)
         trace: Optional[Trace] = [] if collect_trace else None
         inject = self.inject
         build = trace is not None or inject is not None
 
-        idx = 0
-        retired = 0
-        halted = False
+        halted = converged = False
         max_insts = self.max_instructions
-        limit = max_insts
-
-        # A scheduled run alternates hookless stretches, which stop where
-        # the next scheduled ordinal is due, with single armed steps that
-        # build the DynInst and call the hook.  Any other run is one
-        # stretch to the budget.  ``retired - nops`` counts the eligible
-        # instructions run so far (``halt`` ends the run).
-        schedule = None if self.schedule is None else iter(self.schedule)
-        due = -1 if schedule is None else next(schedule, -1)
-        nops = 0
+        recorded: Optional[List[Checkpoint]] = [] if checkpoints else None
+        watch = checkpoints or golden is not None
+        golden_end = len(golden or ()) * CHECKPOINT_INTERVAL
+        mark = retired  # the next checkpoint position
 
         while True:
+            if retired == mark:
+                if recorded is not None:  # unchanged words are shared
+                    words = recorded[-1].words if recorded else {}
+                    if memory.words() != words.items():
+                        words = dict(memory.words())
+                    recorded.append(Checkpoint(idx, retired, nops, list(regs),
+                                               words, list(output)))
+                elif due < 0 and mark < golden_end and _same_state(
+                        golden[mark // CHECKPOINT_INTERVAL],
+                        idx, nops, regs, memory, output):
+                    converged = True
+                    break
+                mark += CHECKPOINT_INTERVAL
+            limit = max_insts
             if schedule is not None:
                 if due < 0:  # schedule exhausted: run out hooklessly
-                    limit = max_insts
                     inject = None
                 elif due > retired - nops:  # hookless up to the due one
                     limit = min(max_insts, due + nops)
@@ -198,6 +253,8 @@ class Emulator:
                     limit = retired + 1
                     inject = self.inject
                 build = trace is not None or inject is not None
+            if watch:
+                limit = min(limit, mark)
 
             while retired < limit:
                 if not 0 <= idx < n_code:
@@ -205,7 +262,7 @@ class Emulator:
                         "control transferred outside text segment: "
                         f"index {idx}"
                     )
-                cat, inst, info = decoded[idx]
+                cat, inst, info, fn = decoded[idx]
                 op = inst.op
                 rs1 = inst.rs1
                 rs2 = inst.rs2
@@ -230,7 +287,7 @@ class Emulator:
                 next_idx = idx + 1
 
                 if cat == _CAT_COMPUTE:
-                    result = compute(op, a, b, imm)
+                    result = fn(a, b, imm)
                     if dyn is not None:
                         dyn.result = result
                         if inject is not None:
@@ -275,7 +332,7 @@ class Emulator:
                     else:  # SWF
                         memory.store_float(ea, float(value))
                 elif cat == _CAT_COND_BRANCH:
-                    taken = branch_taken(op, a, b)
+                    taken = fn(a, b)
                     target = imm
                     if dyn is not None:
                         dyn.is_branch = True
@@ -351,17 +408,16 @@ class Emulator:
                 retired += 1
                 idx = next_idx
 
-            if halted or retired >= max_insts or schedule is None:
+            if halted or retired >= max_insts:
                 break
-            if inject is not None and retired - nops > due:
+            if inject is not None and retired - nops > due >= 0:
                 # The armed instruction was eligible and its hook ran.
                 previous, due = due, next(schedule, -1)
                 if 0 <= due <= previous:
                     raise ValueError("schedule ordinals must ascend")
 
-        return EmulationResult(
-            program, regs, memory, output, trace, halted, retired
-        )
+        return EmulationResult(program, regs, memory, output, trace, halted,
+                               retired, recorded, converged)
 
 
 def emulate(
@@ -370,8 +426,10 @@ def emulate(
     collect_trace: bool = True,
     inject: Optional[Callable[[DynInst], None]] = None,
     schedule: Optional[Iterable[int]] = None,
+    golden: Optional[Sequence[Checkpoint]] = None,
+    checkpoints: bool = False,
 ) -> EmulationResult:
     """Convenience wrapper: run ``program`` on a fresh :class:`Emulator`."""
     emulator = Emulator(program, max_instructions=max_instructions,
-                        inject=inject, schedule=schedule)
-    return emulator.run(collect_trace=collect_trace)
+                        inject=inject, schedule=schedule, golden=golden)
+    return emulator.run(collect_trace=collect_trace, checkpoints=checkpoints)

@@ -34,7 +34,16 @@ class Memory:
         self._words: Dict[int, int] = {}
         if image:
             for addr, value in image.items():
-                self.store_word(addr, value)
+                if addr & 3:
+                    raise MisalignedAccessError(f"store_word at {addr:#x}")
+                self._words[addr] = to_u32(value)
+
+    @classmethod
+    def of_words(cls, words: Dict[int, int]) -> "Memory":
+        """A memory holding a copy of ``words`` (as :meth:`words` yields)."""
+        memory = cls()
+        memory._words = dict(words)
+        return memory
 
     # -- word access -----------------------------------------------------
 
@@ -95,9 +104,7 @@ class Memory:
 
     def copy(self) -> "Memory":
         """An independent deep copy of this memory."""
-        clone = Memory()
-        clone._words = dict(self._words)
-        return clone
+        return Memory.of_words(self._words)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Memory):

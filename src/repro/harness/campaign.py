@@ -27,7 +27,8 @@ at the planned ordinals only, and the hook corrupts the instruction by
 :func:`repro.reese.faults.corrupt_instruction`.  A Bernoulli campaign
 plans each run with a :class:`repro.reese.faults.BernoulliPlan`; a site
 campaign plans one pair, the ordinal at which the golden run executes
-the sampled occurrence of the sampled instruction.
+the sampled occurrence of the sampled instruction.  Each run resumes
+from a golden-run checkpoint, and stops, ``masked``, if it rejoins it.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis import AnalysisResult, CLASS_DEAD, CLASSES, analyze_program
-from ..arch.emulator import EmulatorError, emulate
+from ..arch.emulator import Checkpoint, EmulationResult, EmulatorError, emulate
 from ..arch.memory import MisalignedAccessError
 from ..isa.program import Program
 from ..reese.faults import BernoulliPlan, Plan, PlannedInjector
@@ -79,11 +80,24 @@ class CampaignResult:
         return "\n".join(lines)
 
 
+class GoldenRun(NamedTuple):
+    """The fault-free run: ``(output, memory snapshot)`` and checkpoints."""
+
+    state: Tuple
+    checkpoints: List[Checkpoint]
+
+
+def _golden(run: EmulationResult) -> GoldenRun:
+    if not run.halted:
+        raise ValueError("golden run did not halt; raise max_instructions")
+    return GoldenRun((run.output, run.memory.snapshot()), run.checkpoints)
+
+
 def _classify(
     program: Program,
     plan: Plan,
     max_instructions: int,
-    golden_state: Tuple,
+    golden: GoldenRun,
 ) -> Tuple[str, List[Tuple[int, str, int]]]:
     """One injected emulation: its outcome label and its injection log.
 
@@ -93,25 +107,27 @@ def _classify(
     try:
         run = emulate(program, max_instructions=max_instructions,
                       collect_trace=False, inject=injector.hook,
-                      schedule=injector.schedule())
+                      schedule=injector.schedule(),
+                      golden=golden.checkpoints)
     except (MisalignedAccessError, EmulatorError):
         return "crash", injector.log
     if not injector.log:
         return "clean", injector.log
+    if run.converged:
+        return "masked", injector.log
     if not run.halted:
         return "hang", injector.log
-    if (run.output, run.memory.snapshot()) == golden_state:
+    if (run.output, run.memory.snapshot()) == golden.state:
         return "masked", injector.log
     return "sdc", injector.log
 
 
 def _plans_chunk(payload) -> List[Tuple[str, int]]:
     """Pool worker: ``(outcome, injections)`` of each plan of a chunk."""
-    program, max_instructions, golden_state, plans = payload
+    program, max_instructions, golden, plans = payload
     out: List[Tuple[str, int]] = []
     for plan in plans:
-        outcome, log = _classify(program, plan, max_instructions,
-                                 golden_state)
+        outcome, log = _classify(program, plan, max_instructions, golden)
         out.append((outcome, len(log)))
     return out
 
@@ -120,7 +136,7 @@ def _run_plans(
     program: Program,
     plans: Sequence[Plan],
     max_instructions: int,
-    golden_state: Tuple,
+    golden: GoldenRun,
     jobs: Optional[int],
 ) -> List[Tuple[str, int]]:
     """``(outcome, injections)`` of every plan, in plan order.
@@ -129,8 +145,7 @@ def _run_plans(
     seed, so the results do not depend on ``jobs`` or on chunking.
     """
     payloads = [
-        (program, max_instructions, golden_state,
-         [plans[i] for i in chunk])
+        (program, max_instructions, golden, [plans[i] for i in chunk])
         for chunk in _chunk_indices(len(plans), jobs or 1)
     ]
     return [
@@ -166,17 +181,14 @@ def run_campaign(
     """
     if not 0 <= rate <= 1:
         raise ValueError("rate must be a probability")
-    golden = emulate(program, max_instructions=max_instructions,
-                     collect_trace=False)
-    if not golden.halted:
-        raise ValueError("golden run did not halt; raise max_instructions")
-    golden_state = (golden.output, golden.memory.snapshot())
+    golden = _golden(emulate(program, max_instructions=max_instructions,
+                             collect_trace=False, checkpoints=True))
 
     result = CampaignResult(program.name, runs, rate)
     plans = [BernoulliPlan(rate, seed + run_index, max_instructions)
              for run_index in range(runs)]
     for outcome, injections in _run_plans(program, plans, max_instructions,
-                                          golden_state, jobs):
+                                          golden, jobs):
         result.outcomes[outcome] += 1
         result.injections += injections
     return result
@@ -264,11 +276,11 @@ class ExecutionCounts(Counter):
 
 def count_site_executions(
     program: Program, max_instructions: int = 200_000
-) -> Tuple[Tuple, ExecutionCounts]:
+) -> Tuple[GoldenRun, ExecutionCounts]:
     """Golden run plus per-static-instruction execution counts.
 
-    Returns ``(golden_state, counts)`` where ``golden_state`` is the
-    ``(output, memory snapshot)`` pair campaigns compare against.
+    Returns ``(golden, counts)``: the :class:`GoldenRun` campaigns
+    compare against and resume from, and the counts.
 
     Raises:
         ValueError: when the golden run does not halt in budget.
@@ -279,13 +291,12 @@ def count_site_executions(
     def counting_hook(dyn) -> None:
         record(dyn.static_index)
 
-    golden = emulate(program, max_instructions=max_instructions,
-                     collect_trace=False, inject=counting_hook)
-    if not golden.halted:
-        raise ValueError("golden run did not halt; raise max_instructions")
+    golden = _golden(emulate(program, max_instructions=max_instructions,
+                             collect_trace=False, inject=counting_hook,
+                             checkpoints=True))
     counts = ExecutionCounts(order)
     counts.order = order
-    return (golden.output, golden.memory.snapshot()), counts
+    return golden, counts
 
 
 def sample_sites(
@@ -464,9 +475,7 @@ def run_site_campaign(
     """
     analysis = analyze_program(program, use_cache=use_analysis_cache,
                                cache_dir=analysis_cache_dir)
-    golden_state, exec_counts = count_site_executions(
-        program, max_instructions
-    )
+    golden, exec_counts = count_site_executions(program, max_instructions)
     samples = sample_sites(analysis, exec_counts, runs, seed,
                            classes=classes)
 
@@ -494,8 +503,7 @@ def run_site_campaign(
             pending.append(sample)
 
     plans = [site_plan(exec_counts, sample) for sample in pending]
-    outcomes = _run_plans(program, plans, max_instructions, golden_state,
-                          jobs)
+    outcomes = _run_plans(program, plans, max_instructions, golden, jobs)
     for sample, (outcome, _injections) in zip(pending, outcomes):
         result.by_class[sample.klass][outcome] += 1
         result.emulations += 1

@@ -460,6 +460,14 @@ def _execute_group(
     return out, os.getpid()
 
 
+class WorkerLostError(RuntimeError):
+    """A pool worker died, and with it chunk ``index`` (the first lost)."""
+
+    def __init__(self, index: int, total: int) -> None:
+        super().__init__(f"a pool worker died; chunk {index} of {total} lost")
+        self.index = index
+
+
 def parallel_map(
     fn: Callable[[_T], _R],
     items: Sequence[_T],
@@ -470,13 +478,21 @@ def parallel_map(
     ``fn`` must be a picklable module-level callable.  Used by the
     fault-campaign driver; figure/sweep work should go through
     :class:`ParallelRunner` to get caching and telemetry.
+    A worker that dies raises :class:`WorkerLostError`.
     """
     items = list(items)
     workers = min(jobs or (os.cpu_count() or 1), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    with _mp_context().Pool(workers) as pool:
-        return pool.map(fn, items)
+    from concurrent.futures import process  # 1.4 MB: load when needed
+    results: List[_R] = []
+    pool = process.ProcessPoolExecutor(workers, mp_context=_mp_context())
+    with pool:
+        try:
+            results.extend(pool.map(fn, items))
+        except process.BrokenProcessPool as error:
+            raise WorkerLostError(len(results), len(items)) from error
+    return results
 
 
 class ParallelRunner:

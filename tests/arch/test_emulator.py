@@ -237,6 +237,49 @@ class TestInjectionHook:
         assert emulate(program, inject=flip).output == [123]
 
 
+class TestDecode:
+    """Compute and branch semantics are bound once per static instruction."""
+
+    SOURCE = """
+        li   r1, 3
+        li   r2, 4
+        beq  r1, r2, skip
+        mul  r3, r1, r2
+    skip:
+        putint r3
+        halt
+    """
+
+    def test_semantic_functions_bound_at_decode(self):
+        from repro.arch.emulator import _decode_program
+        from repro.isa import semantics
+
+        program = assemble(self.SOURCE)
+        bound = {inst.op: fn for (_cat, inst, _info, fn)
+                 in _decode_program(program)}
+        assert bound[Op.MUL] is semantics._COMPUTE[Op.MUL]
+        assert bound[Op.BEQ] is semantics._BRANCH_TAKEN[Op.BEQ]
+        assert bound[Op.PUTINT] is None and bound[Op.HALT] is None
+
+    def test_op_without_semantics_raises_when_it_runs(self, monkeypatch):
+        from repro.isa import semantics
+
+        monkeypatch.delitem(semantics._COMPUTE, Op.MUL)
+        skipped = assemble(self.SOURCE.replace("li   r2, 4", "li   r2, 3"))
+        assert emulate(skipped).output == [0]  # decoded, never run
+        with pytest.raises(KeyError):
+            emulate(assemble(self.SOURCE))
+
+    def test_branch_without_semantics_raises_when_it_runs(self, monkeypatch):
+        from repro.isa import semantics
+
+        monkeypatch.delitem(semantics._BRANCH_TAKEN, Op.BEQ)
+        program = assemble(self.SOURCE.replace("li   r1, 3", "j    skip"))
+        assert emulate(program).output == [0]
+        with pytest.raises(KeyError):
+            emulate(assemble(self.SOURCE))
+
+
 class TestInjectionSchedule:
     """A schedule calls the hook at the named eligible ordinals only."""
 

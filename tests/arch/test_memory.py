@@ -44,6 +44,27 @@ class TestWordAccess:
         assert mem.load_word(0x2000) == 7
         assert mem.load_word(0x2004) == -1
 
+    def test_initial_image_is_masked_without_store_word(self, monkeypatch):
+        def no_store(self, addr, value):
+            raise AssertionError("the image is built in one pass")
+
+        monkeypatch.setattr(Memory, "store_word", no_store)
+        mem = Memory({0x2000: -1, 0x2004: 1 << 33 | 5})
+        assert dict(mem.words()) == {0x2000: 0xFFFFFFFF, 0x2004: 5}
+
+    @pytest.mark.parametrize("addr", [0x2001, 0x2002, 0x2003])
+    def test_misaligned_image_address_rejected(self, addr):
+        with pytest.raises(MisalignedAccessError):
+            Memory({0x2000: 1, addr: 2})
+
+    def test_of_words_copies(self):
+        words = {0x1000: 0, 0x1004: 0xFFFFFFFF}
+        mem = Memory.of_words(words)
+        assert mem.load_word(0x1004) == -1
+        mem.store_word(0x1000, 3)
+        assert words == {0x1000: 0, 0x1004: 0xFFFFFFFF}
+        assert dict(mem.words()) == {0x1000: 3, 0x1004: 0xFFFFFFFF}
+
 
 class TestByteAccess:
     def test_little_endian_bytes(self):

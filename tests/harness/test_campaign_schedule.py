@@ -80,7 +80,7 @@ def make_site_injector(index: int, occurrence: int, bit: int):
     return hook, log
 
 
-def reference_classify(program, hook, log, budget, golden_state):
+def reference_classify(program, hook, log, budget, golden):
     """Outcome and log of one run under a per-instruction hook."""
     try:
         run = emulate(program, max_instructions=budget,
@@ -91,21 +91,21 @@ def reference_classify(program, hook, log, budget, golden_state):
         return "clean", log
     if not run.halted:
         return "hang", log
-    if (run.output, run.memory.snapshot()) == golden_state:
+    if (run.output, run.memory.snapshot()) == golden.state:
         return "masked", log
     return "sdc", log
 
 
 @pytest.fixture(scope="module")
 def proxies():
-    """name -> (program, hang budget, golden state, execution counts)."""
+    """name -> (program, hang budget, golden run, execution counts)."""
     out = {}
     for name in BENCHMARK_ORDER:
         program = BENCHMARKS[name].build(scale=SCALE)
         golden_length = emulate(program, collect_trace=False).instructions
         budget = HANG_FACTOR * golden_length
-        golden_state, counts = count_site_executions(program, budget)
-        out[name] = (program, budget, golden_state, counts)
+        golden, counts = count_site_executions(program, budget)
+        out[name] = (program, budget, golden, counts)
     return out
 
 
@@ -118,29 +118,29 @@ def seen_outcomes():
 class TestDifferential:
     def test_bernoulli_runs_match_reference(self, proxies, seen_outcomes,
                                             name):
-        program, budget, golden_state, _counts = proxies[name]
+        program, budget, golden, _counts = proxies[name]
         for seed in SEEDS:
             for run in range(BERNOULLI_RUNS):
                 run_seed = 1000 * seed + run
                 hook, log = make_emulator_injector(BERNOULLI_RATE, run_seed)
                 expected = reference_classify(program, hook, log, budget,
-                                              golden_state)
+                                              golden)
                 plan = BernoulliPlan(BERNOULLI_RATE, run_seed, budget)
-                got = _classify(program, plan, budget, golden_state)
+                got = _classify(program, plan, budget, golden)
                 assert got == expected, (name, run_seed)
                 seen_outcomes[got[0]] += 1
 
     def test_site_runs_match_reference(self, proxies, seen_outcomes, name):
-        program, budget, golden_state, counts = proxies[name]
+        program, budget, golden, counts = proxies[name]
         analysis = analyze_program(program, use_cache=False)
         for seed in SEEDS:
             for sample in sample_sites(analysis, counts, SITE_RUNS, seed):
                 hook, log = make_site_injector(sample.index,
                                                sample.occurrence, sample.bit)
                 expected = reference_classify(program, hook, log, budget,
-                                              golden_state)
+                                              golden)
                 got = _classify(program, site_plan(counts, sample), budget,
-                                golden_state)
+                                golden)
                 assert got == expected, (name, seed, sample)
                 assert len(got[1]) == 1
                 seen_outcomes[got[0]] += 1

@@ -2,8 +2,15 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import repro
 
 from repro.harness.parallel import (
     CACHE_VERSION,
@@ -315,6 +322,39 @@ class TestParallelMap:
 
     def test_sequential_fallback(self):
         assert parallel_map(abs, [-5], jobs=4) == [5]
+
+    def test_worker_exception_propagates(self):
+        with pytest.raises(ValueError):
+            parallel_map(int, ["1", "x", "3"], jobs=2)
+
+    def test_lost_worker_raises_instead_of_hanging(self):
+        # A worker that exits mid-map must surface as a typed error; a
+        # pool that waits for the lost item forever fails the timeout.
+        script = textwrap.dedent("""
+            import os
+            from repro.harness.parallel import WorkerLostError, parallel_map
+
+            def f(item):
+                if item == 2:
+                    os._exit(3)
+                return item
+
+            try:
+                parallel_map(f, [0, 1, 2, 3], jobs=2)
+            except WorkerLostError as error:
+                print("lost", error.index)
+        """)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=60,
+        )
+        kind, index = done.stdout.split()
+        # The first result lost in input order: item 2, or an earlier
+        # item still unfinished when the pool broke.
+        assert kind == "lost" and 0 <= int(index) <= 2
 
 
 class TestCampaignChunking:
