@@ -7,12 +7,11 @@ ISA semantics and produces
 * optionally the **dynamic trace** (:class:`~repro.arch.trace.DynInst`
   records) that drives the cycle-level timing models.
 
-It is deliberately simple and strictly in order: it is the reference
-against which both the baseline and REESE timing models are validated
-(every timing simulation must commit exactly the instructions of this
-trace, in this order), and the substrate for architectural fault-
-injection campaigns (silent-data-corruption studies on a machine
-*without* REESE).
+It is strictly in order: it is the reference against which both the
+baseline and REESE timing models are validated (every timing simulation
+must commit exactly the instructions of this trace, in this order), and
+the substrate for architectural fault-injection campaigns (silent-data-
+corruption studies on a machine *without* REESE).
 
 Fault injection hooks: an ``inject`` callable, when provided, is invoked
 with each :class:`DynInst` *after* its results are computed and *before*
@@ -30,17 +29,34 @@ those ordinals only, and runs the hookless fast path everywhere else.
 A scheduled run given a golden run's checkpoints resumes from the latest
 one at or before its first ordinal, and once nothing is due stops as
 ``converged`` at the first later checkpoint its state matches exactly.
+
+Two engines run the instructions.  The interpreter steps one decoded
+instruction at a time; it runs every stretch that builds ``DynInst``
+records (a trace, an armed step, per-instruction hooks).  A *hookless*
+stretch builds none, and runs whole basic blocks, each compiled once
+into one Python function by a :class:`BlockCache`, as long as the whole
+block fits before the stretch's limit.  A block starts at a *leader*:
+the program start, a branch or jump target, or the instruction after a
+control transfer or ``halt``.  The interpreter runs the rest: a block
+tail past the limit, and the straight-line run from a non-leader entry
+(a checkpoint's resume point, a computed ``jr`` target) to the end of
+its block.  Blocks call the semantic functions the interpreter binds,
+and the bound :class:`~repro.arch.memory.Memory` methods, so both
+engines retire the same instructions with the same results and raise
+the same errors.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from collections import namedtuple
 from functools import partial
+from itertools import count
 from struct import pack
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
-from ..isa.instructions import INST_SIZE, Instruction, Op, OPINFO, FUClass
+from ..isa.instructions import INST_SIZE, Op, OPINFO
 from ..isa.program import Program, STACK_BASE, TEXT_BASE
 from ..isa.registers import NUM_REGS, REG_SP
 from ..isa.semantics import (_BRANCH_TAKEN, _COMPUTE, branch_taken, compute,
@@ -60,6 +76,9 @@ _CAT_JUMP = 5
 _CAT_JUMP_REG = 6
 _CAT_HALT = 7
 _CAT_PUT = 8
+
+#: Categories that end a basic block.
+_BLOCK_ENDS = (_CAT_COND_BRANCH, _CAT_JUMP, _CAT_JUMP_REG, _CAT_HALT)
 
 #: Retired instructions between two checkpoints of a golden run.
 CHECKPOINT_INTERVAL = 256
@@ -106,6 +125,7 @@ class EmulationResult:
         instructions: int,
         checkpoints: Optional[List[Checkpoint]] = None,
         converged: bool = False,
+        order: Optional[List[int]] = None,
     ) -> None:
         self.program = program
         self.regs = regs
@@ -118,6 +138,8 @@ class EmulationResult:
         self.instructions = instructions
         self.checkpoints = checkpoints  # recorded, if asked for
         self.converged = converged  # stopped on matching a golden checkpoint
+        #: Static index of each eligible instruction, by ordinal (if asked).
+        self.order = order
 
 
 def _decode_program(program: Program):
@@ -151,6 +173,356 @@ def _decode_program(program: Program):
     return decoded
 
 
+# ---------------------------------------------------------------------------
+# Translated basic blocks.
+# ---------------------------------------------------------------------------
+
+_LOAD_CALLS = {Op.LW: "memory.load_word({})",
+               Op.LB: "memory.load_byte({}, signed=True)",
+               Op.LBU: "memory.load_byte({}, signed=False)",
+               Op.LWF: "memory.load_float({})"}
+_STORE_CALLS = {Op.SW: "memory.store_word({}, int({}))",
+                Op.SB: "memory.store_byte({}, int({}))",
+                Op.SWF: "memory.store_float({}, float({}))"}
+
+
+def _translate(decoded, leader: int, length: int):
+    """Compile the ``length`` instructions from ``leader`` into one block.
+
+    Returns ``(run, length, nops, order)``: ``run(regs, memory, output)``
+    executes the block and returns the next index (``None`` after
+    ``halt``); ``order`` holds the static indices of its eligible
+    instructions.  Each line is the interpreter's step for that
+    instruction with its operands spelled out.
+    """
+    env = {"EmulatorError": EmulatorError, "to_i32": to_i32}
+    lines = ["def run(regs, memory, output):"]
+    nops = 0
+    order = []
+    for idx in range(leader, leader + length):
+        cat, inst, _info, fn = decoded[idx]
+        op, rd = inst.op, inst.rd
+        env[f"f{idx}"] = fn
+        imm = repr(inst.imm)
+        if type(inst.imm) is not int:
+            imm = f"k{idx}"
+            env[imm] = inst.imm
+        a = f"regs[{inst.rs1}]" if inst.rs1 >= 0 else "0"
+        b = f"regs[{inst.rs2}]" if inst.rs2 >= 0 else "0"
+        ea = f"({a} + {imm}) & 0xFFFFFFFF"
+        link = TEXT_BASE + (idx + 1) * INST_SIZE
+        set_rd = f"regs[{rd}] = " if rd > 0 else ""
+        if cat == _CAT_NOP:
+            nops += 1
+            continue
+        if cat != _CAT_HALT:
+            order.append(idx)
+        if cat == _CAT_COMPUTE:
+            lines.append(f"{set_rd}f{idx}({a}, {b}, {imm})")
+        elif cat == _CAT_LOAD:
+            lines.append(set_rd + _LOAD_CALLS[op].format(ea))
+        elif cat == _CAT_STORE:
+            lines.append(_STORE_CALLS[op].format(ea, b))
+        elif cat == _CAT_PUT:
+            mask = " & 0xFF" if op is Op.PUTCH else ""
+            lines.append(f"output.append(to_i32(int({a})){mask})")
+        elif cat == _CAT_COND_BRANCH:
+            lines.append(f"return {imm} if f{idx}({a}, {b}) else {idx + 1}")
+        elif cat == _CAT_JUMP:
+            if op is Op.JAL and rd > 0:
+                lines.append(f"regs[{rd}] = {link}")
+            lines.append(f"return {imm}")
+        elif cat == _CAT_JUMP_REG:
+            lines += [
+                f"addr = int({a})",
+                f"if addr % {INST_SIZE} or addr < {TEXT_BASE}:",
+                '    raise EmulatorError(f"jr to bad address {addr:#x}")',
+            ]
+            if op is Op.JALR and rd > 0:
+                lines.append(f"regs[{rd}] = {link}")
+            lines.append(f"return (addr - {TEXT_BASE}) // {INST_SIZE}")
+        else:  # _CAT_HALT
+            lines.append("return None")
+    if decoded[leader + length - 1][0] not in _BLOCK_ENDS:
+        lines.append(f"return {leader + length}")
+    source = "\n    ".join(lines)
+    exec(compile(source, f"<block {leader}>", "exec"), env)
+    return env["run"], length, nops, tuple(order)
+
+
+_keys = count()
+#: The last :class:`BlockCache` unpickled in this process, so the chunks
+#: of one campaign that reach a pool worker share its translations.
+_revived: List["BlockCache"] = []
+
+
+def _revive(key, program: Program) -> "BlockCache":
+    if _revived and _revived[0].key == key:
+        return _revived[0]
+    cache = BlockCache(program, key)
+    _revived[:] = [cache]
+    return cache
+
+
+class BlockCache:
+    """A program's decoded instructions and its basic blocks, each block
+    translated by :func:`_translate` the first time a run enters it.
+
+    A campaign makes one per program and passes it to every run, so each
+    block is translated at most once per campaign.  It pickles as its
+    program and a key unique to the cache; every copy a process
+    unpickles with the same key is one cache there, translated lazily.
+
+    ``table[i]`` is ``False`` when no block starts at ``i``, ``None``
+    for a leader not yet translated, and the translation otherwise;
+    ``span[i]`` counts the instructions from ``i`` to the end of its
+    block, and ``eligible[i]`` says whether ``i`` has an ordinal.
+    """
+
+    def __init__(self, program: Program, key=None) -> None:
+        self.program = program
+        self.key = (os.getpid(), next(_keys)) if key is None else key
+        self.decoded = _decode_program(program)
+        self.table: Optional[list] = None
+        self.span: List[int] = []
+        self.eligible: List[bool] = []
+
+    def __reduce__(self):
+        return _revive, (self.key, self.program)
+
+    def prepare(self) -> "BlockCache":
+        """Find the leaders and block extents (once); returns ``self``."""
+        if self.table is not None:
+            return self
+        decoded = self.decoded
+        n_code = len(decoded)
+        leaders = {0}
+        for idx, (cat, inst, _info, _fn) in enumerate(decoded):
+            if cat in _BLOCK_ENDS:
+                leaders.add(idx + 1)
+                if cat in (_CAT_COND_BRANCH, _CAT_JUMP):
+                    leaders.add(inst.imm)
+        span = [1] * n_code
+        for idx in range(n_code - 2, -1, -1):
+            if decoded[idx][0] not in _BLOCK_ENDS and idx + 1 not in leaders:
+                span[idx] = span[idx + 1] + 1
+        self.span = span
+        self.eligible = [cat not in (_CAT_NOP, _CAT_HALT)
+                         for cat, _inst, _info, _fn in decoded]
+        self.table = [None if idx in leaders else False
+                      for idx in range(n_code)]
+        return self
+
+    def translate(self, leader: int):
+        """Translate the block at ``leader`` into :attr:`table`."""
+        block = self.table[leader] = _translate(self.decoded, leader,
+                                                self.span[leader])
+        return block
+
+
+def _interpret(decoded, regs, memory, output, trace, inject,
+               idx, retired, nops, limit):
+    """Step instructions until ``retired`` reaches ``limit`` or ``halt``.
+
+    Builds a :class:`DynInst` per instruction when there is a trace or a
+    hook.  Returns ``(idx, retired, nops, halted)``.
+    """
+    n_code = len(decoded)
+    build = trace is not None or inject is not None
+    while retired < limit:
+        if not 0 <= idx < n_code:
+            raise EmulatorError(
+                "control transferred outside text segment: "
+                f"index {idx}"
+            )
+        cat, inst, info, fn = decoded[idx]
+        op = inst.op
+        rs1 = inst.rs1
+        rs2 = inst.rs2
+        a = regs[rs1] if rs1 >= 0 else 0
+        b = regs[rs2] if rs2 >= 0 else 0
+        imm = inst.imm
+
+        dyn: Optional[DynInst] = None
+        if build:
+            dyn = DynInst()
+            dyn.seq = retired
+            dyn.static_index = idx
+            dyn.pc = TEXT_BASE + idx * INST_SIZE
+            dyn.op = op
+            dyn.fu = info.fu
+            dyn.dst = inst.dst()
+            dyn.srcs = inst.srcs()
+            dyn.a = a
+            dyn.b = b
+            dyn.imm = imm
+
+        next_idx = idx + 1
+
+        if cat == _CAT_COMPUTE:
+            result = fn(a, b, imm)
+            if dyn is not None:
+                dyn.result = result
+                if inject is not None:
+                    inject(dyn)
+                    result = dyn.result
+            if inst.rd > 0:
+                regs[inst.rd] = result
+        elif cat == _CAT_LOAD:
+            ea = (a + imm) & 0xFFFFFFFF
+            if op is Op.LW:
+                result = memory.load_word(ea)
+            elif op is Op.LB:
+                result = memory.load_byte(ea, signed=True)
+            elif op is Op.LBU:
+                result = memory.load_byte(ea, signed=False)
+            else:  # LWF
+                result = memory.load_float(ea)
+            if dyn is not None:
+                dyn.is_load = True
+                dyn.ea = ea
+                dyn.result = result
+                if inject is not None:
+                    inject(dyn)
+                    result = dyn.result
+            if inst.rd > 0:
+                regs[inst.rd] = result
+        elif cat == _CAT_STORE:
+            ea = (a + imm) & 0xFFFFFFFF
+            value = b
+            if dyn is not None:
+                dyn.is_store = True
+                dyn.ea = ea
+                dyn.store_value = value
+                if inject is not None:
+                    inject(dyn)
+                    ea = dyn.ea
+                    value = dyn.store_value
+            if op is Op.SW:
+                memory.store_word(ea, int(value))
+            elif op is Op.SB:
+                memory.store_byte(ea, int(value))
+            else:  # SWF
+                memory.store_float(ea, float(value))
+        elif cat == _CAT_COND_BRANCH:
+            taken = fn(a, b)
+            target = imm
+            if dyn is not None:
+                dyn.is_branch = True
+                dyn.is_cond_branch = True
+                dyn.taken = taken
+                dyn.target_index = target
+                dyn.result = int(taken)
+                if inject is not None:
+                    inject(dyn)
+                    taken = bool(dyn.taken)
+                    target = dyn.target_index
+            if taken:
+                next_idx = target
+        elif cat == _CAT_JUMP:
+            target = imm
+            link = TEXT_BASE + (idx + 1) * INST_SIZE
+            if dyn is not None:
+                dyn.is_branch = True
+                dyn.taken = True
+                dyn.target_index = target
+                if op is Op.JAL:
+                    dyn.result = link
+                if inject is not None:
+                    inject(dyn)
+                    target = dyn.target_index
+                    if op is Op.JAL and dyn.result is not None:
+                        link = int(dyn.result)
+            if op is Op.JAL and inst.rd > 0:
+                regs[inst.rd] = link
+            next_idx = target
+        elif cat == _CAT_JUMP_REG:
+            addr = int(a)
+            if addr % INST_SIZE or addr < TEXT_BASE:
+                raise EmulatorError(f"jr to bad address {addr:#x}")
+            target = (addr - TEXT_BASE) // INST_SIZE
+            link = TEXT_BASE + (idx + 1) * INST_SIZE
+            if dyn is not None:
+                dyn.is_branch = True
+                dyn.taken = True
+                dyn.target_index = target
+                if op is Op.JALR:
+                    dyn.result = link
+                if inject is not None:
+                    inject(dyn)
+                    target = dyn.target_index
+                    if op is Op.JALR and dyn.result is not None:
+                        link = int(dyn.result)
+            if op is Op.JALR and inst.rd > 0:
+                regs[inst.rd] = link
+            next_idx = target
+        elif cat == _CAT_PUT:
+            value = to_i32(int(a))
+            if op is Op.PUTCH:
+                value &= 0xFF
+            output.append(value)
+            if dyn is not None and inject is not None:
+                inject(dyn)
+        elif cat == _CAT_HALT:
+            if dyn is not None:
+                dyn.next_index = idx
+                if trace is not None:
+                    trace.append(dyn)
+            return idx, retired + 1, nops, True
+        else:  # _CAT_NOP
+            nops += 1
+
+        if dyn is not None:
+            dyn.next_index = next_idx
+            if trace is not None:
+                trace.append(dyn)
+        retired += 1
+        idx = next_idx
+    return idx, retired, nops, False
+
+
+def _run_blocks(cache: BlockCache, regs, memory, output, idx, retired, nops,
+                limit, order: Optional[List[int]]):
+    """A hookless stretch: whole blocks while they fit before ``limit``,
+    the interpreter for the rest.  Appends each eligible instruction's
+    static index to ``order`` (if given).  Returns like
+    :func:`_interpret`."""
+    table, span, decoded = cache.table, cache.span, cache.decoded
+    n_code = len(table)
+    while retired < limit:
+        if not 0 <= idx < n_code:
+            raise EmulatorError(
+                "control transferred outside text segment: "
+                f"index {idx}"
+            )
+        block = table[idx]
+        if block is None:
+            block = cache.translate(idx)
+        if block and retired + block[1] <= limit:
+            run, length, block_nops, block_order = block
+            idx = run(regs, memory, output)
+            retired += length
+            nops += block_nops
+            if order is not None:
+                order += block_order
+            if idx is None:
+                return idx, retired, nops, True
+            continue
+        # A non-leader entry or a tail past the limit: straight-line to
+        # the end of the block at most.
+        start, before = idx, retired
+        idx, retired, nops, halted = _interpret(
+            decoded, regs, memory, output, None, None, idx, retired, nops,
+            min(limit, retired + span[idx]))
+        if order is not None:
+            eligible = cache.eligible
+            order += [i for i in range(start, start + retired - before)
+                      if eligible[i]]
+        if halted:
+            return idx, retired, nops, True
+    return idx, retired, nops, False
+
+
 class Emulator:
     """Functional executor for mini-ISA programs."""
 
@@ -161,9 +533,12 @@ class Emulator:
         inject: Optional[Callable[[DynInst], None]] = None,
         schedule: Optional[Iterable[int]] = None,
         golden: Optional[Sequence[Checkpoint]] = None,
+        blocks: Optional[BlockCache] = None,
     ) -> None:
         if schedule is not None and inject is None:
             raise ValueError("a schedule needs an inject hook")
+        if blocks is not None and blocks.program is not program:
+            raise ValueError("a block cache serves the program it was made for")
         self.program = program
         self.max_instructions = max_instructions
         self.inject = inject
@@ -173,9 +548,11 @@ class Emulator:
         #: hook has run at the current one.
         self.schedule = schedule
         self.golden = golden  # the golden run's checkpoints
+        #: Decoded program and translated blocks; one per run if not given.
+        self.blocks = blocks
 
     def run(self, collect_trace: bool = True,
-            checkpoints: bool = False) -> EmulationResult:
+            checkpoints: bool = False, order: bool = False) -> EmulationResult:
         """Execute the program from its start or its resume point.
 
         Args:
@@ -184,18 +561,20 @@ class Emulator:
                 architectural runs (fault campaigns) to save memory.
             checkpoints: record a :class:`Checkpoint` every
                 :data:`CHECKPOINT_INTERVAL` retired instructions.
+            order: record each eligible instruction's static index as
+                :attr:`EmulationResult.order` (a hookless run only).
 
         Returns:
             An :class:`EmulationResult`.
 
         Raises:
             EmulatorError: on a jump outside the text segment.
-            ValueError: on golden checkpoints without a traceless schedule.
+            ValueError: on golden checkpoints without a traceless
+                schedule, or an order asked of a run with a trace or hook.
         """
         program = self.program
-        code = program.code
-        decoded = _decode_program(program)
-        n_code = len(code)
+        cache = self.blocks or BlockCache(program)
+        decoded = cache.decoded
 
         # A scheduled run alternates hookless stretches, which stop where
         # the next scheduled ordinal is due, with single armed steps that
@@ -207,6 +586,8 @@ class Emulator:
         golden = self.golden
         if golden is not None and (schedule is None or collect_trace):
             raise ValueError("golden checkpoints resume a traceless schedule")
+        if order and (collect_trace or self.inject is not None):
+            raise ValueError("an order is recorded by a hookless run")
         if golden is None:  # checkpoint 0
             start = Checkpoint(0, 0, 0, [0] * 32 + [0.0] * (NUM_REGS - 32),
                                dict(Memory(program.data).words()), [])
@@ -219,16 +600,17 @@ class Emulator:
         output = list(start.output)
         trace: Optional[Trace] = [] if collect_trace else None
         inject = self.inject
-        build = trace is not None or inject is not None
+        recorded_order: Optional[List[int]] = [] if order else None
 
         halted = converged = False
         max_insts = self.max_instructions
         recorded: Optional[List[Checkpoint]] = [] if checkpoints else None
-        watch = checkpoints or golden is not None
         golden_end = len(golden or ()) * CHECKPOINT_INTERVAL
         mark = retired  # the next checkpoint position
 
         while True:
+            if mark < retired:  # passed where no checkpoint was due
+                mark = -(-retired // CHECKPOINT_INTERVAL) * CHECKPOINT_INTERVAL
             if retired == mark:
                 if recorded is not None:  # unchanged words are shared
                     words = recorded[-1].words if recorded else {}
@@ -252,161 +634,19 @@ class Emulator:
                 else:  # arm the next instruction
                     limit = retired + 1
                     inject = self.inject
-                build = trace is not None or inject is not None
-            if watch:
+            # Stop at the mark only to record a checkpoint or to compare
+            # with one: a run with a strike still due cannot converge.
+            if recorded is not None or (due < 0 and mark < golden_end):
                 limit = min(limit, mark)
 
-            while retired < limit:
-                if not 0 <= idx < n_code:
-                    raise EmulatorError(
-                        "control transferred outside text segment: "
-                        f"index {idx}"
-                    )
-                cat, inst, info, fn = decoded[idx]
-                op = inst.op
-                rs1 = inst.rs1
-                rs2 = inst.rs2
-                a = regs[rs1] if rs1 >= 0 else 0
-                b = regs[rs2] if rs2 >= 0 else 0
-                imm = inst.imm
-
-                dyn: Optional[DynInst] = None
-                if build:
-                    dyn = DynInst()
-                    dyn.seq = retired
-                    dyn.static_index = idx
-                    dyn.pc = TEXT_BASE + idx * INST_SIZE
-                    dyn.op = op
-                    dyn.fu = info.fu
-                    dyn.dst = inst.dst()
-                    dyn.srcs = inst.srcs()
-                    dyn.a = a
-                    dyn.b = b
-                    dyn.imm = imm
-
-                next_idx = idx + 1
-
-                if cat == _CAT_COMPUTE:
-                    result = fn(a, b, imm)
-                    if dyn is not None:
-                        dyn.result = result
-                        if inject is not None:
-                            inject(dyn)
-                            result = dyn.result
-                    if inst.rd > 0:
-                        regs[inst.rd] = result
-                elif cat == _CAT_LOAD:
-                    ea = (a + imm) & 0xFFFFFFFF
-                    if op is Op.LW:
-                        result = memory.load_word(ea)
-                    elif op is Op.LB:
-                        result = memory.load_byte(ea, signed=True)
-                    elif op is Op.LBU:
-                        result = memory.load_byte(ea, signed=False)
-                    else:  # LWF
-                        result = memory.load_float(ea)
-                    if dyn is not None:
-                        dyn.is_load = True
-                        dyn.ea = ea
-                        dyn.result = result
-                        if inject is not None:
-                            inject(dyn)
-                            result = dyn.result
-                    if inst.rd > 0:
-                        regs[inst.rd] = result
-                elif cat == _CAT_STORE:
-                    ea = (a + imm) & 0xFFFFFFFF
-                    value = b
-                    if dyn is not None:
-                        dyn.is_store = True
-                        dyn.ea = ea
-                        dyn.store_value = value
-                        if inject is not None:
-                            inject(dyn)
-                            ea = dyn.ea
-                            value = dyn.store_value
-                    if op is Op.SW:
-                        memory.store_word(ea, int(value))
-                    elif op is Op.SB:
-                        memory.store_byte(ea, int(value))
-                    else:  # SWF
-                        memory.store_float(ea, float(value))
-                elif cat == _CAT_COND_BRANCH:
-                    taken = fn(a, b)
-                    target = imm
-                    if dyn is not None:
-                        dyn.is_branch = True
-                        dyn.is_cond_branch = True
-                        dyn.taken = taken
-                        dyn.target_index = target
-                        dyn.result = int(taken)
-                        if inject is not None:
-                            inject(dyn)
-                            taken = bool(dyn.taken)
-                            target = dyn.target_index
-                    if taken:
-                        next_idx = target
-                elif cat == _CAT_JUMP:
-                    target = imm
-                    link = TEXT_BASE + (idx + 1) * INST_SIZE
-                    if dyn is not None:
-                        dyn.is_branch = True
-                        dyn.taken = True
-                        dyn.target_index = target
-                        if op is Op.JAL:
-                            dyn.result = link
-                        if inject is not None:
-                            inject(dyn)
-                            target = dyn.target_index
-                            if op is Op.JAL and dyn.result is not None:
-                                link = int(dyn.result)
-                    if op is Op.JAL and inst.rd > 0:
-                        regs[inst.rd] = link
-                    next_idx = target
-                elif cat == _CAT_JUMP_REG:
-                    addr = int(a)
-                    if addr % INST_SIZE or addr < TEXT_BASE:
-                        raise EmulatorError(f"jr to bad address {addr:#x}")
-                    target = (addr - TEXT_BASE) // INST_SIZE
-                    link = TEXT_BASE + (idx + 1) * INST_SIZE
-                    if dyn is not None:
-                        dyn.is_branch = True
-                        dyn.taken = True
-                        dyn.target_index = target
-                        if op is Op.JALR:
-                            dyn.result = link
-                        if inject is not None:
-                            inject(dyn)
-                            target = dyn.target_index
-                            if op is Op.JALR and dyn.result is not None:
-                                link = int(dyn.result)
-                    if op is Op.JALR and inst.rd > 0:
-                        regs[inst.rd] = link
-                    next_idx = target
-                elif cat == _CAT_PUT:
-                    value = to_i32(int(a))
-                    if op is Op.PUTCH:
-                        value &= 0xFF
-                    output.append(value)
-                    if dyn is not None and inject is not None:
-                        inject(dyn)
-                elif cat == _CAT_HALT:
-                    if dyn is not None:
-                        dyn.next_index = idx
-                        if trace is not None:
-                            trace.append(dyn)
-                    retired += 1
-                    halted = True
-                    break
-                else:  # _CAT_NOP
-                    nops += 1
-
-                if dyn is not None:
-                    dyn.next_index = next_idx
-                    if trace is not None:
-                        trace.append(dyn)
-                retired += 1
-                idx = next_idx
+            if trace is not None or inject is not None:
+                idx, retired, nops, halted = _interpret(
+                    decoded, regs, memory, output, trace, inject,
+                    idx, retired, nops, limit)
+            else:
+                idx, retired, nops, halted = _run_blocks(
+                    cache.prepare(), regs, memory, output, idx, retired, nops,
+                    limit, recorded_order)
 
             if halted or retired >= max_insts:
                 break
@@ -417,7 +657,7 @@ class Emulator:
                     raise ValueError("schedule ordinals must ascend")
 
         return EmulationResult(program, regs, memory, output, trace, halted,
-                               retired, recorded, converged)
+                               retired, recorded, converged, recorded_order)
 
 
 def emulate(
@@ -428,8 +668,15 @@ def emulate(
     schedule: Optional[Iterable[int]] = None,
     golden: Optional[Sequence[Checkpoint]] = None,
     checkpoints: bool = False,
+    blocks: Optional[BlockCache] = None,
+    order: bool = False,
 ) -> EmulationResult:
-    """Convenience wrapper: run ``program`` on a fresh :class:`Emulator`."""
+    """Convenience wrapper: run ``program`` on a fresh :class:`Emulator`.
+
+    ``blocks`` shares translated blocks between the runs of one program.
+    """
     emulator = Emulator(program, max_instructions=max_instructions,
-                        inject=inject, schedule=schedule, golden=golden)
-    return emulator.run(collect_trace=collect_trace, checkpoints=checkpoints)
+                        inject=inject, schedule=schedule, golden=golden,
+                        blocks=blocks)
+    return emulator.run(collect_trace=collect_trace, checkpoints=checkpoints,
+                        order=order)

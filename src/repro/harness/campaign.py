@@ -29,6 +29,9 @@ plans each run with a :class:`repro.reese.faults.BernoulliPlan`; a site
 campaign plans one pair, the ordinal at which the golden run executes
 the sampled occurrence of the sampled instruction.  Each run resumes
 from a golden-run checkpoint, and stops, ``masked``, if it rejoins it.
+A campaign makes one :class:`~repro.arch.emulator.BlockCache` for its
+program and passes it to the golden run and every injected run, so the
+emulator translates each basic block at most once per campaign.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis import AnalysisResult, CLASS_DEAD, CLASSES, analyze_program
-from ..arch.emulator import Checkpoint, EmulationResult, EmulatorError, emulate
+from ..arch.emulator import (BlockCache, Checkpoint, EmulationResult,
+                             EmulatorError, emulate)
 from ..arch.memory import MisalignedAccessError
 from ..isa.program import Program
 from ..reese.faults import BernoulliPlan, Plan, PlannedInjector
@@ -98,6 +102,7 @@ def _classify(
     plan: Plan,
     max_instructions: int,
     golden: GoldenRun,
+    blocks: Optional[BlockCache] = None,
 ) -> Tuple[str, List[Tuple[int, str, int]]]:
     """One injected emulation: its outcome label and its injection log.
 
@@ -108,7 +113,7 @@ def _classify(
         run = emulate(program, max_instructions=max_instructions,
                       collect_trace=False, inject=injector.hook,
                       schedule=injector.schedule(),
-                      golden=golden.checkpoints)
+                      golden=golden.checkpoints, blocks=blocks)
     except (MisalignedAccessError, EmulatorError):
         return "crash", injector.log
     if not injector.log:
@@ -124,28 +129,30 @@ def _classify(
 
 def _plans_chunk(payload) -> List[Tuple[str, int]]:
     """Pool worker: ``(outcome, injections)`` of each plan of a chunk."""
-    program, max_instructions, golden, plans = payload
+    blocks, max_instructions, golden, plans = payload
     out: List[Tuple[str, int]] = []
     for plan in plans:
-        outcome, log = _classify(program, plan, max_instructions, golden)
+        outcome, log = _classify(blocks.program, plan, max_instructions,
+                                 golden, blocks)
         out.append((outcome, len(log)))
     return out
 
 
 def _run_plans(
-    program: Program,
+    blocks: BlockCache,
     plans: Sequence[Plan],
     max_instructions: int,
     golden: GoldenRun,
     jobs: Optional[int],
 ) -> List[Tuple[str, int]]:
-    """``(outcome, injections)`` of every plan, in plan order.
+    """``(outcome, injections)`` of every plan of ``blocks.program``,
+    in plan order.
 
     Every plan is fixed in the parent as a function of the campaign's
     seed, so the results do not depend on ``jobs`` or on chunking.
     """
     payloads = [
-        (program, max_instructions, golden, [plans[i] for i in chunk])
+        (blocks, max_instructions, golden, [plans[i] for i in chunk])
         for chunk in _chunk_indices(len(plans), jobs or 1)
     ]
     return [
@@ -181,13 +188,15 @@ def run_campaign(
     """
     if not 0 <= rate <= 1:
         raise ValueError("rate must be a probability")
+    blocks = BlockCache(program)
     golden = _golden(emulate(program, max_instructions=max_instructions,
-                             collect_trace=False, checkpoints=True))
+                             collect_trace=False, checkpoints=True,
+                             blocks=blocks))
 
     result = CampaignResult(program.name, runs, rate)
     plans = [BernoulliPlan(rate, seed + run_index, max_instructions)
              for run_index in range(runs)]
-    for outcome, injections in _run_plans(program, plans, max_instructions,
+    for outcome, injections in _run_plans(blocks, plans, max_instructions,
                                           golden, jobs):
         result.outcomes[outcome] += 1
         result.injections += injections
@@ -250,6 +259,9 @@ class OracleMismatch(Exception):
         lines += [f"  {record.render()}" for record in self.mismatches]
         super().__init__("\n".join(lines))
 
+    def __reduce__(self):
+        return type(self), (self.mismatches,)
+
 
 class ExecutionCounts(Counter):
     """Golden-run executions per static instruction, and their order.
@@ -275,27 +287,24 @@ class ExecutionCounts(Counter):
 
 
 def count_site_executions(
-    program: Program, max_instructions: int = 200_000
+    program: Program, max_instructions: int = 200_000,
+    blocks: Optional[BlockCache] = None,
 ) -> Tuple[GoldenRun, ExecutionCounts]:
     """Golden run plus per-static-instruction execution counts.
 
     Returns ``(golden, counts)``: the :class:`GoldenRun` campaigns
-    compare against and resume from, and the counts.
+    compare against and resume from, and the counts.  The golden run is
+    hookless; the emulator records the order.
 
     Raises:
         ValueError: when the golden run does not halt in budget.
     """
-    order: List[int] = []
-    record = order.append
-
-    def counting_hook(dyn) -> None:
-        record(dyn.static_index)
-
-    golden = _golden(emulate(program, max_instructions=max_instructions,
-                             collect_trace=False, inject=counting_hook,
-                             checkpoints=True))
-    counts = ExecutionCounts(order)
-    counts.order = order
+    run = emulate(program, max_instructions=max_instructions,
+                  collect_trace=False, checkpoints=True, blocks=blocks,
+                  order=True)
+    golden = _golden(run)
+    counts = ExecutionCounts(run.order)
+    counts.order = run.order
     return golden, counts
 
 
@@ -475,7 +484,9 @@ def run_site_campaign(
     """
     analysis = analyze_program(program, use_cache=use_analysis_cache,
                                cache_dir=analysis_cache_dir)
-    golden, exec_counts = count_site_executions(program, max_instructions)
+    blocks = BlockCache(program)
+    golden, exec_counts = count_site_executions(program, max_instructions,
+                                                blocks)
     samples = sample_sites(analysis, exec_counts, runs, seed,
                            classes=classes)
 
@@ -503,7 +514,7 @@ def run_site_campaign(
             pending.append(sample)
 
     plans = [site_plan(exec_counts, sample) for sample in pending]
-    outcomes = _run_plans(program, plans, max_instructions, golden, jobs)
+    outcomes = _run_plans(blocks, plans, max_instructions, golden, jobs)
     for sample, (outcome, _injections) in zip(pending, outcomes):
         result.by_class[sample.klass][outcome] += 1
         result.emulations += 1

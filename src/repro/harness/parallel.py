@@ -466,6 +466,10 @@ class WorkerLostError(RuntimeError):
     def __init__(self, index: int, total: int) -> None:
         super().__init__(f"a pool worker died; chunk {index} of {total} lost")
         self.index = index
+        self.total = total
+
+    def __reduce__(self):
+        return type(self), (self.index, self.total)
 
 
 def parallel_map(

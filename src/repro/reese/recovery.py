@@ -23,6 +23,9 @@ class UnrecoverableFaultError(Exception):
         self.seq = seq
         self.attempts = attempts
 
+    def __reduce__(self):
+        return type(self), (self.seq, self.attempts)
+
 
 class RetryTracker:
     """Counts consecutive comparison failures of one instruction."""

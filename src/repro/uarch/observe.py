@@ -486,6 +486,10 @@ class InvariantViolation(Exception):
             message += f": {detail}"
         super().__init__(message)
 
+    def __reduce__(self):
+        return type(self), (self.invariant, self.cycle, self.trace_seq,
+                            self.detail)
+
 
 class InvariantChecker:
     """Validate pipeline legality while the simulation runs.

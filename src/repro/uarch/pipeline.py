@@ -88,6 +88,9 @@ class SimulationTimeoutError(Exception):
             f"instructions committed"
         )
 
+    def __reduce__(self):
+        return type(self), (self.cap, self.committed, self.total, self.stats)
+
 
 def warm_caches_over(mem: MemoryHierarchy, trace, line_shift: int) -> None:
     """Architecturally touch every I-line, data address and TLB page.

@@ -21,9 +21,15 @@ from repro.harness.parallel import (
     SimJob,
     derive_seed,
     job_fingerprint,
+    WorkerLostError,
     parallel_map,
 )
-from repro.harness.campaign import _chunk_indices
+from repro.harness.campaign import (MismatchRecord, OracleMismatch,
+                                    _chunk_indices)
+from repro.isa.assembler import AsmError
+from repro.reese.recovery import UnrecoverableFaultError
+from repro.uarch.observe import InvariantViolation
+from repro.uarch.pipeline import SimulationTimeoutError
 from repro.reese.faults import BernoulliFaultModel, EnvironmentalFaultModel
 from repro.uarch.config import starting_config
 from repro.uarch.sampling import SamplingSpec
@@ -355,6 +361,94 @@ class TestParallelMap:
         # The first result lost in input order: item 2, or an earlier
         # item still unfinished when the pool broke.
         assert kind == "lost" and 0 <= int(index) <= 2
+
+
+def _error_examples():
+    """One instance of every ``repro`` exception class with its own
+    ``__init__``, and the fields it must keep across a pickle."""
+    stats = Stats()
+    stats.cycles = 41
+    record = MismatchRecord("gcc", 3, 5, "dead", 1, 7, "sdc", "add r5, r1, r2")
+    return {
+        AsmError: (AsmError("bad operand", 12), ["line_no"]),
+        InvariantViolation: (InvariantViolation("rob", 9, 4, "full"),
+                             ["invariant", "cycle", "trace_seq", "detail"]),
+        OracleMismatch: (OracleMismatch([record]), ["mismatches"]),
+        SimulationTimeoutError: (SimulationTimeoutError(100, 7, 9, stats),
+                                 ["cap", "committed", "total"]),
+        UnrecoverableFaultError: (UnrecoverableFaultError(17, 2),
+                                  ["seq", "attempts"]),
+        WorkerLostError: (WorkerLostError(2, 8), ["index", "total"]),
+    }
+
+
+class TestTypedErrorsCrossThePool:
+    def test_every_custom_error_round_trips_through_pickle(self):
+        import importlib
+        import pickle
+        import pkgutil
+
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(info.name)
+        custom = set()
+        pending = [Exception]
+        while pending:
+            for cls in pending.pop().__subclasses__():
+                pending.append(cls)
+                if (cls.__module__.startswith("repro.")
+                        and "__init__" in vars(cls)):
+                    custom.add(cls)
+        examples = _error_examples()
+        assert custom == set(examples)
+        for cls, (error, fields) in examples.items():
+            copy = pickle.loads(pickle.dumps(error))
+            assert type(copy) is cls and str(copy) == str(error)
+            for name in fields:
+                assert getattr(copy, name) == getattr(error, name), name
+        timeout = examples[SimulationTimeoutError][0]
+        copy = pickle.loads(pickle.dumps(timeout))
+        assert copy.stats.to_dict() == timeout.stats.to_dict()
+
+    def test_pooled_typed_error_reaches_the_caller_uncached(self, tmp_path):
+        # Before the errors pickled, the pool's result thread died on
+        # unpickling and the run never returned: the timeout fails that.
+        script = textwrap.dedent(f"""
+            from repro.harness import parallel
+            from repro.harness.parallel import (
+                ParallelRunner, ResultCache, SimJob, job_fingerprint)
+            from repro.reese.recovery import UnrecoverableFaultError
+            from repro.uarch.config import starting_config
+
+            simulate = parallel._simulate
+
+            def failing(job, sweep=None):
+                if job.benchmark == "vortex":
+                    raise UnrecoverableFaultError(17, 2)
+                return simulate(job, sweep)
+
+            parallel._simulate = failing  # forked workers inherit it
+            runner = ParallelRunner(jobs=2, cache_dir={str(tmp_path)!r})
+            jobs = [SimJob(bench, starting_config(), {TINY})
+                    for bench in ("go", "vortex", "li", "perl")]
+            try:
+                runner.run(jobs)
+            except UnrecoverableFaultError as error:
+                print("typed", error.seq, error.attempts)
+            cache = ResultCache({str(tmp_path)!r})
+            print("cached", sum(
+                cache.get(job_fingerprint(runner.resolve(job))) is not None
+                for job in jobs))
+        """)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+        assert done.stdout.split() == ["typed", "17", "2", "cached", "0"], \
+            done.stderr
+        # A failed batch caches nothing, not even its finished jobs.
 
 
 class TestCampaignChunking:
