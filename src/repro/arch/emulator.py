@@ -143,10 +143,20 @@ class EmulationResult:
 
 
 def _decode_program(program: Program):
-    """Precompute per-instruction dispatch tuples for the hot loop; an op
-    without compute or branch semantics raises ``KeyError`` when it runs."""
+    """Decode each static instruction once, for the hot loop.
+
+    Returns one ``(cat, inst, fn, record)`` per instruction: its
+    execution category, the instruction, its bound compute or branch
+    semantics (an op without them raises ``KeyError`` when it runs), and
+    ``record``, the :class:`DynInst` constructor with the instruction's
+    trace facts bound.  Those facts (``static_index``, ``pc``, ``op``,
+    ``fu``, ``dst``, one ``srcs`` tuple, the load/store/branch flags and
+    ``imm``) are computed here once, so all records of one instruction
+    share their objects; a call passes this execution's values from
+    ``seq`` on.
+    """
     decoded = []
-    for inst in program.code:
+    for idx, inst in enumerate(program.code):
         info = OPINFO[inst.op]
         fn = None
         if info.is_halt:
@@ -169,7 +179,11 @@ def _decode_program(program: Program):
         else:
             cat = _CAT_COMPUTE
             fn = _COMPUTE.get(inst.op) or partial(compute, inst.op)
-        decoded.append((cat, inst, info, fn))
+        record = partial(DynInst, idx, TEXT_BASE + idx * INST_SIZE, inst.op,
+                         info.fu, inst.dst(), inst.srcs(), info.is_load,
+                         info.is_store, info.is_branch, info.is_cond_branch,
+                         inst.imm)
+        decoded.append((cat, inst, fn, record))
     return decoded
 
 
@@ -200,7 +214,7 @@ def _translate(decoded, leader: int, length: int):
     nops = 0
     order = []
     for idx in range(leader, leader + length):
-        cat, inst, _info, fn = decoded[idx]
+        cat, inst, fn, _record = decoded[idx]
         op, rd = inst.op, inst.rd
         env[f"f{idx}"] = fn
         imm = repr(inst.imm)
@@ -297,7 +311,7 @@ class BlockCache:
         decoded = self.decoded
         n_code = len(decoded)
         leaders = {0}
-        for idx, (cat, inst, _info, _fn) in enumerate(decoded):
+        for idx, (cat, inst, _fn, _record) in enumerate(decoded):
             if cat in _BLOCK_ENDS:
                 leaders.add(idx + 1)
                 if cat in (_CAT_COND_BRANCH, _CAT_JUMP):
@@ -308,7 +322,7 @@ class BlockCache:
                 span[idx] = span[idx + 1] + 1
         self.span = span
         self.eligible = [cat not in (_CAT_NOP, _CAT_HALT)
-                         for cat, _inst, _info, _fn in decoded]
+                         for cat, _inst, _fn, _record in decoded]
         self.table = [None if idx in leaders else False
                       for idx in range(n_code)]
         return self
@@ -324,8 +338,9 @@ def _interpret(decoded, regs, memory, output, trace, inject,
                idx, retired, nops, limit):
     """Step instructions until ``retired`` reaches ``limit`` or ``halt``.
 
-    Builds a :class:`DynInst` per instruction when there is a trace or a
-    hook.  Returns ``(idx, retired, nops, halted)``.
+    Builds a :class:`DynInst` per instruction, in one call of its decoded
+    ``record`` constructor, when there is a trace or a hook; the hook
+    sees the complete record.  Returns ``(idx, retired, nops, halted)``.
     """
     n_code = len(decoded)
     build = trace is not None or inject is not None
@@ -335,34 +350,19 @@ def _interpret(decoded, regs, memory, output, trace, inject,
                 "control transferred outside text segment: "
                 f"index {idx}"
             )
-        cat, inst, info, fn = decoded[idx]
+        cat, inst, fn, record = decoded[idx]
         op = inst.op
         rs1 = inst.rs1
         rs2 = inst.rs2
         a = regs[rs1] if rs1 >= 0 else 0
         b = regs[rs2] if rs2 >= 0 else 0
         imm = inst.imm
-
-        dyn: Optional[DynInst] = None
-        if build:
-            dyn = DynInst()
-            dyn.seq = retired
-            dyn.static_index = idx
-            dyn.pc = TEXT_BASE + idx * INST_SIZE
-            dyn.op = op
-            dyn.fu = info.fu
-            dyn.dst = inst.dst()
-            dyn.srcs = inst.srcs()
-            dyn.a = a
-            dyn.b = b
-            dyn.imm = imm
-
         next_idx = idx + 1
 
         if cat == _CAT_COMPUTE:
             result = fn(a, b, imm)
-            if dyn is not None:
-                dyn.result = result
+            if build:
+                dyn = record(retired, a, b, next_idx, result)
                 if inject is not None:
                     inject(dyn)
                     result = dyn.result
@@ -378,10 +378,8 @@ def _interpret(decoded, regs, memory, output, trace, inject,
                 result = memory.load_byte(ea, signed=False)
             else:  # LWF
                 result = memory.load_float(ea)
-            if dyn is not None:
-                dyn.is_load = True
-                dyn.ea = ea
-                dyn.result = result
+            if build:
+                dyn = record(retired, a, b, next_idx, result, ea)
                 if inject is not None:
                     inject(dyn)
                     result = dyn.result
@@ -390,10 +388,8 @@ def _interpret(decoded, regs, memory, output, trace, inject,
         elif cat == _CAT_STORE:
             ea = (a + imm) & 0xFFFFFFFF
             value = b
-            if dyn is not None:
-                dyn.is_store = True
-                dyn.ea = ea
-                dyn.store_value = value
+            if build:
+                dyn = record(retired, a, b, next_idx, None, ea, value)
                 if inject is not None:
                     inject(dyn)
                     ea = dyn.ea
@@ -406,76 +402,66 @@ def _interpret(decoded, regs, memory, output, trace, inject,
                 memory.store_float(ea, float(value))
         elif cat == _CAT_COND_BRANCH:
             taken = fn(a, b)
-            target = imm
-            if dyn is not None:
-                dyn.is_branch = True
-                dyn.is_cond_branch = True
-                dyn.taken = taken
-                dyn.target_index = target
-                dyn.result = int(taken)
-                if inject is not None:
-                    inject(dyn)
-                    taken = bool(dyn.taken)
-                    target = dyn.target_index
             if taken:
-                next_idx = target
-        elif cat == _CAT_JUMP:
-            target = imm
-            link = TEXT_BASE + (idx + 1) * INST_SIZE
-            if dyn is not None:
-                dyn.is_branch = True
-                dyn.taken = True
-                dyn.target_index = target
-                if op is Op.JAL:
-                    dyn.result = link
+                next_idx = imm
+            if build:
+                dyn = record(retired, a, b, next_idx, int(taken), None, None,
+                             taken, imm)
                 if inject is not None:
                     inject(dyn)
-                    target = dyn.target_index
+                    next_idx = dyn.next_index = (
+                        dyn.target_index if dyn.taken else idx + 1)
+        elif cat == _CAT_JUMP:
+            next_idx = imm
+            link = TEXT_BASE + (idx + 1) * INST_SIZE
+            if build:
+                dyn = record(retired, a, b, next_idx,
+                             link if op is Op.JAL else None, None, None,
+                             True, imm)
+                if inject is not None:
+                    inject(dyn)
+                    next_idx = dyn.next_index = dyn.target_index
                     if op is Op.JAL and dyn.result is not None:
                         link = int(dyn.result)
             if op is Op.JAL and inst.rd > 0:
                 regs[inst.rd] = link
-            next_idx = target
         elif cat == _CAT_JUMP_REG:
             addr = int(a)
             if addr % INST_SIZE or addr < TEXT_BASE:
                 raise EmulatorError(f"jr to bad address {addr:#x}")
-            target = (addr - TEXT_BASE) // INST_SIZE
+            next_idx = (addr - TEXT_BASE) // INST_SIZE
             link = TEXT_BASE + (idx + 1) * INST_SIZE
-            if dyn is not None:
-                dyn.is_branch = True
-                dyn.taken = True
-                dyn.target_index = target
-                if op is Op.JALR:
-                    dyn.result = link
+            if build:
+                dyn = record(retired, a, b, next_idx,
+                             link if op is Op.JALR else None, None, None,
+                             True, next_idx)
                 if inject is not None:
                     inject(dyn)
-                    target = dyn.target_index
+                    next_idx = dyn.next_index = dyn.target_index
                     if op is Op.JALR and dyn.result is not None:
                         link = int(dyn.result)
             if op is Op.JALR and inst.rd > 0:
                 regs[inst.rd] = link
-            next_idx = target
         elif cat == _CAT_PUT:
             value = to_i32(int(a))
             if op is Op.PUTCH:
                 value &= 0xFF
             output.append(value)
-            if dyn is not None and inject is not None:
-                inject(dyn)
+            if build:
+                dyn = record(retired, a, b, next_idx)
+                if inject is not None:
+                    inject(dyn)
         elif cat == _CAT_HALT:
-            if dyn is not None:
-                dyn.next_index = idx
-                if trace is not None:
-                    trace.append(dyn)
+            if trace is not None:
+                trace.append(record(retired, a, b, idx))
             return idx, retired + 1, nops, True
         else:  # _CAT_NOP
             nops += 1
+            if build:
+                dyn = record(retired, a, b, next_idx)
 
-        if dyn is not None:
-            dyn.next_index = next_idx
-            if trace is not None:
-                trace.append(dyn)
+        if trace is not None:
+            trace.append(dyn)
         retired += 1
         idx = next_idx
     return idx, retired, nops, False

@@ -19,10 +19,12 @@ is the single execution layer they all route through:
   and ``REPRO_PROFILE`` environment gates) into job fields, before
   fingerprinting — so a gated run never hits an ungated entry.
 * :class:`ParallelRunner` executes a job list: cache lookups first, then
-  the misses over a ``multiprocessing`` pool (in-process when one worker
-  suffices).  Results come back in input order and are bit-identical
-  regardless of worker count or scheduling, because each job is fully
-  determined by its own fields — nothing is sampled from shared state.
+  the misses over :func:`parallel_map`'s process pool (in-process when
+  one worker suffices), where a dead worker raises
+  :class:`WorkerLostError` instead of hanging the run.  Results come
+  back in input order and are bit-identical regardless of worker count
+  or scheduling, because each job is fully determined by its own
+  fields — nothing is sampled from shared state.
   The pool's unit of work is a *warm group* (:func:`warm_key`): the
   pending single-interval sampled jobs that share one functional sweep.
 * :class:`RunTelemetry` records per-job timing/outcome for
@@ -480,8 +482,8 @@ def parallel_map(
     """Order-preserving pool map; runs in-process when one worker suffices.
 
     ``fn`` must be a picklable module-level callable.  Used by the
-    fault-campaign driver; figure/sweep work should go through
-    :class:`ParallelRunner` to get caching and telemetry.
+    fault-campaign driver and by :class:`ParallelRunner`; figure/sweep
+    work should go through the runner to get caching and telemetry.
     A worker that dies raises :class:`WorkerLostError`.
     """
     items = list(items)
@@ -490,10 +492,14 @@ def parallel_map(
         return [fn(item) for item in items]
     from concurrent.futures import process  # 1.4 MB: load when needed
     results: List[_R] = []
+    # Batches as multiprocessing.Pool.map cuts them, about four per
+    # worker: consecutive items (the runner's benchmark-major jobs) then
+    # share a worker and its memoised traces.
+    chunksize = -(-len(items) // (4 * workers))
     pool = process.ProcessPoolExecutor(workers, mp_context=_mp_context())
     with pool:
         try:
-            results.extend(pool.map(fn, items))
+            results.extend(pool.map(fn, items, chunksize=chunksize))
         except process.BrokenProcessPool as error:
             raise WorkerLostError(len(results), len(items)) from error
     return results
@@ -589,12 +595,9 @@ class ParallelRunner:
         units = _warm_groups(sim_jobs, pending, self.jobs)
         workers = max(1, min(self.jobs, len(units)))
         if units:
-            batch = [[sim_jobs[i] for i in unit] for unit in units]
-            if workers == 1:
-                outputs = [_execute_group(group) for group in batch]
-            else:
-                with _mp_context().Pool(workers) as pool:
-                    outputs = pool.map(_execute_group, batch)
+            outputs = parallel_map(
+                _execute_group, [[sim_jobs[i] for i in unit] for unit in units],
+                workers)
             for unit, (timed, pid) in zip(units, outputs):
                 for index, (stats, elapsed) in zip(unit, timed):
                     job = sim_jobs[index]

@@ -255,11 +255,27 @@ class TestDecode:
         from repro.isa import semantics
 
         program = assemble(self.SOURCE)
-        bound = {inst.op: fn for (_cat, inst, _info, fn)
+        bound = {inst.op: fn for (_cat, inst, fn, _record)
                  in _decode_program(program)}
         assert bound[Op.MUL] is semantics._COMPUTE[Op.MUL]
         assert bound[Op.BEQ] is semantics._BRANCH_TAKEN[Op.BEQ]
         assert bound[Op.PUTINT] is None and bound[Op.HALT] is None
+
+    def test_trace_facts_bound_at_decode(self):
+        from repro.arch.emulator import _decode_program
+
+        program = assemble(self.SOURCE)
+        for idx, (_cat, inst, _fn, record) in enumerate(
+                _decode_program(program)):
+            dyn = record(7, 1, 2, idx + 1)
+            assert (dyn.static_index, dyn.pc, dyn.op) == (
+                idx, TEXT_BASE + idx * INST_SIZE, inst.op)
+            assert (dyn.dst, dyn.srcs, dyn.imm) == (
+                inst.dst(), inst.srcs(), inst.imm)
+            assert (dyn.seq, dyn.a, dyn.b, dyn.next_index) == (7, 1, 2,
+                                                                idx + 1)
+            again = record(8, 0, 0, idx + 1)
+            assert again.srcs is dyn.srcs and again.pc is dyn.pc
 
     def test_op_without_semantics_raises_when_it_runs(self, monkeypatch):
         from repro.isa import semantics

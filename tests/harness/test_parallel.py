@@ -362,6 +362,47 @@ class TestParallelMap:
         # item still unfinished when the pool broke.
         assert kind == "lost" and 0 <= int(index) <= 2
 
+    def test_lost_runner_worker_raises_instead_of_hanging(self, tmp_path):
+        # ParallelRunner's pool is parallel_map's: a worker that exits
+        # mid-batch raises the typed error, and nothing is cached.
+        script = textwrap.dedent(f"""
+            import os
+            from repro.harness import parallel
+            from repro.harness.parallel import (
+                ParallelRunner, ResultCache, SimJob, WorkerLostError,
+                job_fingerprint)
+            from repro.uarch.config import starting_config
+
+            simulate = parallel._simulate
+
+            def dying(job, sweep=None):
+                if job.benchmark == "vortex":
+                    os._exit(3)
+                return simulate(job, sweep)
+
+            parallel._simulate = dying  # forked workers inherit it
+            runner = ParallelRunner(jobs=2, cache_dir={str(tmp_path)!r})
+            jobs = [SimJob(bench, starting_config(), {TINY})
+                    for bench in ("go", "vortex", "li", "perl")]
+            try:
+                runner.run(jobs)
+            except WorkerLostError as error:
+                print("lost", error.total)
+            cache = ResultCache({str(tmp_path)!r})
+            print("cached", sum(
+                cache.get(job_fingerprint(runner.resolve(job))) is not None
+                for job in jobs))
+        """)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=60,
+        )
+        assert done.stdout.split() == ["lost", "4", "cached", "0"], \
+            done.stderr
+
 
 def _error_examples():
     """One instance of every ``repro`` exception class with its own
@@ -409,7 +450,13 @@ class TestTypedErrorsCrossThePool:
         copy = pickle.loads(pickle.dumps(timeout))
         assert copy.stats.to_dict() == timeout.stats.to_dict()
 
-    def test_pooled_typed_error_reaches_the_caller_uncached(self, tmp_path):
+    @pytest.mark.parametrize("error", [
+        "UnrecoverableFaultError(17, 2)",
+        "SimulationDeadlockError('no commit for 5000 cycles')",
+        "SimulationTimeoutError(100, 7, 9, Stats())",
+    ], ids=lambda error: error.split("(")[0])
+    def test_pooled_typed_error_reaches_the_caller_uncached(self, tmp_path,
+                                                            error):
         # Before the errors pickled, the pool's result thread died on
         # unpickling and the run never returned: the timeout fails that.
         script = textwrap.dedent(f"""
@@ -418,12 +465,16 @@ class TestTypedErrorsCrossThePool:
                 ParallelRunner, ResultCache, SimJob, job_fingerprint)
             from repro.reese.recovery import UnrecoverableFaultError
             from repro.uarch.config import starting_config
+            from repro.uarch.pipeline import (
+                SimulationDeadlockError, SimulationTimeoutError)
+            from repro.uarch.stats import Stats
 
             simulate = parallel._simulate
+            expected = {error}
 
             def failing(job, sweep=None):
                 if job.benchmark == "vortex":
-                    raise UnrecoverableFaultError(17, 2)
+                    raise {error}
                 return simulate(job, sweep)
 
             parallel._simulate = failing  # forked workers inherit it
@@ -432,8 +483,8 @@ class TestTypedErrorsCrossThePool:
                     for bench in ("go", "vortex", "li", "perl")]
             try:
                 runner.run(jobs)
-            except UnrecoverableFaultError as error:
-                print("typed", error.seq, error.attempts)
+            except type(expected) as raised:
+                print("typed", str(raised) == str(expected))
             cache = ResultCache({str(tmp_path)!r})
             print("cached", sum(
                 cache.get(job_fingerprint(runner.resolve(job))) is not None
@@ -446,7 +497,7 @@ class TestTypedErrorsCrossThePool:
             [sys.executable, "-c", script], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=path), timeout=120,
         )
-        assert done.stdout.split() == ["typed", "17", "2", "cached", "0"], \
+        assert done.stdout.split() == ["typed", "True", "cached", "0"], \
             done.stderr
         # A failed batch caches nothing, not even its finished jobs.
 
