@@ -1,19 +1,29 @@
 #!/usr/bin/env python
-"""Benchmark-trajectory tracker: append one profiled suite snapshot.
+"""Benchmark-trajectory tracker: append one suite or speed snapshot.
 
 Every PR that touches the timing model shifts the suite's IPCs and the
-top-down attribution a little; ``BENCH_TRAJECTORY.json`` is the
-append-only record of those shifts.  Each entry captures, for one
-labelled point in time (typically a commit), the per-benchmark
-Baseline / REESE / R+2 ALU IPCs and gaps plus the suite-aggregate
-attribution summary — the REESE-vs-baseline R-share, the dominant slot
-causes, and the detection-latency telemetry.  Diffing two entries
-answers "what did that change do to the bottleneck structure?" without
-re-running anything.
+top-down attribution a little, and every speed change shifts the
+simulator's own host time; ``BENCH_TRAJECTORY.json`` is the append-only
+record of both.  It holds two kinds of entry:
+
+* a **suite** entry captures, for one labelled point in time (typically
+  a commit), the per-benchmark Baseline / REESE / R+2 ALU IPCs and gaps
+  plus the suite-aggregate attribution summary — the REESE-vs-baseline
+  R-share, the dominant slot causes, and the detection-latency
+  telemetry;
+* a **speed** entry (schema 2) records one perfbench workload at one
+  seed: the median over its runs of each metric in
+  :data:`SPEED_METRICS`, and the runs' common ``stats_digest`` (the
+  simulated results a speed change must leave unchanged).
+
+Diffing two entries answers "what did that change do to the bottleneck
+structure, or to the host time?" without re-running anything.
 
 Usage::
 
     python benchmarks/track.py --label my-change --scale 8000 --jobs 4
+    python3 perfbench/run.py --workload fig2 --seed 0 > run1.txt
+    python benchmarks/track.py --label my-change --ingest run1.txt ...
     python benchmarks/track.py --validate        # schema-check only
 
 The file is rewritten atomically on every append (tmp, fsync, rename),
@@ -28,9 +38,11 @@ import argparse
 import datetime
 import json
 import pathlib
+import re
+import statistics
 import subprocess
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:  # pragma: no cover
@@ -50,7 +62,20 @@ from repro.uarch.accounting import (  # noqa: E402
 from repro.uarch.stats import Stats  # noqa: E402
 
 #: Bump when the entry layout changes (validate_trajectory checks it).
-TRAJECTORY_SCHEMA_VERSION = 1
+#: 2: speed entries (``"kind": "speed"``) besides the suite entries.
+TRAJECTORY_SCHEMA_VERSION = 2
+#: Document schemas :func:`validate_trajectory` accepts.
+_KNOWN_SCHEMAS = (1, 2)
+
+#: perfbench metrics a speed entry records: the three gated end-to-end
+#: metrics, then the reported rates (``None`` where a workload has none).
+SPEED_METRICS = ("wall_s", "setup_s", "peak_rss_mb", "kips_baseline",
+                 "kips_reese", "runs_per_s")
+_SPEED_KEYS = ("label", "timestamp", "git_rev", "workload", "seed", "runs",
+               "metrics", "stats_digest")
+_WORKLOADS = ("fig2", "sampled", "faults")
+_HEADER = re.compile(r"^perfbench (\w+) seed (\d+):")
+_DIGEST = re.compile(r"^[0-9a-f]{64}$")
 
 DEFAULT_PATH = REPO_ROOT / "BENCH_TRAJECTORY.json"
 
@@ -145,6 +170,62 @@ def collect_entry(label: str, scale: int, jobs: int,
     }
 
 
+def parse_perfbench(text: str) -> Dict[str, Any]:
+    """One perfbench run's table: workload, seed, metrics and digest.
+
+    Reads the human-readable lines ``perfbench/run.py`` prints before
+    its JSON line (the JSON line carries only the gated metrics).
+    """
+    run: Dict[str, Any] = {"metrics": {}}
+    for line in text.splitlines():
+        header = _HEADER.match(line)
+        if header:
+            run["workload"], run["seed"] = header.group(1), int(header.group(2))
+            continue
+        parts = line.split()
+        if len(parts) >= 2 and parts[0] in SPEED_METRICS:
+            run["metrics"][parts[0]] = (
+                None if parts[1] == "—" else float(parts[1])
+            )
+        elif len(parts) == 2 and parts[0] == "stats_digest":
+            run["stats_digest"] = parts[1]
+    missing = [key for key in ("workload", "seed", "stats_digest")
+               if key not in run]
+    missing += [name for name in SPEED_METRICS if name not in run["metrics"]]
+    if missing:
+        raise ValueError(f"not a perfbench run table: missing {missing}")
+    return run
+
+
+def speed_entry(label: str, texts: Sequence[str],
+                git_rev_: Optional[str] = None) -> Dict[str, Any]:
+    """A speed entry from the output of one or more perfbench runs of
+    one workload and seed; each metric is the median over the runs."""
+    runs = [parse_perfbench(text) for text in texts]
+    if not runs:
+        raise ValueError("no perfbench runs to ingest")
+    for key in ("workload", "seed", "stats_digest"):
+        values = {run[key] for run in runs}
+        if len(values) != 1:
+            raise ValueError(f"runs disagree on {key}: {sorted(values)}")
+    metrics: Dict[str, Optional[float]] = {}
+    for name in SPEED_METRICS:
+        values = [run["metrics"][name] for run in runs
+                  if run["metrics"][name] is not None]
+        metrics[name] = round(statistics.median(values), 4) if values else None
+    return {
+        "kind": "speed",
+        "label": label,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "git_rev": git_rev_ or git_rev(),
+        "workload": runs[0]["workload"],
+        "seed": runs[0]["seed"],
+        "runs": len(runs),
+        "metrics": metrics,
+        "stats_digest": runs[0]["stats_digest"],
+    }
+
+
 def load_trajectory(path: pathlib.Path) -> Dict[str, Any]:
     """Load (or initialise) the trajectory document."""
     if path.exists():
@@ -160,6 +241,8 @@ def append_entry(path: pathlib.Path, entry: Dict[str, Any]) -> int:
     """
     data = load_trajectory(path)
     data["entries"].append(entry)
+    # Schema-1 entries are valid schema-2 entries: appending upgrades.
+    data["schema"] = TRAJECTORY_SCHEMA_VERSION
     errors = validate_trajectory(data)
     if errors:
         raise ValueError("refusing to write invalid trajectory: "
@@ -173,10 +256,9 @@ def validate_trajectory(data: Dict[str, Any]) -> List[str]:
     errors: List[str] = []
     if not isinstance(data, dict):
         return ["document is not an object"]
-    if data.get("schema") != TRAJECTORY_SCHEMA_VERSION:
-        errors.append(
-            f"schema {data.get('schema')!r} != {TRAJECTORY_SCHEMA_VERSION}"
-        )
+    schema = data.get("schema")
+    if schema not in _KNOWN_SCHEMAS:
+        errors.append(f"schema {schema!r} not in {_KNOWN_SCHEMAS}")
     entries = data.get("entries")
     if not isinstance(entries, list):
         return errors + ["entries is not a list"]
@@ -184,6 +266,11 @@ def validate_trajectory(data: Dict[str, Any]) -> List[str]:
         where = f"entries[{index}]"
         if not isinstance(entry, dict):
             errors.append(f"{where}: not an object")
+            continue
+        if entry.get("kind") == "speed":
+            if schema == 1:
+                errors.append(f"{where}: speed entry in a schema-1 document")
+            errors.extend(_validate_speed(where, entry))
             continue
         for key in ("label", "timestamp", "git_rev", "scale",
                     "benchmarks", "suite"):
@@ -204,6 +291,24 @@ def validate_trajectory(data: Dict[str, Any]) -> List[str]:
     return errors
 
 
+def _validate_speed(where: str, entry: Dict[str, Any]) -> List[str]:
+    errors = [f"{where}: missing {key!r}" for key in _SPEED_KEYS
+              if key not in entry]
+    if entry.get("workload") not in _WORKLOADS:
+        errors.append(f"{where}: unknown workload {entry.get('workload')!r}")
+    if not _DIGEST.match(str(entry.get("stats_digest", ""))):
+        errors.append(f"{where}: stats_digest is not a sha256 hex digest")
+    metrics = entry.get("metrics") or {}
+    for name in SPEED_METRICS:
+        value = metrics.get(name, "missing")
+        if value is None and name not in SPEED_METRICS[:3]:
+            continue  # a rate the workload does not report
+        if not isinstance(value, (int, float)) or value <= 0:
+            errors.append(f"{where}.metrics: {name} {value!r} is not a "
+                          f"positive number")
+    return errors
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="append a profiled suite snapshot to the "
@@ -221,6 +326,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="trajectory file (default BENCH_TRAJECTORY.json)")
     parser.add_argument("--validate", action="store_true",
                         help="only schema-check the existing file")
+    parser.add_argument("--ingest", nargs="+", type=pathlib.Path,
+                        metavar="RUN",
+                        help="append a speed entry from these perfbench "
+                             "outputs (one workload and seed) instead of "
+                             "running the suite")
+    parser.add_argument("--git-rev", dest="git_rev",
+                        help="revision to record (default: HEAD)")
     args = parser.parse_args(argv)
 
     if args.validate:
@@ -235,8 +347,23 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"({entries} entries)")
         return 1 if errors else 0
 
+    if args.ingest:
+        entry = speed_entry(
+            args.label,
+            [run.read_text(encoding="utf-8") for run in args.ingest],
+            args.git_rev,
+        )
+        count = append_entry(args.path, entry)
+        print(f"appended entry {count} ({entry['label']!r} @ "
+              f"{entry['git_rev']}): {entry['workload']} seed "
+              f"{entry['seed']} over {entry['runs']} runs, wall_s "
+              f"{entry['metrics']['wall_s']}")
+        return 0
+
     entry = collect_entry(args.label, args.scale, args.jobs,
                           use_cache=not args.no_cache)
+    if args.git_rev:
+        entry["git_rev"] = args.git_rev
     count = append_entry(args.path, entry)
     suite = entry["suite"]
     print(f"appended entry {count} ({entry['label']!r} @ "

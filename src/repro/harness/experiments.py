@@ -169,17 +169,6 @@ def figure5_spec() -> FigureSpec:
     )
 
 
-def figure6_spec() -> FigureSpec:
-    """Fig. 6: summary of results across hardware variations.
-
-    The paper's x-axis: None, RUU/LSQ 2X, Ex.Q (execution width) 2X,
-    MemPorts 2X; three bars per group (baseline / REESE / REESE+2ALU).
-    We encode each group as a separate sub-run and report averages; see
-    :func:`run_summary_figure`.
-    """
-    raise NotImplementedError("use run_summary_figure() for fig6")
-
-
 def figure7_specs() -> List[FigureSpec]:
     """Fig. 7: large machines (averages only, four hardware points)."""
     specs = []

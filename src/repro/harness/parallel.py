@@ -436,23 +436,25 @@ def _warm_groups(jobs: Sequence[SimJob], indices: Sequence[int],
 
 
 def _execute_group(
-    group: Sequence[SimJob],
+    unit: Tuple[Sequence[SimJob], Optional[List[int]]],
 ) -> Tuple[List[Tuple[Stats, float]], int]:
     """Worker entry point: simulate one unit of work, report each job's
     Stats and seconds, and the pid.
 
-    A warm group's jobs share one sweep.  Each job is charged the time
-    since the previous job finished, so the sweep's shared work
-    (profile, warm pass, replay) lands in the jobs' times and they sum
-    to the unit's wall time.
+    A unit is its jobs and, for a warm group, the group's mispredict
+    profile when the caller already has it.  A warm group's jobs share
+    one sweep.  Each job is charged the time since the previous job
+    finished, so the sweep's shared work (profile, warm pass, replay)
+    lands in the jobs' times and they sum to the unit's wall time.
     """
     mark = time.perf_counter()
+    group, profile = unit
     first = group[0]
     sweep = None
     if first.sampling is not None and first.sampling.index is not None:
         program, trace = trace_for(first.benchmark, first.scale, first.seed)
         sweep = WarmSweep(program, trace, first.config, first.sampling,
-                          first.warm)
+                          first.warm, profile)
     out: List[Tuple[Stats, float]] = []
     for job in group:
         stats = _simulate(job, sweep)
@@ -568,8 +570,17 @@ class ParallelRunner:
                      or env_flag("REPRO_PROFILE")),
         )
 
-    def run(self, sim_jobs: Sequence[SimJob]) -> List[Stats]:
-        """Run every job; results are returned in input order."""
+    def run(
+        self,
+        sim_jobs: Sequence[SimJob],
+        profiles: Optional[Dict[str, Optional[List[int]]]] = None,
+    ) -> List[Stats]:
+        """Run every job; results are returned in input order.
+
+        ``profiles`` maps :func:`warm_key` to a mispredict profile the
+        caller already computed (:func:`expand_sampled_job`); a warm
+        group's unit then reuses it instead of computing its own.
+        """
         start = time.perf_counter()
         sim_jobs = [self.resolve(job) for job in sim_jobs]
         fingerprints = [job_fingerprint(job) for job in sim_jobs]
@@ -595,8 +606,13 @@ class ParallelRunner:
         units = _warm_groups(sim_jobs, pending, self.jobs)
         workers = max(1, min(self.jobs, len(units)))
         if units:
+            profiles = profiles or {}
             outputs = parallel_map(
-                _execute_group, [[sim_jobs[i] for i in unit] for unit in units],
+                _execute_group,
+                [([sim_jobs[i] for i in unit],
+                  profiles.get(warm_key(sim_jobs[unit[0]]))
+                  if sim_jobs[unit[0]].sampling is not None else None)
+                 for unit in units],
                 workers)
             for unit, (timed, pid) in zip(units, outputs):
                 for index, (stats, elapsed) in zip(unit, timed):
@@ -693,7 +709,7 @@ def run_sampled_jobs(
     profiles: Dict[str, Optional[List[int]]] = {}
     expanded = [expand_sampled_job(job, profiles) for job in sim_jobs]
     flat = [ij for interval_jobs, _, _ in expanded for ij in interval_jobs]
-    all_stats = runner.run(flat)
+    all_stats = runner.run(flat, profiles)
     results: List[SampledResult] = []
     cursor = 0
     for job, (interval_jobs, total, profile) in zip(sim_jobs, expanded):

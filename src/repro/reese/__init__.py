@@ -3,8 +3,8 @@
 The paper's contribution, as reusable pieces plugged into the
 out-of-order core (:mod:`repro.uarch.pipeline`):
 
-* :class:`~repro.reese.rqueue.RStreamQueue` / :class:`~repro.reese.rqueue.REntry`
-  — the FIFO of completed P-stream instructions awaiting redundant
+* :class:`~repro.reese.rqueue.RStreamQueue` — the FIFO of completed
+  P-stream instructions (the pipeline's own entries) awaiting redundant
   execution;
 * :mod:`~repro.reese.comparator` — re-execution from stored operands and
   the P/R result comparison;
@@ -30,7 +30,7 @@ from .faults import (
     flip_int_bit,
 )
 from .recovery import RetryTracker, UnrecoverableFaultError
-from .rqueue import R_DONE, R_ISSUED, R_WAITING, REntry, RStreamQueue
+from .rqueue import R_DONE, R_ISSUED, R_WAITING, RStreamQueue
 
 __all__ = [
     "p_value",
@@ -53,6 +53,5 @@ __all__ = [
     "R_DONE",
     "R_ISSUED",
     "R_WAITING",
-    "REntry",
     "RStreamQueue",
 ]

@@ -23,21 +23,27 @@ fault-free P/R pair always compares equal — verified by property tests.
 
 Floats are compared by IEEE-754 bit pattern, which is both what the
 hardware comparator would do and robust to NaN.
+
+The pipeline reads these values once per instruction, so :func:`bind`
+resolves per opcode the unit that re-executes it and which comparable
+its records carry (and, for compute ops and conditional branches, the
+semantic function :func:`reexecute` reaches): the common kinds are then
+read without a call to :func:`p_value` or :func:`reexecute`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from ..arch.trace import DynInst
-from ..isa.instructions import INST_SIZE, Op
+from ..isa.instructions import INST_SIZE, OPINFO, FUClass, Op
 from ..isa.program import TEXT_BASE
 from ..isa.semantics import (
+    _BRANCH_TAKEN,
+    _COMPUTE,
     branch_taken,
-    compute,
     effective_address,
     float_to_bits,
-    has_compute,
 )
 
 Comparable = Union[int, float, Tuple, None]
@@ -45,7 +51,41 @@ Comparable = Union[int, float, Tuple, None]
 # Bound once: the helpers below run per instruction, and a module
 # global is far cheaper to read than an enum class attribute or a call.
 _JAL, _JR, _JALR = Op.JAL, Op.JR, Op.JALR
-_COMPUTE_OPS = frozenset(op for op in Op if has_compute(op))
+
+#: Comparable kinds (:func:`bind`): how a record's P value is read and
+#: its R value recomputed.
+CMP_LOAD = 0      # the loaded value, on both sides
+CMP_COMPUTE = 1   # P: ``result``; R: ``fn(a, b, imm)``
+CMP_BRANCH = 2    # P: ``int(taken)``; R: ``int(fn(a, b))``
+CMP_CALL = 3      # P: :func:`p_value`; R: :func:`reexecute`
+
+
+def bind(op: Op) -> Tuple[FUClass, int, Optional[Callable]]:
+    """``(r_fu, kind, fn)`` for every record of ``op``: the unit its R
+    execution uses, its comparable kind and, for compute ops and
+    conditional branches, the semantic function :func:`reexecute`
+    dispatches to (``None`` for the other kinds).  Loads re-read through
+    a memory port; address and direction recomputation (stores,
+    branches) and unit-less ops run on an integer ALU."""
+    info = OPINFO[op]
+    if info.is_load:
+        return FUClass.MEM_PORT, CMP_LOAD, None
+    if info.is_store or info.is_branch or info.fu is FUClass.NONE:
+        r_fu = FUClass.INT_ALU
+    else:
+        r_fu = info.fu
+    fn = None
+    if info.is_cond_branch:
+        fn = _BRANCH_TAKEN.get(op)
+        kind = CMP_BRANCH
+    elif not info.is_store:
+        fn = _COMPUTE.get(op)
+        kind = CMP_COMPUTE
+    return (r_fu, kind, fn) if fn is not None else (r_fu, CMP_CALL, None)
+
+
+#: Op -> its :func:`bind`, bound once: it depends on the op alone.
+BINDINGS = {op: bind(op) for op in Op}
 
 
 def p_value(dyn: DynInst) -> Comparable:
@@ -63,7 +103,7 @@ def p_value(dyn: DynInst) -> Comparable:
         return dyn.target_index
     if op is _JALR:
         return (dyn.result, dyn.target_index)
-    if op in _COMPUTE_OPS:
+    if op in _COMPUTE:
         return dyn.result
     return None  # j, nop, halt, putint/putch: nothing data-dependent
 
@@ -90,8 +130,8 @@ def reexecute(dyn: DynInst) -> Comparable:
     if op is _JALR:
         link = TEXT_BASE + (dyn.static_index + 1) * INST_SIZE
         return (link, (int(dyn.a) - TEXT_BASE) // INST_SIZE)
-    if op in _COMPUTE_OPS:
-        return compute(op, dyn.a, dyn.b, dyn.imm)
+    if op in _COMPUTE:
+        return _COMPUTE[op](dyn.a, dyn.b, dyn.imm)
     return None
 
 

@@ -34,22 +34,23 @@ class RetryTracker:
         if max_retry < 1:
             raise ValueError("max_retry must be >= 1")
         self.max_retry = max_retry
-        self._seq = -1
+        #: The instruction with a live failure streak, or -1.
+        self.seq = -1
         self._failures = 0
 
     def record_failure(self, seq: int) -> bool:
         """Record a failed comparison; True if the machine must stop."""
-        if seq == self._seq:
+        if seq == self.seq:
             self._failures += 1
         else:
-            self._seq = seq
+            self.seq = seq
             self._failures = 1
         return self._failures > self.max_retry
 
     def record_success(self, seq: int) -> None:
         """A successful commit of ``seq`` clears its failure streak."""
-        if seq == self._seq:
-            self._seq = -1
+        if seq == self.seq:
+            self.seq = -1
             self._failures = 0
 
     @property

@@ -9,31 +9,34 @@ R-stream instructions; when the R execution completes, its result is
 compared against the stored P result and, on a match, the instruction
 finally commits architecturally.
 
-The queue's default capacity is 32 entries (the paper's "initial
-maximum").  When it is full, completed P instructions cannot leave the
-RUU, which backs pressure up into dispatch — the only way the R-stream
-Queue can inhibit the P stream (paper §4.3).
+An entry is the pipeline's own in-flight entry, the one that left the
+RUU: it gains the P comparable ``p_value``, the R unit ``r_fu``, the
+state ``r_state`` and the insertion number ``order`` on insertion, and
+``r_value`` at R completion.  The pipeline performs the hot queue
+operations (insertion, R issue, final commit) on :attr:`by_seq` and
+:attr:`pending` directly; this class holds that state and its checks.
 
-With the ``early_remove`` optimisation, instructions may enter the
-queue out of program order (as soon as they complete), so the queue
-tracks pending *issue* in insertion order while *commitment* remains in
-program order via sequence-number lookup.
+The default capacity is 32 entries (the paper's "initial maximum").  A
+full queue keeps completed P instructions in the RUU, which backs
+pressure up into dispatch — the only way the R-stream Queue can inhibit
+the P stream (paper §4.3).  With ``early_remove``, instructions may
+enter out of program order, so *issue* follows insertion order while
+*commitment* stays in program order via sequence-number lookup.
 
 Entries waiting for R issue sit in one FIFO per functional-unit class
-(:attr:`RStreamQueue.pending`), each entry stamped with its insertion
-number (:attr:`REntry.order`).  The issue stage merges the FIFO heads
-oldest-first and drops a class once its unit pool is exhausted for the
-cycle, which visits the same entries in the same order as one scan over
-all waiting entries in insertion order, without building that list.
+(:attr:`pending`).  R-stream instructions carry their operands, so they
+have no dependences on one another: the issue stage merges the FIFO
+heads oldest-first and drops a class once its unit pool is exhausted
+for the cycle, which visits the same entries in the same order as one
+insertion-order scan over all waiting entries that skips each one whose
+unit is busy.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List
 
-from ..arch.trace import DynInst
 from ..isa.instructions import FUClass
 
 # R-entry states.
@@ -41,150 +44,25 @@ R_WAITING = 0   # in queue, not yet issued to a functional unit
 R_ISSUED = 1    # executing redundantly
 R_DONE = 2      # R result available (or re-execution skipped)
 
-_by_order = attrgetter("order")
-
-
-class REntry:
-    """One R-stream Queue entry: an instruction awaiting verification."""
-
-    __slots__ = (
-        "seq",           # program-order sequence number (trace index)
-        "dyn",           # the DynInst (operands, immediates, trace results)
-        "p_value",       # P-stream comparable value (possibly fault-corrupted)
-        "r_value",       # R-stream comparable value, set at R completion
-        "state",
-        "skip_r",        # True when re-execution is skipped (nop/halt/duty)
-        "fu",            # FUClass the R execution uses
-        "order",         # insertion number (the R-issue merge order)
-        "inserted_cycle",
-        "p_fault_bit",   # bit flipped in the P value by a fault, or None
-        "r_fault_bit",   # bit flipped in the R value by a fault, or None
-        "lsq_entry",     # stores: LSQ slot held until post-comparison commit
-    )
-
-    def __init__(
-        self,
-        seq: int,
-        dyn: DynInst,
-        p_value,
-        fu: FUClass,
-        inserted_cycle: int,
-        skip_r: bool = False,
-    ) -> None:
-        self.seq = seq
-        self.dyn = dyn
-        self.p_value = p_value
-        self.r_value = None
-        self.state = R_DONE if skip_r else R_WAITING
-        self.skip_r = skip_r
-        self.fu = fu
-        self.order = -1
-        self.inserted_cycle = inserted_cycle
-        self.p_fault_bit: Optional[int] = None
-        self.r_fault_bit: Optional[int] = None
-        self.lsq_entry = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<REntry seq={self.seq} {self.dyn.op.name} state={self.state}>"
-
 
 class RStreamQueue:
-    """Bounded queue of :class:`REntry` with FIFO issue, in-order commit."""
+    """Bounded queue of R-stream entries: FIFO issue, in-order commit."""
 
     def __init__(self, capacity: int = 32) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._by_seq: Dict[int, REntry] = {}
+        #: Program-order position (trace seq) -> live entry, any state.
+        self.by_seq: Dict[int, object] = {}
         #: FUClass -> entries awaiting R issue, in insertion order.
-        self.pending: Dict[FUClass, Deque[REntry]] = {}
+        self.pending: Dict[FUClass, Deque] = {
+            fu: deque() for fu in FUClass if fu is not FUClass.NONE
+        }
+        #: Insertion numbers handed out so far (the next entry's ``order``).
         self.total_inserted = 0
 
-    # -- capacity ----------------------------------------------------------
-
     def __len__(self) -> int:
-        return len(self._by_seq)
-
-    @property
-    def full(self) -> bool:
-        return len(self._by_seq) >= self.capacity
-
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._by_seq)
-
-    # -- insertion (from the RUU) ------------------------------------------
-
-    def push(self, entry: REntry) -> None:
-        """Insert a completed P instruction.
-
-        Raises:
-            OverflowError: if the queue is full (callers must check
-                :attr:`full`; a full queue stalls the RUU instead).
-        """
-        by_seq = self._by_seq
-        if len(by_seq) >= self.capacity:
-            raise OverflowError("R-stream Queue is full")
-        if entry.seq in by_seq:
-            raise ValueError(f"duplicate sequence number {entry.seq}")
-        by_seq[entry.seq] = entry
-        entry.order = self.total_inserted
-        if entry.state == R_WAITING:
-            fifo = self.pending.get(entry.fu)
-            if fifo is None:
-                fifo = self.pending[entry.fu] = deque()
-            fifo.append(entry)
-        self.total_inserted += 1
-
-    # -- R-stream issue ------------------------------------------------------
-
-    def peek_unissued(self) -> Optional[REntry]:
-        """The next entry awaiting R-stream issue (insertion order)."""
-        heads = [fifo[0] for fifo in self.pending.values() if fifo]
-        return min(heads, key=_by_order) if heads else None
-
-    def waiting_entries(self) -> List[REntry]:
-        """Entries awaiting issue, in insertion order (a snapshot).
-
-        R-stream instructions carry their operands, so they have no
-        dependences on one another; the issue stage may skip an entry
-        whose functional unit is busy and issue a younger one (final
-        commitment stays in program order regardless).  The issue stage
-        itself merges the per-class FIFOs of :attr:`pending` in place.
-        """
-        waiting = [entry for fifo in self.pending.values() for entry in fifo]
-        waiting.sort(key=_by_order)
-        return waiting
-
-    def mark_issued(self, entry: REntry) -> None:
-        """Transition a waiting entry to ISSUED, leaving its FIFO."""
-        fifo = self.pending.get(entry.fu, ())
-        if entry.state != R_WAITING or entry not in fifo:
-            raise ValueError(f"entry {entry.seq} is not waiting")
-        fifo.remove(entry)
-        entry.state = R_ISSUED
-
-    # -- commitment -----------------------------------------------------------
-
-    def committable(self, seq: int) -> Optional[REntry]:
-        """The entry for program-order position ``seq`` if it is DONE."""
-        entry = self._by_seq.get(seq)
-        if entry is not None and entry.state == R_DONE:
-            return entry
-        return None
-
-    def pop(self, seq: int) -> REntry:
-        """Remove and return the entry at ``seq`` (final commit)."""
-        return self._by_seq.pop(seq)
-
-    def contains(self, seq: int) -> bool:
-        return seq in self._by_seq
-
-    def get(self, seq: int) -> Optional[REntry]:
-        """The live entry at ``seq``, or ``None`` (any state)."""
-        return self._by_seq.get(seq)
-
-    # -- introspection -----------------------------------------------------
+        return len(self.by_seq)
 
     def validate(self) -> List[str]:
         """Internal-consistency audit for the runtime invariant checker.
@@ -192,50 +70,52 @@ class RStreamQueue:
         Returns a list of problem descriptions (empty when healthy):
         occupancy within capacity, the seq index keyed correctly, entry
         states legal, and every entry pending issue live, in
-        ``R_WAITING`` state and in its own class's FIFO.
+        ``R_WAITING`` state and in its own class's FIFO, in insertion
+        order.
         """
         problems: List[str] = []
-        if len(self._by_seq) > self.capacity:
+        by_seq = self.by_seq
+        if len(by_seq) > self.capacity:
             problems.append(
-                f"occupancy {len(self._by_seq)} exceeds capacity "
-                f"{self.capacity}"
+                f"occupancy {len(by_seq)} exceeds capacity {self.capacity}"
             )
-        for seq, entry in self._by_seq.items():
-            if entry.seq != seq:
+        for seq, entry in by_seq.items():
+            if entry.trace_seq != seq:
                 problems.append(
-                    f"entry keyed at {seq} carries seq {entry.seq}"
+                    f"entry keyed at {seq} carries seq {entry.trace_seq}"
                 )
-            if entry.state not in (R_WAITING, R_ISSUED, R_DONE):
+            if entry.r_state not in (R_WAITING, R_ISSUED, R_DONE):
                 problems.append(
-                    f"entry {seq} has illegal state {entry.state!r}"
+                    f"entry {seq} has illegal state {entry.r_state!r}"
                 )
-            if entry.skip_r and entry.state != R_DONE:
+            if entry.skip_r and entry.r_state != R_DONE:
                 problems.append(
                     f"entry {seq} skips re-execution but is not DONE"
                 )
         for fu, fifo in self.pending.items():
+            previous = -1
             for entry in fifo:
                 if (
-                    self._by_seq.get(entry.seq) is not entry
-                    or entry.state != R_WAITING
-                    or entry.fu != fu
+                    by_seq.get(entry.trace_seq) is not entry
+                    or entry.r_state != R_WAITING
+                    or entry.r_fu != fu
                 ):
                     problems.append(
-                        f"pending-issue entry {entry.seq} is not a live "
-                        f"WAITING {fu!r} entry"
+                        f"pending-issue entry {entry.trace_seq} is not a "
+                        f"live WAITING {fu!r} entry"
                     )
+                if entry.order <= previous:
+                    problems.append(
+                        f"{fu!r} FIFO out of insertion order at entry "
+                        f"{entry.trace_seq}"
+                    )
+                previous = entry.order
         return problems
-
-    # -- flush -------------------------------------------------------------------
 
     def clear(self) -> int:
         """Drop every entry (error recovery); returns how many were dropped."""
-        dropped = len(self._by_seq)
-        self._by_seq.clear()
+        dropped = len(self.by_seq)
+        self.by_seq.clear()
         for fifo in self.pending.values():
             fifo.clear()
         return dropped
-
-    def entries(self) -> Iterable[REntry]:
-        """Live entries in program order (for tests and introspection)."""
-        return (self._by_seq[seq] for seq in sorted(self._by_seq))

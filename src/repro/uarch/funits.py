@@ -84,6 +84,10 @@ class FUPool:
                 cells[pool_key],
             )
             self.exhausted[fu_class] = cells[pool_key]
+        #: FUClass -> operation latency (0 for memory ports).
+        self.latency: Dict[FUClass, int] = {
+            fu_class: entry[2] for fu_class, entry in self._dispatch.items()
+        }
         self.issues: Dict[str, int] = {key: 0 for key in self._pools}
         #: R-stream-only slice of :attr:`issues` (REESE re-executions
         #: and dispatch-duplication shadow copies), for the per-stage
@@ -126,6 +130,46 @@ class FUPool:
             index += 1
         cell[0] = cycle
         return None
+
+    def acquire_r(self, fu_class: FUClass, cycle: int, count: int) -> int:
+        """Start up to ``count`` R-stream operations of ``fu_class``.
+
+        The same grants, in the same units, as ``count`` calls of
+        :meth:`acquire` with ``r_stream=True`` that stop at the first
+        failure; returns how many were granted.
+        """
+        pool, r_until, _, issuelat, key, cell = self._dispatch[fu_class]
+        granted = 0
+        if cell[0] != cycle:
+            busy_until = cycle + issuelat
+            track = self.track_streams
+            index = 0
+            for next_free in pool:
+                if next_free <= cycle:
+                    pool[index] = busy_until
+                    if track:
+                        r_until[index] = busy_until
+                    granted += 1
+                    if granted == count:
+                        break
+                index += 1
+            else:
+                cell[0] = cycle
+            self.issues[key] += granted
+            self.issues_r[key] += granted
+        return granted
+
+    def available(self, fu_class: FUClass, cycle: int) -> bool:
+        """Whether an :meth:`acquire` of ``fu_class`` at ``cycle`` would
+        succeed (it acquires nothing)."""
+        pool, _, _, _, _, cell = self._dispatch[fu_class]
+        if cell[0] == cycle:
+            return False
+        for next_free in pool:
+            if next_free <= cycle:
+                return True
+        cell[0] = cycle
+        return False
 
     def blame(self, fu_class: FUClass, cycle: int) -> str:
         """Which stream to blame for a failed acquire of ``fu_class``.

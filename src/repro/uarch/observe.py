@@ -285,10 +285,10 @@ class EventTracer:
                 extra = {"wp": True}
         else:
             rentry = info.get("rentry")
-            if rentry is not None:
-                iseq = rentry.seq
-                op = rentry.dyn.op.name.lower()
-                fu = rentry.fu.name
+            if rentry is not None:  # an R-stream Queue entry
+                iseq = rentry.trace_seq
+                op = rentry.op.name.lower()
+                fu = rentry.r_fu.name
             else:
                 iseq = info.get("trace_seq")
         if event == "compare":
@@ -542,7 +542,7 @@ class InvariantChecker:
     def _check_commit(self, cycle: int, entry, info) -> None:
         rentry = info.get("rentry")
         if rentry is not None:
-            trace_seq = rentry.seq
+            trace_seq = rentry.trace_seq
             dyn = rentry.dyn
             actual = rentry.p_value
         else:
@@ -568,8 +568,7 @@ class InvariantChecker:
             )
 
     def _check_r_issue(self, cycle: int, info) -> None:
-        rentry = info.get("rentry")
-        trace_seq = rentry.seq if rentry is not None else info.get("trace_seq")
+        trace_seq = info.get("trace_seq")
         if trace_seq is None:
             return
         if trace_seq not in self._completed:
@@ -579,7 +578,7 @@ class InvariantChecker:
             )
         pipe = self._pipe
         if pipe is not None and pipe.rqueue is not None:
-            if not pipe.rqueue.contains(trace_seq):
+            if trace_seq not in pipe.rqueue.by_seq:
                 self._fail(
                     "r-before-p", cycle, trace_seq,
                     "R-stream issue for an instruction that is not "
@@ -590,8 +589,7 @@ class InvariantChecker:
         pipe = self._pipe
         if entry is None or pipe is None or pipe.rqueue is None:
             return
-        rentry = pipe.rqueue.get(entry.trace_seq)
-        if rentry is None:
+        if pipe.rqueue.by_seq.get(entry.trace_seq) is not entry:
             self._fail(
                 "rqueue-fidelity", cycle, entry.trace_seq,
                 "insertion event for an instruction the queue does not hold",
@@ -600,17 +598,11 @@ class InvariantChecker:
         expected = p_value(entry.dyn)
         if entry.p_fault_bit is not None:
             expected = corrupt_value(expected, entry.p_fault_bit)
-        if not values_equal(rentry.p_value, expected):
+        if not values_equal(entry.p_value, expected):
             self._fail(
                 "rqueue-fidelity", cycle, entry.trace_seq,
                 "queued P value does not match the P writeback: "
-                + describe_mismatch(rentry.p_value, expected),
-            )
-        if rentry.skip_r != entry.skip_r:
-            self._fail(
-                "rqueue-fidelity", cycle, entry.trace_seq,
-                f"skip_r flag diverged (queue {rentry.skip_r}, "
-                f"pipeline {entry.skip_r})",
+                + describe_mismatch(entry.p_value, expected),
             )
 
     def _check_flush(self, cycle: int) -> None:

@@ -42,6 +42,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from operator import attrgetter
 from typing import Deque, Dict, List, Optional
+from weakref import WeakKeyDictionary
 
 from ..arch.trace import DynInst, Trace
 from ..bpred import BTB, PerfectPredictor, ReturnAddressStack, make_predictor
@@ -50,12 +51,13 @@ from ..isa.program import Program, TEXT_BASE
 from ..isa.registers import REG_RA
 from ..isa.instructions import INST_SIZE
 from ..memhier.hierarchy import MemoryHierarchy
+from ..reese import comparator
 from ..reese.comparator import p_value as reese_p_value
 from ..reese.comparator import reexecute as reese_reexecute
 from ..reese.comparator import values_equal
 from ..reese.faults import FaultModel, NoFaults, corrupt_value
 from ..reese.recovery import RetryTracker, UnrecoverableFaultError
-from ..reese.rqueue import R_DONE, R_ISSUED, REntry, RStreamQueue
+from ..reese.rqueue import R_DONE, R_ISSUED, R_WAITING, RStreamQueue
 from .config import MachineConfig
 from .funits import FUPool
 from .stats import Stats
@@ -63,7 +65,13 @@ from .stats import Stats
 # Enum members used per instruction, bound once: a module global is an
 # order of magnitude cheaper to read than an enum class attribute.
 _HALT, _J, _JAL, _JR, _JALR = Op.HALT, Op.J, Op.JAL, Op.JR, Op.JALR
-_FU_NONE, _FU_MEM, _FU_ALU = FUClass.NONE, FUClass.MEM_PORT, FUClass.INT_ALU
+_FU_NONE, _FU_MEM = FUClass.NONE, FUClass.MEM_PORT
+_CMP_LOAD, _CMP_COMPUTE, _CMP_BRANCH = (
+    comparator.CMP_LOAD, comparator.CMP_COMPUTE, comparator.CMP_BRANCH
+)
+
+# Program -> per static instruction, a wrong-path entry's ``(srcs, dst)``.
+_REGS: "WeakKeyDictionary[Program, list]" = WeakKeyDictionary()
 
 
 class SimulationDeadlockError(Exception):
@@ -138,7 +146,13 @@ def warm_predictor_over(predictor, trace) -> None:
 
 
 class _Entry:
-    """One in-flight instruction (fetch queue / RUU / LSQ resident)."""
+    """One in-flight instruction (fetch queue / RUU / LSQ resident).
+
+    Under REESE the entry that leaves the RUU is also the R-stream Queue
+    entry: the move fills the slots from ``p_value`` to ``order``, and
+    R completion ``r_value`` and ``r_fault_bit``; until then they are
+    unset.
+    """
 
     __slots__ = (
         "seq",            # dispatch-order id, unique across refetches
@@ -148,12 +162,12 @@ class _Entry:
         "fu",
         "is_load",
         "is_store",
-        "is_mem",
         "is_branch",
         "is_halt",
-        "wrong_path",
         "srcs",
         "dst",
+        "is_mem",
+        "wrong_path",
         "deps",
         "consumers",
         "issued",
@@ -165,11 +179,24 @@ class _Entry:
         "p_fault_bit",     # fault bit flipped in the P result, or None
         "is_shadow",       # dispatch-dup: the duplicate copy
         "shadow",          # dispatch-dup: original -> its duplicate
+        # R-stream Queue fields (REESE), set by the move:
+        "p_value",         # P comparable value (possibly fault-corrupted)
+        "r_fu",            # FUClass the R execution uses
+        "r_kind",          # comparator kind (repro.reese.comparator.bind)
+        "r_fn",            # its semantic function, or None
+        "r_state",         # R_WAITING / R_ISSUED / R_DONE
+        "inserted_cycle",
+        "order",           # insertion number (the R-issue merge order)
+        # ... and by R completion:
+        "r_value",         # R comparable value
+        "r_fault_bit",     # bit flipped in the R value by a fault, or None
     )
 
-    def __init__(self, seq: int, dyn: Optional[DynInst], inst=None) -> None:
+    def __init__(self, seq: int, dyn: Optional[DynInst], inst=None,
+                 regs=None) -> None:
         """A correct-path entry for ``dyn``, or (``dyn`` None) a
-        wrong-path entry for the static instruction ``inst``."""
+        wrong-path entry for the static instruction ``inst`` with its
+        ``(srcs, dst)`` pair ``regs``."""
         self.seq = seq
         self.dyn = dyn
         if dyn is not None:
@@ -193,8 +220,7 @@ class _Entry:
             self.is_branch = info.is_branch
             self.is_halt = info.is_halt
             self.wrong_path = True
-            self.srcs = inst.srcs()
-            self.dst = inst.dst()
+            self.srcs, self.dst = regs
         self.is_mem = is_load or is_store
         self.deps = 0
         self.consumers: List["_Entry"] = []
@@ -289,6 +315,10 @@ class Pipeline:
                 run.  ``None`` runs the trace to completion.
         """
         self.program = program
+        regs = _REGS.get(program)
+        if regs is None:  # bound once per program
+            regs = _REGS[program] = [(i.srcs(), i.dst()) for i in program]
+        self._wrong_path_regs = regs
         self.trace = trace
         self.config = config
         self.fault_model = fault_model or NoFaults()
@@ -350,9 +380,10 @@ class Pipeline:
         self.ready: List[_Entry] = []
         self.create: Dict[int, _Entry] = {}
 
-        # Completion wheel: finish cycle -> the P entries and R entries
-        # completing then, in scheduling order.  Every latency is >= 1,
-        # so each event lands strictly after the cycle that schedules it.
+        # Completion wheel: finish cycle -> the entries whose P (not yet
+        # ``completed``) or R execution completes then, in scheduling
+        # order.  Every latency is >= 1, so each event lands strictly
+        # after the cycle that schedules it.
         self._wheel: Dict[int, list] = defaultdict(list)
         # REESE lag histograms, int-keyed while running (see _finalize).
         self._detect_latency: Dict[int, int] = {}
@@ -374,6 +405,11 @@ class Pipeline:
             reese.high_water_margin, rqueue_size - 1
         )
         self._r_issue_width = reese.r_issue_width or config.issue_width
+        # R latency per unit class: R loads always hit in L1 (§4.4).
+        self._r_latency = {
+            fu: self._l1d_hit if fu is _FU_MEM else max(1, latency)
+            for fu, latency in self.fupool.latency.items()
+        }
 
         # Dispatch-duplication comparison scheme (related work, §3).
         self.dup_on = config.dispatch_dup
@@ -398,11 +434,7 @@ class Pipeline:
             SimulationDeadlockError: if no instruction commits for
                 :data:`DEADLOCK_WINDOW` cycles.
             SimulationTimeoutError: the cycle cap ran out before every
-                trace instruction committed.  Truncated runs used to
-                return partial Stats silently, so a too-small cap
-                quietly produced figures computed over a prefix of the
-                workload; exhaustion is now an explicit error carrying
-                the partial Stats.
+                trace instruction committed (carries the partial Stats).
             UnrecoverableFaultError: REESE retry budget exhausted.
         """
         total = len(self.trace)
@@ -414,17 +446,25 @@ class Pipeline:
         last_commit_cycle = 0
         last_committed = 0
         # Hoisted: fixed for the whole run (_begin_measurement zeroes
-        # the Stats counters in place).
+        # the Stats counters in place).  The stage variants are locals,
+        # never instance attributes: a bound method stored on the
+        # pipeline would make it part of a reference cycle.
         on_cycle = self._on_cycle
         acct = self.accountant
         stats = self.stats
         ifq = self.ifq
         window = self.DEADLOCK_WINDOW
+        if self.reese_on:
+            commit, issue = self._commit_reese, self._issue_reese
+        else:
+            commit = self._commit_dup if self.dup_on else self._commit_baseline
+            issue = self._issue_p
+        issue_width = self.config.issue_width
 
         while not self._done and self.cycle < cap:
-            self._commit()
+            commit()
             self._writeback()
-            self._issue()
+            issue(issue_width)
             self._dispatch()
             self._fetch()
             if on_cycle is not None:
@@ -514,14 +554,6 @@ class Pipeline:
     # commit
     # ==================================================================
 
-    def _commit(self) -> None:
-        if self.reese_on:
-            self._commit_reese()
-        elif self.dup_on:
-            self._commit_dup()
-        else:
-            self._commit_baseline()
-
     def _commit_baseline(self) -> None:
         budget = self.config.commit_width
         ruu = self.ruu
@@ -548,7 +580,7 @@ class Pipeline:
             self.commit_seq = trace_seq + 1
             ruu.pop(0)
             if head.is_mem:
-                self._lsq_remove(head)
+                self.lsq.remove(head)
             if head.is_halt or trace_seq == self._stop_after:
                 self._done = True
                 return
@@ -561,11 +593,17 @@ class Pipeline:
         behind it.  Both must have completed; their (possibly
         fault-corrupted) results are compared and the instruction
         retires once.  A mismatch triggers the same flush-and-refetch
-        recovery as REESE.
+        recovery as REESE.  A store that finds no free memory port
+        waits before its comparison, so each instruction is compared
+        once.
         """
         budget = self.config.commit_width
         ruu = self.ruu
+        lsq = self.lsq
         observer = self.observer
+        stats = self.stats
+        cycle = self.cycle
+        fupool = self.fupool
         while budget and ruu:
             head = ruu[0]
             if head.wrong_path or not head.completed:
@@ -573,10 +611,13 @@ class Pipeline:
             shadow = head.shadow
             if shadow is not None and not shadow.completed:
                 break
-            if head.trace_seq == self._measure_from:
+            trace_seq = head.trace_seq
+            if trace_seq == self._measure_from:
                 self._begin_measurement()
+            if head.is_store and not fupool.available(_FU_MEM, cycle):
+                break
             if shadow is not None:
-                self.stats.comparisons += 1
+                stats.comparisons += 1
                 p_val = reese_p_value(head.dyn)
                 if head.p_fault_bit is not None:
                     p_val = corrupt_value(p_val, head.p_fault_bit)
@@ -585,38 +626,28 @@ class Pipeline:
                     r_val = corrupt_value(r_val, shadow.p_fault_bit)
                 match = values_equal(p_val, r_val)
                 if observer is not None:
-                    observer.notify(
-                        "compare", self.cycle, head, match=match
-                    )
+                    observer.notify("compare", cycle, head, match=match)
                 if not match:
-                    self.stats.errors_detected += 1
-                    self.stats.recoveries += 1
-                    if self.retry.record_failure(head.trace_seq):
-                        self.stats.unrecoverable = True
-                        raise UnrecoverableFaultError(
-                            head.trace_seq, self.retry.failures
-                        )
-                    self._flush_all(refetch_cursor=head.trace_seq)
+                    self._handle_detected_error(trace_seq)
                     return
                 if (
                     head.p_fault_bit is not None
                     and shadow.p_fault_bit is not None
                 ):
-                    self.stats.errors_undetected_same_event += 1
+                    stats.errors_undetected_same_event += 1
             if head.is_store:
-                if self.fupool.acquire(_FU_MEM, self.cycle) is None:
-                    break
+                fupool.acquire(_FU_MEM, cycle)
                 self.mem.daccess(head.dyn.ea, is_write=True)
-            self.retry.record_success(head.trace_seq)
+            self.retry.record_success(trace_seq)
             if observer is not None:
-                observer.notify("commit", self.cycle, head)
-            self.stats.committed += 1
-            self.commit_seq = head.trace_seq + 1
-            if head.is_halt or head.trace_seq == self._stop_after:
+                observer.notify("commit", cycle, head)
+            stats.committed += 1
+            self.commit_seq = trace_seq + 1
+            if head.is_halt or trace_seq == self._stop_after:
                 self._done = True
             ruu.pop(0)
             if head.is_mem:
-                self._lsq_remove(head)
+                lsq.remove(head)
             if shadow is not None:
                 # The duplicate is adjacent: remove it too.
                 if ruu and ruu[0] is shadow:
@@ -624,7 +655,7 @@ class Pipeline:
                 else:  # pragma: no cover - defensive
                     ruu.remove(shadow)
                 if shadow.is_mem:
-                    self._lsq_remove(shadow)
+                    lsq.remove(shadow)
             if self._done:
                 return
             budget -= 1
@@ -634,57 +665,68 @@ class Pipeline:
         # Queue in program order (frees queue slots for phase 2).
         budget = self.config.commit_width
         rqueue = self.rqueue
-        committable = rqueue.committable
+        by_seq = rqueue.by_seq
         observer = self.observer
         stats = self.stats
         cycle = self.cycle
         residency = self._rqueue_residency
-        record_success = self.retry.record_success
+        retry = self.retry
+        fupool = self.fupool
         while budget:
-            rentry = committable(self.commit_seq)
-            if rentry is None:
+            seq = self.commit_seq
+            entry = by_seq.get(seq)
+            if entry is None or entry.r_state != R_DONE:
                 break
-            dyn = rentry.dyn
-            seq = rentry.seq
             if seq == self._measure_from:
                 self._begin_measurement()
-            if not rentry.skip_r:
+            is_store = entry.is_store
+            # A store waits for a memory port before its comparison, so
+            # each instruction is compared once.
+            if is_store and not fupool.available(_FU_MEM, cycle):
+                break
+            if not entry.skip_r:
                 stats.comparisons += 1
-                match = values_equal(rentry.p_value, rentry.r_value)
+                p_val = entry.p_value
+                r_val = entry.r_value
+                if p_val is r_val:
+                    match = True
+                elif p_val.__class__ is int and r_val.__class__ is int:
+                    match = p_val == r_val
+                else:
+                    match = values_equal(p_val, r_val)
                 if observer is not None:
                     observer.notify(
-                        "compare", cycle, rentry=rentry, match=match
+                        "compare", cycle, rentry=entry, match=match
                     )
                 if not match:
-                    self._handle_detected_error(rentry)
+                    self._handle_detected_error(seq)
                     return
                 if (
-                    rentry.p_fault_bit is not None
-                    and rentry.r_fault_bit is not None
+                    entry.p_fault_bit is not None
+                    and entry.r_fault_bit is not None
                 ):
                     # Both corrupted identically inside one environmental
                     # event: comparison passes, the error escapes.
                     stats.errors_undetected_same_event += 1
-            elif rentry.p_fault_bit is not None:
+            elif entry.p_fault_bit is not None:
                 # Re-execution skipped (duty cycle): corruption escapes.
                 stats.sdc_commits += 1
-            if dyn.is_store:
-                if self.fupool.acquire(_FU_MEM, cycle) is None:
-                    break
-                self.mem.daccess(dyn.ea, is_write=True)
-                if rentry.lsq_entry is not None:
-                    self._lsq_remove(rentry.lsq_entry)
-            rqueue.pop(seq)
-            lag = cycle - rentry.inserted_cycle
+            if is_store:
+                fupool.acquire(_FU_MEM, cycle)
+                self.mem.daccess(entry.dyn.ea, is_write=True)
+                self.lsq.remove(entry)
+            del by_seq[seq]
+            lag = cycle - entry.inserted_cycle
             residency[lag] = residency.get(lag, 0) + 1
-            record_success(seq)
+            if seq == retry.seq:
+                retry.record_success(seq)
             if observer is not None:
                 observer.notify(
-                    "commit", cycle, trace_seq=seq, rentry=rentry,
+                    "commit", cycle, trace_seq=seq, rentry=entry,
                 )
             stats.committed += 1
             self.commit_seq = seq + 1
-            if dyn.op is _HALT or seq == self._stop_after:
+            if entry.is_halt or seq == self._stop_after:
                 self._done = True
                 return
             budget -= 1
@@ -698,8 +740,10 @@ class Pipeline:
         moves = self.config.commit_width
         early = self.config.reese.early_remove
         ruu = self.ruu
-        push = rqueue.push
-        free_slots = rqueue.free_slots
+        pending = rqueue.pending
+        bindings = comparator.BINDINGS
+        free_slots = rqueue.capacity - len(by_seq)
+        order = rqueue.total_inserted
         index = 0
         older_unmoved = 0
         while moves and index < len(ruu):
@@ -716,45 +760,49 @@ class Pipeline:
                 stats.rqueue_full_events += 1
                 break
             dyn = entry.dyn
-            p_val = reese_p_value(dyn)
+            r_fu, kind, fn = bindings[dyn.op]
+            if kind <= _CMP_COMPUTE:
+                p_val = dyn.result
+            elif kind == _CMP_BRANCH:
+                p_val = 1 if dyn.taken else 0
+            else:
+                p_val = reese_p_value(dyn)
             fault_bit = entry.p_fault_bit
             if fault_bit is not None:
                 p_val = corrupt_value(p_val, fault_bit)
-            # The redundant execution's unit: loads re-read through a
-            # memory port; address and direction recomputation (stores,
-            # branches) and unit-less ops run on an integer ALU.
-            if entry.is_load:
-                r_fu = _FU_MEM
-            elif entry.is_store or entry.is_branch or entry.fu is _FU_NONE:
-                r_fu = _FU_ALU
+            entry.p_value = p_val
+            entry.r_fu = r_fu
+            entry.r_kind = kind
+            entry.r_fn = fn
+            entry.inserted_cycle = cycle
+            entry.order = order
+            order += 1
+            by_seq[entry.trace_seq] = entry
+            if entry.skip_r:
+                entry.r_state = R_DONE
             else:
-                r_fu = entry.fu
-            rentry = REntry(
-                entry.trace_seq, dyn, p_val, r_fu, cycle, entry.skip_r
-            )
-            rentry.p_fault_bit = fault_bit
-            if entry.is_store:
-                rentry.lsq_entry = entry
-            push(rentry)
+                entry.r_state = R_WAITING
+                pending[r_fu].append(entry)
             free_slots -= 1
             if observer is not None:
                 observer.notify("rqueue", cycle, entry)
             stats.rqueue_moves += 1
             ruu.pop(index)
             if entry.is_load:
-                self._lsq_remove(entry)
+                self.lsq.remove(entry)
             # Stores keep their LSQ slot until the post-comparison commit:
             # the LSQ entry is the store buffer, and memory must not be
             # written before the R-stream verification passes (§4.3).
             moves -= 1
+        rqueue.total_inserted = order
 
-    def _handle_detected_error(self, rentry: REntry) -> None:
+    def _handle_detected_error(self, trace_seq: int) -> None:
         self.stats.errors_detected += 1
         self.stats.recoveries += 1
-        if self.retry.record_failure(rentry.seq):
+        if self.retry.record_failure(trace_seq):
             self.stats.unrecoverable = True
-            raise UnrecoverableFaultError(rentry.seq, self.retry.failures)
-        self._flush_all(refetch_cursor=rentry.seq)
+            raise UnrecoverableFaultError(trace_seq, self.retry.failures)
+        self._flush_all(refetch_cursor=trace_seq)
 
     def _flush_all(self, refetch_cursor: int) -> None:
         """Full pipeline + R-stream Queue flush (REESE error recovery)."""
@@ -794,7 +842,7 @@ class Pipeline:
         sample = self._sample_fault
         detect = self._detect_latency
         for event in bucket:
-            if event.__class__ is _Entry:  # P completion
+            if not event.completed:  # P completion
                 if event.squashed:
                     continue
                 event.completed = True
@@ -816,20 +864,33 @@ class Pipeline:
                     event.consumers = []
                 if event.mispredicted:
                     self._recover_mispredict(event)
-            else:  # R completion
+            else:  # R completion: recompute from the stored operands
                 lag = cycle - event.inserted_cycle
                 detect[lag] = detect.get(lag, 0) + 1
-                r_val = reese_reexecute(event.dyn)
+                dyn = event.dyn
+                kind = event.r_kind
+                if kind == _CMP_COMPUTE:
+                    r_val = event.r_fn(dyn.a, dyn.b, dyn.imm)
+                elif kind == _CMP_LOAD:
+                    r_val = dyn.result
+                elif kind == _CMP_BRANCH:
+                    r_val = 1 if event.r_fn(dyn.a, dyn.b) else 0
+                else:
+                    r_val = reese_reexecute(dyn)
+                bit = None
                 if sample is not None:
                     bit = sample(cycle)
-                    if bit is not None and r_val is not None:
-                        r_val = corrupt_value(r_val, bit)
-                        event.r_fault_bit = bit
+                    if bit is not None:
+                        if r_val is None:
+                            bit = None
+                        else:
+                            r_val = corrupt_value(r_val, bit)
+                event.r_fault_bit = bit
                 event.r_value = r_val
-                event.state = R_DONE
+                event.r_state = R_DONE
                 if observer is not None:
                     observer.notify(
-                        "r_complete", cycle, trace_seq=event.seq,
+                        "r_complete", cycle, trace_seq=event.trace_seq,
                         rentry=event,
                     )
 
@@ -880,13 +941,9 @@ class Pipeline:
     # issue
     # ==================================================================
 
-    def _issue(self) -> None:
-        budget = self.config.issue_width
-        if not self.reese_on:
-            self._issue_p(budget)
-            return
+    def _issue_reese(self, budget: int) -> None:
         r_budget = self._r_issue_width
-        if len(self.rqueue) >= self._r_high_water:
+        if len(self.rqueue.by_seq) >= self._r_high_water:
             before = min(budget, r_budget)
             issued = before - self._issue_r(before)
             budget -= issued
@@ -984,12 +1041,14 @@ class Pipeline:
         """Issue R-stream entries oldest-first into idle units.
 
         Merges the heads of the R-stream Queue's per-class FIFOs by
-        insertion order and drops a class once its pool is exhausted
-        this cycle: the entries issued, and their order, are those of
-        one insertion-order scan that skips every entry whose unit is
-        busy.  With an accountant bound, every blocked entry that scan
-        would have visited (each one older than the last issue, or all
-        of them if the budget outlasted the queue) is charged once.
+        insertion order, granting each run of a class's entries older
+        than every other class's head with one :meth:`FUPool.acquire_r`,
+        and drops a class once its pool is exhausted this cycle: the
+        entries issued, and their order, are those of one
+        insertion-order scan that skips every entry whose unit is busy.
+        With an accountant bound, every blocked entry that scan would
+        have visited (each one older than the last issue, or all of
+        them if the budget outlasted the queue) is charged once.
         """
         if not budget:
             return budget
@@ -997,55 +1056,67 @@ class Pipeline:
         if not live:
             return budget
         acct = self.accountant
-        blocked: List[Deque[REntry]] = []
+        blocked: List[Deque[_Entry]] = []
         cycle = self.cycle
         exhausted = self.fupool.exhausted
-        acquire = self.fupool.acquire
+        acquire_r = self.fupool.acquire_r
+        r_latency = self._r_latency
         observer = self.observer
         stats = self.stats
         wheel = self._wheel
         last = -1
         while live:
+            # The oldest head across the FIFOs, and the next-oldest head
+            # (the end of the oldest one's run).
             fifo = live[0]
-            rentry = fifo[0]
-            for other in live:  # the oldest head across the FIFOs
-                if other[0].order < rentry.order:
-                    fifo = other
-                    rentry = other[0]
-            fu = rentry.fu
-            grant = (
-                None if exhausted[fu][0] == cycle
-                else acquire(fu, cycle, True)
+            oldest = fifo[0].order
+            bound = -1
+            for other in live:
+                head = other[0].order
+                if head < oldest:
+                    fifo, oldest, bound = other, head, oldest
+                elif head > oldest and (bound < 0 or head < bound):
+                    bound = head
+            fu = fifo[0].r_fu
+            want = 1
+            limit = min(budget, len(fifo))
+            if bound < 0:
+                want = limit
+            else:
+                while want < limit and fifo[want].order < bound:
+                    want += 1
+            granted = (
+                0 if exhausted[fu][0] == cycle else acquire_r(fu, cycle, want)
             )
-            if grant is None:  # FU busy: skip — R entries are independent
+            if granted:
+                bucket = wheel[cycle + r_latency[fu]]
+                popleft = fifo.popleft
+                for _ in range(granted):
+                    entry = popleft()
+                    entry.r_state = R_ISSUED
+                    bucket.append(entry)
+                    if observer is not None:
+                        observer.notify(
+                            "r_issue", cycle, trace_seq=entry.trace_seq,
+                            rentry=entry,
+                        )
+                stats.issued_r += granted
+                last = entry.order
+                budget -= granted
+                if not budget:
+                    break
+            if granted < want:  # FU busy: skip — R entries are independent.
                 live.remove(fifo)
                 if acct is not None:
                     blocked.append(fifo)
-                continue
-            fifo.popleft()
-            if not fifo:
+            elif not fifo:
                 live.remove(fifo)
-            rentry.state = R_ISSUED
-            if fu is _FU_MEM:
-                latency = self._l1d_hit  # R loads always hit in L1 (§4.4)
-            else:
-                latency = grant if grant > 1 else 1
-            wheel[cycle + latency].append(rentry)
-            if observer is not None:
-                observer.notify(
-                    "r_issue", cycle, trace_seq=rentry.seq, rentry=rentry
-                )
-            stats.issued_r += 1
-            last = rentry.order
-            budget -= 1
-            if not budget:
-                break
         if acct is not None:
             for fifo in blocked:
-                for rentry in fifo:
-                    if not budget and rentry.order > last:
+                for entry in fifo:
+                    if not budget and entry.order > last:
                         break
-                    acct.note_fu_block(rentry.fu, cycle, True)
+                    acct.note_fu_block(entry.r_fu, cycle, True)
         return budget
 
     # ==================================================================
@@ -1147,6 +1218,7 @@ class Pipeline:
         l1i_hit = self._l1i_hit
         next_seq = self._next_seq
         duty_period = self._duty_period
+        wrong_path_regs = self._wrong_path_regs
         while budget:
             if self.wp_active:
                 index = self.wp_index
@@ -1154,7 +1226,7 @@ class Pipeline:
                 if index < 0 or index >= len(code):
                     break  # wrong-path fetch has nowhere to go: stall
                 inst = code[index]
-                entry = _Entry(next_seq, None, inst)
+                entry = _Entry(next_seq, None, inst, wrong_path_regs[index])
                 next_seq += 1
                 stats.fetched_wrong_path += 1
                 # Walk the wrong path by predictor direction / direct
@@ -1250,13 +1322,3 @@ class Pipeline:
             self.btb.update(dyn.pc, dyn.target_index)
             return predicted if predicted is not None else -1
         raise AssertionError(f"not a branch: {op}")
-
-    # ==================================================================
-    # helpers
-    # ==================================================================
-
-    def _lsq_remove(self, entry: _Entry) -> None:
-        try:
-            self.lsq.remove(entry)
-        except ValueError:  # pragma: no cover - defensive
-            pass

@@ -451,15 +451,21 @@ class WarmSweep:
         config: MachineConfig,
         spec: SamplingSpec,
         warm: bool = True,
+        profile: Optional[List[int]] = None,
     ) -> None:
         self.program = program
         self.trace = trace
         self.config = config
         self.spec = spec
         self.warm = warm
+        #: ``profile`` placement's mispredict prefix sums: the caller's
+        #: ``profile`` when given, else computed here.
         self.profile: Optional[List[int]] = None
         if spec.placement == "profile":
-            self.profile = mispredict_profile(program, trace, config)
+            self.profile = (
+                mispredict_profile(program, trace, config)
+                if profile is None else profile
+            )
         self.bounds = select_intervals(len(trace), spec, self.profile)
         #: The live fold (built by the first :func:`build_warm_state`)
         #: and the trace position its replay has reached.

@@ -82,33 +82,20 @@ def _copy_json(value: Any) -> Any:
 class Stats:
     """Counters for one simulation run."""
 
-    __slots__ = (
-        "cycles",
-        "committed",
-        "fetched",
-        "fetched_wrong_path",
-        "dispatched",
-        "dispatched_wrong_path",
-        "issued",
-        "issued_wrong_path",
-        "issued_r",
-        "squashed",
-        "branches",
-        "cond_branches",
-        "mispredictions",
-        "loads",
-        "stores",
-        "load_forwards",
-        "ruu_full_events",
-        "lsq_full_events",
-        "rqueue_full_events",
-        "rqueue_moves",
-        "r_skipped_duty",
-        "comparisons",
-        "errors_detected",
-        "errors_undetected_same_event",
-        "sdc_commits",
-        "recoveries",
+    #: Counters combined by summation when merging interval Stats (and
+    #: zeroed when a measurement window opens).
+    _SUM_FIELDS = (
+        "cycles", "committed", "fetched", "fetched_wrong_path",
+        "dispatched", "dispatched_wrong_path", "issued",
+        "issued_wrong_path", "issued_r", "squashed", "branches",
+        "cond_branches", "mispredictions", "loads", "stores",
+        "load_forwards", "ruu_full_events", "lsq_full_events",
+        "rqueue_full_events", "rqueue_moves", "r_skipped_duty",
+        "comparisons", "errors_detected", "errors_undetected_same_event",
+        "sdc_commits", "recoveries",
+    )
+
+    __slots__ = _SUM_FIELDS + (
         "unrecoverable",
         "halted",
         "bpred_accuracy",
@@ -121,32 +108,8 @@ class Stats:
     )
 
     def __init__(self) -> None:
-        self.cycles = 0
-        self.committed = 0
-        self.fetched = 0
-        self.fetched_wrong_path = 0
-        self.dispatched = 0
-        self.dispatched_wrong_path = 0
-        self.issued = 0
-        self.issued_wrong_path = 0
-        self.issued_r = 0
-        self.squashed = 0
-        self.branches = 0
-        self.cond_branches = 0
-        self.mispredictions = 0
-        self.loads = 0
-        self.stores = 0
-        self.load_forwards = 0
-        self.ruu_full_events = 0
-        self.lsq_full_events = 0
-        self.rqueue_full_events = 0
-        self.rqueue_moves = 0
-        self.r_skipped_duty = 0
-        self.comparisons = 0
-        self.errors_detected = 0
-        self.errors_undetected_same_event = 0
-        self.sdc_commits = 0
-        self.recoveries = 0
+        for name in self._SUM_FIELDS:
+            setattr(self, name, 0)
         self.unrecoverable = False
         self.halted = False
         self.bpred_accuracy = 0.0
@@ -218,17 +181,6 @@ class Stats:
 
     # -- aggregation (the sampled-simulation merge path) -----------------
 
-    #: Counters combined by summation when merging interval Stats.
-    _SUM_FIELDS = (
-        "cycles", "committed", "fetched", "fetched_wrong_path",
-        "dispatched", "dispatched_wrong_path", "issued",
-        "issued_wrong_path", "issued_r", "squashed", "branches",
-        "cond_branches", "mispredictions", "loads", "stores",
-        "load_forwards", "ruu_full_events", "lsq_full_events",
-        "rqueue_full_events", "rqueue_moves", "r_skipped_duty",
-        "comparisons", "errors_detected", "errors_undetected_same_event",
-        "sdc_commits", "recoveries",
-    )
     #: ``{key: count}`` histograms combined by key-wise summation.
     _HIST_FIELDS = ("detect_latency", "rqueue_residency")
 

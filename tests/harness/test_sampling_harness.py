@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.harness.experiments import figure2_spec, run_figure
+from repro.harness import parallel
 from repro.harness.parallel import (
     CACHE_VERSION,
     FaultSpec,
@@ -342,6 +343,27 @@ class TestWarmGroups:
         assert len(telemetry.records) == len(interval_jobs)
         assert charged >= pause
         assert telemetry.wall_seconds - charged < pause / 2
+
+
+class TestProfileOncePerWarmGroup:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_profile_per_warm_group(self, monkeypatch, tmp_path, jobs):
+        # The parent computes each warm group's profile to place its
+        # intervals; the group's unit must reuse it, pooled or not.
+        log = tmp_path / "profiles.log"
+        original = sampling.mispredict_profile
+
+        def counting(program, trace, config):
+            with open(log, "a") as handle:  # pool workers append too
+                handle.write(program.name + "\n")
+            return original(program, trace, config)
+
+        monkeypatch.setattr(sampling, "mispredict_profile", counting)
+        monkeypatch.setattr(parallel, "mispredict_profile", counting)
+        spec = dataclasses.replace(figure2_spec(), benchmarks=("gcc", "li"))
+        runner = ParallelRunner(jobs=jobs, use_cache=False)
+        run_figure(spec, scale=SCALE, runner=runner, sampling=SPEC)
+        assert sorted(log.read_text().split()) == ["gcc_proxy", "li_proxy"]
 
 
 def _mixed_batch():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.arch import emulate
 from repro.uarch import Pipeline, starting_config
+from repro.uarch.observe import InvariantChecker, Observability
 from repro.workloads import MixProfile, generate_program
 
 
@@ -78,3 +79,34 @@ class TestPipelineProperties:
         config = starting_config().with_reese(early_remove=True)
         stats = Pipeline(program, trace, config).run()
         assert stats.committed == len(trace)
+
+
+#: The REESE knobs Figure 2 never sets, one machine each.
+_REESE_KNOBS = {
+    "early_remove": dict(early_remove=True),
+    "rqueue_size=8": dict(rqueue_size=8, high_water_margin=2),
+    "r_issue_width=2": dict(r_issue_width=2),
+    "r_duty_cycle=0.5": dict(r_duty_cycle=0.5),
+}
+
+
+class TestReeseKnobsUnderTheChecker:
+    """The R-stream Queue entry is the pipeline's own entry: under every
+    REESE knob, with the invariant checker watching each queue step, a
+    fault-free run commits the whole trace in order, detects nothing and
+    compares each re-executed instruction exactly once."""
+
+    @given(program_and_trace(), st.sampled_from(sorted(_REESE_KNOBS)))
+    @settings(max_examples=24, deadline=None)
+    def test_commits_in_order_and_compares_once(self, data, knob):
+        program, trace = data
+        config = starting_config().with_reese(**_REESE_KNOBS[knob])
+        checker = InvariantChecker()
+        stats = Pipeline(program, trace, config,
+                         observer=Observability(checker=checker)).run()
+        assert stats.committed == len(trace)
+        assert checker.violations == []
+        assert stats.errors_detected == 0
+        assert stats.comparisons == stats.issued_r
+        if knob == "r_duty_cycle=0.5":
+            assert stats.issued_r < stats.committed

@@ -1,22 +1,19 @@
-"""Property-based tests for R-stream Queue invariants."""
+"""Property-based tests for R-stream Queue invariants.
+
+The queue's operations are the pipeline's own (insertion, R issue,
+R completion, final commit, flush), driven through
+``tests/reese/rqueue_bench.py`` and checked against a reference model.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.arch.trace import DynInst
-from repro.isa.instructions import FUClass, Op
-from repro.reese import R_DONE, R_ISSUED, R_WAITING, REntry, RStreamQueue
+from repro.reese import R_DONE, R_ISSUED, R_WAITING
 
+from tests.reese.rqueue_bench import R_CLASSES, QueueBench
 
-R_CLASSES = [FUClass.INT_ALU, FUClass.MEM_PORT, FUClass.INT_MULT]
-
-
-def make_entry(seq, fu=FUClass.INT_ALU):
-    dyn = DynInst()
-    dyn.seq = seq
-    dyn.op = Op.ADD
-    return REntry(seq, dyn, p_value=seq, fu=fu, inserted_cycle=0)
+CAPACITY = 8
 
 
 class RQueueMachine(RuleBasedStateMachine):
@@ -24,100 +21,98 @@ class RQueueMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.queue = RStreamQueue(capacity=8)
+        self.bench = QueueBench(capacity=CAPACITY)
+        self.pipe = self.bench.pipe
+        self.queue = self.bench.queue
         self.model = {}           # seq -> state
-        self.insertion = []       # insertion order of waiting entries
-        self.next_seq = 0
-        self.entries = {}
+        self.insertion = []       # insertion order of queued seqs
+        self.unmoved = []         # seqs completed in the RUU, unmoved
+        self.committed = 0
 
-    @rule(fu=st.sampled_from(R_CLASSES))
-    def push(self, fu):
-        if self.queue.full:
+    @rule(fu=st.sampled_from(R_CLASSES), skip_r=st.booleans())
+    def complete(self, fu, skip_r):
+        if len(self.pipe.ruu) >= self.pipe.config.ruu_size:
             return
-        entry = make_entry(self.next_seq, fu)
-        self.queue.push(entry)
-        self.entries[self.next_seq] = entry
-        self.model[self.next_seq] = R_WAITING
-        self.insertion.append(self.next_seq)
-        self.next_seq += 1
+        entry = self.bench.complete(fu, skip_r=skip_r)
+        self.unmoved.append((entry.trace_seq, skip_r))
 
     @rule()
-    def issue_head(self):
-        entry = self.queue.peek_unissued()
-        if entry is None:
-            assert not any(s == R_WAITING for s in self.model.values())
-            return
-        # FIFO: head of pending must be the earliest-inserted waiting seq.
-        waiting = [s for s in self.insertion if self.model.get(s) == R_WAITING]
-        assert entry.seq == waiting[0]
-        self.queue.mark_issued(entry)
-        self.model[entry.seq] = R_ISSUED
+    def commit(self):
+        budget = self.pipe.config.commit_width
+        expected = []
+        while budget and self.model.get(self.committed) == R_DONE:
+            del self.model[self.committed]
+            self.insertion.remove(self.committed)
+            expected.append(self.committed)
+            self.committed += 1
+            budget -= 1
+        moved = []
+        moves = self.pipe.config.commit_width
+        while moves and self.unmoved and len(self.model) < CAPACITY:
+            seq, skip_r = self.unmoved.pop(0)
+            self.model[seq] = R_DONE if skip_r else R_WAITING
+            self.insertion.append(seq)
+            moved.append(seq)
+            moves -= 1
+        self.bench.commit()
+        assert self.bench.recorder.take("commit") == expected
+        assert self.bench.recorder.take("rqueue") == moved
+        assert self.pipe.commit_seq == self.committed
 
-    @rule(data=st.data())
-    def issue_any(self, data):
-        # The issue stage may skip a busy class and issue a younger entry.
-        waiting = [s for s in self.insertion if self.model.get(s) == R_WAITING]
-        if not waiting:
-            return
-        seq = data.draw(st.sampled_from(waiting))
-        self.queue.mark_issued(self.entries[seq])
-        self.model[seq] = R_ISSUED
-
-    @rule(data=st.data())
-    def complete_some_issued(self, data):
-        issued = [s for s, state in self.model.items() if state == R_ISSUED]
-        if not issued:
-            return
-        seq = data.draw(st.sampled_from(issued))
-        self.entries[seq].state = R_DONE
-        self.model[seq] = R_DONE
+    @rule(budget=st.integers(1, 8))
+    def issue(self, budget):
+        issued = self.bench.issue(budget)
+        assert len(issued) <= budget
+        waiting = [s for s in self.insertion if self.model[s] == R_WAITING]
+        # The issued entries are waiting ones, in insertion order.
+        assert [s for s in waiting if s in issued] == issued
+        for seq in issued:
+            self.model[seq] = R_ISSUED
 
     @rule()
-    def commit_oldest_done(self):
-        if not self.model:
-            return
-        oldest = min(self.model)
-        entry = self.queue.committable(oldest)
-        if self.model[oldest] == R_DONE:
-            assert entry is not None
-            self.queue.pop(oldest)
-            del self.model[oldest]
-            self.insertion = [s for s in self.insertion if s != oldest]
-        else:
-            assert entry is None
+    def tick(self):
+        for seq in self.bench.tick():
+            assert self.model[seq] == R_ISSUED
+            self.model[seq] = R_DONE
 
     @rule()
     def flush(self):
-        dropped = self.queue.clear()
-        assert dropped == len(self.model)
+        self.bench.flush()
+        assert self.bench.recorder.take("commit") == []
         self.model.clear()
         self.insertion.clear()
+        self.unmoved.clear()
 
     @invariant()
     def occupancy_matches_model(self):
-        assert len(self.queue) == len(self.model)
-        assert self.queue.full == (len(self.model) >= 8)
+        assert len(self.queue) == len(self.model) <= CAPACITY
 
     @invariant()
-    def entries_in_program_order(self):
-        seqs = [entry.seq for entry in self.queue.entries()]
-        assert seqs == sorted(self.model)
+    def entries_match_the_model(self):
+        assert sorted(self.queue.by_seq) == sorted(self.model)
+        for seq, entry in self.queue.by_seq.items():
+            assert entry.r_state == self.model[seq]
 
     @invariant()
     def waiting_in_insertion_order(self):
-        waiting = [entry.seq for entry in self.queue.waiting_entries()]
         model_waiting = [
-            seq for seq in self.insertion if self.model.get(seq) == R_WAITING
+            seq for seq in self.insertion if self.model[seq] == R_WAITING
         ]
-        assert waiting == model_waiting
+        assert self.bench.waiting() == model_waiting
 
     @invariant()
     def fifos_hold_their_class_in_order(self):
         for fu, fifo in self.queue.pending.items():
             orders = [entry.order for entry in fifo]
             assert orders == sorted(orders)
-            assert all(entry.fu == fu for entry in fifo)
+            assert all(entry.r_fu == fu for entry in fifo)
         assert self.queue.validate() == []
+
+    @invariant()
+    def commits_are_compared(self):
+        stats = self.pipe.stats
+        assert stats.errors_detected == 0
+        assert stats.committed == self.committed
 
 
 TestRQueueStateMachine = RQueueMachine.TestCase
@@ -127,19 +122,16 @@ TestRQueueStateMachine.settings = settings(
 
 
 class TestSimpleProperties:
-    @given(st.lists(st.tuples(st.integers(0, 1000),
-                              st.sampled_from(R_CLASSES)),
-                    unique_by=lambda item: item[0], min_size=1, max_size=32))
-    def test_insertion_order_preserved_for_issue(self, items):
-        queue = RStreamQueue(capacity=32)
-        seqs = [seq for seq, _ in items]
-        for seq, fu in items:
-            queue.push(make_entry(seq, fu))
+    @given(st.lists(st.sampled_from(R_CLASSES), min_size=1, max_size=32))
+    def test_insertion_order_preserved_for_issue(self, classes):
+        bench = QueueBench(capacity=32)
         issued = []
-        while True:
-            entry = queue.peek_unissued()
-            if entry is None:
-                break
-            queue.mark_issued(entry)
-            issued.append(entry.seq)
-        assert issued == seqs
+        for index, fu in enumerate(classes):
+            bench.complete(fu)
+            if index % 8 == 7:
+                bench.commit()  # at most commit-width moves a cycle
+        bench.commit()
+        while len(issued) < len(classes):
+            issued += bench.issue(budget=1)
+            bench.tick()
+        assert issued == list(range(len(classes)))

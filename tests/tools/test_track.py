@@ -112,3 +112,74 @@ class TestCheckedInTrajectory:
         data = bench_track.load_trajectory(bench_track.DEFAULT_PATH)
         assert bench_track.validate_trajectory(data) == []
         assert data["entries"], "seed entry missing"
+
+
+def _perfbench_output(wall, digest="ab" * 32, workload="fig2", seed=0):
+    """The table ``perfbench/run.py`` prints, then its JSON line."""
+    return "\n".join([
+        f"perfbench {workload} seed {seed}: 5 passes, 3 set-up probes, "
+        f"150 operations, 0 failed",
+        "  setup_s              0.312 s",
+        f"  wall_s               {wall} s",
+        "  peak_rss_mb          38.1 MB",
+        "  kips_baseline        105.4 kinst/s",
+        "  kips_reese           55.4 kinst/s",
+        "  runs_per_s              — 1/s",
+        "  error_rate              0 ratio",
+        f"  stats_digest     {digest}",
+        '{"correct": true, "attempted": 150, "failed": 0, "metrics": {}}',
+    ])
+
+
+class TestSpeedEntries:
+    def test_parse_reads_the_table(self):
+        run = bench_track.parse_perfbench(_perfbench_output(3.3))
+        assert run["workload"] == "fig2" and run["seed"] == 0
+        assert run["metrics"]["wall_s"] == 3.3
+        assert run["metrics"]["runs_per_s"] is None
+        assert run["stats_digest"] == "ab" * 32
+
+    def test_parse_rejects_other_text(self):
+        with pytest.raises(ValueError, match="not a perfbench run"):
+            bench_track.parse_perfbench("hello\n")
+
+    def test_entry_takes_medians(self):
+        entry = bench_track.speed_entry(
+            "x", [_perfbench_output(w) for w in (3.0, 2.0, 9.0)], "abc1234"
+        )
+        assert entry["metrics"]["wall_s"] == 3.0
+        assert entry["metrics"]["runs_per_s"] is None
+        assert entry["runs"] == 3 and entry["git_rev"] == "abc1234"
+        data = {"schema": 2, "entries": [_entry(), entry]}
+        assert bench_track.validate_trajectory(data) == []
+
+    def test_runs_must_agree_on_the_digest(self):
+        with pytest.raises(ValueError, match="stats_digest"):
+            bench_track.speed_entry("x", [_perfbench_output(1.0),
+                                          _perfbench_output(1.0, "cd" * 32)])
+
+    def test_validate_flags_bad_speed_entries(self):
+        entry = bench_track.speed_entry("x", [_perfbench_output(1.0)])
+        entry["metrics"]["wall_s"] = None
+        entry["stats_digest"] = "nope"
+        errors = bench_track.validate_trajectory(
+            {"schema": 1, "entries": [entry]}
+        )
+        assert any("schema-1 document" in e for e in errors)
+        assert any("wall_s" in e for e in errors)
+        assert any("stats_digest" in e for e in errors)
+
+    def test_ingest_upgrades_a_schema_1_document(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"schema": 1, "entries": [_entry()]}))
+        runs = []
+        for index, wall in enumerate((1.5, 1.1)):
+            runs.append(tmp_path / f"run{index}.txt")
+            runs[-1].write_text(_perfbench_output(wall, workload="faults"))
+        assert bench_track.main(["--label", "x", "--ingest", *map(str, runs),
+                                 "--path", str(path)]) == 0
+        data = json.loads(path.read_text())
+        assert data["schema"] == 2
+        assert data["entries"][1]["workload"] == "faults"
+        assert data["entries"][1]["metrics"]["wall_s"] == 1.3
+        assert bench_track.main(["--validate", "--path", str(path)]) == 0

@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 
 from repro.arch.trace import DynInst
 from repro.isa.instructions import FUClass, Op
-from repro.reese import R_ISSUED, REntry, RStreamQueue
+from repro.reese import R_ISSUED, R_WAITING, RStreamQueue
 from repro.uarch import FUPool, Pipeline, starting_config
 from repro.uarch.config import LatencyConfig
+from repro.uarch.pipeline import _Entry
 from repro.uarch.stats import Stats
 from repro.workloads.suite import trace_for
+
+from tests.reese.rqueue_bench import waiting_entries
 
 FU_CLASSES = [cls for cls in FUClass if cls is not FUClass.NONE]
 
@@ -66,16 +69,16 @@ def reference_issue_r(waiting, pool, cycle, budget, l1d_hit):
     for rentry in list(waiting):
         if not budget:
             break
-        grant = pool.acquire(rentry.fu, cycle)
+        grant = pool.acquire(rentry.r_fu, cycle)
         if grant is None:
             blocks += 1
             continue
-        if rentry.fu is FUClass.MEM_PORT:
+        if rentry.r_fu is FUClass.MEM_PORT:
             latency = l1d_hit
         else:
             latency = max(1, grant)
         waiting.remove(rentry)
-        issued.append((rentry.seq, cycle + latency))
+        issued.append((rentry.trace_seq, cycle + latency))
         budget -= 1
     return issued, blocks, budget
 
@@ -105,7 +108,35 @@ def _rentry(seq, fu):
     dyn = DynInst()
     dyn.seq = seq
     dyn.op = Op.ADD
-    return REntry(seq, dyn, p_value=seq, fu=fu, inserted_cycle=0)
+    entry = _Entry(seq, dyn)
+    entry.r_fu = fu
+    return entry
+
+
+def _insert(queue, entry):
+    """Queue ``entry`` for R issue, as the pipeline's move does."""
+    entry.order = queue.total_inserted
+    queue.total_inserted += 1
+    entry.r_state = R_WAITING
+    queue.by_seq[entry.trace_seq] = entry
+    queue.pending[entry.r_fu].append(entry)
+
+
+def _stub_pipe(queue, pool, acct, order):
+    """The state ``Pipeline._issue_r`` reads, with an L1 hit of 2."""
+    r_latency = {
+        fu: 2 if fu is FUClass.MEM_PORT else max(1, latency)
+        for fu, latency in pool.latency.items()
+    }
+    return SimpleNamespace(
+        cycle=0, rqueue=queue, fupool=pool, stats=Stats(),
+        observer=SimpleNamespace(
+            notify=lambda event, cycle, **info: order.append(
+                info["trace_seq"]
+            )
+        ),
+        _wheel=defaultdict(list), _r_latency=r_latency, accountant=acct,
+    )
 
 
 units_st = st.tuples(*[st.integers(1, 3)] * 5)
@@ -131,20 +162,12 @@ class TestRIssueMatchesTheScan:
         waiting = []  # the reference's insertion-ordered waiting entries
         acct = CountingAccountant() if with_acct else None
         order = []
-        pipe = SimpleNamespace(
-            cycle=0, rqueue=queue, fupool=pool, stats=Stats(),
-            observer=SimpleNamespace(
-                notify=lambda event, cycle, **info: order.append(
-                    info["trace_seq"]
-                )
-            ),
-            _wheel=defaultdict(list), _l1d_hit=2, accountant=acct,
-        )
+        pipe = _stub_pipe(queue, pool, acct, order)
         seq = 0
         for cycle, (arrivals, p_work, budget) in enumerate(cycles):
             pipe.cycle = cycle
             for fu in arrivals:
-                queue.push(_rentry(seq, fu))
+                _insert(queue, _rentry(seq, fu))
                 waiting.append(_rentry(seq, fu))
                 seq += 1
             for fu in p_work:
@@ -155,7 +178,7 @@ class TestRIssueMatchesTheScan:
                 waiting, reference, cycle, budget, 2
             )
             finish = {
-                rentry.seq: when
+                rentry.trace_seq: when
                 for when, bucket in pipe._wheel.items() for rentry in bucket
             }
             assert [(seq, finish[seq]) for seq in order] == issued
@@ -164,9 +187,10 @@ class TestRIssueMatchesTheScan:
             assert left == ref_left
             if acct is not None:
                 assert acct.blocks - blocks_before == blocks
-            assert [e.seq for e in queue.waiting_entries()] == [
-                e.seq for e in waiting
+            assert [e.trace_seq for e in waiting_entries(queue)] == [
+                e.trace_seq for e in waiting
             ]
+            assert queue.validate() == []
             for pool_key, units_left in reference.units.items():
                 assert pool._pools[pool_key] == units_left
 
@@ -176,20 +200,12 @@ class TestRIssueMatchesTheScan:
         fus = [FUClass.MEM_PORT, FUClass.INT_ALU, FUClass.INT_MULT,
                FUClass.INT_ALU, FUClass.MEM_PORT]
         for seq, fu in enumerate(fus):
-            queue.push(_rentry(seq, fu))
+            _insert(queue, _rentry(seq, fu))
         order = []
-        pipe = SimpleNamespace(
-            cycle=0, rqueue=queue, fupool=pool, stats=Stats(),
-            observer=SimpleNamespace(
-                notify=lambda event, cycle, **info: order.append(
-                    info["trace_seq"]
-                )
-            ),
-            _wheel=defaultdict(list), _l1d_hit=2, accountant=None,
-        )
+        pipe = _stub_pipe(queue, pool, None, order)
         assert Pipeline._issue_r(pipe, 8) == 3
         assert order == [0, 1, 2, 3, 4]
-        assert all(e.state == R_ISSUED for e in queue.entries())
+        assert all(e.r_state == R_ISSUED for e in queue.by_seq.values())
 
 
 class TestFUPoolExhaustion:
@@ -234,13 +250,17 @@ class TestAcquireCount:
         pipe = Pipeline(program, trace, starting_config().with_reese(),
                         warm_caches=True, warm_predictor=True)
         calls = [0]
-        acquire = pipe.fupool.acquire
 
-        def counting(*args):
-            calls[0] += 1
-            return acquire(*args)
+        def counting(method):
+            def count(*args):
+                calls[0] += 1
+                return method(*args)
+            return count
 
-        pipe.fupool.acquire = counting
+        fupool = pipe.fupool
+        fupool.acquire = counting(fupool.acquire)
+        fupool.acquire_r = counting(fupool.acquire_r)
+        fupool.available = counting(fupool.available)
         stats = pipe.run()
         assert stats.committed == len(trace)
         assert calls[0] / stats.committed <= 3.0

@@ -9,8 +9,8 @@ from repro.arch import emulate
 from repro.isa.instructions import FUClass
 from repro.reese.comparator import p_value
 from repro.reese.faults import corrupt_value
-from repro.reese.rqueue import REntry
 from repro.uarch import Pipeline, starting_config
+from repro.uarch.pipeline import _Entry
 from repro.uarch.observe import (
     EVENT_KINDS,
     INVARIANTS,
@@ -176,14 +176,12 @@ class TestStageMetrics:
         assert hist_mean({}) == 0.0
 
 
-def _rentry_for(dyn, seq=None):
-    return REntry(
-        seq=dyn.seq if seq is None else seq,
-        dyn=dyn,
-        p_value=p_value(dyn),
-        fu=FUClass.INT_ALU,
-        inserted_cycle=0,
-    )
+def _rentry_for(dyn):
+    """The R-stream Queue entry of ``dyn``: its pipeline entry, moved."""
+    entry = _Entry(0, dyn)
+    entry.p_value = p_value(dyn)
+    entry.r_fu = FUClass.INT_ALU
+    return entry
 
 
 class TestInvariantChecker:
