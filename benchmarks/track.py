@@ -76,6 +76,8 @@ _SPEED_KEYS = ("label", "timestamp", "git_rev", "workload", "seed", "runs",
 _WORKLOADS = ("fig2", "sampled", "faults")
 _HEADER = re.compile(r"^perfbench (\w+) seed (\d+):")
 _DIGEST = re.compile(r"^[0-9a-f]{64}$")
+#: A recorded revision: an abbreviated or full commit id, or "unknown".
+_GIT_REV = re.compile(r"[0-9a-f]{7,40}|unknown")
 
 DEFAULT_PATH = REPO_ROOT / "BENCH_TRAJECTORY.json"
 
@@ -267,6 +269,10 @@ def validate_trajectory(data: Dict[str, Any]) -> List[str]:
         if not isinstance(entry, dict):
             errors.append(f"{where}: not an object")
             continue
+        rev = entry.get("git_rev")
+        if rev is not None and not _GIT_REV.fullmatch(str(rev)):
+            errors.append(f"{where}: git_rev {rev!r} is neither a 7-40 "
+                          f"digit hex commit id nor 'unknown'")
         if entry.get("kind") == "speed":
             if schema == 1:
                 errors.append(f"{where}: speed entry in a schema-1 document")

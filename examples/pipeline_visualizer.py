@@ -51,7 +51,7 @@ def run(label: str, fault_model=None) -> None:
     tracer = EventTracer(CallbackSink(events.append))
     config = starting_config().with_reese()
     stats = Pipeline(
-        program, trace, config, fault_model=fault_model, observer=tracer
+        program, trace, config, fault_model=fault_model, observers=[tracer]
     ).run()
     print(render_timeline(events, trace, limit=40))
     print()

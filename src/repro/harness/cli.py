@@ -33,8 +33,8 @@ fraction of the wall-clock, with a confidence interval on each IPC.
 length and per-interval detailed warm-up.
 
 Observability (see docs/INTERNALS.md §8): ``--observe`` collects
-per-stage metrics (occupancy histograms, stall reasons, P/R functional
-unit split) and prints them after single-run commands;
+per-stage metrics (occupancy histograms) and prints them, with the
+per-pool issue counts, after single-run commands;
 ``--check-invariants`` runs every simulation under the runtime
 invariant checker (a violation aborts with a diagnostic);
 ``--trace PATH`` writes the structured event trace as JSONL — for
@@ -231,14 +231,12 @@ def _cmd_faults(args) -> int:
     model = EnvironmentalFaultModel(
         rate=args.rate, duration=args.duration, seed=args.seed
     )
-    observe = None
-    if args.observe or args.check_invariants or args.trace:
-        observe = ObserveConfig(metrics=args.observe,
-                                check_invariants=args.check_invariants,
-                                trace_path=args.trace)
+    observe = ObserveConfig(metrics=args.observe,
+                            check_invariants=args.check_invariants,
+                            trace_path=args.trace, profile=args.profile)
     program, trace = trace_for(args.benchmark, args.scale or bench_scale())
     stats = run_model(program, trace, config, fault_model=model,
-                      observe=observe, profile=args.profile)
+                      observe=observe)
     print(f"workload:            {args.benchmark}")
     print(f"fault events struck: {model.strikes}")
     print(f"errors detected:     {stats.errors_detected}")
@@ -452,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--observe",
         action="store_true",
-        help="collect per-stage metrics (occupancy, stalls, P/R FU split)",
+        help="collect per-stage metrics (queue occupancy histograms)",
     )
     parser.add_argument(
         "--check-invariants",

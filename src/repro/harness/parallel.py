@@ -73,7 +73,7 @@ from ..reese.faults import (
     ScheduledFaultModel,
 )
 from ..uarch.config import MachineConfig
-from ..uarch.observe import ObserveConfig, build_observability
+from ..uarch.observe import ObserveConfig
 from ..uarch.sampling import (
     WARM_FIELDS,
     SampledResult,
@@ -100,7 +100,13 @@ from .telemetry import write_job_telemetry
 #: histograms (recorded on every REESE run; the account lost its copies)
 #: and lost ``pr_separation_*``, ``rqueue_occ_*``, ``ifq_empty_cycles``
 #: and ``stage_metrics["stalls"]``.
-CACHE_VERSION = 5
+#: v6: ``comparisons`` counts a store that waits at commit for a memory
+#: port once, not once per cycle it waits (dispatch-dup and duty-cycled
+#: REESE runs changed); a baseline measurement window that opens at a
+#: store counts that store's port use and D-cache write; and
+#: ``stage_metrics`` lost ``fu_issued`` (``Stats.fu_issues`` and
+#: ``issued_r`` carry the per-pool and R-stream issue counts).
+CACHE_VERSION = 6
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -381,23 +387,20 @@ def _simulate(job: SimJob, sweep: Optional[WarmSweep] = None) -> Stats:
             _simulate(interval_job, sweep)
             for interval_job in _interval_jobs(job, len(sweep.bounds))
         ]).stats
-    observe = None
-    if job.observe or job.check_invariants or job.trace_path:
-        observe = ObserveConfig(
-            metrics=job.observe,
-            check_invariants=job.check_invariants,
-            trace_path=job.trace_path,
-        )
+    observe = ObserveConfig(
+        metrics=job.observe,
+        check_invariants=job.check_invariants,
+        trace_path=job.trace_path,
+        profile=job.profile,
+    )
     fault = job.fault.build() if job.fault else None
     if spec is not None:
         return run_interval(
             program, trace, job.config, spec, spec.index,
-            fault_model=fault, warm=job.warm,
-            observer=build_observability(observe),
-            profile_run=job.profile, sweep=sweep,
+            fault_model=fault, warm=job.warm, observe=observe, sweep=sweep,
         )
     return run_model(program, trace, job.config, fault_model=fault,
-                     warm=job.warm, observe=observe, profile=job.profile)
+                     warm=job.warm, observe=observe)
 
 
 def _warm_groups(jobs: Sequence[SimJob], indices: Sequence[int],

@@ -168,8 +168,8 @@ def metrics_report(stats: Stats) -> str:
     """Render ``Stats.stage_metrics`` (an observed run) as text.
 
     Shows, per pipeline structure, the mean/max occupancy over the run;
-    then the P/R functional-unit issue split.  Returns a placeholder
-    line when the run was not observed.
+    then the issues per functional-unit pool and the R-stream total.
+    Returns a placeholder line when the run was not observed.
     """
     metrics = stats.stage_metrics
     if not metrics:
@@ -187,13 +187,11 @@ def metrics_report(stats: Stats) -> str:
             f"buffer before the dump (raise ring_size or narrow the "
             f"event filter; the trace tail is complete, its head is not)"
         )
-    fu = metrics.get("fu_issued")
-    if fu:
-        for stream in ("P", "R"):
-            split = ", ".join(
-                f"{name}={count}" for name, count in fu[stream].items()
-            )
-            lines.append(f"FU issues ({stream}-stream): {split or 'none'}")
+    issues = ", ".join(
+        f"{name}={count}" for name, count in stats.fu_issues.items()
+    )
+    lines.append(f"FU issues: {issues or 'none'}; "
+                 f"R-stream issues: {stats.issued_r}")
     return "\n".join(lines)
 
 

@@ -18,7 +18,6 @@ from ..arch.trace import Trace
 from ..env import env_int
 from ..isa.program import Program
 from ..reese.faults import FaultModel
-from ..uarch.accounting import CycleAccountant
 from ..uarch.config import MachineConfig
 from ..uarch.observe import ObserveConfig, build_observability
 from ..uarch.pipeline import Pipeline
@@ -50,7 +49,6 @@ def run_model(
     warm: bool = True,
     max_cycles: Optional[int] = None,
     observe: Optional[ObserveConfig] = None,
-    profile: bool = False,
 ) -> Stats:
     """Simulate one program trace on one machine configuration.
 
@@ -59,12 +57,9 @@ def run_model(
     fields by :meth:`~repro.harness.parallel.ParallelRunner.resolve`.
 
     Args:
-        observe: optional observability attachment (event trace,
-            per-stage metrics, invariant checker); ``None`` keeps the
-            observer-free fast path.
-        profile: attach the cycle-accounting profiler so the returned
-            Stats carry the top-down attribution account
-            (``Stats.accounting``).
+        observe: the observers to attach (event trace, per-stage
+            metrics, invariant checker, cycle accountant); ``None``
+            keeps the observer-free fast path.
     """
     pipeline = Pipeline(
         program,
@@ -73,8 +68,7 @@ def run_model(
         fault_model=fault_model,
         warm_caches=warm,
         warm_predictor=warm,
-        observer=build_observability(observe),
-        accountant=CycleAccountant() if profile else None,
+        observers=build_observability(observe),
     )
     return pipeline.run(max_cycles=max_cycles)
 

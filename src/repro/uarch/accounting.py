@@ -60,9 +60,11 @@ REESE-minus-baseline slot delta.
 The accountant records no fact the pipeline already counts: issue
 counts, dispatch blocks, R-queue backpressure and recovery flushes are
 per-cycle deltas of the always-on ``Stats`` counters.  Only the two
-facts no counter carries arrive as notes from the stage code: the
-stream to blame for a failed FU acquire and the start of a mispredict
-refill.
+facts no counter carries arrive through stage hooks of their own:
+``on_fu_block`` (the stream to blame for a failed FU acquire) and
+``on_mispredict`` (the start of a mispredict refill).  The accountant
+is an ordinary pipeline observer (:class:`~repro.uarch.pipeline.Pipeline`
+``observers``), attached by ``ObserveConfig(profile=True)``.
 
 Sampled-mode aggregation: every measurement interval produces its own
 account (reset with the other Stats at ``measure_from``), and
@@ -124,7 +126,7 @@ class CycleAccountant:
 
     :meth:`on_cycle`, called at end of cycle, settles the cascade from
     how the ``Stats`` counters moved this cycle and resets the FU blame
-    notes of :meth:`note_fu_block`.
+    notes of :meth:`on_fu_block`.
     """
 
     __slots__ = (
@@ -136,7 +138,7 @@ class CycleAccountant:
         "cycles_total",
         "_refill",
         "_last",           # _COUNTERS at the end of the previous cycle
-        # Per-cycle FU blame notes, reset by on_cycle().
+        # Per-cycle FU blame counts, reset by on_cycle().
         "cyc_fu_block_p",
         "cyc_fu_block_r",
     )
@@ -155,10 +157,12 @@ class CycleAccountant:
 
     def bind(self, pipe) -> None:
         """Attach to a pipeline: its issue width, whether ``issued``
-        counts dispatch-dup shadow copies, and the FU pool to blame."""
+        counts dispatch-dup shadow copies, and the FU pool to blame,
+        which starts recording the stream that holds each unit."""
         self.width = pipe.config.issue_width
         self._dup = pipe.config.dispatch_dup
         self._fupool = pipe.fupool
+        pipe.fupool.track_streams = True
 
     def reset(self) -> None:
         """Zero the account (the ``measure_from`` window open).
@@ -172,9 +176,9 @@ class CycleAccountant:
         # Sticky refill state survives: a flush straddling the window
         # boundary still shadows the first measured cycles.
 
-    # -- event notes from the pipeline ---------------------------------
+    # -- stage hooks -----------------------------------------------------
 
-    def note_fu_block(self, fu_class, cycle: int, r_work: bool) -> None:
+    def on_fu_block(self, cycle: int, fu_class, r_work: bool) -> None:
         """A ready instruction found every unit of ``fu_class`` busy.
 
         Blamed on the R stream when the blocked instruction is R-stream
@@ -186,7 +190,7 @@ class CycleAccountant:
         else:
             self.cyc_fu_block_p += 1
 
-    def note_mispredict(self) -> None:
+    def on_mispredict(self, cycle: int, branch) -> None:
         """Mispredict recovery: fetch redirected to the correct path."""
         if self._refill != "recovery":
             self._refill = "mispredict"
@@ -276,6 +280,9 @@ class CycleAccountant:
         return "idle"
 
     # -- export ----------------------------------------------------------
+
+    def finalize(self, stats) -> None:
+        stats.accounting = self.state_dict()
 
     def state_dict(self) -> Dict[str, Any]:
         """JSON-shaped account for ``Stats.accounting``."""

@@ -60,7 +60,8 @@ class FUPool:
         self._r_until: Dict[str, List[int]] = {
             key: [0] * len(pool) for key, pool in self._pools.items()
         }
-        #: Record which stream holds each busy unit (profiling only).
+        #: Record which stream holds each busy unit; the cycle
+        #: accountant's ``bind`` turns it on.
         self.track_streams = False
         # Per-pool one-item "every unit busy at cycle" cell.
         cells = {key: [-1] for key in self._pools}
@@ -89,10 +90,6 @@ class FUPool:
             fu_class: entry[2] for fu_class, entry in self._dispatch.items()
         }
         self.issues: Dict[str, int] = {key: 0 for key in self._pools}
-        #: R-stream-only slice of :attr:`issues` (REESE re-executions
-        #: and dispatch-duplication shadow copies), for the per-stage
-        #: metrics registry's P/R utilisation split.
-        self.issues_r: Dict[str, int] = {key: 0 for key in self._pools}
 
     def acquire(
         self, fu_class: FUClass, cycle: int, r_stream: bool = False
@@ -100,7 +97,7 @@ class FUPool:
         """Try to start an operation of ``fu_class`` at ``cycle``.
 
         A successful acquire is the one record of an issue: it counts
-        into :attr:`issues` (and :attr:`issues_r` for R-stream work).
+        into :attr:`issues`, whichever stream it belongs to.
 
         Args:
             r_stream: the acquiring operation belongs to the redundant
@@ -124,8 +121,6 @@ class FUPool:
                 if self.track_streams:
                     r_until[index] = cycle + issuelat if r_stream else 0
                 self.issues[key] += 1
-                if r_stream:
-                    self.issues_r[key] += 1
                 return oplat
             index += 1
         cell[0] = cycle
@@ -156,7 +151,6 @@ class FUPool:
             else:
                 cell[0] = cycle
             self.issues[key] += granted
-            self.issues_r[key] += granted
         return granted
 
     def available(self, fu_class: FUClass, cycle: int) -> bool:

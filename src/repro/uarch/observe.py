@@ -7,7 +7,7 @@ R-stream instructions slotting into idle functional units, the
 R-stream Queue draining before commit, P/R results meeting at the
 comparator — visible and checkable.  Three cooperating pieces, all
 **zero-overhead when off** (an unobserved pipeline takes exactly one
-``observer is None`` branch per event site):
+``hook is None`` branch per event site):
 
 * :class:`EventTracer` — a structured **event trace**.  Every stage
   event (fetch/dispatch/issue/writeback/commit/flush/R-issue/compare,
@@ -22,11 +22,11 @@ comparator — visible and checkable.  Three cooperating pieces, all
 
 * :class:`StageMetrics` — a **per-stage metrics registry**: per-cycle
   occupancy histograms for the fetch queue, RUU, LSQ and R-stream
-  Queue, and functional-unit issue counts split by P vs R stream.
-  (Stall causes live in one place, the cycle accountant of
-  :mod:`repro.uarch.accounting`.)  The registry folds into
-  ``Stats.stage_metrics`` (hence ``Stats.state_dict()``), so the
-  on-disk result cache and the reporting layer carry it for free.
+  Queue.  (Per-pool issue counts live in ``Stats.fu_issues`` and stall
+  causes in the cycle accountant of :mod:`repro.uarch.accounting`.)
+  The registry folds into ``Stats.stage_metrics`` (hence
+  ``Stats.state_dict()``), so the on-disk result cache and the
+  reporting layer carry it for free.
 
 * :class:`InvariantChecker` — a **runtime invariant checker** that,
   when enabled, validates pipeline legality as the simulation runs and
@@ -40,13 +40,13 @@ comparator — visible and checkable.  Three cooperating pieces, all
   leaves no stale entries anywhere; and structural capacity/ordering
   limits on the RUU, LSQ, ready list and R-stream Queue.
 
-:class:`Observability` composes any subset of the three behind the
-pipeline's single ``observer`` hook; build one from an
-:class:`ObserveConfig` with :func:`build_observability`.  The harness
-plumbs these through ``--trace``, ``--observe`` and
-``--check-invariants`` (CLI) and the same-named :class:`SimJob` fields
-(parallel layer); ``REPRO_CHECK_INVARIANTS=1`` turns the checker on
-for every unfaulted harness run (the tier-1 smoke configuration).
+Each implements only the pipeline's stage hooks (:data:`HOOKS`) it
+uses; :func:`build_observability` turns an :class:`ObserveConfig` into
+the observer list, the cycle accountant included.  The harness plumbs
+these through ``--trace``, ``--observe`` and ``--check-invariants``
+(CLI) and the same-named :class:`SimJob` fields (parallel layer);
+``REPRO_CHECK_INVARIANTS=1`` turns the checker on for every unfaulted
+harness run (the tier-1 smoke configuration).
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..reese.comparator import describe_mismatch, p_value, reexecute, values_equal
 from ..reese.faults import corrupt_value
+from .accounting import CycleAccountant
 
 #: Bump when TraceEvent field names / semantics change (golden traces).
 EVENT_SCHEMA_VERSION = 1
@@ -166,7 +167,7 @@ class RingBufferSink(EventSink):
     """Keep the most recent ``capacity`` events in memory.
 
     Overflow is not silent: every overwritten event increments
-    :attr:`dropped`, which :class:`Observability` surfaces as
+    :attr:`dropped`, which its :class:`EventTracer` surfaces as
     ``stage_metrics["dropped_events"]`` (hence ``Stats.state_dict()``)
     and the metrics report turns into an explicit warning — a
     truncated event window must never masquerade as a complete one.
@@ -245,59 +246,70 @@ class CallbackSink(EventSink):
 # event tracer
 # ----------------------------------------------------------------------
 
-#: pipeline notify() event -> (TraceEvent kind, default stream)
-_NOTIFY_KINDS = {
-    "fetch": ("fetch", "P"),
-    "dispatch": ("dispatch", "P"),
-    "issue": ("issue", "P"),
-    "complete": ("writeback", "P"),
-    "commit": ("commit", "P"),
-    "squash": ("squash", "P"),
-    "rqueue": ("rqueue_insert", "R"),
-    "r_issue": ("issue", "R"),
-    "r_complete": ("writeback", "R"),
-    "compare": ("compare", "R"),
-    "recover": ("flush", "P"),
-}
+def _event(kind: str, stream: str = "P", queued: bool = False):
+    """A tracer hook emitting ``kind`` for the entry it is given."""
+
+    def hook(self, cycle: int, entry) -> None:
+        self._emit(cycle, kind, stream, entry, queued)
+
+    return hook
 
 
 class EventTracer:
-    """Observer translating pipeline stage callbacks into TraceEvents."""
+    """Observer turning the pipeline's stage hooks into TraceEvents."""
 
     def __init__(self, sink: EventSink) -> None:
         self.sink = sink
+        self._reese = False
 
-    def notify(self, event: str, cycle: int, entry=None, **info) -> None:
-        mapped = _NOTIFY_KINDS.get(event)
-        if mapped is None:
-            return
-        kind, stream = mapped
-        seq = iseq = op = fu = None
-        extra: Optional[Dict[str, Any]] = None
-        if entry is not None:
-            seq = entry.seq
-            iseq = entry.trace_seq if entry.trace_seq >= 0 else None
-            op = entry.op.name.lower()
-            fu = entry.fu.name
+    def bind(self, pipe) -> None:
+        # Under REESE every compare and commit is an R-stream Queue event.
+        self._reese = pipe.rqueue is not None
+
+    def _emit(self, cycle: int, kind: str, stream: str, entry, queued: bool,
+              extra: Optional[Dict[str, Any]] = None) -> None:
+        """Emit ``kind`` for ``entry``.  An R-stream Queue (``queued``)
+        entry has left the RUU: it reports no ``seq``, and the unit its
+        R execution uses."""
+        if queued:
+            seq, iseq, fu = None, entry.trace_seq, entry.r_fu
+        else:
+            seq, iseq, fu = entry.seq, entry.trace_seq, entry.fu
+            if iseq < 0:
+                iseq = None  # wrong path
+                extra = {"wp": True}
             if entry.is_shadow:
                 stream = "R"  # dispatch-duplication redundant copy
-            if entry.wrong_path:
-                extra = {"wp": True}
-        else:
-            rentry = info.get("rentry")
-            if rentry is not None:  # an R-stream Queue entry
-                iseq = rentry.trace_seq
-                op = rentry.op.name.lower()
-                fu = rentry.r_fu.name
-            else:
-                iseq = info.get("trace_seq")
-        if event == "compare":
-            extra = dict(extra or ())
-            extra["match"] = bool(info.get("match"))
-        self.sink.emit(TraceEvent(cycle, kind, stream, seq, iseq, op, fu,
-                                  extra))
+        self.sink.emit(TraceEvent(cycle, kind, stream, seq, iseq,
+                                  entry.op.name.lower(), fu.name, extra))
+
+    on_fetch = _event("fetch")
+    on_dispatch = _event("dispatch")
+    on_issue = _event("issue")
+    on_complete = _event("writeback")
+    on_squash = _event("squash")
+    on_rqueue = _event("rqueue_insert", "R")
+    on_r_issue = _event("issue", "R", queued=True)
+    on_r_complete = _event("writeback", "R", queued=True)
+
+    def on_compare(self, cycle: int, entry, match: bool) -> None:
+        self._emit(cycle, "compare", "R", entry, self._reese,
+                   {"match": bool(match)})
+
+    def on_commit(self, cycle: int, entry) -> None:
+        self._emit(cycle, "commit", "P", entry, self._reese)
+
+    def on_recover(self, cycle: int) -> None:
+        self.sink.emit(TraceEvent(cycle, "flush", "P"))
 
     def finalize(self, stats) -> None:
+        if isinstance(self.sink, RingBufferSink):
+            # Ring-buffer overflow is a property of the run, reported
+            # whether or not the metrics registry is on.
+            metrics = stats.stage_metrics
+            metrics["dropped_events"] = (
+                metrics.get("dropped_events", 0) + self.sink.dropped
+            )
         self.sink.close()
 
 
@@ -401,7 +413,7 @@ def render_timeline(
 
 
 class StageMetrics:
-    """Per-cycle occupancy histograms and the P/R FU issue split.
+    """Per-cycle occupancy histograms of the pipeline's queues.
 
     Sampled once per simulated cycle via the pipeline's ``on_cycle``
     hook; zeroed with the other statistics when the ``measure_from``
@@ -433,9 +445,9 @@ class StageMetrics:
             hist = self.occupancy[key]
             hist[occ] = hist.get(occ, 0) + 1
 
-    def state_dict(self, pipe) -> Dict[str, Any]:
+    def state_dict(self) -> Dict[str, Any]:
         """JSON-serialisable registry (the ``Stats.stage_metrics`` value)."""
-        out: Dict[str, Any] = {
+        return {
             "schema": EVENT_SCHEMA_VERSION,
             "cycles_sampled": self.cycles_sampled,
             "occupancy": {
@@ -443,13 +455,9 @@ class StageMetrics:
                 for key, hist in self.occupancy.items()
             },
         }
-        total = pipe.fupool.issues
-        r_only = pipe.fupool.issues_r
-        out["fu_issued"] = {
-            "P": {k: total[k] - r_only.get(k, 0) for k in sorted(total)},
-            "R": {k: r_only[k] for k in sorted(r_only)},
-        }
-        return out
+
+    def finalize(self, stats) -> None:
+        stats.stage_metrics.update(self.state_dict())
 
 
 # ----------------------------------------------------------------------
@@ -494,10 +502,12 @@ class InvariantViolation(Exception):
 class InvariantChecker:
     """Validate pipeline legality while the simulation runs.
 
-    Event-driven checks fire from the pipeline's observer hook;
+    Event-driven checks fire from the pipeline's stage hooks;
     structural sweeps run once per cycle from ``on_cycle``.  By default
     the first violation raises; with ``collect=True`` violations accrue
     in :attr:`violations` instead (for tests that expect several).
+    The checker is the one observer that keeps its pipeline: its
+    checks read the machine's structures.
     """
 
     def __init__(self, collect: bool = False) -> None:
@@ -505,11 +515,13 @@ class InvariantChecker:
         self.violations: List[InvariantViolation] = []
         self.checks = 0
         self._pipe = None
+        self._rqueue = None  # the pipeline's R-stream Queue, under REESE
         self._completed: set = set()
         self._next_commit = 0
 
     def bind(self, pipe) -> None:
         self._pipe = pipe
+        self._rqueue = pipe.rqueue
 
     def _fail(
         self,
@@ -525,31 +537,17 @@ class InvariantChecker:
 
     # -- event-driven checks ---------------------------------------------
 
-    def notify(self, event: str, cycle: int, entry=None, **info) -> None:
-        self.checks += 1
-        if event == "complete":
-            if entry is not None and entry.trace_seq >= 0:
-                self._completed.add(entry.trace_seq)
-        elif event == "commit":
-            self._check_commit(cycle, entry, info)
-        elif event == "r_issue":
-            self._check_r_issue(cycle, info)
-        elif event == "rqueue":
-            self._check_rqueue_insert(cycle, entry)
-        elif event == "recover":
-            self._check_flush(cycle)
+    def on_complete(self, cycle: int, entry) -> None:
+        if entry.trace_seq >= 0:
+            self._completed.add(entry.trace_seq)
 
-    def _check_commit(self, cycle: int, entry, info) -> None:
-        rentry = info.get("rentry")
-        if rentry is not None:
-            trace_seq = rentry.trace_seq
-            dyn = rentry.dyn
-            actual = rentry.p_value
+    def on_commit(self, cycle: int, entry) -> None:
+        self.checks += 1
+        trace_seq = entry.trace_seq
+        dyn = entry.dyn
+        if self._rqueue is not None:
+            actual = entry.p_value  # the value the comparator passed
         else:
-            if entry is None or entry.dyn is None:
-                return
-            trace_seq = entry.trace_seq
-            dyn = entry.dyn
             actual = p_value(dyn)
             if entry.p_fault_bit is not None:
                 actual = corrupt_value(actual, entry.p_fault_bit)
@@ -567,29 +565,26 @@ class InvariantChecker:
                 f"re-execution: {describe_mismatch(actual, oracle)}",
             )
 
-    def _check_r_issue(self, cycle: int, info) -> None:
-        trace_seq = info.get("trace_seq")
-        if trace_seq is None:
-            return
+    def on_r_issue(self, cycle: int, entry) -> None:
+        self.checks += 1
+        trace_seq = entry.trace_seq
         if trace_seq not in self._completed:
             self._fail(
                 "r-before-p", cycle, trace_seq,
                 "R-stream issue before the P result was written back",
             )
-        pipe = self._pipe
-        if pipe is not None and pipe.rqueue is not None:
-            if trace_seq not in pipe.rqueue.by_seq:
-                self._fail(
-                    "r-before-p", cycle, trace_seq,
-                    "R-stream issue for an instruction that is not "
-                    "R-stream Queue resident",
-                )
+        if self._rqueue is not None and trace_seq not in self._rqueue.by_seq:
+            self._fail(
+                "r-before-p", cycle, trace_seq,
+                "R-stream issue for an instruction that is not "
+                "R-stream Queue resident",
+            )
 
-    def _check_rqueue_insert(self, cycle: int, entry) -> None:
-        pipe = self._pipe
-        if entry is None or pipe is None or pipe.rqueue is None:
+    def on_rqueue(self, cycle: int, entry) -> None:
+        self.checks += 1
+        if self._rqueue is None:
             return
-        if pipe.rqueue.by_seq.get(entry.trace_seq) is not entry:
+        if self._rqueue.by_seq.get(entry.trace_seq) is not entry:
             self._fail(
                 "rqueue-fidelity", cycle, entry.trace_seq,
                 "insertion event for an instruction the queue does not hold",
@@ -605,7 +600,8 @@ class InvariantChecker:
                 + describe_mismatch(entry.p_value, expected),
             )
 
-    def _check_flush(self, cycle: int) -> None:
+    def on_recover(self, cycle: int) -> None:
+        self.checks += 1
         pipe = self._pipe
         if pipe is None:
             return
@@ -689,14 +685,44 @@ class InvariantChecker:
 # composition
 # ----------------------------------------------------------------------
 
+#: The pipeline's observer hooks, in stage order (signatures in
+#: :class:`~repro.uarch.pipeline.Pipeline`); ``bind`` is called once.
+HOOKS = (
+    "on_fetch", "on_dispatch", "on_issue", "on_complete", "on_rqueue",
+    "on_r_issue", "on_r_complete", "on_compare", "on_commit", "on_squash",
+    "on_recover", "on_fu_block", "on_mispredict", "on_cycle", "reset",
+    "finalize",
+)
+
+
+class StageHooks:
+    """Each of :data:`HOOKS` resolved once over a list of observers:
+    ``None`` when no observer has it, the one subscriber's bound method,
+    or a fan-out over the subscribers in list order."""
+
+    __slots__ = HOOKS
+
+    def __init__(self, observers: Sequence[Any]) -> None:
+        for name in HOOKS:
+            setattr(self, name, _resolve([getattr(obs, name)
+                                          for obs in observers
+                                          if hasattr(obs, name)]))
+
+
+def _resolve(hooks: List[Callable]) -> Optional[Callable]:
+    if len(hooks) <= 1:
+        return hooks[0] if hooks else None
+
+    def fan_out(*args) -> None:
+        for hook in hooks:
+            hook(*args)
+
+    return fan_out
+
 
 @dataclass(frozen=True)
 class ObserveConfig:
-    """Which observability pieces to attach to a run.
-
-    Picklable and scalar-only, so the parallel layer can ship it to
-    worker processes (see :class:`repro.harness.parallel.SimJob`).
-    """
+    """Which observers to attach to a run (see :func:`build_observability`)."""
 
     #: Collect the per-stage metrics registry into ``Stats.stage_metrics``.
     metrics: bool = False
@@ -707,119 +733,29 @@ class ObserveConfig:
     #: Keep the last N events in memory instead of (or besides) a file;
     #: 0 disables the ring buffer.
     ring_capacity: int = 0
-
-    @property
-    def enabled(self) -> bool:
-        return bool(
-            self.metrics
-            or self.check_invariants
-            or self.trace_path
-            or self.ring_capacity
-        )
+    #: Attach the cycle accountant: ``Stats.accounting`` carries the
+    #: run's slot/cycle attribution.
+    profile: bool = False
 
 
-class _TeeSink(EventSink):
-    """Fan one event stream out to several sinks."""
+def build_observability(observe: Optional[ObserveConfig]) -> List[Any]:
+    """The observers ``observe`` asks for (empty for ``None``).
 
-    def __init__(self, sinks: List[EventSink]) -> None:
-        self.sinks = sinks
-
-    def emit(self, event: TraceEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
-
-
-class Observability:
-    """Composite observer: tracer and/or metrics and/or checker.
-
-    Implements the full pipeline observer protocol (``notify``,
-    ``on_cycle``, ``bind``, ``reset``, ``finalize``); each sub-piece is
-    optional and the hooks skip whatever is absent.
+    In hook order: the checker first, so a violation is raised before
+    its event is written; then the metrics, one :class:`EventTracer`
+    per sink and the accountant.
     """
-
-    def __init__(
-        self,
-        tracer: Optional[EventTracer] = None,
-        metrics: Optional[StageMetrics] = None,
-        checker: Optional[InvariantChecker] = None,
-    ) -> None:
-        self.tracer = tracer
-        self.metrics = metrics
-        self.checker = checker
-        self._pipe = None
-
-    def bind(self, pipe) -> None:
-        self._pipe = pipe
-        if self.checker is not None:
-            self.checker.bind(pipe)
-
-    def notify(self, event: str, cycle: int, entry=None, **info) -> None:
-        # Checker first: a violation should surface before the event is
-        # serialised (the trace written so far is the diagnostic).
-        if self.checker is not None:
-            self.checker.notify(event, cycle, entry, **info)
-        if self.tracer is not None:
-            self.tracer.notify(event, cycle, entry, **info)
-
-    def on_cycle(self, pipe) -> None:
-        if self.metrics is not None:
-            self.metrics.on_cycle(pipe)
-        if self.checker is not None:
-            self.checker.on_cycle(pipe)
-
-    def reset(self) -> None:
-        """The ``measure_from`` window opened: restart the metrics (the
-        checker's commit order and the event stream run on)."""
-        if self.metrics is not None:
-            self.metrics.reset()
-
-    def _ring_sinks(self) -> List[RingBufferSink]:
-        """Ring-buffer sinks reachable through the tracer (if any)."""
-        if self.tracer is None:
-            return []
-        sink = self.tracer.sink
-        sinks = sink.sinks if isinstance(sink, _TeeSink) else [sink]
-        return [s for s in sinks if isinstance(s, RingBufferSink)]
-
-    def finalize(self, stats) -> None:
-        if self.metrics is not None:
-            stats.stage_metrics = self.metrics.state_dict(self._pipe)
-        rings = self._ring_sinks()
-        if rings:
-            # Surface ring-buffer overflow in the Stats payload even
-            # when the metrics registry is off: dropped events are a
-            # property of the run, not of the registry.
-            stats.stage_metrics = dict(stats.stage_metrics or {})
-            stats.stage_metrics["dropped_events"] = sum(
-                ring.dropped for ring in rings
-            )
-        if self.tracer is not None:
-            self.tracer.finalize(stats)
-
-
-def build_observability(
-    observe: Optional[ObserveConfig],
-) -> Optional[Observability]:
-    """Materialise an :class:`Observability` from a config (or ``None``).
-
-    Returns ``None`` for a disabled config so the pipeline keeps its
-    observer-free fast path.
-    """
-    if observe is None or not observe.enabled:
-        return None
-    sinks: List[EventSink] = []
+    if observe is None:
+        return []
+    observers: List[Any] = []
+    if observe.check_invariants:
+        observers.append(InvariantChecker())
+    if observe.metrics:
+        observers.append(StageMetrics())
     if observe.trace_path:
-        sinks.append(JSONLSink(observe.trace_path))
+        observers.append(EventTracer(JSONLSink(observe.trace_path)))
     if observe.ring_capacity:
-        sinks.append(RingBufferSink(observe.ring_capacity))
-    tracer = None
-    if sinks:
-        sink = sinks[0] if len(sinks) == 1 else _TeeSink(sinks)
-        tracer = EventTracer(sink)
-    metrics = StageMetrics() if observe.metrics else None
-    checker = InvariantChecker() if observe.check_invariants else None
-    return Observability(tracer=tracer, metrics=metrics, checker=checker)
+        observers.append(EventTracer(RingBufferSink(observe.ring_capacity)))
+    if observe.profile:
+        observers.append(CycleAccountant())
+    return observers

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from operator import attrgetter
-from typing import Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from ..arch.trace import DynInst, Trace
@@ -60,6 +60,7 @@ from ..reese.recovery import RetryTracker, UnrecoverableFaultError
 from ..reese.rqueue import R_DONE, R_ISSUED, R_WAITING, RStreamQueue
 from .config import MachineConfig
 from .funits import FUPool
+from .observe import StageHooks
 from .stats import Stats
 
 # Enum members used per instruction, bound once: a module global is an
@@ -239,7 +240,17 @@ _by_seq = attrgetter("seq")
 
 
 class Pipeline:
-    """One simulated machine executing one program trace."""
+    """One simulated machine executing one program trace.
+
+    Observers watch a run through the typed stage hooks of
+    :data:`~repro.uarch.observe.HOOKS`, each resolved once at
+    construction, so an unobserved event site costs one ``is None``
+    test.  Event hooks take ``(cycle, entry)``; ``on_compare`` adds
+    ``match``, ``on_recover`` takes ``(cycle)`` and ``on_fu_block``
+    ``(cycle, fu_class, r_work)``.  Under REESE every compare and commit
+    is of an R-stream Queue entry.  No observer but the invariant checker
+    keeps the pipeline (``docs/INTERNALS.md`` §6 and §8).
+    """
 
     #: Cycles without a commit before declaring deadlock.
     DEADLOCK_WINDOW = 20_000
@@ -252,11 +263,10 @@ class Pipeline:
         fault_model: Optional[FaultModel] = None,
         warm_caches: bool = False,
         warm_predictor: bool = False,
-        observer=None,
+        observers: Sequence[Any] = (),
         warm_state=None,
         measure_from: Optional[int] = None,
         stop_after: Optional[int] = None,
-        accountant=None,
     ) -> None:
         """
         Args:
@@ -272,16 +282,9 @@ class Pipeline:
                 compulsory misses.  The experiment harness enables this.
             warm_predictor: likewise pre-train the direction predictor
                 on one pass of the branch stream.
-            observer: optional stage-event observer (e.g.
-                :class:`repro.uarch.observe.Observability`); its
-                ``notify`` method is called at fetch/dispatch/issue/
-                complete/commit/squash/R-stream/compare/flush events.
-                Optional observer hooks, resolved once here so an
-                absent hook costs nothing per cycle: ``bind(pipeline)``
-                at construction, ``on_cycle(pipeline)`` at the end of
-                every simulated cycle, ``reset()`` when the
-                ``measure_from`` window opens, ``finalize(stats)``
-                after the run.
+            observers: the stage-hook observers, in the order each
+                hook calls them (e.g. the list
+                :func:`repro.uarch.observe.build_observability` returns).
             warm_state: optional pre-warmed architectural state (an
                 object with ``mem``, ``predictor``, ``btb`` and ``ras``
                 attributes, e.g. :class:`repro.uarch.sampling.WarmState`).
@@ -298,14 +301,6 @@ class Pipeline:
                 warm-up instructions ahead of a measurement interval
                 without polluting its numbers.  ``None`` measures the
                 whole run.
-            accountant: optional
-                :class:`repro.uarch.accounting.CycleAccountant`; when
-                given, the end of every cycle settles the top-down
-                slot/cycle attribution cascade from this cycle's Stats
-                counter deltas, and issue reports FU-blame and
-                mispredict notes to it.  ``None`` (the default) keeps
-                the profiler-free fast path: every note site is a
-                single ``is not None`` test.
             stop_after: trace seq whose commit ends the run — younger
                 trace instructions are fetched/executed (keeping the
                 machine realistically busy behind the measured window)
@@ -329,19 +324,9 @@ class Pipeline:
         )
         self.warm_caches = warm_caches
         self.warm_predictor = warm_predictor
-        self.observer = observer
-        self._on_cycle = getattr(observer, "on_cycle", None)
-        self._observer_reset = getattr(observer, "reset", None)
-        bind = getattr(observer, "bind", None)
-        if bind is not None:
-            bind(self)
         self.stats = Stats()
 
         self.fupool = FUPool(config)
-        self.accountant = accountant
-        if accountant is not None:
-            accountant.bind(self)
-            self.fupool.track_streams = True
         if warm_state is not None:
             self.warm_caches = False
             self.warm_predictor = False
@@ -416,6 +401,13 @@ class Pipeline:
         # Duty cycle: re-execute one instruction in every _duty_period.
         self._duty_period = max(1, round(1.0 / reese.r_duty_cycle))
 
+        # Bound methods of the observers (never of the pipeline, see
+        # run()); each stage loads the hooks it fires into locals.
+        self.hooks = StageHooks(observers)
+        for observer in observers:
+            if hasattr(observer, "bind"):
+                observer.bind(self)
+
     # ==================================================================
     # driver
     # ==================================================================
@@ -449,8 +441,7 @@ class Pipeline:
         # the Stats counters in place).  The stage variants are locals,
         # never instance attributes: a bound method stored on the
         # pipeline would make it part of a reference cycle.
-        on_cycle = self._on_cycle
-        acct = self.accountant
+        on_cycle = self.hooks.on_cycle
         stats = self.stats
         ifq = self.ifq
         window = self.DEADLOCK_WINDOW
@@ -469,8 +460,6 @@ class Pipeline:
             self._fetch()
             if on_cycle is not None:
                 on_cycle(self)  # end-of-cycle state, pre-increment
-            if acct is not None:
-                acct.on_cycle(self)  # settle the attribution cascade
             self.cycle += 1
             stats.cycles += 1
             if not ifq and not self.ruu and self.commit_seq >= total:
@@ -523,12 +512,9 @@ class Pipeline:
         self.predictor.correct = 0
         for key in self.fupool.issues:
             self.fupool.issues[key] = 0
-        for key in self.fupool.issues_r:
-            self.fupool.issues_r[key] = 0
-        if self.accountant is not None:
-            self.accountant.reset()
-        if self._observer_reset is not None:
-            self._observer_reset()
+        reset = self.hooks.reset
+        if reset is not None:
+            reset()
 
     def _finalize(self) -> Stats:
         stats = self.stats
@@ -543,9 +529,7 @@ class Pipeline:
             str(lag): count for lag, count in self._rqueue_residency.items()
         }
         stats.cache_stats = self.mem.stat_dict()
-        if self.accountant is not None:
-            stats.accounting = self.accountant.state_dict()
-        finalize = getattr(self.observer, "finalize", None)
+        finalize = self.hooks.finalize
         if finalize is not None:
             finalize(stats)
         return stats
@@ -559,20 +543,20 @@ class Pipeline:
         ruu = self.ruu
         cycle = self.cycle
         stats = self.stats
-        observer = self.observer
+        on_commit = self.hooks.on_commit
         while budget and ruu:
             head = ruu[0]
             if head.wrong_path or not head.completed:
                 break
+            trace_seq = head.trace_seq
+            if trace_seq == self._measure_from:
+                self._begin_measurement()
             if head.is_store:
                 if self.fupool.acquire(_FU_MEM, cycle) is None:
                     break
                 self.mem.daccess(head.dyn.ea, is_write=True)
-            trace_seq = head.trace_seq
-            if trace_seq == self._measure_from:
-                self._begin_measurement()
-            if observer is not None:
-                observer.notify("commit", cycle, head)
+            if on_commit is not None:
+                on_commit(cycle, head)
             if head.p_fault_bit is not None:
                 # No comparator: the corrupted result commits silently.
                 stats.sdc_commits += 1
@@ -600,7 +584,8 @@ class Pipeline:
         budget = self.config.commit_width
         ruu = self.ruu
         lsq = self.lsq
-        observer = self.observer
+        on_compare = self.hooks.on_compare
+        on_commit = self.hooks.on_commit
         stats = self.stats
         cycle = self.cycle
         fupool = self.fupool
@@ -625,8 +610,8 @@ class Pipeline:
                 if shadow.p_fault_bit is not None:
                     r_val = corrupt_value(r_val, shadow.p_fault_bit)
                 match = values_equal(p_val, r_val)
-                if observer is not None:
-                    observer.notify("compare", cycle, head, match=match)
+                if on_compare is not None:
+                    on_compare(cycle, head, match)
                 if not match:
                     self._handle_detected_error(trace_seq)
                     return
@@ -639,8 +624,8 @@ class Pipeline:
                 fupool.acquire(_FU_MEM, cycle)
                 self.mem.daccess(head.dyn.ea, is_write=True)
             self.retry.record_success(trace_seq)
-            if observer is not None:
-                observer.notify("commit", cycle, head)
+            if on_commit is not None:
+                on_commit(cycle, head)
             stats.committed += 1
             self.commit_seq = trace_seq + 1
             if head.is_halt or trace_seq == self._stop_after:
@@ -666,7 +651,8 @@ class Pipeline:
         budget = self.config.commit_width
         rqueue = self.rqueue
         by_seq = rqueue.by_seq
-        observer = self.observer
+        on_compare = self.hooks.on_compare
+        on_commit = self.hooks.on_commit
         stats = self.stats
         cycle = self.cycle
         residency = self._rqueue_residency
@@ -694,10 +680,8 @@ class Pipeline:
                     match = p_val == r_val
                 else:
                     match = values_equal(p_val, r_val)
-                if observer is not None:
-                    observer.notify(
-                        "compare", cycle, rentry=entry, match=match
-                    )
+                if on_compare is not None:
+                    on_compare(cycle, entry, match)
                 if not match:
                     self._handle_detected_error(seq)
                     return
@@ -720,10 +704,8 @@ class Pipeline:
             residency[lag] = residency.get(lag, 0) + 1
             if seq == retry.seq:
                 retry.record_success(seq)
-            if observer is not None:
-                observer.notify(
-                    "commit", cycle, trace_seq=seq, rentry=entry,
-                )
+            if on_commit is not None:
+                on_commit(cycle, entry)
             stats.committed += 1
             self.commit_seq = seq + 1
             if entry.is_halt or seq == self._stop_after:
@@ -741,6 +723,7 @@ class Pipeline:
         early = self.config.reese.early_remove
         ruu = self.ruu
         pending = rqueue.pending
+        on_rqueue = self.hooks.on_rqueue
         bindings = comparator.BINDINGS
         free_slots = rqueue.capacity - len(by_seq)
         order = rqueue.total_inserted
@@ -784,8 +767,8 @@ class Pipeline:
                 entry.r_state = R_WAITING
                 pending[r_fu].append(entry)
             free_slots -= 1
-            if observer is not None:
-                observer.notify("rqueue", cycle, entry)
+            if on_rqueue is not None:
+                on_rqueue(cycle, entry)
             stats.rqueue_moves += 1
             ruu.pop(index)
             if entry.is_load:
@@ -824,10 +807,11 @@ class Pipeline:
         self.fetch_cursor = refetch_cursor
         self.fetch_blocked_until = self.cycle + 1
         self._last_fetch_line = -1
-        # Notify last, with the machine already clean: observers (the
+        # Last, with the machine already clean: observers (the
         # invariant checker in particular) see the post-flush state.
-        if self.observer is not None:
-            self.observer.notify("recover", self.cycle)
+        on_recover = self.hooks.on_recover
+        if on_recover is not None:
+            on_recover(self.cycle)
 
     # ==================================================================
     # writeback
@@ -838,7 +822,8 @@ class Pipeline:
         if bucket is None:
             return
         cycle = self.cycle
-        observer = self.observer
+        on_complete = self.hooks.on_complete
+        on_r_complete = self.hooks.on_r_complete
         sample = self._sample_fault
         detect = self._detect_latency
         for event in bucket:
@@ -846,8 +831,8 @@ class Pipeline:
                 if event.squashed:
                     continue
                 event.completed = True
-                if observer is not None:
-                    observer.notify("complete", cycle, event)
+                if on_complete is not None:
+                    on_complete(cycle, event)
                 if sample is not None and event.dyn is not None:
                     bit = sample(cycle)
                     if bit is not None and reese_p_value(event.dyn) is not None:
@@ -888,11 +873,8 @@ class Pipeline:
                 event.r_fault_bit = bit
                 event.r_value = r_val
                 event.r_state = R_DONE
-                if observer is not None:
-                    observer.notify(
-                        "r_complete", cycle, trace_seq=event.trace_seq,
-                        rentry=event,
-                    )
+                if on_r_complete is not None:
+                    on_r_complete(cycle, event)
 
     def _recover_mispredict(self, branch: _Entry) -> None:
         """Squash everything younger than a resolved mispredicted branch."""
@@ -903,13 +885,13 @@ class Pipeline:
         # The branch's own duplicate (dispatch-dup scheme) is younger by
         # one sequence number but belongs to the branch: keep it.
         keep = branch.shadow
-        observer = self.observer
+        on_squash = self.hooks.on_squash
         for entry in self.ruu:
             if entry.seq > seq and entry is not keep:
                 entry.squashed = True
                 squashed += 1
-                if observer is not None:
-                    observer.notify("squash", self.cycle, entry)
+                if on_squash is not None:
+                    on_squash(self.cycle, entry)
             else:
                 survivors.append(entry)
         self.ruu = survivors
@@ -934,8 +916,9 @@ class Pipeline:
         self.fetch_blocked_until = max(self.fetch_blocked_until, self.cycle + 1)
         self._last_fetch_line = -1
         branch.mispredicted = False
-        if self.accountant is not None:
-            self.accountant.note_mispredict()
+        on_mispredict = self.hooks.on_mispredict
+        if on_mispredict is not None:
+            on_mispredict(self.cycle, branch)
 
     # ==================================================================
     # issue
@@ -959,8 +942,8 @@ class Pipeline:
         ready.sort(key=_by_seq)
         leftover: List[_Entry] = []
         cycle = self.cycle
-        observer = self.observer
-        acct = self.accountant
+        on_issue = self.hooks.on_issue
+        on_fu_block = self.hooks.on_fu_block
         stats = self.stats
         exhausted = self.fupool.exhausted
         acquire = self.fupool.acquire
@@ -1004,8 +987,8 @@ class Pipeline:
                     exhausted[_FU_MEM][0] == cycle
                     or acquire(_FU_MEM, cycle, entry.is_shadow) is None
                 ):
-                    if acct is not None:
-                        acct.note_fu_block(_FU_MEM, cycle, entry.is_shadow)
+                    if on_fu_block is not None:
+                        on_fu_block(cycle, _FU_MEM, entry.is_shadow)
                     leftover.append(entry)
                     continue
                 elif entry.wrong_path or ea is None:
@@ -1019,15 +1002,15 @@ class Pipeline:
                     else acquire(fu, cycle, entry.is_shadow)
                 )
                 if grant is None:
-                    if acct is not None:
-                        acct.note_fu_block(fu, cycle, entry.is_shadow)
+                    if on_fu_block is not None:
+                        on_fu_block(cycle, fu, entry.is_shadow)
                     leftover.append(entry)
                     continue
                 latency = grant if grant > 1 else 1
             entry.issued = True
             wheel[cycle + latency].append(entry)
-            if observer is not None:
-                observer.notify("issue", cycle, entry)
+            if on_issue is not None:
+                on_issue(cycle, entry)
             stats.issued += 1
             if entry.wrong_path:
                 stats.issued_wrong_path += 1
@@ -1046,8 +1029,8 @@ class Pipeline:
         and drops a class once its pool is exhausted this cycle: the
         entries issued, and their order, are those of one
         insertion-order scan that skips every entry whose unit is busy.
-        With an accountant bound, every blocked entry that scan would
-        have visited (each one older than the last issue, or all of
+        With an ``on_fu_block`` observer, every blocked entry that scan
+        would have visited (each one older than the last issue, or all of
         them if the budget outlasted the queue) is charged once.
         """
         if not budget:
@@ -1055,13 +1038,13 @@ class Pipeline:
         live = list(filter(None, self.rqueue.pending.values()))
         if not live:
             return budget
-        acct = self.accountant
+        on_fu_block = self.hooks.on_fu_block
         blocked: List[Deque[_Entry]] = []
         cycle = self.cycle
         exhausted = self.fupool.exhausted
         acquire_r = self.fupool.acquire_r
         r_latency = self._r_latency
-        observer = self.observer
+        on_r_issue = self.hooks.on_r_issue
         stats = self.stats
         wheel = self._wheel
         last = -1
@@ -1095,11 +1078,8 @@ class Pipeline:
                     entry = popleft()
                     entry.r_state = R_ISSUED
                     bucket.append(entry)
-                    if observer is not None:
-                        observer.notify(
-                            "r_issue", cycle, trace_seq=entry.trace_seq,
-                            rentry=entry,
-                        )
+                    if on_r_issue is not None:
+                        on_r_issue(cycle, entry)
                 stats.issued_r += granted
                 last = entry.order
                 budget -= granted
@@ -1107,16 +1087,15 @@ class Pipeline:
                     break
             if granted < want:  # FU busy: skip — R entries are independent.
                 live.remove(fifo)
-                if acct is not None:
+                if on_fu_block is not None:
                     blocked.append(fifo)
             elif not fifo:
                 live.remove(fifo)
-        if acct is not None:
-            for fifo in blocked:
-                for entry in fifo:
-                    if not budget and entry.order > last:
-                        break
-                    acct.note_fu_block(entry.r_fu, cycle, True)
+        for fifo in blocked:
+            for entry in fifo:
+                if not budget and entry.order > last:
+                    break
+                on_fu_block(cycle, entry.r_fu, True)
         return budget
 
     # ==================================================================
@@ -1133,7 +1112,7 @@ class Pipeline:
         ready = self.ready
         create = self.create
         stats = self.stats
-        observer = self.observer
+        on_dispatch = self.hooks.on_dispatch
         cycle = self.cycle
         dup_on = self.dup_on
         ruu_room = self.config.ruu_size - len(ruu)
@@ -1166,8 +1145,8 @@ class Pipeline:
                 shadow.dst = -1
                 shadow.is_shadow = True
                 ifq.appendleft(shadow)
-            if observer is not None:
-                observer.notify("dispatch", cycle, entry)
+            if on_dispatch is not None:
+                on_dispatch(cycle, entry)
             # Rename: wait on each in-flight producer of a source.
             deps = 0
             for src in entry.srcs:
@@ -1212,7 +1191,7 @@ class Pipeline:
         trace = self.trace
         total = len(trace)
         stats = self.stats
-        observer = self.observer
+        on_fetch = self.hooks.on_fetch
         reese_on = self.reese_on
         line_shift = self._line_shift
         l1i_hit = self._l1i_hit
@@ -1287,8 +1266,8 @@ class Pipeline:
                 else:
                     self.fetch_cursor = cursor + 1
             ifq.append(entry)
-            if observer is not None:
-                observer.notify("fetch", cycle, entry)
+            if on_fetch is not None:
+                on_fetch(cycle, entry)
             budget -= 1
         self._next_seq = next_seq
 

@@ -93,8 +93,8 @@ from ..isa.instructions import Op
 from ..isa.registers import REG_RA
 from ..memhier.hierarchy import MemoryHierarchy
 from ..reese.faults import FaultModel
-from .accounting import CycleAccountant
 from .config import MachineConfig
+from .observe import ObserveConfig, build_observability
 from .pipeline import Pipeline
 from .stats import Stats
 
@@ -755,8 +755,7 @@ def run_interval(
     index: int,
     fault_model: Optional[FaultModel] = None,
     warm: bool = True,
-    observer=None,
-    profile_run: bool = False,
+    observe: Optional[ObserveConfig] = None,
     sweep: Optional[WarmSweep] = None,
 ) -> Stats:
     """Detailed simulation of one measurement interval.
@@ -768,8 +767,7 @@ def run_interval(
     bit-identical either way.
 
     Args:
-        profile_run: attach a fresh
-            :class:`~repro.uarch.accounting.CycleAccountant` so the
+        observe: the observers to attach; with ``profile`` the
             interval's Stats carry a slot/cycle attribution account
             covering exactly the measured window (the accountant
             resets with every other counter at ``measure_from``).
@@ -785,11 +783,10 @@ def run_interval(
         resequence(trace, warm_start, min(end + spec.cooldown, len(trace))),
         config,
         fault_model=fault_model,
-        observer=observer,
+        observers=build_observability(observe),
         warm_state=state,
         measure_from=measure_start - warm_start,
         stop_after=end - 1 - warm_start,
-        accountant=CycleAccountant() if profile_run else None,
     )
     return pipeline.run()
 
@@ -831,7 +828,8 @@ def run_sampled(
         run_interval(
             program, trace, config, spec, index,
             fault_model=fault_factory(index) if fault_factory else None,
-            warm=warm, profile_run=profile_run, sweep=sweep,
+            warm=warm, observe=ObserveConfig(profile=profile_run),
+            sweep=sweep,
         )
         for index in range(len(sweep.bounds))
     ])

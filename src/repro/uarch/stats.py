@@ -61,12 +61,6 @@ def _merge_stage_metrics(
         into["dropped_events"] = (
             into.get("dropped_events", 0) + other.get("dropped_events", 0)
         )
-    if "fu_issued" in other:
-        fu = into.setdefault("fu_issued", {})
-        for stream, counts in other["fu_issued"].items():
-            merged = fu.setdefault(stream, {})
-            for unit, count in counts.items():
-                merged[unit] = merged.get(unit, 0) + count
     return into
 
 

@@ -145,7 +145,7 @@ class TestCLIFlags:
                      "bench", "go"]) == 0
         out = capsys.readouterr().out
         assert "stage metrics over" in out
-        assert "FU issues (R-stream)" in out
+        assert "R-stream issues: " in out
 
     def test_trace_flag_writes_per_run_files(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
@@ -168,11 +168,11 @@ class TestMetricsReport:
             "schema": 1,
             "cycles_sampled": 10,
             "occupancy": {"ruu": {"0": 5, "8": 5}},
-            "fu_issued": {"P": {"ialu": 7}, "R": {"ialu": 2}},
         }
+        stats.fu_issues = {"ialu": 9, "mem": 3}
+        stats.issued_r = 2
         report = metrics_report(stats)
         assert "stage metrics over 10 cycles" in report
         assert "ruu" in report and "4.00" in report and "8" in report
         assert "stalls" not in report  # the cycle account owns stalls
-        assert "FU issues (P-stream): ialu=7" in report
-        assert "FU issues (R-stream): ialu=2" in report
+        assert "FU issues: ialu=9, mem=3; R-stream issues: 2" in report

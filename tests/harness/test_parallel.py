@@ -96,27 +96,27 @@ class TestFingerprint:
         assert job_fingerprint(implicit) == job_fingerprint(explicit)
 
 
-#: Cache keys at CACHE_VERSION 5 (the v4 keys of the hand-listed
+#: Cache keys at CACHE_VERSION 6 (the v4 keys of the hand-listed
 #: fingerprint payload that preceded the field-derived one, with only the
 #: version changed).  They must never change without a CACHE_VERSION
 #: bump: every existing .repro_cache entry depends on them.
 PINNED_KEYS = [
     (SimJob("go", starting_config(), 900),
-     "c9fd3ea4a8d920bf59461cf26b1fe80d59886b5fbde648fcd3b27ae91a1849e5"),
+     "6c20ea3065314d38c901078c76e97abff24ef107fb3bd77c10fece5372493dab"),
     (SimJob("gcc", starting_config().with_reese(), 2000, seed=7),
-     "fc5356fdcde60b34becced65a651e50b52b6097bd142482ad09ae112b786171e"),
+     "9d88fe1ef76c3525cbc4b4374d891ee7fa38211ba6d8cabb6d5f0cbb0a455689"),
     (SimJob("li", starting_config().with_reese(), 1500,
             fault=FaultSpec.make("environmental", rate=1e-3, duration=3,
                                  seed=11)),
-     "3897efd5e803185e13d7426a99bd10414c31d6914115c6d5cd51330c73f9847e"),
+     "d977464cee091d55c4ec2c9b059ccb275225a69c1c8b22f0c7e3718410e1d933"),
     (SimJob("perl", starting_config().with_reese(), 1500,
             fault=FaultSpec.make("scheduled", events=((10, 2, 3),)),
             warm=False),
-     "281a055b5e9dbbb37923293b4401fba91a4e7e1e50e70e4eafa3a131ba612416"),
+     "1725659a2792ad22a95098c87459a300ef10f802b77ba1d227641284c14dfee6"),
     (SimJob("vortex", starting_config().with_spares(2, 0).with_reese(), 2000,
             sampling=SamplingSpec(4, 120, warmup=30, cooldown=30, index=2),
             observe=True, check_invariants=True, profile=True),
-     "e902d62e6e3266de3468f8cafa3775d541d29b5213b4ab2edbf61c67ae5b623a"),
+     "4c2d045fd832e65dadacfafd234a1d99f24270d12dd1f9dad7bc58401273209a"),
 ]
 
 #: One changed value per SimJob field (against ``SimJob("go", cfg, TINY)``).
@@ -137,7 +137,7 @@ ALTERNATE_VALUES = {
 
 class TestFingerprintDerivation:
     def test_cache_version_unchanged(self):
-        assert CACHE_VERSION == 5
+        assert CACHE_VERSION == 6
 
     @pytest.mark.parametrize("index", range(len(PINNED_KEYS)))
     def test_pinned_keys(self, index):

@@ -29,7 +29,7 @@ from repro.harness.sweep import run_sweep
 from repro.memhier.hierarchy import MemHierParams
 from repro.uarch import SampledResult, SamplingSpec, run_sampled, sampling
 from repro.uarch.config import LatencyConfig, ReeseConfig, starting_config
-from repro.uarch.observe import ObserveConfig, build_observability
+from repro.uarch.observe import ObserveConfig
 from repro.uarch.sampling import WARM_FIELDS, run_interval
 from repro.workloads.suite import trace_for
 
@@ -389,14 +389,13 @@ def _mixed_batch():
 def _from_scratch(job):
     """One interval simulated alone, straight through ``run_interval``."""
     program, trace = trace_for(job.benchmark, job.scale, job.seed)
-    observer = None
-    if job.observe or job.check_invariants:
-        observer = build_observability(ObserveConfig(
-            metrics=job.observe, check_invariants=job.check_invariants))
+    observe = ObserveConfig(metrics=job.observe,
+                            check_invariants=job.check_invariants,
+                            profile=job.profile)
     return run_interval(
         program, trace, job.config, job.sampling, job.sampling.index,
         fault_model=job.fault.build() if job.fault else None,
-        warm=job.warm, observer=observer, profile_run=job.profile,
+        warm=job.warm, observe=observe,
     )
 
 

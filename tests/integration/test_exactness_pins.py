@@ -119,8 +119,8 @@ class _ShadowedCommits:
     def __init__(self):
         self.count = 0
 
-    def notify(self, event, cycle, entry=None, **info):
-        if event == "commit" and entry is not None and entry.shadow:
+    def on_commit(self, cycle, entry):
+        if entry.shadow:
             self.count += 1
 
 
@@ -133,7 +133,7 @@ def test_each_instruction_is_compared_once(traces, label):
     for bench, (program, trace) in traces.items():
         shadowed = _ShadowedCommits()
         stats = Pipeline(program, trace, config, warm_caches=True,
-                         warm_predictor=True, observer=shadowed).run()
+                         warm_predictor=True, observers=[shadowed]).run()
         expected = shadowed.count if config.dispatch_dup else stats.issued_r
         assert stats.comparisons == expected, bench
 

@@ -16,11 +16,12 @@ import pytest
 
 from repro.harness.runner import run_model
 from repro.reese import EnvironmentalFaultModel
-from repro.uarch import starting_config
+from repro.uarch import ObserveConfig, starting_config
 from repro.uarch.sampling import SamplingSpec, run_interval
 from repro.workloads.suite import BENCHMARKS, trace_for
 
 SCALE = 2000
+PROFILE = ObserveConfig(profile=True)
 
 PINNED = {
     "baseline": {
@@ -136,7 +137,7 @@ def _runs(bench):
     ]
     for label, config, fault_model in machines:
         yield label, run_model(program, trace, config,
-                               fault_model=fault_model, profile=True)
+                               fault_model=fault_model, observe=PROFILE)
 
 
 def _by_lag(hist):
@@ -174,7 +175,7 @@ class TestPinnedAccounts:
         stats = run_interval(
             program, trace, starting_config().with_reese(),
             SamplingSpec(4, 120, warmup=30, cooldown=30), 1,
-            profile_run=True,
+            observe=PROFILE,
         )
         assert _observed(stats) == PINNED["sampled_interval"]
 

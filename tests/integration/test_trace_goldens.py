@@ -1,8 +1,10 @@
 """Golden event-trace regression tests.
 
-Two small workloads are traced through the full parallel execution
-layer and their JSONL event traces compared byte-for-byte against
-committed goldens.  These pin the *entire* observable pipeline
+Four small runs are traced through the full parallel execution layer
+and their JSONL event traces compared byte-for-byte against committed
+goldens: two fault-free, and two under one environmental fault each, so
+that a REESE mismatch and flush and the dispatch-dup comparisons (which
+carry their ``seq``) are pinned too.  These pin the *entire* observable pipeline
 behaviour — every fetch, issue, writeback, R-stream re-execution and
 comparison, in order — so any accidental change to stage scheduling
 shows up as a trace diff, not just a cycle-count drift.
@@ -11,13 +13,10 @@ If you change the timing model or the event schema **deliberately**,
 re-generate the goldens:
 
     PYTHONPATH=src python - <<'PY'
-    from repro.harness.parallel import ParallelRunner, SimJob
-    from repro.uarch.config import starting_config
+    from tests.integration.test_trace_goldens import CASES, GOLDEN_DIR
+    from repro.harness.parallel import ParallelRunner
     ParallelRunner(jobs=1, use_cache=False).run([
-        SimJob("vortex", starting_config().with_reese(), 120,
-               trace_path="tests/goldens/trace_vortex_reese_s120.jsonl"),
-        SimJob("go", starting_config(), 120,
-               trace_path="tests/goldens/trace_go_baseline_s120.jsonl"),
+        make(str(GOLDEN_DIR / golden)) for golden, make in CASES.values()
     ])
     PY
 
@@ -29,11 +28,15 @@ import pathlib
 
 import pytest
 
-from repro.harness.parallel import ParallelRunner, SimJob
+from repro.harness.parallel import FaultSpec, ParallelRunner, SimJob
 from repro.uarch.config import starting_config
 from repro.uarch.observe import EVENT_KINDS
 
 GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "goldens"
+
+#: At this rate and seed each faulted case detects exactly one
+#: mismatch, so its trace holds one flush.
+FAULT = FaultSpec.make("environmental", rate=2e-3, duration=3, seed=1)
 
 #: name -> (golden file, SimJob factory); scale 120 keeps the traces
 #: around a thousand events (gcc/li/perl have large fixed-size floors
@@ -47,6 +50,16 @@ CASES = {
     "go_baseline": (
         "trace_go_baseline_s120.jsonl",
         lambda path: SimJob("go", starting_config(), 120, trace_path=path),
+    ),
+    "vortex_reese_faulted": (
+        "trace_vortex_reese_faulted_s120.jsonl",
+        lambda path: SimJob("vortex", starting_config().with_reese(), 120,
+                            fault=FAULT, trace_path=path),
+    ),
+    "go_dispatch_dup_faulted": (
+        "trace_go_dispatch_dup_faulted_s120.jsonl",
+        lambda path: SimJob("go", starting_config().with_dispatch_dup(), 120,
+                            fault=FAULT, trace_path=path),
     ),
 }
 

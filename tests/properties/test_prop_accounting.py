@@ -46,7 +46,7 @@ def program_and_trace(draw):
 def _profiled_run(program, trace, config, fault_model=None):
     stats = Pipeline(
         program, trace, config, fault_model=fault_model,
-        accountant=CycleAccountant(),
+        observers=[CycleAccountant()],
     ).run()
     return stats
 

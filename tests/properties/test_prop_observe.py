@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.arch import emulate
 from repro.uarch import Pipeline, starting_config
-from repro.uarch.observe import Observability, InvariantChecker, StageMetrics
+from repro.uarch.observe import InvariantChecker, StageMetrics
 from repro.workloads import MixProfile, generate_program
 
 
@@ -50,7 +50,7 @@ class TestInvariantProperties:
         program, trace = data
         checker = InvariantChecker()
         stats = Pipeline(program, trace, config,
-                         observer=Observability(checker=checker)).run()
+                         observers=[checker]).run()
         assert stats.committed == len(trace)
         assert checker.violations == []
 
@@ -60,7 +60,7 @@ class TestInvariantProperties:
         program, trace = data
         metrics = StageMetrics()
         stats = Pipeline(program, trace, starting_config().with_reese(),
-                         observer=Observability(metrics=metrics)).run()
+                         observers=[metrics]).run()
         registry = stats.stage_metrics
         assert registry["cycles_sampled"] == stats.cycles
         for hist in registry["occupancy"].values():
@@ -75,8 +75,7 @@ class TestInvariantProperties:
         plain = Pipeline(program, trace, config).run()
         observed = Pipeline(
             program, trace, config,
-            observer=Observability(metrics=StageMetrics(),
-                                   checker=InvariantChecker()),
+            observers=[InvariantChecker(), StageMetrics()],
         ).run()
         assert observed.cycles == plain.cycles
         assert observed.committed == plain.committed

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.arch import emulate
 from repro.uarch import Pipeline, starting_config
-from repro.uarch.observe import InvariantChecker, Observability
+from repro.uarch.observe import InvariantChecker
 from repro.workloads import MixProfile, generate_program
 
 
@@ -103,7 +103,7 @@ class TestReeseKnobsUnderTheChecker:
         config = starting_config().with_reese(**_REESE_KNOBS[knob])
         checker = InvariantChecker()
         stats = Pipeline(program, trace, config,
-                         observer=Observability(checker=checker)).run()
+                         observers=[checker]).run()
         assert stats.committed == len(trace)
         assert checker.violations == []
         assert stats.errors_detected == 0

@@ -36,17 +36,24 @@ def waiting_entries(queue):
                    for entry in fifo), key=lambda entry: entry.order)
 
 
+def _record(event):
+    """A :class:`Recorder` hook noting ``event`` for its entry."""
+    def hook(self, cycle, entry, *match):
+        self.events.append((event, entry.trace_seq))
+    return hook
+
+
 class Recorder:
     """Observer keeping ``(event, trace seq)`` for every R-stream event."""
 
     def __init__(self):
         self.events = []
 
-    def notify(self, event, cycle, entry=None, **info):
-        if event == "rqueue":
-            self.events.append((event, entry.trace_seq))
-        elif "rentry" in info:
-            self.events.append((event, info["rentry"].trace_seq))
+    on_rqueue = _record("rqueue")
+    on_r_issue = _record("r_issue")
+    on_r_complete = _record("r_complete")
+    on_compare = _record("compare")
+    on_commit = _record("commit")
 
     def take(self, event):
         """Trace seqs of ``event`` since the last take, in order."""
@@ -64,7 +71,7 @@ class QueueBench:
             high_water_margin=capacity - 1,
         )
         self.recorder = Recorder()
-        self.pipe = Pipeline(PROGRAM, [], config, observer=self.recorder)
+        self.pipe = Pipeline(PROGRAM, [], config, observers=[self.recorder])
         self.queue = self.pipe.rqueue
         self.next_seq = 0
 

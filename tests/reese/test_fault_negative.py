@@ -19,11 +19,7 @@ from repro.reese.faults import (
     ScheduledFaultModel,
 )
 from repro.uarch import Pipeline, starting_config
-from repro.uarch.observe import (
-    InvariantChecker,
-    InvariantViolation,
-    Observability,
-)
+from repro.uarch.observe import InvariantChecker, InvariantViolation
 
 #: One aggressive instance of every fault model: enough strikes that a
 #: detection-disabled run is guaranteed to commit corrupted values.
@@ -48,7 +44,7 @@ class TestDetectionDisabled:
             Pipeline(
                 program, trace, cfg,
                 fault_model=AGGRESSIVE_MODELS[model_name](),
-                observer=Observability(checker=InvariantChecker()),
+                observers=[InvariantChecker()],
             ).run()
         assert excinfo.value.invariant == "commit-oracle"
         assert excinfo.value.trace_seq is not None
@@ -60,7 +56,7 @@ class TestDetectionDisabled:
         checker = InvariantChecker(collect=True)
         stats = Pipeline(
             program, trace, cfg, fault_model=model,
-            observer=Observability(checker=checker),
+            observers=[checker],
         ).run()
         assert model.strikes > 0
         assert stats.sdc_commits > 0, "fault model never corrupted a commit"
@@ -121,7 +117,7 @@ class TestDetectionEnabled:
         stats = Pipeline(
             program, trace, cfg.with_reese(),
             fault_model=ScheduledFaultModel([(0, 1_000_000, 9)]),
-            observer=Observability(checker=checker),
+            observers=[checker],
         ).run()
         assert stats.errors_detected == 0
         assert stats.errors_undetected_same_event >= 1

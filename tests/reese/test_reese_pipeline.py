@@ -10,7 +10,7 @@ from repro.reese import (
     ScheduledFaultModel,
     UnrecoverableFaultError,
 )
-from repro.uarch import Observability, Pipeline, StageMetrics, starting_config
+from repro.uarch import Pipeline, StageMetrics, starting_config
 from repro.workloads import kernels
 
 
@@ -55,7 +55,7 @@ class TestRedundantExecution:
     def test_rqueue_occupancy_tracked(self, mixed_trace):
         program, trace = mixed_trace
         stats = run_reese(
-            program, trace, observer=Observability(metrics=StageMetrics())
+            program, trace, observers=[StageMetrics()]
         )
         occupancy = stats.stage_metrics["occupancy"]["rqueue"]
         assert max(int(occ) for occ in occupancy) >= 1

@@ -78,6 +78,25 @@ class TestValidate:
         assert any("reese_gap" in e for e in errors)
         assert any("outside [0, 1]" in e for e in errors)
 
+    @pytest.mark.parametrize("rev,valid", [
+        ("4c2d974", True),
+        ("4c2d974e" * 5, True),
+        ("unknown", True),
+        ("child of f7dc6e6", False),
+        ("4c2d97", False),
+        ("4C2D974", False),
+        ("4c2d974e" * 5 + "0", False),
+        ("", False),
+    ])
+    def test_git_rev_is_a_commit_id_or_unknown(self, rev, valid):
+        speed = bench_track.speed_entry("x", [_perfbench_output(1.0)])
+        speed["git_rev"] = rev
+        for entry in (_entry(git_rev=rev), speed):
+            errors = bench_track.validate_trajectory(
+                {"schema": 2, "entries": [entry]}
+            )
+            assert (errors == []) is valid, errors
+
 
 class TestAppend:
     def test_initialises_and_appends(self, tmp_path):

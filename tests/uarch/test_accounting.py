@@ -105,10 +105,10 @@ class TestCascade:
     def test_mispredict_does_not_downgrade_recovery(self, acct):
         pipe = _Pipe()
         pipe.stats.recoveries += 1
-        acct.note_mispredict()
+        acct.on_mispredict(0, None)
         acct.on_cycle(pipe)
         assert acct._refill == "recovery"
-        acct.note_mispredict()
+        acct.on_mispredict(0, None)
         assert acct._refill == "recovery"
 
     def test_fu_busy_split_caps_at_unused(self, acct):
@@ -225,15 +225,15 @@ class TestFUBlame:
 
     def test_note_fu_block_charges_the_blamed_stream(self):
         pipe = _Pipe()
-        pipe.fupool.track_streams = True
         accountant = CycleAccountant()
         accountant.bind(pipe)
+        assert pipe.fupool.track_streams  # bind turns it on
         for _ in range(starting_config().int_alu):
             pipe.fupool.acquire(FUClass.INT_ALU, 0, r_stream=True)
         pipe.fupool.acquire(FUClass.INT_DIV, 0)
-        accountant.note_fu_block(FUClass.INT_ALU, 0, False)  # R holds
-        accountant.note_fu_block(FUClass.INT_DIV, 0, False)  # P holds
-        accountant.note_fu_block(FUClass.INT_DIV, 0, True)  # R work
+        accountant.on_fu_block(0, FUClass.INT_ALU, False)  # R holds
+        accountant.on_fu_block(0, FUClass.INT_DIV, False)  # P holds
+        accountant.on_fu_block(0, FUClass.INT_DIV, True)  # R work
         assert (accountant.cyc_fu_block_r, accountant.cyc_fu_block_p) == (2, 1)
 
     def test_blame_untracked_defaults_to_p(self):

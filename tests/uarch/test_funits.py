@@ -1,11 +1,9 @@
 """Unit tests for the functional-unit pools."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.isa.instructions import FUClass
-from repro.uarch import FUPool, StageMetrics, starting_config
+from repro.uarch import FUPool, starting_config
 
 
 @pytest.fixture
@@ -70,19 +68,17 @@ class TestAvailability:
         assert pool.issues["mem"] == 2
 
     def test_utilization_split_by_stream(self, pool):
+        """Both streams' issues land in the one per-pool record; the
+        R-stream total is ``Stats.issued_r``."""
         for _ in range(3):
             pool.acquire(FUClass.INT_ALU, 0)
         pool.acquire(FUClass.INT_ALU, 0, r_stream=True)
-        split = StageMetrics().state_dict(SimpleNamespace(fupool=pool))
-        assert split["fu_issued"]["P"]["ialu"] == 3
-        assert split["fu_issued"]["R"]["ialu"] == 1
-        # P + R always recompose the per-pool issue count.
-        for key, total in pool.issues.items():
-            assert (split["fu_issued"]["P"][key]
-                    + split["fu_issued"]["R"][key]) == total
+        assert pool.acquire_r(FUClass.INT_MULT, 0, 2) == 1
+        assert pool.issues == {"ialu": 4, "imultdiv": 1, "fpadd": 0,
+                               "fpmultdiv": 0, "mem": 0}
+        assert not hasattr(pool, "issues_r")
 
     def test_utilization_split_zero_cycles(self, pool):
-        split = StageMetrics().state_dict(SimpleNamespace(fupool=pool))
-        assert set(split["fu_issued"]) == {"P", "R"}
-        assert all(v == 0 for v in split["fu_issued"]["P"].values())
-        assert all(v == 0 for v in split["fu_issued"]["R"].values())
+        assert set(pool.issues) == {"ialu", "imultdiv", "fpadd",
+                                    "fpmultdiv", "mem"}
+        assert all(v == 0 for v in pool.issues.values())

@@ -19,6 +19,7 @@ from repro.isa.instructions import FUClass, Op
 from repro.reese import R_ISSUED, R_WAITING, RStreamQueue
 from repro.uarch import FUPool, Pipeline, starting_config
 from repro.uarch.config import LatencyConfig
+from repro.uarch.observe import StageHooks
 from repro.uarch.pipeline import _Entry
 from repro.uarch.stats import Stats
 from repro.workloads.suite import trace_for
@@ -66,19 +67,19 @@ def reference_issue_r(waiting, pool, cycle, budget, l1d_hit):
     issue in order, and how many blocked entries the scan visited.
     """
     issued, blocks = [], 0
-    for rentry in list(waiting):
+    for queued in list(waiting):
         if not budget:
             break
-        grant = pool.acquire(rentry.r_fu, cycle)
+        grant = pool.acquire(queued.r_fu, cycle)
         if grant is None:
             blocks += 1
             continue
-        if rentry.r_fu is FUClass.MEM_PORT:
+        if queued.r_fu is FUClass.MEM_PORT:
             latency = l1d_hit
         else:
             latency = max(1, grant)
-        waiting.remove(rentry)
-        issued.append((rentry.trace_seq, cycle + latency))
+        waiting.remove(queued)
+        issued.append((queued.trace_seq, cycle + latency))
         budget -= 1
     return issued, blocks, budget
 
@@ -87,7 +88,7 @@ class CountingAccountant:
     def __init__(self):
         self.blocks = 0
 
-    def note_fu_block(self, fu_class, cycle, r_work):
+    def on_fu_block(self, cycle, fu_class, r_work):
         assert r_work
         self.blocks += 1
 
@@ -104,7 +105,7 @@ def _config(units, lat):
     )
 
 
-def _rentry(seq, fu):
+def _queued_entry(seq, fu):
     dyn = DynInst()
     dyn.seq = seq
     dyn.op = Op.ADD
@@ -130,12 +131,13 @@ def _stub_pipe(queue, pool, acct, order):
     }
     return SimpleNamespace(
         cycle=0, rqueue=queue, fupool=pool, stats=Stats(),
-        observer=SimpleNamespace(
-            notify=lambda event, cycle, **info: order.append(
-                info["trace_seq"]
-            )
-        ),
-        _wheel=defaultdict(list), _r_latency=r_latency, accountant=acct,
+        hooks=StageHooks([
+            SimpleNamespace(on_r_issue=lambda cycle, entry: order.append(
+                entry.trace_seq
+            )),
+            *([acct] if acct is not None else []),
+        ]),
+        _wheel=defaultdict(list), _r_latency=r_latency,
     )
 
 
@@ -167,8 +169,8 @@ class TestRIssueMatchesTheScan:
         for cycle, (arrivals, p_work, budget) in enumerate(cycles):
             pipe.cycle = cycle
             for fu in arrivals:
-                _insert(queue, _rentry(seq, fu))
-                waiting.append(_rentry(seq, fu))
+                _insert(queue, _queued_entry(seq, fu))
+                waiting.append(_queued_entry(seq, fu))
                 seq += 1
             for fu in p_work:
                 assert pool.acquire(fu, cycle) == reference.acquire(fu, cycle)
@@ -178,8 +180,8 @@ class TestRIssueMatchesTheScan:
                 waiting, reference, cycle, budget, 2
             )
             finish = {
-                rentry.trace_seq: when
-                for when, bucket in pipe._wheel.items() for rentry in bucket
+                queued.trace_seq: when
+                for when, bucket in pipe._wheel.items() for queued in bucket
             }
             assert [(seq, finish[seq]) for seq in order] == issued
             order.clear()
@@ -200,7 +202,7 @@ class TestRIssueMatchesTheScan:
         fus = [FUClass.MEM_PORT, FUClass.INT_ALU, FUClass.INT_MULT,
                FUClass.INT_ALU, FUClass.MEM_PORT]
         for seq, fu in enumerate(fus):
-            _insert(queue, _rentry(seq, fu))
+            _insert(queue, _queued_entry(seq, fu))
         order = []
         pipe = _stub_pipe(queue, pool, None, order)
         assert Pipeline._issue_r(pipe, 8) == 3

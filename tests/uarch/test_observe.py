@@ -7,8 +7,9 @@ import pytest
 
 from repro.arch import emulate
 from repro.isa.instructions import FUClass
+from repro.reese import RStreamQueue
 from repro.reese.comparator import p_value
-from repro.reese.faults import corrupt_value
+from repro.reese.faults import EnvironmentalFaultModel, corrupt_value
 from repro.uarch import Pipeline, starting_config
 from repro.uarch.pipeline import _Entry
 from repro.uarch.observe import (
@@ -19,14 +20,14 @@ from repro.uarch.observe import (
     InvariantChecker,
     InvariantViolation,
     JSONLSink,
-    Observability,
     ObserveConfig,
     RingBufferSink,
     StageMetrics,
     TraceEvent,
     build_observability,
 )
-from repro.uarch.accounting import hist_mean
+from repro.uarch.accounting import CycleAccountant, hist_mean
+from repro.workloads.suite import trace_for
 
 
 class TestTraceEvent:
@@ -91,7 +92,7 @@ class TestEventTracer:
     def _traced_run(self, program, trace, config):
         sink = RingBufferSink(capacity=100_000)
         pipe = Pipeline(program, trace, config,
-                        observer=Observability(tracer=EventTracer(sink)))
+                        observers=[EventTracer(sink)])
         stats = pipe.run()
         return stats, sink.events()
 
@@ -129,7 +130,7 @@ class TestStageMetrics:
         program, trace = mixed_trace
         metrics = StageMetrics()
         stats = Pipeline(program, trace, cfg.with_reese(),
-                         observer=Observability(metrics=metrics)).run()
+                         observers=[metrics]).run()
         registry = stats.stage_metrics
         assert registry["cycles_sampled"] == stats.cycles
         for key in StageMetrics.STRUCTURES:
@@ -139,14 +140,14 @@ class TestStageMetrics:
             assert all(isinstance(bin_, str) for bin_ in hist)
 
     def test_fu_split_accounts_r_stream(self, mixed_trace, cfg):
+        """The registry keeps no issue counts: ``Stats.fu_issues`` is
+        the per-pool record, R-stream issues included."""
         program, trace = mixed_trace
         stats = Pipeline(
-            program, trace, cfg.with_reese(),
-            observer=Observability(metrics=StageMetrics()),
+            program, trace, cfg.with_reese(), observers=[StageMetrics()],
         ).run()
-        fu = stats.stage_metrics["fu_issued"]
-        assert sum(fu["R"].values()) == stats.issued_r
-        assert all(count >= 0 for count in fu["P"].values())
+        assert "fu_issued" not in stats.stage_metrics
+        assert sum(stats.fu_issues.values()) >= stats.issued_r > 0
 
     def test_sampled_interval_covers_only_the_measured_window(self):
         """The ``measure_from`` reset restarts the metrics too.
@@ -155,20 +156,16 @@ class TestStageMetrics:
         detailed warm-up cycles before its measured window.
         """
         from repro.uarch.sampling import SamplingSpec, run_interval
-        from repro.workloads.suite import trace_for
 
         program, trace = trace_for("go", 2000)
         stats = run_interval(
             program, trace, starting_config().with_reese(),
-            SamplingSpec(2, 100), 1,
-            observer=Observability(metrics=StageMetrics()),
+            SamplingSpec(2, 100), 1, observe=ObserveConfig(metrics=True),
         )
         registry = stats.stage_metrics
         assert registry["cycles_sampled"] == stats.cycles
         for hist in registry["occupancy"].values():
             assert sum(hist.values()) == stats.cycles
-        fu = registry["fu_issued"]
-        assert sum(fu["R"].values()) == stats.issued_r
 
     def test_occupancy_mean(self):
         # Occupancy histograms share the lag histograms' mean helper.
@@ -176,12 +173,17 @@ class TestStageMetrics:
         assert hist_mean({}) == 0.0
 
 
-def _rentry_for(dyn):
+def _queued_for(dyn):
     """The R-stream Queue entry of ``dyn``: its pipeline entry, moved."""
     entry = _Entry(0, dyn)
     entry.p_value = p_value(dyn)
     entry.r_fu = FUClass.INT_ALU
     return entry
+
+
+def _reese_stub():
+    """The REESE pipeline state the checker reads at commit."""
+    return SimpleNamespace(rqueue=RStreamQueue())
 
 
 class TestInvariantChecker:
@@ -190,7 +192,7 @@ class TestInvariantChecker:
         for config in (cfg, cfg.with_reese(), cfg.with_dispatch_dup()):
             checker = InvariantChecker()
             stats = Pipeline(program, trace, config,
-                             observer=Observability(checker=checker)).run()
+                             observers=[checker]).run()
             assert stats.committed == len(trace)
             assert checker.violations == []
             assert checker.checks > 0
@@ -200,24 +202,37 @@ class TestInvariantChecker:
         dyn = emulate(program).trace[5]
         checker = InvariantChecker()
         with pytest.raises(InvariantViolation) as excinfo:
-            checker.notify("commit", 10, rentry=_rentry_for(dyn))
+            checker.on_commit(10, _queued_for(dyn))
         assert excinfo.value.invariant == "commit-order"
         assert excinfo.value.cycle == 10
         assert excinfo.value.trace_seq == 5
 
     def test_commit_oracle_catches_corrupted_value(self, loop_trace):
+        """Under REESE the checker re-executes against the value the
+        comparator passed."""
         program, _ = loop_trace
         trace = emulate(program).trace
         checker = InvariantChecker(collect=True)
-        rentry = _rentry_for(trace[0])
-        rentry.p_value = corrupt_value(rentry.p_value, 3)
-        checker.notify("commit", 1, rentry=rentry)
+        checker.bind(_reese_stub())
+        entry = _queued_for(trace[0])
+        entry.p_value = corrupt_value(entry.p_value, 3)
+        checker.on_commit(1, entry)
+        assert [v.invariant for v in checker.violations] == ["commit-oracle"]
+
+    def test_commit_oracle_catches_corrupted_p_result(self, loop_trace):
+        """Without REESE, against the P result its fault corrupted."""
+        program, _ = loop_trace
+        trace = emulate(program).trace
+        checker = InvariantChecker(collect=True)
+        entry = _Entry(0, trace[0])
+        entry.p_fault_bit = 3
+        checker.on_commit(1, entry)
         assert [v.invariant for v in checker.violations] == ["commit-oracle"]
 
     def test_r_issue_before_p_writeback(self):
         checker = InvariantChecker()
         with pytest.raises(InvariantViolation) as excinfo:
-            checker.notify("r_issue", 4, trace_seq=7)
+            checker.on_r_issue(4, SimpleNamespace(trace_seq=7))
         assert excinfo.value.invariant == "r-before-p"
 
     def test_flush_residue(self):
@@ -225,14 +240,14 @@ class TestInvariantChecker:
         checker.bind(SimpleNamespace(ifq=[object()], ruu=[], lsq=[],
                                      ready=[], create=[], rqueue=None))
         with pytest.raises(InvariantViolation) as excinfo:
-            checker.notify("recover", 9)
+            checker.on_recover(9)
         assert excinfo.value.invariant == "flush-residue"
         assert "ifq" in excinfo.value.detail
 
     def test_collect_mode_accumulates(self):
         checker = InvariantChecker(collect=True)
-        checker.notify("r_issue", 1, trace_seq=1)
-        checker.notify("r_issue", 2, trace_seq=2)
+        checker.on_r_issue(1, SimpleNamespace(trace_seq=1))
+        checker.on_r_issue(2, SimpleNamespace(trace_seq=2))
         assert len(checker.violations) == 2
 
     def test_violation_message_names_cycle_and_instruction(self):
@@ -245,41 +260,118 @@ class TestInvariantChecker:
 
 class TestObserveConfig:
     def test_disabled_by_default(self):
-        assert not ObserveConfig().enabled
-        assert build_observability(None) is None
-        assert build_observability(ObserveConfig()) is None
+        assert build_observability(None) == []
+        assert build_observability(ObserveConfig()) == []
 
     @pytest.mark.parametrize("kwargs", [
         dict(metrics=True),
         dict(check_invariants=True),
         dict(trace_path="x.jsonl"),
         dict(ring_capacity=16),
+        dict(profile=True),
     ])
-    def test_any_piece_enables(self, kwargs):
-        assert ObserveConfig(**kwargs).enabled
+    def test_any_piece_enables(self, kwargs, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (observer,) = build_observability(ObserveConfig(**kwargs))
+        if isinstance(observer, EventTracer):
+            observer.sink.close()
 
     def test_build_composes_requested_pieces(self, tmp_path):
-        observer = build_observability(ObserveConfig(
+        observers = build_observability(ObserveConfig(
             metrics=True,
             check_invariants=True,
             trace_path=str(tmp_path / "t.jsonl"),
             ring_capacity=8,
+            profile=True,
         ))
-        assert observer.metrics is not None
-        assert observer.checker is not None
-        assert observer.tracer is not None
-        observer.tracer.sink.close()
+        # The checker first: a violation is raised before its event is
+        # written.
+        assert [type(obs) for obs in observers] == [
+            InvariantChecker, StageMetrics, EventTracer, EventTracer,
+            CycleAccountant,
+        ]
+        assert isinstance(observers[2].sink, JSONLSink)
+        assert isinstance(observers[3].sink, RingBufferSink)
+        observers[2].sink.close()
 
     def test_full_stack_end_to_end(self, mixed_trace, cfg, tmp_path):
         program, trace = mixed_trace
         path = tmp_path / "trace.jsonl"
-        observer = build_observability(ObserveConfig(
+        observers = build_observability(ObserveConfig(
             metrics=True, check_invariants=True, trace_path=str(path)
         ))
         stats = Pipeline(program, trace, cfg.with_reese(),
-                         observer=observer).run()
+                         observers=observers).run()
         assert stats.committed == len(trace)
         assert stats.stage_metrics["cycles_sampled"] == stats.cycles
         lines = path.read_text().splitlines()
         assert lines, "trace file must not be empty"
         assert all(json.loads(line)["kind"] in EVENT_KINDS for line in lines)
+
+
+#: (machine, fault model factory) for the composition test: REESE and
+#: dispatch-dup, each fault-free and under environmental faults.
+COMPOSED_RUNS = {
+    "reese": (starting_config().with_reese(), None),
+    "reese_faulted": (
+        starting_config().with_reese(),
+        lambda: EnvironmentalFaultModel(rate=5e-3, duration=3, seed=1),
+    ),
+    "dispatch_dup": (starting_config().with_dispatch_dup(), None),
+    "dispatch_dup_faulted": (
+        starting_config().with_dispatch_dup(),
+        lambda: EnvironmentalFaultModel(rate=5e-3, duration=3, seed=1),
+    ),
+}
+
+
+class TestComposition:
+    """Observers attached together see and record exactly what each
+    records when attached alone, and none perturbs the run."""
+
+    @staticmethod
+    def _run(name, observers):
+        config, faults = COMPOSED_RUNS[name]
+        program, trace = trace_for("vortex", 400)
+        return Pipeline(program, trace, config,
+                        fault_model=faults() if faults else None,
+                        observers=observers).run()
+
+    @staticmethod
+    def _violations(checker):
+        return [(v.invariant, v.cycle, v.trace_seq, v.detail)
+                for v in checker.violations]
+
+    @pytest.mark.parametrize("name", sorted(COMPOSED_RUNS))
+    def test_together_equals_alone(self, name, tmp_path):
+        checker = InvariantChecker(collect=True)
+        tracer = EventTracer(JSONLSink(tmp_path / "together.jsonl"))
+        together = self._run(name, [checker, StageMetrics(), tracer,
+                                    CycleAccountant()])
+
+        alone_checker = InvariantChecker(collect=True)
+        alone = {
+            "checker": self._run(name, [alone_checker]),
+            "tracer": self._run(name, [
+                EventTracer(JSONLSink(tmp_path / "alone.jsonl"))
+            ]),
+            "metrics": self._run(name, [StageMetrics()]),
+            "accountant": self._run(name, [CycleAccountant()]),
+            "none": self._run(name, []),
+        }
+        assert ((tmp_path / "together.jsonl").read_bytes()
+                == (tmp_path / "alone.jsonl").read_bytes())
+        assert together.stage_metrics == alone["metrics"].stage_metrics
+        assert together.accounting == alone["accountant"].accounting
+        assert self._violations(checker) == self._violations(alone_checker)
+        assert checker.checks == alone_checker.checks > 0
+
+        def plain(stats):
+            state = stats.state_dict()
+            del state["stage_metrics"], state["accounting"]
+            return state
+
+        for stats in alone.values():
+            assert plain(together) == plain(stats)
+        if "faulted" in name:
+            assert together.errors_detected >= 1

@@ -149,3 +149,31 @@ class TestStructuralEdges:
             cfg.with_reese(rqueue_size=2, high_water_margin=1),
         )
         assert stats.halted
+
+
+class TestMeasurementWindow:
+    STORE_THEN_HALT = """
+    .data
+    buf: .word 0
+    .text
+    main:
+        la   r2, buf
+        li   r1, 5
+        sw   r1, 0(r2)
+        halt
+    """
+
+    @pytest.mark.parametrize("machine", ["baseline", "reese", "dispatch_dup"])
+    def test_window_opening_at_a_store_counts_its_write(self, machine):
+        """The store that opens the window is measured: its memory port
+        and its D-cache write, on every commit path."""
+        base = starting_config()
+        config = {"baseline": base, "reese": base.with_reese(),
+                  "dispatch_dup": base.with_dispatch_dup()}[machine]
+        program = assemble(self.STORE_THEN_HALT)
+        trace = emulate(program).trace
+        (store,) = [dyn.seq for dyn in trace if dyn.is_store]
+        stats = Pipeline(program, trace, config, measure_from=store).run()
+        assert stats.committed == 2  # the store and the halt
+        assert stats.fu_issues["mem"] >= 1
+        assert stats.cache_stats["l1d"]["accesses"] == 1

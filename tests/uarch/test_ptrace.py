@@ -23,7 +23,7 @@ def _traced(program, trace, config, **kwargs):
     events = []
     stats = Pipeline(
         program, trace, config,
-        observer=EventTracer(CallbackSink(events.append)), **kwargs
+        observers=[EventTracer(CallbackSink(events.append))], **kwargs
     ).run()
     return events, stats
 

@@ -5,8 +5,9 @@ completion recomputes its R comparable, through the comparator binding
 of the record's opcode, bound once at import.  Those
 reads must equal :func:`~repro.reese.comparator.p_value` and
 :func:`~repro.reese.comparator.reexecute` exactly (type, value and float
-bits) on every record.  And the pipeline itself must stay free of
-reference cycles, so a finished run is freed by reference counting.
+bits) on every record.  And the pipeline itself, with the observers
+that keep no reference to it attached, must stay free of reference
+cycles, so a finished run is freed by reference counting.
 """
 
 import gc
@@ -19,7 +20,9 @@ from repro.isa import assemble
 from repro.isa.instructions import Op
 from repro.reese import comparator
 from repro.reese.comparator import p_value, reexecute
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import (
+    ObserveConfig, Pipeline, build_observability, starting_config,
+)
 from repro.workloads.suite import BENCHMARK_ORDER, trace_for
 
 from tests.arch.test_trace_pin import EVERY_CATEGORY
@@ -42,12 +45,11 @@ class _Reads:
         self.p = {}
         self.r = {}
 
-    def notify(self, event, cycle, entry=None, **info):
-        if event == "rqueue":
-            self.p[entry.trace_seq] = entry.p_value
-        elif event == "r_complete":
-            entry = info["rentry"]
-            self.r[entry.trace_seq] = entry.r_value
+    def on_rqueue(self, cycle, entry):
+        self.p[entry.trace_seq] = entry.p_value
+
+    def on_r_complete(self, cycle, entry):
+        self.r[entry.trace_seq] = entry.r_value
 
 
 @pytest.mark.parametrize("name,program,trace", RUNS,
@@ -55,7 +57,7 @@ class _Reads:
 def test_bound_reads_equal_the_comparator(name, program, trace):
     reads = _Reads()
     stats = Pipeline(program, trace, starting_config().with_reese(),
-                     observer=reads).run()
+                     observers=[reads]).run()
     assert stats.committed == len(trace)
     assert sorted(reads.p) == list(range(len(trace)))
     for dyn in trace:
@@ -85,20 +87,38 @@ def test_wrong_path_regs_are_bound_once_per_program():
     ]
 
 
-@pytest.mark.parametrize("config", [
-    starting_config(),
-    starting_config().with_reese(),
-    starting_config().with_dispatch_dup(),
-], ids=["baseline", "reese", "dispatch_dup"])
-def test_finished_pipeline_is_freed_by_reference_counting(config):
+CONFIGS = {
+    "baseline": starting_config(),
+    "reese": starting_config().with_reese(),
+    "dispatch_dup": starting_config().with_dispatch_dup(),
+}
+
+
+def _freed(config, observers=()):
+    """Whether a finished run's pipeline dies with the collector off."""
     _name, program, trace = RUNS[0]
     gc.collect()
     gc.disable()
     try:
-        pipe = Pipeline(program, trace, config)
+        pipe = Pipeline(program, trace, config, observers=observers)
         pipe.run()
         ref = weakref.ref(pipe)
         del pipe
-        assert ref() is None
+        return ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("config", list(CONFIGS.values()), ids=list(CONFIGS))
+def test_finished_pipeline_is_freed_by_reference_counting(config):
+    assert _freed(config)
+
+
+@pytest.mark.parametrize("config", list(CONFIGS.values()), ids=list(CONFIGS))
+def test_observed_pipeline_is_freed_by_reference_counting(config):
+    """Every observer but the invariant checker, which keeps its
+    pipeline, leaves a finished run to reference counting."""
+    observers = build_observability(
+        ObserveConfig(metrics=True, ring_capacity=64, profile=True)
+    )
+    assert _freed(config, observers)

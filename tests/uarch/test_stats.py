@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.uarch import (
-    Observability,
-    Pipeline,
-    StageMetrics,
-    Stats,
-    starting_config,
-)
+from repro.uarch import Pipeline, StageMetrics, Stats, starting_config
 from repro.uarch.accounting import hist_mean
 
 
@@ -34,7 +28,7 @@ class TestDerivedMetrics:
         program, trace = mixed_trace
         stats = Pipeline(
             program, trace, starting_config().with_reese(),
-            observer=Observability(metrics=StageMetrics()),
+            observers=[StageMetrics()],
         ).run()
         hist = stats.stage_metrics["occupancy"]["rqueue"]
         assert sum(hist.values()) == stats.cycles
@@ -97,7 +91,6 @@ class TestRoundTrip:
             "schema": 1,
             "cycles_sampled": 123,
             "occupancy": {"ruu": {"0": 3, "16": 120}},
-            "fu_issued": {"P": {"ialu": 5}, "R": {"ialu": 2}},
         }
         return stats
 
