@@ -106,7 +106,10 @@ from .telemetry import write_job_telemetry
 #: store counts that store's port use and D-cache write; and
 #: ``stage_metrics`` lost ``fu_issued`` (``Stats.fu_issues`` and
 #: ``issued_r`` carry the per-pool and R-stream issue counts).
-CACHE_VERSION = 6
+#: v7: the full-run warm-up zeroes the D-TLB counters with the caches'.
+#: Only ``cache_stats["dtlb"]`` (``hits``, ``misses``, ``miss_rate``) of
+#: warm full runs changed: it no longer counts the warm pass's accesses.
+CACHE_VERSION = 7
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"

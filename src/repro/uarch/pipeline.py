@@ -484,9 +484,7 @@ class Pipeline:
         """One architectural pass over the trace to warm caches/predictor."""
         if self.warm_caches:
             warm_caches_over(self.mem, self.trace, self._line_shift)
-            self.mem.l1i.reset_stats()
-            self.mem.l1d.reset_stats()
-            self.mem.l2.reset_stats()
+            self.mem.reset_stats()
         if self.warm_predictor:
             warm_predictor_over(self.predictor, self.trace)
             self.predictor.lookups = 0

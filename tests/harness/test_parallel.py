@@ -96,27 +96,27 @@ class TestFingerprint:
         assert job_fingerprint(implicit) == job_fingerprint(explicit)
 
 
-#: Cache keys at CACHE_VERSION 6 (the v4 keys of the hand-listed
+#: Cache keys at CACHE_VERSION 7 (the v4 keys of the hand-listed
 #: fingerprint payload that preceded the field-derived one, with only the
 #: version changed).  They must never change without a CACHE_VERSION
 #: bump: every existing .repro_cache entry depends on them.
 PINNED_KEYS = [
     (SimJob("go", starting_config(), 900),
-     "6c20ea3065314d38c901078c76e97abff24ef107fb3bd77c10fece5372493dab"),
+     "dace6da7792277a40ea4bf5d08c259f8e29ba343398e40262ad9a1a5ce6e51da"),
     (SimJob("gcc", starting_config().with_reese(), 2000, seed=7),
-     "9d88fe1ef76c3525cbc4b4374d891ee7fa38211ba6d8cabb6d5f0cbb0a455689"),
+     "19cec99b073d812b820c05810a44fad4e3e868a7f57c7c428c48fbed8c3f733c"),
     (SimJob("li", starting_config().with_reese(), 1500,
             fault=FaultSpec.make("environmental", rate=1e-3, duration=3,
                                  seed=11)),
-     "d977464cee091d55c4ec2c9b059ccb275225a69c1c8b22f0c7e3718410e1d933"),
+     "ebb04c0130946a39846fc6335f7a4cfbdd27fd31b3a8b9c8ca626440e38310dc"),
     (SimJob("perl", starting_config().with_reese(), 1500,
             fault=FaultSpec.make("scheduled", events=((10, 2, 3),)),
             warm=False),
-     "1725659a2792ad22a95098c87459a300ef10f802b77ba1d227641284c14dfee6"),
+     "ed8639ef5e925a9894708a62910a8d819f41320028adbcc6fdd99d9806d45f08"),
     (SimJob("vortex", starting_config().with_spares(2, 0).with_reese(), 2000,
             sampling=SamplingSpec(4, 120, warmup=30, cooldown=30, index=2),
             observe=True, check_invariants=True, profile=True),
-     "4c2d045fd832e65dadacfafd234a1d99f24270d12dd1f9dad7bc58401273209a"),
+     "a27d44092d9ade0b1413a67e05deb8e44299f0603880e4c74c29605cf65feca8"),
 ]
 
 #: One changed value per SimJob field (against ``SimJob("go", cfg, TINY)``).
@@ -137,7 +137,7 @@ ALTERNATE_VALUES = {
 
 class TestFingerprintDerivation:
     def test_cache_version_unchanged(self):
-        assert CACHE_VERSION == 6
+        assert CACHE_VERSION == 7
 
     @pytest.mark.parametrize("index", range(len(PINNED_KEYS)))
     def test_pinned_keys(self, index):

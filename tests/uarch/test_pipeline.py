@@ -216,6 +216,18 @@ class TestCacheInteraction:
         # The loop touches no data; after warm-up the I-side should hit.
         assert stats.cache_stats["l1i"]["misses"] == 0
 
+    def test_warmup_zeroes_dtlb_stats(self, cfg):
+        # Every data access probes the D-TLB and the L1 D-cache once, so
+        # after the warm pass is zeroed the two counts must agree.
+        program, _ = kernels.bubble_sort(24, seed=4)
+        result = emulate(program)
+        stats = Pipeline(program, result.trace, cfg, warm_caches=True,
+                         warm_predictor=True).run()
+        dtlb = stats.cache_stats["dtlb"]
+        assert stats.cache_stats["l1d"]["accesses"] > 0
+        assert dtlb["hits"] + dtlb["misses"] == \
+            stats.cache_stats["l1d"]["accesses"]
+
 
 class TestDeadlockGuard:
     def test_deadlock_window_configurable(self, cfg, loop_trace):
