@@ -18,7 +18,7 @@ from repro.uarch import Pipeline, starting_config
 from repro.workloads import BENCHMARK_ORDER
 from repro.workloads.suite import trace_for
 
-_WARM = dict(warm_caches=True, warm_predictor=True)
+_WARM = dict(warm=True)
 
 
 def _avg_ipc(traces, config):

@@ -31,7 +31,7 @@ def run_sweep():
             )
             stats = Pipeline(
                 program, trace, config, fault_model=model,
-                warm_caches=True, warm_predictor=True,
+                warm=True,
             ).run()
             detected += stats.errors_detected
             escaped += stats.errors_undetected_same_event

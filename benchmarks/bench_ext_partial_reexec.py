@@ -27,8 +27,7 @@ def run_sweep():
     traces = {n: trace_for(n, scale=scale) for n in BENCHMARK_ORDER}
     config = starting_config()
     base_ipc = statistics.mean(
-        Pipeline(p, t, config, warm_caches=True, warm_predictor=True)
-        .run().ipc
+        Pipeline(p, t, config, warm=True).run().ipc
         for p, t in traces.values()
     )
     rows = []
@@ -37,15 +36,12 @@ def run_sweep():
         ipcs = []
         detected = escaped = 0
         for p, t in traces.values():
-            stats = Pipeline(
-                p, t, reese, warm_caches=True, warm_predictor=True
-            ).run()
+            stats = Pipeline(p, t, reese, warm=True).run()
             ipcs.append(stats.ipc)
             # Coverage probe with per-execution faults.
             model = BernoulliFaultModel(rate=2e-4, seed=13)
             fault_stats = Pipeline(
-                p, t, reese, fault_model=model,
-                warm_caches=True, warm_predictor=True,
+                p, t, reese, fault_model=model, warm=True
             ).run()
             detected += fault_stats.errors_detected
             escaped += fault_stats.sdc_commits

@@ -48,8 +48,7 @@ def test_sampling_validation():
         program, trace = trace_for(bench, SCALE)
         for label, cfg in modes:
             start = time.perf_counter()
-            full = Pipeline(program, trace, cfg, warm_caches=True,
-                            warm_predictor=True).run()
+            full = Pipeline(program, trace, cfg, warm=True).run()
             t_full = time.perf_counter() - start
 
             start = time.perf_counter()

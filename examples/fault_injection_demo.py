@@ -41,7 +41,7 @@ def reese_detection() -> None:
     model = EnvironmentalFaultModel(rate=1e-3, duration=2, seed=42)
     stats = Pipeline(
         program, trace, config, fault_model=model,
-        warm_caches=True, warm_predictor=True,
+        warm=True,
     ).run()
     print(f"fault strikes:            {model.strikes}")
     print(f"errors detected:          {stats.errors_detected}")
@@ -67,7 +67,7 @@ def coverage_vs_duration() -> None:
             )
             stats = Pipeline(
                 program, trace, config, fault_model=model,
-                warm_caches=True, warm_predictor=True,
+                warm=True,
             ).run()
             detected += stats.errors_detected
             escaped += stats.errors_undetected_same_event

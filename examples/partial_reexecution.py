@@ -21,7 +21,7 @@ def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "gcc"
     program, trace = trace_for(benchmark, scale=12_000)
     config = starting_config()
-    warm = dict(warm_caches=True, warm_predictor=True)
+    warm = dict(warm=True)
 
     base = Pipeline(program, trace, config, **warm).run()
     print(f"benchmark {benchmark}: baseline IPC {base.ipc:.3f}")

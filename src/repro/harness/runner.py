@@ -66,8 +66,7 @@ def run_model(
         trace,
         config,
         fault_model=fault_model,
-        warm_caches=warm,
-        warm_predictor=warm,
+        warm=warm,
         observers=build_observability(observe),
     )
     return pipeline.run(max_cycles=max_cycles)

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -506,8 +507,8 @@ class InvariantChecker:
     structural sweeps run once per cycle from ``on_cycle``.  By default
     the first violation raises; with ``collect=True`` violations accrue
     in :attr:`violations` instead (for tests that expect several).
-    The checker is the one observer that keeps its pipeline: its
-    checks read the machine's structures.
+    Its checks read the machine's structures, so it holds its pipeline,
+    but only by a weak reference: the pipeline holds the checker's hooks.
     """
 
     def __init__(self, collect: bool = False) -> None:
@@ -520,7 +521,7 @@ class InvariantChecker:
         self._next_commit = 0
 
     def bind(self, pipe) -> None:
-        self._pipe = pipe
+        self._pipe = weakref.ref(pipe)
         self._rqueue = pipe.rqueue
 
     def _fail(
@@ -602,7 +603,7 @@ class InvariantChecker:
 
     def on_recover(self, cycle: int) -> None:
         self.checks += 1
-        pipe = self._pipe
+        pipe = self._pipe() if self._pipe is not None else None
         if pipe is None:
             return
         residues = [

@@ -106,12 +106,12 @@ def warm_caches_over(mem: MemoryHierarchy, trace, line_shift: int) -> None:
 
     One functional pass over ``trace`` (any iterable of
     :class:`~repro.arch.trace.DynInst`): instruction lines are fetched
-    once per line run, loads/stores touch the data side.  Shared by the
-    full-run warm-up (:meth:`Pipeline._warm_up`) and the sampled engine
-    (:mod:`repro.uarch.sampling`), whose fast-forward between
-    measurement intervals is exactly this pass over the skipped region.
-    The caller resets cache statistics afterwards when the pass is
-    warm-up rather than measurement.
+    once per line run, loads/stores touch the data side.  The cache half
+    of :meth:`WarmState.warm_full` and :meth:`WarmState.advance`, whose
+    sampled fast-forward between measurement intervals is exactly this
+    pass over the skipped region.  The pass moves the cache counters;
+    :meth:`WarmState.reset_stats` zeroes them when it is warm-up rather
+    than measurement.
     """
     # Hoisted bound methods: this loop is the sampled engine's
     # fast-forward path, run over most of the trace per sampled run.
@@ -133,9 +133,8 @@ def warm_predictor_over(predictor, trace) -> None:
     """Pre-train the direction predictor on a branch stream.
 
     The counterpart of :func:`warm_caches_over` for the predictor: one
-    predict/update pass over every conditional branch in ``trace``.
-    The caller zeroes ``predictor.lookups``/``correct`` afterwards when
-    the pass is warm-up rather than measurement.
+    predict/update pass over every conditional branch in ``trace``,
+    which leaves the accuracy counters alone.
     """
     predict = predictor.predict
     update = predictor.update
@@ -144,6 +143,117 @@ def warm_predictor_over(predictor, trace) -> None:
             pc = dyn.pc
             predict(pc)
             update(pc, dyn.taken)
+
+
+class WarmState:
+    """A machine's memory hierarchy and fetch predictors.
+
+    The one place that builds the memory hierarchy, direction predictor,
+    BTB and return-address stack of a config, applies the fetch-time
+    prediction policy to them (:meth:`predict_next`) and zeroes their
+    counters (:meth:`reset_stats`).  A :class:`Pipeline` runs on one:
+    its own, built cold and warmed in place by :meth:`warm_full` for a
+    warm full run, or a :meth:`snapshot` the sampled engine
+    (:mod:`repro.uarch.sampling`) functionally fast-forwarded to an
+    interval start with :meth:`advance`.
+
+    ``warm_full`` touches caches and direction predictor only, over the
+    whole trace: the paper simulates 100 M instructions per benchmark,
+    so its caches run warm, while our runs of 10^4-10^5 instructions
+    would otherwise be dominated by compulsory misses.  ``advance``
+    replays a trace slice as fetch would, BTB and return-address stack
+    included, so a sampled window's control-flow structures hold their
+    true mid-run state (modulo wrong-path speculation) rather than
+    starting cold at every interval.
+    """
+
+    __slots__ = ("program", "mem", "predictor", "btb", "ras", "_line_shift")
+
+    def __init__(self, program: Program, config: MachineConfig) -> None:
+        self.program = program
+        self.mem = MemoryHierarchy(config.mem)
+        self.predictor = make_predictor(
+            config.predictor, **config.predictor_kwargs
+        )
+        self.btb = BTB(config.btb_entries)
+        self.ras = ReturnAddressStack(config.ras_depth)
+        self._line_shift = config.mem.l1i.line_size.bit_length() - 1
+
+    def predict_next(self, dyn: DynInst) -> int:
+        """Predicted next static index of the control transfer ``dyn``.
+
+        Fetch consults and trains the structures with the trace's ground
+        truth (oracle update timing, DESIGN.md §5): a conditional branch
+        predicts and trains the direction predictor (priming the oracle
+        predictor first), a call pushes its return index, ``jr ra`` pops
+        it, and any other indirect jump looks up the BTB, which then
+        learns the resolved target.  -1 when no target is predicted.
+        """
+        if dyn.is_cond_branch:
+            predictor = self.predictor
+            # An exact-class test: isinstance against the predictors'
+            # abstract base class costs an ABC instance check per branch.
+            if predictor.__class__ is PerfectPredictor:
+                predictor.prime(dyn.taken)
+            if predictor.predict_and_update(dyn.pc, dyn.taken):
+                return dyn.target_index
+            return dyn.static_index + 1
+        op = dyn.op
+        if op is _J:
+            return dyn.target_index  # direct: target in the instruction word
+        fallthrough = dyn.static_index + 1
+        if op is _JAL or op is _JALR:
+            self.ras.push(fallthrough)
+            if op is _JAL:
+                return dyn.target_index
+            predicted = self.btb.lookup(dyn.pc)
+        elif op is not _JR:
+            raise AssertionError(f"not a branch: {op}")
+        elif self.program.code[dyn.static_index].rs1 == REG_RA:
+            predicted = self.ras.pop()
+        else:
+            predicted = self.btb.lookup(dyn.pc)
+        self.btb.update(dyn.pc, dyn.target_index)
+        return predicted if predicted is not None else -1
+
+    def reset_stats(self) -> None:
+        """Zero every counter, leaving tags, tables and stacks as they are."""
+        self.mem.reset_stats()
+        self.predictor.lookups = self.predictor.correct = 0
+        self.btb.hits = self.btb.misses = 0
+        stack = self.ras
+        stack.pushes = stack.pops = stack.overflows = 0
+
+    def warm_full(self, trace) -> None:
+        """The full-trace warm pass, then :meth:`reset_stats`, so that no
+        counter includes it."""
+        warm_caches_over(self.mem, trace, self._line_shift)
+        warm_predictor_over(self.predictor, trace)
+        self.reset_stats()
+
+    def advance(self, trace, start: int, stop: int) -> None:
+        """Functionally replay ``trace[start:stop]`` into the state.
+
+        Moves the counters too, which :meth:`snapshot` zeroes.
+        """
+        window = trace[start:stop]
+        warm_caches_over(self.mem, window, self._line_shift)
+        predict_next = self.predict_next
+        for dyn in window:
+            if dyn.is_branch:
+                predict_next(dyn)
+
+    def snapshot(self) -> "WarmState":
+        """An isolated copy with its counters zeroed."""
+        clone = WarmState.__new__(WarmState)
+        clone.program = self.program
+        clone.mem = self.mem.clone_state()
+        clone.predictor = self.predictor.clone_state()
+        clone.btb = self.btb.clone_state()
+        clone.ras = self.ras.clone_state()
+        clone._line_shift = self._line_shift
+        clone.reset_stats()
+        return clone
 
 
 class _Entry:
@@ -248,8 +358,14 @@ class Pipeline:
     test.  Event hooks take ``(cycle, entry)``; ``on_compare`` adds
     ``match``, ``on_recover`` takes ``(cycle)`` and ``on_fu_block``
     ``(cycle, fu_class, r_work)``.  Under REESE every compare and commit
-    is of an R-stream Queue entry.  No observer but the invariant checker
-    keeps the pipeline (``docs/INTERNALS.md`` §6 and §8).
+    is of an R-stream Queue entry.  No observer keeps the pipeline
+    (``docs/INTERNALS.md`` §6 and §8).
+
+    The memory hierarchy and the fetch predictors are a
+    :class:`WarmState`'s (``warm_state``; ``mem`` and ``predictor`` are
+    its structures): fetch predicts through
+    :meth:`WarmState.predict_next`, and opening the measurement window
+    zeroes the counters through :meth:`WarmState.reset_stats`.
     """
 
     #: Cycles without a commit before declaring deadlock.
@@ -261,10 +377,9 @@ class Pipeline:
         trace: Trace,
         config: MachineConfig,
         fault_model: Optional[FaultModel] = None,
-        warm_caches: bool = False,
-        warm_predictor: bool = False,
+        warm: bool = False,
         observers: Sequence[Any] = (),
-        warm_state=None,
+        warm_state: Optional[WarmState] = None,
         measure_from: Optional[int] = None,
         stop_after: Optional[int] = None,
     ) -> None:
@@ -274,25 +389,17 @@ class Pipeline:
             trace: dynamic trace from the functional emulator.
             config: machine configuration (Table 1 preset or variant).
             fault_model: optional soft-error injector.
-            warm_caches: pre-touch every I-line, data address and TLB
-                page of the trace before timing starts, then zero the
-                cache statistics.  The paper simulates 100 M instructions
-                per benchmark, so its caches run warm; our runs are 10⁴-
-                10⁵ instructions and would otherwise be dominated by
-                compulsory misses.  The experiment harness enables this.
-            warm_predictor: likewise pre-train the direction predictor
-                on one pass of the branch stream.
+            warm: build the memory hierarchy and predictors warm, by
+                one :meth:`WarmState.warm_full` pass over the trace before
+                timing starts.  The experiment harness enables this.
             observers: the stage-hook observers, in the order each
                 hook calls them (e.g. the list
                 :func:`repro.uarch.observe.build_observability` returns).
-            warm_state: optional pre-warmed architectural state (an
-                object with ``mem``, ``predictor``, ``btb`` and ``ras``
-                attributes, e.g. :class:`repro.uarch.sampling.WarmState`).
-                When given, the pipeline adopts those structures instead
-                of building cold ones and the ``warm_caches`` /
-                ``warm_predictor`` flags are ignored — the sampled
-                engine hands every measurement interval a state that was
-                functionally fast-forwarded to the interval start.
+            warm_state: the :class:`WarmState` to run on, as it is
+                (``warm`` is then ignored): the sampled engine hands every
+                measurement interval a snapshot functionally
+                fast-forwarded to the interval start.  ``None`` builds
+                the pipeline its own.
             measure_from: trace seq whose commit opens the measurement
                 window — all statistics (including cache/predictor/FU
                 counters) are reset the moment it reaches commit, so
@@ -322,25 +429,16 @@ class Pipeline:
             None if type(self.fault_model) is NoFaults
             else self.fault_model.sample
         )
-        self.warm_caches = warm_caches
-        self.warm_predictor = warm_predictor
         self.stats = Stats()
 
         self.fupool = FUPool(config)
-        if warm_state is not None:
-            self.warm_caches = False
-            self.warm_predictor = False
-            self.mem = warm_state.mem
-            self.predictor = warm_state.predictor
-            self.btb = warm_state.btb
-            self.ras = warm_state.ras
-        else:
-            self.mem = MemoryHierarchy(config.mem)
-            self.predictor = make_predictor(
-                config.predictor, **config.predictor_kwargs
-            )
-            self.btb = BTB(config.btb_entries)
-            self.ras = ReturnAddressStack(config.ras_depth)
+        if warm_state is None:
+            warm_state = WarmState(program, config)
+            if warm:
+                warm_state.warm_full(trace)
+        self.warm_state = warm_state
+        self.mem = warm_state.mem
+        self.predictor = warm_state.predictor
 
         self.cycle = 0
         self._done = False
@@ -432,8 +530,6 @@ class Pipeline:
         total = len(self.trace)
         if total == 0:
             return self._finalize()
-        if self.warm_caches or self.warm_predictor:
-            self._warm_up()
         cap = max_cycles if max_cycles is not None else 400 * total + 100_000
         last_commit_cycle = 0
         last_committed = 0
@@ -480,16 +576,6 @@ class Pipeline:
             )
         return self._finalize()
 
-    def _warm_up(self) -> None:
-        """One architectural pass over the trace to warm caches/predictor."""
-        if self.warm_caches:
-            warm_caches_over(self.mem, self.trace, self._line_shift)
-            self.mem.reset_stats()
-        if self.warm_predictor:
-            warm_predictor_over(self.predictor, self.trace)
-            self.predictor.lookups = 0
-            self.predictor.correct = 0
-
     def _begin_measurement(self) -> None:
         """Open the measurement window: zero every statistic in place.
 
@@ -505,9 +591,7 @@ class Pipeline:
             setattr(stats, name, 0)
         self._detect_latency.clear()
         self._rqueue_residency.clear()
-        self.mem.reset_stats()
-        self.predictor.lookups = 0
-        self.predictor.correct = 0
+        self.warm_state.reset_stats()
         for key in self.fupool.issues:
             self.fupool.issues[key] = 0
         reset = self.hooks.reset
@@ -1251,7 +1335,9 @@ class Pipeline:
                         stats.r_skipped_duty += 1
                 if dyn.is_branch:
                     stats.branches += 1
-                    predicted = self._predict_next(dyn)
+                    if dyn.is_cond_branch:
+                        stats.cond_branches += 1
+                    predicted = self.warm_state.predict_next(dyn)
                     if predicted == dyn.next_index:
                         self.fetch_cursor = cursor + 1
                     else:
@@ -1268,34 +1354,3 @@ class Pipeline:
                 on_fetch(cycle, entry)
             budget -= 1
         self._next_seq = next_seq
-
-    def _predict_next(self, dyn: DynInst) -> int:
-        """Predicted next static index for a control-flow instruction."""
-        op = dyn.op
-        inst = self.program.code[dyn.static_index]
-        fallthrough = dyn.static_index + 1
-        if dyn.is_cond_branch:
-            self.stats.cond_branches += 1
-            predictor = self.predictor
-            if isinstance(predictor, PerfectPredictor):
-                predictor.prime(dyn.taken)
-            taken_pred = predictor.predict_and_update(dyn.pc, dyn.taken)
-            return dyn.target_index if taken_pred else fallthrough
-        if op is _J:
-            return dyn.target_index  # direct: target in the instruction word
-        if op is _JAL:
-            self.ras.push(fallthrough)
-            return dyn.target_index
-        if op is _JR:
-            if inst.rs1 == REG_RA:
-                predicted = self.ras.pop()
-            else:
-                predicted = self.btb.lookup(dyn.pc)
-            self.btb.update(dyn.pc, dyn.target_index)
-            return predicted if predicted is not None else -1
-        if op is _JALR:
-            self.ras.push(fallthrough)
-            predicted = self.btb.lookup(dyn.pc)
-            self.btb.update(dyn.pc, dyn.target_index)
-            return predicted if predicted is not None else -1
-        raise AssertionError(f"not a branch: {op}")

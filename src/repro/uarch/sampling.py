@@ -8,10 +8,9 @@ detail for wall clock: split the dynamic trace into ``k`` evenly
 spaced **measurement intervals** of ``U`` instructions, run *only*
 those intervals (plus small detailed warm-up and drain-padding
 windows) through the detailed pipeline, and **functionally
-fast-forward** between them with the architectural warm-up pass the
-full-run path already uses (cache touch + predictor train,
-:func:`~repro.uarch.pipeline.warm_caches_over` /
-:func:`~repro.uarch.pipeline.warm_predictor_over`).
+fast-forward** between them on the structures a full run warms
+(:class:`~repro.uarch.pipeline.WarmState`: cache touch plus the
+fetch-time predictors, trained as fetch trains them).
 
 Design (mirrors SMARTS / RepTFD's checkpoint-and-replay split):
 
@@ -42,8 +41,9 @@ Design (mirrors SMARTS / RepTFD's checkpoint-and-replay split):
   back to the ratio automatically.
 * **Warm state** for a detailed window starting at ``w`` is a
   deterministic fold: (1) the full-trace architectural warm pass
-  (identical to ``warm=True`` full runs — the paper's caches run warm)
-  then (2) a functional replay of the prefix ``[0, w)``.  The fold
+  (:meth:`WarmState.warm_full`, the one ``warm=True`` full runs make —
+  the paper's caches run warm) then (2) a functional replay of the
+  prefix ``[0, w)`` (:meth:`WarmState.advance`).  The fold
   depends only on ``(trace, config, w)`` — and of the config only on
   :data:`WARM_FIELDS` — and is associative over trace prefixes.  A
   :class:`WarmSweep` exploits both: the intervals of one *warm group*
@@ -88,14 +88,10 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..arch.trace import DynInst, Trace
-from ..bpred import BTB, PerfectPredictor, ReturnAddressStack, make_predictor
-from ..isa.instructions import Op
-from ..isa.registers import REG_RA
-from ..memhier.hierarchy import MemoryHierarchy
 from ..reese.faults import FaultModel
 from .config import MachineConfig
 from .observe import ObserveConfig, build_observability
-from .pipeline import Pipeline
+from .pipeline import Pipeline, WarmState
 from .stats import Stats
 
 #: Two-sided 95 % normal quantile for the CLT confidence interval.
@@ -178,52 +174,23 @@ class SamplingSpec:
 def mispredict_profile(program, trace: Trace, config: MachineConfig) -> List[int]:
     """Prefix sums of fetch-time branch mispredictions over ``trace``.
 
-    Replays the direction predictor, BTB and RAS over the whole trace
-    exactly as ``Pipeline._predict_next`` consults them.  Because the
-    timing models train all three at fetch with the trace's ground
-    truth (oracle update timing, DESIGN.md §5), the sequence of
-    mispredict events is independent of pipeline timing — this pass
-    reproduces the detailed simulator's total misprediction count
-    exactly, at functional-replay speed.
+    Replays :meth:`WarmState.predict_next`, the policy the pipeline's
+    fetch stage predicts with, over the whole trace on a fresh state.
+    Because the timing models train the predictors at fetch with the
+    trace's ground truth (oracle update timing, DESIGN.md §5), the
+    sequence of mispredict events is independent of pipeline timing —
+    this pass reproduces the detailed simulator's total misprediction
+    count exactly, at functional-replay speed.
 
     Returns ``pre`` with ``len(trace) + 1`` entries; mispredictions in
     ``trace[i:j]`` are ``pre[j] - pre[i]``.
     """
-    predictor = make_predictor(config.predictor, **config.predictor_kwargs)
-    btb = BTB(config.btb_entries)
-    ras = ReturnAddressStack(config.ras_depth)
-    code = program.code
-    prime = isinstance(predictor, PerfectPredictor)
+    predict_next = WarmState(program, config).predict_next
     pre = [0] * (len(trace) + 1)
     acc = 0
     for i, dyn in enumerate(trace):
-        if dyn.is_branch:
-            fallthrough = dyn.static_index + 1
-            op = dyn.op
-            if dyn.is_cond_branch:
-                if prime:
-                    predictor.prime(dyn.taken)
-                taken = predictor.predict_and_update(dyn.pc, dyn.taken)
-                predicted = dyn.target_index if taken else fallthrough
-            elif op is Op.J:
-                predicted = dyn.target_index
-            elif op is Op.JAL:
-                ras.push(fallthrough)
-                predicted = dyn.target_index
-            elif op is Op.JR:
-                if code[dyn.static_index].rs1 == REG_RA:
-                    hit = ras.pop()
-                else:
-                    hit = btb.lookup(dyn.pc)
-                btb.update(dyn.pc, dyn.target_index)
-                predicted = hit if hit is not None else -1
-            else:  # JALR
-                ras.push(fallthrough)
-                hit = btb.lookup(dyn.pc)
-                btb.update(dyn.pc, dyn.target_index)
-                predicted = hit if hit is not None else -1
-            if predicted != dyn.next_index:
-                acc += 1
+        if dyn.is_branch and predict_next(dyn) != dyn.next_index:
+            acc += 1
         pre[i + 1] = acc
     return pre
 
@@ -306,128 +273,6 @@ def select_intervals(
         bounds.append((warm_start, measure_start, end))
         previous_end = end
     return bounds
-
-
-class WarmState:
-    """Architectural machine state a detailed window starts from.
-
-    Holds exactly the structures :class:`Pipeline` would otherwise
-    build cold — memory hierarchy, direction predictor, BTB, return
-    address stack — after the deterministic warm fold described in the
-    module docstring.  ``advance`` continues the functional replay;
-    ``snapshot`` clones the state (with statistics zeroed) for handing
-    to an interval pipeline without disturbing the sweep.
-
-    ``warm_full`` touches caches and direction predictor only — the
-    exact composition of the full-run ``warm=True`` pass.  ``advance``
-    additionally replays the BTB and return-address stack in fetch
-    order, so a window's control-flow structures hold their *true*
-    mid-run state (modulo wrong-path speculation) rather than starting
-    cold at every interval.  Both are single fused loops: the sweep is
-    the dominant cost of a sampled run, so one trace iteration per
-    pass matters.
-    """
-
-    __slots__ = (
-        "program", "config", "mem", "predictor", "btb", "ras", "_line_shift"
-    )
-
-    def __init__(self, program, config: MachineConfig) -> None:
-        self.program = program
-        self.config = config
-        self.mem = MemoryHierarchy(config.mem)
-        self.predictor = make_predictor(
-            config.predictor, **config.predictor_kwargs
-        )
-        self.btb = BTB(config.btb_entries)
-        self.ras = ReturnAddressStack(config.ras_depth)
-        self._line_shift = config.mem.l1i.line_size.bit_length() - 1
-
-    def warm_full(self, trace: Trace) -> None:
-        """The full-trace warm pass (identical to ``warm=True`` runs)."""
-        mem = self.mem
-        ifetch = mem.ifetch
-        daccess = mem.daccess
-        predict = self.predictor.predict
-        update = self.predictor.update
-        shift = self._line_shift
-        last_line = -1
-        for dyn in trace:
-            pc = dyn.pc
-            line = pc >> shift
-            if line != last_line:
-                ifetch(pc)
-                last_line = line
-            ea = dyn.ea
-            if ea is not None:
-                daccess(ea, is_write=dyn.is_store)
-            if dyn.is_cond_branch:
-                predict(pc)
-                update(pc, dyn.taken)
-
-    def advance(self, trace: Trace, start: int, stop: int) -> None:
-        """Functionally replay ``trace[start:stop]`` into the state.
-
-        Caches and predictor advance as in :meth:`warm_full`; the BTB
-        and RAS replay the structural updates of
-        ``Pipeline._predict_next`` (push on calls, pop on returns,
-        record resolved indirect targets).
-        """
-        mem = self.mem
-        ifetch = mem.ifetch
-        daccess = mem.daccess
-        predict = self.predictor.predict
-        update = self.predictor.update
-        ras_push = self.ras.push
-        ras_pop = self.ras.pop
-        btb_update = self.btb.update
-        code = self.program.code
-        shift = self._line_shift
-        last_line = -1
-        for dyn in trace[start:stop]:
-            pc = dyn.pc
-            line = pc >> shift
-            if line != last_line:
-                ifetch(pc)
-                last_line = line
-            ea = dyn.ea
-            if ea is not None:
-                daccess(ea, is_write=dyn.is_store)
-            if dyn.is_branch:
-                if dyn.is_cond_branch:
-                    predict(pc)
-                    update(pc, dyn.taken)
-                else:
-                    op = dyn.op
-                    if op is Op.JAL:
-                        ras_push(dyn.static_index + 1)
-                    elif op is Op.JR:
-                        if code[dyn.static_index].rs1 == REG_RA:
-                            ras_pop()
-                        btb_update(pc, dyn.target_index)
-                    elif op is Op.JALR:
-                        ras_push(dyn.static_index + 1)
-                        btb_update(pc, dyn.target_index)
-
-    def snapshot(self) -> "WarmState":
-        """An isolated copy with measurement statistics zeroed."""
-        clone = WarmState.__new__(WarmState)
-        clone.program = self.program
-        clone.config = self.config
-        clone.mem = self.mem.clone_state()
-        clone.predictor = self.predictor.clone_state()
-        clone.btb = self.btb.clone_state()
-        clone.ras = self.ras.clone_state()
-        clone._line_shift = self._line_shift
-        clone.mem.reset_stats()
-        clone.predictor.lookups = 0
-        clone.predictor.correct = 0
-        clone.btb.hits = 0
-        clone.btb.misses = 0
-        clone.ras.pushes = 0
-        clone.ras.pops = 0
-        clone.ras.overflows = 0
-        return clone
 
 
 class WarmSweep:
@@ -798,7 +643,7 @@ def run_sampled(
     spec: SamplingSpec,
     fault_factory: Optional[Callable[[int], Optional[FaultModel]]] = None,
     warm: bool = True,
-    profile_run: bool = False,
+    observe: Optional[ObserveConfig] = None,
 ) -> SampledResult:
     """Sampled simulation of one workload, in process.
 
@@ -817,19 +662,18 @@ def run_sampled(
             in-process and fanned-out sampled runs bit-identical.
         warm: apply the full-trace warm pass first (the ``warm=True``
             semantics of the full-run path).
-        profile_run: attach a fresh accountant to every interval; the
-            aggregate view's attribution account is the sum of the
-            per-interval accounts (``Stats.merge``), under which the
-            completeness identities survive because each interval
-            satisfies them individually.
+        observe: the observers to attach, fresh ones to every
+            interval.  With ``profile`` the aggregate view's attribution
+            account is the sum of the per-interval accounts
+            (``Stats.merge``), under which the completeness identities
+            survive because each interval satisfies them individually.
     """
     sweep = WarmSweep(program, trace, config, spec, warm)
     return sweep.result([
         run_interval(
             program, trace, config, spec, index,
             fault_model=fault_factory(index) if fault_factory else None,
-            warm=warm, observe=ObserveConfig(profile=profile_run),
-            sweep=sweep,
+            warm=warm, observe=observe, sweep=sweep,
         )
         for index in range(len(sweep.bounds))
     ])

@@ -131,8 +131,10 @@ class TestRunSampledJobs:
         [result] = run_sampled_jobs([job], runner)
         program, trace = trace_for("li", SCALE)
         # The runner folds the REPRO_PROFILE gate into the job.
-        reference = run_sampled(program, trace, cfg, SPEC,
-                                profile_run=runner.resolve(job).profile)
+        reference = run_sampled(
+            program, trace, cfg, SPEC,
+            observe=ObserveConfig(profile=runner.resolve(job).profile),
+        )
         assert isinstance(result, SampledResult)
         assert [s.state_dict() for s in result.interval_stats] == \
             [s.state_dict() for s in reference.interval_stats]
@@ -163,8 +165,10 @@ class TestRunSampledJobs:
         job = SimJob("li", cfg, SCALE, sampling=SPEC)
         [merged] = runner.run([job])
         program, trace = trace_for("li", SCALE)
-        reference = run_sampled(program, trace, cfg, SPEC,
-                                profile_run=runner.resolve(job).profile)
+        reference = run_sampled(
+            program, trace, cfg, SPEC,
+            observe=ObserveConfig(profile=runner.resolve(job).profile),
+        )
         assert merged.state_dict() == reference.stats.state_dict()
 
 

@@ -21,7 +21,7 @@ def run_twice(config, fault_factory=None):
         fault = fault_factory() if fault_factory else None
         stats = Pipeline(
             program, trace, config, fault_model=fault,
-            warm_caches=True, warm_predictor=True,
+            warm=True,
         ).run()
         results.append(stats.to_dict())
     return results
@@ -66,7 +66,7 @@ class TestBitReproducibility:
                 fault_model=EnvironmentalFaultModel(
                     rate=1e-3, duration=2, seed=seed
                 ),
-                warm_caches=True, warm_predictor=True,
+                warm=True,
             ).run()
             outcomes.add((stats.cycles, stats.errors_detected))
         assert len(outcomes) > 1  # seeds actually change behaviour

@@ -135,8 +135,8 @@ def test_each_instruction_is_compared_once(traces, label):
     config, _faults = MACHINES[label]
     for bench, (program, trace) in traces.items():
         shadowed = _ShadowedCommits()
-        stats = Pipeline(program, trace, config, warm_caches=True,
-                         warm_predictor=True, observers=[shadowed]).run()
+        stats = Pipeline(program, trace, config, warm=True,
+                         observers=[shadowed]).run()
         expected = shadowed.count if config.dispatch_dup else stats.issued_r
         assert stats.comparisons == expected, bench
 

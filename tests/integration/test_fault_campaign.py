@@ -70,7 +70,7 @@ class TestTimingCampaign:
         )
         stats = Pipeline(
             program, trace, config, fault_model=model,
-            warm_caches=True, warm_predictor=True,
+            warm=True,
         ).run()
         return stats, model
 
@@ -109,7 +109,7 @@ class TestTimingCampaign:
         program, trace = workload
         clean = Pipeline(
             program, trace, starting_config().with_reese(),
-            warm_caches=True, warm_predictor=True,
+            warm=True,
         ).run()
         stats, _ = self._run(workload, duration=1)
         # A handful of recoveries should cost well under 20% extra time.

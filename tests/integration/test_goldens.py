@@ -10,7 +10,7 @@ re-generate them:
     from repro.workloads import BENCHMARK_ORDER
     from repro.workloads.suite import trace_for
     from repro.uarch import Pipeline, starting_config
-    kw = dict(warm_caches=True, warm_predictor=True)
+    kw = dict(warm=True)
     for n in BENCHMARK_ORDER:
         p, t = trace_for(n, scale=3000)
         b = Pipeline(p, t, starting_config(), **kw).run()
@@ -42,7 +42,7 @@ GOLDEN = {
                    dup_cycles=2776),
 }
 
-_WARM = dict(warm_caches=True, warm_predictor=True)
+_WARM = dict(warm=True)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -78,7 +78,7 @@ class TestWarmupConsistency:
         cold = Pipeline(program, trace, starting_config()).run()
         warm = Pipeline(
             program, trace, starting_config(),
-            warm_caches=True, warm_predictor=True,
+            warm=True,
         ).run()
         assert cold.committed == warm.committed
         assert warm.cycles <= cold.cycles

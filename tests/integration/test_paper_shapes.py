@@ -19,7 +19,7 @@ from repro.workloads import BENCHMARK_ORDER
 from repro.workloads.suite import trace_for
 
 SCALE = 8000
-_WARM = dict(warm_caches=True, warm_predictor=True)
+_WARM = dict(warm=True)
 
 
 @pytest.fixture(scope="module")

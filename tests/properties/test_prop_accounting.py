@@ -24,6 +24,7 @@ from repro.uarch.accounting import (
     accounting_identity_errors,
     r_share_of_delta,
 )
+from repro.uarch.observe import ObserveConfig
 from repro.uarch.sampling import SamplingSpec, run_sampled
 from repro.workloads import MixProfile, generate_program
 
@@ -110,7 +111,7 @@ class TestAccountingIdentity:
         spec = SamplingSpec(intervals=3, interval_length=120, warmup=30)
         result = run_sampled(
             program, trace, starting_config().with_reese(), spec,
-            profile_run=True,
+            observe=ObserveConfig(profile=True),
         )
         _assert_identities(result.stats)
 

@@ -43,8 +43,7 @@ class TestSamplingAccuracy:
     def test_sampled_ipc_tracks_full_ipc(self, data):
         program, trace = data
         cfg = starting_config()
-        full = Pipeline(program, trace, cfg, warm_caches=True,
-                        warm_predictor=True).run()
+        full = Pipeline(program, trace, cfg, warm=True).run()
         spec = SamplingSpec(6, 150, warmup=40, cooldown=40)
         result = run_sampled(program, trace, cfg, spec)
         assert result.ipc == pytest.approx(full.ipc, rel=0.10)
@@ -55,8 +54,7 @@ class TestSamplingAccuracy:
         # blow the estimate up.
         program, trace = trace_for("li", 4000)
         cfg = starting_config()
-        full = Pipeline(program, trace, cfg, warm_caches=True,
-                        warm_predictor=True).run()
+        full = Pipeline(program, trace, cfg, warm=True).run()
         errors = {}
         for k in (3, 6, 12):
             spec = SamplingSpec(k, 150, warmup=40, cooldown=40)
@@ -71,8 +69,7 @@ class TestSamplingAccuracy:
         # pipeline restart, a small documented windowing cost.
         program, trace = trace_for("go", 3000)
         cfg = starting_config()
-        full = Pipeline(program, trace, cfg, warm_caches=True,
-                        warm_predictor=True).run()
+        full = Pipeline(program, trace, cfg, warm=True).run()
         spec = SamplingSpec(len(trace) // 300 + 1, 300)
         result = run_sampled(program, trace, cfg, spec)
         assert result.detail_fraction == 1.0

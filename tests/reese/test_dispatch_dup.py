@@ -115,7 +115,7 @@ class TestDetection:
         model = ScheduledFaultModel([(c, 2, 9) for c in range(50, 800, 50)])
         stats = Pipeline(
             program, trace, dup_config, fault_model=model,
-            warm_caches=True, warm_predictor=True,
+            warm=True,
         ).run()
         assert stats.errors_detected > 0
         assert stats.recoveries == stats.errors_detected

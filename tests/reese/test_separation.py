@@ -48,23 +48,19 @@ class TestSeparationAccounting:
         """Events shorter than the typical separation are mostly caught."""
         program, trace = trace_for("vortex", scale=5000)
         config = starting_config().with_reese()
-        clean = Pipeline(
-            program, trace, config, warm_caches=True, warm_predictor=True
-        ).run()
+        clean = Pipeline(program, trace, config, warm=True).run()
         sep = clean.mean_pr_separation
         assert sep > 0
 
         short = EnvironmentalFaultModel(rate=2e-3, duration=1, seed=9)
         short_stats = Pipeline(
-            program, trace, config, fault_model=short,
-            warm_caches=True, warm_predictor=True,
+            program, trace, config, fault_model=short, warm=True
         ).run()
         long = EnvironmentalFaultModel(
             rate=2e-3, duration=int(sep * 50) + 50, seed=9
         )
         long_stats = Pipeline(
-            program, trace, config, fault_model=long,
-            warm_caches=True, warm_predictor=True,
+            program, trace, config, fault_model=long, warm=True
         ).run()
 
         def escape_rate(stats):

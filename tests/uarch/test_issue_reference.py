@@ -250,7 +250,7 @@ class TestAcquireCount:
     def test_reese_gcc_acquires_per_committed_instruction(self):
         program, trace = trace_for("gcc", 8000)
         pipe = Pipeline(program, trace, starting_config().with_reese(),
-                        warm_caches=True, warm_predictor=True)
+                        warm=True)
         calls = [0]
 
         def counting(method):

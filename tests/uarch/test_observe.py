@@ -181,9 +181,14 @@ def _queued_for(dyn):
     return entry
 
 
+class _PipeStub(SimpleNamespace):
+    """A stand-in pipeline; unlike SimpleNamespace, weakly referenceable
+    (the checker keeps its pipeline by weak reference)."""
+
+
 def _reese_stub():
     """The REESE pipeline state the checker reads at commit."""
-    return SimpleNamespace(rqueue=RStreamQueue())
+    return _PipeStub(rqueue=RStreamQueue())
 
 
 class TestInvariantChecker:
@@ -237,8 +242,9 @@ class TestInvariantChecker:
 
     def test_flush_residue(self):
         checker = InvariantChecker()
-        checker.bind(SimpleNamespace(ifq=[object()], ruu=[], lsq=[],
-                                     ready=[], create=[], rqueue=None))
+        pipe = _PipeStub(ifq=[object()], ruu=[], lsq=[], ready=[],
+                         create=[], rqueue=None)
+        checker.bind(pipe)
         with pytest.raises(InvariantViolation) as excinfo:
             checker.on_recover(9)
         assert excinfo.value.invariant == "flush-residue"

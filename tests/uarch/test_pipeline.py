@@ -204,15 +204,14 @@ class TestCacheInteraction:
         program, _ = kernels.vector_sum(256, seed=5)
         result = emulate(program)
         cold = Pipeline(program, result.trace, cfg).run()
-        warm = Pipeline(program, result.trace, cfg,
-                        warm_caches=True).run()
+        warm = Pipeline(program, result.trace, cfg, warm=True).run()
         assert warm.cycles < cold.cycles
         assert warm.cache_stats["l1d"]["misses"] < \
             cold.cache_stats["l1d"]["misses"]
 
     def test_warmup_zeroes_cache_stats(self, cfg, loop_trace):
         program, trace = loop_trace
-        stats = Pipeline(program, trace, cfg, warm_caches=True).run()
+        stats = Pipeline(program, trace, cfg, warm=True).run()
         # The loop touches no data; after warm-up the I-side should hit.
         assert stats.cache_stats["l1i"]["misses"] == 0
 
@@ -221,8 +220,7 @@ class TestCacheInteraction:
         # after the warm pass is zeroed the two counts must agree.
         program, _ = kernels.bubble_sort(24, seed=4)
         result = emulate(program)
-        stats = Pipeline(program, result.trace, cfg, warm_caches=True,
-                         warm_predictor=True).run()
+        stats = Pipeline(program, result.trace, cfg, warm=True).run()
         dtlb = stats.cache_stats["dtlb"]
         assert stats.cache_stats["l1d"]["accesses"] > 0
         assert dtlb["hits"] + dtlb["misses"] == \

@@ -109,7 +109,7 @@ class TestReeseEvents:
         model = ScheduledFaultModel([(c, 2, 9) for c in range(50, 600, 50)])
         events, stats = _traced(
             program, trace, starting_config().with_reese(),
-            fault_model=model, warm_caches=True, warm_predictor=True,
+            fault_model=model, warm=True,
         )
         assert stats.recoveries
         text = render_timeline(events, trace, limit=1)

@@ -116,9 +116,10 @@ def test_finished_pipeline_is_freed_by_reference_counting(config):
 
 @pytest.mark.parametrize("config", list(CONFIGS.values()), ids=list(CONFIGS))
 def test_observed_pipeline_is_freed_by_reference_counting(config):
-    """Every observer but the invariant checker, which keeps its
-    pipeline, leaves a finished run to reference counting."""
+    """Every observer, the invariant checker included, leaves a
+    finished run to reference counting."""
     observers = build_observability(
-        ObserveConfig(metrics=True, ring_capacity=64, profile=True)
+        ObserveConfig(metrics=True, check_invariants=True, ring_capacity=64,
+                      profile=True)
     )
     assert _freed(config, observers)

@@ -16,7 +16,7 @@ from repro.uarch import (
     select_intervals,
     starting_config,
 )
-from repro.workloads.suite import trace_for
+from repro.workloads.suite import BENCHMARKS, trace_for
 
 SCALE = 3000
 
@@ -119,12 +119,19 @@ class TestSelectIntervals:
         assert same != select_intervals(50_000, spec_b)
 
 
+PREDICTORS = ("gshare", "bimodal", "combining", "local", "taken",
+              "nottaken", "perfect")
+
+
 class TestMispredictProfile:
-    def test_matches_detailed_pipeline_exactly(self, workload, cfg):
+    @pytest.mark.parametrize("bench", list(BENCHMARKS))
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_matches_detailed_pipeline_exactly(self, bench, predictor):
         # Mispredict events are a pure trace property (predictors train
         # at fetch with trace ground truth), so the functional replay
         # must reproduce the detailed simulator's count exactly.
-        program, trace = workload
+        program, trace = trace_for(bench, 2000)
+        cfg = starting_config().replace(predictor=predictor)
         profile = mispredict_profile(program, trace, cfg)
         assert len(profile) == len(trace) + 1
         stats = Pipeline(program, trace, cfg).run()
@@ -183,6 +190,20 @@ class TestWarmState:
         assert snap.ras._stack == reference.ras._stack
         assert snap.mem.l1d._tags == reference.mem.l1d._tags
 
+    def test_warm_full_run_warms_its_own_state(self, workload, cfg):
+        # A warm full run runs on the WarmState it warmed, not a copy,
+        # and the warm pass leaves no count behind.
+        program, trace = workload
+        pipe = Pipeline(program, trace, cfg, warm=True)
+        state = pipe.warm_state
+        assert pipe.mem is state.mem
+        assert pipe.predictor is state.predictor
+        reference = WarmState(program, cfg)
+        reference.warm_full(trace)
+        assert state.mem.l1d._tags == reference.mem.l1d._tags
+        assert state.mem.l1d.accesses == 0
+        assert state.mem.dtlb.hits == 0 and state.mem.dtlb.misses == 0
+        assert state.predictor.lookups == 0
 
     def test_sweep_only_moves_forward(self, workload, cfg):
         program, trace = workload
@@ -226,8 +247,7 @@ class TestRunSampled:
 
     def test_reasonable_accuracy_vs_full_run(self, workload, cfg):
         program, trace = workload
-        full = Pipeline(program, trace, cfg, warm_caches=True,
-                        warm_predictor=True).run()
+        full = Pipeline(program, trace, cfg, warm=True).run()
         spec = SamplingSpec(6, 200, warmup=50, cooldown=50)
         result = run_sampled(program, trace, cfg, spec)
         assert result.ipc == pytest.approx(full.ipc, rel=0.05)
