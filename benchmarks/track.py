@@ -25,6 +25,7 @@ Usage::
     python3 perfbench/run.py --workload fig2 --seed 0 > run1.txt
     python benchmarks/track.py --label my-change --ingest run1.txt ...
     python benchmarks/track.py --validate        # schema-check only
+    python benchmarks/track.py --compare         # newest vs previous speed
 
 The file is rewritten atomically on every append (tmp, fsync, rename),
 so a crashed run never truncates the history.  Wall-clock timestamps
@@ -42,7 +43,7 @@ import re
 import statistics
 import subprocess
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:  # pragma: no cover
@@ -80,6 +81,9 @@ _DIGEST = re.compile(r"^[0-9a-f]{64}$")
 _GIT_REV = re.compile(r"[0-9a-f]{7,40}|unknown")
 
 DEFAULT_PATH = REPO_ROOT / "BENCH_TRAJECTORY.json"
+#: The benchmark contract: its end-to-end metrics carry the bounds that
+#: :func:`compare_speed` flags against.
+BENCHMARK_PATH = REPO_ROOT / "BENCHMARK.json"
 
 #: Keys every per-benchmark block must carry.
 _BENCH_KEYS = ("baseline_ipc", "reese_ipc", "r2a_ipc",
@@ -315,6 +319,66 @@ def _validate_speed(where: str, entry: Dict[str, Any]) -> List[str]:
     return errors
 
 
+def load_bounds(path: pathlib.Path = BENCHMARK_PATH
+                ) -> Dict[str, Tuple[float, str]]:
+    """``{metric: (bound, better)}`` of the benchmark's bounded metrics."""
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    return {metric["name"]: (metric["bound"], metric["better"])
+            for metric in spec.get("end_to_end", []) if "bound" in metric}
+
+
+def compare_speed(data: Dict[str, Any],
+                  bounds: Dict[str, Tuple[float, str]]
+                  ) -> Tuple[List[str], int]:
+    """Diff each (workload, seed)'s newest speed entry against the one
+    before it.
+
+    Returns the report lines and the number of flags: a bounded metric
+    that got worse by more than its bound (a relative change, as the
+    benchmark judges it), or a changed ``stats_digest``.
+    """
+    series: Dict[Tuple[str, int], List[Dict[str, Any]]] = {}
+    for entry in data.get("entries", []):
+        if entry.get("kind") == "speed":
+            series.setdefault((entry["workload"], entry["seed"]),
+                              []).append(entry)
+    lines: List[str] = []
+    flags = 0
+    for (workload, seed), entries in sorted(series.items()):
+        if len(entries) < 2:
+            lines.append(f"{workload} seed {seed}: one entry, nothing to "
+                         f"compare")
+            continue
+        old, new = entries[-2:]
+        lines.append(f"{workload} seed {seed}: {old['label']!r} @ "
+                     f"{old['git_rev']} -> {new['label']!r} @ "
+                     f"{new['git_rev']}")
+        for name in SPEED_METRICS:
+            before = old["metrics"].get(name)
+            after = new["metrics"].get(name)
+            if before is None or after is None:
+                continue
+            change = after / before - 1.0
+            note = ""
+            if name in bounds:
+                bound, better = bounds[name]
+                worse = change if better == "lower" else -change
+                if worse > bound:
+                    flags += 1
+                    note = f"  FLAG: worse by more than its {bound:.0%} bound"
+            lines.append(f"  {name:<13} {before:>10.4f} -> {after:>10.4f} "
+                         f"{change:+7.1%}{note}")
+        if old["stats_digest"] == new["stats_digest"]:
+            lines.append(f"  stats_digest  unchanged "
+                         f"({new['stats_digest'][:12]})")
+        else:
+            flags += 1
+            lines.append(f"  stats_digest  {old['stats_digest'][:12]} -> "
+                         f"{new['stats_digest'][:12]}  FLAG: results changed")
+    lines.append(f"{flags} flag{'' if flags == 1 else 's'}")
+    return lines, flags
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="append a profiled suite snapshot to the "
@@ -332,6 +396,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="trajectory file (default BENCH_TRAJECTORY.json)")
     parser.add_argument("--validate", action="store_true",
                         help="only schema-check the existing file")
+    parser.add_argument("--compare", action="store_true",
+                        help="report each workload and seed's newest speed "
+                             "entry against the previous one, flagging "
+                             "metrics past their BENCHMARK.json bound and "
+                             "digest changes (a report: exits 0)")
     parser.add_argument("--ingest", nargs="+", type=pathlib.Path,
                         metavar="RUN",
                         help="append a speed entry from these perfbench "
@@ -352,6 +421,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{args.path}: {'INVALID' if errors else 'OK'} "
               f"({entries} entries)")
         return 1 if errors else 0
+
+    if args.compare:
+        lines, _flags = compare_speed(load_trajectory(args.path),
+                                      load_bounds())
+        print("\n".join(lines))
+        return 0
 
     if args.ingest:
         entry = speed_entry(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterable, Tuple
 
-from ..isa.semantics import to_i32, to_u32
+from ..isa.semantics import to_u32
 
 
 class MisalignedAccessError(Exception):
@@ -51,13 +51,14 @@ class Memory:
         """Load a signed 32-bit word from an aligned address."""
         if addr & 3:
             raise MisalignedAccessError(f"load_word at {addr:#x}")
-        return to_i32(self._words.get(addr, 0))
+        word = self._words.get(addr, 0)
+        return ((word + 0x80000000) & 0xFFFFFFFF) - 0x80000000
 
     def store_word(self, addr: int, value: int) -> None:
         """Store a 32-bit word at an aligned address."""
         if addr & 3:
             raise MisalignedAccessError(f"store_word at {addr:#x}")
-        self._words[addr] = to_u32(value)
+        self._words[addr] = value & 0xFFFFFFFF
 
     # -- byte access -----------------------------------------------------
 

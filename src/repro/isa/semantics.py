@@ -54,10 +54,6 @@ def bits_to_float(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits & (2**64 - 1)))[0]
 
 
-def _shamt(value: int) -> int:
-    return value & 31
-
-
 def _div(a: int, b: int) -> int:
     if b == 0:
         return 0
@@ -75,30 +71,59 @@ def _rem(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # ALU / FP computation.  Each entry maps (a, b, imm) -> result, where a and b
 # are the values of rs1 and rs2 (0 / 0.0 when the slot is unused).
+#
+# Each integer op is one expression with no helper call: the emulator's
+# interpreter, its translated blocks and REESE's R recomputation all call
+# these per instruction.  ``((x + 0x80000000) & 0xFFFFFFFF) - 0x80000000``
+# is ``to_i32(x)`` inline.  It reads only ``x`` mod 2**32, and the residue
+# of ``a & b``, ``a | b``, ``a ^ b``, ``a + b``, ``a - b``, ``a * b`` and
+# ``a << s`` depends only on the residues of ``a`` and ``b``, so their
+# operands need no mask of their own.  Signed compares drop the final
+# ``- 0x80000000`` from both sides.  The helper-based forms are the
+# reference in tests/properties/test_prop_semantics.py.
 # ---------------------------------------------------------------------------
 
 _COMPUTE: Dict[Op, Callable[[Value, Value, int], Value]] = {
-    Op.ADD: lambda a, b, i: to_i32(a + b),
-    Op.SUB: lambda a, b, i: to_i32(a - b),
-    Op.AND: lambda a, b, i: to_i32(to_u32(a) & to_u32(b)),
-    Op.OR: lambda a, b, i: to_i32(to_u32(a) | to_u32(b)),
-    Op.XOR: lambda a, b, i: to_i32(to_u32(a) ^ to_u32(b)),
-    Op.SLL: lambda a, b, i: to_i32(to_u32(a) << _shamt(b)),
-    Op.SRL: lambda a, b, i: to_i32(to_u32(a) >> _shamt(b)),
-    Op.SRA: lambda a, b, i: to_i32(to_i32(a) >> _shamt(b)),
-    Op.SLT: lambda a, b, i: int(to_i32(a) < to_i32(b)),
-    Op.SLTU: lambda a, b, i: int(to_u32(a) < to_u32(b)),
-    Op.ADDI: lambda a, b, i: to_i32(a + i),
-    Op.ANDI: lambda a, b, i: to_i32(to_u32(a) & to_u32(i)),
-    Op.ORI: lambda a, b, i: to_i32(to_u32(a) | to_u32(i)),
-    Op.XORI: lambda a, b, i: to_i32(to_u32(a) ^ to_u32(i)),
-    Op.SLLI: lambda a, b, i: to_i32(to_u32(a) << _shamt(i)),
-    Op.SRLI: lambda a, b, i: to_i32(to_u32(a) >> _shamt(i)),
-    Op.SRAI: lambda a, b, i: to_i32(to_i32(a) >> _shamt(i)),
-    Op.SLTI: lambda a, b, i: int(to_i32(a) < to_i32(i)),
-    Op.LUI: lambda a, b, i: to_i32(to_u32(i) << 16),
-    Op.MUL: lambda a, b, i: to_i32(to_i32(a) * to_i32(b)),
-    Op.MULHU: lambda a, b, i: to_i32((to_u32(a) * to_u32(b)) >> 32),
+    Op.ADD: lambda a, b, i: ((a + b + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.SUB: lambda a, b, i: ((a - b + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.AND: lambda a, b, i:
+        (((a & b) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.OR: lambda a, b, i:
+        (((a | b) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.XOR: lambda a, b, i:
+        (((a ^ b) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.SLL: lambda a, b, i:
+        (((a << (b & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.SRL: lambda a, b, i:
+        ((((a & 0xFFFFFFFF) >> (b & 31)) + 0x80000000) & 0xFFFFFFFF)
+        - 0x80000000,
+    Op.SRA: lambda a, b, i:
+        (((a + 0x80000000) & 0xFFFFFFFF) - 0x80000000) >> (b & 31),
+    Op.SLT: lambda a, b, i:
+        int(((a + 0x80000000) & 0xFFFFFFFF) < ((b + 0x80000000) & 0xFFFFFFFF)),
+    Op.SLTU: lambda a, b, i: int((a & 0xFFFFFFFF) < (b & 0xFFFFFFFF)),
+    Op.ADDI: lambda a, b, i: ((a + i + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.ANDI: lambda a, b, i:
+        (((a & i) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.ORI: lambda a, b, i:
+        (((a | i) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.XORI: lambda a, b, i:
+        (((a ^ i) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.SLLI: lambda a, b, i:
+        (((a << (i & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.SRLI: lambda a, b, i:
+        ((((a & 0xFFFFFFFF) >> (i & 31)) + 0x80000000) & 0xFFFFFFFF)
+        - 0x80000000,
+    Op.SRAI: lambda a, b, i:
+        (((a + 0x80000000) & 0xFFFFFFFF) - 0x80000000) >> (i & 31),
+    Op.SLTI: lambda a, b, i:
+        int(((a + 0x80000000) & 0xFFFFFFFF) < ((i + 0x80000000) & 0xFFFFFFFF)),
+    Op.LUI: lambda a, b, i:
+        (((i << 16) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.MUL: lambda a, b, i: ((a * b + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    Op.MULHU: lambda a, b, i:
+        (((((a & 0xFFFFFFFF) * (b & 0xFFFFFFFF)) >> 32) + 0x80000000)
+         & 0xFFFFFFFF) - 0x80000000,
     Op.DIV: lambda a, b, i: to_i32(_div(to_i32(a), to_i32(b))),
     Op.REM: lambda a, b, i: _rem(to_i32(a), to_i32(b)),
     Op.FADD: lambda a, b, i: float(a) + float(b),
@@ -141,12 +166,14 @@ def has_compute(op: Op) -> bool:
 # ---------------------------------------------------------------------------
 
 _BRANCH_TAKEN: Dict[Op, Callable[[int, int], bool]] = {
-    Op.BEQ: lambda a, b: to_i32(a) == to_i32(b),
-    Op.BNE: lambda a, b: to_i32(a) != to_i32(b),
-    Op.BLT: lambda a, b: to_i32(a) < to_i32(b),
-    Op.BGE: lambda a, b: to_i32(a) >= to_i32(b),
-    Op.BLTZ: lambda a, b: to_i32(a) < 0,
-    Op.BGEZ: lambda a, b: to_i32(a) >= 0,
+    Op.BEQ: lambda a, b: ((a - b) & 0xFFFFFFFF) == 0,
+    Op.BNE: lambda a, b: ((a - b) & 0xFFFFFFFF) != 0,
+    Op.BLT: lambda a, b:
+        ((a + 0x80000000) & 0xFFFFFFFF) < ((b + 0x80000000) & 0xFFFFFFFF),
+    Op.BGE: lambda a, b:
+        ((a + 0x80000000) & 0xFFFFFFFF) >= ((b + 0x80000000) & 0xFFFFFFFF),
+    Op.BLTZ: lambda a, b: (a & 0x80000000) != 0,
+    Op.BGEZ: lambda a, b: (a & 0x80000000) == 0,
 }
 
 

@@ -62,12 +62,21 @@ class CacheParams:
 class Cache:
     """One level of a blocking cache hierarchy.
 
-    Line state lives in three flat parallel lists (``_tags``,
-    ``_valid``, ``_dirty``) indexed by ``set_index * assoc + way``
-    rather than per-line objects: the sampled-simulation engine
-    snapshots whole hierarchies at every measurement interval, and
-    ``list(...)`` copies of flat arrays are an order of magnitude
-    cheaper than rebuilding ~10k line objects.
+    Line state lives in four flat parallel lists (``_tags``,
+    ``_valid``, ``_dirty``, ``_stamp``) indexed by
+    ``set_index * assoc + way``, plus one ``_tick`` counter, and in no
+    per-set or per-line container: the sampled-simulation engine
+    snapshots whole hierarchies at every measurement interval, and a
+    snapshot is four ``list(...)`` copies and one int per level.
+
+    Replacement: an LRU hit, and every LRU or FIFO fill (demand or
+    prefetch), stamps its line with ``_tick`` and increments it; the
+    victim is the way with the lowest stamp in its set.  Stamps start
+    at ``-assoc .. -1`` in way order, so way 0 is the first victim of
+    an empty set.  Stamps within a set are distinct, so this picks
+    exactly the head of a per-set least-recently-used (or
+    first-filled) order list.  ``random`` picks an invalid way first,
+    otherwise a seeded random way, and never reads the stamps.
     """
 
     def __init__(
@@ -97,10 +106,8 @@ class Cache:
         self._tags: List[int] = [-1] * n_lines
         self._valid: List[bool] = [False] * n_lines
         self._dirty: List[bool] = [False] * n_lines
-        # Per-set replacement order: way indices, index 0 = next victim.
-        self._order: List[List[int]] = [
-            list(range(params.assoc)) for _ in range(params.n_sets)
-        ]
+        self._stamp: List[int] = list(range(-params.assoc, 0)) * params.n_sets
+        self._tick = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -118,17 +125,15 @@ class Cache:
         base = set_index * self._assoc
         tags = self._tags
         valid = self._valid
-        order = self._order[set_index]
 
-        for way in range(self._assoc):
-            slot = base + way
+        for slot in range(base, base + self._assoc):
             if valid[slot] and tags[slot] == tag:
                 self.hits += 1
                 if is_write:
                     self._dirty[slot] = True
                 if params.policy == "lru":
-                    order.remove(way)
-                    order.append(way)
+                    self._stamp[slot] = self._tick
+                    self._tick += 1
                 return params.hit_latency
 
         # Miss: fetch from the next level, then fill.
@@ -148,9 +153,9 @@ class Cache:
         tags[slot] = tag
         valid[slot] = True
         self._dirty[slot] = is_write
-        if params.policy in ("lru", "fifo"):
-            order.remove(victim_way)
-            order.append(victim_way)
+        if params.policy != "random":
+            self._stamp[slot] = self._tick
+            self._tick += 1
         if params.prefetch_next_line:
             self._prefetch(addr + params.line_size)
         return params.hit_latency + fill_latency
@@ -174,10 +179,9 @@ class Cache:
         self._tags[slot] = tag
         self._valid[slot] = True
         self._dirty[slot] = False
-        if self.params.policy in ("lru", "fifo"):
-            order = self._order[set_index]
-            order.remove(victim_way)
-            order.append(victim_way)
+        if self.params.policy != "random":
+            self._stamp[slot] = self._tick
+            self._tick += 1
 
     def probe(self, addr: int) -> bool:
         """True if the address currently hits, without changing state."""
@@ -191,13 +195,14 @@ class Cache:
         )
 
     def _pick_victim(self, set_index: int) -> int:
+        base = set_index * self._assoc
         if self.params.policy == "random":
-            base = set_index * self._assoc
             for way in range(self._assoc):
                 if not self._valid[base + way]:
                     return way
             return self._rng.randrange(self.params.assoc)
-        return self._order[set_index][0]
+        stamps = self._stamp[base:base + self._assoc]
+        return stamps.index(min(stamps))
 
     # ------------------------------------------------------------------
 
@@ -227,13 +232,12 @@ class Cache:
         self.prefetches = 0
 
     def clone_state(self, next_level: Optional["Cache"] = None) -> "Cache":
-        """An independent copy of tag state, replacement order and stats.
+        """An independent copy of tag state, replacement stamps and stats.
 
-        Much cheaper than ``copy.deepcopy`` (no memo walk over ~10k
-        line objects) — this is what makes the sampled-simulation
-        engine's per-interval warm-state snapshots affordable.  The
-        caller supplies the already-cloned ``next_level`` so a cloned
-        hierarchy keeps its internal wiring.
+        Four flat list copies and a few ints — this is what makes the
+        sampled-simulation engine's per-interval warm-state snapshots
+        affordable.  The caller supplies the already-cloned
+        ``next_level`` so a cloned hierarchy keeps its internal wiring.
         """
         clone = Cache.__new__(Cache)
         clone.params = self.params
@@ -247,7 +251,8 @@ class Cache:
         clone._tags = list(self._tags)
         clone._valid = list(self._valid)
         clone._dirty = list(self._dirty)
-        clone._order = [list(order) for order in self._order]
+        clone._stamp = list(self._stamp)
+        clone._tick = self._tick
         clone.hits = self.hits
         clone.misses = self.misses
         clone.evictions = self.evictions

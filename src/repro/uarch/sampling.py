@@ -85,6 +85,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, List, Optional, Tuple
 
 from ..arch.trace import DynInst, Trace
@@ -348,19 +349,21 @@ def build_warm_state(sweep: WarmSweep, start: int) -> WarmState:
     return state.snapshot()
 
 
+_RECORD_FIELDS = attrgetter(*DynInst.__slots__)
+
+
 def resequence(trace: Trace, start: int, stop: int) -> List[DynInst]:
     """Per-interval DynInst copies renumbered from zero.
 
     The pipeline's commit/recovery bookkeeping requires
     ``trace[i].seq == i``; static-program indices (``static_index``,
     ``target_index``, ``next_index``) are positions in the program text
-    and copy through unchanged.
+    and copy through unchanged.  Each copy is one constructor call over
+    the record's slots, which the constructor takes in slot order.
     """
     out: List[DynInst] = []
     for offset, dyn in enumerate(trace[start:stop]):
-        clone = DynInst.__new__(DynInst)
-        for name in DynInst.__slots__:
-            setattr(clone, name, getattr(dyn, name))
+        clone = DynInst(*_RECORD_FIELDS(dyn))
         clone.seq = offset
         out.append(clone)
     return out

@@ -5,6 +5,10 @@ from hypothesis import strategies as st
 
 from repro.isa.instructions import Op
 from repro.isa.semantics import (
+    _BRANCH_TAKEN,
+    _COMPUTE,
+    _div,
+    _rem,
     bits_to_float,
     branch_taken,
     compute,
@@ -15,6 +19,85 @@ from repro.isa.semantics import (
 
 i32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 any_int = st.integers(min_value=-(2**40), max_value=2**40)
+#: Operands of the reference comparison: ints well outside 32 bits, and
+#: the values where wrapping, sign and width change.
+_BOUNDARIES = (0, 1, -1, 31, 32, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 2**32,
+               -(2**31), -(2**31) - 1, -(2**32))
+operand = st.one_of(any_int, st.sampled_from(_BOUNDARIES))
+
+
+def _shamt(value):
+    return value & 31
+
+
+#: The helper-based definitions the single-expression semantics replaced.
+#: Each production op must agree with its reference in value and type.
+_REFERENCE_COMPUTE = {
+    Op.ADD: lambda a, b, i: to_i32(a + b),
+    Op.SUB: lambda a, b, i: to_i32(a - b),
+    Op.AND: lambda a, b, i: to_i32(to_u32(a) & to_u32(b)),
+    Op.OR: lambda a, b, i: to_i32(to_u32(a) | to_u32(b)),
+    Op.XOR: lambda a, b, i: to_i32(to_u32(a) ^ to_u32(b)),
+    Op.SLL: lambda a, b, i: to_i32(to_u32(a) << _shamt(b)),
+    Op.SRL: lambda a, b, i: to_i32(to_u32(a) >> _shamt(b)),
+    Op.SRA: lambda a, b, i: to_i32(to_i32(a) >> _shamt(b)),
+    Op.SLT: lambda a, b, i: int(to_i32(a) < to_i32(b)),
+    Op.SLTU: lambda a, b, i: int(to_u32(a) < to_u32(b)),
+    Op.ADDI: lambda a, b, i: to_i32(a + i),
+    Op.ANDI: lambda a, b, i: to_i32(to_u32(a) & to_u32(i)),
+    Op.ORI: lambda a, b, i: to_i32(to_u32(a) | to_u32(i)),
+    Op.XORI: lambda a, b, i: to_i32(to_u32(a) ^ to_u32(i)),
+    Op.SLLI: lambda a, b, i: to_i32(to_u32(a) << _shamt(i)),
+    Op.SRLI: lambda a, b, i: to_i32(to_u32(a) >> _shamt(i)),
+    Op.SRAI: lambda a, b, i: to_i32(to_i32(a) >> _shamt(i)),
+    Op.SLTI: lambda a, b, i: int(to_i32(a) < to_i32(i)),
+    Op.LUI: lambda a, b, i: to_i32(to_u32(i) << 16),
+    Op.MUL: lambda a, b, i: to_i32(to_i32(a) * to_i32(b)),
+    Op.MULHU: lambda a, b, i: to_i32((to_u32(a) * to_u32(b)) >> 32),
+    Op.DIV: lambda a, b, i: to_i32(_div(to_i32(a), to_i32(b))),
+    Op.REM: lambda a, b, i: _rem(to_i32(a), to_i32(b)),
+}
+
+_REFERENCE_BRANCH = {
+    Op.BEQ: lambda a, b: to_i32(a) == to_i32(b),
+    Op.BNE: lambda a, b: to_i32(a) != to_i32(b),
+    Op.BLT: lambda a, b: to_i32(a) < to_i32(b),
+    Op.BGE: lambda a, b: to_i32(a) >= to_i32(b),
+    Op.BLTZ: lambda a, b: to_i32(a) < 0,
+    Op.BGEZ: lambda a, b: to_i32(a) >= 0,
+}
+
+
+def _assert_matches_reference(a, b, imm):
+    for op, reference in _REFERENCE_COMPUTE.items():
+        expected = reference(a, b, imm)
+        actual = _COMPUTE[op](a, b, imm)
+        assert (actual, type(actual)) == (expected, type(expected)), \
+            (op, a, b, imm)
+    for op, reference in _REFERENCE_BRANCH.items():
+        expected = reference(a, b)
+        actual = _BRANCH_TAKEN[op](a, b)
+        assert (actual, type(actual)) == (expected, type(expected)), \
+            (op, a, b)
+
+
+class TestAgainstHelperReference:
+    def test_reference_covers_every_integer_op_and_branch(self):
+        float_ops = {Op.FADD, Op.FSUB, Op.FMUL, Op.FDIV, Op.FSQRT, Op.FNEG,
+                     Op.FCMPLT, Op.CVTIF, Op.CVTFI}
+        assert set(_REFERENCE_COMPUTE) == set(_COMPUTE) - float_ops
+        assert set(_REFERENCE_BRANCH) == set(_BRANCH_TAKEN)
+
+    @given(operand, operand, operand)
+    @settings(max_examples=400)
+    def test_matches_reference(self, a, b, imm):
+        _assert_matches_reference(a, b, imm)
+
+    def test_every_boundary_triple(self):
+        for a in _BOUNDARIES:
+            for b in _BOUNDARIES:
+                for imm in _BOUNDARIES:
+                    _assert_matches_reference(a, b, imm)
 
 
 class TestWidthProperties:

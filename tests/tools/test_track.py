@@ -202,3 +202,72 @@ class TestSpeedEntries:
         assert data["entries"][1]["workload"] == "faults"
         assert data["entries"][1]["metrics"]["wall_s"] == 1.3
         assert bench_track.main(["--validate", "--path", str(path)]) == 0
+
+
+def _speed(wall, digest="ab" * 32, workload="fig2", seed=0, rev="abc1234"):
+    return bench_track.speed_entry(
+        f"wall {wall}", [_perfbench_output(wall, digest, workload, seed)],
+        rev,
+    )
+
+
+class TestCompare:
+    BOUNDS = {"wall_s": (0.25, "lower"), "setup_s": (0.25, "lower"),
+              "peak_rss_mb": (0.1, "lower")}
+
+    def _compare(self, *entries):
+        return bench_track.compare_speed(
+            {"schema": 2, "entries": [_entry(), *entries]}, self.BOUNDS)
+
+    def test_within_bounds_and_same_digest_is_clean(self):
+        lines, flags = self._compare(_speed(2.0), _speed(2.4))
+        assert flags == 0
+        assert any("wall_s" in line and "+20.0%" in line for line in lines)
+        assert any("unchanged" in line for line in lines)
+
+    def test_metric_past_its_bound_is_flagged(self):
+        lines, flags = self._compare(_speed(2.0), _speed(2.6))
+        assert flags == 1
+        assert any("wall_s" in line and "FLAG" in line for line in lines)
+
+    def test_only_the_newest_two_entries_of_a_series_are_compared(self):
+        # 9.0 -> 2.0 is an improvement; the older 1.0 is history.
+        lines, flags = self._compare(_speed(1.0), _speed(9.0), _speed(2.0))
+        assert flags == 0
+        assert any("9.0000 ->     2.0000" in line for line in lines)
+
+    def test_digest_change_is_flagged(self):
+        lines, flags = self._compare(_speed(2.0), _speed(2.0, "cd" * 32))
+        assert flags == 1
+        assert any("results changed" in line for line in lines)
+
+    def test_series_are_keyed_by_workload_and_seed(self):
+        lines, flags = self._compare(
+            _speed(2.0), _speed(5.0, workload="faults"),
+            _speed(9.0, seed=7), _speed(2.1),
+        )
+        assert flags == 0
+        assert "faults seed 0: one entry, nothing to compare" in lines
+        assert "fig2 seed 7: one entry, nothing to compare" in lines
+
+    def test_higher_is_better_bound_flags_a_fall(self):
+        bounds = {"kips_reese": (0.1, "higher")}
+        old, new = _speed(2.0), _speed(2.0)
+        new["metrics"]["kips_reese"] = old["metrics"]["kips_reese"] * 0.8
+        _lines, flags = bench_track.compare_speed(
+            {"schema": 2, "entries": [old, new]}, bounds)
+        assert flags == 1
+
+    def test_bounds_come_from_the_benchmark_contract(self):
+        bounds = bench_track.load_bounds()
+        assert bounds["wall_s"][1] == "lower"
+        assert all(bound > 0 and better in ("lower", "higher")
+                   for bound, better in bounds.values())
+
+    def test_cli_reports_and_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        for entry in (_speed(2.0), _speed(9.0, "cd" * 32)):
+            bench_track.append_entry(path, entry)
+        assert bench_track.main(["--compare", "--path", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "FLAG" in out and out.rstrip().endswith("2 flags")

@@ -16,6 +16,8 @@ from repro.uarch import (
     select_intervals,
     starting_config,
 )
+from repro.arch.trace import DynInst
+from repro.uarch.sampling import resequence
 from repro.workloads.suite import BENCHMARKS, trace_for
 
 SCALE = 3000
@@ -189,6 +191,8 @@ class TestWarmState:
         assert snap.btb._targets == reference.btb._targets
         assert snap.ras._stack == reference.ras._stack
         assert snap.mem.l1d._tags == reference.mem.l1d._tags
+        assert snap.mem.l2._stamp == reference.mem.l2._stamp
+        assert snap.mem.l2._tick == reference.mem.l2._tick
 
     def test_warm_full_run_warms_its_own_state(self, workload, cfg):
         # A warm full run runs on the WarmState it warmed, not a copy,
@@ -212,6 +216,21 @@ class TestWarmState:
         build_warm_state(sweep, 900)
         with pytest.raises(ValueError, match="past start"):
             build_warm_state(sweep, 400)
+
+
+class TestResequence:
+    def test_copies_every_slot_and_renumbers(self, workload):
+        _program, trace = workload
+        window = resequence(trace, 1000, 1400)
+        assert len(window) == 400
+        for offset, (copy, dyn) in enumerate(zip(window, trace[1000:1400])):
+            assert copy is not dyn
+            assert copy.seq == offset
+            for name in DynInst.__slots__:
+                if name != "seq":
+                    assert getattr(copy, name) == getattr(dyn, name), name
+        # The trace itself keeps its own numbering.
+        assert trace[1000].seq == 1000
 
 
 class TestRunSampled:
