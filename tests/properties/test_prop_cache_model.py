@@ -1,9 +1,13 @@
-"""Stateful model check: the LRU cache against a reference model.
+"""Stateful model checks: the cache against reference models.
 
-The reference keeps, per set, an ordered list of resident tags (most
-recently used last).  Every access outcome (hit/miss) and the resident
-set must match the production cache exactly, across arbitrary access
-sequences.
+The first reference keeps, per set, an ordered list of resident tags
+(most recently used last).  Every access outcome (hit/miss) and the
+resident set must match the production cache exactly, across arbitrary
+access sequences.  The second is the per-set replacement-order lists
+the cache's flat replacement stamps replaced: for ``lru`` and ``fifo``
+at 4 ways, with and without next-line prefetch, every way's tag and
+dirt and every counter must match, in the cache and in a clone taken
+mid-sequence.
 """
 
 from collections import OrderedDict
