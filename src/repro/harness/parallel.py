@@ -40,7 +40,9 @@ is the single execution layer they all route through:
   :class:`~repro.uarch.sampling.SampledResult`.  Interval jobs are
   cached one by one but executed per warm group: the jobs of a group
   run in trace order on one :class:`~repro.uarch.sampling.WarmSweep`,
-  which gives each the Stats it would get alone.
+  which gives each the Stats it would get alone.  The sweep selects
+  the group's intervals itself, and the runner caches that selection
+  next to the interval Stats, so the parent replays no trace to merge.
 
 Worker lifecycle: each worker process keeps its own module-level
 memoised trace cache (:func:`repro.workloads.suite.trace_for`), so a
@@ -78,10 +80,12 @@ from ..uarch.sampling import (
     WARM_FIELDS,
     SampledResult,
     SamplingSpec,
+    Selection,
     WarmSweep,
+    interval_count,
+    interval_selection,
     mispredict_profile,
     run_interval,
-    select_intervals,
 )
 from ..uarch.stats import Stats
 from ..workloads.suite import BENCHMARKS, trace_for
@@ -205,8 +209,22 @@ def derive_seed(base: int, *parts: Any) -> int:
 #: path always simulates and its destination never changes the Stats.
 UNKEYED_FIELDS = frozenset({"trace_path"})
 
+_KEYED_FIELDS = tuple(
+    spec.name for spec in dataclasses.fields(SimJob)
+    if spec.name not in UNKEYED_FIELDS
+)
 
-def job_fingerprint(job: SimJob) -> str:
+
+def canonical_config(config: MachineConfig) -> Dict[str, Any]:
+    """The keyed contents of a config: every field but the cosmetic
+    ``name``."""
+    return {name: value for name, value in dataclasses.asdict(config).items()
+            if name != "name"}
+
+
+def job_fingerprint(
+    job: SimJob, config: Optional[Dict[str, Any]] = None,
+) -> str:
     """Content hash of everything that determines a job's Stats.
 
     Derived from ``dataclasses.fields(SimJob)``: every field but
@@ -214,30 +232,42 @@ def job_fingerprint(job: SimJob) -> str:
     and sampling specs) by their full contents — so a new field is part
     of the key unless it is declared unkeyed.  Two normalisations let
     equal runs share an entry: the seed is the resolved seed, and the
-    config's cosmetic ``name`` is dropped.
+    config's cosmetic ``name`` is dropped.  ``config`` is
+    ``canonical_config(job.config)`` when the caller already has it; it
+    is read, never changed.
     """
     payload: Dict[str, Any] = {"version": CACHE_VERSION}
-    for spec in dataclasses.fields(job):
-        if spec.name not in UNKEYED_FIELDS:
-            value = getattr(job, spec.name)
-            if dataclasses.is_dataclass(value):
-                value = dataclasses.asdict(value)
-            payload[spec.name] = value
+    for name in _KEYED_FIELDS:
+        value = getattr(job, name)
+        if name == "config":
+            value = canonical_config(value) if config is None else config
+        elif dataclasses.is_dataclass(value):
+            value = dataclasses.asdict(value)
+        payload[name] = value
     payload["seed"] = job.resolved_seed()
-    del payload["config"]["name"]
     blob = json.dumps(payload, sort_keys=True, default=repr).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
+def selection_fingerprint(key: str) -> str:
+    """Cache key of the interval selection of the warm group ``key``
+    (:func:`warm_key`)."""
+    blob = json.dumps({"version": CACHE_VERSION, "selection": key})
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 class ResultCache:
-    """On-disk Stats cache keyed by :func:`job_fingerprint`.
+    """On-disk Stats cache keyed by :func:`job_fingerprint`, which also
+    holds each warm group's interval
+    :class:`~repro.uarch.sampling.Selection` keyed by
+    :func:`selection_fingerprint`.
 
     Entries are JSON files under ``<root>/<fp[:2]>/<fp>.json``; writes
     go through a temp file + ``os.replace`` so concurrent workers never
-    expose a torn entry.  Every entry that is not what :meth:`put`
-    writes for the requested fingerprint at this :data:`CACHE_VERSION`
-    — unreadable, not a JSON object, another version or fingerprint,
-    ``stats`` not an object — is a miss.
+    expose a torn entry.  Every entry that is not what :meth:`put` (or
+    :meth:`put_selection`) writes for the requested fingerprint at this
+    :data:`CACHE_VERSION` — unreadable, not a JSON object, another
+    version or fingerprint, payload not an object — is a miss.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
@@ -251,7 +281,7 @@ class ResultCache:
     def path_for(self, fingerprint: str) -> pathlib.Path:
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
 
-    def get(self, fingerprint: str) -> Optional[Stats]:
+    def _read(self, fingerprint: str, kind: str) -> Optional[Dict[str, Any]]:
         try:
             data = json.loads(self.path_for(fingerprint).read_text())
         except (OSError, ValueError):
@@ -260,18 +290,37 @@ class ResultCache:
             not isinstance(data, dict)
             or data.get("version") != CACHE_VERSION
             or data.get("fingerprint") != fingerprint
-            or not isinstance(data.get("stats"), dict)
+            or not isinstance(data.get(kind), dict)
         ):
             return None
-        return Stats.from_state_dict(data["stats"])
+        return data[kind]
+
+    def get(self, fingerprint: str) -> Optional[Stats]:
+        state = self._read(fingerprint, "stats")
+        return None if state is None else Stats.from_state_dict(state)
 
     def put(self, fingerprint: str, stats: Stats) -> None:
+        self._write(fingerprint, "stats", stats.state_dict())
+
+    def get_selection(self, fingerprint: str) -> Optional[Selection]:
+        state = self._read(fingerprint, "selection")
+        if state is None:
+            return None
+        try:
+            return Selection(
+                [(int(w0), int(m0), int(end))
+                 for w0, m0, end in state["bounds"]],
+                state["mispredicts"], state["total_mispredicts"],
+            )
+        except (KeyError, TypeError, ValueError):
+            return None
+
+    def put_selection(self, fingerprint: str, selection: Selection) -> None:
+        self._write(fingerprint, "selection", selection._asdict())
+
+    def _write(self, fingerprint: str, kind: str, state: Any) -> None:
         blob = json.dumps(
-            {
-                "version": CACHE_VERSION,
-                "fingerprint": fingerprint,
-                "stats": stats.state_dict(),
-            }
+            {"version": CACHE_VERSION, "fingerprint": fingerprint, kind: state}
         )
         try:
             path = self.path_for(fingerprint)
@@ -386,9 +435,9 @@ def _simulate(job: SimJob, sweep: Optional[WarmSweep] = None) -> Stats:
     program, trace = trace_for(job.benchmark, job.scale, job.seed)
     if spec is not None and spec.index is None:
         sweep = WarmSweep(program, trace, job.config, spec, job.warm)
+        interval_jobs = _interval_jobs(job, interval_count(len(trace), spec))
         return sweep.result([
-            _simulate(interval_job, sweep)
-            for interval_job in _interval_jobs(job, len(sweep.bounds))
+            _simulate(interval_job, sweep) for interval_job in interval_jobs
         ]).stats
     observe = ObserveConfig(
         metrics=job.observe,
@@ -442,32 +491,31 @@ def _warm_groups(jobs: Sequence[SimJob], indices: Sequence[int],
 
 
 def _execute_group(
-    unit: Tuple[Sequence[SimJob], Optional[List[int]]],
-) -> Tuple[List[Tuple[Stats, float]], int]:
-    """Worker entry point: simulate one unit of work, report each job's
-    Stats and seconds, and the pid.
+    group: Sequence[SimJob],
+) -> Tuple[List[Tuple[Stats, float]], Optional[Selection], int]:
+    """Worker entry point: simulate one unit of work; report each job's
+    Stats and seconds, a warm group's interval selection, and the pid.
 
-    A unit is its jobs and, for a warm group, the group's mispredict
-    profile when the caller already has it.  A warm group's jobs share
-    one sweep.  Each job is charged the time since the previous job
-    finished, so the sweep's shared work (profile, warm pass, replay)
-    lands in the jobs' times and they sum to the unit's wall time.
+    A warm group's jobs share one sweep, which selects the group's
+    intervals itself.  Each job is charged the time since the previous
+    job finished, so the sweep's shared work (profile, warm pass,
+    replay) lands in the jobs' times and they sum to the unit's wall
+    time.
     """
     mark = time.perf_counter()
-    group, profile = unit
     first = group[0]
     sweep = None
     if first.sampling is not None and first.sampling.index is not None:
         program, trace = trace_for(first.benchmark, first.scale, first.seed)
         sweep = WarmSweep(program, trace, first.config, first.sampling,
-                          first.warm, profile)
+                          first.warm)
     out: List[Tuple[Stats, float]] = []
     for job in group:
         stats = _simulate(job, sweep)
         now = time.perf_counter()
         out.append((stats, now - mark))
         mark = now
-    return out, os.getpid()
+    return out, sweep.selection if sweep else None, os.getpid()
 
 
 class WorkerLostError(RuntimeError):
@@ -553,6 +601,9 @@ class ParallelRunner:
         self.profile = profile
         self.telemetry_path = telemetry_path
         self.telemetry: Optional[RunTelemetry] = None
+        #: :func:`warm_key` to the interval selection of every warm
+        #: group the latest :meth:`run` executed.
+        self.selections: Dict[str, Selection] = {}
 
     def resolve(self, job: SimJob) -> SimJob:
         """The one step that turns run knobs into job fields.
@@ -576,20 +627,22 @@ class ParallelRunner:
                      or env_flag("REPRO_PROFILE")),
         )
 
-    def run(
-        self,
-        sim_jobs: Sequence[SimJob],
-        profiles: Optional[Dict[str, Optional[List[int]]]] = None,
-    ) -> List[Stats]:
+    def run(self, sim_jobs: Sequence[SimJob]) -> List[Stats]:
         """Run every job; results are returned in input order.
 
-        ``profiles`` maps :func:`warm_key` to a mispredict profile the
-        caller already computed (:func:`expand_sampled_job`); a warm
-        group's unit then reuses it instead of computing its own.
+        Each warm group that runs reports its interval selection, which
+        lands in :attr:`selections` and, with the Stats, in the cache.
         """
         start = time.perf_counter()
         sim_jobs = [self.resolve(job) for job in sim_jobs]
-        fingerprints = [job_fingerprint(job) for job in sim_jobs]
+        # One canonical config dict per distinct config object.
+        configs: Dict[int, Dict[str, Any]] = {}
+        fingerprints = []
+        for job in sim_jobs:
+            config = configs.get(id(job.config))
+            if config is None:
+                config = configs[id(job.config)] = canonical_config(job.config)
+            fingerprints.append(job_fingerprint(job, config))
         results: List[Optional[Stats]] = [None] * len(sim_jobs)
         records: List[Optional[JobRecord]] = [None] * len(sim_jobs)
 
@@ -611,16 +664,19 @@ class ParallelRunner:
 
         units = _warm_groups(sim_jobs, pending, self.jobs)
         workers = max(1, min(self.jobs, len(units)))
+        self.selections = {}
         if units:
-            profiles = profiles or {}
             outputs = parallel_map(
                 _execute_group,
-                [([sim_jobs[i] for i in unit],
-                  profiles.get(warm_key(sim_jobs[unit[0]]))
-                  if sim_jobs[unit[0]].sampling is not None else None)
-                 for unit in units],
+                [[sim_jobs[i] for i in unit] for unit in units],
                 workers)
-            for unit, (timed, pid) in zip(units, outputs):
+            for unit, (timed, selection, pid) in zip(units, outputs):
+                if selection is not None:
+                    key = warm_key(sim_jobs[unit[0]])
+                    if self.cache and key not in self.selections:
+                        self.cache.put_selection(
+                            selection_fingerprint(key), selection)
+                    self.selections[key] = selection
                 for index, (stats, elapsed) in zip(unit, timed):
                     job = sim_jobs[index]
                     results[index] = stats
@@ -643,6 +699,29 @@ class ParallelRunner:
             write_job_telemetry(self.telemetry_path, self.telemetry)
         return [stats for stats in results if stats is not None]
 
+    def selection(self, job: SimJob) -> Selection:
+        """The interval selection of a sampled job's warm group.
+
+        From the latest :meth:`run`, else from the cache, else — when
+        every interval was served from the cache but the selection was
+        not — computed here and cached.
+        """
+        key = warm_key(job)
+        selection = self.selections.get(key)
+        if selection is not None:
+            return selection
+        fingerprint = selection_fingerprint(key)
+        if self.cache:
+            selection = self.cache.get_selection(fingerprint)
+        if selection is None:
+            program, trace = trace_for(job.benchmark, job.scale, job.seed)
+            selection = interval_selection(program, trace, job.config,
+                                           job.sampling, mispredict_profile)
+            if self.cache:
+                self.cache.put_selection(fingerprint, selection)
+        self.selections[key] = selection
+        return selection
+
 
 def _interval_jobs(job: SimJob, count: int) -> List[SimJob]:
     """The first ``count`` interval jobs of a whole sampled job."""
@@ -657,26 +736,20 @@ def _interval_jobs(job: SimJob, count: int) -> List[SimJob]:
     ]
 
 
-def expand_sampled_job(
-    job: SimJob,
-    profiles: Optional[Dict[str, Optional[List[int]]]] = None,
-) -> Tuple[List[SimJob], int, Optional[List[int]]]:
-    """Interval-level SimJobs for one sampled job, plus its merge inputs.
+def expand_sampled_job(job: SimJob) -> Tuple[List[SimJob], int]:
+    """Interval-level SimJobs for one sampled job, plus its trace length.
 
-    Returns ``(interval_jobs, trace_length, profile)`` where
-    ``interval_jobs[i]`` simulates measurement interval ``i`` (its spec
-    carries ``index=i`` and, for injected jobs, a per-interval derived
-    fault seed) and ``profile`` is the mispredict prefix-sum list for
-    ``"profile"`` placement (``None`` otherwise).  The trace length is
-    returned because interval counts depend on it, and it is a property
-    of the generated workload, not of ``scale`` (traces stop at program
-    halt or continue past ``scale`` to a clean boundary).
+    Returns ``(interval_jobs, trace_length)`` where ``interval_jobs[i]``
+    simulates measurement interval ``i`` (its spec carries ``index=i``
+    and, for injected jobs, a per-interval derived fault seed).  The
+    interval count is a function of the trace length and the spec
+    alone (:func:`~repro.uarch.sampling.interval_count`); the length is
+    a property of the generated workload, not of ``scale`` (traces stop
+    at program halt or continue past ``scale`` to a clean boundary),
+    and the merge needs it too.
 
     Trace-path side effects are dropped from interval jobs: one JSONL
     destination cannot serve k concurrent pipelines.
-
-    ``profiles`` maps :func:`warm_key` to profile; pass one dict for a
-    batch of jobs so each warm group's profile is computed once.
     """
     spec = job.sampling
     if spec is None:
@@ -684,15 +757,8 @@ def expand_sampled_job(
     if spec.index is not None:
         raise ValueError("job is already a single-interval job "
                          f"(index={spec.index})")
-    program, trace = trace_for(job.benchmark, job.scale, job.seed)
-    profiles = {} if profiles is None else profiles
-    key = warm_key(job)
-    if key not in profiles:
-        profiles[key] = (mispredict_profile(program, trace, job.config)
-                         if spec.placement == "profile" else None)
-    profile = profiles[key]
-    count = len(select_intervals(len(trace), spec, profile))
-    return _interval_jobs(job, count), len(trace), profile
+    _, trace = trace_for(job.benchmark, job.scale, job.seed)
+    return _interval_jobs(job, interval_count(len(trace), spec)), len(trace)
 
 
 def run_sampled_jobs(
@@ -701,26 +767,25 @@ def run_sampled_jobs(
 ) -> List[SampledResult]:
     """Run sampled jobs with interval-level parallelism.
 
-    Expands every job into its per-interval SimJobs (computing each
-    warm group's mispredict profile once), executes them all as one
-    flat batch — so the pool balances the warm groups of *all* cells,
-    not one cell at a time — and merges each job's interval Stats into
-    a :class:`~repro.uarch.sampling.SampledResult` (point estimate
-    plus confidence interval).  Interval jobs are
-    cached individually, so re-running with a different grouping, job
-    order or worker count is a pure cache hit, and results are
-    bit-identical to :func:`~repro.uarch.sampling.run_sampled` in
-    process.
+    Expands every job into its per-interval SimJobs, executes them all
+    as one flat batch — so the pool balances the warm groups of *all*
+    cells, not one cell at a time — and merges each job's interval
+    Stats into a :class:`~repro.uarch.sampling.SampledResult` (point
+    estimate plus confidence interval) with its warm group's interval
+    selection (:meth:`ParallelRunner.selection`: from the group's unit,
+    which computed it, or from the cache).  Interval jobs are cached
+    individually, so re-running with a different grouping, job order or
+    worker count is a pure cache hit, and results are bit-identical to
+    :func:`~repro.uarch.sampling.run_sampled` in process.
     """
-    profiles: Dict[str, Optional[List[int]]] = {}
-    expanded = [expand_sampled_job(job, profiles) for job in sim_jobs]
-    flat = [ij for interval_jobs, _, _ in expanded for ij in interval_jobs]
-    all_stats = runner.run(flat, profiles)
+    expanded = [expand_sampled_job(job) for job in sim_jobs]
+    flat = [ij for interval_jobs, _ in expanded for ij in interval_jobs]
+    all_stats = runner.run(flat)
     results: List[SampledResult] = []
     cursor = 0
-    for job, (interval_jobs, total, profile) in zip(sim_jobs, expanded):
+    for job, (interval_jobs, total) in zip(sim_jobs, expanded):
         chunk = all_stats[cursor:cursor + len(interval_jobs)]
         cursor += len(interval_jobs)
         results.append(SampledResult.from_interval_stats(
-            job.sampling, total, chunk, profile))
+            job.sampling, total, chunk, runner.selection(job)))
     return results

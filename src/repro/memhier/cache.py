@@ -98,7 +98,8 @@ class Cache:
         self.params = params
         self.next_level = next_level
         self.miss_latency = miss_latency
-        self._rng = random.Random(seed)
+        #: Only the ``random`` policy draws victims; the others have no RNG.
+        self._rng = random.Random(seed) if params.policy == "random" else None
         self._line_shift = params.line_size.bit_length() - 1
         self._set_mask = params.n_sets - 1
         self._assoc = params.assoc
@@ -234,7 +235,8 @@ class Cache:
     def clone_state(self, next_level: Optional["Cache"] = None) -> "Cache":
         """An independent copy of tag state, replacement stamps and stats.
 
-        Four flat list copies and a few ints — this is what makes the
+        Four flat list copies and a few ints, plus the RNG state under
+        the ``random`` policy only — this is what makes the
         sampled-simulation engine's per-interval warm-state snapshots
         affordable.  The caller supplies the already-cloned
         ``next_level`` so a cloned hierarchy keeps its internal wiring.
@@ -243,8 +245,10 @@ class Cache:
         clone.params = self.params
         clone.next_level = next_level
         clone.miss_latency = self.miss_latency
-        clone._rng = random.Random()
-        clone._rng.setstate(self._rng.getstate())
+        clone._rng = None
+        if self._rng is not None:
+            clone._rng = random.Random()
+            clone._rng.setstate(self._rng.getstate())
         clone._line_shift = self._line_shift
         clone._set_mask = self._set_mask
         clone._assoc = self._assoc

@@ -48,8 +48,9 @@ Design (mirrors SMARTS / RepTFD's checkpoint-and-replay split):
   :data:`WARM_FIELDS` — and is associative over trace prefixes.  A
   :class:`WarmSweep` exploits both: the intervals of one *warm group*
   (jobs that agree on the trace, ``WARM_FIELDS``, ``warm`` and the
-  spec bar ``index``) share one mispredict profile, one warm pass and
-  one replay that advances through their starts in trace order, and
+  spec bar ``index``) share one interval selection (one mispredict
+  profile), one warm pass and one replay that advances through their
+  starts in trace order, and
   each interval still gets **bit-identical Stats** to a from-scratch
   fold — the property the jobs-invariance tests pin, whichever
   intervals a group holds.  Snapshots use the model classes' cheap
@@ -69,6 +70,8 @@ Design (mirrors SMARTS / RepTFD's checkpoint-and-replay split):
   ``trace[i].seq == i`` (commit bookkeeping, recovery refetch), so each
   detailed window runs on per-interval copies of its
   :class:`~repro.arch.trace.DynInst` records, renumbered from zero.
+  The pipeline never writes to its trace records, so the jobs of a
+  warm group that run one interval share one copy.
 * **Statistics**: per-interval :class:`~repro.uarch.stats.Stats` merge
   through :meth:`Stats.merge` into a whole-run view (the headline IPC
   is committed/cycles over all measured windows), and the sampler also
@@ -86,7 +89,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..arch.trace import DynInst, Trace
 from ..reese.faults import FaultModel
@@ -276,19 +279,69 @@ def select_intervals(
     return bounds
 
 
+def interval_count(total: int, spec: SamplingSpec) -> int:
+    """How many intervals :func:`select_intervals` returns for a trace of
+    ``total`` instructions — known without the mispredict profile."""
+    if total <= 0:
+        return 0
+    if spec.intervals * spec.interval_length >= total:
+        return -(-total // spec.interval_length)
+    return spec.intervals
+
+
+class Selection(NamedTuple):
+    """A warm group's measurement intervals and their regressor data.
+
+    ``bounds`` are the intervals in trace order.  Under profile
+    placement ``mispredicts`` holds the exact mispredict count of each
+    measured region and ``total_mispredicts`` the trace-wide count (the
+    regression estimator's inputs); otherwise both are ``None``.
+    """
+
+    bounds: List[IntervalBounds]
+    mispredicts: Optional[List[int]] = None
+    total_mispredicts: Optional[int] = None
+
+
+def interval_selection(
+    program,
+    trace: Trace,
+    config: MachineConfig,
+    spec: SamplingSpec,
+    profiler: Optional[Callable[..., List[int]]] = None,
+) -> Selection:
+    """The :class:`Selection` of ``spec`` (bar ``index``) over ``trace``.
+
+    A pure function of the trace, ``spec`` and the config's
+    :data:`WARM_FIELDS`.  ``profiler`` computes the mispredict prefix
+    sums (default :func:`mispredict_profile`); the whole-trace profile
+    lives only for the length of this call.
+    """
+    if spec.placement != "profile":
+        return Selection(select_intervals(len(trace), spec))
+    profile = (profiler or mispredict_profile)(program, trace, config)
+    bounds = select_intervals(len(trace), spec, profile)
+    return Selection(
+        bounds,
+        [profile[end] - profile[m0] for _, m0, end in bounds],
+        profile[-1],
+    )
+
+
 class WarmSweep:
     """The work the intervals of one warm group share.
 
-    Selects the intervals once (the mispredict profile and bounds of
-    ``spec``, whose ``index`` it ignores) and keeps one live
-    :class:`WarmState` that :func:`build_warm_state` advances through
-    the group's interval starts in trace order.  Every job of the group
-    may pass its own ``config``: only :data:`WARM_FIELDS` reach the
-    sweep, and those the group agrees on.
+    Selects the intervals once (:func:`interval_selection` of ``spec``,
+    whose ``index`` it ignores), keeps one live :class:`WarmState` that
+    :func:`build_warm_state` advances through the group's interval
+    starts in trace order, and keeps the latest detailed window
+    (:meth:`window`), which the group's jobs for one interval share.
+    Every job of the group may pass its own ``config``: only
+    :data:`WARM_FIELDS` reach the sweep, and those the group agrees on.
     """
 
-    __slots__ = ("program", "trace", "config", "spec", "warm", "profile",
-                 "bounds", "state", "position")
+    __slots__ = ("program", "trace", "config", "spec", "warm", "selection",
+                 "state", "position", "_window_span", "_window")
 
     def __init__(
         self,
@@ -297,31 +350,36 @@ class WarmSweep:
         config: MachineConfig,
         spec: SamplingSpec,
         warm: bool = True,
-        profile: Optional[List[int]] = None,
     ) -> None:
         self.program = program
         self.trace = trace
         self.config = config
         self.spec = spec
         self.warm = warm
-        #: ``profile`` placement's mispredict prefix sums: the caller's
-        #: ``profile`` when given, else computed here.
-        self.profile: Optional[List[int]] = None
-        if spec.placement == "profile":
-            self.profile = (
-                mispredict_profile(program, trace, config)
-                if profile is None else profile
-            )
-        self.bounds = select_intervals(len(trace), spec, self.profile)
+        self.selection = interval_selection(program, trace, config, spec)
         #: The live fold (built by the first :func:`build_warm_state`)
         #: and the trace position its replay has reached.
         self.state: Optional[WarmState] = None
         self.position = 0
+        self._window_span: Optional[Tuple[int, int]] = None
+        self._window: List[DynInst] = []
+
+    def window(self, start: int, stop: int) -> List[DynInst]:
+        """``resequence(trace, start, stop)``, built once for as many
+        consecutive calls as ask for the same span.
+
+        The pipeline only reads its trace records, so every job that
+        runs one interval can run on the same copies.
+        """
+        if self._window_span != (start, stop):
+            self._window = resequence(self.trace, start, stop)
+            self._window_span = (start, stop)
+        return self._window
 
     def result(self, interval_stats: List[Stats]) -> "SampledResult":
         """The sampled result of this sweep's intervals' Stats."""
         return SampledResult.from_interval_stats(
-            self.spec, len(self.trace), interval_stats, self.profile
+            self.spec, len(self.trace), interval_stats, self.selection
         )
 
 
@@ -567,31 +625,22 @@ class SampledResult:
         spec: SamplingSpec,
         total_instructions: int,
         interval_stats: List[Stats],
-        profile: Optional[List[int]] = None,
+        selection: Selection,
     ) -> "SampledResult":
         """Rebuild a result from externally executed interval Stats.
 
         This is the merge path of the harness's interval-level job
-        fan-out: one Stats per interval, in interval order.  For
-        profile placement pass the same :func:`mispredict_profile`
-        prefix sums the intervals were selected with (they also feed
-        the regression estimator).
+        fan-out: one Stats per interval of ``selection`` (the warm
+        group's :func:`interval_selection`), in interval order.
         """
-        bounds = select_intervals(total_instructions, spec, profile)
-        if len(interval_stats) != len(bounds):
+        if len(interval_stats) != len(selection.bounds):
             raise ValueError(
-                f"expected {len(bounds)} interval Stats, "
+                f"expected {len(selection.bounds)} interval Stats, "
                 f"got {len(interval_stats)}"
             )
-        mispredicts = total_mispredicts = None
-        if profile is not None:
-            mispredicts = [
-                profile[end] - profile[m0] for _, m0, end in bounds
-            ]
-            total_mispredicts = profile[-1]
         return cls(
-            spec, total_instructions, bounds, interval_stats,
-            mispredicts, total_mispredicts,
+            spec, total_instructions, list(selection.bounds), interval_stats,
+            selection.mispredicts, selection.total_mispredicts,
         )
 
 
@@ -624,11 +673,11 @@ def run_interval(
     """
     if sweep is None:
         sweep = WarmSweep(program, trace, config, spec, warm)
-    warm_start, measure_start, end = sweep.bounds[index]
+    warm_start, measure_start, end = sweep.selection.bounds[index]
     state = build_warm_state(sweep, warm_start)
     pipeline = Pipeline(
         program,
-        resequence(trace, warm_start, min(end + spec.cooldown, len(trace))),
+        sweep.window(warm_start, min(end + spec.cooldown, len(trace))),
         config,
         fault_model=fault_model,
         observers=build_observability(observe),
@@ -678,5 +727,5 @@ def run_sampled(
             fault_model=fault_factory(index) if fault_factory else None,
             warm=warm, observe=observe, sweep=sweep,
         )
-        for index in range(len(sweep.bounds))
+        for index in range(len(sweep.selection.bounds))
     ])

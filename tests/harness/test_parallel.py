@@ -19,6 +19,7 @@ from repro.harness.parallel import (
     ResultCache,
     UNKEYED_FIELDS,
     SimJob,
+    canonical_config,
     derive_seed,
     job_fingerprint,
     WorkerLostError,
@@ -32,7 +33,7 @@ from repro.uarch.observe import InvariantViolation
 from repro.uarch.pipeline import SimulationTimeoutError
 from repro.reese.faults import BernoulliFaultModel, EnvironmentalFaultModel
 from repro.uarch.config import starting_config
-from repro.uarch.sampling import SamplingSpec
+from repro.uarch.sampling import SamplingSpec, Selection
 from repro.uarch.stats import Stats
 from repro.workloads.suite import BENCHMARKS
 
@@ -155,6 +156,44 @@ class TestFingerprintDerivation:
             keyed = job_fingerprint(changed) != job_fingerprint(base)
             assert keyed == (name not in UNKEYED_FIELDS), name
 
+    def test_batch_fingerprints_match_job_fingerprint(self, tmp_path):
+        # ParallelRunner.run builds one canonical config per distinct
+        # config object; every job must still get job_fingerprint(job).
+        # Plant a distinct entry under each job's own key: the batch is
+        # then all cache hits, each job served its own entry.
+        shared = starting_config()
+        interval = SamplingSpec(4, 120, index=1)
+        jobs = [job for job, _ in PINNED_KEYS] + [
+            SimJob("go", shared, TINY),
+            SimJob("go", shared, TINY, sampling=interval),
+            SimJob("go", shared, TINY, seed=3),
+            SimJob("go", dataclasses.replace(shared), TINY),   # equal twin
+            SimJob("go", shared.replace(name="renamed"), TINY, seed=3),
+            SimJob("li", shared.with_reese(), TINY, sampling=interval,
+                   fault=FaultSpec.make("bernoulli", rate=1e-4, seed=5)),
+        ]
+        runner = ParallelRunner(jobs=1, cache_dir=tmp_path)
+        keys = [job_fingerprint(runner.resolve(job)) for job in jobs]
+        planted = {key: n for n, key in enumerate(dict.fromkeys(keys), 1)}
+        for key, cycles in planted.items():
+            stats = Stats()
+            stats.cycles = cycles
+            runner.cache.put(key, stats)
+        served = runner.run(jobs)
+        assert runner.telemetry.cache_hits == len(jobs)
+        assert [stats.cycles for stats in served] == \
+            [planted[key] for key in keys]
+        # Equal configs share keys whatever their name or identity.
+        assert keys[-6] == keys[-3] and keys[-4] == keys[-2]
+
+    def test_canonical_config_is_read_not_changed(self):
+        config = canonical_config(starting_config())
+        before = json.dumps(config, sort_keys=True, default=repr)
+        job = SimJob("go", starting_config(), TINY)
+        assert job_fingerprint(job, config) == job_fingerprint(job)
+        assert json.dumps(config, sort_keys=True, default=repr) == before
+        assert "name" not in config
+
     def test_every_config_field_but_name_is_keyed(self):
         config = starting_config()
         base = job_fingerprint(SimJob("go", config, TINY))
@@ -253,6 +292,33 @@ class TestResultCache:
         # The unedited entry still loads.
         self._rewrite(cache, "bd" * 32)
         assert cache.get("bd" * 32).cycles == 123
+
+    def test_selection_roundtrip(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        selection = Selection([(0, 10, 40), (50, 60, 90)], [3, 1], 9)
+        cache.put_selection("ca" * 32, selection)
+        assert cache.get_selection("ca" * 32) == selection
+        plain = Selection([(0, 0, 40)])
+        cache.put_selection("cb" * 32, plain)
+        assert cache.get_selection("cb" * 32) == plain
+        # Stats and selections are distinct kinds of entry.
+        assert cache.get("ca" * 32) is None
+        cache.put("cc" * 32, self._stats())
+        assert cache.get_selection("cc" * 32) is None
+
+    @pytest.mark.parametrize("selection", [
+        "garbage", {"bounds": [[1, 2]], "mispredicts": None,
+                    "total_mispredicts": None},
+        {"bounds": [[0, 0, 40]]},
+    ])
+    def test_malformed_selection_is_a_miss(self, tmp_path, selection):
+        cache = ResultCache(tmp_path)
+        cache.put_selection("cd" * 32, Selection([(0, 0, 40)]))
+        path = cache.path_for("cd" * 32)
+        data = json.loads(path.read_text())
+        data["selection"] = selection
+        path.write_text(json.dumps(data))
+        assert cache.get_selection("cd" * 32) is None
 
     def test_unwritable_root_degrades_to_uncached(self, tmp_path):
         cache = ResultCache(tmp_path / "missing" / "nope")

@@ -6,6 +6,8 @@ figure/sweep sampled entry points.
 """
 
 import dataclasses
+import json
+import os
 import time
 
 import pytest
@@ -30,7 +32,7 @@ from repro.memhier.hierarchy import MemHierParams
 from repro.uarch import SampledResult, SamplingSpec, run_sampled, sampling
 from repro.uarch.config import LatencyConfig, ReeseConfig, starting_config
 from repro.uarch.observe import ObserveConfig
-from repro.uarch.sampling import WARM_FIELDS, run_interval
+from repro.uarch.sampling import WARM_FIELDS, WarmSweep, run_interval
 from repro.workloads.suite import trace_for
 
 SCALE = 2000
@@ -94,10 +96,12 @@ class TestExpansion:
     def test_expands_one_job_per_interval(self):
         job = SimJob("li", starting_config(), SCALE, sampling=SPEC,
                      trace_path="out.jsonl")
-        interval_jobs, total, profile = expand_sampled_job(job)
-        _, trace = trace_for("li", SCALE)
+        interval_jobs, total = expand_sampled_job(job)
+        program, trace = trace_for("li", SCALE)
         assert total == len(trace)
-        assert profile is not None and len(profile) == total + 1
+        # Counted from the trace length alone, as the sweep selects them.
+        sweep = WarmSweep(program, trace, job.config, SPEC)
+        assert len(interval_jobs) == len(sweep.selection.bounds)
         assert [ij.sampling.index for ij in interval_jobs] == \
             list(range(len(interval_jobs)))
         # Trace-path side effects cannot be split across k pipelines.
@@ -108,7 +112,7 @@ class TestExpansion:
                                seed=11)
         job = SimJob("li", starting_config(), SCALE, fault=fault,
                      sampling=SPEC)
-        interval_jobs, _, _ = expand_sampled_job(job)
+        interval_jobs, _ = expand_sampled_job(job)
         seeds = {dict(ij.fault.params)["seed"] for ij in interval_jobs}
         assert len(seeds) == len(interval_jobs)
 
@@ -338,7 +342,7 @@ class TestWarmGroups:
             return original(*args)
 
         job = SimJob("li", starting_config(), SCALE, sampling=SPEC)
-        interval_jobs, _, _ = expand_sampled_job(job)
+        interval_jobs, _ = expand_sampled_job(job)
         monkeypatch.setattr(sampling, "mispredict_profile", slow_profile)
         runner = ParallelRunner(jobs=1, use_cache=False)
         runner.run(interval_jobs)
@@ -349,25 +353,118 @@ class TestWarmGroups:
         assert telemetry.wall_seconds - charged < pause / 2
 
 
+#: A two-benchmark, three-series sampled figure: two warm groups.
+PROFILED_FIGURE = dataclasses.replace(
+    figure2_spec(), benchmarks=("gcc", "li"),
+    series=figure2_spec().series[:3],
+)
+
+
+def _sampled_record(result):
+    """Everything a sampled cell reports."""
+    return (result.intervals, result.interval_mispredicts,
+            result.total_mispredicts, result.ipc, result.ipc_ci,
+            [stats.state_dict() for stats in result.interval_stats])
+
+
+def _figure_records(figure):
+    return {(bench, label): _sampled_record(cell)
+            for bench, row in figure.cells.items()
+            for label, cell in row.items()}
+
+
+def _cache_entries(root, kind):
+    """The cache files under ``root`` holding a ``kind`` payload."""
+    return [path for path in sorted(root.rglob("*.json"))
+            if kind in json.loads(path.read_text())]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 class TestProfileOncePerWarmGroup:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_profile_per_warm_group(self, monkeypatch, tmp_path, jobs):
-        # The parent computes each warm group's profile to place its
-        # intervals; the group's unit must reuse it, pooled or not.
+    """Each warm group's unit selects its own intervals; the result
+    cache keeps the selection, so the parent profiles nothing."""
+
+    @pytest.fixture
+    def profiles(self, monkeypatch, tmp_path):
+        """Who computed which mispredict profile: the sweep of a unit
+        (``sampling``) or the parent (``parallel``), in which process."""
         log = tmp_path / "profiles.log"
-        original = sampling.mispredict_profile
 
-        def counting(program, trace, config):
-            with open(log, "a") as handle:  # pool workers append too
-                handle.write(program.name + "\n")
-            return original(program, trace, config)
+        def counting(where, original):
+            def profile(program, trace, config):
+                with open(log, "a") as handle:  # pool workers append too
+                    handle.write(f"{where} {program.name} {os.getpid()}\n")
+                return original(program, trace, config)
+            return profile
 
-        monkeypatch.setattr(sampling, "mispredict_profile", counting)
-        monkeypatch.setattr(parallel, "mispredict_profile", counting)
-        spec = dataclasses.replace(figure2_spec(), benchmarks=("gcc", "li"))
-        runner = ParallelRunner(jobs=jobs, use_cache=False)
-        run_figure(spec, scale=SCALE, runner=runner, sampling=SPEC)
-        assert sorted(log.read_text().split()) == ["gcc_proxy", "li_proxy"]
+        for module in (sampling, parallel):
+            monkeypatch.setattr(
+                module, "mispredict_profile",
+                counting(module.__name__.rsplit(".", 1)[1],
+                         module.mispredict_profile))
+
+        def taken():
+            lines = log.read_text().splitlines() if log.exists() else []
+            log.unlink(missing_ok=True)
+            return sorted(tuple(line.split()) for line in lines)
+        return taken
+
+    def _run(self, jobs, cache_dir):
+        runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
+        figure = run_figure(PROFILED_FIGURE, scale=SCALE, runner=runner,
+                            sampling=SPEC)
+        return _figure_records(figure), runner
+
+    def test_one_profile_per_warm_group(self, profiles, tmp_path, jobs):
+        # A cold run profiles each warm group once, in the group's unit.
+        self._run(jobs, tmp_path / "cache")
+        taken = profiles()
+        assert [(where, name) for where, name, _ in taken] == [
+            ("sampling", "gcc_proxy"), ("sampling", "li_proxy")]
+        if jobs > 1:  # the units ran in pool workers
+            assert all(int(pid) != os.getpid() for _, _, pid in taken)
+        assert len(_cache_entries(tmp_path / "cache", "selection")) == 2
+
+    def test_rerun_profiles_nothing(self, profiles, tmp_path, jobs):
+        cold, _ = self._run(jobs, tmp_path / "cache")
+        profiles()
+        warm, runner = self._run(jobs, tmp_path / "cache")
+        assert profiles() == []
+        assert runner.telemetry.cache_hits == runner.telemetry.jobs
+        assert warm == cold
+
+    def test_missing_selection_is_computed_by_the_parent(
+        self, profiles, tmp_path, jobs
+    ):
+        cold, _ = self._run(jobs, tmp_path / "cache")
+        for path in _cache_entries(tmp_path / "cache", "selection"):
+            path.unlink()
+        profiles()
+        warm, runner = self._run(jobs, tmp_path / "cache")
+        assert runner.telemetry.cache_hits == runner.telemetry.jobs
+        assert [(where, name, int(pid)) for where, name, pid in profiles()] \
+            == [("parallel", "gcc_proxy", os.getpid()),
+                ("parallel", "li_proxy", os.getpid())]
+        assert warm == cold
+        # ... and cached it: the next rerun profiles nothing.
+        assert len(_cache_entries(tmp_path / "cache", "selection")) == 2
+        assert self._run(jobs, tmp_path / "cache")[0] == cold
+        assert profiles() == []
+
+    def test_failed_batch_writes_no_selection(
+        self, monkeypatch, tmp_path, jobs
+    ):
+        original = parallel.run_interval
+
+        def failing(program, *args, **kwargs):
+            if program.name == "li_proxy":
+                raise RuntimeError("interval failed")
+            return original(program, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_interval", failing)
+        with pytest.raises(RuntimeError, match="interval failed"):
+            self._run(jobs, tmp_path / "cache")
+        assert list((tmp_path / "cache").rglob("*.json")) == []
 
 
 def _mixed_batch():
@@ -423,7 +520,7 @@ class TestGroupEquivalence:
         runner = ParallelRunner(jobs=1, cache_dir=tmp_path)
         job = SimJob("li", starting_config().with_reese(), SCALE,
                      sampling=SPEC)
-        interval_jobs, _, _ = expand_sampled_job(job)
+        interval_jobs, _ = expand_sampled_job(job)
         runner.run(interval_jobs[1::2])
         results = runner.run(interval_jobs)
         assert runner.telemetry.cache_hits == len(interval_jobs[1::2])

@@ -104,6 +104,33 @@ class TestReplacement:
             return cache.hits, cache.misses
         assert run() == run()
 
+    def test_random_policy_clone_evicts_the_same_ways(self):
+        cache = make_cache(size=256, assoc=4, line=32, policy="random")
+        addresses = [(i * 2654435761) % 8192 & ~31 for i in range(400)]
+        for addr in addresses[:200]:   # fill every set: misses now evict
+            cache.access(addr)
+        clone = cache.clone_state()
+
+        def ways_after_each(target):
+            history = []
+            for addr in addresses[200:]:
+                target.access(addr)
+                history.append((list(target._tags), list(target._valid)))
+            return history
+
+        # The original runs first: a clone that shared its RNG would
+        # continue its draws instead of repeating them.
+        original = ways_after_each(cache)
+        assert ways_after_each(clone) == original
+        assert clone.evictions == cache.evictions > 0
+
+    def test_only_random_policy_keeps_an_rng(self):
+        for policy in ("lru", "fifo"):
+            cache = make_cache(policy=policy)
+            assert cache._rng is None
+            assert cache.clone_state()._rng is None
+        assert make_cache(policy="random").clone_state()._rng is not None
+
     def test_full_associativity_within_set(self):
         cache = make_cache(size=256, assoc=4, line=32, policy="lru")  # 2 sets
         addresses = [i * 64 for i in range(4)]  # all map to set 0

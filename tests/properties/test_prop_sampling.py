@@ -119,7 +119,7 @@ class TestSamplingDeterminism:
         job = SimJob("li", cfg, 2500, sampling=spec)
         from repro.harness.parallel import expand_sampled_job
 
-        interval_jobs, _, _ = expand_sampled_job(job)
+        interval_jobs, _ = expand_sampled_job(job)
         for index, interval_job in enumerate(interval_jobs):
             assert interval_job.sampling == \
                 dataclasses.replace(spec, index=index)

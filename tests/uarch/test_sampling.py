@@ -10,6 +10,7 @@ from repro.uarch import (
     WarmState,
     WarmSweep,
     build_warm_state,
+    interval_selection,
     mispredict_profile,
     run_interval,
     run_sampled,
@@ -17,7 +18,8 @@ from repro.uarch import (
     starting_config,
 )
 from repro.arch.trace import DynInst
-from repro.uarch.sampling import resequence
+from repro.reese.faults import EnvironmentalFaultModel
+from repro.uarch.sampling import interval_count, resequence
 from repro.workloads.suite import BENCHMARKS, trace_for
 
 SCALE = 3000
@@ -119,6 +121,29 @@ class TestSelectIntervals:
         same = select_intervals(50_000, spec_a)
         assert same == select_intervals(50_000, spec_a)
         assert same != select_intervals(50_000, spec_b)
+
+    @pytest.mark.parametrize("placement", ["profile", "random", "end"])
+    @pytest.mark.parametrize("total", [0, 1, 299, 300, 1199, 1200, 1201,
+                                       10_000])
+    def test_interval_count_needs_no_profile(self, placement, total):
+        # The harness expands a sampled job before any profile exists.
+        spec = SamplingSpec(4, 300, placement=placement)
+        profile = list(range(total + 1))
+        bounds = select_intervals(total, spec, profile)
+        assert interval_count(total, spec) == len(bounds)
+
+    def test_selection_carries_the_regressor_data(self, workload, cfg):
+        program, trace = workload
+        spec = SamplingSpec(5, 150, warmup=40)
+        profile = mispredict_profile(program, trace, cfg)
+        selection = interval_selection(program, trace, cfg, spec)
+        assert selection.bounds == select_intervals(len(trace), spec, profile)
+        assert selection.mispredicts == [
+            profile[end] - profile[m0] for _, m0, end in selection.bounds]
+        assert selection.total_mispredicts == profile[-1]
+        end = interval_selection(program, trace, cfg,
+                                 SamplingSpec(5, 150, placement="end"))
+        assert end.mispredicts is None and end.total_mispredicts is None
 
 
 PREDICTORS = ("gshare", "bimodal", "combining", "local", "taken",
@@ -232,6 +257,31 @@ class TestResequence:
         # The trace itself keeps its own numbering.
         assert trace[1000].seq == 1000
 
+    def test_sweep_builds_each_window_once(self, workload, cfg):
+        program, trace = workload
+        sweep = WarmSweep(program, trace, cfg, SamplingSpec(4, 150))
+        window = sweep.window(1000, 1400)
+        assert sweep.window(1000, 1400) is window
+        other = sweep.window(1400, 1600)
+        assert other is not window and len(other) == 200
+
+    @pytest.mark.parametrize("variant", ["reese", "dispatch_dup"])
+    def test_pipeline_never_writes_its_trace_records(self, workload, cfg,
+                                                     variant):
+        # The jobs of a warm group that run one interval share its
+        # window, so no run may leave a mark on the records.
+        program, trace = workload
+        config = (cfg.with_reese() if variant == "reese"
+                  else cfg.with_dispatch_dup())
+        window = resequence(trace, 1000, 1600)
+        before = [tuple(getattr(dyn, name) for name in DynInst.__slots__)
+                  for dyn in window]
+        for fault in (None, EnvironmentalFaultModel(rate=2e-2, duration=3,
+                                                     seed=5)):
+            Pipeline(program, window, config, fault_model=fault).run()
+        assert [tuple(getattr(dyn, name) for name in DynInst.__slots__)
+                for dyn in window] == before
+
 
 class TestRunSampled:
     def test_intervals_match_fanout_byte_identical(self, workload, cfg):
@@ -246,10 +296,10 @@ class TestRunSampled:
     def test_from_interval_stats_round_trip(self, workload, cfg):
         program, trace = workload
         spec = SamplingSpec(4, 150)
-        profile = mispredict_profile(program, trace, cfg)
+        selection = interval_selection(program, trace, cfg, spec)
         result = run_sampled(program, trace, cfg, spec)
         rebuilt = SampledResult.from_interval_stats(
-            spec, len(trace), result.interval_stats, profile
+            spec, len(trace), result.interval_stats, selection
         )
         assert rebuilt.ipc == result.ipc
         assert rebuilt.ipc_ci == result.ipc_ci
@@ -258,10 +308,10 @@ class TestRunSampled:
     def test_from_interval_stats_length_mismatch(self, workload, cfg):
         program, trace = workload
         spec = SamplingSpec(4, 150)
-        profile = mispredict_profile(program, trace, cfg)
+        selection = interval_selection(program, trace, cfg, spec)
         with pytest.raises(ValueError, match="interval Stats"):
             SampledResult.from_interval_stats(
-                spec, len(trace), [Stats()], profile
+                spec, len(trace), [Stats()], selection
             )
 
     def test_reasonable_accuracy_vs_full_run(self, workload, cfg):
