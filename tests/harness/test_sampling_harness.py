@@ -410,24 +410,26 @@ class TestProfileOncePerWarmGroup:
         return taken
 
     def _run(self, jobs, cache_dir):
-        runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
+        runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir,
+                                use_cache=cache_dir is not None)
         figure = run_figure(PROFILED_FIGURE, scale=SCALE, runner=runner,
                             sampling=SPEC)
         return _figure_records(figure), runner
 
-    def test_one_profile_per_warm_group(self, profiles, tmp_path, jobs):
-        # A cold run profiles each warm group once, in the group's unit.
-        self._run(jobs, tmp_path / "cache")
+    def test_one_profile_per_warm_group(self, profiles, jobs):
+        # A cold run profiles each warm group once, in the group's unit;
+        # the merge takes the unit's selection, with or without a cache.
+        self._run(jobs, None)
         taken = profiles()
         assert [(where, name) for where, name, _ in taken] == [
             ("sampling", "gcc_proxy"), ("sampling", "li_proxy")]
         if jobs > 1:  # the units ran in pool workers
             assert all(int(pid) != os.getpid() for _, _, pid in taken)
-        assert len(_cache_entries(tmp_path / "cache", "selection")) == 2
 
     def test_rerun_profiles_nothing(self, profiles, tmp_path, jobs):
         cold, _ = self._run(jobs, tmp_path / "cache")
-        profiles()
+        assert [where for where, _, _ in profiles()] == ["sampling"] * 2
+        assert len(_cache_entries(tmp_path / "cache", "selection")) == 2
         warm, runner = self._run(jobs, tmp_path / "cache")
         assert profiles() == []
         assert runner.telemetry.cache_hits == runner.telemetry.jobs
