@@ -29,52 +29,21 @@ or, at the shell::
 
 from __future__ import annotations
 
-from .arch import EmulationResult, Emulator, Memory, emulate
-from .harness import run_benchmark, run_figure, run_model
-from .isa import Instruction, Op, Program, assemble
-from .reese import (
-    BernoulliFaultModel,
-    EnvironmentalFaultModel,
-    RStreamQueue,
-    UnrecoverableFaultError,
-)
-from .uarch import (
-    MachineConfig,
-    Pipeline,
-    ReeseConfig,
-    Stats,
-    starting_config,
-)
-from .workloads import BENCHMARKS, generate_program, load
+from ._lazy import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "EmulationResult",
-    "Emulator",
-    "Memory",
-    "emulate",
-    "run_benchmark",
-    "run_figure",
-    "run_model",
-    "Instruction",
-    "Op",
-    "Program",
-    "assemble",
-    "BernoulliFaultModel",
-    "EnvironmentalFaultModel",
-    "RStreamQueue",
-    "UnrecoverableFaultError",
-    "MachineConfig",
-    "Pipeline",
-    "ReeseConfig",
-    "Stats",
-    "starting_config",
-    "BENCHMARKS",
-    "generate_program",
-    "load",
-    "quick_compare",
-]
+__all__, __getattr__, __dir__ = lazy_surface(__name__, {
+    ".arch": ("EmulationResult", "Emulator", "Memory", "emulate"),
+    ".harness": ("run_benchmark", "run_figure", "run_model"),
+    ".isa": ("Instruction", "Op", "Program", "assemble"),
+    ".reese": ("BernoulliFaultModel", "EnvironmentalFaultModel",
+               "RStreamQueue", "UnrecoverableFaultError"),
+    ".uarch": ("MachineConfig", "Pipeline", "ReeseConfig", "Stats",
+               "starting_config"),
+    ".workloads": ("BENCHMARKS", "generate_program", "load"),
+})
+__all__.append("quick_compare")
 
 
 def quick_compare(benchmark: str = "gcc", scale: int = 20_000) -> str:
@@ -82,6 +51,9 @@ def quick_compare(benchmark: str = "gcc", scale: int = 20_000) -> str:
 
     This is the two-line demonstration of the paper's headline result.
     """
+    from .harness.runner import run_benchmark
+    from .uarch.config import starting_config
+
     config = starting_config()
     base = run_benchmark(benchmark, config, scale=scale)
     reese = run_benchmark(benchmark, config.with_reese(), scale=scale)

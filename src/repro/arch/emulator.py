@@ -48,6 +48,7 @@ the same errors.
 
 from __future__ import annotations
 
+import gc
 import os
 from bisect import bisect_right
 from collections import namedtuple
@@ -558,6 +559,19 @@ class Emulator:
             ValueError: on golden checkpoints without a traceless
                 schedule, or an order asked of a run with a trace or hook.
         """
+        if not collect_trace or not gc.isenabled():
+            return self._run(collect_trace, checkpoints, order)
+        # A trace is up to 10^5 acyclic records, which the cyclic
+        # collector would scan again and again for no garbage: it pauses
+        # while they are built.
+        gc.disable()
+        try:
+            return self._run(collect_trace, checkpoints, order)
+        finally:
+            gc.enable()
+
+    def _run(self, collect_trace: bool, checkpoints: bool,
+             order: bool) -> EmulationResult:
         program = self.program
         cache = self.blocks or BlockCache(program)
         decoded = cache.decoded

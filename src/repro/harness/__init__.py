@@ -1,135 +1,43 @@
-"""Experiment harness: runners, figure specs, reporting, expectations."""
+"""Experiment harness: runners, figure specs, reporting, expectations.
 
-from .experiments import (
-    FIGURES,
-    FigureResult,
-    FigureSpec,
-    SERIES_BASELINE,
-    SERIES_R1A,
-    SERIES_R2A,
-    SERIES_R2A1M,
-    SERIES_REESE,
-    figure2_spec,
-    figure3_spec,
-    figure4_spec,
-    figure5_spec,
-    figure7_specs,
-    run_figure,
-    run_summary_figure,
-)
-from .expectations import Expectation, check_all
-from .campaign import (
-    CampaignResult,
-    MismatchRecord,
-    OracleMismatch,
-    SiteCampaignResult,
-    SiteSample,
-    run_campaign,
-    run_site_campaign,
-    sample_sites,
-)
-from .parallel import (
-    FaultSpec,
-    ParallelRunner,
-    ResultCache,
-    RunTelemetry,
-    SimJob,
-    WorkerLostError,
-    derive_seed,
-    expand_sampled_job,
-    interval_fault_spec,
-    job_fingerprint,
-    parallel_map,
-    run_sampled_jobs,
-)
-from .reporting import (
-    analysis_report,
-    figure_report,
-    format_table,
-    lint_report,
-    markdown_table,
-    overhead_summary,
-    profile_report,
-    site_campaign_report,
-    summary_report,
-    telemetry_report,
-)
-from .telemetry import (
-    TELEMETRY_SCHEMA_VERSION,
-    atomic_write_text,
-    read_job_telemetry,
-    write_job_telemetry,
-)
-from ..env import env_flag, env_int
-from .runner import (
-    DEFAULT_SCALE,
-    bench_scale,
-    run_benchmark,
-    run_model,
-    run_sampled_benchmark,
-)
-from .sweep import SweepPoint, run_sweep, spare_capacity_grid
+Every name below loads its module on first use (:mod:`repro._lazy`), so
+importing one harness module does not load the others.
+"""
 
-__all__ = [
-    "FIGURES",
-    "FigureResult",
-    "FigureSpec",
-    "SERIES_BASELINE",
-    "SERIES_R1A",
-    "SERIES_R2A",
-    "SERIES_R2A1M",
-    "SERIES_REESE",
-    "figure2_spec",
-    "figure3_spec",
-    "figure4_spec",
-    "figure5_spec",
-    "figure7_specs",
-    "run_figure",
-    "run_summary_figure",
-    "Expectation",
-    "check_all",
-    "CampaignResult",
-    "MismatchRecord",
-    "OracleMismatch",
-    "SiteCampaignResult",
-    "SiteSample",
-    "run_campaign",
-    "run_site_campaign",
-    "sample_sites",
-    "FaultSpec",
-    "ParallelRunner",
-    "ResultCache",
-    "RunTelemetry",
-    "SimJob",
-    "WorkerLostError",
-    "derive_seed",
-    "expand_sampled_job",
-    "interval_fault_spec",
-    "job_fingerprint",
-    "parallel_map",
-    "run_sampled_jobs",
-    "analysis_report",
-    "figure_report",
-    "format_table",
-    "lint_report",
-    "markdown_table",
-    "overhead_summary",
-    "profile_report",
-    "site_campaign_report",
-    "summary_report",
-    "telemetry_report",
-    "TELEMETRY_SCHEMA_VERSION",
-    "atomic_write_text",
-    "read_job_telemetry",
-    "write_job_telemetry",
-    "DEFAULT_SCALE",
-    "bench_scale",
-    "env_flag",
-    "env_int",
-    "run_benchmark",
-    "run_model",
-    "run_sampled_benchmark",
-    "SweepPoint",
-    "run_sweep",
-    "spare_capacity_grid",
-]
+from .._lazy import lazy_surface
+
+__all__, __getattr__, __dir__ = lazy_surface(__name__, {
+    ".experiments": (
+        "FIGURES", "FigureResult", "FigureSpec", "SERIES_BASELINE",
+        "SERIES_R1A", "SERIES_R2A", "SERIES_R2A1M", "SERIES_REESE",
+        "figure2_spec", "figure3_spec", "figure4_spec", "figure5_spec",
+        "figure7_specs", "run_figure", "run_summary_figure",
+    ),
+    ".expectations": ("Expectation", "check_all"),
+    ".campaign": (
+        "CampaignResult", "MismatchRecord", "OracleMismatch",
+        "SiteCampaignResult", "SiteSample", "run_campaign",
+        "run_site_campaign", "sample_sites",
+    ),
+    ".parallel": (
+        "FaultSpec", "ParallelRunner", "ResultCache", "RunTelemetry",
+        "SimJob", "WorkerLostError", "derive_seed", "expand_sampled_job",
+        "interval_fault_spec", "job_fingerprint", "parallel_map",
+        "run_sampled_jobs",
+    ),
+    ".reporting": (
+        "analysis_report", "figure_report", "format_table", "lint_report",
+        "markdown_table", "overhead_summary", "profile_report",
+        "site_campaign_report", "summary_report", "telemetry_report",
+    ),
+    ".telemetry": (
+        "TELEMETRY_SCHEMA_VERSION", "atomic_write_text", "read_job_telemetry",
+        "write_job_telemetry",
+    ),
+    "..env": ("env_flag", "env_int"),
+    ".runner": (
+        "DEFAULT_SCALE", "bench_scale", "run_benchmark", "run_model",
+        "run_sampled_benchmark",
+    ),
+    ".sweep": ("SweepPoint", "run_sweep", "spare_capacity_grid"),
+})

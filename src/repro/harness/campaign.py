@@ -39,15 +39,18 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
-from ..analysis import AnalysisResult, CLASS_DEAD, CLASSES, analyze_program
 from ..arch.emulator import (BlockCache, Checkpoint, EmulationResult,
                              EmulatorError, emulate)
 from ..arch.memory import MisalignedAccessError
 from ..isa.program import Program
 from ..reese.faults import BernoulliPlan, Plan, PlannedInjector
 from .parallel import parallel_map
+
+if TYPE_CHECKING:
+    from ..analysis import AnalysisResult
 
 #: Outcome labels in severity order.
 OUTCOMES = ("clean", "masked", "sdc", "crash", "hang")
@@ -308,6 +311,15 @@ def count_site_executions(
     return golden, counts
 
 
+def analyze_program(program: Program, use_cache: bool = True,
+                    cache_dir: Optional[str] = None) -> AnalysisResult:
+    """:func:`repro.analysis.analyze_program`, loading the analyzer on
+    first use.  :func:`run_site_campaign` calls it through this module."""
+    from ..analysis import analyze_program as analyze
+
+    return analyze(program, use_cache=use_cache, cache_dir=cache_dir)
+
+
 def sample_sites(
     analysis: AnalysisResult,
     exec_counts: Counter,
@@ -324,6 +336,8 @@ def sample_sites(
     within each class.  Purely a function of ``(analysis, exec_counts,
     runs, seed)`` — never of worker count.
     """
+    from ..analysis import CLASSES
+
     wanted = tuple(classes) if classes else CLASSES
     pools: Dict[str, List[Tuple[int, int]]] = {}
     for klass in wanted:
@@ -418,6 +432,8 @@ class SiteCampaignResult:
             raise OracleMismatch(self.mismatches)
 
     def report(self) -> str:
+        from ..analysis import CLASSES
+
         lines = [
             f"site campaign on {self.program_name!r}: {self.runs} "
             f"stratified injections, seed {self.seed} "
@@ -484,6 +500,8 @@ def run_site_campaign(
     """
     analysis = analyze_program(program, use_cache=use_analysis_cache,
                                cache_dir=analysis_cache_dir)
+    from ..analysis import CLASS_DEAD, CLASSES
+
     blocks = BlockCache(program)
     golden, exec_counts = count_site_executions(program, max_instructions,
                                                 blocks)

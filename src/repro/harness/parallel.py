@@ -59,7 +59,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import pathlib
 import time
@@ -76,6 +75,7 @@ from ..reese.faults import (
 )
 from ..uarch.config import MachineConfig
 from ..uarch.observe import ObserveConfig
+from ..uarch.pipeline import WarmState
 from ..uarch.sampling import (
     WARM_FIELDS,
     SampledResult,
@@ -384,6 +384,8 @@ class RunTelemetry:
 
 def _mp_context() -> multiprocessing.context.BaseContext:
     """Prefer fork (workers inherit already-memoised traces for free)."""
+    import multiprocessing  # loaded only by a run that starts a pool
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -426,6 +428,38 @@ def warm_key(job: SimJob) -> str:
     )
 
 
+#: The warmed state of this process's latest warm full run, under its
+#: :func:`_full_warm_key`.  One is held at a time: the runner's jobs are
+#: benchmark-major, so the configs of one trace arrive together.
+_held_warm: Dict[str, WarmState] = {}
+
+
+def _full_warm_key(job: SimJob) -> str:
+    """What a warm full run's warmed state depends on: the trace
+    (benchmark, scale, resolved seed) and the config's
+    :data:`~repro.uarch.sampling.WARM_FIELDS`."""
+    return json.dumps(
+        [
+            job.benchmark, job.scale, job.resolved_seed(),
+            {name: getattr(job.config, name) for name in WARM_FIELDS},
+        ],
+        sort_keys=True, default=repr,
+    )
+
+
+def _warm_state(job: SimJob, program, trace) -> WarmState:
+    """A snapshot of ``job``'s warmed state, warming it only when the
+    held state is for another trace or warm config."""
+    key = _full_warm_key(job)
+    state = _held_warm.get(key)
+    if state is None:
+        state = WarmState(program, job.config)
+        state.warm_full(trace)
+        _held_warm.clear()
+        _held_warm[key] = state
+    return state.snapshot()
+
+
 def _simulate(job: SimJob, sweep: Optional[WarmSweep] = None) -> Stats:
     """Simulate one resolved job in this process.
 
@@ -451,8 +485,9 @@ def _simulate(job: SimJob, sweep: Optional[WarmSweep] = None) -> Stats:
             program, trace, job.config, spec, spec.index,
             fault_model=fault, warm=job.warm, observe=observe, sweep=sweep,
         )
+    warm_state = _warm_state(job, program, trace) if job.warm else None
     return run_model(program, trace, job.config, fault_model=fault,
-                     warm=job.warm, observe=observe)
+                     warm=job.warm, observe=observe, warm_state=warm_state)
 
 
 def _warm_groups(jobs: Sequence[SimJob], indices: Sequence[int],

@@ -20,7 +20,7 @@ from ..isa.program import Program
 from ..reese.faults import FaultModel
 from ..uarch.config import MachineConfig
 from ..uarch.observe import ObserveConfig, build_observability
-from ..uarch.pipeline import Pipeline
+from ..uarch.pipeline import Pipeline, WarmState
 from ..uarch.stats import Stats
 
 # DEFAULT_SCALE is re-exported here for backward compatibility; the
@@ -49,6 +49,7 @@ def run_model(
     warm: bool = True,
     max_cycles: Optional[int] = None,
     observe: Optional[ObserveConfig] = None,
+    warm_state: Optional[WarmState] = None,
 ) -> Stats:
     """Simulate one program trace on one machine configuration.
 
@@ -60,6 +61,9 @@ def run_model(
         observe: the observers to attach (event trace, per-stage
             metrics, invariant checker, cycle accountant); ``None``
             keeps the observer-free fast path.
+        warm_state: the :class:`~repro.uarch.pipeline.WarmState` to run
+            on, as :class:`~repro.uarch.pipeline.Pipeline` takes it
+            (``warm`` is then ignored).
     """
     pipeline = Pipeline(
         program,
@@ -67,6 +71,7 @@ def run_model(
         config,
         fault_model=fault_model,
         warm=warm,
+        warm_state=warm_state,
         observers=build_observability(observe),
     )
     return pipeline.run(max_cycles=max_cycles)

@@ -1,89 +1,34 @@
-"""The out-of-order superscalar timing core (SimpleScalar-style)."""
+"""The out-of-order superscalar timing core (SimpleScalar-style).
 
-from .config import (
-    LatencyConfig,
-    MachineConfig,
-    ReeseConfig,
-    bigger_window_config,
-    large_machine_config,
-    more_mem_ports_config,
-    starting_config,
-    wide_datapath_config,
-)
-from .funits import FUPool
-from .observe import (
-    CallbackSink,
-    EventTracer,
-    InvariantChecker,
-    InvariantViolation,
-    JSONLSink,
-    ObserveConfig,
-    RingBufferSink,
-    StageMetrics,
-    TraceEvent,
-    build_observability,
-    render_timeline,
-)
-from .pipeline import (
-    Pipeline,
-    SimulationDeadlockError,
-    SimulationTimeoutError,
-    WarmState,
-    warm_caches_over,
-    warm_predictor_over,
-)
-from .sampling import (
-    SampledResult,
-    SamplingSpec,
-    Selection,
-    WARM_FIELDS,
-    WarmSweep,
-    build_warm_state,
-    interval_selection,
-    mispredict_profile,
-    run_interval,
-    run_sampled,
-    select_intervals,
-)
-from .stats import Stats
+Every name below loads its module on first use (:mod:`repro._lazy`), so
+importing ``repro.uarch.config`` does not load the pipeline or the
+observers.
+"""
 
-__all__ = [
-    "CallbackSink",
-    "EventTracer",
-    "InvariantChecker",
-    "InvariantViolation",
-    "JSONLSink",
-    "ObserveConfig",
-    "RingBufferSink",
-    "StageMetrics",
-    "TraceEvent",
-    "build_observability",
-    "render_timeline",
-    "LatencyConfig",
-    "MachineConfig",
-    "ReeseConfig",
-    "bigger_window_config",
-    "large_machine_config",
-    "more_mem_ports_config",
-    "starting_config",
-    "wide_datapath_config",
-    "FUPool",
-    "Pipeline",
-    "SimulationDeadlockError",
-    "SimulationTimeoutError",
-    "warm_caches_over",
-    "warm_predictor_over",
-    "SampledResult",
-    "SamplingSpec",
-    "Selection",
-    "WARM_FIELDS",
-    "WarmState",
-    "WarmSweep",
-    "build_warm_state",
-    "interval_selection",
-    "run_interval",
-    "mispredict_profile",
-    "run_sampled",
-    "select_intervals",
-    "Stats",
-]
+from .._lazy import lazy_surface
+
+__all__, __getattr__, __dir__ = lazy_surface(__name__, {
+    ".observe": (
+        "CallbackSink", "EventTracer", "InvariantChecker",
+        "InvariantViolation", "JSONLSink", "ObserveConfig", "RingBufferSink",
+        "StageMetrics", "TraceEvent", "build_observability",
+        "render_timeline",
+    ),
+    ".config": (
+        "LatencyConfig", "MachineConfig", "ReeseConfig",
+        "bigger_window_config", "large_machine_config",
+        "more_mem_ports_config", "starting_config", "wide_datapath_config",
+    ),
+    ".funits": ("FUPool",),
+    ".pipeline": (
+        "Pipeline", "SimulationDeadlockError", "SimulationTimeoutError",
+        "WarmState", "warm_caches_over", "warm_predictor_over",
+    ),
+    ".sampling": (
+        "SampledResult", "SamplingSpec", "Selection", "WARM_FIELDS",
+        "WarmSweep", "build_warm_state", "interval_selection",
+        "run_interval", "mispredict_profile", "run_sampled",
+        "select_intervals",
+    ),
+    ".stats": ("Stats",),
+})

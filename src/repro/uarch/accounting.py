@@ -80,6 +80,17 @@ from __future__ import annotations
 from operator import attrgetter, sub
 from typing import Any, Dict, List, Optional, Tuple
 
+# The account merge and the histogram summaries live with the Stats
+# merges that use them, so loading Stats does not load the accountant;
+# they are served from here too.
+from .stats import (  # noqa: F401
+    hist_count,
+    hist_max,
+    hist_mean,
+    hist_percentile,
+    merge_accounting,
+)
+
 #: Schema tag stored in every account dict (bump on layout change).
 #: v2: the detection-lag histograms moved out to ``Stats``.
 ACCOUNTING_SCHEMA_VERSION = 2
@@ -305,41 +316,6 @@ class CycleAccountant:
 # ----------------------------------------------------------------------
 
 
-def merge_accounting(
-    into: Dict[str, Any], other: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Merge two account dicts (the sampled-interval aggregation path).
-
-    Mirrors the tolerance rules of the other ``Stats`` registry merges:
-    either side may be empty or written by an older schema; missing
-    pieces merge as zero.
-    """
-    if not other:
-        return into
-    if not into:
-        return _copy_account(other)
-    into["schema"] = max(into.get("schema", 0), other.get("schema", 0))
-    into["width"] = max(into.get("width", 0), other.get("width", 0))
-    into["cycles_total"] = (
-        into.get("cycles_total", 0) + other.get("cycles_total", 0)
-    )
-    into["slots_total"] = (
-        into.get("slots_total", 0) + other.get("slots_total", 0)
-    )
-    for field in ("slots", "cycles"):
-        merged = into.setdefault(field, {})
-        for key, count in other.get(field, {}).items():
-            merged[key] = merged.get(key, 0) + count
-    return into
-
-
-def _copy_account(account: Dict[str, Any]) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for key, value in account.items():
-        out[key] = dict(value) if isinstance(value, dict) else value
-    return out
-
-
 def accounting_identity_errors(account: Dict[str, Any]) -> List[str]:
     """Violations of the completeness identities (empty list == OK)."""
     if not account:
@@ -388,46 +364,3 @@ def r_share_of_delta(
             if cause in R_CAUSES:
                 r_delta += delta
     return r_delta, total_delta
-
-
-# ----------------------------------------------------------------------
-# {value: count} histogram summaries (detection lags, occupancies)
-# ----------------------------------------------------------------------
-
-
-def hist_count(hist: Dict[Any, int]) -> int:
-    """Total observation count of a lag histogram."""
-    return sum(hist.values())
-
-
-def hist_mean(hist: Dict[Any, int]) -> float:
-    """Mean value of a ``{value: count}`` histogram (0.0 when empty)."""
-    total = 0
-    weight = 0
-    for lag, count in hist.items():
-        total += int(lag) * count
-        weight += count
-    return total / weight if weight else 0.0
-
-
-def hist_percentile(hist: Dict[Any, int], q: float) -> int:
-    """The smallest lag at or below which ``q`` of observations fall.
-
-    Nearest-rank percentile over integer lags; 0 for an empty
-    histogram.  ``q`` is a fraction (0.5 for p50, 0.99 for p99).
-    """
-    weight = sum(hist.values())
-    if not weight:
-        return 0
-    rank = max(1, int(-(-weight * q // 1)))  # ceil without floats drift
-    seen = 0
-    for lag in sorted(hist, key=int):
-        seen += hist[lag]
-        if seen >= rank:
-            return int(lag)
-    return int(max((int(lag) for lag in hist), default=0))
-
-
-def hist_max(hist: Dict[Any, int]) -> int:
-    """Largest observed lag (0 when empty)."""
-    return max((int(lag) for lag in hist), default=0)

@@ -12,14 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Optional
 
-from .accounting import (
-    hist_count,
-    hist_max,
-    hist_mean,
-    hist_percentile,
-    merge_accounting,
-)
-
 
 def _merge_cache_level(
     into: Dict[str, float], other: Dict[str, Any]
@@ -71,6 +63,80 @@ def _copy_json(value: Any) -> Any:
     if isinstance(value, list):
         return [_copy_json(item) for item in value]
     return value
+
+
+def merge_accounting(
+    into: Dict[str, Any], other: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Merge two cycle accounts (``Stats.accounting``, laid out by
+    :mod:`repro.uarch.accounting`): the sampled-interval aggregation path.
+
+    Mirrors the tolerance rules of the other ``Stats`` registry merges:
+    either side may be empty or written by an older schema; missing
+    pieces merge as zero.
+    """
+    if not other:
+        return into
+    if not into:
+        return _copy_account(other)
+    into["schema"] = max(into.get("schema", 0), other.get("schema", 0))
+    into["width"] = max(into.get("width", 0), other.get("width", 0))
+    into["cycles_total"] = (
+        into.get("cycles_total", 0) + other.get("cycles_total", 0)
+    )
+    into["slots_total"] = (
+        into.get("slots_total", 0) + other.get("slots_total", 0)
+    )
+    for field in ("slots", "cycles"):
+        merged = into.setdefault(field, {})
+        for key, count in other.get(field, {}).items():
+            merged[key] = merged.get(key, 0) + count
+    return into
+
+
+def _copy_account(account: Dict[str, Any]) -> Dict[str, Any]:
+    out: Dict[str, Any] = {}
+    for key, value in account.items():
+        out[key] = dict(value) if isinstance(value, dict) else value
+    return out
+
+
+def hist_count(hist: Dict[Any, int]) -> int:
+    """Total observation count of a lag histogram."""
+    return sum(hist.values())
+
+
+def hist_mean(hist: Dict[Any, int]) -> float:
+    """Mean value of a ``{value: count}`` histogram (0.0 when empty)."""
+    total = 0
+    weight = 0
+    for lag, count in hist.items():
+        total += int(lag) * count
+        weight += count
+    return total / weight if weight else 0.0
+
+
+def hist_percentile(hist: Dict[Any, int], q: float) -> int:
+    """The smallest lag at or below which ``q`` of observations fall.
+
+    Nearest-rank percentile over integer lags; 0 for an empty
+    histogram.  ``q`` is a fraction (0.5 for p50, 0.99 for p99).
+    """
+    weight = sum(hist.values())
+    if not weight:
+        return 0
+    rank = max(1, int(-(-weight * q // 1)))  # ceil without floats drift
+    seen = 0
+    for lag in sorted(hist, key=int):
+        seen += hist[lag]
+        if seen >= rank:
+            return int(lag)
+    return int(max((int(lag) for lag in hist), default=0))
+
+
+def hist_max(hist: Dict[Any, int]) -> int:
+    """Largest observed lag (0 when empty)."""
+    return max((int(lag) for lag in hist), default=0)
 
 
 class Stats:

@@ -1,5 +1,7 @@
 """Unit tests for the functional emulator (the architectural oracle)."""
 
+import gc
+
 import pytest
 
 from repro.arch import EmulatorError, emulate
@@ -165,6 +167,40 @@ class TestTraceContents:
         result = emulate(loop_program, collect_trace=False)
         assert result.trace is None
         assert result.output == [5050]
+
+
+class TestCollectorPause:
+    """A traced run pauses the cyclic collector and leaves it as it was."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, collector, loop_program, enabled):
+        (gc.enable if enabled else gc.disable)()
+        seen = []
+        result = emulate(loop_program,
+                         inject=lambda dyn: seen.append(gc.isenabled()))
+        assert result.output == [5050] and result.trace
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+
+    def test_state_restored_when_the_run_raises(self, collector):
+        gc.enable()
+        with pytest.raises(EmulatorError):
+            emulate(assemble("li r1, 4\njr r1"))
+        assert gc.isenabled()
+
+    def test_traceless_run_leaves_the_collector_on(self, collector,
+                                                   loop_program):
+        gc.enable()
+        seen = []
+        emulate(loop_program, collect_trace=False,
+                inject=lambda dyn: seen.append(gc.isenabled()))
+        assert seen and all(seen)
 
 
 class TestInjectionHook:

@@ -25,17 +25,20 @@ from repro.harness.parallel import (
     WorkerLostError,
     parallel_map,
 )
+from repro.harness import parallel
+from repro.harness.experiments import figure2_spec
+from repro.harness.runner import run_model
 from repro.harness.campaign import (MismatchRecord, OracleMismatch,
                                     _chunk_indices)
 from repro.isa.assembler import AsmError
 from repro.reese.recovery import UnrecoverableFaultError
-from repro.uarch.observe import InvariantViolation
-from repro.uarch.pipeline import SimulationTimeoutError
+from repro.uarch.observe import InvariantViolation, ObserveConfig
+from repro.uarch.pipeline import SimulationTimeoutError, WarmState
 from repro.reese.faults import BernoulliFaultModel, EnvironmentalFaultModel
 from repro.uarch.config import starting_config
 from repro.uarch.sampling import SamplingSpec, Selection
 from repro.uarch.stats import Stats
-from repro.workloads.suite import BENCHMARKS
+from repro.workloads.suite import BENCHMARKS, trace_for
 
 TINY = 900  # dynamic instructions: enough to exercise the machinery
 
@@ -386,6 +389,69 @@ class TestParallelRunner:
         runner = ParallelRunner(jobs=2, use_cache=False)
         assert runner.run([]) == []
         assert runner.telemetry.jobs == 0
+
+
+class TestHeldWarmState:
+    """Warm full runs start from a snapshot of one held, warmed state per
+    (trace, warm config); the Stats match a run that warms its own."""
+
+    @pytest.fixture
+    def warm_passes(self, monkeypatch):
+        parallel._held_warm.clear()
+        calls = []
+        original = WarmState.warm_full
+
+        def counted(state, trace):
+            calls.append(len(trace))
+            original(state, trace)
+
+        monkeypatch.setattr(WarmState, "warm_full", counted)
+        yield calls
+        parallel._held_warm.clear()
+
+    @staticmethod
+    def _stats(job):
+        """(held-state Stats, own-warm-up Stats) of ``job``, as bytes."""
+        runner = ParallelRunner(jobs=1, use_cache=False)
+        held = runner.run([job])[0]
+        resolved = runner.resolve(job)
+        program, trace = trace_for(job.benchmark, job.scale, job.seed)
+        fresh = run_model(program, trace, job.config, warm=True,
+                          observe=ObserveConfig(
+                              metrics=resolved.observe,
+                              check_invariants=resolved.check_invariants,
+                              profile=resolved.profile))
+        return [json.dumps(stats.state_dict(), sort_keys=True)
+                for stats in (held, fresh)]
+
+    def test_fig2_series_share_one_warm_pass(self, warm_passes):
+        series = figure2_spec().series
+        for label, config in series:
+            held, fresh = self._stats(SimJob("gcc", config, TINY))
+            assert held == fresh, label
+        # One held warm pass for the five series; each fresh run warms.
+        assert len(warm_passes) == 1 + len(series)
+        assert len(parallel._held_warm) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("btb_entries", 64), ("ras_depth", 4), ("predictor", "bimodal"),
+    ])
+    def test_other_warm_config_warms_again(self, warm_passes, field, value):
+        config = starting_config()
+        assert getattr(config, field) != value
+        self._stats(SimJob("gcc", config, TINY))
+        other = dataclasses.replace(config, **{field: value})
+        held, fresh = self._stats(SimJob("gcc", other, TINY))
+        assert held == fresh
+        # Two held warm passes and two fresh ones.
+        assert len(warm_passes) == 4
+        assert len(parallel._held_warm) == 1
+
+    def test_other_trace_warms_again(self, warm_passes):
+        config = starting_config()
+        self._stats(SimJob("gcc", config, TINY))
+        self._stats(SimJob("gcc", config, TINY, seed=3))
+        assert len(warm_passes) == 4
 
 
 class TestParallelMap:
