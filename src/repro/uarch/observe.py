@@ -3,12 +3,12 @@
 A :class:`~repro.uarch.pipeline.Pipeline` calls its observers through
 the typed stage hooks of :data:`HOOKS`, which :class:`StageHooks`
 resolves once per pipeline, and :func:`build_observability` turns an
-:class:`ObserveConfig` into the observer list.  The observers
-themselves, the event tracer and its sinks, the per-stage metrics and
-the invariant checker (:mod:`repro.uarch.observers`) and the cycle
-accountant (:mod:`repro.uarch.accounting`), load only when a run asks
-for one.  This module serves the observers' public names too, loading
-them on first use.
+:class:`ObserveConfig` into the observer list.  The observers (the
+event tracer and its sinks, the per-stage metrics and the invariant
+checker in :mod:`repro.uarch.observers`, and the cycle accountant in
+:mod:`repro.uarch.accounting`) load only when a run asks for one.  This
+module serves the names of :mod:`repro.uarch.observers` too, loading it
+on first use.
 """
 
 from __future__ import annotations
