@@ -57,10 +57,9 @@ from repro.harness.experiments import (  # noqa: E402
 )
 from repro.uarch.accounting import (  # noqa: E402
     SLOT_CAUSES,
-    merge_accounting,
     r_share_of_delta,
 )
-from repro.uarch.stats import Stats  # noqa: E402
+from repro.uarch.stats import Stats, merge_accounting  # noqa: E402
 
 #: Bump when the entry layout changes (validate_trajectory checks it).
 #: 2: speed entries (``"kind": "speed"``) besides the suite entries.

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Watch REESE work, instruction by instruction.
 
-Collects the pipeline's event trace (:class:`~repro.uarch.observe.EventTracer`
-into a list) and prints it with :func:`~repro.uarch.observe.render_timeline`
-as a SimpleScalar-ptrace-style stage timeline for a small loop:
+Collects the pipeline's event trace
+(:class:`~repro.uarch.observers.EventTracer` into a list) and prints it
+with :func:`~repro.uarch.observers.render_timeline` as a
+SimpleScalar-ptrace-style stage timeline for a small loop:
 
 * ``F D I X``     — the normal out-of-order P-stream life cycle;
 * ``Q``           — the instruction enters the R-stream Queue;

@@ -5,7 +5,9 @@ imports loads every submodule whenever any one of them is imported,
 because Python runs the package ``__init__`` first.  A lazy surface
 keeps the same public names but imports the defining module only when
 a name is first read, then stores the value in the package namespace
-so later reads are ordinary attribute lookups.
+so later reads are ordinary attribute lookups.  A submodule name imports
+the submodule, so ``import repro; repro.uarch.Stats`` works as it did
+when the package ``__init__`` imported every submodule.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ def lazy_surface(
     def __getattr__(name: str) -> Any:
         source = table.get(name)
         if source is None:
+            submodule = f"{module}.{name}"
+            try:
+                return importlib.import_module(submodule)
+            except ModuleNotFoundError as error:
+                if error.name != submodule:
+                    raise
             raise AttributeError(
                 f"module {module!r} has no attribute {name!r}")
         value = getattr(importlib.import_module(source, anchor), name)

@@ -61,7 +61,7 @@ from ..uarch.config import starting_config
 from ..uarch.observe import ObserveConfig
 from ..uarch.sampling import SamplingSpec
 from ..workloads.suite import BENCHMARK_ORDER, BENCHMARKS, trace_for
-from . import expectations, experiments, reporting
+from . import experiments, reporting
 from .parallel import ParallelRunner, SimJob, run_sampled_jobs
 from .runner import bench_scale, run_model
 
@@ -153,6 +153,8 @@ def _cmd_fig7(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import expectations
+
     runner = _runner_from(args)
     sampling = _sampling_from(args)
     fig_results = {}

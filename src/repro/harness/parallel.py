@@ -409,19 +409,22 @@ def interval_fault_spec(fault: FaultSpec, index: int) -> FaultSpec:
 
 
 def warm_key(job: SimJob) -> str:
-    """What a sampled job's interval bounds and warm states depend on.
+    """What a job's interval bounds and warm states depend on.
 
     The trace (benchmark, scale, resolved seed), ``warm``, the config's
     :data:`~repro.uarch.sampling.WARM_FIELDS` and the sampling spec bar
-    ``index``.  Pending interval jobs with one key form a warm group
-    and share one :class:`~repro.uarch.sampling.WarmSweep`; everything
-    else about a job (its other config fields, fault, observability)
-    only affects its detailed window.
+    ``index`` (``None`` for a full run).  Pending interval jobs with one
+    key form a warm group and share one
+    :class:`~repro.uarch.sampling.WarmSweep`; warm full runs with one
+    key share one warmed state.  Everything else about a job (its other
+    config fields, fault, observability) only affects its detailed run.
     """
+    sampling = job.sampling and dataclasses.replace(job.sampling,
+                                                    index=None)
     return json.dumps(
         [
             job.benchmark, job.scale, job.resolved_seed(), job.warm,
-            dataclasses.replace(job.sampling, index=None),
+            sampling,
             {name: getattr(job.config, name) for name in WARM_FIELDS},
         ],
         sort_keys=True, default=repr,
@@ -429,28 +432,15 @@ def warm_key(job: SimJob) -> str:
 
 
 #: The warmed state of this process's latest warm full run, under its
-#: :func:`_full_warm_key`.  One is held at a time: the runner's jobs are
+#: :func:`warm_key`.  One is held at a time: the runner's jobs are
 #: benchmark-major, so the configs of one trace arrive together.
 _held_warm: Dict[str, WarmState] = {}
-
-
-def _full_warm_key(job: SimJob) -> str:
-    """What a warm full run's warmed state depends on: the trace
-    (benchmark, scale, resolved seed) and the config's
-    :data:`~repro.uarch.sampling.WARM_FIELDS`."""
-    return json.dumps(
-        [
-            job.benchmark, job.scale, job.resolved_seed(),
-            {name: getattr(job.config, name) for name in WARM_FIELDS},
-        ],
-        sort_keys=True, default=repr,
-    )
 
 
 def _warm_state(job: SimJob, program, trace) -> WarmState:
     """A snapshot of ``job``'s warmed state, warming it only when the
     held state is for another trace or warm config."""
-    key = _full_warm_key(job)
+    key = warm_key(job)
     state = _held_warm.get(key)
     if state is None:
         state = WarmState(program, job.config)

@@ -7,17 +7,9 @@ the paper is possible at a glance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
 
-from ..analysis import AnalysisResult, CLASSES
-from ..uarch.accounting import (
-    SLOT_CAUSES,
-    accounting_identity_errors,
-    hist_mean,
-    merge_accounting,
-    r_share_of_delta,
-)
-from ..uarch.stats import Stats
+from ..uarch.stats import Stats, hist_mean, merge_accounting
 from .campaign import OUTCOMES, SiteCampaignResult
 from .experiments import (
     FigureResult,
@@ -26,6 +18,9 @@ from .experiments import (
     SERIES_REESE,
 )
 from .parallel import RunTelemetry
+
+if TYPE_CHECKING:
+    from ..analysis import AnalysisResult
 
 
 def format_table(rows: Sequence[Sequence[str]]) -> str:
@@ -201,6 +196,8 @@ def analysis_report(result: AnalysisResult) -> str:
     Structure summary, the per-class fault-site breakdown (the number
     later PRs report detection coverage against), and lint findings.
     """
+    from ..analysis import CLASSES
+
     total_sites = sum(result.class_counts.values()) or 1
     lines = [
         f"static analysis of {result.program_name!r} "
@@ -246,6 +243,8 @@ def lint_report(result: AnalysisResult, verbose: bool = False) -> str:
 
 def site_campaign_report(result: SiteCampaignResult) -> str:
     """Per-class outcome breakdown of a site campaign as a table."""
+    from ..analysis import CLASSES
+
     lines = [
         f"site campaign on {result.program_name!r}: {result.runs} "
         f"stratified injections (seed {result.seed}, "
@@ -290,6 +289,8 @@ def _slot_rows(
     """Top-down slot-attribution rows: one per cause, one column per
     series, each cell ``count (share)``.  All-zero causes are elided so
     a baseline column does not list REESE-only causes."""
+    from ..uarch.accounting import SLOT_CAUSES
+
     rows: List[List[str]] = [["cause"] + list(labels)]
     totals = {
         label: accounts[label].get("slots_total", 0) or 1 for label in labels
@@ -332,6 +333,9 @@ def profile_report(
     needs.  Ends with the accounting-identity verdict over every
     (benchmark, series) cell.
     """
+    from ..uarch.accounting import (accounting_identity_errors,
+                                    r_share_of_delta)
+
     table = markdown_table if markdown else format_table
     heading = (
         f"cycle-accounting profile "

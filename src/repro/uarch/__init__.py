@@ -8,11 +8,11 @@ observers.
 from .._lazy import lazy_surface
 
 __all__, __getattr__, __dir__ = lazy_surface(__name__, {
-    ".observe": (
+    ".observe": ("ObserveConfig", "build_observability"),
+    ".observers": (
         "CallbackSink", "EventTracer", "InvariantChecker",
-        "InvariantViolation", "JSONLSink", "ObserveConfig", "RingBufferSink",
-        "StageMetrics", "TraceEvent", "build_observability",
-        "render_timeline",
+        "InvariantViolation", "JSONLSink", "RingBufferSink", "StageMetrics",
+        "TraceEvent", "render_timeline",
     ),
     ".config": (
         "LatencyConfig", "MachineConfig", "ReeseConfig",

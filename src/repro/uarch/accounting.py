@@ -68,8 +68,8 @@ is an ordinary pipeline observer (:class:`~repro.uarch.pipeline.Pipeline`
 
 Sampled-mode aggregation: every measurement interval produces its own
 account (reset with the other Stats at ``measure_from``), and
-:func:`merge_accounting` sums them — the identities survive summation
-because each interval satisfies them individually.
+:func:`~repro.uarch.stats.merge_accounting` sums them — the identities
+survive summation because each interval satisfies them individually.
 
 Everything here is plain integers and dicts: JSON-serialisable, so
 accounts ride the on-disk result cache inside ``Stats.accounting``.
@@ -79,17 +79,6 @@ from __future__ import annotations
 
 from operator import attrgetter, sub
 from typing import Any, Dict, List, Optional, Tuple
-
-# The account merge and the histogram summaries live with the Stats
-# merges that use them, so loading Stats does not load the accountant;
-# they are served from here too.
-from .stats import (  # noqa: F401
-    hist_count,
-    hist_max,
-    hist_mean,
-    hist_percentile,
-    merge_accounting,
-)
 
 #: Schema tag stored in every account dict (bump on layout change).
 #: v2: the detection-lag histograms moved out to ``Stats``.

@@ -6,27 +6,13 @@ resolves once per pipeline, and :func:`build_observability` turns an
 :class:`ObserveConfig` into the observer list.  The observers (the
 event tracer and its sinks, the per-stage metrics and the invariant
 checker in :mod:`repro.uarch.observers`, and the cycle accountant in
-:mod:`repro.uarch.accounting`) load only when a run asks for one.  This
-module serves the names of :mod:`repro.uarch.observers` too, loading it
-on first use.
+:mod:`repro.uarch.accounting`) load only when a run asks for one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
-
-from .._lazy import lazy_surface
-
-__all__, __getattr__, __dir__ = lazy_surface(__name__, {
-    ".observers": (
-        "EVENT_SCHEMA_VERSION", "EVENT_KINDS", "INVARIANTS", "TraceEvent",
-        "EventSink", "RingBufferSink", "JSONLSink", "CallbackSink",
-        "EventTracer", "TIMELINE_STAGES", "render_timeline", "StageMetrics",
-        "InvariantViolation", "InvariantChecker",
-    ),
-})
-__all__ += ["HOOKS", "StageHooks", "ObserveConfig", "build_observability"]
 
 
 #: The pipeline's observer hooks, in stage order (signatures in

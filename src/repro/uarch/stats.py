@@ -183,7 +183,7 @@ class Stats:
         self.rqueue_residency: Dict[str, int] = {}
         #: Per-stage metrics registry (occupancy histograms, P/R FU
         #: split) — populated only when the run was
-        #: observed (``repro.uarch.observe.StageMetrics``), empty
+        #: observed (``repro.uarch.observers.StageMetrics``), empty
         #: otherwise.  JSON-serialisable by construction, so it rides
         #: the on-disk result cache with every other counter.
         self.stage_metrics: Dict[str, Any] = {}

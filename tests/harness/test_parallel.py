@@ -32,7 +32,8 @@ from repro.harness.campaign import (MismatchRecord, OracleMismatch,
                                     _chunk_indices)
 from repro.isa.assembler import AsmError
 from repro.reese.recovery import UnrecoverableFaultError
-from repro.uarch.observe import InvariantViolation, ObserveConfig
+from repro.uarch.observe import ObserveConfig
+from repro.uarch.observers import InvariantViolation
 from repro.uarch.pipeline import SimulationTimeoutError, WarmState
 from repro.reese.faults import BernoulliFaultModel, EnvironmentalFaultModel
 from repro.uarch.config import starting_config

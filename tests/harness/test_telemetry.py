@@ -24,7 +24,8 @@ from repro.harness.telemetry import (
 )
 from repro.harness.runner import run_model
 from repro.uarch.config import starting_config
-from repro.uarch.observe import JSONLSink, ObserveConfig, TraceEvent
+from repro.uarch.observe import ObserveConfig
+from repro.uarch.observers import JSONLSink, TraceEvent
 from repro.workloads.suite import trace_for
 
 

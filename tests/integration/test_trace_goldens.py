@@ -30,7 +30,7 @@ import pytest
 
 from repro.harness.parallel import FaultSpec, ParallelRunner, SimJob
 from repro.uarch.config import starting_config
-from repro.uarch.observe import EVENT_KINDS
+from repro.uarch.observers import EVENT_KINDS
 
 GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "goldens"
 

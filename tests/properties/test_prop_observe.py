@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.arch import emulate
 from repro.uarch import Pipeline, starting_config
-from repro.uarch.observe import InvariantChecker, StageMetrics
+from repro.uarch.observers import InvariantChecker, StageMetrics
 from repro.workloads import MixProfile, generate_program
 
 

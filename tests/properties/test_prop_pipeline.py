@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.arch import emulate
 from repro.uarch import Pipeline, starting_config
-from repro.uarch.observe import InvariantChecker
+from repro.uarch.observers import InvariantChecker
 from repro.workloads import MixProfile, generate_program
 
 

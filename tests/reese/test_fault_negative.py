@@ -19,7 +19,7 @@ from repro.reese.faults import (
     ScheduledFaultModel,
 )
 from repro.uarch import Pipeline, starting_config
-from repro.uarch.observe import InvariantChecker, InvariantViolation
+from repro.uarch.observers import InvariantChecker, InvariantViolation
 
 #: One aggressive instance of every fault model: enough strikes that a
 #: detection-disabled run is guaranteed to commit corrupted values.

@@ -9,7 +9,7 @@ import pytest
 
 from repro.isa.instructions import FUClass
 from repro.reese import R_DONE, R_ISSUED, R_WAITING, RStreamQueue
-from repro.uarch.observe import InvariantChecker, InvariantViolation
+from repro.uarch.observers import InvariantChecker, InvariantViolation
 
 from tests.reese.rqueue_bench import QueueBench, waiting_entries
 

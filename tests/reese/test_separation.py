@@ -5,7 +5,7 @@ import pytest
 from repro.arch import emulate
 from repro.reese import EnvironmentalFaultModel
 from repro.uarch import Pipeline, starting_config
-from repro.uarch.accounting import hist_count, hist_max
+from repro.uarch.stats import hist_count, hist_max
 from repro.workloads import kernels
 from repro.workloads.suite import trace_for
 

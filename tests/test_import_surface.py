@@ -1,11 +1,11 @@
 """What a fresh interpreter loads, and the lazy package surfaces.
 
-``repro``, ``repro.harness``, ``repro.uarch``, ``repro.workloads`` and
-``repro.uarch.observe`` serve their public names from a name-to-module
+``repro``, ``repro.harness``, ``repro.uarch`` and ``repro.workloads``
+serve their public names and their submodules from a name-to-module
 table, importing the defining module on first use.  These tests check
 that every listed name still resolves as the eager imports resolved it,
-and that importing what the speed benchmark imports leaves the modules
-no benchmark workload runs at set-up unloaded.
+and that importing what the speed benchmark imports, or the command
+line, leaves unloaded the modules that a figure run never uses.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-LAZY = ("repro", "repro.harness", "repro.uarch", "repro.workloads",
-        "repro.uarch.observe")
+LAZY = ("repro", "repro.harness", "repro.uarch", "repro.workloads")
 
 #: Modules set-up never runs: none may load with the benchmark's imports.
 UNUSED_AT_SETUP = (
@@ -38,6 +37,9 @@ UNUSED_AT_SETUP = (
     "repro.workloads.generator",
     "multiprocessing",
 )
+
+#: What the command line needs besides: its own module and the reports.
+CLI_MODULES = ("repro.harness.cli", "repro.harness.reporting")
 
 PROBE = """
 import json, sys
@@ -57,18 +59,38 @@ print(json.dumps([before, loaded()]))
 """
 
 
+CLI_PROBE = """
+import json, sys
+sys.path[:0] = [{src!r}]
+from repro.harness import cli
+
+before = sorted(sys.modules)
+cli.main(["--scale", "200", "--no-cache", "--jobs", "1", "figure", "fig2"])
+print(json.dumps([before, sorted(sys.modules)]))
+"""
+
+
 def _is_unused(name: str) -> bool:
     return any(name == mod or name.startswith(mod + ".")
                for mod in UNUSED_AT_SETUP)
 
 
+def _probe(code: str, cwd) -> list:
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 class TestFreshInterpreter:
     @pytest.fixture(scope="class")
     def loaded(self):
-        code = PROBE.format(src=str(ROOT / "src"), root=str(ROOT))
-        out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
-                             capture_output=True, text=True, check=True)
-        return json.loads(out.stdout.splitlines()[-1])
+        return _probe(PROBE.format(src=str(ROOT / "src"), root=str(ROOT)),
+                      ROOT)
+
+    @pytest.fixture(scope="class")
+    def cli_loaded(self, tmp_path_factory):
+        return _probe(CLI_PROBE.format(src=str(ROOT / "src")),
+                      tmp_path_factory.mktemp("cli"))
 
     def test_benchmark_imports_load_no_unused_module(self, loaded):
         before, _ = loaded
@@ -79,6 +101,13 @@ class TestFreshInterpreter:
         before, after = loaded
         assert "repro.analysis" not in before
         assert "repro.analysis" in after
+
+    def test_command_line_figure_loads_no_unused_module(self, cli_loaded):
+        before, after = cli_loaded
+        for name in CLI_MODULES:
+            assert name in before
+        assert [name for name in after
+                if _is_unused(name) and name not in CLI_MODULES] == []
 
 
 def _definers(name: str, value) -> list:
@@ -116,6 +145,25 @@ class TestLazySurface:
         module = importlib.import_module(package)
         for name in module.__all__:
             assert namespace[name] is getattr(module, name)
+
+    def test_submodules_resolve_after_a_fresh_package_import(self, package):
+        code = (
+            f"import json, pkgutil, sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            f"import {package} as pkg\n"
+            f"names = [m.name for m in pkgutil.iter_modules(pkg.__path__)]\n"
+            f"print(json.dumps([getattr(pkg, name).__name__ "
+            f"for name in names]))\n"
+        )
+        resolved = _probe(code, ROOT)
+        assert resolved
+        assert all(name.startswith(package + ".") for name in resolved)
+        if package == "repro":
+            assert _probe(
+                f"import json, sys\nsys.path.insert(0, "
+                f"{str(ROOT / 'src')!r})\nimport repro\n"
+                f"print(json.dumps(repro.uarch.Stats.__module__))", ROOT,
+            ) == "repro.uarch.stats"
 
     def test_unknown_name_raises_attribute_error(self, package):
         module = importlib.import_module(package)

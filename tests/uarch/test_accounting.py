@@ -17,16 +17,18 @@ from repro.uarch.accounting import (
     R_CAUSES,
     SLOT_CAUSES,
     accounting_identity_errors,
+    r_share_of_delta,
+)
+from repro.uarch.config import starting_config
+from repro.uarch.funits import FUPool
+from repro.uarch.stats import (
+    Stats,
     hist_count,
     hist_max,
     hist_mean,
     hist_percentile,
     merge_accounting,
-    r_share_of_delta,
 )
-from repro.uarch.config import starting_config
-from repro.uarch.funits import FUPool
-from repro.uarch.stats import Stats
 
 
 class _Entry:

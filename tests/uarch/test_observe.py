@@ -12,7 +12,8 @@ from repro.reese.comparator import p_value
 from repro.reese.faults import EnvironmentalFaultModel, corrupt_value
 from repro.uarch import Pipeline, starting_config
 from repro.uarch.pipeline import _Entry
-from repro.uarch.observe import (
+from repro.uarch.observe import ObserveConfig, build_observability
+from repro.uarch.observers import (
     EVENT_KINDS,
     INVARIANTS,
     CallbackSink,
@@ -20,13 +21,12 @@ from repro.uarch.observe import (
     InvariantChecker,
     InvariantViolation,
     JSONLSink,
-    ObserveConfig,
     RingBufferSink,
     StageMetrics,
     TraceEvent,
-    build_observability,
 )
-from repro.uarch.accounting import CycleAccountant, hist_mean
+from repro.uarch.accounting import CycleAccountant
+from repro.uarch.stats import hist_mean
 from repro.workloads.suite import trace_for
 
 

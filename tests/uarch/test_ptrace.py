@@ -16,7 +16,7 @@ from repro.uarch import (
     render_timeline,
     starting_config,
 )
-from repro.uarch.observe import TIMELINE_STAGES
+from repro.uarch.observers import TIMELINE_STAGES
 
 
 def _traced(program, trace, config, **kwargs):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.uarch import Pipeline, StageMetrics, Stats, starting_config
-from repro.uarch.accounting import hist_mean
+from repro.uarch.stats import hist_mean
 
 
 class TestDerivedMetrics:
