@@ -175,13 +175,6 @@ def metrics_report(stats: Stats) -> str:
         peak = max((int(occ) for occ in hist), default=0)
         rows.append([key, f"{hist_mean(hist):.2f}", str(peak)])
     lines.append(format_table(rows))
-    dropped = metrics.get("dropped_events", 0)
-    if dropped:
-        lines.append(
-            f"WARNING: {dropped} trace event(s) overwritten in the ring "
-            f"buffer before the dump (raise ring_size or narrow the "
-            f"event filter; the trace tail is complete, its head is not)"
-        )
     issues = ", ".join(
         f"{name}={count}" for name, count in stats.fu_issues.items()
     )

@@ -11,7 +11,7 @@ __all__, __getattr__, __dir__ = lazy_surface(__name__, {
     ".observe": ("ObserveConfig", "build_observability"),
     ".observers": (
         "CallbackSink", "EventTracer", "InvariantChecker",
-        "InvariantViolation", "JSONLSink", "RingBufferSink", "StageMetrics",
+        "InvariantViolation", "JSONLSink", "StageMetrics",
         "TraceEvent", "render_timeline",
     ),
     ".config": (

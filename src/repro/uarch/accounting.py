@@ -57,14 +57,17 @@ R-attributable causes — ``issued_r``, ``recovery``, ``fu_busy_r``,
 buckets; :func:`r_share_of_delta` computes their share of a
 REESE-minus-baseline slot delta.
 
-The accountant records no fact the pipeline already counts: issue
-counts, dispatch blocks, R-queue backpressure and recovery flushes are
-per-cycle deltas of the always-on ``Stats`` counters.  Only the two
-facts no counter carries arrive through stage hooks of their own:
-``on_fu_block`` (the stream to blame for a failed FU acquire) and
-``on_mispredict`` (the start of a mispredict refill).  The accountant
-is an ordinary pipeline observer (:class:`~repro.uarch.pipeline.Pipeline`
-``observers``), attached by ``ObserveConfig(profile=True)``.
+The accountant's only inputs are the always-on ``Stats`` counters and
+the stage hooks every observer receives.  Issue counts, dispatch
+blocks, R-queue backpressure and recovery flushes are per-cycle deltas
+of the counters.  The hooks carry the rest: ``on_fu_block`` the stream
+to blame for a failed FU acquire, ``on_complete`` of a mispredicted
+branch the start of a mispredict refill, and ``on_dispatch``,
+``on_issue`` and ``on_recover`` the count of unissued correct-path
+RUU entries.  It is an ordinary pipeline observer
+(:class:`~repro.uarch.pipeline.Pipeline` ``observers``), attached by
+``ObserveConfig(profile=True)``, and it writes nothing into the
+machine it watches.
 
 Sampled-mode aggregation: every measurement interval produces its own
 account (reset with the other Stats at ``measure_from``), and
@@ -79,6 +82,8 @@ from __future__ import annotations
 
 from operator import attrgetter, sub
 from typing import Any, Dict, List, Optional, Tuple
+
+from ..isa.instructions import FUClass
 
 #: Schema tag stored in every account dict (bump on layout change).
 #: v2: the detection-lag histograms moved out to ``Stats``.
@@ -119,6 +124,7 @@ _COUNTERS = attrgetter(
     "ruu_full_events", "lsq_full_events", "recoveries", "committed",
 )
 _ZERO_COUNTERS = (0,) * 8
+_FU_NONE = FUClass.NONE
 
 
 class CycleAccountant:
@@ -137,6 +143,7 @@ class CycleAccountant:
         "cycles",
         "cycles_total",
         "_refill",
+        "_unissued",       # unissued correct-path RUU entries
         "_last",           # _COUNTERS at the end of the previous cycle
         # Per-cycle FU blame counts, reset by on_cycle().
         "cyc_fu_block_p",
@@ -151,18 +158,17 @@ class CycleAccountant:
         self.cycles: Dict[str, int] = {cause: 0 for cause in CYCLE_CAUSES}
         self.cycles_total = 0
         self._refill: Optional[str] = None
+        self._unissued = 0
         self._last = _ZERO_COUNTERS
         self.cyc_fu_block_p = 0
         self.cyc_fu_block_r = 0
 
     def bind(self, pipe) -> None:
-        """Attach to a pipeline: its issue width, whether ``issued``
-        counts dispatch-dup shadow copies, and the FU pool to blame,
-        which starts recording the stream that holds each unit."""
+        """Read a pipeline's issue width, whether ``issued`` counts
+        dispatch-dup shadow copies, and the FU pool to blame."""
         self.width = pipe.config.issue_width
         self._dup = pipe.config.dispatch_dup
         self._fupool = pipe.fupool
-        pipe.fupool.track_streams = True
 
     def reset(self) -> None:
         """Zero the account (the ``measure_from`` window open).
@@ -174,7 +180,8 @@ class CycleAccountant:
         self.cycles_total = 0
         self._last = _ZERO_COUNTERS
         # Sticky refill state survives: a flush straddling the window
-        # boundary still shadows the first measured cycles.
+        # boundary still shadows the first measured cycles.  So does
+        # the unissued count, which is machine state.
 
     # -- stage hooks -----------------------------------------------------
 
@@ -190,10 +197,23 @@ class CycleAccountant:
         else:
             self.cyc_fu_block_p += 1
 
-    def on_mispredict(self, cycle: int, branch) -> None:
-        """Mispredict recovery: fetch redirected to the correct path."""
-        if self._refill != "recovery":
+    def on_dispatch(self, cycle: int, entry) -> None:
+        # nop and halt are issued at dispatch.
+        if not entry.wrong_path and entry.fu is not _FU_NONE:
+            self._unissued += 1
+
+    def on_issue(self, cycle: int, entry) -> None:
+        if not entry.wrong_path:
+            self._unissued -= 1
+
+    def on_complete(self, cycle: int, entry) -> None:
+        """A mispredicted branch resolving starts a mispredict refill
+        (its squash, which follows, removes only wrong-path entries)."""
+        if entry.mispredicted and self._refill != "recovery":
             self._refill = "mispredict"
+
+    def on_recover(self, cycle: int) -> None:
+        self._unissued = 0  # the flush emptied the RUU
 
     # -- end-of-cycle settlement ----------------------------------------
 
@@ -260,15 +280,11 @@ class CycleAccountant:
 
     def _residual_cause(self, pipe) -> str:
         """The cause charged for leftover slots when neither the R-queue
-        nor dispatch was blocked this cycle."""
-        has_unready_wp = False
-        for entry in pipe.ruu:
-            if not entry.issued and not entry.squashed:
-                if entry.wrong_path:
-                    has_unready_wp = True
-                else:
-                    return "operands_not_ready"
-        if has_unready_wp or self._refill == "mispredict" or pipe.wp_active:
+        nor dispatch was blocked this cycle.  Wrong-path entries are
+        RUU-resident only while ``wp_active`` is set."""
+        if self._unissued:
+            return "operands_not_ready"
+        if self._refill == "mispredict" or pipe.wp_active:
             return "ifq_empty_mispredict"
         if pipe.fetch_blocked_until > pipe.cycle or pipe.ifq:
             # I-miss stall, or fetched work still in flight to dispatch.

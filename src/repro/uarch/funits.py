@@ -53,16 +53,13 @@ class FUPool:
             "fpmultdiv": [0] * config.fp_mult,
             "mem": [0] * config.mem_ports,
         }
-        # Per-pool "this unit's current occupancy is R-stream work, and
-        # it holds the unit until <cycle>" watermarks — only maintained
-        # when :attr:`track_streams` is on (the cycle-accounting
-        # profiler), so the default path never writes them.
+        # Per-pool "the last R-stream grant of this unit holds it until
+        # <cycle>" watermarks.  Only R grants write them: a later P
+        # grant starts at or after that cycle, so the unit's R holder
+        # is current exactly while ``r_until >= next_free``.
         self._r_until: Dict[str, List[int]] = {
             key: [0] * len(pool) for key, pool in self._pools.items()
         }
-        #: Record which stream holds each busy unit; the cycle
-        #: accountant's ``bind`` turns it on.
-        self.track_streams = False
         # Per-pool one-item "every unit busy at cycle" cell.
         cells = {key: [-1] for key in self._pools}
         #: FUClass -> its pool's exhausted cell: ``cell[0] == cycle``
@@ -101,10 +98,8 @@ class FUPool:
 
         Args:
             r_stream: the acquiring operation belongs to the redundant
-                stream (an R-stream re-execution or a dispatch-dup
-                shadow copy); when :attr:`track_streams` is on it also
-                marks the unit so :meth:`blame` can say which stream
-                holds it.
+                stream (a dispatch-dup shadow copy); it marks the unit
+                so :meth:`blame` can say which stream holds it.
 
         Returns:
             The operation latency (0 for memory ports, whose latency the
@@ -118,8 +113,8 @@ class FUPool:
         for next_free in pool:
             if next_free <= cycle:
                 pool[index] = cycle + issuelat
-                if self.track_streams:
-                    r_until[index] = cycle + issuelat if r_stream else 0
+                if r_stream:
+                    r_until[index] = cycle + issuelat
                 self.issues[key] += 1
                 return oplat
             index += 1
@@ -137,13 +132,11 @@ class FUPool:
         granted = 0
         if cell[0] != cycle:
             busy_until = cycle + issuelat
-            track = self.track_streams
             index = 0
             for next_free in pool:
                 if next_free <= cycle:
                     pool[index] = busy_until
-                    if track:
-                        r_until[index] = busy_until
+                    r_until[index] = busy_until
                     granted += 1
                     if granted == count:
                         break
@@ -171,8 +164,7 @@ class FUPool:
         ``"R"`` when any currently-busy unit of the class is held by an
         R-stream operation (without REESE that unit would have been
         free, so the conflict is R-induced), ``"P"`` otherwise.  Only
-        meaningful right after an acquire returned ``None`` with
-        :attr:`track_streams` on.
+        meaningful right after an acquire returned ``None``.
         """
         pool, r_until, _, _, _, _ = self._dispatch[fu_class]
         for index, next_free in enumerate(pool):

@@ -20,8 +20,7 @@ from typing import Any, Callable, List, Optional, Sequence
 HOOKS = (
     "on_fetch", "on_dispatch", "on_issue", "on_complete", "on_rqueue",
     "on_r_issue", "on_r_complete", "on_compare", "on_commit", "on_squash",
-    "on_recover", "on_fu_block", "on_mispredict", "on_cycle", "reset",
-    "finalize",
+    "on_recover", "on_fu_block", "on_cycle", "reset", "finalize",
 )
 
 
@@ -60,9 +59,6 @@ class ObserveConfig:
     check_invariants: bool = False
     #: Write a JSONL event trace to this path.
     trace_path: Optional[str] = None
-    #: Keep the last N events in memory instead of (or besides) a file;
-    #: 0 disables the ring buffer.
-    ring_capacity: int = 0
     #: Attach the cycle accountant: ``Stats.accounting`` carries the
     #: run's slot/cycle attribution.
     profile: bool = False
@@ -77,13 +73,13 @@ def build_observability(observe: Optional[ObserveConfig]) -> List[Any]:
     that asks for none, which loads no observer module).
 
     In hook order: the checker first, so a violation is raised before
-    its event is written; then the metrics, one :class:`EventTracer`
-    per sink and the accountant.
+    its event is written; then the metrics, the JSONL
+    :class:`EventTracer` and the accountant.
     """
     if observe is None or observe == _NO_OBSERVERS:
         return []
     from .observers import (EventTracer, InvariantChecker, JSONLSink,
-                            RingBufferSink, StageMetrics)
+                            StageMetrics)
 
     observers: List[Any] = []
     if observe.check_invariants:
@@ -92,8 +88,6 @@ def build_observability(observe: Optional[ObserveConfig]) -> List[Any]:
         observers.append(StageMetrics())
     if observe.trace_path:
         observers.append(EventTracer(JSONLSink(observe.trace_path)))
-    if observe.ring_capacity:
-        observers.append(EventTracer(RingBufferSink(observe.ring_capacity)))
     if observe.profile:
         from .accounting import CycleAccountant
 

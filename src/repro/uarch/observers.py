@@ -14,9 +14,9 @@ comparator — visible and checkable.  Three cooperating pieces, all
   plus squash and R-queue insertion) becomes a :class:`TraceEvent`
   carrying cycle, stream tag (``P``/``R``), pipeline and trace sequence
   numbers, opcode and functional-unit class, emitted through a
-  pluggable sink: :class:`RingBufferSink` (bounded, in-memory),
-  :class:`JSONLSink` (deterministic, byte-stable JSON lines — the
-  golden-file oracle for regression tests) or :class:`CallbackSink`.
+  pluggable sink: :class:`JSONLSink` (deterministic, byte-stable JSON
+  lines — the golden-file oracle for regression tests) or
+  :class:`CallbackSink` (any callable, e.g. a list's ``append``).
   :func:`render_timeline` turns a list of events into a
   SimpleScalar-``ptrace``-style per-instruction stage table.
 
@@ -37,8 +37,9 @@ comparator — visible and checkable.  Three cooperating pieces, all
   committed corrupted value — an SDC — into a loud failure); the
   R stream never issues before its P result exists; R-stream Queue
   entries carry operands/results matching the P writeback; a flush
-  leaves no stale entries anywhere; and structural capacity/ordering
-  limits on the RUU, LSQ, ready list and R-stream Queue.
+  leaves no stale entries anywhere; structural capacity/ordering
+  limits on the RUU, LSQ, ready list and R-stream Queue; and no
+  wrong-path entry in the RUU once fetch is back on the correct path.
 
 Each implements only the pipeline's stage hooks
 (:data:`repro.uarch.observe.HOOKS`) it uses;
@@ -89,8 +90,10 @@ INVARIANTS: Dict[str, str] = {
                        "and result of the matching P writeback",
     "flush-residue": "a full flush leaves no stale entry in any "
                      "pipeline structure or the R-stream Queue",
-    "structural": "occupancy never exceeds configured capacity and "
-                  "window ordering/readiness bookkeeping stays legal",
+    "structural": "occupancy never exceeds configured capacity, "
+                  "window ordering/readiness bookkeeping stays legal, "
+                  "and a wrong-path entry is RUU-resident only while "
+                  "fetch is on the wrong path (wp_active)",
 }
 
 
@@ -155,51 +158,7 @@ class TraceEvent:
 # ----------------------------------------------------------------------
 
 
-class EventSink:
-    """Where a tracer delivers events.  Subclasses override both hooks."""
-
-    def emit(self, event: TraceEvent) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Flush/release resources; called once at the end of a run."""
-
-
-class RingBufferSink(EventSink):
-    """Keep the most recent ``capacity`` events in memory.
-
-    Overflow is not silent: every overwritten event increments
-    :attr:`dropped`, which its :class:`EventTracer` surfaces as
-    ``stage_metrics["dropped_events"]`` (hence ``Stats.state_dict()``)
-    and the metrics report turns into an explicit warning — a
-    truncated event window must never masquerade as a complete one.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._buffer: List[TraceEvent] = []
-        self._cursor = 0
-        self.total = 0
-        #: Events overwritten (lost) to capacity overflow.
-        self.dropped = 0
-
-    def emit(self, event: TraceEvent) -> None:
-        self.total += 1
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(event)
-        else:
-            self._buffer[self._cursor] = event
-            self._cursor = (self._cursor + 1) % self.capacity
-            self.dropped += 1
-
-    def events(self) -> List[TraceEvent]:
-        """Buffered events, oldest first."""
-        return self._buffer[self._cursor:] + self._buffer[: self._cursor]
-
-
-class JSONLSink(EventSink):
+class JSONLSink:
     """Write one canonical JSON line per event, atomically.
 
     Output is deterministic (sorted keys, no floats, no timestamps), so
@@ -234,7 +193,7 @@ class JSONLSink(EventSink):
             os.replace(self._tmp_path, self.path)
 
 
-class CallbackSink(EventSink):
+class CallbackSink:
     """Deliver each event to an arbitrary callable."""
 
     def __init__(self, callback: Callable[[TraceEvent], None]) -> None:
@@ -242,6 +201,9 @@ class CallbackSink(EventSink):
 
     def emit(self, event: TraceEvent) -> None:
         self.callback(event)
+
+    def close(self) -> None:
+        """Nothing to release."""
 
 
 # ----------------------------------------------------------------------
@@ -258,9 +220,13 @@ def _event(kind: str, stream: str = "P", queued: bool = False):
 
 
 class EventTracer:
-    """Observer turning the pipeline's stage hooks into TraceEvents."""
+    """Observer turning the pipeline's stage hooks into TraceEvents.
 
-    def __init__(self, sink: EventSink) -> None:
+    ``sink`` is a :class:`JSONLSink`, a :class:`CallbackSink` or any
+    object with their ``emit(event)`` and ``close()``.
+    """
+
+    def __init__(self, sink) -> None:
         self.sink = sink
         self._reese = False
 
@@ -305,13 +271,6 @@ class EventTracer:
         self.sink.emit(TraceEvent(cycle, "flush", "P"))
 
     def finalize(self, stats) -> None:
-        if isinstance(self.sink, RingBufferSink):
-            # Ring-buffer overflow is a property of the run, reported
-            # whether or not the metrics registry is on.
-            metrics = stats.stage_metrics
-            metrics["dropped_events"] = (
-                metrics.get("dropped_events", 0) + self.sink.dropped
-            )
         self.sink.close()
 
 
@@ -656,11 +615,18 @@ class InvariantChecker:
                     "R-stream Queue inconsistency: " + "; ".join(problems),
                 )
         previous = None
+        wp_active = pipe.wp_active
         for entry in pipe.ruu:
             if entry.squashed:
                 self._fail(
                     "structural", cycle, entry.trace_seq,
                     "squashed entry still RUU-resident",
+                )
+            if entry.wrong_path and not wp_active:
+                self._fail(
+                    "structural", cycle, None,
+                    "wrong-path entry RUU-resident while fetch is on "
+                    "the correct path",
                 )
             if previous is not None and entry.seq < previous:
                 self._fail(

@@ -998,9 +998,6 @@ class Pipeline:
         self.fetch_blocked_until = max(self.fetch_blocked_until, self.cycle + 1)
         self._last_fetch_line = -1
         branch.mispredicted = False
-        on_mispredict = self.hooks.on_mispredict
-        if on_mispredict is not None:
-            on_mispredict(self.cycle, branch)
 
     # ==================================================================
     # issue

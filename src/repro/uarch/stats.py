@@ -49,10 +49,6 @@ def _merge_stage_metrics(
         merged = occupancy.setdefault(structure, {})
         for bin_key, count in hist.items():
             merged[bin_key] = merged.get(bin_key, 0) + count
-    if "dropped_events" in into or "dropped_events" in other:
-        into["dropped_events"] = (
-            into.get("dropped_events", 0) + other.get("dropped_events", 0)
-        )
     return into
 
 

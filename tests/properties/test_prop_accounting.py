@@ -11,6 +11,11 @@ construction, for every machine model and execution mode:
 Any generated program, baseline or REESE or dispatch-dup, fault-free
 or fault-injected, full-detail or sampled — no residual, no double
 charge.
+
+The accountant keeps its count of unissued correct-path RUU entries
+from the dispatch, issue and recovery hooks alone; every profiled run
+here also recomputes that count from the RUU each cycle and checks
+that the two agree.
 """
 
 from hypothesis import given, settings
@@ -44,11 +49,35 @@ def program_and_trace(draw):
     return program, trace
 
 
+class _RescanReference:
+    """Recompute the unissued correct-path RUU entries every cycle, by
+    scanning the RUU, and compare with the accountant's hook-kept count."""
+
+    def __init__(self, accountant):
+        self.accountant = accountant
+        self.cycles = 0
+
+    def on_cycle(self, pipe):
+        rescan = sum(
+            1 for entry in pipe.ruu
+            if not entry.issued and not entry.squashed
+            and not entry.wrong_path
+        )
+        assert self.accountant._unissued == rescan, (
+            f"cycle {pipe.cycle}: hook-kept count "
+            f"{self.accountant._unissued} != RUU rescan {rescan}"
+        )
+        self.cycles += 1
+
+
 def _profiled_run(program, trace, config, fault_model=None):
+    accountant = CycleAccountant()
+    reference = _RescanReference(accountant)
     stats = Pipeline(
         program, trace, config, fault_model=fault_model,
-        observers=[CycleAccountant()],
+        observers=[accountant, reference],
     ).run()
+    assert reference.cycles == stats.cycles
     return stats
 
 
@@ -102,6 +131,23 @@ class TestAccountingIdentity:
                 program, trace, starting_config().with_reese(),
                 fault_model=model,
             )
+        )
+
+    @given(program_and_trace(),
+           st.sampled_from(["baseline", "reese", "dispatch_dup"]),
+           st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=8, deadline=None)
+    def test_faulted_runs_keep_the_unissued_count(self, data, machine,
+                                                  seed):
+        program, trace = data
+        config = {
+            "baseline": starting_config(),
+            "reese": starting_config().with_reese(),
+            "dispatch_dup": starting_config().with_dispatch_dup(),
+        }[machine]
+        model = EnvironmentalFaultModel(rate=2e-3, duration=2, seed=seed)
+        _assert_identities(
+            _profiled_run(program, trace, config, fault_model=model)
         )
 
     @given(program_and_trace())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -75,8 +76,15 @@ def _is_unused(name: str) -> bool:
                for mod in UNUSED_AT_SETUP)
 
 
+#: Gates that attach an observer to every harness run, and so load its
+#: module; the guards are about a plain run.
+OBSERVER_GATES = ("REPRO_CHECK_INVARIANTS", "REPRO_PROFILE")
+
+
 def _probe(code: str, cwd) -> list:
-    out = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+    env = {name: value for name, value in os.environ.items()
+           if name not in OBSERVER_GATES}
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 

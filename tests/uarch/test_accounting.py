@@ -1,10 +1,11 @@
 """Unit tests for the cycle-accounting profiler.
 
 The cascade is tested against a stub pipeline whose Stats counters a
-test bumps the way the stage code would (so each priority rung can be
-exercised in isolation), the FU blame rule against a real FUPool, and
-the account arithmetic (merge, identities, R-share, histogram
-summaries) as pure functions over state_dict payloads.
+test bumps, and whose stage hooks (dispatch, issue, complete, recover)
+a test fires, the way the stage code would, so each priority rung can
+be exercised in isolation.  The FU blame rule is tested against a
+real FUPool, and the account arithmetic (merge, identities, R-share,
+histogram summaries) as pure functions over state_dict payloads.
 """
 
 import pytest
@@ -32,10 +33,11 @@ from repro.uarch.stats import (
 
 
 class _Entry:
-    def __init__(self, issued=False, squashed=False, wrong_path=False):
-        self.issued = issued
-        self.squashed = squashed
+    def __init__(self, wrong_path=False, fu=FUClass.INT_ALU,
+                 mispredicted=False):
         self.wrong_path = wrong_path
+        self.fu = fu
+        self.mispredicted = mispredicted
 
 
 class _Config:
@@ -44,13 +46,12 @@ class _Config:
 
 
 class _Pipe:
-    """Just enough pipeline surface for on_cycle/_residual_cause."""
+    """Just enough pipeline surface for bind and on_cycle."""
 
     def __init__(self):
         self.config = _Config()
         self.stats = Stats()
         self.fupool = FUPool(starting_config())
-        self.ruu = []
         self.wp_active = False
         self.fetch_blocked_until = 0
         self.cycle = 0
@@ -107,11 +108,27 @@ class TestCascade:
     def test_mispredict_does_not_downgrade_recovery(self, acct):
         pipe = _Pipe()
         pipe.stats.recoveries += 1
-        acct.on_mispredict(0, None)
+        acct.on_complete(0, _Entry(mispredicted=True))
         acct.on_cycle(pipe)
         assert acct._refill == "recovery"
-        acct.on_mispredict(0, None)
+        acct.on_complete(0, _Entry(mispredicted=True))
         assert acct._refill == "recovery"
+
+    def test_mispredicted_completion_starts_refill(self, acct):
+        pipe = _Pipe()
+        acct.on_complete(0, _Entry())  # a correctly predicted branch
+        acct.on_cycle(pipe)
+        assert acct.slots["idle"] == 4
+        acct.on_complete(1, _Entry(mispredicted=True))
+        acct.on_cycle(pipe)
+        acct.on_cycle(pipe)  # still refilling
+        assert acct.slots["ifq_empty_mispredict"] == 8
+        _issue(pipe, p=1)
+        acct.on_cycle(pipe)  # P work issued: the shadow ends after it
+        assert acct.slots["ifq_empty_mispredict"] == 11
+        acct.on_cycle(pipe)
+        assert acct.slots["ifq_empty_mispredict"] == 11
+        assert acct.slots["idle"] == 8
 
     def test_fu_busy_split_caps_at_unused(self, acct):
         pipe = _Pipe()
@@ -125,7 +142,7 @@ class TestCascade:
 
     def test_rqueue_backpressure_beats_operands(self, acct):
         pipe = _Pipe()
-        pipe.ruu = [_Entry()]  # unready P work present
+        acct.on_dispatch(0, _Entry())  # unready P work present
         pipe.stats.rqueue_full_events += 1
         acct.on_cycle(pipe)
         assert acct.slots["rqueue_backpressure"] == 4
@@ -155,12 +172,43 @@ class TestCascade:
 
     def test_operands_not_ready_needs_true_path_work(self, acct):
         pipe = _Pipe()
-        pipe.ruu = [_Entry(wrong_path=True), _Entry(issued=True)]
+        pipe.wp_active = True
+        acct.on_dispatch(0, _Entry(wrong_path=True))
+        acct.on_dispatch(0, _Entry(fu=FUClass.NONE))  # issued at dispatch
+        issued = _Entry()
+        acct.on_dispatch(0, issued)
+        acct.on_issue(0, issued)
         acct.on_cycle(pipe)
         # Only wrong-path work unready -> mispredict shadow, not operands.
         assert acct.slots["ifq_empty_mispredict"] == 4
-        pipe.ruu.append(_Entry())
+        acct.on_dispatch(1, _Entry())
         acct.on_cycle(pipe)
+        assert acct.slots["operands_not_ready"] == 4
+
+    def test_unissued_count_follows_dispatch_issue_and_recover(self, acct):
+        pipe = _Pipe()
+        entries = [_Entry(), _Entry()]
+        for entry in entries:
+            acct.on_dispatch(0, entry)
+        acct.on_issue(1, entries[0])
+        acct.on_issue(1, _Entry(wrong_path=True))  # not counted
+        acct.on_cycle(pipe)
+        assert acct.slots["operands_not_ready"] == 4
+        acct.on_issue(2, entries[1])
+        acct.on_cycle(pipe)
+        assert acct.slots["idle"] == 4
+        acct.on_dispatch(3, _Entry())
+        acct.on_recover(3)  # the flush empties the RUU
+        pipe.stats.recoveries += 1
+        acct.on_cycle(pipe)
+        assert acct._unissued == 0
+
+    def test_reset_keeps_the_unissued_count(self, acct):
+        pipe = _Pipe()
+        acct.on_dispatch(0, _Entry())
+        acct.reset()
+        acct.on_cycle(pipe)
+        # Machine state, not a statistic: the entry is still waiting.
         assert acct.slots["operands_not_ready"] == 4
 
     def test_fetch_starved_and_drain_and_idle(self, acct):
@@ -211,25 +259,47 @@ class TestFUBlame:
     def test_blame_r_when_r_holds_unit(self):
         config = starting_config()
         pool = FUPool(config)
-        pool.track_streams = True
         for _ in range(config.int_alu):
             assert pool.acquire(FUClass.INT_ALU, 0, r_stream=True) is not None
+        assert pool.acquire(FUClass.INT_ALU, 0) is None
+        assert pool.blame(FUClass.INT_ALU, 0) == "R"
+
+    def test_blame_r_after_r_stream_grants(self):
+        config = starting_config()
+        pool = FUPool(config)
+        assert pool.acquire_r(FUClass.INT_ALU, 0, config.int_alu) == (
+            config.int_alu
+        )
         assert pool.acquire(FUClass.INT_ALU, 0) is None
         assert pool.blame(FUClass.INT_ALU, 0) == "R"
 
     def test_blame_p_when_p_holds_unit(self):
         config = starting_config()
         pool = FUPool(config)
-        pool.track_streams = True
         for _ in range(config.int_mult):
             assert pool.acquire(FUClass.INT_DIV, 0) is not None
         assert pool.blame(FUClass.INT_DIV, 0) == "P"
 
+    def test_p_grant_after_r_grant_is_blamed_p(self):
+        config = starting_config()
+        pool = FUPool(config)
+        # R holds every ALU at cycle 0 (issue latency 1) ...
+        pool.acquire_r(FUClass.INT_ALU, 0, config.int_alu)
+        # ... and P takes each of them over at cycle 1.
+        for _ in range(config.int_alu):
+            assert pool.acquire(FUClass.INT_ALU, 1) is not None
+        assert pool.acquire(FUClass.INT_ALU, 1) is None
+        assert pool.blame(FUClass.INT_ALU, 1) == "P"
+
     def test_note_fu_block_charges_the_blamed_stream(self):
         pipe = _Pipe()
+        pool_state = dict(vars(pipe.fupool))
+        pipe_state = dict(vars(pipe))
         accountant = CycleAccountant()
         accountant.bind(pipe)
-        assert pipe.fupool.track_streams  # bind turns it on
+        # bind writes nothing into the machine it watches.
+        assert vars(pipe.fupool) == pool_state
+        assert vars(pipe) == pipe_state
         for _ in range(starting_config().int_alu):
             pipe.fupool.acquire(FUClass.INT_ALU, 0, r_stream=True)
         pipe.fupool.acquire(FUClass.INT_DIV, 0)
@@ -237,13 +307,6 @@ class TestFUBlame:
         accountant.on_fu_block(0, FUClass.INT_DIV, False)  # P holds
         accountant.on_fu_block(0, FUClass.INT_DIV, True)  # R work
         assert (accountant.cyc_fu_block_r, accountant.cyc_fu_block_p) == (2, 1)
-
-    def test_blame_untracked_defaults_to_p(self):
-        config = starting_config()
-        pool = FUPool(config)  # track_streams off
-        for _ in range(config.int_alu):
-            pool.acquire(FUClass.INT_ALU, 0, r_stream=True)
-        assert pool.blame(FUClass.INT_ALU, 0) == "P"
 
 
 class TestStateDictAndMerge:

@@ -21,7 +21,6 @@ from repro.uarch.observers import (
     InvariantChecker,
     InvariantViolation,
     JSONLSink,
-    RingBufferSink,
     StageMetrics,
     TraceEvent,
 )
@@ -52,17 +51,6 @@ class TestTraceEvent:
 
 
 class TestSinks:
-    def test_ring_buffer_keeps_most_recent(self):
-        sink = RingBufferSink(capacity=3)
-        for cycle in range(5):
-            sink.emit(TraceEvent(cycle, "fetch", "P"))
-        assert sink.total == 5
-        assert [e.cycle for e in sink.events()] == [2, 3, 4]
-
-    def test_ring_buffer_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            RingBufferSink(capacity=0)
-
     def test_jsonl_sink_writes_one_line_per_event(self, tmp_path):
         path = tmp_path / "events.jsonl"
         sink = JSONLSink(path)
@@ -85,16 +73,17 @@ class TestSinks:
         sink = CallbackSink(seen.append)
         event = TraceEvent(0, "fetch", "P")
         sink.emit(event)
+        sink.close()
         assert seen == [event]
 
 
 class TestEventTracer:
     def _traced_run(self, program, trace, config):
-        sink = RingBufferSink(capacity=100_000)
+        events = []
         pipe = Pipeline(program, trace, config,
-                        observers=[EventTracer(sink)])
+                        observers=[EventTracer(CallbackSink(events.append))])
         stats = pipe.run()
-        return stats, sink.events()
+        return stats, events
 
     def test_all_kinds_are_catalogued(self, loop_trace, cfg):
         program, trace = loop_trace
@@ -250,6 +239,24 @@ class TestInvariantChecker:
         assert excinfo.value.invariant == "flush-residue"
         assert "ifq" in excinfo.value.detail
 
+    def test_wrong_path_entry_outside_wrong_path_fetch(self, mixed_program,
+                                                      cfg):
+        """A wrong-path entry may sit in the RUU only while fetch is on
+        the wrong path: the cycle accountant relies on it."""
+        checker = InvariantChecker(collect=True)
+        inst = mixed_program.code[0]
+        pipe = _PipeStub(
+            cycle=3, config=cfg, ruu=[_Entry(0, None, inst, ((), -1))],
+            lsq=[], ready=[], rqueue=None, commit_seq=0, wp_active=True,
+        )
+        checker.on_cycle(pipe)
+        assert checker.violations == []
+        pipe.wp_active = False
+        with pytest.raises(InvariantViolation) as excinfo:
+            InvariantChecker().on_cycle(pipe)
+        assert excinfo.value.invariant == "structural"
+        assert "wrong-path" in excinfo.value.detail
+
     def test_collect_mode_accumulates(self):
         checker = InvariantChecker(collect=True)
         checker.on_r_issue(1, SimpleNamespace(trace_seq=1))
@@ -273,7 +280,6 @@ class TestObserveConfig:
         dict(metrics=True),
         dict(check_invariants=True),
         dict(trace_path="x.jsonl"),
-        dict(ring_capacity=16),
         dict(profile=True),
     ])
     def test_any_piece_enables(self, kwargs, tmp_path, monkeypatch):
@@ -287,17 +293,14 @@ class TestObserveConfig:
             metrics=True,
             check_invariants=True,
             trace_path=str(tmp_path / "t.jsonl"),
-            ring_capacity=8,
             profile=True,
         ))
         # The checker first: a violation is raised before its event is
         # written.
         assert [type(obs) for obs in observers] == [
-            InvariantChecker, StageMetrics, EventTracer, EventTracer,
-            CycleAccountant,
+            InvariantChecker, StageMetrics, EventTracer, CycleAccountant,
         ]
         assert isinstance(observers[2].sink, JSONLSink)
-        assert isinstance(observers[3].sink, RingBufferSink)
         observers[2].sink.close()
 
     def test_full_stack_end_to_end(self, mixed_trace, cfg, tmp_path):

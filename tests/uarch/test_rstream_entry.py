@@ -21,7 +21,8 @@ from repro.isa.instructions import Op
 from repro.reese import comparator
 from repro.reese.comparator import p_value, reexecute
 from repro.uarch import (
-    ObserveConfig, Pipeline, build_observability, starting_config,
+    CallbackSink, EventTracer, ObserveConfig, Pipeline, build_observability,
+    starting_config,
 )
 from repro.workloads.suite import BENCHMARK_ORDER, trace_for
 
@@ -119,7 +120,7 @@ def test_observed_pipeline_is_freed_by_reference_counting(config):
     """Every observer, the invariant checker included, leaves a
     finished run to reference counting."""
     observers = build_observability(
-        ObserveConfig(metrics=True, check_invariants=True, ring_capacity=64,
-                      profile=True)
+        ObserveConfig(metrics=True, check_invariants=True, profile=True)
     )
+    observers.append(EventTracer(CallbackSink([].append)))
     assert _freed(config, observers)
