@@ -280,6 +280,8 @@ class TestObserveConfig:
         dict(metrics=True),
         dict(check_invariants=True),
         dict(trace_path="x.jsonl"),
+        # An empty trace path writes no trace: only the checker attaches.
+        dict(check_invariants=True, trace_path=""),
         dict(profile=True),
     ])
     def test_any_piece_enables(self, kwargs, tmp_path, monkeypatch):
