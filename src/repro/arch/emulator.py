@@ -63,7 +63,7 @@ from ..isa.registers import NUM_REGS, REG_SP
 from ..isa.semantics import (_BRANCH_TAKEN, _COMPUTE, branch_taken, compute,
                              to_i32)
 from .memory import Memory
-from .trace import DynInst, Trace
+from .trace import DynInst, Trace, static_records
 
 Value = Union[int, float]
 
@@ -150,13 +150,12 @@ def _decode_program(program: Program):
     execution category, the instruction, its bound compute or branch
     semantics (an op without them raises ``KeyError`` when it runs), and
     ``record``, the :class:`DynInst` constructor with the instruction's
-    trace facts bound.  Those facts (``static_index``, ``pc``, ``op``,
-    ``fu``, ``dst``, one ``srcs`` tuple, the load/store/branch flags and
-    ``imm``) are computed here once, so all records of one instruction
-    share their objects; a call passes this execution's values from
-    ``seq`` on.
+    :class:`~repro.arch.trace.StaticInst` (:func:`static_records`)
+    bound, so all records of one instruction share it; a call passes
+    this execution's values.
     """
     decoded = []
+    statics = static_records(program)
     for idx, inst in enumerate(program.code):
         info = OPINFO[inst.op]
         fn = None
@@ -180,11 +179,7 @@ def _decode_program(program: Program):
         else:
             cat = _CAT_COMPUTE
             fn = _COMPUTE.get(inst.op) or partial(compute, inst.op)
-        record = partial(DynInst, idx, TEXT_BASE + idx * INST_SIZE, inst.op,
-                         info.fu, inst.dst(), inst.srcs(), info.is_load,
-                         info.is_store, info.is_branch, info.is_cond_branch,
-                         inst.imm)
-        decoded.append((cat, inst, fn, record))
+        decoded.append((cat, inst, fn, partial(DynInst, statics[idx])))
     return decoded
 
 
@@ -363,7 +358,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
         if cat == _CAT_COMPUTE:
             result = fn(a, b, imm)
             if build:
-                dyn = record(retired, a, b, next_idx, result)
+                dyn = record(a, b, next_idx, result)
                 if inject is not None:
                     inject(dyn)
                     result = dyn.result
@@ -380,7 +375,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             else:  # LWF
                 result = memory.load_float(ea)
             if build:
-                dyn = record(retired, a, b, next_idx, result, ea)
+                dyn = record(a, b, next_idx, result, ea)
                 if inject is not None:
                     inject(dyn)
                     result = dyn.result
@@ -390,7 +385,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             ea = (a + imm) & 0xFFFFFFFF
             value = b
             if build:
-                dyn = record(retired, a, b, next_idx, None, ea, value)
+                dyn = record(a, b, next_idx, None, ea, value)
                 if inject is not None:
                     inject(dyn)
                     ea = dyn.ea
@@ -406,7 +401,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             if taken:
                 next_idx = imm
             if build:
-                dyn = record(retired, a, b, next_idx, int(taken), None, None,
+                dyn = record(a, b, next_idx, int(taken), None, None,
                              taken, imm)
                 if inject is not None:
                     inject(dyn)
@@ -416,7 +411,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             next_idx = imm
             link = TEXT_BASE + (idx + 1) * INST_SIZE
             if build:
-                dyn = record(retired, a, b, next_idx,
+                dyn = record(a, b, next_idx,
                              link if op is Op.JAL else None, None, None,
                              True, imm)
                 if inject is not None:
@@ -433,7 +428,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             next_idx = (addr - TEXT_BASE) // INST_SIZE
             link = TEXT_BASE + (idx + 1) * INST_SIZE
             if build:
-                dyn = record(retired, a, b, next_idx,
+                dyn = record(a, b, next_idx,
                              link if op is Op.JALR else None, None, None,
                              True, next_idx)
                 if inject is not None:
@@ -449,17 +444,17 @@ def _interpret(decoded, regs, memory, output, trace, inject,
                 value &= 0xFF
             output.append(value)
             if build:
-                dyn = record(retired, a, b, next_idx)
+                dyn = record(a, b, next_idx)
                 if inject is not None:
                     inject(dyn)
         elif cat == _CAT_HALT:
             if trace is not None:
-                trace.append(record(retired, a, b, idx))
+                trace.append(record(a, b, idx))
             return idx, retired + 1, nops, True
         else:  # _CAT_NOP
             nops += 1
             if build:
-                dyn = record(retired, a, b, next_idx)
+                dyn = record(a, b, next_idx)
 
         if trace is not None:
             trace.append(dyn)

@@ -90,12 +90,13 @@ BINDINGS = {op: bind(op) for op in Op}
 
 def p_value(dyn: DynInst) -> Comparable:
     """The P-stream comparable value of a dynamic instruction."""
-    op = dyn.op
-    if dyn.is_store:
+    static = dyn.static
+    op = static.op
+    if static.is_store:
         return (dyn.ea, dyn.store_value)
-    if dyn.is_load:
+    if static.is_load:
         return dyn.result
-    if dyn.is_cond_branch:
+    if static.is_cond_branch:
         return int(dyn.taken)
     if op is _JAL:
         return dyn.result
@@ -116,22 +117,23 @@ def reexecute(dyn: DynInst) -> Comparable:
     is guaranteed an L1 hit (paper §4.4), so absent a fault it observes
     the identical value.
     """
-    op = dyn.op
-    if dyn.is_store:
-        return (effective_address(dyn.a, dyn.imm), dyn.store_value)
-    if dyn.is_load:
+    static = dyn.static
+    op = static.op
+    if static.is_store:
+        return (effective_address(dyn.a, static.imm), dyn.store_value)
+    if static.is_load:
         return dyn.result
-    if dyn.is_cond_branch:
+    if static.is_cond_branch:
         return int(branch_taken(op, dyn.a, dyn.b))
     if op is _JAL:
-        return TEXT_BASE + (dyn.static_index + 1) * INST_SIZE
+        return TEXT_BASE + (static.static_index + 1) * INST_SIZE
     if op is _JR:
         return (int(dyn.a) - TEXT_BASE) // INST_SIZE
     if op is _JALR:
-        link = TEXT_BASE + (dyn.static_index + 1) * INST_SIZE
+        link = TEXT_BASE + (static.static_index + 1) * INST_SIZE
         return (link, (int(dyn.a) - TEXT_BASE) // INST_SIZE)
     if op in _COMPUTE:
-        return _COMPUTE[op](dyn.a, dyn.b, dyn.imm)
+        return _COMPUTE[op](dyn.a, dyn.b, static.imm)
     return None
 
 

@@ -202,24 +202,26 @@ class PlannedInjector:
 
     Pass :attr:`hook` as ``inject`` and :meth:`schedule` as ``schedule``
     to :func:`repro.arch.emulator.emulate`.  The hook flips the planned
-    bit by :func:`corrupt_instruction`, and :attr:`log` accrues a
-    ``(seq, op_name, bit)`` record for each instruction it corrupted.
+    bit by :func:`corrupt_instruction`, and :attr:`log` accrues an
+    ``(ordinal, op_name, bit)`` record for each instruction it corrupted.
     """
 
     def __init__(self, plan: Plan) -> None:
         self.plan = plan
         self.log: List[Tuple[int, str, int]] = []
+        self._ordinal = -1
         self._bit = 0
 
     def schedule(self) -> Iterator[int]:
         # The emulator draws the next ordinal only after the hook has
-        # run at the current one, so ``_bit`` is the due ordinal's bit.
-        for ordinal, self._bit in self.plan:
-            yield ordinal
+        # run at the current one, so ``_ordinal`` and ``_bit`` are the
+        # due ordinal and its bit.
+        for self._ordinal, self._bit in self.plan:
+            yield self._ordinal
 
     def hook(self, dyn: DynInst) -> None:
         if corrupt_instruction(dyn, self._bit):
-            self.log.append((dyn.seq, dyn.op.name, self._bit))
+            self.log.append((self._ordinal, dyn.static.op.name, self._bit))
 
 
 def corrupt_instruction(dyn: DynInst, bit: int) -> bool:
@@ -230,9 +232,10 @@ def corrupt_instruction(dyn: DynInst, bit: int) -> bool:
     (``j``, ``putint``, ...) is left as it is, and the call returns
     False; otherwise it returns True.
     """
-    if dyn.is_store:
+    static = dyn.static
+    if static.is_store:
         dyn.store_value = corrupt_value(dyn.store_value, bit)
-    elif dyn.is_cond_branch:
+    elif static.is_cond_branch:
         dyn.taken = not dyn.taken
     elif dyn.result is not None:
         dyn.result = corrupt_value(dyn.result, bit)

@@ -249,7 +249,8 @@ class EventTracer:
             if entry.is_shadow:
                 stream = "R"  # dispatch-duplication redundant copy
         self.sink.emit(TraceEvent(cycle, kind, stream, seq, iseq,
-                                  entry.op.name.lower(), fu.name, extra))
+                                  entry.static.op.name.lower(), fu.name,
+                                  extra))
 
     on_fetch = _event("fetch")
     on_dispatch = _event("dispatch")
@@ -358,7 +359,7 @@ def render_timeline(
         )
         iseq = event.iseq  # None on the wrong path
         dyn = "-" if iseq is None else str(iseq)
-        pc = 0 if iseq is None else trace[iseq].pc
+        pc = 0 if iseq is None else trace[iseq].static.pc
         lines.append(
             f"{seq:>5d} {dyn:>5s} {event.op:<8s} {pc:#010x} {cells}  "
             f"{' '.join(notes)}"
@@ -522,8 +523,8 @@ class InvariantChecker:
         if not values_equal(actual, oracle):
             self._fail(
                 "commit-oracle", cycle, trace_seq,
-                f"{dyn.op.name.lower()} committed a result that fails "
-                f"re-execution: {describe_mismatch(actual, oracle)}",
+                f"{entry.static.op.name.lower()} committed a result that "
+                f"fails re-execution: {describe_mismatch(actual, oracle)}",
             )
 
     def on_r_issue(self, cycle: int, entry) -> None:

@@ -42,14 +42,12 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Sequence
-from weakref import WeakKeyDictionary
 
-from ..arch.trace import DynInst, Trace
+from ..arch.trace import DynInst, StaticInst, Trace, static_records
 from ..bpred import BTB, PerfectPredictor, ReturnAddressStack, make_predictor
-from ..isa.instructions import FUClass, Op, OPINFO
-from ..isa.program import Program, TEXT_BASE
+from ..isa.instructions import FUClass, Op
+from ..isa.program import Program
 from ..isa.registers import REG_RA
-from ..isa.instructions import INST_SIZE
 from ..memhier.hierarchy import MemoryHierarchy
 from ..reese import comparator
 from ..reese.comparator import p_value as reese_p_value
@@ -65,14 +63,11 @@ from .stats import Stats
 
 # Enum members used per instruction, bound once: a module global is an
 # order of magnitude cheaper to read than an enum class attribute.
-_HALT, _J, _JAL, _JR, _JALR = Op.HALT, Op.J, Op.JAL, Op.JR, Op.JALR
+_J, _JAL, _JR, _JALR = Op.J, Op.JAL, Op.JR, Op.JALR
 _FU_NONE, _FU_MEM = FUClass.NONE, FUClass.MEM_PORT
 _CMP_LOAD, _CMP_COMPUTE, _CMP_BRANCH = (
     comparator.CMP_LOAD, comparator.CMP_COMPUTE, comparator.CMP_BRANCH
 )
-
-# Program -> per static instruction, a wrong-path entry's ``(srcs, dst)``.
-_REGS: "WeakKeyDictionary[Program, list]" = WeakKeyDictionary()
 
 
 class SimulationDeadlockError(Exception):
@@ -119,14 +114,15 @@ def warm_caches_over(mem: MemoryHierarchy, trace, line_shift: int) -> None:
     daccess = mem.daccess
     last_line = -1
     for dyn in trace:
-        pc = dyn.pc
+        static = dyn.static
+        pc = static.pc
         line = pc >> line_shift
         if line != last_line:
             ifetch(pc)
             last_line = line
         ea = dyn.ea
         if ea is not None:
-            daccess(ea, is_write=dyn.is_store)
+            daccess(ea, is_write=static.is_store)
 
 
 def warm_predictor_over(predictor, trace) -> None:
@@ -139,8 +135,9 @@ def warm_predictor_over(predictor, trace) -> None:
     predict = predictor.predict
     update = predictor.update
     for dyn in trace:
-        if dyn.is_cond_branch:
-            pc = dyn.pc
+        static = dyn.static
+        if static.is_cond_branch:
+            pc = static.pc
             predict(pc)
             update(pc, dyn.taken)
 
@@ -189,31 +186,32 @@ class WarmState:
         it, and any other indirect jump looks up the BTB, which then
         learns the resolved target.  -1 when no target is predicted.
         """
-        if dyn.is_cond_branch:
+        static = dyn.static
+        if static.is_cond_branch:
             predictor = self.predictor
             # An exact-class test: isinstance against the predictors'
             # abstract base class costs an ABC instance check per branch.
             if predictor.__class__ is PerfectPredictor:
                 predictor.prime(dyn.taken)
-            if predictor.predict_and_update(dyn.pc, dyn.taken):
+            if predictor.predict_and_update(static.pc, dyn.taken):
                 return dyn.target_index
-            return dyn.static_index + 1
-        op = dyn.op
+            return static.static_index + 1
+        op = static.op
         if op is _J:
             return dyn.target_index  # direct: target in the instruction word
-        fallthrough = dyn.static_index + 1
+        fallthrough = static.static_index + 1
         if op is _JAL or op is _JALR:
             self.ras.push(fallthrough)
             if op is _JAL:
                 return dyn.target_index
-            predicted = self.btb.lookup(dyn.pc)
+            predicted = self.btb.lookup(static.pc)
         elif op is not _JR:
             raise AssertionError(f"not a branch: {op}")
-        elif self.program.code[dyn.static_index].rs1 == REG_RA:
+        elif self.program.code[static.static_index].rs1 == REG_RA:
             predicted = self.ras.pop()
         else:
-            predicted = self.btb.lookup(dyn.pc)
-        self.btb.update(dyn.pc, dyn.target_index)
+            predicted = self.btb.lookup(static.pc)
+        self.btb.update(static.pc, dyn.target_index)
         return predicted if predicted is not None else -1
 
     def reset_stats(self) -> None:
@@ -240,7 +238,7 @@ class WarmState:
         warm_caches_over(self.mem, window, self._line_shift)
         predict_next = self.predict_next
         for dyn in window:
-            if dyn.is_branch:
+            if dyn.static.is_branch:
                 predict_next(dyn)
 
     def snapshot(self) -> "WarmState":
@@ -259,21 +257,22 @@ class WarmState:
 class _Entry:
     """One in-flight instruction (fetch queue / RUU / LSQ resident).
 
-    Under REESE the entry that leaves the RUU is also the R-stream Queue
-    entry: the move fills the slots from ``p_value`` to ``order``, and
-    R completion ``r_value`` and ``r_fault_bit``; until then they are
-    unset.
+    The facts the stages test are copied from the instruction's
+    :class:`~repro.arch.trace.StaticInst`; ``dst`` is the entry's own
+    (a dispatch-dup duplicate writes nothing).  Under REESE the entry
+    that leaves the RUU is also the R-stream Queue entry: the move fills
+    the slots from ``p_value`` to ``order``, and R completion
+    ``r_value`` and ``r_fault_bit``; until then they are unset.
     """
 
     __slots__ = (
         "seq",            # dispatch-order id, unique across refetches
+        "static",         # the instruction's StaticInst
         "dyn",            # DynInst for correct-path, None for wrong path
-        "trace_seq",      # dyn.seq, or -1 for wrong path
-        "op",
+        "trace_seq",      # trace position of dyn, or -1 for wrong path
         "fu",
         "is_load",
         "is_store",
-        "is_branch",
         "is_halt",
         "srcs",
         "dst",
@@ -303,35 +302,21 @@ class _Entry:
         "r_fault_bit",     # bit flipped in the R value by a fault, or None
     )
 
-    def __init__(self, seq: int, dyn: Optional[DynInst], inst=None,
-                 regs=None) -> None:
-        """A correct-path entry for ``dyn``, or (``dyn`` None) a
-        wrong-path entry for the static instruction ``inst`` with its
-        ``(srcs, dst)`` pair ``regs``."""
+    def __init__(self, seq: int, static: StaticInst,
+                 dyn: Optional[DynInst] = None, trace_seq: int = -1) -> None:
+        """A correct-path entry for ``dyn``, ``trace[trace_seq]``, or
+        (``dyn`` None) a wrong-path entry for ``static``."""
         self.seq = seq
+        self.static = static
         self.dyn = dyn
-        if dyn is not None:
-            self.trace_seq = dyn.seq
-            self.op = dyn.op
-            self.fu = dyn.fu
-            is_load = self.is_load = dyn.is_load
-            is_store = self.is_store = dyn.is_store
-            self.is_branch = dyn.is_branch
-            self.is_halt = dyn.op is _HALT
-            self.wrong_path = False
-            self.srcs = dyn.srcs
-            self.dst = dyn.dst
-        else:
-            info = OPINFO[inst.op]
-            self.trace_seq = -1
-            self.op = inst.op
-            self.fu = info.fu
-            is_load = self.is_load = info.is_load
-            is_store = self.is_store = info.is_store
-            self.is_branch = info.is_branch
-            self.is_halt = info.is_halt
-            self.wrong_path = True
-            self.srcs, self.dst = regs
+        self.trace_seq = trace_seq
+        self.fu = static.fu
+        is_load = self.is_load = static.is_load
+        is_store = self.is_store = static.is_store
+        self.is_halt = static.is_halt
+        self.wrong_path = dyn is None
+        self.srcs = static.srcs
+        self.dst = static.dst
         self.is_mem = is_load or is_store
         self.deps = 0
         self.consumers: List["_Entry"] = []
@@ -400,15 +385,15 @@ class Pipeline:
                 measurement interval a snapshot functionally
                 fast-forwarded to the interval start.  ``None`` builds
                 the pipeline its own.
-            measure_from: trace seq whose commit opens the measurement
-                window — all statistics (including cache/predictor/FU
-                counters) are reset the moment it reaches commit, so
-                the returned Stats cover only instructions from this
-                seq on.  The sampled engine uses it to run detailed
-                warm-up instructions ahead of a measurement interval
-                without polluting its numbers.  ``None`` measures the
-                whole run.
-            stop_after: trace seq whose commit ends the run — younger
+            measure_from: trace index whose commit opens the
+                measurement window — all statistics (including
+                cache/predictor/FU counters) are reset the moment it
+                reaches commit, so the returned Stats cover only
+                instructions from this index on.  The sampled engine
+                uses it to run detailed warm-up instructions ahead of a
+                measurement interval without polluting its numbers.
+                ``None`` measures the whole run.
+            stop_after: trace index whose commit ends the run — younger
                 trace instructions are fetched/executed (keeping the
                 machine realistically busy behind the measured window)
                 but never commit.  The sampled engine's drain padding:
@@ -417,10 +402,7 @@ class Pipeline:
                 run.  ``None`` runs the trace to completion.
         """
         self.program = program
-        regs = _REGS.get(program)
-        if regs is None:  # bound once per program
-            regs = _REGS[program] = [(i.srcs(), i.dst()) for i in program]
-        self._wrong_path_regs = regs
+        self._statics = static_records(program)
         self.trace = trace
         self.config = config
         self.fault_model = fault_model or NoFaults()
@@ -825,7 +807,7 @@ class Pipeline:
                 stats.rqueue_full_events += 1
                 break
             dyn = entry.dyn
-            r_fu, kind, fn = bindings[dyn.op]
+            r_fu, kind, fn = bindings[entry.static.op]
             if kind <= _CMP_COMPUTE:
                 p_val = dyn.result
             elif kind == _CMP_BRANCH:
@@ -937,7 +919,7 @@ class Pipeline:
                 dyn = event.dyn
                 kind = event.r_kind
                 if kind == _CMP_COMPUTE:
-                    r_val = event.r_fn(dyn.a, dyn.b, dyn.imm)
+                    r_val = event.r_fn(dyn.a, dyn.b, dyn.static.imm)
                 elif kind == _CMP_LOAD:
                     r_val = dyn.result
                 elif kind == _CMP_BRANCH:
@@ -1220,7 +1202,8 @@ class Pipeline:
                 # issue-priority decisions treat the pair as one
                 # instruction.  It produces nothing architectural, and
                 # it dispatches next, into the slots reserved above.
-                shadow = entry.shadow = _Entry(entry.seq, entry.dyn)
+                shadow = entry.shadow = _Entry(entry.seq, entry.static,
+                                               entry.dyn, entry.trace_seq)
                 shadow.dst = -1
                 shadow.is_shadow = True
                 ifq.appendleft(shadow)
@@ -1276,29 +1259,27 @@ class Pipeline:
         l1i_hit = self._l1i_hit
         next_seq = self._next_seq
         duty_period = self._duty_period
-        wrong_path_regs = self._wrong_path_regs
+        statics = self._statics
         while budget:
             if self.wp_active:
                 index = self.wp_index
-                code = self.program.code
-                if index < 0 or index >= len(code):
+                if index < 0 or index >= len(statics):
                     break  # wrong-path fetch has nowhere to go: stall
-                inst = code[index]
-                entry = _Entry(next_seq, None, inst, wrong_path_regs[index])
+                static = statics[index]
+                entry = _Entry(next_seq, static)
                 next_seq += 1
                 stats.fetched_wrong_path += 1
                 # Walk the wrong path by predictor direction / direct
                 # targets.
-                op = inst.op
-                info = OPINFO[op]
-                if info.is_halt:
+                op = static.op
+                if static.is_halt:
                     self.wp_index = -1
-                elif info.is_cond_branch:
-                    pc = TEXT_BASE + index * INST_SIZE
-                    taken = self.predictor.predict(pc)  # consult, never train
-                    self.wp_index = inst.imm if taken else index + 1
+                elif static.is_cond_branch:
+                    # Consult, never train.
+                    taken = self.predictor.predict(static.pc)
+                    self.wp_index = static.imm if taken else index + 1
                 elif op is _J or op is _JAL:
-                    self.wp_index = inst.imm
+                    self.wp_index = static.imm
                 elif op is _JR or op is _JALR:
                     self.wp_index = -1  # indirect target unknown here
                 else:
@@ -1308,31 +1289,32 @@ class Pipeline:
                 if cursor >= total:
                     break
                 dyn = trace[cursor]
+                static = dyn.static
                 # Instruction-cache probe (one access per line).
-                line = dyn.pc >> line_shift
+                line = static.pc >> line_shift
                 if line != self._last_fetch_line:
                     self._last_fetch_line = line
-                    latency = self.mem.ifetch(dyn.pc)
+                    latency = self.mem.ifetch(static.pc)
                     if latency > l1i_hit:
                         # Miss: fetch stalls for the extra cycles.
                         self.fetch_blocked_until = cycle + (latency - l1i_hit)
                         break
-                entry = _Entry(next_seq, dyn)
+                entry = _Entry(next_seq, static, dyn, cursor)
                 next_seq += 1
                 stats.fetched += 1
-                if dyn.is_load:
+                if static.is_load:
                     stats.loads += 1
-                elif dyn.is_store:
+                elif static.is_store:
                     stats.stores += 1
                 if reese_on:
-                    if entry.fu is _FU_NONE or entry.is_halt:
+                    if static.fu is _FU_NONE or static.is_halt:
                         entry.skip_r = True
-                    elif dyn.seq % duty_period:
+                    elif cursor % duty_period:
                         entry.skip_r = True
                         stats.r_skipped_duty += 1
-                if dyn.is_branch:
+                if static.is_branch:
                     stats.branches += 1
-                    if dyn.is_cond_branch:
+                    if static.is_cond_branch:
                         stats.cond_branches += 1
                     predicted = self.warm_state.predict_next(dyn)
                     if predicted == dyn.next_index:

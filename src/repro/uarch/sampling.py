@@ -66,12 +66,12 @@ Design (mirrors SMARTS / RepTFD's checkpoint-and-replay split):
   mid-run instead of draining into an artificial void (REESE's
   R-stream queue makes that drain expensive, which would bias its
   sampled IPC low).
-* **Interval traces are re-sequenced**: the pipeline requires
-  ``trace[i].seq == i`` (commit bookkeeping, recovery refetch), so each
-  detailed window runs on per-interval copies of its
-  :class:`~repro.arch.trace.DynInst` records, renumbered from zero.
-  The pipeline never writes to its trace records, so the jobs of a
-  warm group that run one interval share one copy.
+* **Interval traces are slices**: a record's trace position is its
+  index in the trace the pipeline runs on (commit bookkeeping,
+  recovery refetch), so each detailed window runs on a plain slice of
+  the trace, its records the trace's own.  The pipeline never writes
+  to its trace records, so every interval of every job of a warm group
+  runs on the records the trace holds.
 * **Statistics**: per-interval :class:`~repro.uarch.stats.Stats` merge
   through :meth:`Stats.merge` into a whole-run view (the headline IPC
   is committed/cycles over all measured windows), and the sampler also
@@ -88,10 +88,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from ..arch.trace import DynInst, Trace
+from ..arch.trace import Trace
 from ..reese.faults import FaultModel
 from .config import MachineConfig
 from .observe import ObserveConfig, build_observability
@@ -193,7 +192,7 @@ def mispredict_profile(program, trace: Trace, config: MachineConfig) -> List[int
     pre = [0] * (len(trace) + 1)
     acc = 0
     for i, dyn in enumerate(trace):
-        if dyn.is_branch and predict_next(dyn) != dyn.next_index:
+        if dyn.static.is_branch and predict_next(dyn) != dyn.next_index:
             acc += 1
         pre[i + 1] = acc
     return pre
@@ -332,16 +331,15 @@ class WarmSweep:
     """The work the intervals of one warm group share.
 
     Selects the intervals once (:func:`interval_selection` of ``spec``,
-    whose ``index`` it ignores), keeps one live :class:`WarmState` that
-    :func:`build_warm_state` advances through the group's interval
-    starts in trace order, and keeps the latest detailed window
-    (:meth:`window`), which the group's jobs for one interval share.
-    Every job of the group may pass its own ``config``: only
-    :data:`WARM_FIELDS` reach the sweep, and those the group agrees on.
+    whose ``index`` it ignores) and keeps one live :class:`WarmState`
+    that :func:`build_warm_state` advances through the group's interval
+    starts in trace order.  Every job of the group may pass its own
+    ``config``: only :data:`WARM_FIELDS` reach the sweep, and those the
+    group agrees on.
     """
 
     __slots__ = ("program", "trace", "config", "spec", "warm", "selection",
-                 "state", "position", "_window_span", "_window")
+                 "state", "position")
 
     def __init__(
         self,
@@ -361,20 +359,6 @@ class WarmSweep:
         #: and the trace position its replay has reached.
         self.state: Optional[WarmState] = None
         self.position = 0
-        self._window_span: Optional[Tuple[int, int]] = None
-        self._window: List[DynInst] = []
-
-    def window(self, start: int, stop: int) -> List[DynInst]:
-        """``resequence(trace, start, stop)``, built once for as many
-        consecutive calls as ask for the same span.
-
-        The pipeline only reads its trace records, so every job that
-        runs one interval can run on the same copies.
-        """
-        if self._window_span != (start, stop):
-            self._window = resequence(self.trace, start, stop)
-            self._window_span = (start, stop)
-        return self._window
 
     def result(self, interval_stats: List[Stats]) -> "SampledResult":
         """The sampled result of this sweep's intervals' Stats."""
@@ -405,26 +389,6 @@ def build_warm_state(sweep: WarmSweep, start: int) -> WarmState:
     state.advance(sweep.trace, sweep.position, start)
     sweep.position = start
     return state.snapshot()
-
-
-_RECORD_FIELDS = attrgetter(*DynInst.__slots__)
-
-
-def resequence(trace: Trace, start: int, stop: int) -> List[DynInst]:
-    """Per-interval DynInst copies renumbered from zero.
-
-    The pipeline's commit/recovery bookkeeping requires
-    ``trace[i].seq == i``; static-program indices (``static_index``,
-    ``target_index``, ``next_index``) are positions in the program text
-    and copy through unchanged.  Each copy is one constructor call over
-    the record's slots, which the constructor takes in slot order.
-    """
-    out: List[DynInst] = []
-    for offset, dyn in enumerate(trace[start:stop]):
-        clone = DynInst(*_RECORD_FIELDS(dyn))
-        clone.seq = offset
-        out.append(clone)
-    return out
 
 
 @dataclass
@@ -677,7 +641,7 @@ def run_interval(
     state = build_warm_state(sweep, warm_start)
     pipeline = Pipeline(
         program,
-        sweep.window(warm_start, min(end + spec.cooldown, len(trace))),
+        sweep.trace[warm_start:end + spec.cooldown],
         config,
         fault_model=fault_model,
         observers=build_observability(observe),

@@ -112,8 +112,9 @@ def windowed_ilp(trace: Trace, window: int = 64) -> List[float]:
         depth_of: Dict[int, int] = {}
         critical = 1
         for position, dyn in enumerate(chunk):
+            static = dyn.static
             depth = 0
-            for src in dyn.srcs:
+            for src in static.srcs:
                 producer = last_writer.get(src)
                 if producer is not None:
                     depth = max(depth, depth_of[producer])
@@ -121,8 +122,8 @@ def windowed_ilp(trace: Trace, window: int = 64) -> List[float]:
             depth_of[position] = depth
             if depth > critical:
                 critical = depth
-            if dyn.dst >= 0:
-                last_writer[dyn.dst] = position
+            if static.dst >= 0:
+                last_writer[static.dst] = position
         ilps.append(len(chunk) / critical)
     return ilps
 
@@ -148,7 +149,7 @@ def burstiness(trace: Trace, window: int = 64) -> float:
 def analyze_trace(trace: Trace, line_size: int = 32) -> TraceProfile:
     """Characterise a dynamic trace (single pass, O(n))."""
     last_writer: Dict[int, int] = {}
-    depth_of: Dict[int, int] = {}   # seq -> dependence depth
+    depth_of: Dict[int, int] = {}   # position -> dependence depth
     critical = 0
     distances: Counter = Counter()
     branch_outcomes: Dict[int, List[int]] = defaultdict(lambda: [0, 0])
@@ -157,9 +158,10 @@ def analyze_trace(trace: Trace, line_size: int = 32) -> TraceProfile:
     cond = taken_count = 0
 
     for position, dyn in enumerate(trace):
-        inst_lines.add(dyn.pc // (line_size // INST_SIZE * INST_SIZE))
+        static = dyn.static
+        inst_lines.add(static.pc // (line_size // INST_SIZE * INST_SIZE))
         depth = 0
-        for src in dyn.srcs:
+        for src in static.srcs:
             producer = last_writer.get(src)
             if producer is not None:
                 distances[position - producer] += 1
@@ -168,13 +170,13 @@ def analyze_trace(trace: Trace, line_size: int = 32) -> TraceProfile:
         depth_of[position] = depth
         if depth > critical:
             critical = depth
-        if dyn.dst >= 0:
-            last_writer[dyn.dst] = position
+        if static.dst >= 0:
+            last_writer[static.dst] = position
         if dyn.ea is not None:
             data_lines.add(dyn.ea // line_size)
-        if dyn.is_cond_branch:
+        if static.is_cond_branch:
             cond += 1
-            stats = branch_outcomes[dyn.static_index]
+            stats = branch_outcomes[static.static_index]
             if dyn.taken:
                 taken_count += 1
                 stats[0] += 1

@@ -168,13 +168,14 @@ def mix_report(trace: Trace) -> Dict[str, float]:
     from ..isa.instructions import FUClass
 
     for dyn in trace:
-        if dyn.is_load:
+        static = dyn.static
+        if static.is_load:
             counts["load"] += 1
-        elif dyn.is_store:
+        elif static.is_store:
             counts["store"] += 1
-        elif dyn.is_branch:
+        elif static.is_branch:
             counts["branch"] += 1
-        elif dyn.fu in (FUClass.INT_MULT, FUClass.INT_DIV):
+        elif static.fu in (FUClass.INT_MULT, FUClass.INT_DIV):
             counts["mul_div"] += 1
         else:
             counts["alu"] += 1

@@ -130,7 +130,7 @@ class TestHooklessRuns:
         for program in (generated(profile, seed), quicksort()):
             hooked = []
             emulate(program, collect_trace=False,
-                    inject=lambda dyn: hooked.append(dyn.static_index))
+                    inject=lambda dyn: hooked.append(dyn.static.static_index))
             run = emulate(program, collect_trace=False, checkpoints=True,
                           order=True)
             assert run.order == hooked

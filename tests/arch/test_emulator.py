@@ -88,13 +88,16 @@ class TestTraceContents:
         assert len(result.trace) == result.instructions
 
     def test_trace_sequential_seq_numbers(self, loop_program):
+        # A record's sequence number is its trace position: records carry
+        # no number of their own, and each position holds its own record.
         trace = emulate(loop_program).trace
-        assert [dyn.seq for dyn in trace] == list(range(len(trace)))
+        assert not hasattr(trace[0], "seq")
+        assert len({id(dyn) for dyn in trace}) == len(trace)
 
     def test_next_index_chains_the_trace(self, mixed_program):
         trace = emulate(mixed_program).trace
         for current, following in zip(trace, trace[1:]):
-            assert current.next_index == following.static_index
+            assert current.next_index == following.static.static_index
 
     def test_branch_records_outcome_and_target(self):
         program = assemble("""
@@ -107,7 +110,7 @@ class TestTraceContents:
             halt
         """)
         trace = emulate(program).trace
-        branches = [d for d in trace if d.is_cond_branch]
+        branches = [d for d in trace if d.static.is_cond_branch]
         assert [d.taken for d in branches] == [False, True]
         assert branches[0].target_index == program.label("skip")
 
@@ -121,7 +124,7 @@ class TestTraceContents:
         halt
         """)
         trace = emulate(program).trace
-        load = next(d for d in trace if d.is_load)
+        load = next(d for d in trace if d.static.is_load)
         assert load.result == 77
         from repro.isa.program import DATA_BASE
         assert load.ea == DATA_BASE
@@ -137,7 +140,7 @@ class TestTraceContents:
         halt
         """)
         trace = emulate(program).trace
-        store = next(d for d in trace if d.is_store)
+        store = next(d for d in trace if d.static.is_store)
         assert store.store_value == -9
 
     def test_operand_values_captured(self):
@@ -148,7 +151,7 @@ class TestTraceContents:
         halt
         """)
         trace = emulate(program).trace
-        mul = next(d for d in trace if d.op is Op.MUL)
+        mul = next(d for d in trace if d.static.op is Op.MUL)
         assert (mul.a, mul.b, mul.result) == (6, 7, 42)
 
     def test_jal_records_link_value(self):
@@ -160,7 +163,7 @@ class TestTraceContents:
             ret
         """)
         trace = emulate(program).trace
-        jal = next(d for d in trace if d.op is Op.JAL)
+        jal = next(d for d in trace if d.static.op is Op.JAL)
         assert jal.result == TEXT_BASE + 1 * INST_SIZE
 
     def test_trace_disabled(self, loop_program):
@@ -212,7 +215,7 @@ class TestInjectionHook:
         halt
         """)
         def flip(dyn):
-            if dyn.op is Op.ADDI and dyn.result == 6:
+            if dyn.static.op is Op.ADDI and dyn.result == 6:
                 dyn.result = 999
 
         result = emulate(program, inject=flip)
@@ -231,7 +234,7 @@ class TestInjectionHook:
             halt
         """)
         def flip(dyn):
-            if dyn.is_cond_branch:
+            if dyn.static.is_cond_branch:
                 dyn.taken = not dyn.taken
 
         clean = emulate(program)
@@ -249,7 +252,7 @@ class TestInjectionHook:
         halt
         """)
         def flip(dyn):
-            if dyn.op is Op.ADDI:
+            if dyn.static.op is Op.ADDI:
                 dyn.result = 11
 
         assert emulate(program, inject=flip).output == [121]
@@ -267,7 +270,7 @@ class TestInjectionHook:
         halt
         """)
         def flip(dyn):
-            if dyn.is_store:
+            if dyn.static.is_store:
                 dyn.store_value = 123
 
         assert emulate(program, inject=flip).output == [123]
@@ -299,19 +302,20 @@ class TestDecode:
 
     def test_trace_facts_bound_at_decode(self):
         from repro.arch.emulator import _decode_program
+        from repro.arch.trace import static_records
 
         program = assemble(self.SOURCE)
         for idx, (_cat, inst, _fn, record) in enumerate(
                 _decode_program(program)):
-            dyn = record(7, 1, 2, idx + 1)
-            assert (dyn.static_index, dyn.pc, dyn.op) == (
+            dyn = record(1, 2, idx + 1)
+            static = dyn.static
+            assert static is static_records(program)[idx]
+            assert (static.static_index, static.pc, static.op) == (
                 idx, TEXT_BASE + idx * INST_SIZE, inst.op)
-            assert (dyn.dst, dyn.srcs, dyn.imm) == (
+            assert (static.dst, static.srcs, static.imm) == (
                 inst.dst(), inst.srcs(), inst.imm)
-            assert (dyn.seq, dyn.a, dyn.b, dyn.next_index) == (7, 1, 2,
-                                                                idx + 1)
-            again = record(8, 0, 0, idx + 1)
-            assert again.srcs is dyn.srcs and again.pc is dyn.pc
+            assert (dyn.a, dyn.b, dyn.next_index) == (1, 2, idx + 1)
+            assert record(0, 0, idx + 1).static is static
 
     def test_op_without_semantics_raises_when_it_runs(self, monkeypatch):
         from repro.isa import semantics
@@ -349,9 +353,12 @@ class TestInjectionSchedule:
 
     @staticmethod
     def _seen(program, schedule, **kwargs):
+        # Each execution of this program has its own (instruction, a).
         seen = []
-        result = emulate(program, inject=lambda dyn: seen.append(dyn.seq),
-                         schedule=schedule, **kwargs)
+        result = emulate(
+            program, inject=lambda dyn: seen.append(
+                (dyn.static.static_index, dyn.a)),
+            schedule=schedule, **kwargs)
         return result, seen
 
     def test_ordinals_skip_nop_and_halt(self):
@@ -384,7 +391,7 @@ class TestInjectionSchedule:
                 events.append(("due", ordinal))
                 yield ordinal
 
-        emulate(program, inject=lambda dyn: events.append(("hook", dyn.seq)),
+        emulate(program, inject=lambda dyn: events.append(("hook", dyn.a)),
                 schedule=schedule())
         assert [kind for kind, _ in events] == ["due", "hook", "due", "hook"]
 
@@ -393,7 +400,7 @@ class TestInjectionSchedule:
         targets = {5, 40, 41, 300}
 
         def flip(dyn):
-            if dyn.result is not None and not dyn.is_cond_branch:
+            if dyn.result is not None and not dyn.static.is_cond_branch:
                 dyn.result = dyn.result ^ 1
 
         count = [0]

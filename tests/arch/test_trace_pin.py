@@ -1,17 +1,20 @@
-"""Trace pins: every slot of every :class:`DynInst` the emulator builds.
+"""Trace pins: every fact of every :class:`DynInst` the emulator builds.
 
 Each pin is the sha256 of the records of a set of traces, one line per
-record holding every slot in :data:`FIELDS` order (enums by name, every
-other value by ``repr``, so ``1``, ``1.0`` and ``True`` differ).  The
-sets are the six proxies at scale 1000 and one generated program.  A
-speed change to trace building must leave both pins unchanged; a
-deliberate change to the trace re-pins them with::
+record holding every field in :data:`FIELDS` order (enums by name, every
+other value by ``repr``, so ``1``, ``1.0`` and ``True`` differ): the
+record's own values, its static instruction's facts read through
+``dyn.static``, and ``seq``, the record's index in its trace.  The sets
+are the six proxies at scale 1000, one generated program and one
+program of every execution category.  A speed change to trace building
+must leave the pins unchanged; a deliberate change to the trace re-pins
+them with::
 
     PYTHONPATH=src python -m tests.arch.test_trace_pin
 
-The other tests check each record's static fields against its
+The other tests check each record's static facts against its
 :class:`~repro.isa.instructions.Instruction`, and that the records of
-one static instruction share its ``pc`` and ``srcs`` objects.
+one static instruction share one :class:`StaticInst`.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ from collections import defaultdict
 import pytest
 
 from repro.arch import emulate
-from repro.arch.trace import DynInst
+from repro.arch.trace import DynInst, StaticInst
 from repro.isa import INST_SIZE, TEXT_BASE, assemble
 from repro.isa.instructions import OPINFO, FUClass, Op
 from repro.workloads.generator import PROFILES, generate_program
@@ -32,6 +35,9 @@ FIELDS = ("seq", "static_index", "pc", "op", "fu", "dst", "srcs",
           "is_load", "is_store", "is_branch", "is_cond_branch", "a", "b",
           "imm", "result", "ea", "store_value", "taken", "target_index",
           "next_index")
+
+#: The fields of :data:`FIELDS` read from ``dyn.static``.
+STATIC_FIELDS = frozenset(StaticInst.__slots__) & set(FIELDS)
 
 #: Every execution category, and the ops the proxies leave out: ``nop``,
 #: byte loads and stores, FP, ``jalr`` and ``putch``.
@@ -105,18 +111,28 @@ def traced(request):
                            for program in _programs(request.param)]
 
 
+def _row(seq, dyn):
+    """The :data:`FIELDS` of ``trace[seq]``."""
+    return [seq if name == "seq"
+            else getattr(dyn.static if name in STATIC_FIELDS else dyn, name)
+            for name in FIELDS]
+
+
 def _digest(runs):
     digest = hashlib.sha256()
     for _program, trace in runs:
-        for dyn in trace:
-            row = [getattr(dyn, name) for name in FIELDS]
-            row[3], row[4] = dyn.op.name, dyn.fu.name
+        for seq, dyn in enumerate(trace):
+            row = _row(seq, dyn)
+            row[3], row[4] = row[3].name, row[4].name
             digest.update(repr(row).encode() + b"\n")
     return digest.hexdigest()
 
 
 def test_every_slot_is_hashed():
-    assert sorted(FIELDS) == sorted(DynInst.__slots__)
+    # ``is_halt`` is a function of the hashed ``op``.
+    assert sorted(FIELDS) == sorted(
+        {"seq"} | set(DynInst.__slots__) - {"static"}
+        | set(StaticInst.__slots__) - {"is_halt"})
 
 
 def test_trace_matches_pin(traced):
@@ -127,18 +143,18 @@ def test_trace_matches_pin(traced):
 def test_static_fields_match_the_instruction(traced):
     _name, runs = traced
     for program, trace in runs:
-        for seq, dyn in enumerate(trace):
-            inst = program.code[dyn.static_index]
+        for dyn in trace:
+            static = dyn.static
+            inst = program.code[static.static_index]
             info = OPINFO[inst.op]
-            assert dyn.seq == seq
-            assert dyn.pc == TEXT_BASE + dyn.static_index * INST_SIZE
-            assert dyn.op is inst.op and dyn.fu is info.fu
-            assert dyn.imm == inst.imm
-            assert dyn.dst == inst.dst() and dyn.srcs == inst.srcs()
-            assert (dyn.is_load, dyn.is_store, dyn.is_branch,
-                    dyn.is_cond_branch) == (info.is_load, info.is_store,
-                                            info.is_branch,
-                                            info.is_cond_branch)
+            assert static.pc == TEXT_BASE + static.static_index * INST_SIZE
+            assert static.op is inst.op and static.fu is info.fu
+            assert static.imm == inst.imm
+            assert static.dst == inst.dst() and static.srcs == inst.srcs()
+            assert (static.is_load, static.is_store, static.is_branch,
+                    static.is_cond_branch, static.is_halt) == (
+                        info.is_load, info.is_store, info.is_branch,
+                        info.is_cond_branch, info.is_halt)
 
 
 def test_records_of_one_instruction_share_its_static_objects(traced):
@@ -146,13 +162,13 @@ def test_records_of_one_instruction_share_its_static_objects(traced):
     for _program, trace in runs:
         shared = defaultdict(set)
         for dyn in trace:
-            shared[dyn.static_index].add((id(dyn.pc), id(dyn.srcs)))
+            shared[dyn.static.static_index].add(id(dyn.static))
         assert all(len(ids) == 1 for ids in shared.values())
 
 
 def test_no_argument_record_keeps_its_defaults():
     dyn = DynInst()
-    assert [getattr(dyn, name) for name in FIELDS] == [
+    assert _row(0, dyn) == [
         0, 0, 0, Op.NOP, FUClass.NONE, -1, (), False, False, False, False,
         0, 0, 0, None, None, None, False, -1, -1]
 

@@ -2,8 +2,9 @@
 
 Campaign runs call the emulator's hook only at the eligible-instruction
 ordinals a plan names.  The reference hooks below are the campaigns'
-former per-instruction injectors, kept verbatim: one sees every
-eligible instruction and decides there whether to strike.  Each
+former per-instruction injectors: one sees every eligible instruction
+and decides there whether to strike.  They count their calls, so each
+logs the ordinal it struck, as the scheduled injector does.  Each
 scheduled run must give the same outcome and the same injection log as
 its reference run, on every proxy, for Bernoulli and site plans alike.
 The pins further down were captured with the per-instruction injectors.
@@ -11,6 +12,7 @@ The pins further down were captured with the per-instruction injectors.
 
 import random
 from collections import Counter
+from itertools import count
 from typing import List, Tuple
 
 import pytest
@@ -44,20 +46,23 @@ def make_emulator_injector(rate: float, seed: int = 2001):
     """Reference Bernoulli hook: a strike draw at every instruction."""
     rng = random.Random(seed)
     log: List[Tuple[int, str, int]] = []
+    ordinals = count()
 
     def hook(dyn) -> None:
+        ordinal = next(ordinals)
         if rng.random() >= rate:
             return
         bit = rng.randrange(32)
-        if dyn.is_store:
+        static = dyn.static
+        if static.is_store:
             dyn.store_value = corrupt_value(dyn.store_value, bit)
-        elif dyn.is_cond_branch:
+        elif static.is_cond_branch:
             dyn.taken = not dyn.taken
         elif dyn.result is not None:
             dyn.result = corrupt_value(dyn.result, bit)
         else:
             return  # nothing corruptible (nop, j, ...)
-        log.append((dyn.seq, dyn.op.name, bit))
+        log.append((ordinal, static.op.name, bit))
 
     return hook, log
 
@@ -66,16 +71,18 @@ def make_site_injector(index: int, occurrence: int, bit: int):
     """Reference site hook: counts the executions of one instruction."""
     state = {"seen": 0}
     log: List[Tuple[int, str, int]] = []
+    ordinals = count()
 
     def hook(dyn) -> None:
-        if dyn.static_index != index:
+        ordinal = next(ordinals)
+        if dyn.static.static_index != index:
             return
         seen = state["seen"]
         state["seen"] = seen + 1
         if seen != occurrence or dyn.result is None:
             return
         dyn.result = corrupt_value(dyn.result, bit)
-        log.append((dyn.seq, dyn.op.name, bit))
+        log.append((ordinal, dyn.static.op.name, bit))
 
     return hook, log
 

@@ -36,7 +36,7 @@ class TestSaxpyKernel:
     def test_fp_ops_execute_on_fp_units(self, run):
         _, _, result = run
         fp_ops = [d for d in result.trace
-                  if d.fu in (FUClass.FP_ADD, FUClass.FP_MULT)]
+                  if d.static.fu in (FUClass.FP_ADD, FUClass.FP_MULT)]
         assert len(fp_ops) >= 2 * 24
 
     def test_pipeline_commits_fp_trace(self, run):
@@ -58,7 +58,7 @@ class TestSaxpyKernel:
         from repro.reese import corrupt_value, p_value, reexecute, values_equal
         _, _, result = run
         from repro.isa.instructions import Op
-        fmul = next(d for d in result.trace if d.op is Op.FMUL)
+        fmul = next(d for d in result.trace if d.static.op is Op.FMUL)
         for bit in (0, 23, 52, 63):
             corrupted = corrupt_value(p_value(fmul), bit)
             assert not values_equal(corrupted, reexecute(fmul))

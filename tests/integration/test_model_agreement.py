@@ -46,7 +46,7 @@ class TestEveryBenchmarkEveryModel:
         from repro.isa.instructions import FUClass, Op
         trivial = sum(
             1 for dyn in trace
-            if dyn.fu == FUClass.NONE or dyn.op is Op.HALT
+            if dyn.static.fu == FUClass.NONE or dyn.static.op is Op.HALT
         )
         assert stats.issued_r == len(trace) - trivial, name
 

@@ -42,16 +42,17 @@ class TestStaticDynamicAgreement:
         program, run = _generated(profile_name, seed)
         analysis = analyze_program(program, use_cache=False)
         pending = {}  # register -> static index of the last write
-        for dyn in run.trace:
-            for reg in dyn.srcs:
+        for seq, dyn in enumerate(run.trace):
+            static = dyn.static
+            for reg in static.srcs:
                 writer = pending.get(reg)
                 assert writer is None or \
                     (writer, reg) not in analysis.directly_dead, (
                         f"dead site ({writer}, r{reg}) read at "
-                        f"#{dyn.seq} ({dyn.op.name})"
+                        f"#{seq} ({static.op.name})"
                     )
-            if dyn.dst >= 0:
-                pending[dyn.dst] = dyn.static_index
+            if static.dst >= 0:
+                pending[static.dst] = static.static_index
         # Stores read their data through srcs as well; nothing else to do.
 
     @settings(max_examples=10, deadline=None)
@@ -61,8 +62,10 @@ class TestStaticDynamicAgreement:
         program, run = _generated(profile_name, seed)
         analysis = analyze_program(program, use_cache=False)
         for dyn in run.trace:
-            if dyn.dst >= 0:
-                assert (dyn.static_index, dyn.dst) in analysis.site_classes
+            static = dyn.static
+            if static.dst >= 0:
+                assert ((static.static_index, static.dst)
+                        in analysis.site_classes)
 
     @settings(max_examples=10, deadline=None)
     @given(profiles, seeds)
@@ -77,10 +80,10 @@ class TestStaticDynamicAgreement:
         return_points = call_return_points(program)
         for dyn in run.trace[:-1]:
             succs = instruction_successors(
-                program, dyn.static_index, return_points
+                program, dyn.static.static_index, return_points
             )
             assert dyn.next_index in succs, (
-                f"dynamic edge {dyn.static_index}->{dyn.next_index} "
+                f"dynamic edge {dyn.static.static_index}->{dyn.next_index} "
                 f"missing from static successors {succs}"
             )
 

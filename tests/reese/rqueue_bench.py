@@ -9,9 +9,9 @@ instructions of a chosen R unit, so a test can steer the queue through
 any sequence of operations and watch the events they raise.
 """
 
-from repro.arch.trace import DynInst
+from repro.arch.trace import DynInst, static_records
 from repro.isa import assemble
-from repro.isa.instructions import OPINFO, FUClass
+from repro.isa.instructions import FUClass
 from repro.uarch import Pipeline, starting_config
 from repro.uarch.pipeline import _Entry
 
@@ -78,14 +78,9 @@ class QueueBench:
     def complete(self, fu=FUClass.INT_ALU, skip_r=False, done=True):
         """Dispatch the next instruction (an R unit ``fu`` op) into the
         RUU, P-completed unless ``done`` is false; returns its entry."""
-        index = STATIC_INDEX[fu]
-        inst = PROGRAM.code[index]
-        info = OPINFO[inst.op]
-        dyn = DynInst(index, 0x1000 + 8 * index, inst.op, info.fu,
-                      inst.dst(), inst.srcs(), info.is_load)
-        dyn.seq = self.next_seq
-        dyn.result = dyn.a = dyn.b = 0
-        entry = _Entry(self.next_seq, dyn)
+        static = static_records(PROGRAM)[STATIC_INDEX[fu]]
+        entry = _Entry(self.next_seq, static, DynInst(static, result=0),
+                       self.next_seq)
         self.next_seq += 1
         entry.issued = entry.completed = done
         entry.skip_r = skip_r

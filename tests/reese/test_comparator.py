@@ -5,20 +5,16 @@ import math
 from repro.arch import emulate
 from repro.isa import INST_SIZE, TEXT_BASE, assemble
 from repro.isa.instructions import FUClass, Op
-from repro.arch.trace import DynInst
+from repro.arch.trace import DynInst, StaticInst
 from repro.reese import corrupt_value, p_value, reexecute, values_equal, verify
 
 
-def dyn_for(op, a=0, b=0, imm=0, result=None, **flags):
-    dyn = DynInst()
-    dyn.op = op
-    dyn.a = a
-    dyn.b = b
-    dyn.imm = imm
-    dyn.result = result
-    for key, value in flags.items():
-        setattr(dyn, key, value)
-    return dyn
+def dyn_for(op, a=0, b=0, imm=0, result=None, **fields):
+    """A record of ``op``; ``fields`` names static facts and values."""
+    facts = {key: fields.pop(key) for key in list(fields)
+             if key in StaticInst.__slots__}
+    return DynInst(StaticInst(op=op, imm=imm, **facts), a, b, result=result,
+                   **fields)
 
 
 class TestReexecution:
@@ -57,8 +53,7 @@ class TestReexecution:
 
     def test_jal_link_value(self):
         dyn = dyn_for(Op.JAL, result=TEXT_BASE + 3 * INST_SIZE,
-                      is_branch=True)
-        dyn.static_index = 2
+                      is_branch=True, static_index=2)
         assert verify(dyn)
 
     def test_jr_target_recomputed(self):
@@ -138,7 +133,7 @@ class TestWholeTraceVerifies:
         halt
         """)]
         trace = emulate(program).trace
-        mul = next(d for d in trace if d.op is Op.MUL)
+        mul = next(d for d in trace if d.static.op is Op.MUL)
         for bit in range(32):
             corrupted = corrupt_value(p_value(mul), bit)
             assert not values_equal(corrupted, reexecute(mul)), f"bit {bit}"

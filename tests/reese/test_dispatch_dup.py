@@ -64,7 +64,7 @@ class TestExecution:
         from repro.isa.instructions import FUClass, Op
         trivial = sum(
             1 for dyn in trace
-            if dyn.fu == FUClass.NONE or dyn.op is Op.HALT
+            if dyn.static.fu == FUClass.NONE or dyn.static.op is Op.HALT
         )
         assert stats.comparisons == len(trace) - trivial
         assert stats.issued_r == stats.comparisons

@@ -32,7 +32,8 @@ class TestRedundantExecution:
         program, trace = mixed_trace
         stats = run_reese(program, trace)
         skippable = sum(
-            1 for dyn in trace if dyn.fu == 0 or dyn.op.name == "HALT"
+            1 for dyn in trace
+            if dyn.static.fu == 0 or dyn.static.op.name == "HALT"
         )
         assert stats.comparisons == stats.committed - skippable
         assert stats.issued_r == stats.comparisons

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.trace import DynInst
+from repro.arch.trace import DynInst, StaticInst
 from repro.isa.instructions import FUClass, Op
 from repro.reese import R_ISSUED, R_WAITING, RStreamQueue
 from repro.uarch import FUPool, Pipeline, starting_config
@@ -106,10 +106,8 @@ def _config(units, lat):
 
 
 def _queued_entry(seq, fu):
-    dyn = DynInst()
-    dyn.seq = seq
-    dyn.op = Op.ADD
-    entry = _Entry(seq, dyn)
+    static = StaticInst(op=Op.ADD)
+    entry = _Entry(seq, static, DynInst(static), seq)
     entry.r_fu = fu
     return entry
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.arch import emulate
+from repro.arch.trace import static_records
 from repro.isa.instructions import FUClass
 from repro.reese import RStreamQueue
 from repro.reese.comparator import p_value
@@ -162,9 +163,10 @@ class TestStageMetrics:
         assert hist_mean({}) == 0.0
 
 
-def _queued_for(dyn):
-    """The R-stream Queue entry of ``dyn``: its pipeline entry, moved."""
-    entry = _Entry(0, dyn)
+def _queued_for(dyn, trace_seq=0):
+    """The R-stream Queue entry of ``dyn``, ``trace[trace_seq]``: its
+    pipeline entry, moved."""
+    entry = _Entry(0, dyn.static, dyn, trace_seq)
     entry.p_value = p_value(dyn)
     entry.r_fu = FUClass.INT_ALU
     return entry
@@ -196,7 +198,7 @@ class TestInvariantChecker:
         dyn = emulate(program).trace[5]
         checker = InvariantChecker()
         with pytest.raises(InvariantViolation) as excinfo:
-            checker.on_commit(10, _queued_for(dyn))
+            checker.on_commit(10, _queued_for(dyn, 5))
         assert excinfo.value.invariant == "commit-order"
         assert excinfo.value.cycle == 10
         assert excinfo.value.trace_seq == 5
@@ -218,7 +220,7 @@ class TestInvariantChecker:
         program, _ = loop_trace
         trace = emulate(program).trace
         checker = InvariantChecker(collect=True)
-        entry = _Entry(0, trace[0])
+        entry = _Entry(0, trace[0].static, trace[0], 0)
         entry.p_fault_bit = 3
         checker.on_commit(1, entry)
         assert [v.invariant for v in checker.violations] == ["commit-oracle"]
@@ -244,9 +246,9 @@ class TestInvariantChecker:
         """A wrong-path entry may sit in the RUU only while fetch is on
         the wrong path: the cycle accountant relies on it."""
         checker = InvariantChecker(collect=True)
-        inst = mixed_program.code[0]
+        static = static_records(mixed_program)[0]
         pipe = _PipeStub(
-            cycle=3, config=cfg, ruu=[_Entry(0, None, inst, ((), -1))],
+            cycle=3, config=cfg, ruu=[_Entry(0, static)],
             lsq=[], ready=[], rqueue=None, commit_seq=0, wp_active=True,
         )
         checker.on_cycle(pipe)

@@ -172,7 +172,8 @@ class TestMeasurementWindow:
                   "dispatch_dup": base.with_dispatch_dup()}[machine]
         program = assemble(self.STORE_THEN_HALT)
         trace = emulate(program).trace
-        (store,) = [dyn.seq for dyn in trace if dyn.is_store]
+        (store,) = [seq for seq, dyn in enumerate(trace)
+                    if dyn.static.is_store]
         stats = Pipeline(program, trace, config, measure_from=store).run()
         assert stats.committed == 2  # the store and the halt
         assert stats.fu_issues["mem"] >= 1

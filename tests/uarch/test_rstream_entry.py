@@ -16,6 +16,7 @@ import weakref
 import pytest
 
 from repro.arch import emulate
+from repro.arch.trace import static_records
 from repro.isa import assemble
 from repro.isa.instructions import Op
 from repro.reese import comparator
@@ -61,13 +62,14 @@ def test_bound_reads_equal_the_comparator(name, program, trace):
                      observers=[reads]).run()
     assert stats.committed == len(trace)
     assert sorted(reads.p) == list(range(len(trace)))
-    for dyn in trace:
+    for seq, dyn in enumerate(trace):
         # repr tells 1 from True, -0.0 from 0.0 and keeps NaN equal.
-        assert repr(reads.p[dyn.seq]) == repr(p_value(dyn)), dyn
-        if dyn.seq in reads.r:
-            assert repr(reads.r[dyn.seq]) == repr(reexecute(dyn)), dyn
+        assert repr(reads.p[seq]) == repr(p_value(dyn)), dyn
+        if seq in reads.r:
+            assert repr(reads.r[seq]) == repr(reexecute(dyn)), dyn
     # Only the unit-less nop and halt skip re-execution.
-    skipped = {dyn.op for dyn in trace if dyn.seq not in reads.r}
+    skipped = {dyn.static.op for seq, dyn in enumerate(trace)
+               if seq not in reads.r}
     assert skipped <= {Op.NOP, Op.HALT}
 
 
@@ -82,8 +84,9 @@ def test_wrong_path_regs_are_bound_once_per_program():
     _name, program, trace = RUNS[0]
     first = Pipeline(program, trace, starting_config())
     second = Pipeline(program, trace, starting_config().with_reese())
-    assert first._wrong_path_regs is second._wrong_path_regs
-    assert first._wrong_path_regs == [
+    # Wrong-path fetch reads the registers from the static records.
+    assert first._statics is second._statics is static_records(program)
+    assert [(static.srcs, static.dst) for static in first._statics] == [
         (inst.srcs(), inst.dst()) for inst in program.code
     ]
 

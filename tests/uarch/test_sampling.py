@@ -19,7 +19,8 @@ from repro.uarch import (
 )
 from repro.arch.trace import DynInst
 from repro.reese.faults import EnvironmentalFaultModel
-from repro.uarch.sampling import interval_count, resequence
+from repro.uarch import sampling
+from repro.uarch.sampling import interval_count
 from repro.workloads.suite import BENCHMARKS, trace_for
 
 SCALE = 3000
@@ -243,37 +244,35 @@ class TestWarmState:
             build_warm_state(sweep, 400)
 
 
-class TestResequence:
-    def test_copies_every_slot_and_renumbers(self, workload):
-        _program, trace = workload
-        window = resequence(trace, 1000, 1400)
-        assert len(window) == 400
-        for offset, (copy, dyn) in enumerate(zip(window, trace[1000:1400])):
-            assert copy is not dyn
-            assert copy.seq == offset
-            for name in DynInst.__slots__:
-                if name != "seq":
-                    assert getattr(copy, name) == getattr(dyn, name), name
-        # The trace itself keeps its own numbering.
-        assert trace[1000].seq == 1000
-
-    def test_sweep_builds_each_window_once(self, workload, cfg):
+class TestIntervalWindows:
+    def test_window_records_are_the_traces_own(self, workload, cfg,
+                                               monkeypatch):
         program, trace = workload
-        sweep = WarmSweep(program, trace, cfg, SamplingSpec(4, 150))
-        window = sweep.window(1000, 1400)
-        assert sweep.window(1000, 1400) is window
-        other = sweep.window(1400, 1600)
-        assert other is not window and len(other) == 200
+        spec = SamplingSpec(3, 150, warmup=40, cooldown=40)
+        windows = []
+
+        class Recording(Pipeline):
+            def __init__(self, program, trace, *args, **kwargs):
+                windows.append(trace)
+                super().__init__(program, trace, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "Pipeline", Recording)
+        result = run_sampled(program, trace, cfg, spec)
+        assert len(windows) == 3
+        for window, (warm_start, _, end) in zip(windows, result.intervals):
+            assert len(window) == end + spec.cooldown - warm_start
+            assert all(record is trace[warm_start + offset]
+                       for offset, record in enumerate(window))
 
     @pytest.mark.parametrize("variant", ["reese", "dispatch_dup"])
     def test_pipeline_never_writes_its_trace_records(self, workload, cfg,
                                                      variant):
-        # The jobs of a warm group that run one interval share its
-        # window, so no run may leave a mark on the records.
+        # Every interval runs on the trace's own records, so no run may
+        # leave a mark on them.
         program, trace = workload
         config = (cfg.with_reese() if variant == "reese"
                   else cfg.with_dispatch_dup())
-        window = resequence(trace, 1000, 1600)
+        window = trace[1000:1600]
         before = [tuple(getattr(dyn, name) for name in DynInst.__slots__)
                   for dyn in window]
         for fault in (None, EnvironmentalFaultModel(rate=2e-2, duration=3,

@@ -48,16 +48,16 @@ class TestKernelOutputs:
 class TestKernelCharacter:
     def test_serial_chain_has_no_memory_ops(self):
         trace = emulate(kernels.serial_chain(100)).trace
-        assert not any(d.is_load or d.is_store for d in trace)
+        assert not any(d.static.is_load or d.static.is_store for d in trace)
 
     def test_multiply_bound_is_mult_heavy(self):
         from repro.isa.instructions import FUClass
         trace = emulate(kernels.multiply_bound(100)).trace
-        mults = sum(1 for d in trace if d.fu == FUClass.INT_MULT)
+        mults = sum(1 for d in trace if d.static.fu == FUClass.INT_MULT)
         assert mults / len(trace) > 0.3
 
     def test_fib_recursive_uses_stack(self):
         trace = emulate(kernels.fib_recursive(8)[0]).trace
-        assert any(d.is_store for d in trace)
-        assert any(d.op.name == "JAL" for d in trace)
-        assert any(d.op.name == "JR" for d in trace)
+        assert any(d.static.is_store for d in trace)
+        assert any(d.static.op.name == "JAL" for d in trace)
+        assert any(d.static.op.name == "JR" for d in trace)

@@ -84,11 +84,11 @@ class TestCharacter:
         mix = mix_report(traces["li"][1])
         assert mix["store"] >= 0.05  # register spills
         trace = traces["li"][1]
-        assert any(d.op.name == "JAL" for d in trace)
+        assert any(d.static.op.name == "JAL" for d in trace)
 
     def test_perl_uses_byte_loads(self, traces):
         trace = traces["perl"][1]
-        assert any(d.op.name == "LBU" for d in trace)
+        assert any(d.static.op.name == "LBU" for d in trace)
 
     def test_vortex_is_store_heavy(self, traces):
         mixes = {n: mix_report(t) for n, (_, t) in traces.items()}
