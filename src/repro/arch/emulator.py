@@ -15,10 +15,13 @@ corruption studies on a machine *without* REESE).
 
 Fault injection hooks: an ``inject`` callable, when provided, is invoked
 with each :class:`DynInst` *after* its results are computed and *before*
-they are committed architecturally.  The hook may mutate ``result``,
-``store_value``, ``taken`` and ``target_index`` to model a soft error;
-the emulator then commits the corrupted values, faithfully propagating
-the error through the remainder of the program.
+they are committed architecturally.  To model a soft error the hook may
+mutate the values its record's kind carries (see
+:mod:`repro.arch.trace`): a compute op's or load's ``result``, a store's
+``ea`` and ``store_value``, a control transfer's ``result``, ``taken``
+and ``target_index``; the other values are the record class's own and
+cannot be set.  The emulator then commits the corrupted values,
+faithfully propagating the error through the remainder of the program.
 
 The hook sees every *eligible* instruction: every instruction except
 ``nop`` and ``halt``.  Eligible instructions are numbered from 0 in
@@ -63,7 +66,8 @@ from ..isa.registers import NUM_REGS, REG_SP
 from ..isa.semantics import (_BRANCH_TAKEN, _COMPUTE, branch_taken, compute,
                              to_i32)
 from .memory import Memory
-from .trace import DynInst, Trace, static_records
+from .trace import (DynCompute, DynControl, DynInst, DynLoad, DynStore,
+                    Trace, static_records)
 
 Value = Union[int, float]
 
@@ -80,6 +84,14 @@ _CAT_PUT = 8
 
 #: Categories that end a basic block.
 _BLOCK_ENDS = (_CAT_COND_BRANCH, _CAT_JUMP, _CAT_JUMP_REG, _CAT_HALT)
+
+#: The record class of each category: a record carries only the values
+#: its kind sets (see :mod:`repro.arch.trace`).
+_RECORD_CLASS = {
+    _CAT_NOP: DynInst, _CAT_PUT: DynInst, _CAT_COMPUTE: DynCompute,
+    _CAT_LOAD: DynLoad, _CAT_STORE: DynStore, _CAT_COND_BRANCH: DynControl,
+    _CAT_JUMP: DynControl, _CAT_JUMP_REG: DynControl, _CAT_HALT: DynControl,
+}
 
 #: Retired instructions between two checkpoints of a golden run.
 CHECKPOINT_INTERVAL = 256
@@ -149,10 +161,11 @@ def _decode_program(program: Program):
     Returns one ``(cat, inst, fn, record)`` per instruction: its
     execution category, the instruction, its bound compute or branch
     semantics (an op without them raises ``KeyError`` when it runs), and
-    ``record``, the :class:`DynInst` constructor with the instruction's
+    ``record``, the constructor of its kind's record class
+    (:data:`_RECORD_CLASS`) with the instruction's
     :class:`~repro.arch.trace.StaticInst` (:func:`static_records`)
     bound, so all records of one instruction share it; a call passes
-    this execution's values.
+    the values of this execution its kind carries.
     """
     decoded = []
     statics = static_records(program)
@@ -179,7 +192,8 @@ def _decode_program(program: Program):
         else:
             cat = _CAT_COMPUTE
             fn = _COMPUTE.get(inst.op) or partial(compute, inst.op)
-        decoded.append((cat, inst, fn, partial(DynInst, statics[idx])))
+        decoded.append((cat, inst, fn,
+                        partial(_RECORD_CLASS[cat], statics[idx])))
     return decoded
 
 
@@ -358,7 +372,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
         if cat == _CAT_COMPUTE:
             result = fn(a, b, imm)
             if build:
-                dyn = record(a, b, next_idx, result)
+                dyn = record(a, b, result)
                 if inject is not None:
                     inject(dyn)
                     result = dyn.result
@@ -375,7 +389,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             else:  # LWF
                 result = memory.load_float(ea)
             if build:
-                dyn = record(a, b, next_idx, result, ea)
+                dyn = record(a, b, result, ea)
                 if inject is not None:
                     inject(dyn)
                     result = dyn.result
@@ -385,7 +399,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             ea = (a + imm) & 0xFFFFFFFF
             value = b
             if build:
-                dyn = record(a, b, next_idx, None, ea, value)
+                dyn = record(a, b, ea, value)
                 if inject is not None:
                     inject(dyn)
                     ea = dyn.ea
@@ -401,8 +415,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             if taken:
                 next_idx = imm
             if build:
-                dyn = record(a, b, next_idx, int(taken), None, None,
-                             taken, imm)
+                dyn = record(a, b, next_idx, int(taken), taken, imm)
                 if inject is not None:
                     inject(dyn)
                     next_idx = dyn.next_index = (
@@ -412,8 +425,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             link = TEXT_BASE + (idx + 1) * INST_SIZE
             if build:
                 dyn = record(a, b, next_idx,
-                             link if op is Op.JAL else None, None, None,
-                             True, imm)
+                             link if op is Op.JAL else None, True, imm)
                 if inject is not None:
                     inject(dyn)
                     next_idx = dyn.next_index = dyn.target_index
@@ -429,8 +441,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             link = TEXT_BASE + (idx + 1) * INST_SIZE
             if build:
                 dyn = record(a, b, next_idx,
-                             link if op is Op.JALR else None, None, None,
-                             True, next_idx)
+                             link if op is Op.JALR else None, True, next_idx)
                 if inject is not None:
                     inject(dyn)
                     next_idx = dyn.next_index = dyn.target_index
@@ -444,7 +455,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
                 value &= 0xFF
             output.append(value)
             if build:
-                dyn = record(a, b, next_idx)
+                dyn = record(a, b)
                 if inject is not None:
                     inject(dyn)
         elif cat == _CAT_HALT:
@@ -454,7 +465,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
         else:  # _CAT_NOP
             nops += 1
             if build:
-                dyn = record(a, b, next_idx)
+                dyn = record(a, b)
 
         if trace is not None:
             trace.append(dyn)

@@ -23,6 +23,17 @@ decoded program and by the pipeline's wrong-path fetch.  A record's
 position in the trace is its index there; it stores no sequence number,
 so a slice of a trace is a trace.
 
+A record carries only the values its kind sets.  :class:`DynInst`, the
+base of the record family and the record of ``nop`` and ``put*``, holds
+the static record and the operands; its class supplies every other
+value (no result, address or store value, not taken, target -1, and the
+fall-through ``static.static_index + 1`` as ``next_index``).  Each
+subclass adds slots for its own values: :class:`DynCompute` the result,
+:class:`DynLoad` the result and address, :class:`DynStore` the address
+and store value, and :class:`DynControl` (branches, jumps and ``halt``)
+the successor, result, outcome and target.  Every record reads alike;
+only a kind's own values can be written.
+
 Records use ``__slots__`` and plain attributes: the timing core touches
 millions of these, so attribute access cost matters.  Hot loops load
 ``dyn.static`` once per record.
@@ -107,48 +118,109 @@ def static_records(program: Program) -> Tuple[StaticInst, ...]:
 
 
 class DynInst:
-    """One dynamically executed (retired) instruction."""
+    """One dynamically executed (retired) instruction: the base record.
+
+    ``nop``, ``putint`` and ``putch`` records are of this class.  It
+    holds only the static record and the operand values; the class
+    itself supplies every value a kind never sets: no result, effective
+    address or store value, not taken, no target, and the fall-through
+    successor.  Each subclass adds the slots of the values its kind
+    sets, which shadow these, and its ``__init__`` sets every slot
+    itself, so building a record is one Python-level call.
+    """
 
     __slots__ = (
         "static",       # the StaticInst of the instruction
         "a",            # value of rs1 at execution time (0 if unused)
         "b",            # value of rs2 at execution time (0 if unused)
-        "next_index",   # static index of the next dynamic instruction
-        "result",       # architectural result value (None if none)
-        "ea",           # effective address for loads/stores, else None
-        "store_value",  # value stored to memory (stores only)
-        "taken",        # branch outcome (branches only)
-        "target_index", # taken-path static target index (branches only)
     )
 
-    def __init__(
-        self,
-        static: StaticInst = StaticInst(),
-        a: Value = 0,
-        b: Value = 0,
-        next_index: int = -1,
-        result: Optional[Value] = None,
-        ea: Optional[int] = None,
-        store_value: Optional[Value] = None,
-        taken: bool = False,
-        target_index: int = -1,
-    ) -> None:
+    result: Optional[Value] = None      # architectural result value
+    ea: Optional[int] = None            # load/store effective address
+    store_value: Optional[Value] = None  # value stored to memory
+    taken: bool = False                 # branch outcome
+    target_index: int = -1              # taken-path static target index
+
+    def __init__(self, static: StaticInst = StaticInst(), a: Value = 0,
+                 b: Value = 0) -> None:
+        self.static = static
+        self.a = a
+        self.b = b
+
+    @property
+    def next_index(self) -> int:
+        """Static index of the next dynamic instruction: the fall-through."""
+        return self.static.static_index + 1
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        static = self.static
+        return (
+            f"<{type(self).__name__} @{static.pc:#x} {static.op.name}"
+            f" res={self.result!r} ea={self.ea!r}>"
+        )
+
+
+class DynCompute(DynInst):
+    """A compute op (integer or FP): adds its result."""
+
+    __slots__ = ("result",)
+
+    def __init__(self, static: StaticInst = StaticInst(), a: Value = 0,
+                 b: Value = 0, result: Optional[Value] = None) -> None:
+        self.static = static
+        self.a = a
+        self.b = b
+        self.result = result
+
+
+class DynLoad(DynInst):
+    """A load: adds the loaded value and the effective address."""
+
+    __slots__ = ("result", "ea")
+
+    def __init__(self, static: StaticInst = StaticInst(), a: Value = 0,
+                 b: Value = 0, result: Optional[Value] = None,
+                 ea: Optional[int] = None) -> None:
+        self.static = static
+        self.a = a
+        self.b = b
+        self.result = result
+        self.ea = ea
+
+
+class DynStore(DynInst):
+    """A store: adds the effective address and the stored value."""
+
+    __slots__ = ("ea", "store_value")
+
+    def __init__(self, static: StaticInst = StaticInst(), a: Value = 0,
+                 b: Value = 0, ea: Optional[int] = None,
+                 store_value: Optional[Value] = None) -> None:
+        self.static = static
+        self.a = a
+        self.b = b
+        self.ea = ea
+        self.store_value = store_value
+
+
+class DynControl(DynInst):
+    """A branch, jump or ``halt``: adds the successor, the result (a
+    branch's outcome as 0/1, a call's link), the outcome and the
+    taken-path target.  A ``halt``'s successor is itself."""
+
+    __slots__ = ("next_index", "result", "taken", "target_index")
+
+    def __init__(self, static: StaticInst = StaticInst(), a: Value = 0,
+                 b: Value = 0, next_index: int = -1,
+                 result: Optional[Value] = None, taken: bool = False,
+                 target_index: int = -1) -> None:
         self.static = static
         self.a = a
         self.b = b
         self.next_index = next_index
         self.result = result
-        self.ea = ea
-        self.store_value = store_value
         self.taken = taken
         self.target_index = target_index
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        static = self.static
-        return (
-            f"<DynInst @{static.pc:#x} {static.op.name}"
-            f" res={self.result!r} ea={self.ea!r}>"
-        )
 
 
 Trace = List[DynInst]

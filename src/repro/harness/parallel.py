@@ -660,14 +660,17 @@ class ParallelRunner:
         """
         start = time.perf_counter()
         sim_jobs = [self.resolve(job) for job in sim_jobs]
-        # One canonical config dict per distinct config object.
-        configs: Dict[int, Dict[str, Any]] = {}
-        fingerprints = []
-        for job in sim_jobs:
-            config = configs.get(id(job.config))
-            if config is None:
-                config = configs[id(job.config)] = canonical_config(job.config)
-            fingerprints.append(job_fingerprint(job, config))
+        # Only the cache reads fingerprints: one canonical config dict
+        # per distinct config object, and one key per job.
+        fingerprints: List[Optional[str]] = [None] * len(sim_jobs)
+        if self.cache is not None:
+            configs: Dict[int, Dict[str, Any]] = {}
+            for index, job in enumerate(sim_jobs):
+                config = configs.get(id(job.config))
+                if config is None:
+                    config = configs[id(job.config)] = canonical_config(
+                        job.config)
+                fingerprints[index] = job_fingerprint(job, config)
         results: List[Optional[Stats]] = [None] * len(sim_jobs)
         records: List[Optional[JobRecord]] = [None] * len(sim_jobs)
 

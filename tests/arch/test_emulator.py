@@ -302,20 +302,52 @@ class TestDecode:
 
     def test_trace_facts_bound_at_decode(self):
         from repro.arch.emulator import _decode_program
-        from repro.arch.trace import static_records
+        from repro.arch.trace import (DynCompute, DynControl, DynInst,
+                                      DynLoad, DynStore, static_records)
+        from tests.arch.test_trace_layout import record_class
 
-        program = assemble(self.SOURCE)
+        program = assemble("""
+        .data
+        v: .word 5
+        .text
+            la   r1, v
+            lw   r2, 0(r1)
+            sw   r2, 0(r1)
+            nop
+            beq  r1, r2, done
+            j    done
+        done:
+            putint r2
+            halt
+        """)
+        # The values each kind's constructor takes after the operands,
+        # by name.
+        kinds = {
+            DynCompute: {"result": 7},
+            DynLoad: {"result": 7, "ea": 0x100},
+            DynStore: {"ea": 0x100, "store_value": 7},
+            DynControl: {"next_index": 9, "result": 1, "taken": True,
+                         "target_index": 9},
+            DynInst: {},
+        }
+        seen = set()
         for idx, (_cat, inst, _fn, record) in enumerate(
                 _decode_program(program)):
-            dyn = record(1, 2, idx + 1)
-            static = dyn.static
-            assert static is static_records(program)[idx]
+            static = static_records(program)[idx]
+            cls = record_class(static)
+            seen.add(cls)
+            values = kinds[cls]
+            dyn = record(1, 2, *values.values())
+            assert type(dyn) is cls
+            assert dyn.static is static
             assert (static.static_index, static.pc, static.op) == (
                 idx, TEXT_BASE + idx * INST_SIZE, inst.op)
             assert (static.dst, static.srcs, static.imm) == (
                 inst.dst(), inst.srcs(), inst.imm)
-            assert (dyn.a, dyn.b, dyn.next_index) == (1, 2, idx + 1)
-            assert record(0, 0, idx + 1).static is static
+            assert (dyn.a, dyn.b) == (1, 2)
+            assert {name: getattr(dyn, name) for name in values} == values
+            assert record(0, 0).static is static
+        assert seen == set(kinds)
 
     def test_op_without_semantics_raises_when_it_runs(self, monkeypatch):
         from repro.isa import semantics

@@ -23,7 +23,8 @@ from collections import defaultdict
 import pytest
 
 from repro.arch import emulate
-from repro.arch.trace import DynInst, StaticInst
+from repro.arch.trace import (DynCompute, DynControl, DynInst, DynLoad,
+                              DynStore, StaticInst)
 from repro.isa import INST_SIZE, TEXT_BASE, assemble
 from repro.isa.instructions import OPINFO, FUClass, Op
 from repro.workloads.generator import PROFILES, generate_program
@@ -128,10 +129,15 @@ def _digest(runs):
     return digest.hexdigest()
 
 
+#: The record family: the base class and one class per kind.
+RECORD_CLASSES = (DynInst, DynCompute, DynLoad, DynStore, DynControl)
+
+
 def test_every_slot_is_hashed():
     # ``is_halt`` is a function of the hashed ``op``.
+    slots = {name for cls in RECORD_CLASSES for name in cls.__slots__}
     assert sorted(FIELDS) == sorted(
-        {"seq"} | set(DynInst.__slots__) - {"static"}
+        {"seq"} | slots - {"static"}
         | set(StaticInst.__slots__) - {"is_halt"})
 
 
@@ -167,10 +173,14 @@ def test_records_of_one_instruction_share_its_static_objects(traced):
 
 
 def test_no_argument_record_keeps_its_defaults():
-    dyn = DynInst()
-    assert _row(0, dyn) == [
+    defaults = [
         0, 0, 0, Op.NOP, FUClass.NONE, -1, (), False, False, False, False,
         0, 0, 0, None, None, None, False, -1, -1]
+    assert _row(0, DynControl()) == defaults
+    # A class without a successor slot supplies the fall-through of the
+    # default static record (index 0).
+    for cls in (DynInst, DynCompute, DynLoad, DynStore):
+        assert _row(0, cls()) == defaults[:-1] + [1]
 
 
 if __name__ == "__main__":

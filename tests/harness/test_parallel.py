@@ -367,6 +367,24 @@ class TestParallelRunner:
         for a, b in zip(first, second):
             assert a.to_dict() == b.to_dict()
 
+    def test_uncached_runner_computes_no_fingerprint(self, sim_jobs,
+                                                     monkeypatch, tmp_path):
+        # Only cache get/put read a job's fingerprint.
+        keyed = []
+        fingerprint = parallel.job_fingerprint
+
+        def counted(job, *args):
+            keyed.append(job.benchmark)
+            return fingerprint(job, *args)
+
+        monkeypatch.setattr(parallel, "job_fingerprint", counted)
+        runner = ParallelRunner(jobs=1, use_cache=False)
+        runner.run(sim_jobs)
+        assert keyed == []
+        assert runner.telemetry.simulated == len(sim_jobs)
+        ParallelRunner(jobs=1, cache_dir=tmp_path).run(sim_jobs)
+        assert keyed == ["go", "go", "vortex"]
+
     def test_telemetry_records_cover_all_jobs(self, sim_jobs):
         runner = ParallelRunner(jobs=1, use_cache=False)
         runner.run(sim_jobs)

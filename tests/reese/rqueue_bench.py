@@ -9,11 +9,12 @@ instructions of a chosen R unit, so a test can steer the queue through
 any sequence of operations and watch the events they raise.
 """
 
-from repro.arch.trace import DynInst, static_records
+from repro.arch.trace import static_records
 from repro.isa import assemble
 from repro.isa.instructions import FUClass
 from repro.uarch import Pipeline, starting_config
 from repro.uarch.pipeline import _Entry
+from tests.arch.test_trace_layout import record_class
 
 #: One static instruction per R unit the bench can queue; every operand
 #: is zero, so each result (and its re-execution) is 0.
@@ -79,8 +80,8 @@ class QueueBench:
         """Dispatch the next instruction (an R unit ``fu`` op) into the
         RUU, P-completed unless ``done`` is false; returns its entry."""
         static = static_records(PROGRAM)[STATIC_INDEX[fu]]
-        entry = _Entry(self.next_seq, static, DynInst(static, result=0),
-                       self.next_seq)
+        entry = _Entry(self.next_seq, static,
+                       record_class(static)(static, result=0), self.next_seq)
         self.next_seq += 1
         entry.issued = entry.completed = done
         entry.skip_r = skip_r

@@ -5,16 +5,18 @@ import math
 from repro.arch import emulate
 from repro.isa import INST_SIZE, TEXT_BASE, assemble
 from repro.isa.instructions import FUClass, Op
-from repro.arch.trace import DynInst, StaticInst
+from repro.arch.trace import StaticInst
 from repro.reese import corrupt_value, p_value, reexecute, values_equal, verify
+from tests.arch.test_trace_layout import record_class
 
 
-def dyn_for(op, a=0, b=0, imm=0, result=None, **fields):
-    """A record of ``op``; ``fields`` names static facts and values."""
+def dyn_for(op, a=0, b=0, imm=0, **fields):
+    """A record of ``op``, of its kind's class; ``fields`` names static
+    facts and the values the kind carries."""
     facts = {key: fields.pop(key) for key in list(fields)
              if key in StaticInst.__slots__}
-    return DynInst(StaticInst(op=op, imm=imm, **facts), a, b, result=result,
-                   **fields)
+    static = StaticInst(op=op, imm=imm, **facts)
+    return record_class(static)(static, a, b, **fields)
 
 
 class TestReexecution:

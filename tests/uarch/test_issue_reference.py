@@ -14,7 +14,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.trace import DynInst, StaticInst
+from repro.arch.trace import DynCompute, StaticInst
 from repro.isa.instructions import FUClass, Op
 from repro.reese import R_ISSUED, R_WAITING, RStreamQueue
 from repro.uarch import FUPool, Pipeline, starting_config
@@ -107,7 +107,7 @@ def _config(units, lat):
 
 def _queued_entry(seq, fu):
     static = StaticInst(op=Op.ADD)
-    entry = _Entry(seq, static, DynInst(static), seq)
+    entry = _Entry(seq, static, DynCompute(static), seq)
     entry.r_fu = fu
     return entry
 

@@ -17,7 +17,6 @@ from repro.uarch import (
     select_intervals,
     starting_config,
 )
-from repro.arch.trace import DynInst
 from repro.reese.faults import EnvironmentalFaultModel
 from repro.uarch import sampling
 from repro.uarch.sampling import interval_count
@@ -34,6 +33,12 @@ def workload():
 @pytest.fixture(scope="module")
 def cfg():
     return starting_config()
+
+
+def _slot_values(dyn):
+    """Every slot of a trace record: its kind's and the base class's."""
+    return tuple(getattr(dyn, name) for cls in type(dyn).__mro__[:-1]
+                 for name in cls.__slots__)
 
 
 class TestSamplingSpec:
@@ -273,13 +278,11 @@ class TestIntervalWindows:
         config = (cfg.with_reese() if variant == "reese"
                   else cfg.with_dispatch_dup())
         window = trace[1000:1600]
-        before = [tuple(getattr(dyn, name) for name in DynInst.__slots__)
-                  for dyn in window]
+        before = [_slot_values(dyn) for dyn in window]
         for fault in (None, EnvironmentalFaultModel(rate=2e-2, duration=3,
                                                      seed=5)):
             Pipeline(program, window, config, fault_model=fault).run()
-        assert [tuple(getattr(dyn, name) for name in DynInst.__slots__)
-                for dyn in window] == before
+        assert [_slot_values(dyn) for dyn in window] == before
 
 
 class TestRunSampled:
