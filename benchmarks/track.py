@@ -26,6 +26,16 @@ Usage::
     python benchmarks/track.py --label my-change --ingest run1.txt ...
     python benchmarks/track.py --validate        # schema-check only
     python benchmarks/track.py --compare         # newest vs previous speed
+    python benchmarks/track.py --ab HEAD~1 HEAD --workload sampled
+        --seeds 0,7 --pairs 10 --seconds 25 --label my-change  # one line
+
+``--ab PARENT CHANGE`` is the A/B driver: it exports both revisions'
+committed files (``git archive``) into a scratch directory, runs
+perfbench on them in pairs that alternate which side runs first,
+prints per seed each gated metric's medians and quartiles, the pairs
+the change wins and whether every run's ``stats_digest`` agrees, then
+ingests each side as a speed entry (the parent's labelled ``parent of
+LABEL``).
 
 The file is rewritten atomically on every append (tmp, fsync, rename),
 so a crashed run never truncates the history.  Wall-clock timestamps
@@ -37,13 +47,18 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import io
 import json
 import pathlib
 import re
+import shutil
 import statistics
 import subprocess
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import tarfile
+import tempfile
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:  # pragma: no cover
@@ -378,6 +393,125 @@ def compare_speed(data: Dict[str, Any],
     return lines, flags
 
 
+def export_revision(rev: str, dest: pathlib.Path) -> str:
+    """Extract the committed files of ``rev`` into ``dest`` (``git
+    archive``, so no work-tree change leaks in); returns its short id."""
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", *args], cwd=REPO_ROOT,
+                              capture_output=True, check=True).stdout
+
+    short = git("rev-parse", "--short", rev).decode().strip()
+    # The "data" filter where this Python has it (3.11.4 and later).
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar",
+                                              rev))) as archive:
+        archive.extractall(dest, **safe)
+    return short
+
+
+def perfbench_run(root: pathlib.Path, workload: str, seed: int,
+                  seconds: Optional[float]) -> str:
+    """One untraced perfbench run of the checkout at ``root``: its
+    standard output."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--trace", "0"]
+    if seconds is not None:
+        command += ["--seconds", str(seconds)]
+    return subprocess.run(command, cwd=root, capture_output=True, text=True,
+                          check=True).stdout
+
+
+#: What runs one perfbench run: ``(root, workload, seed, seconds)``.
+Runner = Callable[[pathlib.Path, str, int, Optional[float]], str]
+
+
+def ab_runs(roots: Sequence[pathlib.Path], workload: str, seed: int,
+            pairs: int, seconds: Optional[float],
+            runner: Runner = perfbench_run) -> List[List[str]]:
+    """``pairs`` runs of each checkout in ``roots``, alternating: even
+    pairs run the sides in order, odd pairs in reverse, so a drift in
+    the host's speed falls on every side alike.  Returns each side's
+    outputs, in pair order."""
+    outputs: List[List[str]] = [[] for _ in roots]
+    for pair in range(pairs):
+        order = list(range(len(roots)))
+        for side in order if pair % 2 == 0 else order[::-1]:
+            outputs[side].append(runner(roots[side], workload, seed,
+                                        seconds))
+    return outputs
+
+
+def _quartiles(values: Sequence[float]) -> Tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    low, _median, high = statistics.quantiles(values, n=4,
+                                              method="inclusive")
+    return low, high
+
+
+def ab_report(parent: Sequence[str], change: Sequence[str],
+              bounds: Dict[str, Tuple[float, str]]) -> List[str]:
+    """Per gated metric: each side's median and quartiles, the ratio of
+    the medians, in how many pairs the change is better, and whether
+    the medians differ by more than the parent's IQR; then whether
+    every run's ``stats_digest`` agrees."""
+    before = [parse_perfbench(text) for text in parent]
+    after = [parse_perfbench(text) for text in change]
+    lines = []
+    for name in SPEED_METRICS[:3]:
+        old = [run["metrics"][name] for run in before]
+        new = [run["metrics"][name] for run in after]
+        old_median, new_median = statistics.median(old), statistics.median(new)
+        (old_q1, old_q3), (new_q1, new_q3) = _quartiles(old), _quartiles(new)
+        sign = -1 if bounds.get(name, (0, "lower"))[1] == "lower" else 1
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        iqr = old_q3 - old_q1
+        resolved = "beyond" if abs(new_median - old_median) > iqr else "within"
+        lines.append(
+            f"  {name:<12} {old_median:>10.4f} [{old_q1:.4f}, {old_q3:.4f}]"
+            f" -> {new_median:>10.4f} [{new_q1:.4f}, {new_q3:.4f}] "
+            f"({new_median / old_median:.3f}x), change better in "
+            f"{wins}/{len(old)} pairs, gap {resolved} the parent's IQR "
+            f"{iqr:.4f}")
+    digests = sorted({run["stats_digest"] for run in before + after})
+    lines.append("  stats_digest " + (
+        f"equal in every run ({digests[0][:12]})" if len(digests) == 1
+        else "DIFFERS: " + ", ".join(digest[:12] for digest in digests)))
+    return lines
+
+
+def ab(parent_rev: str, change_rev: str, workload: str, seeds: Sequence[int],
+       pairs: int, seconds: Optional[float], label: str, path: pathlib.Path,
+       export: Callable[[str, pathlib.Path], str] = export_revision,
+       runner: Runner = perfbench_run) -> Iterator[str]:
+    """The A/B driver (see the module docstring): yields the report line
+    by line, appending each seed's two speed entries after its report
+    (:func:`speed_entry` refuses a side whose runs disagree on the
+    digest)."""
+    scratch = pathlib.Path(tempfile.mkdtemp(prefix="track-ab-"))
+    try:
+        roots, revs = [], []
+        for side, rev in (("parent", parent_rev), ("change", change_rev)):
+            roots.append(scratch / side)
+            roots[-1].mkdir()
+            revs.append(export(rev, roots[-1]))
+        yield (f"{workload}: parent {parent_rev} @ {revs[0]} -> change "
+               f"{change_rev} @ {revs[1]}, {pairs} alternating pairs")
+        bounds = load_bounds()
+        for seed in seeds:
+            parent, change = ab_runs(roots, workload, seed, pairs, seconds,
+                                     runner)
+            yield f"seed {seed}:"
+            yield from ab_report(parent, change, bounds)
+            for side_label, texts, rev in (
+                    (f"parent of {label}", parent, revs[0]),
+                    (label, change, revs[1])):
+                count = append_entry(path, speed_entry(side_label, texts, rev))
+                yield f"  appended entry {count} ({side_label!r} @ {rev})"
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="append a profiled suite snapshot to the "
@@ -407,7 +541,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "running the suite")
     parser.add_argument("--git-rev", dest="git_rev",
                         help="revision to record (default: HEAD)")
+    parser.add_argument("--ab", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="run perfbench on two revisions in "
+                             "alternating pairs, report and ingest both")
+    parser.add_argument("--workload", choices=_WORKLOADS, default="sampled",
+                        help="perfbench workload of --ab")
+    parser.add_argument("--seeds", default="0",
+                        help="comma-separated perfbench seeds of --ab")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="alternating run pairs per seed of --ab")
+    parser.add_argument("--seconds", type=float,
+                        help="perfbench --seconds of each --ab run")
     args = parser.parse_args(argv)
+
+    if args.ab:
+        seeds = [int(seed) for seed in args.seeds.split(",")]
+        for line in ab(args.ab[0], args.ab[1], args.workload, seeds,
+                       args.pairs, args.seconds, args.label, args.path):
+            print(line, flush=True)
+        return 0
 
     if args.validate:
         if not args.path.exists():

@@ -2,7 +2,7 @@
 
 from .emulator import EmulationResult, Emulator, EmulatorError, emulate
 from .memory import Memory, MisalignedAccessError
-from .trace import DynInst, Trace
+from .trace import DynInst, PackedTrace, Trace
 
 __all__ = [
     "EmulationResult",
@@ -12,5 +12,6 @@ __all__ = [
     "Memory",
     "MisalignedAccessError",
     "DynInst",
+    "PackedTrace",
     "Trace",
 ]

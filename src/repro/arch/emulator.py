@@ -4,8 +4,11 @@ The emulator executes a :class:`~repro.isa.program.Program` with exact
 ISA semantics and produces
 
 * the final architectural state (registers, memory, output channel), and
-* optionally the **dynamic trace** (:class:`~repro.arch.trace.DynInst`
-  records) that drives the cycle-level timing models.
+* optionally the **dynamic trace** that drives the cycle-level timing
+  models: a :class:`~repro.arch.trace.PackedTrace`, whose 32-bit
+  columns hold each retired instruction's values, and whose
+  :class:`~repro.arch.trace.DynInst` records are views materialized
+  for the windows a pipeline runs (see :mod:`repro.arch.trace`).
 
 It is strictly in order: it is the reference against which both the
 baseline and REESE timing models are validated (every timing simulation
@@ -22,6 +25,12 @@ mutate the values its record's kind carries (see
 and ``target_index``; the other values are the record class's own and
 cannot be set.  The emulator then commits the corrupted values,
 faithfully propagating the error through the remainder of the program.
+A traced run with a hook builds the record of every instruction and
+packs each into the trace after its hook ran, so the trace holds the
+record as the hook left it; one whose values the columns cannot
+rebuild (a flipped branch outcome leaves its old 0/1 result) is kept
+whole in the trace's escape map.  A hookless traced stretch appends
+column values, and builds a record only to escape it.
 
 The hook sees every *eligible* instruction: every instruction except
 ``nop`` and ``halt``.  Eligible instructions are numbered from 0 in
@@ -34,9 +43,9 @@ one at or before its first ordinal, and once nothing is due stops as
 ``converged`` at the first later checkpoint its state matches exactly.
 
 Two engines run the instructions.  The interpreter steps one decoded
-instruction at a time; it runs every stretch that builds ``DynInst``
-records (a trace, an armed step, per-instruction hooks).  A *hookless*
-stretch builds none, and runs whole basic blocks, each compiled once
+instruction at a time; it runs every stretch that records anything (a
+trace, an armed step, per-instruction hooks).  A *hookless* untraced
+stretch records nothing, and runs whole basic blocks, each compiled once
 into one Python function by a :class:`BlockCache`, as long as the whole
 block fits before the stretch's limit.  A block starts at a *leader*:
 the program start, a branch or jump target, or the instruction after a
@@ -51,7 +60,6 @@ the same errors.
 
 from __future__ import annotations
 
-import gc
 import os
 from bisect import bisect_right
 from collections import namedtuple
@@ -66,8 +74,7 @@ from ..isa.registers import NUM_REGS, REG_SP
 from ..isa.semantics import (_BRANCH_TAKEN, _COMPUTE, branch_taken, compute,
                              to_i32)
 from .memory import Memory
-from .trace import (DynCompute, DynControl, DynInst, DynLoad, DynStore,
-                    Trace, static_records)
+from .trace import DynInst, PackedTrace, record_maker, static_records
 
 Value = Union[int, float]
 
@@ -84,14 +91,6 @@ _CAT_PUT = 8
 
 #: Categories that end a basic block.
 _BLOCK_ENDS = (_CAT_COND_BRANCH, _CAT_JUMP, _CAT_JUMP_REG, _CAT_HALT)
-
-#: The record class of each category: a record carries only the values
-#: its kind sets (see :mod:`repro.arch.trace`).
-_RECORD_CLASS = {
-    _CAT_NOP: DynInst, _CAT_PUT: DynInst, _CAT_COMPUTE: DynCompute,
-    _CAT_LOAD: DynLoad, _CAT_STORE: DynStore, _CAT_COND_BRANCH: DynControl,
-    _CAT_JUMP: DynControl, _CAT_JUMP_REG: DynControl, _CAT_HALT: DynControl,
-}
 
 #: Retired instructions between two checkpoints of a golden run.
 CHECKPOINT_INTERVAL = 256
@@ -133,7 +132,7 @@ class EmulationResult:
         regs: List[Value],
         memory: Memory,
         output: List[int],
-        trace: Optional[Trace],
+        trace: Optional[PackedTrace],
         halted: bool,
         instructions: int,
         checkpoints: Optional[List[Checkpoint]] = None,
@@ -161,11 +160,11 @@ def _decode_program(program: Program):
     Returns one ``(cat, inst, fn, record)`` per instruction: its
     execution category, the instruction, its bound compute or branch
     semantics (an op without them raises ``KeyError`` when it runs), and
-    ``record``, the constructor of its kind's record class
-    (:data:`_RECORD_CLASS`) with the instruction's
+    ``record``, its :func:`~repro.arch.trace.record_maker`: the
+    constructor of its kind's record class with the instruction's
     :class:`~repro.arch.trace.StaticInst` (:func:`static_records`)
-    bound, so all records of one instruction share it; a call passes
-    the values of this execution its kind carries.
+    bound, so all records of one instruction share it.  A call passes
+    this execution's ``(a, b, value, addr)`` column values.
     """
     decoded = []
     statics = static_records(program)
@@ -192,8 +191,7 @@ def _decode_program(program: Program):
         else:
             cat = _CAT_COMPUTE
             fn = _COMPUTE.get(inst.op) or partial(compute, inst.op)
-        decoded.append((cat, inst, fn,
-                        partial(_RECORD_CLASS[cat], statics[idx])))
+        decoded.append((cat, inst, fn, record_maker(statics[idx])))
     return decoded
 
 
@@ -345,15 +343,24 @@ class BlockCache:
 
 
 def _interpret(decoded, regs, memory, output, trace, inject,
-               idx, retired, nops, limit):
+               idx, retired, nops, limit, hooked=False):
     """Step instructions until ``retired`` reaches ``limit`` or ``halt``.
 
-    Builds a :class:`DynInst` per instruction, in one call of its decoded
-    ``record`` constructor, when there is a trace or a hook; the hook
-    sees the complete record.  Returns ``(idx, retired, nops, halted)``.
+    With a ``trace`` it appends each instruction's column values (see
+    :mod:`repro.arch.trace`); an instruction whose values do not fit
+    the columns is escaped.  At an armed step (``inject``), and at every
+    step of a run that has a hook (``hooked``), it builds the
+    :class:`DynInst` instead, in one call of its decoded ``record``
+    constructor: the hook sees the complete record, and the trace packs
+    it after the hook ran.  Returns ``(idx, retired, nops, halted)``.
     """
     n_code = len(decoded)
-    build = trace is not None or inject is not None
+    build = hooked or inject is not None
+    pack = trace is not None and not build
+    if pack:
+        put_a, put_b = trace.a.append, trace.b.append
+        put_v, put_x = trace.value.append, trace.addr.append
+        put_i = trace.index.append
     while retired < limit:
         if not 0 <= idx < n_code:
             raise EmulatorError(
@@ -368,18 +375,20 @@ def _interpret(decoded, regs, memory, output, trace, inject,
         b = regs[rs2] if rs2 >= 0 else 0
         imm = inst.imm
         next_idx = idx + 1
+        # The column values: see the table in repro.arch.trace.
+        value = addr = 0
 
         if cat == _CAT_COMPUTE:
-            result = fn(a, b, imm)
+            result = value = fn(a, b, imm)
             if build:
-                dyn = record(a, b, result)
+                dyn = record(a, b, result, 0)
                 if inject is not None:
                     inject(dyn)
                     result = dyn.result
             if inst.rd > 0:
                 regs[inst.rd] = result
         elif cat == _CAT_LOAD:
-            ea = (a + imm) & 0xFFFFFFFF
+            ea = addr = (a + imm) & 0xFFFFFFFF
             if op is Op.LW:
                 result = memory.load_word(ea)
             elif op is Op.LB:
@@ -388,6 +397,7 @@ def _interpret(decoded, regs, memory, output, trace, inject,
                 result = memory.load_byte(ea, signed=False)
             else:  # LWF
                 result = memory.load_float(ea)
+            value = result
             if build:
                 dyn = record(a, b, result, ea)
                 if inject is not None:
@@ -396,10 +406,10 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             if inst.rd > 0:
                 regs[inst.rd] = result
         elif cat == _CAT_STORE:
-            ea = (a + imm) & 0xFFFFFFFF
+            ea = addr = (a + imm) & 0xFFFFFFFF
             value = b
             if build:
-                dyn = record(a, b, ea, value)
+                dyn = record(a, b, value, ea)
                 if inject is not None:
                     inject(dyn)
                     ea = dyn.ea
@@ -411,21 +421,22 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             else:  # SWF
                 memory.store_float(ea, float(value))
         elif cat == _CAT_COND_BRANCH:
-            taken = fn(a, b)
-            if taken:
+            addr = imm
+            if fn(a, b):
                 next_idx = imm
+                value = 1
             if build:
-                dyn = record(a, b, next_idx, int(taken), taken, imm)
+                dyn = record(a, b, value, imm)
                 if inject is not None:
                     inject(dyn)
                     next_idx = dyn.next_index = (
                         dyn.target_index if dyn.taken else idx + 1)
         elif cat == _CAT_JUMP:
-            next_idx = imm
+            next_idx = addr = imm
+            value = 1
             link = TEXT_BASE + (idx + 1) * INST_SIZE
             if build:
-                dyn = record(a, b, next_idx,
-                             link if op is Op.JAL else None, True, imm)
+                dyn = record(a, b, 1, imm)
                 if inject is not None:
                     inject(dyn)
                     next_idx = dyn.next_index = dyn.target_index
@@ -437,11 +448,11 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             addr = int(a)
             if addr % INST_SIZE or addr < TEXT_BASE:
                 raise EmulatorError(f"jr to bad address {addr:#x}")
-            next_idx = (addr - TEXT_BASE) // INST_SIZE
+            next_idx = addr = (addr - TEXT_BASE) // INST_SIZE
+            value = 1
             link = TEXT_BASE + (idx + 1) * INST_SIZE
             if build:
-                dyn = record(a, b, next_idx,
-                             link if op is Op.JALR else None, True, next_idx)
+                dyn = record(a, b, 1, next_idx)
                 if inject is not None:
                     inject(dyn)
                     next_idx = dyn.next_index = dyn.target_index
@@ -450,26 +461,37 @@ def _interpret(decoded, regs, memory, output, trace, inject,
             if op is Op.JALR and inst.rd > 0:
                 regs[inst.rd] = link
         elif cat == _CAT_PUT:
-            value = to_i32(int(a))
+            out = to_i32(int(a))
             if op is Op.PUTCH:
-                value &= 0xFF
-            output.append(value)
+                out &= 0xFF
+            output.append(out)
             if build:
-                dyn = record(a, b)
+                dyn = record(a, b, 0, 0)
                 if inject is not None:
                     inject(dyn)
         elif cat == _CAT_HALT:
-            if trace is not None:
-                trace.append(record(a, b, idx))
-            return idx, retired + 1, nops, True
+            addr = -1
+            if build:
+                dyn = record(a, b, 0, -1)
         else:  # _CAT_NOP
             nops += 1
             if build:
-                dyn = record(a, b)
+                dyn = record(a, b, 0, 0)
 
-        if trace is not None:
+        if pack:
+            try:  # index last: its length counts the packed records
+                put_a(a)
+                put_b(b)
+                put_v(value)
+                put_x(addr)
+                put_i(idx)
+            except (TypeError, OverflowError):
+                trace.escape(record(a, b, value, addr))
+        elif trace is not None:
             trace.append(dyn)
         retired += 1
+        if cat == _CAT_HALT:
+            return idx, retired, nops, True
         idx = next_idx
     return idx, retired, nops, False
 
@@ -549,8 +571,8 @@ class Emulator:
         """Execute the program from its start or its resume point.
 
         Args:
-            collect_trace: when True (the default), build the dynamic
-                trace used by the timing models; turn off for pure
+            collect_trace: when True (the default), build the packed
+                dynamic trace used by the timing models; turn off for pure
                 architectural runs (fault campaigns) to save memory.
             checkpoints: record a :class:`Checkpoint` every
                 :data:`CHECKPOINT_INTERVAL` retired instructions.
@@ -565,19 +587,6 @@ class Emulator:
             ValueError: on golden checkpoints without a traceless
                 schedule, or an order asked of a run with a trace or hook.
         """
-        if not collect_trace or not gc.isenabled():
-            return self._run(collect_trace, checkpoints, order)
-        # A trace is up to 10^5 acyclic records, which the cyclic
-        # collector would scan again and again for no garbage: it pauses
-        # while they are built.
-        gc.disable()
-        try:
-            return self._run(collect_trace, checkpoints, order)
-        finally:
-            gc.enable()
-
-    def _run(self, collect_trace: bool, checkpoints: bool,
-             order: bool) -> EmulationResult:
         program = self.program
         cache = self.blocks or BlockCache(program)
         decoded = cache.decoded
@@ -604,8 +613,10 @@ class Emulator:
         regs = list(start.regs)
         memory = Memory.of_words(start.words)
         output = list(start.output)
-        trace: Optional[Trace] = [] if collect_trace else None
+        trace = (PackedTrace(static_records(program)) if collect_trace
+                 else None)
         inject = self.inject
+        hooked = inject is not None
         recorded_order: Optional[List[int]] = [] if order else None
 
         halted = converged = False
@@ -648,7 +659,7 @@ class Emulator:
             if trace is not None or inject is not None:
                 idx, retired, nops, halted = _interpret(
                     decoded, regs, memory, output, trace, inject,
-                    idx, retired, nops, limit)
+                    idx, retired, nops, limit, hooked)
             else:
                 idx, retired, nops, halted = _run_blocks(
                     cache.prepare(), regs, memory, output, idx, retired, nops,

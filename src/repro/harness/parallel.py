@@ -66,6 +66,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from ..arch.trace import PackedTrace, Records
 from ..env import env_flag
 from ..reese.faults import (
     BernoulliFaultModel,
@@ -436,6 +437,23 @@ def warm_key(job: SimJob) -> str:
 #: benchmark-major, so the configs of one trace arrive together.
 _held_warm: Dict[str, WarmState] = {}
 
+#: The materialized records of this process's latest full run, under
+#: its trace key (benchmark, scale, resolved seed); held one at a time
+#: like :data:`_held_warm`, so the configs of one trace share them.
+_held_records: Dict[Tuple[str, int, int], Records] = {}
+
+
+def _records(job: SimJob, trace: PackedTrace) -> Records:
+    """The records of ``job``'s trace, materializing them only when the
+    held ones are of another trace."""
+    key = (job.benchmark, job.scale, job.resolved_seed())
+    records = _held_records.get(key)
+    if records is None:
+        records = trace.records()
+        _held_records.clear()
+        _held_records[key] = records
+    return records
+
 
 def _warm_state(job: SimJob, program, trace) -> WarmState:
     """A snapshot of ``job``'s warmed state, warming it only when the
@@ -476,8 +494,9 @@ def _simulate(job: SimJob, sweep: Optional[WarmSweep] = None) -> Stats:
             fault_model=fault, warm=job.warm, observe=observe, sweep=sweep,
         )
     warm_state = _warm_state(job, program, trace) if job.warm else None
-    return run_model(program, trace, job.config, fault_model=fault,
-                     warm=job.warm, observe=observe, warm_state=warm_state)
+    return run_model(program, _records(job, trace), job.config,
+                     fault_model=fault, warm=job.warm, observe=observe,
+                     warm_state=warm_state)
 
 
 def _warm_groups(jobs: Sequence[SimJob], indices: Sequence[int],

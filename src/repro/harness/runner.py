@@ -58,6 +58,8 @@ def run_model(
     fields by :meth:`~repro.harness.parallel.ParallelRunner.resolve`.
 
     Args:
+        trace: the trace's records, or the packed trace (the pipeline
+            materializes its records, and warms from the columns).
         observe: the observers to attach (event trace, per-stage
             metrics, invariant checker, cycle accountant); ``None``
             keeps the observer-free fast path.

@@ -43,7 +43,8 @@ from collections import defaultdict, deque
 from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
-from ..arch.trace import DynInst, StaticInst, Trace, static_records
+from ..arch.trace import (DynInst, PackedTrace, Records, StaticInst, Trace,
+                          packed, static_records)
 from ..bpred import BTB, PerfectPredictor, ReturnAddressStack, make_predictor
 from ..isa.instructions import FUClass, Op
 from ..isa.program import Program
@@ -96,50 +97,55 @@ class SimulationTimeoutError(Exception):
         return type(self), (self.cap, self.committed, self.total, self.stats)
 
 
-def warm_caches_over(mem: MemoryHierarchy, trace, line_shift: int) -> None:
+def warm_caches_over(mem: MemoryHierarchy, trace: Trace, line_shift: int,
+                     start: int = 0, stop: Optional[int] = None) -> None:
     """Architecturally touch every I-line, data address and TLB page.
 
-    One functional pass over ``trace`` (any iterable of
-    :class:`~repro.arch.trace.DynInst`): instruction lines are fetched
-    once per line run, loads/stores touch the data side.  The cache half
-    of :meth:`WarmState.warm_full` and :meth:`WarmState.advance`, whose
-    sampled fast-forward between measurement intervals is exactly this
-    pass over the skipped region.  The pass moves the cache counters;
-    :meth:`WarmState.reset_stats` zeroes them when it is warm-up rather
-    than measurement.
+    One functional pass over positions ``[start, stop)`` of ``trace``
+    (read as packed columns, :meth:`~repro.arch.trace.PackedTrace.rows`):
+    instruction lines are fetched once per line run, loads/stores touch
+    the data side.  The cache half of :meth:`WarmState.warm_full` and
+    :meth:`WarmState.advance`, whose sampled fast-forward between
+    measurement intervals is exactly this pass over the skipped region.
+    The pass moves the cache counters; :meth:`WarmState.reset_stats`
+    zeroes them when it is warm-up rather than measurement.
     """
+    trace = packed(trace)
+    statics = trace.statics
     # Hoisted bound methods: this loop is the sampled engine's
     # fast-forward path, run over most of the trace per sampled run.
     ifetch = mem.ifetch
     daccess = mem.daccess
     last_line = -1
-    for dyn in trace:
-        static = dyn.static
+    for idx, _value, ea in trace.rows(start, stop):
+        static = statics[idx]
         pc = static.pc
         line = pc >> line_shift
         if line != last_line:
             ifetch(pc)
             last_line = line
-        ea = dyn.ea
-        if ea is not None:
+        # An escaped load keeps whatever address a fault hook left.
+        if (static.is_load or static.is_store) and ea is not None:
             daccess(ea, is_write=static.is_store)
 
 
-def warm_predictor_over(predictor, trace) -> None:
+def warm_predictor_over(predictor, trace: Trace) -> None:
     """Pre-train the direction predictor on a branch stream.
 
     The counterpart of :func:`warm_caches_over` for the predictor: one
     predict/update pass over every conditional branch in ``trace``,
     which leaves the accuracy counters alone.
     """
+    trace = packed(trace)
+    statics = trace.statics
     predict = predictor.predict
     update = predictor.update
-    for dyn in trace:
-        static = dyn.static
+    for idx, taken, _target in trace.rows():
+        static = statics[idx]
         if static.is_cond_branch:
             pc = static.pc
             predict(pc)
-            update(pc, dyn.taken)
+            update(pc, taken)
 
 
 class WarmState:
@@ -176,34 +182,35 @@ class WarmState:
         self.ras = ReturnAddressStack(config.ras_depth)
         self._line_shift = config.mem.l1i.line_size.bit_length() - 1
 
-    def predict_next(self, dyn: DynInst) -> int:
-        """Predicted next static index of the control transfer ``dyn``.
+    def predict_next(self, static: StaticInst, taken, target: int) -> int:
+        """Predicted next static index of a control transfer.
 
-        Fetch consults and trains the structures with the trace's ground
+        ``static`` is the instruction, ``taken`` its outcome (a 0/1 int
+        or a bool) and ``target`` its taken-path target index.  Fetch
+        consults and trains the structures with the trace's ground
         truth (oracle update timing, DESIGN.md §5): a conditional branch
         predicts and trains the direction predictor (priming the oracle
         predictor first), a call pushes its return index, ``jr ra`` pops
         it, and any other indirect jump looks up the BTB, which then
         learns the resolved target.  -1 when no target is predicted.
         """
-        static = dyn.static
         if static.is_cond_branch:
             predictor = self.predictor
             # An exact-class test: isinstance against the predictors'
             # abstract base class costs an ABC instance check per branch.
             if predictor.__class__ is PerfectPredictor:
-                predictor.prime(dyn.taken)
-            if predictor.predict_and_update(static.pc, dyn.taken):
-                return dyn.target_index
+                predictor.prime(taken)
+            if predictor.predict_and_update(static.pc, taken):
+                return target
             return static.static_index + 1
         op = static.op
         if op is _J:
-            return dyn.target_index  # direct: target in the instruction word
+            return target  # direct: target in the instruction word
         fallthrough = static.static_index + 1
         if op is _JAL or op is _JALR:
             self.ras.push(fallthrough)
             if op is _JAL:
-                return dyn.target_index
+                return target
             predicted = self.btb.lookup(static.pc)
         elif op is not _JR:
             raise AssertionError(f"not a branch: {op}")
@@ -211,7 +218,7 @@ class WarmState:
             predicted = self.ras.pop()
         else:
             predicted = self.btb.lookup(static.pc)
-        self.btb.update(static.pc, dyn.target_index)
+        self.btb.update(static.pc, target)
         return predicted if predicted is not None else -1
 
     def reset_stats(self) -> None:
@@ -222,24 +229,27 @@ class WarmState:
         stack = self.ras
         stack.pushes = stack.pops = stack.overflows = 0
 
-    def warm_full(self, trace) -> None:
+    def warm_full(self, trace: Trace) -> None:
         """The full-trace warm pass, then :meth:`reset_stats`, so that no
         counter includes it."""
+        trace = packed(trace)
         warm_caches_over(self.mem, trace, self._line_shift)
         warm_predictor_over(self.predictor, trace)
         self.reset_stats()
 
-    def advance(self, trace, start: int, stop: int) -> None:
+    def advance(self, trace: Trace, start: int, stop: int) -> None:
         """Functionally replay ``trace[start:stop]`` into the state.
 
         Moves the counters too, which :meth:`snapshot` zeroes.
         """
-        window = trace[start:stop]
-        warm_caches_over(self.mem, window, self._line_shift)
+        trace = packed(trace)
+        warm_caches_over(self.mem, trace, self._line_shift, start, stop)
+        statics = trace.statics
         predict_next = self.predict_next
-        for dyn in window:
-            if dyn.static.is_branch:
-                predict_next(dyn)
+        for idx, taken, target in trace.rows(start, stop):
+            static = statics[idx]
+            if static.is_branch:
+                predict_next(static, taken, target)
 
     def snapshot(self) -> "WarmState":
         """An isolated copy with its counters zeroed."""
@@ -371,7 +381,9 @@ class Pipeline:
         """
         Args:
             program: the static program (wrong-path fetch walks it).
-            trace: dynamic trace from the functional emulator.
+            trace: dynamic trace from the functional emulator: its
+                records (run as they are) or a packed trace (whose
+                records are materialized once, here).
             config: machine configuration (Table 1 preset or variant).
             fault_model: optional soft-error injector.
             warm: build the memory hierarchy and predictors warm, by
@@ -403,7 +415,9 @@ class Pipeline:
         """
         self.program = program
         self._statics = static_records(program)
-        self.trace = trace
+        #: The records this run fetches: a packed trace materializes here.
+        self.trace: Records = (trace.records()
+                               if isinstance(trace, PackedTrace) else trace)
         self.config = config
         self.fault_model = fault_model or NoFaults()
         # The quiet default never strikes: skip its per-completion query.
@@ -1316,7 +1330,8 @@ class Pipeline:
                     stats.branches += 1
                     if static.is_cond_branch:
                         stats.cond_branches += 1
-                    predicted = self.warm_state.predict_next(dyn)
+                    predicted = self.warm_state.predict_next(
+                        static, dyn.taken, dyn.target_index)
                     if predicted == dyn.next_index:
                         self.fetch_cursor = cursor + 1
                     else:

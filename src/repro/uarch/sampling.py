@@ -90,7 +90,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from ..arch.trace import Trace
+from ..arch.trace import Trace, packed
 from ..reese.faults import FaultModel
 from .config import MachineConfig
 from .observe import ObserveConfig, build_observability
@@ -188,13 +188,20 @@ def mispredict_profile(program, trace: Trace, config: MachineConfig) -> List[int
     Returns ``pre`` with ``len(trace) + 1`` entries; mispredictions in
     ``trace[i:j]`` are ``pre[j] - pre[i]``.
     """
+    trace = packed(trace)
+    statics = trace.statics
     predict_next = WarmState(program, config).predict_next
     pre = [0] * (len(trace) + 1)
     acc = 0
-    for i, dyn in enumerate(trace):
-        if dyn.static.is_branch and predict_next(dyn) != dyn.next_index:
-            acc += 1
-        pre[i + 1] = acc
+    for i, (idx, taken, target) in enumerate(trace.rows(), 1):
+        static = statics[idx]
+        if static.is_branch:
+            # The successor: a conditional branch falls through when
+            # not taken; every other control transfer goes to its target.
+            actual = target if taken or not static.is_cond_branch else idx + 1
+            if predict_next(static, taken, target) != actual:
+                acc += 1
+        pre[i] = acc
     return pre
 
 
@@ -335,7 +342,8 @@ class WarmSweep:
     that :func:`build_warm_state` advances through the group's interval
     starts in trace order.  Every job of the group may pass its own
     ``config``: only :data:`WARM_FIELDS` reach the sweep, and those the
-    group agrees on.
+    group agrees on.  The sweep keeps the trace packed; each interval
+    materializes only its own window (:func:`run_interval`).
     """
 
     __slots__ = ("program", "trace", "config", "spec", "warm", "selection",
@@ -350,7 +358,7 @@ class WarmSweep:
         warm: bool = True,
     ) -> None:
         self.program = program
-        self.trace = trace
+        self.trace = trace = packed(trace)
         self.config = config
         self.spec = spec
         self.warm = warm
@@ -641,7 +649,7 @@ def run_interval(
     state = build_warm_state(sweep, warm_start)
     pipeline = Pipeline(
         program,
-        sweep.trace[warm_start:end + spec.cooldown],
+        sweep.trace.records(warm_start, end + spec.cooldown),
         config,
         fault_model=fault_model,
         observers=build_observability(observe),

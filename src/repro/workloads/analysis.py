@@ -25,7 +25,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..arch.trace import Trace
+from ..arch.trace import Trace, packed
 from ..isa.instructions import INST_SIZE
 
 
@@ -103,16 +103,18 @@ def windowed_ilp(trace: Trace, window: int = 64) -> List[float]:
     """
     if window <= 0:
         raise ValueError("window must be positive")
+    trace = packed(trace)
+    statics = trace.statics
     ilps: List[float] = []
     for start in range(0, len(trace), window):
-        chunk = trace[start:start + window]
+        chunk = trace.index[start:start + window]
         if len(chunk) < 2:
             continue
         last_writer: Dict[int, int] = {}
         depth_of: Dict[int, int] = {}
         critical = 1
-        for position, dyn in enumerate(chunk):
-            static = dyn.static
+        for position, idx in enumerate(chunk):
+            static = statics[idx]
             depth = 0
             for src in static.srcs:
                 producer = last_writer.get(src)
@@ -147,7 +149,7 @@ def burstiness(trace: Trace, window: int = 64) -> float:
 
 
 def analyze_trace(trace: Trace, line_size: int = 32) -> TraceProfile:
-    """Characterise a dynamic trace (single pass, O(n))."""
+    """Characterise a dynamic trace (single pass over its columns, O(n))."""
     last_writer: Dict[int, int] = {}
     depth_of: Dict[int, int] = {}   # position -> dependence depth
     critical = 0
@@ -157,8 +159,10 @@ def analyze_trace(trace: Trace, line_size: int = 32) -> TraceProfile:
     inst_lines = set()
     cond = taken_count = 0
 
-    for position, dyn in enumerate(trace):
-        static = dyn.static
+    trace = packed(trace)
+    statics = trace.statics
+    for position, (idx, taken, ea) in enumerate(trace.rows()):
+        static = statics[idx]
         inst_lines.add(static.pc // (line_size // INST_SIZE * INST_SIZE))
         depth = 0
         for src in static.srcs:
@@ -172,12 +176,12 @@ def analyze_trace(trace: Trace, line_size: int = 32) -> TraceProfile:
             critical = depth
         if static.dst >= 0:
             last_writer[static.dst] = position
-        if dyn.ea is not None:
-            data_lines.add(dyn.ea // line_size)
+        if (static.is_load or static.is_store) and ea is not None:
+            data_lines.add(ea // line_size)
         if static.is_cond_branch:
             cond += 1
-            stats = branch_outcomes[static.static_index]
-            if dyn.taken:
+            stats = branch_outcomes[idx]
+            if taken:
                 taken_count += 1
                 stats[0] += 1
             stats[1] += 1

@@ -15,10 +15,14 @@ randomly drawn instructions:
 * ``div`` guards its divisor with ``ori 1`` so semantics never trap;
 * branches are short *forward* skips conditioned either on the loop
   counter (predictable) or on data values (hard to predict), per
-  ``branch_predictability``.
+  ``branch_predictability``;
+* floating-point ops (``fp``) convert data registers to floats, combine
+  floats, compare them back into a data register, and load and store
+  them in the working set.
 
 The register file is partitioned: r1 = loop counter, r2 = working-set
-base, r3 = scratch, r8..r25 = the rotating data registers.
+base, r3 = scratch, r8..r25 = the rotating data registers, f1..f8 the
+floating-point registers.
 """
 
 from __future__ import annotations
@@ -53,12 +57,15 @@ class MixProfile:
     dep_distance: float = 4.0
     working_set_words: int = 1024
     block_size: int = 40
+    fp: float = 0.0
 
     def __post_init__(self) -> None:
-        total = self.mul + self.div + self.load + self.store + self.branch
+        total = (self.mul + self.div + self.load + self.store + self.branch
+                 + self.fp)
         if total > 0.95:
             raise ValueError("mix fractions leave no room for ALU ops")
-        for frac in (self.mul, self.div, self.load, self.store, self.branch):
+        for frac in (self.mul, self.div, self.load, self.store, self.branch,
+                     self.fp):
             if frac < 0:
                 raise ValueError("mix fractions must be non-negative")
         if not 0 <= self.branch_predictability <= 1:
@@ -79,7 +86,11 @@ PROFILES: Dict[str, MixProfile] = {
     "memory_bound": MixProfile(name="memory_bound", load=0.35, store=0.18,
                                working_set_words=65536),
     "mul_heavy": MixProfile(name="mul_heavy", mul=0.15, div=0.02),
+    "fp_heavy": MixProfile(name="fp_heavy", fp=0.35, branch=0.08),
 }
+
+#: The floating-point ops an ``fp`` draw picks from.
+_FP_OPS = ("cvtif", "fadd", "fsub", "fmul", "fdiv", "fcmplt", "lwf", "swf")
 
 
 class ProgramGenerator:
@@ -176,12 +187,35 @@ class ProgramGenerator:
                 lines.append(f"    addi r{dst}, r{dst}, {rng.randrange(1, 64)}")
                 lines.append(f"{label}:")
                 pending -= 2
+            elif (
+                draw
+                < profile.mul + profile.div + profile.load + profile.store
+                + profile.branch + profile.fp
+            ):
+                lines.append(self._fp_line(rng, dst, src_a, ws_mask))
+                if not lines[-1].startswith("    fcmplt"):
+                    cursor -= 1  # writes no data register
             else:
                 op = rng.choice(["add", "sub", "xor", "and", "or"])
                 lines.append(f"    {op}  r{dst}, r{src_a}, r{src_b}")
             cursor += 1
             pending -= 1
         return lines
+
+    @staticmethod
+    def _fp_line(rng: random.Random, dst: int, src: int, ws_mask: int) -> str:
+        """One floating-point op over f1..f8 (``fcmplt`` writes ``dst``)."""
+        op = rng.choice(_FP_OPS)
+        fd, fa, fb = (rng.randrange(1, 9) for _ in range(3))
+        if op == "cvtif":
+            return f"    cvtif f{fd}, r{src}"
+        if op == "fcmplt":
+            return f"    fcmplt r{dst}, f{fa}, f{fb}"
+        if op in ("lwf", "swf"):
+            offset = rng.randrange(0, ws_mask + 1, 4)
+            reg = fd if op == "lwf" else fa
+            return f"    {op}  f{reg}, {offset}(r2)"
+        return f"    {op} f{fd}, f{fa}, f{fb}"
 
 
 def generate_program(

@@ -10,12 +10,12 @@ workload's trace in every figure.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..arch.emulator import emulate
-from ..arch.trace import Trace
+from ..arch.trace import PackedTrace, Trace, packed
 from ..env import env_int
 from ..isa.program import Program
 from . import profiles
@@ -111,9 +111,8 @@ BENCHMARK_ORDER: List[str] = ["gcc", "go", "ijpeg", "li", "perl", "vortex"]
 #: LRU-ordered memoisation of (program, trace) per (benchmark, scale,
 #: seed).  Most-recently-used entries live at the end; lookups refresh
 #: recency and inserts evict from the front once the bound is reached.
-_trace_cache: "OrderedDict[Tuple[str, int, int], Tuple[Program, Trace]]" = (
-    OrderedDict()
-)
+_trace_cache: ("OrderedDict[Tuple[str, int, int], "
+               "Tuple[Program, PackedTrace]]") = OrderedDict()
 
 
 def load(name: str, scale: int = DEFAULT_SCALE, seed: int = None) -> Program:
@@ -127,8 +126,9 @@ def load(name: str, scale: int = DEFAULT_SCALE, seed: int = None) -> Program:
 
 def trace_for(
     name: str, scale: int = DEFAULT_SCALE, seed: int = None
-) -> Tuple[Program, Trace]:
-    """Program and dynamic trace for a benchmark (memoised, LRU-bounded)."""
+) -> Tuple[Program, PackedTrace]:
+    """Program and packed dynamic trace for a benchmark (memoised,
+    LRU-bounded)."""
     workload = BENCHMARKS[name]
     if seed is None:
         seed = workload.default_seed
@@ -167,16 +167,17 @@ def mix_report(trace: Trace) -> Dict[str, float]:
     counts = {"load": 0, "store": 0, "branch": 0, "mul_div": 0, "alu": 0}
     from ..isa.instructions import FUClass
 
-    for dyn in trace:
-        static = dyn.static
+    trace = packed(trace)
+    for idx, executed in Counter(trace.index).items():
+        static = trace.statics[idx]
         if static.is_load:
-            counts["load"] += 1
+            counts["load"] += executed
         elif static.is_store:
-            counts["store"] += 1
+            counts["store"] += executed
         elif static.is_branch:
-            counts["branch"] += 1
+            counts["branch"] += executed
         elif static.fu in (FUClass.INT_MULT, FUClass.INT_DIV):
-            counts["mul_div"] += 1
+            counts["mul_div"] += executed
         else:
-            counts["alu"] += 1
+            counts["alu"] += executed
     return {key: value / total for key, value in counts.items()}

@@ -173,7 +173,9 @@ class TestTraceContents:
 
 
 class TestCollectorPause:
-    """A traced run pauses the cyclic collector and leaves it as it was."""
+    """No collector pause: a traced run packs its trace into columns and
+    builds no tracked object per instruction, so it leaves the cyclic
+    collector as the caller set it, throughout."""
 
     @pytest.fixture
     def collector(self):
@@ -188,7 +190,7 @@ class TestCollectorPause:
         result = emulate(loop_program,
                          inject=lambda dyn: seen.append(gc.isenabled()))
         assert result.output == [5050] and result.trace
-        assert seen and not any(seen)
+        assert seen and all(state is enabled for state in seen)
         assert gc.isenabled() is enabled
 
     def test_state_restored_when_the_run_raises(self, collector):
@@ -302,8 +304,8 @@ class TestDecode:
 
     def test_trace_facts_bound_at_decode(self):
         from repro.arch.emulator import _decode_program
-        from repro.arch.trace import (DynCompute, DynControl, DynInst,
-                                      DynLoad, DynStore, static_records)
+        from repro.arch.trace import (DynCompute, DynInst, DynLoad,
+                                      DynStore, static_records)
         from tests.arch.test_trace_layout import record_class
 
         program = assemble("""
@@ -320,14 +322,18 @@ class TestDecode:
             putint r2
             halt
         """)
-        # The values each kind's constructor takes after the operands,
-        # by name.
-        kinds = {
-            DynCompute: {"result": 7},
-            DynLoad: {"result": 7, "ea": 0x100},
-            DynStore: {"ea": 0x100, "store_value": 7},
-            DynControl: {"next_index": 9, "result": 1, "taken": True,
-                         "target_index": 9},
+        # What each kind's record holds when its constructor is given
+        # the column values (a, b, value, addr) = (1, 2, 1, 6): the
+        # kind's own values, and what its static instruction fixes.
+        taken = {"next_index": 6, "taken": True, "target_index": 6}
+        expected = {
+            DynCompute: {"result": 1},
+            DynLoad: {"result": 1, "ea": 6},
+            DynStore: {"store_value": 1, "ea": 6},
+            Op.BEQ: dict(taken, result=1),
+            Op.J: dict(taken, result=None),
+            Op.HALT: {"next_index": 7, "result": None, "taken": False,
+                      "target_index": -1},
             DynInst: {},
         }
         seen = set()
@@ -335,9 +341,9 @@ class TestDecode:
                 _decode_program(program)):
             static = static_records(program)[idx]
             cls = record_class(static)
-            seen.add(cls)
-            values = kinds[cls]
-            dyn = record(1, 2, *values.values())
+            values = expected.get(cls, expected.get(inst.op))
+            seen.add(cls if cls in expected else inst.op)
+            dyn = record(1, 2, 1, 6)
             assert type(dyn) is cls
             assert dyn.static is static
             assert (static.static_index, static.pc, static.op) == (
@@ -346,8 +352,8 @@ class TestDecode:
                 inst.dst(), inst.srcs(), inst.imm)
             assert (dyn.a, dyn.b) == (1, 2)
             assert {name: getattr(dyn, name) for name in values} == values
-            assert record(0, 0).static is static
-        assert seen == set(kinds)
+            assert record(0, 0, 0, 0).static is static
+        assert seen == set(expected)
 
     def test_op_without_semantics_raises_when_it_runs(self, monkeypatch):
         from repro.isa import semantics

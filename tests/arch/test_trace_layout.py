@@ -1,5 +1,6 @@
 """The trace record layout: one shared static record per instruction,
-and one record class per instruction kind.
+one record class per instruction kind, and traces packed into columns
+(``tests/arch/test_packed_trace.py`` holds the round trip).
 
 A :class:`DynInst` holds only the values of its one execution; the
 facts of its static instruction live in one immutable
@@ -26,10 +27,11 @@ from repro.workloads import suite
 from tests.arch.test_trace_pin import EVERY_CATEGORY
 
 #: Traced bytes per record of the six proxies' traces at scale 5000,
-#: program and static records included (the layout measures about 117;
-#: one record class with every kind's slots measured 152, and records
-#: that also carried their static facts and a ``seq`` 279).
-MAX_BYTES_PER_RECORD = 125
+#: program and static records included.  Packed 4-byte columns measure
+#: about 36 (20 of them the columns); a list of records, one class per
+#: kind, measured 117, one record class with every kind's slots 152, and
+#: records that also carried their static facts and a ``seq`` 279.
+MAX_BYTES_PER_RECORD = 40
 
 #: The slots each record class adds to its base, and what the old
 #: one-class layout stored for a value a kind never sets (the successor
@@ -145,7 +147,7 @@ def test_corruption_writes_only_the_kinds_own_values():
             jr   r31
         done:
             halt
-    """)).trace
+    """)).trace.records()
     assert jal[0].static.op is Op.JAL
     link = jal[0].result
     assert corrupt_instruction(jal[0], 0) and jal[0].result == link ^ 1
@@ -196,14 +198,15 @@ def test_pipeline_entries_share_the_static_records(li):
             fetched[entry.wrong_path].append(entry)
 
     config = starting_config().with_reese()
-    Pipeline(program, trace, config, observers=[Fetches()]).run()
+    pipe = Pipeline(program, trace, config, observers=[Fetches()])
+    pipe.run()
     assert fetched[True], "expected wrong-path fetch"
     for entry in fetched[True]:
         assert entry.dyn is None and entry.trace_seq == -1
         assert entry.static is statics[entry.static.static_index]
     for entry in fetched[False]:
         assert entry.static is entry.dyn.static
-        assert trace[entry.trace_seq] is entry.dyn
+        assert pipe.trace[entry.trace_seq] is entry.dyn
 
 
 def test_trace_bytes_per_record():

@@ -271,3 +271,80 @@ class TestCompare:
         assert bench_track.main(["--compare", "--path", str(path)]) == 0
         out = capsys.readouterr().out
         assert "FLAG" in out and out.rstrip().endswith("2 flags")
+
+
+class TestAB:
+    """The A/B driver with a stub exporter and runner: no git, no
+    perfbench."""
+
+    @staticmethod
+    def _export(rev, dest):
+        (dest / "REV").write_text(rev)
+        return {"old": "aaaaaaa", "new": "bbbbbbb"}[rev]
+
+    @staticmethod
+    def _runner(walls, digests=None):
+        """A runner whose k-th run of a side reports ``walls[side][k]``;
+        it records the order of its calls."""
+        calls = []
+
+        def run(root, workload, seed, seconds):
+            side = (root / "REV").read_text()
+            k = sum(1 for call in calls if call[0] == side and call[2] == seed)
+            calls.append((side, workload, seed, seconds))
+            digest = (digests or {}).get(side, "ab" * 32)
+            return _perfbench_output(walls[side][k], digest, workload, seed)
+
+        return run, calls
+
+    def test_pairs_alternate_which_side_runs_first(self, tmp_path):
+        run, calls = self._runner({"old": [1.0] * 3, "new": [1.0] * 3})
+        roots = [tmp_path / "p", tmp_path / "c"]
+        for root, rev in zip(roots, ("old", "new")):
+            root.mkdir()
+            (root / "REV").write_text(rev)
+        outputs = bench_track.ab_runs(roots, "sampled", 7, 3, 5.0, run)
+        assert [call[0] for call in calls] == [
+            "old", "new", "new", "old", "old", "new"]
+        assert all(call[1:] == ("sampled", 7, 5.0) for call in calls)
+        assert [len(side) for side in outputs] == [3, 3]
+
+    def test_reports_and_ingests_both_sides(self, tmp_path):
+        path = tmp_path / "t.json"
+        walls = {"old": [2.0, 2.2, 2.4, 2.1], "new": [1.0, 2.5, 1.1, 1.2]}
+        run, calls = self._runner(walls)
+        lines = list(bench_track.ab("old", "new", "fig2", [0, 7], 4, None,
+                                    "my change", path, self._export, run))
+        assert lines[0] == ("fig2: parent old @ aaaaaaa -> change new @ "
+                            "bbbbbbb, 4 alternating pairs")
+        assert len(calls) == 16
+        wall = next(line for line in lines if "wall_s" in line)
+        # Medians 2.15 -> 1.15; the change wins 3 of 4 pairs.
+        assert "2.1500 [2.0750, 2.2500] ->     1.1500 [1.0750, 1.5250]" \
+            in wall and "(0.535x)" in wall
+        assert "better in 3/4 pairs" in wall
+        assert "gap beyond the parent's IQR 0.1750" in wall
+        assert any("equal in every run" in line for line in lines)
+        data = json.loads(path.read_text())
+        assert [(e["label"], e["git_rev"], e["seed"], e["runs"])
+                for e in data["entries"]] == [
+            ("parent of my change", "aaaaaaa", 0, 4),
+            ("my change", "bbbbbbb", 0, 4),
+            ("parent of my change", "aaaaaaa", 7, 4),
+            ("my change", "bbbbbbb", 7, 4)]
+        assert data["entries"][1]["metrics"]["wall_s"] == 1.15
+        assert bench_track.validate_trajectory(data) == []
+
+    def test_a_digest_change_is_reported(self, tmp_path):
+        run, _calls = self._runner({"old": [1.0], "new": [1.0]},
+                                   {"new": "cd" * 32})
+        lines = list(bench_track.ab("old", "new", "faults", [0], 1, 5.0,
+                                    "x", tmp_path / "t.json", self._export,
+                                    run))
+        assert any("DIFFERS" in line for line in lines)
+
+    def test_gap_within_the_parent_iqr_is_reported(self):
+        parent = [_perfbench_output(wall) for wall in (1.0, 2.0, 3.0, 4.0)]
+        change = [_perfbench_output(wall) for wall in (1.5, 2.5, 2.5, 3.5)]
+        wall = bench_track.ab_report(parent, change, {})[0]
+        assert "(1.000x)" in wall and "gap within the parent's IQR" in wall

@@ -265,19 +265,23 @@ class TestIntervalWindows:
         result = run_sampled(program, trace, cfg, spec)
         assert len(windows) == 3
         for window, (warm_start, _, end) in zip(windows, result.intervals):
+            # The interval materializes exactly its own window.
+            assert isinstance(window, list)
             assert len(window) == end + spec.cooldown - warm_start
-            assert all(record is trace[warm_start + offset]
-                       for offset, record in enumerate(window))
+            assert [(type(record), _slot_values(record))
+                    for record in window] == [
+                (type(record), _slot_values(record))
+                for record in trace.records(warm_start, end + spec.cooldown)]
 
     @pytest.mark.parametrize("variant", ["reese", "dispatch_dup"])
     def test_pipeline_never_writes_its_trace_records(self, workload, cfg,
                                                      variant):
-        # Every interval runs on the trace's own records, so no run may
-        # leave a mark on them.
+        # The configs of one trace run on one materialized record list,
+        # so no run may leave a mark on it.
         program, trace = workload
         config = (cfg.with_reese() if variant == "reese"
                   else cfg.with_dispatch_dup())
-        window = trace[1000:1600]
+        window = trace.records(1000, 1600)
         before = [_slot_values(dyn) for dyn in window]
         for fault in (None, EnvironmentalFaultModel(rate=2e-2, duration=3,
                                                      seed=5)):
