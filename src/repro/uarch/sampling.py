@@ -90,7 +90,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from ..arch.trace import Trace, packed
+from ..arch.trace import Records, Trace, packed
 from ..reese.faults import FaultModel
 from .config import MachineConfig
 from .observe import ObserveConfig, build_observability
@@ -342,12 +342,12 @@ class WarmSweep:
     that :func:`build_warm_state` advances through the group's interval
     starts in trace order.  Every job of the group may pass its own
     ``config``: only :data:`WARM_FIELDS` reach the sweep, and those the
-    group agrees on.  The sweep keeps the trace packed; each interval
-    materializes only its own window (:func:`run_interval`).
+    group agrees on.  The sweep keeps the trace packed and materializes
+    only the windows its intervals run (:meth:`window`).
     """
 
     __slots__ = ("program", "trace", "config", "spec", "warm", "selection",
-                 "state", "position")
+                 "state", "position", "_window")
 
     def __init__(
         self,
@@ -367,6 +367,18 @@ class WarmSweep:
         #: and the trace position its replay has reached.
         self.state: Optional[WarmState] = None
         self.position = 0
+        self._window: Optional[Tuple[Tuple[int, int], Records]] = None
+
+    def window(self, start: int, stop: int) -> Records:
+        """The records of trace positions ``[start, stop)``.
+
+        The latest window is held, so the group's jobs of one interval
+        (its configs, which arrive together) share one materialization;
+        the pipeline never writes its records.
+        """
+        if self._window is None or self._window[0] != (start, stop):
+            self._window = ((start, stop), self.trace.records(start, stop))
+        return self._window[1]
 
     def result(self, interval_stats: List[Stats]) -> "SampledResult":
         """The sampled result of this sweep's intervals' Stats."""
@@ -649,7 +661,7 @@ def run_interval(
     state = build_warm_state(sweep, warm_start)
     pipeline = Pipeline(
         program,
-        sweep.trace.records(warm_start, end + spec.cooldown),
+        sweep.window(warm_start, end + spec.cooldown),
         config,
         fault_model=fault_model,
         observers=build_observability(observe),

@@ -273,6 +273,26 @@ class TestIntervalWindows:
                 (type(record), _slot_values(record))
                 for record in trace.records(warm_start, end + spec.cooldown)]
 
+    def test_configs_of_one_interval_share_its_window(self, workload, cfg,
+                                                      monkeypatch):
+        program, trace = workload
+        spec = SamplingSpec(3, 150, warmup=40, cooldown=40)
+        windows = []
+
+        class Recording(Pipeline):
+            def __init__(self, program, trace, *args, **kwargs):
+                windows.append(trace)
+                super().__init__(program, trace, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "Pipeline", Recording)
+        sweep = WarmSweep(program, trace, cfg, spec)
+        for index in (0, 0, 1):
+            for config in (cfg, cfg.with_reese()):
+                run_interval(program, trace, config, spec, index,
+                             sweep=sweep)
+        assert len({id(window) for window in windows[:4]}) == 1
+        assert windows[4] is windows[5] and windows[4] is not windows[0]
+
     @pytest.mark.parametrize("variant", ["reese", "dispatch_dup"])
     def test_pipeline_never_writes_its_trace_records(self, workload, cfg,
                                                      variant):
