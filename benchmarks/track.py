@@ -90,6 +90,7 @@ _SPEED_KEYS = ("label", "timestamp", "git_rev", "workload", "seed", "runs",
                "metrics", "stats_digest")
 _WORKLOADS = ("fig2", "sampled", "faults")
 _HEADER = re.compile(r"^perfbench (\w+) seed (\d+):")
+_OPERATIONS = re.compile(r"(\d+) operations, (\d+) failed")
 _DIGEST = re.compile(r"^[0-9a-f]{64}$")
 #: A recorded revision: an abbreviated or full commit id, or "unknown".
 _GIT_REV = re.compile(r"[0-9a-f]{7,40}|unknown")
@@ -201,6 +202,9 @@ def parse_perfbench(text: str) -> Dict[str, Any]:
         header = _HEADER.match(line)
         if header:
             run["workload"], run["seed"] = header.group(1), int(header.group(2))
+            operations = _OPERATIONS.search(line)
+            if operations:
+                run["attempted"], run["failed"] = map(int, operations.groups())
             continue
         parts = line.split()
         if len(parts) >= 2 and parts[0] in SPEED_METRICS:
@@ -453,8 +457,9 @@ def ab_report(parent: Sequence[str], change: Sequence[str],
               bounds: Dict[str, Tuple[float, str]]) -> List[str]:
     """Per gated metric: each side's median and quartiles, the ratio of
     the medians, in how many pairs the change is better, and whether
-    the medians differ by more than the parent's IQR; then whether
-    every run's ``stats_digest`` agrees."""
+    the medians differ by more than the parent's IQR; then each side's
+    failed operations, and whether every run's ``stats_digest``
+    agrees."""
     before = [parse_perfbench(text) for text in parent]
     after = [parse_perfbench(text) for text in change]
     lines = []
@@ -473,6 +478,11 @@ def ab_report(parent: Sequence[str], change: Sequence[str],
             f"({new_median / old_median:.3f}x), change better in "
             f"{wins}/{len(old)} pairs, gap {resolved} the parent's IQR "
             f"{iqr:.4f}")
+    for side, runs in (("parent", before), ("change", after)):
+        lines.append(f"  failed       {side}: "
+                     f"{sum(run.get('failed', 0) for run in runs)} of "
+                     f"{sum(run.get('attempted', 0) for run in runs)} "
+                     f"operations")
     digests = sorted({run["stats_digest"] for run in before + after})
     lines.append("  stats_digest " + (
         f"equal in every run ({digests[0][:12]})" if len(digests) == 1

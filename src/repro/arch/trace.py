@@ -51,8 +51,13 @@ but its static index, so the round trip is exact.
 runs on: :meth:`PackedTrace.records` materializes a window, building
 each record in one call of a per-static-index constructor; every call
 builds new records (an escaped record is copied), so no view can
-change the trace.  Whole-trace passes (cache and predictor warm-up,
-the mispredict profile, workload analysis) read the columns through
+change the trace.  The emulator builds records itself only to escape
+them and for an inject hook (see :mod:`repro.arch.emulator`): the hook
+gets a real record, may write its kind's own values, and the trace
+packs the record as the hook left it (:meth:`PackedTrace.append`),
+escaping it when the columns cannot rebuild it.
+Whole-trace passes (cache and predictor warm-up, the mispredict
+profile, workload analysis) read the columns through
 :meth:`PackedTrace.rows` and build no record; given a list of records
 they pack it first (:func:`packed`).
 

@@ -154,6 +154,7 @@ class TestSpeedEntries:
     def test_parse_reads_the_table(self):
         run = bench_track.parse_perfbench(_perfbench_output(3.3))
         assert run["workload"] == "fig2" and run["seed"] == 0
+        assert (run["attempted"], run["failed"]) == (150, 0)
         assert run["metrics"]["wall_s"] == 3.3
         assert run["metrics"]["runs_per_s"] is None
         assert run["stats_digest"] == "ab" * 32
@@ -325,6 +326,7 @@ class TestAB:
         assert "better in 3/4 pairs" in wall
         assert "gap beyond the parent's IQR 0.1750" in wall
         assert any("equal in every run" in line for line in lines)
+        assert "  failed       change: 0 of 600 operations" in lines
         data = json.loads(path.read_text())
         assert [(e["label"], e["git_rev"], e["seed"], e["runs"])
                 for e in data["entries"]] == [
