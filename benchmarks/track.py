@@ -35,7 +35,10 @@ perfbench on them in pairs that alternate which side runs first,
 prints per seed each gated metric's medians and quartiles, the pairs
 the change wins and whether every run's ``stats_digest`` agrees, then
 ingests each side as a speed entry (the parent's labelled ``parent of
-LABEL``).
+LABEL``).  It also measures each run's child CPU seconds (the
+``RUSAGE_CHILDREN`` delta around it), prints each side's median and
+stores it as the entry's optional ``child_cpu_s``: supporting
+evidence beside ``wall_s``, never gated or compared.
 
 The file is rewritten atomically on every append (tmp, fsync, rename),
 so a crashed run never truncates the history.  Wall-clock timestamps
@@ -51,6 +54,7 @@ import io
 import json
 import pathlib
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -222,9 +226,12 @@ def parse_perfbench(text: str) -> Dict[str, Any]:
 
 
 def speed_entry(label: str, texts: Sequence[str],
-                git_rev_: Optional[str] = None) -> Dict[str, Any]:
+                git_rev_: Optional[str] = None,
+                child_cpu_s: Optional[Sequence[float]] = None,
+                ) -> Dict[str, Any]:
     """A speed entry from the output of one or more perfbench runs of
-    one workload and seed; each metric is the median over the runs."""
+    one workload and seed; each metric is the median over the runs, and
+    so is ``child_cpu_s``, the runs' child CPU seconds, when given."""
     runs = [parse_perfbench(text) for text in texts]
     if not runs:
         raise ValueError("no perfbench runs to ingest")
@@ -237,7 +244,7 @@ def speed_entry(label: str, texts: Sequence[str],
         values = [run["metrics"][name] for run in runs
                   if run["metrics"][name] is not None]
         metrics[name] = round(statistics.median(values), 4) if values else None
-    return {
+    entry = {
         "kind": "speed",
         "label": label,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -248,6 +255,9 @@ def speed_entry(label: str, texts: Sequence[str],
         "metrics": metrics,
         "stats_digest": runs[0]["stats_digest"],
     }
+    if child_cpu_s:
+        entry["child_cpu_s"] = round(statistics.median(child_cpu_s), 4)
+    return entry
 
 
 def load_trajectory(path: pathlib.Path) -> Dict[str, Any]:
@@ -334,6 +344,10 @@ def _validate_speed(where: str, entry: Dict[str, Any]) -> List[str]:
         if not isinstance(value, (int, float)) or value <= 0:
             errors.append(f"{where}.metrics: {name} {value!r} is not a "
                           f"positive number")
+    cpu = entry.get("child_cpu_s", 0.0)  # optional
+    if type(cpu) not in (int, float) or cpu < 0:
+        errors.append(f"{where}: child_cpu_s {cpu!r} is not a "
+                      f"non-negative number")
     return errors
 
 
@@ -413,11 +427,21 @@ def export_revision(rev: str, dest: pathlib.Path) -> str:
     return short
 
 
+#: A small Python process that runs its arguments as a command and
+#: exits with its status.  On Linux a process's ``ru_maxrss`` keeps the
+#: high-water mark of the process it was forked from across ``exec``,
+#: so a perfbench run started straight from this one would read this
+#: process's RSS as its own peak; started from the launcher it reads
+#: at most the launcher's, which is below any perfbench peak.
+_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
 def perfbench_run(root: pathlib.Path, workload: str, seed: int,
                   seconds: Optional[float]) -> str:
-    """One untraced perfbench run of the checkout at ``root``: its
-    standard output."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+    """One untraced perfbench run of the checkout at ``root``, started
+    through :data:`_LAUNCHER`: its standard output."""
+    command = [sys.executable, "-c", _LAUNCHER, sys.executable,
+               "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
         command += ["--seconds", str(seconds)]
@@ -427,22 +451,36 @@ def perfbench_run(root: pathlib.Path, workload: str, seed: int,
 
 #: What runs one perfbench run: ``(root, workload, seed, seconds)``.
 Runner = Callable[[pathlib.Path, str, int, Optional[float]], str]
+#: What reads the CPU seconds this process's children have used so far.
+CpuClock = Callable[[], float]
+
+
+def children_cpu_s() -> float:
+    """User plus system CPU seconds of this process's waited-for
+    children (``RUSAGE_CHILDREN``)."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def ab_runs(roots: Sequence[pathlib.Path], workload: str, seed: int,
             pairs: int, seconds: Optional[float],
-            runner: Runner = perfbench_run) -> List[List[str]]:
+            runner: Runner = perfbench_run, cpu: CpuClock = children_cpu_s,
+            ) -> Tuple[List[List[str]], List[List[float]]]:
     """``pairs`` runs of each checkout in ``roots``, alternating: even
     pairs run the sides in order, odd pairs in reverse, so a drift in
     the host's speed falls on every side alike.  Returns each side's
-    outputs, in pair order."""
+    outputs and each run's child CPU seconds (``cpu`` read around the
+    runner call), in pair order."""
     outputs: List[List[str]] = [[] for _ in roots]
+    cpu_s: List[List[float]] = [[] for _ in roots]
     for pair in range(pairs):
         order = list(range(len(roots)))
         for side in order if pair % 2 == 0 else order[::-1]:
+            before = cpu()
             outputs[side].append(runner(roots[side], workload, seed,
                                         seconds))
-    return outputs
+            cpu_s[side].append(cpu() - before)
+    return outputs, cpu_s
 
 
 def _quartiles(values: Sequence[float]) -> Tuple[float, float]:
@@ -493,7 +531,8 @@ def ab_report(parent: Sequence[str], change: Sequence[str],
 def ab(parent_rev: str, change_rev: str, workload: str, seeds: Sequence[int],
        pairs: int, seconds: Optional[float], label: str, path: pathlib.Path,
        export: Callable[[str, pathlib.Path], str] = export_revision,
-       runner: Runner = perfbench_run) -> Iterator[str]:
+       runner: Runner = perfbench_run,
+       cpu: CpuClock = children_cpu_s) -> Iterator[str]:
     """The A/B driver (see the module docstring): yields the report line
     by line, appending each seed's two speed entries after its report
     (:func:`speed_entry` refuses a side whose runs disagree on the
@@ -509,14 +548,18 @@ def ab(parent_rev: str, change_rev: str, workload: str, seeds: Sequence[int],
                f"{change_rev} @ {revs[1]}, {pairs} alternating pairs")
         bounds = load_bounds()
         for seed in seeds:
-            parent, change = ab_runs(roots, workload, seed, pairs, seconds,
-                                     runner)
+            (parent, change), (parent_cpu, change_cpu) = ab_runs(
+                roots, workload, seed, pairs, seconds, runner, cpu)
             yield f"seed {seed}:"
             yield from ab_report(parent, change, bounds)
-            for side_label, texts, rev in (
-                    (f"parent of {label}", parent, revs[0]),
-                    (label, change, revs[1])):
-                count = append_entry(path, speed_entry(side_label, texts, rev))
+            yield (f"  child_cpu_s  {statistics.median(parent_cpu):10.4f} -> "
+                   f"{statistics.median(change_cpu):10.4f} (medians; "
+                   f"supporting evidence, not gated)")
+            for side_label, texts, cpu_s, rev in (
+                    (f"parent of {label}", parent, parent_cpu, revs[0]),
+                    (label, change, change_cpu, revs[1])):
+                count = append_entry(path, speed_entry(side_label, texts, rev,
+                                                       cpu_s))
                 yield f"  appended entry {count} ({side_label!r} @ {rev})"
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -7,8 +7,9 @@ ISA semantics and produces
 * optionally the **dynamic trace** that drives the cycle-level timing
   models: a :class:`~repro.arch.trace.PackedTrace`, whose 32-bit
   columns hold each retired instruction's values, and whose
-  :class:`~repro.arch.trace.DynInst` records are views materialized
-  for the windows a pipeline runs (see :mod:`repro.arch.trace`).
+  :class:`~repro.arch.trace.DynInst` records are views built for what
+  a pipeline runs: one per fetch, or a window shared by several runs
+  (see :mod:`repro.arch.trace`).
 
 It is strictly in order: it is the reference against which both the
 baseline and REESE timing models are validated (every timing simulation
@@ -41,6 +42,12 @@ those ordinals only, and runs the hookless fast path everywhere else.
 A scheduled run given a golden run's checkpoints resumes from the latest
 one at or before its first ordinal, and once nothing is due stops as
 ``converged`` at the first later checkpoint its state matches exactly.
+A golden run holds its memory once: each :data:`Checkpoint` keeps only
+the words written since the one before it (the first keeps every word).
+A resumed run rebuilds its checkpoint's whole memory by folding
+checkpoints ``0..k`` (:func:`fold_words`), and keeps that fold as its
+one running copy of the golden memory, advanced by each later
+checkpoint's words as the convergence checks reach it.
 
 Two engines run the instructions.  The interpreter steps one decoded
 instruction at a time; it runs every stretch that records anything (a
@@ -66,7 +73,7 @@ from collections import namedtuple
 from functools import partial
 from itertools import count
 from struct import pack
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..isa.instructions import INST_SIZE, Op, OPINFO
 from ..isa.program import Program, STACK_BASE, TEXT_BASE
@@ -101,8 +108,26 @@ class EmulatorError(Exception):
 
 
 #: The state just before the instruction at retired position ``retired``;
-#: ``regs``, ``words`` (raw, zero words kept) and ``output`` are copies.
+#: ``regs`` and ``output`` are copies.  ``words`` holds the memory words
+#: (raw, zero words kept) written since the previous checkpoint of the
+#: run: every word for the first one, only the changed ones after it, so
+#: :func:`fold_words` over checkpoints ``0..k`` gives checkpoint ``k``'s
+#: whole memory.
 Checkpoint = namedtuple("Checkpoint", "idx retired nops regs words output")
+
+
+def fold_words(points: Iterable[Checkpoint],
+               words: Optional[Dict[int, int]] = None) -> Dict[int, int]:
+    """``words`` (a new dict if ``None``) advanced by each checkpoint's
+    changed words, in order.  Memory never forgets a word, so folding a
+    golden run's checkpoints ``0..k`` into a new dict rebuilds the whole
+    memory at checkpoint ``k``, and folding ``k+1..j`` into that moves
+    it on to checkpoint ``j``."""
+    if words is None:
+        words = {}
+    for point in points:
+        words.update(point.words)
+    return words
 
 
 def _resume_point(golden: Sequence[Checkpoint], due: int) -> Checkpoint:
@@ -111,13 +136,15 @@ def _resume_point(golden: Sequence[Checkpoint], due: int) -> Checkpoint:
     return golden[bisect_right(ordinals, due) - 1 if due >= 0 else -1]
 
 
-def _same_state(point: Checkpoint, idx: int, nops: int, regs: List[Value],
-                memory: Memory, output: List[int]) -> bool:
-    """Whether a run's state equals ``point`` bit for bit: ``-0.0`` does
-    not match ``0.0``, and a NaN matches only itself (the same object)."""
+def _same_state(point: Checkpoint, words: Dict[int, int], idx: int,
+                nops: int, regs: List[Value], memory: Memory,
+                output: List[int]) -> bool:
+    """Whether a run's state equals ``point``, whose whole memory is
+    ``words``, bit for bit: ``-0.0`` does not match ``0.0``, and a NaN
+    matches only itself (the same object)."""
     return (idx == point.idx and nops == point.nops and regs == point.regs
             and output == point.output
-            and memory.words() == point.words.items()
+            and memory.words() == words.items()
             and all(type(a) is type(b) and (type(a) is not float
                                             or pack("<d", a) == pack("<d", b))
                     for a, b in zip(regs, point.regs)))
@@ -607,11 +634,16 @@ class Emulator:
             start = Checkpoint(0, 0, 0, [0] * 32 + [0.0] * (NUM_REGS - 32),
                                dict(Memory(program.data).words()), [])
             start.regs[REG_SP] = STACK_BASE
+            golden_words = start.words
         else:
             start = _resume_point(golden, due)
+            # The golden memory at checkpoint ``seen``, kept current for
+            # the convergence checks.
+            seen = start.retired // CHECKPOINT_INTERVAL
+            golden_words = fold_words(golden[:seen + 1])
         idx, retired, nops = start.idx, start.retired, start.nops
         regs = list(start.regs)
-        memory = Memory.of_words(start.words)
+        memory = Memory.of_words(golden_words)
         output = list(start.output)
         trace = (PackedTrace(static_records(program)) if collect_trace
                  else None)
@@ -622,6 +654,8 @@ class Emulator:
         halted = converged = False
         max_insts = self.max_instructions
         recorded: Optional[List[Checkpoint]] = [] if checkpoints else None
+        # The memory at the last recorded checkpoint.
+        recorded_words: Dict[int, int] = {}
         golden_end = len(golden or ()) * CHECKPOINT_INTERVAL
         mark = retired  # the next checkpoint position
 
@@ -629,17 +663,21 @@ class Emulator:
             if mark < retired:  # passed where no checkpoint was due
                 mark = -(-retired // CHECKPOINT_INTERVAL) * CHECKPOINT_INTERVAL
             if retired == mark:
-                if recorded is not None:  # unchanged words are shared
-                    words = recorded[-1].words if recorded else {}
-                    if memory.words() != words.items():
-                        words = dict(memory.words())
+                if recorded is not None:  # only the words changed since
+                    get = recorded_words.get
+                    words = {addr: word for addr, word in memory.words()
+                             if get(addr) != word}
+                    recorded_words.update(words)
                     recorded.append(Checkpoint(idx, retired, nops, list(regs),
                                                words, list(output)))
-                elif due < 0 and mark < golden_end and _same_state(
-                        golden[mark // CHECKPOINT_INTERVAL],
-                        idx, nops, regs, memory, output):
-                    converged = True
-                    break
+                elif due < 0 and mark < golden_end:
+                    at = mark // CHECKPOINT_INTERVAL
+                    fold_words(golden[seen + 1:at + 1], golden_words)
+                    seen = at
+                    if _same_state(golden[at], golden_words, idx, nops, regs,
+                                   memory, output):
+                        converged = True
+                        break
                 mark += CHECKPOINT_INTERVAL
             limit = max_insts
             if schedule is not None:

@@ -48,8 +48,11 @@ in :attr:`PackedTrace.escapes` by position, with zeros in the columns
 but its static index, so the round trip is exact.
 
 **Records are views.**  The record family below is what the pipeline
-runs on: :meth:`PackedTrace.records` materializes a window, building
-each record in one call of a per-static-index constructor; every call
+runs on.  ``trace[i]`` builds one record, in one call of a
+per-static-index constructor: a pipeline run on a packed trace fetches
+this way and holds no whole-trace list.  :meth:`PackedTrace.records`
+materializes a window once for the runs that share it (a sampled
+interval's configs, the configs of one trace in a figure).  Every call
 builds new records (an escaped record is copied), so no view can
 change the trace.  The emulator builds records itself only to escape
 them and for an inject hook (see :mod:`repro.arch.emulator`): the hook
@@ -387,13 +390,15 @@ class PackedTrace:
             if step != 1:
                 raise ValueError("a packed trace slices with step 1 only")
             return self.records(start, stop)
-        if key < 0:
-            key += len(self.index)
-        if not 0 <= key < len(self.index):
-            raise IndexError("trace index out of range")
-        if key in self.escapes:
-            return copy(self.escapes[key])
-        return self._record_makers()[self.index[key]](
+        # One record, as fetch reads them: the index column raises
+        # IndexError past either end.
+        idx = self.index[key]
+        if self.escapes:
+            if key < 0:
+                key += len(self.index)
+            if key in self.escapes:
+                return copy(self.escapes[key])
+        return (self._makers or self._record_makers())[idx](
             self.a[key], self.b[key], self.value[key], self.addr[key])
 
     def __iter__(self) -> Iterator[DynInst]:

@@ -433,8 +433,9 @@ def warm_key(job: SimJob) -> str:
 
 
 #: The warmed state of this process's latest warm full run, under its
-#: :func:`warm_key`.  One is held at a time: the runner's jobs are
-#: benchmark-major, so the configs of one trace arrive together.
+#: :func:`warm_key`.  One is held at a time, and dropped before its
+#: replacement is built: the runner's jobs are benchmark-major, so the
+#: configs of one trace arrive together.
 _held_warm: Dict[str, WarmState] = {}
 
 #: The materialized records of this process's latest full run, under
@@ -449,9 +450,8 @@ def _records(job: SimJob, trace: PackedTrace) -> Records:
     key = (job.benchmark, job.scale, job.resolved_seed())
     records = _held_records.get(key)
     if records is None:
-        records = trace.records()
-        _held_records.clear()
-        _held_records[key] = records
+        _held_records.clear()  # before the new records exist
+        records = _held_records[key] = trace.records()
     return records
 
 
@@ -461,9 +461,9 @@ def _warm_state(job: SimJob, program, trace) -> WarmState:
     key = warm_key(job)
     state = _held_warm.get(key)
     if state is None:
+        _held_warm.clear()  # before the new state exists
         state = WarmState(program, job.config)
         state.warm_full(trace)
-        _held_warm.clear()
         _held_warm[key] = state
     return state.snapshot()
 

@@ -59,7 +59,8 @@ def run_model(
 
     Args:
         trace: the trace's records, or the packed trace (the pipeline
-            materializes its records, and warms from the columns).
+            builds one record per fetch from it, and warms from the
+            columns).
         observe: the observers to attach (event trace, per-stage
             metrics, invariant checker, cycle accountant); ``None``
             keeps the observer-free fast path.

@@ -43,8 +43,7 @@ from collections import defaultdict, deque
 from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
-from ..arch.trace import (DynInst, PackedTrace, Records, StaticInst, Trace,
-                          packed, static_records)
+from ..arch.trace import DynInst, StaticInst, Trace, packed, static_records
 from ..bpred import BTB, PerfectPredictor, ReturnAddressStack, make_predictor
 from ..isa.instructions import FUClass, Op
 from ..isa.program import Program
@@ -382,8 +381,10 @@ class Pipeline:
         Args:
             program: the static program (wrong-path fetch walks it).
             trace: dynamic trace from the functional emulator: its
-                records (run as they are) or a packed trace (whose
-                records are materialized once, here).
+                records (run as they are, for configs or windows that
+                share one materialized list) or a packed trace, from
+                which fetch builds one record per fetch, so a single
+                run holds no whole-trace record list.
             config: machine configuration (Table 1 preset or variant).
             fault_model: optional soft-error injector.
             warm: build the memory hierarchy and predictors warm, by
@@ -415,9 +416,8 @@ class Pipeline:
         """
         self.program = program
         self._statics = static_records(program)
-        #: The records this run fetches: a packed trace materializes here.
-        self.trace: Records = (trace.records()
-                               if isinstance(trace, PackedTrace) else trace)
+        #: What fetch reads ``trace[cursor]`` from.
+        self.trace = trace
         self.config = config
         self.fault_model = fault_model or NoFaults()
         # The quiet default never strikes: skip its per-completion query.

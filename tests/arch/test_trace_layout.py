@@ -18,10 +18,11 @@ import pytest
 
 from repro.arch import emulate
 from repro.arch.trace import (DynCompute, DynControl, DynInst, DynLoad,
-                              DynStore, StaticInst, static_records)
+                              DynStore, PackedTrace, StaticInst,
+                              static_records)
 from repro.isa import assemble
 from repro.isa.instructions import OPINFO, Op
-from repro.reese.faults import corrupt_instruction
+from repro.reese.faults import EnvironmentalFaultModel, corrupt_instruction
 from repro.uarch import Pipeline, starting_config
 from repro.workloads import suite
 from tests.arch.test_trace_pin import EVERY_CATEGORY
@@ -205,8 +206,44 @@ def test_pipeline_entries_share_the_static_records(li):
         assert entry.dyn is None and entry.trace_seq == -1
         assert entry.static is statics[entry.static.static_index]
     for entry in fetched[False]:
+        # Fetch builds each record from the packed trace: a new record
+        # equal to the trace's, on the program's one static record.
         assert entry.static is entry.dyn.static
-        assert pipe.trace[entry.trace_seq] is entry.dyn
+        assert entry.dyn.static is statics[entry.static.static_index]
+        assert same_slots(entry.dyn, trace[entry.trace_seq])
+
+
+def same_slots(mine, theirs):
+    """Whether two records agree slot for slot, type for type."""
+    return type(mine) is type(theirs) and all(
+        type(getattr(mine, name)) is type(getattr(theirs, name))
+        and getattr(mine, name) == getattr(theirs, name)
+        for name in VALUES | {"static", "a", "b"})
+
+
+def test_pipeline_never_materializes_a_packed_trace(li, monkeypatch):
+    """A run on a packed trace fetches one record at a time and gives
+    the Stats of a run on the materialized records, faulted REESE runs
+    (which refetch after each recovery) included."""
+    program, trace = li
+    records = trace.records()
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a pipeline materialized its packed trace")
+
+    monkeypatch.setattr(PackedTrace, "records", refuse)
+    config = starting_config().with_reese()
+    for faulted in (False, True):
+        runs = []
+        for run_trace in (trace, records):
+            fault = (EnvironmentalFaultModel(rate=2e-3, duration=2, seed=5)
+                     if faulted else None)
+            pipe = Pipeline(program, run_trace, config, fault_model=fault,
+                            warm=True)
+            runs.append(pipe.run().state_dict())
+            assert pipe.trace is run_trace
+        assert runs[0] == runs[1]
+    assert runs[0]["recoveries"] > 0
 
 
 def test_trace_bytes_per_record():

@@ -19,6 +19,7 @@ from repro.arch.emulator import (
     EmulatorError,
     _resume_point,
     emulate,
+    fold_words,
 )
 from repro.arch.memory import MisalignedAccessError
 from repro.harness.campaign import (
@@ -124,19 +125,49 @@ def nop_heavy():
     return (program,) + setup(program)
 
 
+@pytest.fixture(scope="module")
+def li():
+    program = BENCHMARKS["li"].build(scale=5000)
+    return (program,) + setup(program)
+
+
 class TestCheckpoints:
-    def test_golden_records_every_interval_from_zero(self, nop_heavy):
-        program, _budget, golden, _counts = nop_heavy
-        length = emulate(program, collect_trace=False).instructions
-        positions = [point.retired for point in golden.checkpoints]
-        assert positions == list(range(0, length, CHECKPOINT_INTERVAL))
-        for point in golden.checkpoints[1:]:
-            capped = emulate(program, max_instructions=point.retired,
-                             collect_trace=False)
-            assert point.regs == capped.regs
-            assert point.words == dict(capped.memory.words())
-            assert point.output == capped.output
-            assert point.nops > 0
+    def test_golden_records_every_interval_from_zero(self, nop_heavy,
+                                                     generated, li):
+        """Each checkpoint's state, its memory rebuilt by folding the
+        checkpoints up to it, is a capped run's final state."""
+        for program, _budget, golden, _counts in (nop_heavy, generated, li):
+            length = emulate(program, collect_trace=False).instructions
+            positions = [point.retired for point in golden.checkpoints]
+            assert positions == list(range(0, length, CHECKPOINT_INTERVAL))
+            for k, point in enumerate(golden.checkpoints):
+                capped = emulate(program, max_instructions=point.retired,
+                                 collect_trace=False)
+                assert point.regs == capped.regs
+                assert fold_words(golden.checkpoints[:k + 1]) == dict(
+                    capped.memory.words())
+                assert point.output == capped.output
+        assert all(point.nops for point in nop_heavy[2].checkpoints[1:])
+
+    @pytest.mark.parametrize("name", ["nop_heavy", "generated", "li"])
+    def test_checkpoints_keep_only_the_changed_words(self, name, request):
+        _program, _budget, golden, _counts = request.getfixturevalue(name)
+        first, *rest = golden.checkpoints
+        words = dict(first.words)
+        for point in rest:
+            assert all(words.get(addr) != word
+                       for addr, word in point.words.items())
+            words.update(point.words)
+
+    def test_li_stores_its_memory_about_once(self, li):
+        """li stores about 32 new words per checkpoint: whole copies
+        stored 25x its final word count, the changed words stay within
+        2x."""
+        program, _budget, golden, _counts = li
+        final = len(emulate(program, collect_trace=False).memory)
+        stored = sum(len(point.words) for point in golden.checkpoints)
+        assert len(golden.checkpoints) > 20
+        assert stored <= 2 * final
 
     def test_resume_point_is_latest_at_or_before_the_ordinal(self,
                                                              nop_heavy):

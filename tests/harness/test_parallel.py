@@ -28,6 +28,7 @@ from repro.harness.parallel import (
 from repro.harness import parallel
 from repro.harness.experiments import figure2_spec
 from repro.harness.runner import run_model
+from repro.arch.trace import PackedTrace
 from repro.harness.campaign import (MismatchRecord, OracleMismatch,
                                     _chunk_indices)
 from repro.isa.assembler import AsmError
@@ -471,6 +472,64 @@ class TestHeldWarmState:
         self._stats(SimJob("gcc", config, TINY))
         self._stats(SimJob("gcc", config, TINY, seed=3))
         assert len(warm_passes) == 4
+
+
+class TestHeldRecords:
+    """Warm full runs of one trace share one materialized record list,
+    and each held entry is dropped before its replacement is built."""
+
+    @pytest.fixture(autouse=True)
+    def clear_held(self):
+        parallel._held_records.clear()
+        parallel._held_warm.clear()
+        yield
+        parallel._held_records.clear()
+        parallel._held_warm.clear()
+
+    def test_fig2_jobs_of_one_trace_share_one_list(self, monkeypatch):
+        lists = []
+        original = PackedTrace.records
+
+        def records(trace, *args):
+            lists.append(original(trace, *args))
+            return lists[-1]
+
+        seen = []
+        monkeypatch.setattr(PackedTrace, "records", records)
+        monkeypatch.setattr(parallel, "run_model",
+                            lambda program, trace, *args, **kwargs:
+                            seen.append(trace) or run_model(
+                                program, trace, *args, **kwargs))
+        jobs = [SimJob("gcc", config, TINY)
+                for _label, config in figure2_spec().series[:2]]
+        ParallelRunner(jobs=1, use_cache=False).run(jobs)
+        assert len(lists) == 1
+        assert len(seen) == 2 and seen[0] is seen[1] is lists[0]
+
+    def test_held_entries_are_dropped_before_the_new_ones_are_built(
+            self, monkeypatch):
+        held = []
+        warm_full, records = WarmState.warm_full, PackedTrace.records
+
+        def watched_warm(state, trace):
+            held.append(("warm", dict(parallel._held_warm)))
+            warm_full(state, trace)
+
+        def watched_records(trace, *args):
+            held.append(("records", dict(parallel._held_records)))
+            return records(trace, *args)
+
+        monkeypatch.setattr(WarmState, "warm_full", watched_warm)
+        monkeypatch.setattr(PackedTrace, "records", watched_records)
+        runner = ParallelRunner(jobs=1, use_cache=False)
+        runner.run([SimJob("gcc", starting_config(), TINY)])
+        assert len(parallel._held_warm) == len(parallel._held_records) == 1
+        held.clear()
+        # A new key: another trace, so new warm state and records.
+        runner.run([SimJob("gcc", starting_config(), TINY, seed=3)])
+        assert sorted(kind for kind, _ in held) == ["records", "warm"]
+        assert all(entries == {} for _kind, entries in held)
+        assert len(parallel._held_warm) == len(parallel._held_records) == 1
 
 
 class TestParallelMap:

@@ -189,6 +189,18 @@ class TestSpeedEntries:
         assert any("wall_s" in e for e in errors)
         assert any("stats_digest" in e for e in errors)
 
+    def test_child_cpu_is_an_optional_median(self):
+        runs = [_perfbench_output(1.0)] * 3
+        assert "child_cpu_s" not in bench_track.speed_entry("x", runs)
+        entry = bench_track.speed_entry("x", runs, "abc1234", [3.0, 1.0, 2.5])
+        assert entry["child_cpu_s"] == 2.5
+        document = {"schema": 2, "entries": [entry]}
+        assert bench_track.validate_trajectory(document) == []
+        for bad in (-1.0, "2.5", None, True):
+            entry["child_cpu_s"] = bad
+            errors = bench_track.validate_trajectory(document)
+            assert len(errors) == 1 and "child_cpu_s" in errors[0]
+
     def test_ingest_upgrades_a_schema_1_document(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"schema": 1, "entries": [_entry()]}))
@@ -284,15 +296,18 @@ class TestAB:
         return {"old": "aaaaaaa", "new": "bbbbbbb"}[rev]
 
     @staticmethod
-    def _runner(walls, digests=None):
-        """A runner whose k-th run of a side reports ``walls[side][k]``;
-        it records the order of its calls."""
+    def _runner(walls, digests=None, clock=None):
+        """A runner whose k-th run of a side reports ``walls[side][k]``
+        and spends twice that in child CPU seconds on ``clock`` (a
+        one-item list); it records the order of its calls."""
         calls = []
+        clock = [0.0] if clock is None else clock
 
         def run(root, workload, seed, seconds):
             side = (root / "REV").read_text()
             k = sum(1 for call in calls if call[0] == side and call[2] == seed)
             calls.append((side, workload, seed, seconds))
+            clock[0] += 2 * walls[side][k]
             digest = (digests or {}).get(side, "ab" * 32)
             return _perfbench_output(walls[side][k], digest, workload, seed)
 
@@ -304,11 +319,29 @@ class TestAB:
         for root, rev in zip(roots, ("old", "new")):
             root.mkdir()
             (root / "REV").write_text(rev)
-        outputs = bench_track.ab_runs(roots, "sampled", 7, 3, 5.0, run)
+        outputs, cpu_s = bench_track.ab_runs(roots, "sampled", 7, 3, 5.0,
+                                             run)
         assert [call[0] for call in calls] == [
             "old", "new", "new", "old", "old", "new"]
         assert all(call[1:] == ("sampled", 7, 5.0) for call in calls)
         assert [len(side) for side in outputs] == [3, 3]
+        assert [len(side) for side in cpu_s] == [3, 3]
+
+    def test_child_cpu_is_measured_around_each_run(self, tmp_path):
+        path = tmp_path / "t.json"
+        clock = [100.0]
+        walls = {"old": [2.0, 3.0, 4.0], "new": [1.0, 1.5, 0.5]}
+        run, _calls = self._runner(walls, clock=clock)
+        lines = list(bench_track.ab("old", "new", "faults", [0], 3, None,
+                                    "x", path, self._export, run,
+                                    cpu=lambda: clock[0]))
+        # Each run spends twice its wall time: medians 6.0 and 2.0.
+        assert ("  child_cpu_s      6.0000 ->     2.0000 (medians; "
+                "supporting evidence, not gated)") in lines
+        data = json.loads(path.read_text())
+        assert [entry["child_cpu_s"] for entry in data["entries"]] == [
+            6.0, 2.0]
+        assert bench_track.validate_trajectory(data) == []
 
     def test_reports_and_ingests_both_sides(self, tmp_path):
         path = tmp_path / "t.json"
@@ -344,6 +377,19 @@ class TestAB:
                                     "x", tmp_path / "t.json", self._export,
                                     run))
         assert any("DIFFERS" in line for line in lines)
+
+    def test_a_run_does_not_inherit_this_process_peak_rss(self, tmp_path):
+        """``ru_maxrss`` survives ``exec``: a run forked straight from a
+        large process reads that process's RSS as its peak."""
+        script = tmp_path / "perfbench" / "run.py"
+        script.parent.mkdir()
+        script.write_text(
+            "import resource\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        ballast = b"\x01" * (96 << 20)  # resident in this process
+        peak_kb = int(bench_track.perfbench_run(tmp_path, "faults", 0, 1.0))
+        assert len(ballast) == 96 << 20
+        assert peak_kb < 64 << 10
 
     def test_gap_within_the_parent_iqr_is_reported(self):
         parent = [_perfbench_output(wall) for wall in (1.0, 2.0, 3.0, 4.0)]
