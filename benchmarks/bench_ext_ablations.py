@@ -11,36 +11,35 @@
 
 import statistics
 
-from conftest import publish
+from conftest import bench_runner, publish
 
-from repro.harness import bench_scale, format_table
-from repro.uarch import Pipeline, starting_config
+from repro.harness import SimJob, bench_scale, format_table
+from repro.uarch import starting_config
 from repro.workloads import BENCHMARK_ORDER
-from repro.workloads.suite import trace_for
-
-_WARM = dict(warm=True)
 
 
-def _avg_ipc(traces, config):
-    return statistics.mean(
-        Pipeline(p, t, config, **_WARM).run().ipc for p, t in traces.values()
-    )
-
-
-def _traces():
+def _avg_ipcs(configs):
+    """The suite-average IPC of each config.  The jobs run
+    benchmark-major, so the configs of one trace run together."""
     scale = bench_scale()
-    return {n: trace_for(n, scale=scale) for n in BENCHMARK_ORDER}
+    stats = bench_runner().run([
+        SimJob(name, config, scale)
+        for name in BENCHMARK_ORDER for config in configs
+    ])
+    return [
+        statistics.mean(run.ipc for run in stats[index::len(configs)])
+        for index in range(len(configs))
+    ]
 
 
 def test_ablation_early_remove(benchmark):
     def run():
-        traces = _traces()
         config = starting_config()
-        return (
-            _avg_ipc(traces, config),
-            _avg_ipc(traces, config.with_reese(early_remove=False)),
-            _avg_ipc(traces, config.with_reese(early_remove=True)),
-        )
+        return _avg_ipcs([
+            config,
+            config.with_reese(early_remove=False),
+            config.with_reese(early_remove=True),
+        ])
 
     base, plain, early = benchmark.pedantic(run, rounds=1, iterations=1)
     publish(
@@ -63,18 +62,13 @@ def test_ablation_rqueue_size(benchmark):
     sizes = [8, 16, 32, 64]
 
     def run():
-        traces = _traces()
         config = starting_config()
-        base = _avg_ipc(traces, config)
-        ipcs = {
-            size: _avg_ipc(
-                traces,
-                config.with_reese(rqueue_size=size,
-                                  high_water_margin=min(8, size - 1)),
-            )
+        base, *ipcs = _avg_ipcs([config] + [
+            config.with_reese(rqueue_size=size,
+                              high_water_margin=min(8, size - 1))
             for size in sizes
-        }
-        return base, ipcs
+        ])
+        return base, dict(zip(sizes, ipcs))
 
     base, ipcs = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [["R-queue size", "avg IPC", "gap vs baseline"]]
@@ -91,14 +85,11 @@ def test_ablation_r_issue_width(benchmark):
     widths = [1, 2, 4, 8]
 
     def run():
-        traces = _traces()
         config = starting_config()
-        base = _avg_ipc(traces, config)
-        ipcs = {
-            width: _avg_ipc(traces, config.with_reese(r_issue_width=width))
-            for width in widths
-        }
-        return base, ipcs
+        base, *ipcs = _avg_ipcs([config] + [
+            config.with_reese(r_issue_width=width) for width in widths
+        ])
+        return base, dict(zip(widths, ipcs))
 
     base, ipcs = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [["R dequeue width", "avg IPC", "gap vs baseline"]]

@@ -8,34 +8,30 @@ fraction; coverage must degrade monotonically (up to sampling noise)
 as events outlast the P->R separation.
 """
 
-from conftest import publish
+from conftest import bench_runner, publish
 
-from repro.harness import bench_scale, format_table
-from repro.reese import EnvironmentalFaultModel
-from repro.uarch import Pipeline, starting_config
-from repro.workloads.suite import trace_for
+from repro.harness import FaultSpec, SimJob, bench_scale, format_table
+from repro.uarch import starting_config
 
 DURATIONS = [1, 4, 16, 64, 256, 1024]
+SEEDS = (5, 17, 91)
 RATE = 2e-3
 
 
 def run_sweep():
-    program, trace = trace_for("ijpeg", scale=bench_scale())
     config = starting_config().with_reese()
+    stats = bench_runner().run([
+        SimJob("ijpeg", config, bench_scale(),
+               fault=FaultSpec.make("environmental", rate=RATE,
+                                    duration=duration, seed=seed))
+        for duration in DURATIONS for seed in SEEDS
+    ])
     rows = []
-    for duration in DURATIONS:
-        detected = escaped = strikes = 0
-        for seed in (5, 17, 91):
-            model = EnvironmentalFaultModel(
-                rate=RATE, duration=duration, seed=seed
-            )
-            stats = Pipeline(
-                program, trace, config, fault_model=model,
-                warm=True,
-            ).run()
-            detected += stats.errors_detected
-            escaped += stats.errors_undetected_same_event
-            strikes += model.strikes
+    for index, duration in enumerate(DURATIONS):
+        runs = stats[index * len(SEEDS):(index + 1) * len(SEEDS)]
+        detected = sum(run.errors_detected for run in runs)
+        escaped = sum(run.errors_undetected_same_event for run in runs)
+        strikes = sum(run.strikes for run in runs)
         total = detected + escaped
         coverage = detected / total if total else 1.0
         rows.append((duration, strikes, detected, escaped, coverage))

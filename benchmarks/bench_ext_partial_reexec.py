@@ -11,43 +11,41 @@ trade-off: IPC recovered, and faults escaping as SDC.
 
 import statistics
 
-from conftest import publish
+from conftest import bench_runner, publish
 
-from repro.harness import bench_scale, format_table
-from repro.reese import BernoulliFaultModel
-from repro.uarch import Pipeline, starting_config
+from repro.harness import FaultSpec, SimJob, bench_scale, format_table
+from repro.uarch import starting_config
 from repro.workloads import BENCHMARK_ORDER
-from repro.workloads.suite import trace_for
 
 DUTIES = [1.0, 0.5, 0.25, 0.125]
+#: The coverage probe: per-execution faults.
+FAULT = FaultSpec.make("bernoulli", rate=2e-4, seed=13)
 
 
 def run_sweep():
     scale = bench_scale()
-    traces = {n: trace_for(n, scale=scale) for n in BENCHMARK_ORDER}
     config = starting_config()
-    base_ipc = statistics.mean(
-        Pipeline(p, t, config, warm=True).run().ipc
-        for p, t in traces.values()
-    )
+    # Per benchmark: the baseline, then each duty cycle clean and faulted.
+    per_bench = 1 + 2 * len(DUTIES)
+    jobs = []
+    for name in BENCHMARK_ORDER:
+        jobs.append(SimJob(name, config, scale))
+        for duty in DUTIES:
+            reese = config.with_reese(r_duty_cycle=duty)
+            jobs += [SimJob(name, reese, scale),
+                     SimJob(name, reese, scale, fault=FAULT)]
+    stats = bench_runner().run(jobs)
+    base_ipc = statistics.mean(run.ipc for run in stats[::per_bench])
     rows = []
-    for duty in DUTIES:
-        reese = config.with_reese(r_duty_cycle=duty)
-        ipcs = []
-        detected = escaped = 0
-        for p, t in traces.values():
-            stats = Pipeline(p, t, reese, warm=True).run()
-            ipcs.append(stats.ipc)
-            # Coverage probe with per-execution faults.
-            model = BernoulliFaultModel(rate=2e-4, seed=13)
-            fault_stats = Pipeline(
-                p, t, reese, fault_model=model, warm=True
-            ).run()
-            detected += fault_stats.errors_detected
-            escaped += fault_stats.sdc_commits
+    for index, duty in enumerate(DUTIES):
+        clean = stats[1 + 2 * index::per_bench]
+        faulted = stats[2 + 2 * index::per_bench]
+        detected = sum(run.errors_detected for run in faulted)
+        escaped = sum(run.sdc_commits for run in faulted)
         total = detected + escaped
         coverage = detected / total if total else 1.0
-        rows.append((duty, statistics.mean(ipcs), coverage))
+        rows.append((duty, statistics.mean(run.ipc for run in clean),
+                     coverage))
     return base_ipc, rows
 
 

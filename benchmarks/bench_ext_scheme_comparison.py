@@ -10,30 +10,25 @@ queue *past* the window — which is the paper's whole design argument.
 
 import statistics
 
-from conftest import publish
+from conftest import bench_runner, publish
 
-from repro.harness import bench_scale, format_table
-from repro.uarch import Pipeline, starting_config
+from repro.harness import SimJob, bench_scale, format_table
+from repro.uarch import starting_config
 from repro.workloads import BENCHMARK_ORDER
-from repro.workloads.suite import trace_for
-
-_WARM = dict(warm=True)
 
 
 def run_comparison():
     scale = bench_scale()
-    traces = {n: trace_for(n, scale=scale) for n in BENCHMARK_ORDER}
     config = starting_config()
-    rows = []
-    for name in BENCHMARK_ORDER:
-        program, trace = traces[name]
-        base = Pipeline(program, trace, config, **_WARM).run()
-        reese = Pipeline(program, trace, config.with_reese(), **_WARM).run()
-        dup = Pipeline(
-            program, trace, config.with_dispatch_dup(), **_WARM
-        ).run()
-        rows.append((name, base.ipc, reese.ipc, dup.ipc))
-    return rows
+    configs = [config, config.with_reese(), config.with_dispatch_dup()]
+    stats = iter(bench_runner().run([
+        SimJob(name, model, scale)
+        for name in BENCHMARK_ORDER for model in configs
+    ]))
+    return [
+        (name, *(next(stats).ipc for _ in configs))
+        for name in BENCHMARK_ORDER
+    ]
 
 
 def test_reese_vs_dispatch_duplication(benchmark):

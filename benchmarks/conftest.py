@@ -4,11 +4,12 @@ Figure results are memoised per session: several benches consume the
 same figure (e.g. the §6.1 claims bench aggregates Figs 2-5), and each
 figure is a multi-minute simulation at full scale.
 
-Figures run through the parallel execution layer
-(:mod:`repro.harness.parallel`).  ``REPRO_BENCH_JOBS`` sets the worker
-count (default 1 — sequential, the reference configuration) and
-``REPRO_BENCH_CACHE=1`` enables the on-disk result cache so a repeated
-bench session under an unchanged model is nearly free.
+Figures and every other bench simulation run as SimJobs through the
+parallel execution layer (:mod:`repro.harness.parallel`), so they get
+the result cache and the ``REPRO_*`` gates.  ``REPRO_BENCH_JOBS`` sets
+the worker count (default 1 — sequential, the reference configuration)
+and ``REPRO_BENCH_CACHE=1`` enables the on-disk result cache so a
+repeated bench session under an unchanged model is nearly free.
 
 Every bench writes its paper-style text report to
 ``benchmarks/results/<name>.txt`` *and* prints it, so the regenerated
@@ -56,11 +57,16 @@ def bench_cache() -> bool:
     return env_flag("REPRO_BENCH_CACHE", False)
 
 
+def bench_runner() -> ParallelRunner:
+    """The runner every bench simulates through: ``REPRO_BENCH_JOBS``
+    workers, and the on-disk cache when ``REPRO_BENCH_CACHE`` is set."""
+    return ParallelRunner(jobs=bench_jobs(), use_cache=bench_cache())
+
+
 def get_figure(figure_id: str) -> FigureResult:
     """Run (or fetch the memoised run of) one figure at bench scale."""
     if figure_id not in _figure_cache:
-        kwargs = dict(runner=ParallelRunner(jobs=bench_jobs(),
-                                            use_cache=bench_cache()))
+        kwargs = dict(runner=bench_runner())
         if figure_id.startswith("fig7"):
             for spec in figure7_specs():
                 if spec.figure_id == figure_id:

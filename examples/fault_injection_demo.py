@@ -43,7 +43,7 @@ def reese_detection() -> None:
         program, trace, config, fault_model=model,
         warm=True,
     ).run()
-    print(f"fault strikes:            {model.strikes}")
+    print(f"fault strikes:            {stats.strikes}")
     print(f"errors detected:          {stats.errors_detected}")
     print(f"recoveries (flush+refetch): {stats.recoveries}")
     print(f"silent corruptions:       {stats.sdc_commits}")

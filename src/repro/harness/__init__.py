@@ -15,9 +15,8 @@ __all__, __getattr__, __dir__ = lazy_surface(__name__, {
     ),
     ".expectations": ("Expectation", "check_all"),
     ".campaign": (
-        "CampaignResult", "MismatchRecord", "OracleMismatch",
-        "SiteCampaignResult", "SiteSample", "run_campaign",
-        "run_site_campaign", "sample_sites",
+        "CampaignResult", "MismatchRecord", "OracleMismatch", "SiteSample",
+        "run_campaign", "run_site_campaign", "sample_sites",
     ),
     ".parallel": (
         "FaultSpec", "ParallelRunner", "ResultCache", "RunTelemetry",
@@ -28,7 +27,7 @@ __all__, __getattr__, __dir__ = lazy_surface(__name__, {
     ".reporting": (
         "analysis_report", "figure_report", "format_table", "lint_report",
         "markdown_table", "overhead_summary", "profile_report",
-        "site_campaign_report", "summary_report", "telemetry_report",
+        "summary_report", "telemetry_report",
     ),
     ".telemetry": (
         "TELEMETRY_SCHEMA_VERSION", "atomic_write_text", "read_job_telemetry",
@@ -37,7 +36,6 @@ __all__, __getattr__, __dir__ = lazy_surface(__name__, {
     "..env": ("env_flag", "env_int"),
     ".runner": (
         "DEFAULT_SCALE", "bench_scale", "run_benchmark", "run_model",
-        "run_sampled_benchmark",
     ),
     ".sweep": ("SweepPoint", "run_sweep", "spare_capacity_grid"),
 })

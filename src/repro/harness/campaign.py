@@ -17,7 +17,16 @@ clean       no fault struck this run.
 
 This is the "machine without REESE" side of the reproduction's fault
 study; the timing-level REESE campaign (detection/recovery) lives in
-the pipeline itself via :class:`repro.reese.faults.FaultModel`.
+the pipeline itself via :class:`repro.reese.faults.FaultModel`: a
+faulted :class:`~repro.harness.parallel.SimJob` whose
+``Stats.strikes`` counts its strikes.
+
+Both campaigns return one :class:`CampaignResult`: outcome counts in
+the taxonomy above, by fault-site class.  A site campaign files each
+injection under its site's static class; a Bernoulli campaign files
+every run under :data:`ALL_SITES`.  One
+:meth:`~CampaignResult.report` and one export
+(:func:`repro.harness.export.write_campaign`) serve both.
 
 Both campaigns run on one engine.  Each injected run follows a *plan*:
 ascending ``(ordinal, bit)`` pairs, where ordinals number the eligible
@@ -59,31 +68,145 @@ OUTCOMES = ("clean", "masked", "sdc", "crash", "hang")
 VISIBLE_OUTCOMES = ("sdc", "crash", "hang")
 
 
+@dataclass(frozen=True)
+class MismatchRecord:
+    """A dynamic outcome that contradicts the static prediction."""
+
+    program_name: str
+    index: int
+    reg: int
+    klass: str
+    occurrence: int
+    bit: int
+    outcome: str
+    instruction: str
+
+    def render(self) -> str:
+        return (
+            f"{self.program_name}@{self.index} ({self.instruction}): "
+            f"{self.klass}-classified site produced {self.outcome!r} "
+            f"(occurrence {self.occurrence}, bit {self.bit})"
+        )
+
+
+class OracleMismatch(Exception):
+    """A ``dead``-classified fault site produced visible corruption.
+
+    Either the static analysis or the simulator is wrong; the records
+    name the exact injections so the disagreement is reproducible.
+    """
+
+    def __init__(self, mismatches: Sequence[MismatchRecord]) -> None:
+        self.mismatches = list(mismatches)
+        lines = [f"{len(self.mismatches)} static-oracle mismatch(es):"]
+        lines += [f"  {record.render()}" for record in self.mismatches]
+        super().__init__("\n".join(lines))
+
+    def __reduce__(self):
+        return type(self), (self.mismatches,)
+
+
+#: The ``by_class`` key of a Bernoulli campaign, whose strikes fall on
+#: any eligible instruction rather than on a classified fault site.
+ALL_SITES = "all"
+
+
 @dataclass
 class CampaignResult:
-    """Aggregated outcome counts of an injection campaign."""
+    """Outcome counts of an injection campaign, by fault-site class.
+
+    A site campaign files each injection under its site's static class
+    (every class of :data:`repro.analysis.CLASSES` is a key); a
+    Bernoulli campaign files every run under :data:`ALL_SITES` and sets
+    ``rate``.  ``site_pool``, ``mismatches`` and ``skipped_dead`` stay
+    empty or zero for a Bernoulli campaign.
+    """
 
     program_name: str
     runs: int
-    rate: float
-    outcomes: Counter = field(default_factory=Counter)
+    #: Per-instruction flip probability; ``None`` for a site campaign.
+    rate: Optional[float] = None
+    seed: int = 0
+    #: fault-site class -> Counter of outcomes.
+    by_class: Dict[str, Counter] = field(default_factory=dict)
+    #: Injected emulations performed, and the faults they injected.
+    emulations: int = 0
     injections: int = 0
+    #: executable fault sites per class (the sampling pool).
+    site_pool: Counter = field(default_factory=Counter)
+    mismatches: List[MismatchRecord] = field(default_factory=list)
+    #: ``dead`` samples settled statically (``skip_dead``), no emulation.
+    skipped_dead: int = 0
+    analysis_from_cache: bool = False
+
+    @property
+    def outcomes(self) -> Counter:
+        total: Counter = Counter()
+        for counter in self.by_class.values():
+            total.update(counter)
+        return total
 
     @property
     def sdc_fraction(self) -> float:
-        struck = self.runs - self.outcomes["clean"]
-        return self.outcomes["sdc"] / struck if struck else 0.0
+        outcomes = self.outcomes
+        struck = self.runs - outcomes["clean"]
+        return outcomes["sdc"] / struck if struck else 0.0
+
+    def visible(self, klass: str) -> int:
+        """Architecturally visible corruptions among one class."""
+        counter = self.by_class.get(klass, Counter())
+        return sum(counter[outcome] for outcome in VISIBLE_OUTCOMES)
+
+    def record(self, klass: str, outcome: str, injections: int) -> None:
+        """File one injected emulation."""
+        self.by_class[klass][outcome] += 1
+        self.emulations += 1
+        self.injections += injections
+
+    def raise_on_mismatch(self) -> None:
+        if self.mismatches:
+            raise OracleMismatch(self.mismatches)
 
     def report(self) -> str:
+        """Each outcome's count and share of the runs; a site campaign
+        adds its pool, the per-class grid and the oracle's verdict."""
+        site = self.rate is None
+        counts = f"{self.emulations} emulations, {self.injections} injections"
+        if site:
+            counts += (
+                f", {self.skipped_dead} dead sites settled statically; "
+                f"analysis {'cached' if self.analysis_from_cache else 'fresh'}"
+            )
         lines = [
-            f"fault campaign on {self.program_name!r}: "
-            f"{self.runs} runs, per-instruction rate {self.rate:g}, "
-            f"{self.injections} total injections",
+            f"{'site' if site else 'fault'} campaign on "
+            f"{self.program_name!r}: {self.runs} runs, "
+            + ("stratified over fault sites" if site
+               else f"per-instruction rate {self.rate:g}")
+            + f", seed {self.seed} ({counts})",
         ]
-        for outcome in OUTCOMES:
-            count = self.outcomes.get(outcome, 0)
-            share = count / self.runs if self.runs else 0.0
-            lines.append(f"  {outcome:7s} {count:5d} ({share:.0%})")
+        if site:
+            lines.append("  site pool: " + ", ".join(
+                f"{klass}={self.site_pool.get(klass, 0)}"
+                for klass in self.by_class
+            ))
+            rows = [["class"] + list(OUTCOMES) + ["visible"]] + [
+                [klass] + [str(counter[outcome]) for outcome in OUTCOMES]
+                + [str(self.visible(klass))]
+                for klass, counter in self.by_class.items()
+            ]
+            lines += ["  " + "  ".join(f"{cell:>7s}" for cell in row)
+                      for row in rows]
+        total = self.outcomes
+        total["visible"] = sum(total[name] for name in VISIBLE_OUTCOMES)
+        for outcome in OUTCOMES + ("visible",):
+            share = total[outcome] / self.runs if self.runs else 0.0
+            lines.append(f"  {outcome:7s} {total[outcome]:5d} ({share:.0%})")
+        if self.mismatches:
+            lines.append(f"  ORACLE MISMATCHES: {len(self.mismatches)}")
+            lines += [f"    {r.render()}" for r in self.mismatches]
+        elif site:
+            lines.append("  oracle: 0 mismatches (every dead-classified "
+                         "injection was masked)")
         return "\n".join(lines)
 
 
@@ -196,13 +319,13 @@ def run_campaign(
                              collect_trace=False, checkpoints=True,
                              blocks=blocks))
 
-    result = CampaignResult(program.name, runs, rate)
+    result = CampaignResult(program.name, runs, rate, seed,
+                            by_class={ALL_SITES: Counter()})
     plans = [BernoulliPlan(rate, seed + run_index, max_instructions)
              for run_index in range(runs)]
     for outcome, injections in _run_plans(blocks, plans, max_instructions,
                                           golden, jobs):
-        result.outcomes[outcome] += 1
-        result.injections += injections
+        result.record(ALL_SITES, outcome, injections)
     return result
 
 
@@ -226,44 +349,6 @@ class SiteSample:
     klass: str        # static prediction: dead / live / control
     occurrence: int
     bit: int
-
-
-@dataclass(frozen=True)
-class MismatchRecord:
-    """A dynamic outcome that contradicts the static prediction."""
-
-    program_name: str
-    index: int
-    reg: int
-    klass: str
-    occurrence: int
-    bit: int
-    outcome: str
-    instruction: str
-
-    def render(self) -> str:
-        return (
-            f"{self.program_name}@{self.index} ({self.instruction}): "
-            f"{self.klass}-classified site produced {self.outcome!r} "
-            f"(occurrence {self.occurrence}, bit {self.bit})"
-        )
-
-
-class OracleMismatch(Exception):
-    """A ``dead``-classified fault site produced visible corruption.
-
-    Either the static analysis or the simulator is wrong; the records
-    name the exact injections so the disagreement is reproducible.
-    """
-
-    def __init__(self, mismatches: Sequence[MismatchRecord]) -> None:
-        self.mismatches = list(mismatches)
-        lines = [f"{len(self.mismatches)} static-oracle mismatch(es):"]
-        lines += [f"  {record.render()}" for record in self.mismatches]
-        super().__init__("\n".join(lines))
-
-    def __reduce__(self):
-        return type(self), (self.mismatches,)
 
 
 class ExecutionCounts(Counter):
@@ -397,71 +482,6 @@ def site_plan(counts: ExecutionCounts, sample: SiteSample) -> Plan:
     return () if ordinal is None else ((ordinal, sample.bit),)
 
 
-@dataclass
-class SiteCampaignResult:
-    """Aggregated outcome of a site-level (oracle) campaign."""
-
-    program_name: str
-    runs: int
-    seed: int
-    #: static prediction -> Counter of dynamic outcomes.
-    by_class: Dict[str, Counter] = field(default_factory=dict)
-    #: executable fault sites per class (the sampling pool).
-    site_pool: Counter = field(default_factory=Counter)
-    mismatches: List[MismatchRecord] = field(default_factory=list)
-    #: ``dead`` samples settled statically (``skip_dead``), no emulation.
-    skipped_dead: int = 0
-    #: injected emulations actually performed.
-    emulations: int = 0
-    analysis_from_cache: bool = False
-
-    @property
-    def outcomes(self) -> Counter:
-        total: Counter = Counter()
-        for counter in self.by_class.values():
-            total.update(counter)
-        return total
-
-    def visible(self, klass: str) -> int:
-        """Architecturally visible corruptions among one class."""
-        counter = self.by_class.get(klass, Counter())
-        return sum(counter[outcome] for outcome in VISIBLE_OUTCOMES)
-
-    def raise_on_mismatch(self) -> None:
-        if self.mismatches:
-            raise OracleMismatch(self.mismatches)
-
-    def report(self) -> str:
-        from ..analysis import CLASSES
-
-        lines = [
-            f"site campaign on {self.program_name!r}: {self.runs} "
-            f"stratified injections, seed {self.seed} "
-            f"({self.emulations} emulations, {self.skipped_dead} dead "
-            f"sites settled statically; analysis "
-            f"{'cached' if self.analysis_from_cache else 'fresh'})",
-            f"  site pool: " + ", ".join(
-                f"{klass}={self.site_pool.get(klass, 0)}"
-                for klass in CLASSES
-            ),
-        ]
-        header = ["class"] + list(OUTCOMES[1:]) + ["visible"]
-        lines.append("  " + "  ".join(f"{cell:>7s}" for cell in header))
-        for klass in CLASSES:
-            counter = self.by_class.get(klass, Counter())
-            row = [klass] + [
-                str(counter.get(outcome, 0)) for outcome in OUTCOMES[1:]
-            ] + [str(self.visible(klass))]
-            lines.append("  " + "  ".join(f"{cell:>7s}" for cell in row))
-        if self.mismatches:
-            lines.append(f"  ORACLE MISMATCHES: {len(self.mismatches)}")
-            lines += [f"    {r.render()}" for r in self.mismatches]
-        else:
-            lines.append("  oracle: 0 mismatches (every dead-classified "
-                         "injection was masked)")
-        return "\n".join(lines)
-
-
 def run_site_campaign(
     program: Program,
     runs: int = 60,
@@ -473,7 +493,7 @@ def run_site_campaign(
     use_analysis_cache: bool = True,
     analysis_cache_dir: Optional[str] = None,
     strict: bool = False,
-) -> SiteCampaignResult:
+) -> CampaignResult:
     """Stratified fault-site campaign cross-checked against the analyzer.
 
     Each run corrupts one specific ``(instruction, destination
@@ -508,7 +528,7 @@ def run_site_campaign(
     samples = sample_sites(analysis, exec_counts, runs, seed,
                            classes=classes)
 
-    result = SiteCampaignResult(
+    result = CampaignResult(
         program_name=program.name,
         runs=len(samples),
         seed=seed,
@@ -533,9 +553,8 @@ def run_site_campaign(
 
     plans = [site_plan(exec_counts, sample) for sample in pending]
     outcomes = _run_plans(blocks, plans, max_instructions, golden, jobs)
-    for sample, (outcome, _injections) in zip(pending, outcomes):
-        result.by_class[sample.klass][outcome] += 1
-        result.emulations += 1
+    for sample, (outcome, injections) in zip(pending, outcomes):
+        result.record(sample.klass, outcome, injections)
         if sample.klass == CLASS_DEAD and outcome in VISIBLE_OUTCOMES:
             result.mismatches.append(MismatchRecord(
                 program_name=program.name,

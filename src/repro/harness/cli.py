@@ -56,14 +56,12 @@ import os
 import sys
 from typing import List, Optional
 
-from ..reese.faults import EnvironmentalFaultModel
 from ..uarch.config import starting_config
-from ..uarch.observe import ObserveConfig
 from ..uarch.sampling import SamplingSpec
-from ..workloads.suite import BENCHMARK_ORDER, BENCHMARKS, trace_for
+from ..workloads.suite import BENCHMARK_ORDER, BENCHMARKS
 from . import experiments, reporting
-from .parallel import ParallelRunner, SimJob, run_sampled_jobs
-from .runner import bench_scale, run_model
+from .parallel import FaultSpec, ParallelRunner, SimJob, run_sampled_jobs
+from .runner import bench_scale
 
 
 def _runner_from(args) -> ParallelRunner:
@@ -202,49 +200,29 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    config = starting_config().with_reese()
+    runner = _runner_from(args)
     sampling = _sampling_from(args)
-    if sampling is not None:
-        from .parallel import FaultSpec, interval_fault_spec
-        from .runner import run_sampled_benchmark
-
-        spec = FaultSpec.make("environmental", rate=args.rate,
-                              duration=args.duration, seed=args.seed)
-        models = []
-
-        def factory(index: int):
-            model = interval_fault_spec(spec, index).build()
-            models.append(model)
-            return model
-
-        result = run_sampled_benchmark(
-            args.benchmark, config, sampling,
-            scale=args.scale, fault_factory=factory,
-        )
-        stats = result.stats
-        print(f"workload:            {args.benchmark} ({result.summary()})")
-        print(f"fault events struck: {sum(m.strikes for m in models)}")
-        print(f"errors detected:     {stats.errors_detected}")
-        print(f"escapes (same event):{stats.errors_undetected_same_event}")
-        print(f"recoveries:          {stats.recoveries}")
-        print(f"final IPC:           {result.ipc:.3f}")
-        return 0
-    # A live model rather than a SimJob: the report reads its strikes.
-    model = EnvironmentalFaultModel(
-        rate=args.rate, duration=args.duration, seed=args.seed
+    job = SimJob(
+        args.benchmark, starting_config().with_reese(),
+        args.scale or bench_scale(), sampling=sampling,
+        fault=FaultSpec.make("environmental", rate=args.rate,
+                             duration=args.duration, seed=args.seed),
+        trace_path=_trace_path(args),
     )
-    observe = ObserveConfig(metrics=args.observe,
-                            check_invariants=args.check_invariants,
-                            trace_path=args.trace, profile=args.profile)
-    program, trace = trace_for(args.benchmark, args.scale or bench_scale())
-    stats = run_model(program, trace, config, fault_model=model,
-                      observe=observe)
-    print(f"workload:            {args.benchmark}")
-    print(f"fault events struck: {model.strikes}")
+    if sampling is not None:
+        [result] = run_sampled_jobs([job], runner)
+        stats, ipc = result.stats, result.ipc
+        print(f"workload:            {args.benchmark} ({result.summary()})")
+    else:
+        [stats] = runner.run([job])
+        ipc = stats.ipc
+        print(f"workload:            {args.benchmark}")
+    print(f"fault events struck: {stats.strikes}")
     print(f"errors detected:     {stats.errors_detected}")
     print(f"escapes (same event):{stats.errors_undetected_same_event}")
     print(f"recoveries:          {stats.recoveries}")
-    print(f"final IPC:           {stats.ipc:.3f}")
+    print(f"final IPC:           {ipc:.3f}")
+    _emit_telemetry(runner)
     return 0
 
 
@@ -266,29 +244,23 @@ def _cmd_campaign(args) -> int:
     from .campaign import run_campaign, run_site_campaign
 
     program = BENCHMARKS[args.benchmark].build(scale=args.scale or 5000)
+    jobs = args.jobs or (os.cpu_count() or 1)
     if args.sites or args.static_oracle or args.skip_dead:
         result = run_site_campaign(
-            program, runs=args.runs, seed=args.seed,
-            jobs=args.jobs or (os.cpu_count() or 1),
-            skip_dead=args.skip_dead,
-            use_analysis_cache=not args.no_cache,
+            program, runs=args.runs, seed=args.seed, jobs=jobs,
+            skip_dead=args.skip_dead, use_analysis_cache=not args.no_cache,
         )
-        print(result.report())
-        if args.export_dir:
-            from . import export
-
-            written = export.write_site_campaign(result, args.export_dir)
-            for fmt, path in written.items():
-                print(f"wrote {fmt}: {path}")
-        if args.static_oracle and result.mismatches:
-            return 1
-        return 0
-    result = run_campaign(
-        program, runs=args.runs, rate=args.rate, seed=args.seed,
-        jobs=args.jobs or (os.cpu_count() or 1),
-    )
+    else:
+        result = run_campaign(program, runs=args.runs, rate=args.rate,
+                              seed=args.seed, jobs=jobs)
     print(result.report())
-    return 0
+    if args.export_dir:
+        from . import export
+
+        written = export.write_campaign(result, args.export_dir)
+        for fmt, path in written.items():
+            print(f"wrote {fmt}: {path}")
+    return 1 if args.static_oracle and result.mismatches else 0
 
 
 def _programs_from(args):
@@ -526,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="export_dir",
         metavar="DIR",
-        help="write the site campaign's json/csv under DIR",
+        help="write the campaign's json/csv under DIR",
     )
     analyze = sub.add_parser(
         "analyze", help="static CFG/dataflow/masking analysis"

@@ -12,9 +12,10 @@ plotting or archival:
   ``export`` subcommand;
 * :func:`analysis_to_dict` — a program's static analysis (structure
   summary, per-class fault-site counts, lint findings);
-* :func:`site_campaign_to_dict` / :func:`site_campaign_to_csv` /
-  :func:`write_site_campaign` — a site-level oracle campaign's
-  per-class outcome grid and any mismatches.
+* :func:`campaign_to_dict` / :func:`campaign_to_csv` /
+  :func:`write_campaign` — a fault campaign's counts and per-class
+  outcome grid (Bernoulli and site campaigns alike) and any oracle
+  mismatches; the CLI's ``campaign --export``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import csv
 import io
 import json
 import pathlib
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from ..analysis import AnalysisResult, CLASSES
 from ..uarch.sampling import SampledResult
 from ..uarch.stats import Stats
-from .campaign import OUTCOMES, SiteCampaignResult
+from .campaign import OUTCOMES, CampaignResult
 from .experiments import FigureResult, SERIES_BASELINE
 
 
@@ -126,27 +127,29 @@ def analysis_to_dict(result: AnalysisResult) -> Dict[str, Any]:
     return payload
 
 
-def site_campaign_to_dict(result: SiteCampaignResult) -> Dict[str, Any]:
-    """A site campaign's per-class outcome grid as a JSON-safe dict."""
+def campaign_to_dict(result: CampaignResult) -> Dict[str, Any]:
+    """A campaign's counts and per-class outcome grid as a JSON-safe
+    dict (either campaign kind; ``rate`` is ``None`` for a site one)."""
     return {
         "program": result.program_name,
         "runs": result.runs,
+        "rate": result.rate,
         "seed": result.seed,
         "emulations": result.emulations,
+        "injections": result.injections,
         "skipped_dead": result.skipped_dead,
         "analysis_from_cache": result.analysis_from_cache,
+        "outcomes": {outcome: result.outcomes[outcome]
+                     for outcome in OUTCOMES},
         "site_pool": {
-            klass: result.site_pool.get(klass, 0) for klass in CLASSES
+            klass: result.site_pool.get(klass, 0) for klass in result.by_class
         },
         "by_class": {
-            klass: {
-                outcome: result.by_class.get(klass, {}).get(outcome, 0)
-                for outcome in OUTCOMES
-            }
-            for klass in CLASSES
+            klass: {outcome: counter[outcome] for outcome in OUTCOMES}
+            for klass, counter in result.by_class.items()
         },
         "visible": {
-            klass: result.visible(klass) for klass in CLASSES
+            klass: result.visible(klass) for klass in result.by_class
         },
         "mismatches": [
             {
@@ -163,48 +166,50 @@ def site_campaign_to_dict(result: SiteCampaignResult) -> Dict[str, Any]:
     }
 
 
-def site_campaign_to_json(result: SiteCampaignResult, indent: int = 2) -> str:
-    """The site campaign as a JSON document."""
-    return json.dumps(
-        site_campaign_to_dict(result), indent=indent, sort_keys=True
-    )
-
-
-def site_campaign_to_csv(result: SiteCampaignResult) -> str:
+def campaign_to_csv(result: CampaignResult) -> str:
     """The per-class outcome grid as CSV (class rows, outcome columns)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["class", "pool"] + list(OUTCOMES) + ["visible"])
-    for klass in CLASSES:
-        counter = result.by_class.get(klass, {})
+    for klass, counter in result.by_class.items():
         writer.writerow(
             [klass, result.site_pool.get(klass, 0)]
-            + [counter.get(outcome, 0) for outcome in OUTCOMES]
+            + [counter[outcome] for outcome in OUTCOMES]
             + [result.visible(klass)]
         )
     return buffer.getvalue()
 
 
-def write_site_campaign(
-    result: SiteCampaignResult,
+def _write(directory: str, stem: str, formats: tuple,
+           render: Dict[str, Callable[[], str]]) -> Dict[str, str]:
+    """Write ``stem.<fmt>`` under ``directory`` for each of ``formats``;
+    returns the path per format."""
+    out_dir = pathlib.Path(directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: Dict[str, str] = {}
+    for fmt in formats:
+        if fmt not in render:
+            raise ValueError(f"unknown export format: {fmt!r}")
+        path = out_dir / f"{stem}.{fmt}"
+        path.write_text(render[fmt]())
+        written[fmt] = str(path)
+    return written
+
+
+def write_campaign(
+    result: CampaignResult,
     directory: str,
     formats: tuple = ("json", "csv"),
 ) -> Dict[str, str]:
-    """Write a site campaign's results; returns path per format."""
-    out_dir = pathlib.Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"sites_{result.program_name}"
-    written: Dict[str, str] = {}
-    for fmt in formats:
-        path = out_dir / f"{stem}.{fmt}"
-        if fmt == "json":
-            path.write_text(site_campaign_to_json(result))
-        elif fmt == "csv":
-            path.write_text(site_campaign_to_csv(result))
-        else:
-            raise ValueError(f"unknown export format: {fmt!r}")
-        written[fmt] = str(path)
-    return written
+    """Write a campaign's results, as ``sites_<program>.*`` for a site
+    campaign and ``campaign_<program>.*`` for a Bernoulli one; returns
+    the path per format."""
+    kind = "sites" if result.rate is None else "campaign"
+    return _write(directory, f"{kind}_{result.program_name}", formats, {
+        "json": lambda: json.dumps(campaign_to_dict(result), indent=2,
+                                   sort_keys=True),
+        "csv": lambda: campaign_to_csv(result),
+    })
 
 
 def write_figure(
@@ -213,16 +218,7 @@ def write_figure(
     formats: tuple = ("json", "csv"),
 ) -> Dict[str, str]:
     """Write a figure's results to ``directory``; returns path per format."""
-    out_dir = pathlib.Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: Dict[str, str] = {}
-    for fmt in formats:
-        path = out_dir / f"{result.spec.figure_id}.{fmt}"
-        if fmt == "json":
-            path.write_text(figure_to_json(result))
-        elif fmt == "csv":
-            path.write_text(figure_to_csv(result))
-        else:
-            raise ValueError(f"unknown export format: {fmt!r}")
-        written[fmt] = str(path)
-    return written
+    return _write(directory, result.spec.figure_id, formats, {
+        "json": lambda: figure_to_json(result),
+        "csv": lambda: figure_to_csv(result),
+    })

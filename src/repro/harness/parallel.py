@@ -114,7 +114,9 @@ from .telemetry import write_job_telemetry
 #: v7: the full-run warm-up zeroes the D-TLB counters with the caches'.
 #: Only ``cache_stats["dtlb"]`` (``hits``, ``misses``, ``miss_rate``) of
 #: warm full runs changed: it no longer counts the warm pass's accesses.
-CACHE_VERSION = 7
+#: v8: Stats gained ``strikes``; it is 0 in every unfaulted run, and no
+#: other field changed.
+CACHE_VERSION = 8
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"

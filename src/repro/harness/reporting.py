@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
 
 from ..uarch.stats import Stats, hist_mean, merge_accounting
-from .campaign import OUTCOMES, SiteCampaignResult
 from .experiments import (
     FigureResult,
     SERIES_BASELINE,
@@ -231,35 +230,6 @@ def lint_report(result: AnalysisResult, verbose: bool = False) -> str:
             f"  ({suppressed} informational finding(s) hidden; "
             f"use --verbose)"
         )
-    return "\n".join(lines)
-
-
-def site_campaign_report(result: SiteCampaignResult) -> str:
-    """Per-class outcome breakdown of a site campaign as a table."""
-    from ..analysis import CLASSES
-
-    lines = [
-        f"site campaign on {result.program_name!r}: {result.runs} "
-        f"stratified injections (seed {result.seed}, "
-        f"{result.emulations} emulated, {result.skipped_dead} settled "
-        f"statically)",
-    ]
-    rows: List[List[str]] = [
-        ["class", "pool"] + list(OUTCOMES[1:]) + ["visible"]
-    ]
-    for klass in CLASSES:
-        counter = result.by_class.get(klass, {})
-        rows.append(
-            [klass, str(result.site_pool.get(klass, 0))]
-            + [str(counter.get(outcome, 0)) for outcome in OUTCOMES[1:]]
-            + [str(result.visible(klass))]
-        )
-    lines.append(format_table(rows))
-    if result.mismatches:
-        lines.append(f"ORACLE MISMATCHES: {len(result.mismatches)}")
-        lines += [f"  {record.render()}" for record in result.mismatches]
-    else:
-        lines.append("oracle: 0 mismatches")
     return "\n".join(lines)
 
 

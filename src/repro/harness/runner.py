@@ -8,6 +8,12 @@ caches and predictor — the paper's 100 M-instruction runs are
 effectively warm; see DESIGN.md §5).  :func:`bench_scale` honours the
 ``REPRO_BENCH_INSTRUCTIONS`` environment variable so the whole figure
 suite can be scaled to the machine it runs on.
+
+Every other simulation, faulted or sampled, is a
+:class:`~repro.harness.parallel.SimJob` run by a
+:class:`~repro.harness.parallel.ParallelRunner` (sampled ones through
+:func:`~repro.harness.parallel.run_sampled_jobs`); a faulted run's
+``Stats.strikes`` counts the strikes its fault model made.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from ..uarch.stats import Stats
 # DEFAULT_SCALE is re-exported here for backward compatibility; the
 # single source of truth lives with the workload builders so the suite
 # and the harness can never disagree on "the default trace" again.
-from ..workloads.suite import DEFAULT_SCALE, trace_for
+from ..workloads.suite import DEFAULT_SCALE
 
 
 def bench_scale() -> int:
@@ -99,25 +105,3 @@ def run_benchmark(
     job = SimJob(name, config, scale or bench_scale(), seed=seed, warm=warm)
     return ParallelRunner(jobs=1, use_cache=False).run([job])[0]
 
-
-def run_sampled_benchmark(
-    name: str,
-    config: MachineConfig,
-    sampling: "SamplingSpec",
-    scale: Optional[int] = None,
-    seed: Optional[int] = None,
-    fault_factory=None,
-    warm: bool = True,
-) -> "SampledResult":
-    """Sampled simulation of one named benchmark (in process).
-
-    The convenience single-workload entry point mirroring
-    :func:`run_benchmark`; experiment drivers that want interval-level
-    parallelism should go through
-    :func:`repro.harness.parallel.run_sampled_jobs` instead.
-    """
-    from ..uarch.sampling import run_sampled
-
-    program, trace = trace_for(name, scale or bench_scale(), seed)
-    return run_sampled(program, trace, config, sampling,
-                       fault_factory=fault_factory, warm=warm)

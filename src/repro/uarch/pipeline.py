@@ -440,6 +440,8 @@ class Pipeline:
         self._done = False
         self._next_seq = 0
         self._measure_from = measure_from
+        # Fault strikes before the measurement window opens.
+        self._strikes_from = self.fault_model.strikes
         self._stop_after = stop_after
 
         # Front end.
@@ -582,6 +584,7 @@ class Pipeline:
         already realistically busy.
         """
         self._measure_from = None
+        self._strikes_from = self.fault_model.strikes
         stats = self.stats
         for name in Stats._SUM_FIELDS:
             setattr(stats, name, 0)
@@ -597,6 +600,7 @@ class Pipeline:
     def _finalize(self) -> Stats:
         stats = self.stats
         stats.halted = self._done
+        stats.strikes = self.fault_model.strikes - self._strikes_from
         stats.bpred_accuracy = self.predictor.accuracy
         stats.fu_issues = dict(self.fupool.issues)
         # Str keys survive the JSON cache; first-seen key order is kept.

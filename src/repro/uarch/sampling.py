@@ -677,7 +677,6 @@ def run_sampled(
     trace: Trace,
     config: MachineConfig,
     spec: SamplingSpec,
-    fault_factory: Optional[Callable[[int], Optional[FaultModel]]] = None,
     warm: bool = True,
     observe: Optional[ObserveConfig] = None,
 ) -> SampledResult:
@@ -691,11 +690,10 @@ def run_sampled(
     the detailed runs' cache/predictor side effects, so each interval's
     Stats equal a from-scratch :func:`run_interval`.
 
+    The run is fault-free; a faulted interval takes its own fault model
+    through :func:`run_interval`.
+
     Args:
-        fault_factory: optional per-interval fault-model builder
-            (called with the interval index); fault models carry live
-            RNG state, so each interval gets a fresh one — which keeps
-            in-process and fanned-out sampled runs bit-identical.
         warm: apply the full-trace warm pass first (the ``warm=True``
             semantics of the full-run path).
         observe: the observers to attach, fresh ones to every
@@ -708,7 +706,6 @@ def run_sampled(
     return sweep.result([
         run_interval(
             program, trace, config, spec, index,
-            fault_model=fault_factory(index) if fault_factory else None,
             warm=warm, observe=observe, sweep=sweep,
         )
         for index in range(len(sweep.selection.bounds))

@@ -139,7 +139,8 @@ class Stats:
     """Counters for one simulation run."""
 
     #: Counters combined by summation when merging interval Stats (and
-    #: zeroed when a measurement window opens).
+    #: zeroed when a measurement window opens).  ``strikes`` counts the
+    #: fault model's strikes inside the measured window (0 unfaulted).
     _SUM_FIELDS = (
         "cycles", "committed", "fetched", "fetched_wrong_path",
         "dispatched", "dispatched_wrong_path", "issued",
@@ -148,7 +149,7 @@ class Stats:
         "load_forwards", "ruu_full_events", "lsq_full_events",
         "rqueue_full_events", "rqueue_moves", "r_skipped_duty",
         "comparisons", "errors_detected", "errors_undetected_same_event",
-        "sdc_commits", "recoveries",
+        "sdc_commits", "recoveries", "strikes",
     )
 
     __slots__ = _SUM_FIELDS + (

@@ -78,6 +78,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "errors detected" in out
 
+    def test_faults_matches_a_live_model_run_and_caches(self, capsys):
+        from repro.harness.runner import run_model
+        from repro.reese import EnvironmentalFaultModel
+        from repro.uarch import starting_config
+        from repro.workloads.suite import trace_for
+
+        argv = ["--scale", "1500", "faults", "--benchmark", "vortex",
+                "--rate", "0.002", "--duration", "2"]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        model = EnvironmentalFaultModel(rate=0.002, duration=2, seed=2001)
+        program, trace = trace_for("vortex", 1500)
+        stats = run_model(program, trace, starting_config().with_reese(),
+                          fault_model=model)
+        assert model.strikes > 0
+        assert cold.out == (
+            f"workload:            vortex\n"
+            f"fault events struck: {model.strikes}\n"
+            f"errors detected:     {stats.errors_detected}\n"
+            f"escapes (same event):{stats.errors_undetected_same_event}\n"
+            f"recoveries:          {stats.recoveries}\n"
+            f"final IPC:           {stats.ipc:.3f}\n"
+        )
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "(1 cache hits, 0 simulated)" in warm.err
+
     def test_figure_runs_small(self, capsys, monkeypatch):
         # Keep runtime sane: tiny scale; full 6-benchmark figure.
         assert main(["--scale", "800", "figure", "fig2"]) == 0
@@ -158,6 +186,34 @@ class TestCommands:
                      "--runs", "6", "--export", out_dir]) == 0
         out = capsys.readouterr().out
         assert "wrote json" in out and "wrote csv" in out
+
+    def test_campaign_export_without_sites(self, capsys, tmp_path):
+        import csv
+        import json
+
+        from repro.harness.campaign import run_campaign
+        from repro.workloads.suite import BENCHMARKS
+
+        out_dir = tmp_path / "results"
+        assert main(["--scale", "1000", "campaign", "gcc", "--runs", "6",
+                     "--export", str(out_dir)]) == 0
+        assert "wrote json" in capsys.readouterr().out
+        program = BENCHMARKS["gcc"].build(scale=1000)
+        result = run_campaign(program, runs=6, rate=2e-3, seed=0)
+        stem = out_dir / f"campaign_{program.name}"
+        data = json.loads(stem.with_suffix(".json").read_text())
+        assert data["runs"] == result.runs == 6
+        assert data["rate"] == 2e-3
+        assert data["injections"] == result.injections
+        assert data["emulations"] == result.emulations == 6
+        assert {k: v for k, v in data["outcomes"].items() if v} \
+            == dict(result.outcomes)
+        rows = list(csv.DictReader(
+            stem.with_suffix(".csv").read_text().splitlines()))
+        assert len(rows) == 1
+        assert {k: int(v) for k, v in rows[0].items()
+                if k not in ("class", "pool", "visible") and int(v)} \
+            == dict(result.outcomes)
 
     def test_oracle_and_skip_dead_are_exclusive(self):
         with pytest.raises(SystemExit):

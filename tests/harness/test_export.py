@@ -106,9 +106,9 @@ class TestAnalysisExport:
 
 class TestSiteCampaignExport:
     def test_dict_structure(self, site_result):
-        from repro.harness.export import site_campaign_to_dict
+        from repro.harness.export import campaign_to_dict
 
-        data = site_campaign_to_dict(site_result)
+        data = campaign_to_dict(site_result)
         assert data["program"] == "tiny"
         assert data["runs"] == 6
         assert set(data["by_class"]) == {"dead", "live", "control"}
@@ -116,26 +116,26 @@ class TestSiteCampaignExport:
         json.dumps(data)
 
     def test_csv_grid(self, site_result):
-        from repro.harness.export import site_campaign_to_csv
+        from repro.harness.export import campaign_to_csv
 
         rows = list(csv.reader(io.StringIO(
-            site_campaign_to_csv(site_result)
+            campaign_to_csv(site_result)
         )))
         assert rows[0][:2] == ["class", "pool"]
         assert [row[0] for row in rows[1:]] == ["dead", "live", "control"]
         assert rows[0][-1] == "visible"
 
     def test_write_site_campaign(self, site_result, tmp_path):
-        from repro.harness.export import write_site_campaign
+        from repro.harness.export import write_campaign
 
-        written = write_site_campaign(site_result, str(tmp_path))
+        written = write_campaign(site_result, str(tmp_path))
         assert set(written) == {"json", "csv"}
         assert (tmp_path / "sites_tiny.json").exists()
         assert (tmp_path / "sites_tiny.csv").exists()
 
     def test_write_rejects_unknown_format(self, site_result, tmp_path):
-        from repro.harness.export import write_site_campaign
+        from repro.harness.export import write_campaign
 
         with pytest.raises(ValueError):
-            write_site_campaign(site_result, str(tmp_path),
+            write_campaign(site_result, str(tmp_path),
                                 formats=("xml",))

@@ -102,27 +102,27 @@ class TestFingerprint:
         assert job_fingerprint(implicit) == job_fingerprint(explicit)
 
 
-#: Cache keys at CACHE_VERSION 7 (the v4 keys of the hand-listed
+#: Cache keys at CACHE_VERSION 8 (the v4 keys of the hand-listed
 #: fingerprint payload that preceded the field-derived one, with only the
 #: version changed).  They must never change without a CACHE_VERSION
 #: bump: every existing .repro_cache entry depends on them.
 PINNED_KEYS = [
     (SimJob("go", starting_config(), 900),
-     "dace6da7792277a40ea4bf5d08c259f8e29ba343398e40262ad9a1a5ce6e51da"),
+     "cc0c5ca156573d520249f21feb052f71c6cbd198df34c7c9d5e93ef8ee6e3819"),
     (SimJob("gcc", starting_config().with_reese(), 2000, seed=7),
-     "19cec99b073d812b820c05810a44fad4e3e868a7f57c7c428c48fbed8c3f733c"),
+     "b51edd3b861bdde7cdde639b63859fec827896ac194cb2a9437c508c1fd5fe1c"),
     (SimJob("li", starting_config().with_reese(), 1500,
             fault=FaultSpec.make("environmental", rate=1e-3, duration=3,
                                  seed=11)),
-     "ebb04c0130946a39846fc6335f7a4cfbdd27fd31b3a8b9c8ca626440e38310dc"),
+     "c046547d62a100131e1d211e7c39cd9fa6b8fa371008c4335dcaa2800c10532c"),
     (SimJob("perl", starting_config().with_reese(), 1500,
             fault=FaultSpec.make("scheduled", events=((10, 2, 3),)),
             warm=False),
-     "ed8639ef5e925a9894708a62910a8d819f41320028adbcc6fdd99d9806d45f08"),
+     "2bf8abcad8af585006466851cc859090d4a8066281314f1ff538cab374fd568c"),
     (SimJob("vortex", starting_config().with_spares(2, 0).with_reese(), 2000,
             sampling=SamplingSpec(4, 120, warmup=30, cooldown=30, index=2),
             observe=True, check_invariants=True, profile=True),
-     "a27d44092d9ade0b1413a67e05deb8e44299f0603880e4c74c29605cf65feca8"),
+     "32809145707904c19fa40cf354f679b07f8f3ae4d26cd16ef2f4ecd33528d48f"),
 ]
 
 #: One changed value per SimJob field (against ``SimJob("go", cfg, TINY)``).
@@ -143,7 +143,7 @@ ALTERNATE_VALUES = {
 
 class TestFingerprintDerivation:
     def test_cache_version_unchanged(self):
-        assert CACHE_VERSION == 7
+        assert CACHE_VERSION == 8
 
     @pytest.mark.parametrize("index", range(len(PINNED_KEYS)))
     def test_pinned_keys(self, index):

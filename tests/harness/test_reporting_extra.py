@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.harness.campaign import OUTCOMES, CampaignResult, run_campaign
+from collections import Counter
+
+from repro.harness.campaign import (
+    ALL_SITES,
+    OUTCOMES,
+    CampaignResult,
+    run_campaign,
+)
 from repro.harness.expectations import Expectation
 from repro.harness.reporting import bar_chart, overhead_summary
 from repro.workloads import kernels
@@ -51,13 +58,13 @@ class TestCampaignAPI:
         assert OUTCOMES == ("clean", "masked", "sdc", "crash", "hang")
 
     def test_sdc_fraction(self):
-        result = CampaignResult("p", runs=10, rate=0.1)
-        result.outcomes.update({"clean": 2, "sdc": 4, "masked": 4})
+        result = CampaignResult("p", runs=10, rate=0.1, by_class={
+            ALL_SITES: Counter({"clean": 2, "sdc": 4, "masked": 4})})
         assert result.sdc_fraction == pytest.approx(0.5)
 
     def test_sdc_fraction_no_strikes(self):
-        result = CampaignResult("p", runs=3, rate=0.1)
-        result.outcomes["clean"] = 3
+        result = CampaignResult("p", runs=3, rate=0.1,
+                                by_class={ALL_SITES: Counter(clean=3)})
         assert result.sdc_fraction == 0.0
 
     def test_masked_outcomes_possible(self):

@@ -26,7 +26,6 @@ from repro.harness.parallel import (
     run_sampled_jobs,
     warm_key,
 )
-from repro.harness.runner import run_sampled_benchmark
 from repro.harness.sweep import run_sweep
 from repro.memhier.hierarchy import MemHierParams
 from repro.uarch import SampledResult, SamplingSpec, run_sampled, sampling
@@ -188,13 +187,6 @@ class TestRunSampledJobs:
 
 
 class TestSampledEntryPoints:
-    def test_run_sampled_benchmark(self):
-        result = run_sampled_benchmark(
-            "li", starting_config(), SPEC, scale=SCALE
-        )
-        assert isinstance(result, SampledResult)
-        assert result.ipc > 0
-
     def test_run_figure_sampled_cells(self, runner):
         spec = dataclasses.replace(
             figure2_spec(), benchmarks=("li",),

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.reese import EnvironmentalFaultModel, ScheduledFaultModel
 from repro.uarch import Pipeline, StageMetrics, Stats, starting_config
 from repro.uarch.stats import hist_mean
+from repro.workloads.suite import trace_for
 
 
 class TestDerivedMetrics:
@@ -165,3 +167,57 @@ class TestRoundTrip:
         assert parts[0].detect_latency == {"3": 2, "7": 1}
         # halted is an AND fold: all parts completed => merged did.
         assert merged.halted
+
+
+class TestStrikes:
+    """``Stats.strikes`` counts the fault model's strikes inside the
+    measured window, like every other counter."""
+
+    def test_full_run_counts_every_strike(self):
+        program, trace = trace_for("vortex", 1000)
+        model = EnvironmentalFaultModel(rate=2e-3, duration=3, seed=7)
+        stats = Pipeline(program, trace, starting_config().with_reese(),
+                         fault_model=model, warm=True).run()
+        assert model.strikes > 0
+        assert stats.strikes == model.strikes
+
+    def test_unfaulted_run_counts_none(self, mixed_trace):
+        program, trace = mixed_trace
+        assert Pipeline(program, trace, starting_config()).run().strikes == 0
+
+    def test_window_counts_only_strikes_after_measure_from(self):
+        # Baseline: a strike commits silently, so it never moves the
+        # timing and each event strikes the same completions whether the
+        # other event is scheduled or not.
+        program, trace = trace_for("vortex", 1000)
+        config = starting_config()
+        measure_from = len(trace) // 2
+
+        def run(events):
+            model = ScheduledFaultModel(events)
+            stats = Pipeline(program, trace, config, fault_model=model,
+                             warm=True, measure_from=measure_from).run()
+            return model, stats
+
+        full = Pipeline(program, trace, config, warm=True).run()
+        _, window = run([])
+        assert window.cycles > 40  # the window opens before the end
+        early = (10, 10, 3)
+        late = (full.cycles - 30, 5, 4)
+        early_model, early_stats = run([early])
+        late_model, late_stats = run([late])
+        both_model, both_stats = run([early, late])
+        assert early_model.strikes > 0 and early_stats.strikes == 0
+        assert late_stats.strikes == late_model.strikes > 0
+        assert both_model.strikes == early_model.strikes + late_model.strikes
+        assert both_stats.strikes == late_model.strikes
+
+    def test_strikes_round_trip_and_merge(self):
+        stats = Stats()
+        stats.strikes = 5
+        state = stats.state_dict()
+        assert state["strikes"] == 5
+        assert Stats.from_state_dict(state).strikes == 5
+        other = Stats()
+        other.strikes = 2
+        assert Stats.merged([stats, other]).strikes == 7
