@@ -20,9 +20,8 @@ __all__, __getattr__, __dir__ = lazy_surface(__name__, {
     ),
     ".parallel": (
         "FaultSpec", "ParallelRunner", "ResultCache", "RunTelemetry",
-        "SimJob", "WorkerLostError", "derive_seed", "expand_sampled_job",
-        "interval_fault_spec", "job_fingerprint", "parallel_map",
-        "run_sampled_jobs",
+        "SimJob", "WorkerLostError", "derive_seed", "interval_fault_spec",
+        "job_fingerprint", "parallel_map",
     ),
     ".reporting": (
         "analysis_report", "figure_report", "format_table", "lint_report",

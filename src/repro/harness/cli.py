@@ -34,12 +34,15 @@ length and per-interval detailed warm-up.
 
 Observability (see docs/INTERNALS.md §8): ``--observe`` collects
 per-stage metrics (occupancy histograms) and prints them, with the
-per-pool issue counts, after single-run commands;
+per-pool issue counts, after ``bench``, ``compare`` and ``faults``
+(a sampled run's merged over its intervals);
 ``--check-invariants`` runs every simulation under the runtime
 invariant checker (a violation aborts with a diagnostic);
-``--trace PATH`` writes the structured event trace as JSONL — for
-commands that run several simulations, each run gets its own file with
-the run label spliced in before the extension.
+``--trace PATH`` writes the structured event trace of a full run as
+JSONL — for commands that run several simulations, each run gets its
+own file with the run label spliced in before the extension.  Sampled
+runs write no event trace, so ``--trace`` with ``--sample`` is a usage
+error.
 
 Profiling (see docs/INTERNALS.md §12): ``--profile`` (or
 ``REPRO_PROFILE=1``) attaches the cycle-accounting profiler to every
@@ -56,11 +59,12 @@ import os
 import sys
 from typing import List, Optional
 
+from ..reese.recovery import UnrecoverableFaultError
 from ..uarch.config import starting_config
-from ..uarch.sampling import SamplingSpec
+from ..uarch.sampling import SampledResult, SamplingSpec
 from ..workloads.suite import BENCHMARK_ORDER, BENCHMARKS
 from . import experiments, reporting
-from .parallel import FaultSpec, ParallelRunner, SimJob, run_sampled_jobs
+from .parallel import FaultSpec, ParallelRunner, SimJob
 from .runner import bench_scale
 
 
@@ -97,8 +101,10 @@ def _trace_path(args, label: Optional[str] = None) -> Optional[str]:
     return f"{root}.{label}{ext or '.jsonl'}"
 
 
-def _emit_metrics(args, label: str, stats) -> None:
-    """Print the per-stage metrics block after a run (with --observe)."""
+def _emit_metrics(args, label: str, result) -> None:
+    """Print the per-stage metrics block after a run (with --observe);
+    a sampled run's are those its intervals' Stats merge into."""
+    stats = result.stats if isinstance(result, SampledResult) else result
     if args.observe and stats.stage_metrics:
         print(f"\n[{label}] {reporting.metrics_report(stats)}")
 
@@ -176,25 +182,20 @@ def _cmd_check(args) -> int:
 
 def _cmd_bench(args) -> int:
     runner = _runner_from(args)
-    sampling = _sampling_from(args)
     config = starting_config()
     scale = args.scale or bench_scale()
     jobs = [
-        SimJob(args.benchmark, cfg, scale, sampling=sampling,
+        SimJob(args.benchmark, cfg, scale, sampling=_sampling_from(args),
                trace_path=_trace_path(args, label))
         for label, cfg in (("baseline", config),
                            ("reese", config.with_reese()))
     ]
-    if sampling is not None:
-        base, reese = run_sampled_jobs(jobs, runner)
-    else:
-        base, reese = runner.run(jobs)
+    base, reese = runner.run(jobs)
     print(f"{args.benchmark}: baseline {base.summary()}")
     print(f"{args.benchmark}: reese    {reese.summary()}")
     print(f"IPC ratio reese/baseline = {reese.ipc / base.ipc:.3f}")
-    if sampling is None:
-        _emit_metrics(args, "baseline", base)
-        _emit_metrics(args, "reese", reese)
+    _emit_metrics(args, "baseline", base)
+    _emit_metrics(args, "reese", reese)
     _emit_telemetry(runner)
     return 0
 
@@ -209,19 +210,21 @@ def _cmd_faults(args) -> int:
                              duration=args.duration, seed=args.seed),
         trace_path=_trace_path(args),
     )
-    if sampling is not None:
-        [result] = run_sampled_jobs([job], runner)
-        stats, ipc = result.stats, result.ipc
-        print(f"workload:            {args.benchmark} ({result.summary()})")
-    else:
-        [stats] = runner.run([job])
-        ipc = stats.ipc
-        print(f"workload:            {args.benchmark}")
+    try:
+        [result] = runner.run([job])
+    except UnrecoverableFaultError as error:
+        # REESE's retry budget ran out: the paper's machine stops here.
+        print(f"machine stopped: {error}")
+        return 1
+    stats = result.stats if sampling else result
+    detail = f" ({result.summary()})" if sampling else ""
+    print(f"workload:            {args.benchmark}{detail}")
     print(f"fault events struck: {stats.strikes}")
     print(f"errors detected:     {stats.errors_detected}")
     print(f"escapes (same event):{stats.errors_undetected_same_event}")
     print(f"recoveries:          {stats.recoveries}")
-    print(f"final IPC:           {ipc:.3f}")
+    print(f"final IPC:           {result.ipc:.3f}")
+    _emit_metrics(args, "reese", result)
     _emit_telemetry(runner)
     return 0
 
@@ -557,7 +560,11 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.trace and args.sample:
+        parser.error("--trace cannot be combined with --sample: sampled "
+                     "runs write no event trace")
     return _HANDLERS[args.command](args)
 
 

@@ -36,7 +36,7 @@ from ..uarch.config import (
 )
 from ..uarch.sampling import SamplingSpec
 from ..workloads.suite import BENCHMARK_ORDER
-from .parallel import ParallelRunner, SimJob, run_sampled_jobs
+from .parallel import ParallelRunner, SimJob
 from .runner import bench_scale
 
 #: The paper's series labels, in presentation order.
@@ -217,7 +217,7 @@ def run_figure(
     of a full detailed simulation: cells hold
     :class:`~repro.uarch.sampling.SampledResult` values and the fan-out
     happens at measurement-interval granularity (every interval of
-    every cell shares one job batch).
+    every cell shares the runner's one job batch).
     """
     scale = scale or bench_scale()
     runner = runner or ParallelRunner(jobs=1, use_cache=False)
@@ -226,10 +226,7 @@ def run_figure(
         for bench in spec.benchmarks
         for _, config in spec.series
     ]
-    if sampling is not None:
-        all_stats: List[object] = list(run_sampled_jobs(sim_jobs, runner))
-    else:
-        all_stats = list(runner.run(sim_jobs))
+    all_stats = runner.run(sim_jobs)
     result = FigureResult(spec, scale)
     cursor = 0
     for bench in spec.benchmarks:
@@ -263,10 +260,7 @@ def run_summary_figure(
                 grid.append((variation, label))
                 sim_jobs.append(SimJob(bench, config, scale,
                                        sampling=sampling))
-    if sampling is not None:
-        all_stats: Sequence[object] = run_sampled_jobs(sim_jobs, runner)
-    else:
-        all_stats = runner.run(sim_jobs)
+    all_stats = runner.run(sim_jobs)
     sums: Dict[Tuple[str, str], float] = {}
     for (variation, label), stats in zip(grid, all_stats):
         sums[(variation, label)] = sums.get((variation, label), 0.0) + stats.ipc

@@ -29,14 +29,13 @@ is the single execution layer they all route through:
   pending single-interval sampled jobs that share one functional sweep.
 * :class:`RunTelemetry` records per-job timing/outcome for
   :func:`repro.harness.reporting.telemetry_report`.
-* Sampled simulation (:mod:`repro.uarch.sampling`) plugs in at two
-  granularities.  A :class:`SimJob` whose ``sampling`` spec names a
-  single interval (``spec.index`` set) simulates just that measurement
-  window — the cacheable unit; one with ``index=None`` runs as its
-  interval jobs, in process, as one warm group.  :func:`run_sampled_jobs`
-  expands whole sampled jobs into those interval jobs, runs them all in
-  one flat batch (so every interval of every cell shares the pool), and
-  merges each job's interval Stats back into a
+* Sampled simulation (:mod:`repro.uarch.sampling`) takes the same
+  path.  A :class:`SimJob` whose ``sampling`` spec names a single
+  interval (``spec.index`` set) simulates just that measurement window
+  — the cacheable unit.  :meth:`ParallelRunner.run` expands a whole
+  sampled job (``index=None``) into its interval jobs inside the one
+  flat batch (so every interval of every cell shares the pool) and
+  merges their Stats back into a
   :class:`~repro.uarch.sampling.SampledResult`.  Interval jobs are
   cached one by one but executed per warm group: the jobs of a group
   run in trace order on one :class:`~repro.uarch.sampling.WarmSweep`,
@@ -64,7 +63,8 @@ import pathlib
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    TypeVar, Union)
 
 from ..arch.trace import PackedTrace, Records
 from ..env import env_flag
@@ -178,10 +178,9 @@ class SimJob:
     trace_path: Optional[str] = None
     #: Sampled simulation (``None`` = full detailed run).  With
     #: ``sampling.index`` set the job simulates that one measurement
-    #: interval; with ``index=None`` it runs its interval jobs in
-    #: process and returns the merged interval Stats (use
-    #: :func:`run_sampled_jobs` to fan intervals over workers and keep
-    #: the :class:`~repro.uarch.sampling.SampledResult` estimate).
+    #: interval; with ``index=None`` :meth:`ParallelRunner.run` runs its
+    #: interval jobs and returns their
+    #: :class:`~repro.uarch.sampling.SampledResult`.
     sampling: Optional[SamplingSpec] = None
     #: Attach the cycle-accounting profiler: the job's Stats carry the
     #: top-down slot/cycle attribution account and detection-latency
@@ -477,12 +476,6 @@ def _simulate(job: SimJob, sweep: Optional[WarmSweep] = None) -> Stats:
     """
     spec = job.sampling
     program, trace = trace_for(job.benchmark, job.scale, job.seed)
-    if spec is not None and spec.index is None:
-        sweep = WarmSweep(program, trace, job.config, spec, job.warm)
-        interval_jobs = _interval_jobs(job, interval_count(len(trace), spec))
-        return sweep.result([
-            _simulate(interval_job, sweep) for interval_job in interval_jobs
-        ]).stats
     observe = ObserveConfig(
         metrics=job.observe,
         check_invariants=job.check_invariants,
@@ -505,18 +498,16 @@ def _warm_groups(jobs: Sequence[SimJob], indices: Sequence[int],
                  workers: int) -> List[List[int]]:
     """Partition ``indices`` into the pool's units of work.
 
-    Single-interval sampled jobs with one :func:`warm_key` form a warm
-    group, in interval (= trace) order; every other job is a unit of
-    its own.  Units keep the order of their first job.  When there are
-    fewer units than ``workers``, each warm group is cut into
-    contiguous runs so every worker gets one (each run pays its own
-    warm pass).
+    Interval jobs with one :func:`warm_key` form a warm group, in
+    interval (= trace) order; every full run is a unit of its own.
+    Units keep the order of their first job.  When there are fewer
+    units than ``workers``, each warm group is cut into contiguous runs
+    so every worker gets one (each run pays its own warm pass).
     """
     units: List[List[int]] = []
     groups: Dict[str, List[int]] = {}
     for index in indices:
-        spec = jobs[index].sampling
-        if spec is None or spec.index is None:
+        if jobs[index].sampling is None:
             units.append([index])
             continue
         key = warm_key(jobs[index])
@@ -551,7 +542,7 @@ def _execute_group(
     mark = time.perf_counter()
     first = group[0]
     sweep = None
-    if first.sampling is not None and first.sampling.index is not None:
+    if first.sampling is not None:
         program, trace = trace_for(first.benchmark, first.scale, first.seed)
         sweep = WarmSweep(program, trace, first.config, first.sampling,
                           first.warm)
@@ -647,9 +638,6 @@ class ParallelRunner:
         self.profile = profile
         self.telemetry_path = telemetry_path
         self.telemetry: Optional[RunTelemetry] = None
-        #: :func:`warm_key` to the interval selection of every warm
-        #: group the latest :meth:`run` executed.
-        self.selections: Dict[str, Selection] = {}
 
     def resolve(self, job: SimJob) -> SimJob:
         """The one step that turns run knobs into job fields.
@@ -673,30 +661,37 @@ class ParallelRunner:
                      or env_flag("REPRO_PROFILE")),
         )
 
-    def run(self, sim_jobs: Sequence[SimJob]) -> List[Stats]:
+    def run(
+        self, sim_jobs: Sequence[SimJob],
+    ) -> List[Union[Stats, SampledResult]]:
         """Run every job; results are returned in input order.
 
-        Each warm group that runs reports its interval selection, which
-        lands in :attr:`selections` and, with the Stats, in the cache.
+        A full or single-interval job returns its Stats.  A whole
+        sampled job (``sampling.index`` is ``None``) runs as its
+        interval jobs (:func:`_expand`) in the one flat batch and
+        returns their :class:`~repro.uarch.sampling.SampledResult`.
+        :attr:`telemetry` holds one record per job of the flat batch.
         """
         start = time.perf_counter()
         sim_jobs = [self.resolve(job) for job in sim_jobs]
+        expanded = [_expand(job) for job in sim_jobs]
+        batch = [part for parts, _ in expanded for part in parts]
         # Only the cache reads fingerprints: one canonical config dict
         # per distinct config object, and one key per job.
-        fingerprints: List[Optional[str]] = [None] * len(sim_jobs)
+        fingerprints: List[Optional[str]] = [None] * len(batch)
         if self.cache is not None:
             configs: Dict[int, Dict[str, Any]] = {}
-            for index, job in enumerate(sim_jobs):
+            for index, job in enumerate(batch):
                 config = configs.get(id(job.config))
                 if config is None:
                     config = configs[id(job.config)] = canonical_config(
                         job.config)
                 fingerprints[index] = job_fingerprint(job, config)
-        results: List[Optional[Stats]] = [None] * len(sim_jobs)
-        records: List[Optional[JobRecord]] = [None] * len(sim_jobs)
+        results: List[Optional[Stats]] = [None] * len(batch)
+        records: List[Optional[JobRecord]] = [None] * len(batch)
 
         pending: List[int] = []
-        for index, (job, fp) in enumerate(zip(sim_jobs, fingerprints)):
+        for index, (job, fp) in enumerate(zip(batch, fingerprints)):
             # A job that writes a trace file must actually run — a cache
             # hit would return the Stats but silently skip the trace.
             servable = self.cache is not None and job.trace_path is None
@@ -711,23 +706,23 @@ class ParallelRunner:
             else:
                 pending.append(index)
 
-        units = _warm_groups(sim_jobs, pending, self.jobs)
+        units = _warm_groups(batch, pending, self.jobs)
         workers = max(1, min(self.jobs, len(units)))
-        self.selections = {}
+        selections: Dict[str, Selection] = {}  # of the groups that ran
         if units:
             outputs = parallel_map(
                 _execute_group,
-                [[sim_jobs[i] for i in unit] for unit in units],
+                [[batch[i] for i in unit] for unit in units],
                 workers)
             for unit, (timed, selection, pid) in zip(units, outputs):
                 if selection is not None:
-                    key = warm_key(sim_jobs[unit[0]])
-                    if self.cache and key not in self.selections:
+                    key = warm_key(batch[unit[0]])
+                    if self.cache and key not in selections:
                         self.cache.put_selection(
                             selection_fingerprint(key), selection)
-                    self.selections[key] = selection
+                    selections[key] = selection
                 for index, (stats, elapsed) in zip(unit, timed):
-                    job = sim_jobs[index]
+                    job = batch[index]
                     results[index] = stats
                     records[index] = JobRecord(
                         index, job.benchmark, job.config.name, job.scale,
@@ -737,26 +732,32 @@ class ParallelRunner:
                     if self.cache:
                         self.cache.put(fingerprints[index], stats)
 
+        out: List[Union[Stats, SampledResult]] = []
+        done = iter(results)
+        for job, (parts, total) in zip(sim_jobs, expanded):
+            chunk = [next(done) for _ in parts]
+            out.append(chunk[0] if total is None else
+                       SampledResult.from_interval_stats(
+                           job.sampling, total, chunk,
+                           self._selection(job, selections)))
         self.telemetry = RunTelemetry(
-            jobs=len(sim_jobs),
+            jobs=len(batch),
             workers=workers if pending else 0,
-            cache_hits=len(sim_jobs) - len(pending),
+            cache_hits=len(batch) - len(pending),
             wall_seconds=time.perf_counter() - start,
             records=[record for record in records if record is not None],
         )
         if self.telemetry_path is not None:
             write_job_telemetry(self.telemetry_path, self.telemetry)
-        return [stats for stats in results if stats is not None]
+        return out
 
-    def selection(self, job: SimJob) -> Selection:
-        """The interval selection of a sampled job's warm group.
-
-        From the latest :meth:`run`, else from the cache, else — when
-        every interval was served from the cache but the selection was
-        not — computed here and cached.
-        """
+    def _selection(self, job: SimJob, ran: Dict[str, Selection]) -> Selection:
+        """The interval selection of a sampled job's warm group: from
+        ``ran`` (the groups :meth:`run` executed), else from the cache,
+        else — when every interval was served from the cache but the
+        selection was not — computed here and cached."""
         key = warm_key(job)
-        selection = self.selections.get(key)
+        selection = ran.get(key)
         if selection is not None:
             return selection
         fingerprint = selection_fingerprint(key)
@@ -768,73 +769,30 @@ class ParallelRunner:
                                            job.sampling, mispredict_profile)
             if self.cache:
                 self.cache.put_selection(fingerprint, selection)
-        self.selections[key] = selection
+        ran[key] = selection
         return selection
 
 
-def _interval_jobs(job: SimJob, count: int) -> List[SimJob]:
-    """The first ``count`` interval jobs of a whole sampled job."""
+def _expand(job: SimJob) -> Tuple[List[SimJob], Optional[int]]:
+    """The jobs ``job`` runs as, and its trace length if it is a whole
+    sampled job (else ``None``; it runs as itself).
+
+    Interval ``i``'s spec carries ``index=i`` and, for an injected job,
+    a per-interval derived fault seed (:func:`interval_fault_spec`);
+    the count is :func:`interval_count` of the trace length.  Trace-path
+    side effects are dropped: one JSONL destination cannot serve k
+    pipelines.
+    """
+    spec = job.sampling
+    if spec is None or spec.index is not None:
+        return [job], None
+    _, trace = trace_for(job.benchmark, job.scale, job.seed)
     return [
         dataclasses.replace(
             job,
-            sampling=dataclasses.replace(job.sampling, index=index),
+            sampling=dataclasses.replace(spec, index=index),
             fault=interval_fault_spec(job.fault, index) if job.fault else None,
             trace_path=None,
         )
-        for index in range(count)
-    ]
-
-
-def expand_sampled_job(job: SimJob) -> Tuple[List[SimJob], int]:
-    """Interval-level SimJobs for one sampled job, plus its trace length.
-
-    Returns ``(interval_jobs, trace_length)`` where ``interval_jobs[i]``
-    simulates measurement interval ``i`` (its spec carries ``index=i``
-    and, for injected jobs, a per-interval derived fault seed).  The
-    interval count is a function of the trace length and the spec
-    alone (:func:`~repro.uarch.sampling.interval_count`); the length is
-    a property of the generated workload, not of ``scale`` (traces stop
-    at program halt or continue past ``scale`` to a clean boundary),
-    and the merge needs it too.
-
-    Trace-path side effects are dropped from interval jobs: one JSONL
-    destination cannot serve k concurrent pipelines.
-    """
-    spec = job.sampling
-    if spec is None:
-        raise ValueError("expand_sampled_job needs a job with a sampling spec")
-    if spec.index is not None:
-        raise ValueError("job is already a single-interval job "
-                         f"(index={spec.index})")
-    _, trace = trace_for(job.benchmark, job.scale, job.seed)
-    return _interval_jobs(job, interval_count(len(trace), spec)), len(trace)
-
-
-def run_sampled_jobs(
-    sim_jobs: Sequence[SimJob],
-    runner: ParallelRunner,
-) -> List[SampledResult]:
-    """Run sampled jobs with interval-level parallelism.
-
-    Expands every job into its per-interval SimJobs, executes them all
-    as one flat batch — so the pool balances the warm groups of *all*
-    cells, not one cell at a time — and merges each job's interval
-    Stats into a :class:`~repro.uarch.sampling.SampledResult` (point
-    estimate plus confidence interval) with its warm group's interval
-    selection (:meth:`ParallelRunner.selection`: from the group's unit,
-    which computed it, or from the cache).  Interval jobs are cached
-    individually, so re-running with a different grouping, job order or
-    worker count is a pure cache hit, and results are bit-identical to
-    :func:`~repro.uarch.sampling.run_sampled` in process.
-    """
-    expanded = [expand_sampled_job(job) for job in sim_jobs]
-    flat = [ij for interval_jobs, _ in expanded for ij in interval_jobs]
-    all_stats = runner.run(flat)
-    results: List[SampledResult] = []
-    cursor = 0
-    for job, (interval_jobs, total) in zip(sim_jobs, expanded):
-        chunk = all_stats[cursor:cursor + len(interval_jobs)]
-        cursor += len(interval_jobs)
-        results.append(SampledResult.from_interval_stats(
-            job.sampling, total, chunk, runner.selection(job)))
-    return results
+        for index in range(interval_count(len(trace), spec))
+    ], len(trace)

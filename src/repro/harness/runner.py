@@ -10,10 +10,11 @@ effectively warm; see DESIGN.md §5).  :func:`bench_scale` honours the
 suite can be scaled to the machine it runs on.
 
 Every other simulation, faulted or sampled, is a
-:class:`~repro.harness.parallel.SimJob` run by a
-:class:`~repro.harness.parallel.ParallelRunner` (sampled ones through
-:func:`~repro.harness.parallel.run_sampled_jobs`); a faulted run's
-``Stats.strikes`` counts the strikes its fault model made.
+:class:`~repro.harness.parallel.SimJob` run by
+:meth:`~repro.harness.parallel.ParallelRunner.run`, which returns a
+whole sampled job's :class:`~repro.uarch.sampling.SampledResult`; a
+faulted run's ``Stats.strikes`` counts the strikes its fault model
+made.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from ..uarch.config import MachineConfig
 from ..uarch.sampling import SamplingSpec
 from ..uarch.stats import Stats
 from ..workloads.suite import BENCHMARK_ORDER
-from .parallel import ParallelRunner, SimJob, run_sampled_jobs
+from .parallel import ParallelRunner, SimJob
 from .runner import bench_scale
 
 
@@ -67,10 +67,7 @@ def run_sweep(
         for _, config in points
         for bench in benchmarks
     ]
-    if sampling is not None:
-        all_stats: Sequence = run_sampled_jobs(sim_jobs, runner)
-    else:
-        all_stats = runner.run(sim_jobs)
+    all_stats = runner.run(sim_jobs)
     results: List[SweepPoint] = []
     cursor = 0
     for label, config in points:

@@ -380,12 +380,6 @@ class WarmSweep:
             self._window = ((start, stop), self.trace.records(start, stop))
         return self._window[1]
 
-    def result(self, interval_stats: List[Stats]) -> "SampledResult":
-        """The sampled result of this sweep's intervals' Stats."""
-        return SampledResult.from_interval_stats(
-            self.spec, len(self.trace), interval_stats, self.selection
-        )
-
 
 def build_warm_state(sweep: WarmSweep, start: int) -> WarmState:
     """Warm state for a detailed window starting at ``start``.
@@ -611,11 +605,11 @@ class SampledResult:
         interval_stats: List[Stats],
         selection: Selection,
     ) -> "SampledResult":
-        """Rebuild a result from externally executed interval Stats.
+        """A result from one Stats per interval of ``selection`` (the
+        warm group's :func:`interval_selection`), in interval order.
 
-        This is the merge path of the harness's interval-level job
-        fan-out: one Stats per interval of ``selection`` (the warm
-        group's :func:`interval_selection`), in interval order.
+        The one merge of :func:`run_sampled` and of the harness's
+        interval jobs.
         """
         if len(interval_stats) != len(selection.bounds):
             raise ValueError(
@@ -703,10 +697,10 @@ def run_sampled(
             survive because each interval satisfies them individually.
     """
     sweep = WarmSweep(program, trace, config, spec, warm)
-    return sweep.result([
+    return SampledResult.from_interval_stats(spec, len(sweep.trace), [
         run_interval(
             program, trace, config, spec, index,
             warm=warm, observe=observe, sweep=sweep,
         )
         for index in range(len(sweep.selection.bounds))
-    ])
+    ], sweep.selection)

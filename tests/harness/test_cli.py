@@ -154,6 +154,47 @@ class TestCommands:
         assert "errors detected" in out
         assert "sampled 3x100" in out
 
+    def test_faults_reports_a_machine_stop(self, capsys, tmp_path):
+        # REESE's retry budget runs out in an interval run in a pool
+        # worker: one line on stdout, exit 1, nothing cached.
+        code = main([
+            "--scale", "6000", "--sample", "4", "--sample-interval", "150",
+            "--sample-warmup", "400", "faults", "--benchmark", "li",
+            "--rate", "0.02", "--duration", "2",
+        ])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "machine stopped: instruction #130 failed P/R comparison 3 "
+            "times; fault is not transient — machine stopped\n"
+        )
+        assert list(tmp_path.rglob("*.json")) == []
+
+    def test_observe_prints_metrics_after_faults(self, capsys):
+        assert main(["--scale", "1500", "--observe", "faults",
+                     "--benchmark", "vortex"]) == 0
+        out = capsys.readouterr().out
+        assert "errors detected" in out
+        assert "[reese] stage metrics over" in out
+
+    def test_observe_prints_metrics_after_sampled_bench(self, capsys):
+        assert main(["--scale", "2000", "--sample", "4",
+                     "--sample-interval", "120", "--observe", "bench",
+                     "li"]) == 0
+        out = capsys.readouterr().out
+        assert "sampled 4x120" in out
+        assert "[baseline] stage metrics over" in out
+        assert "[reese] stage metrics over" in out
+
+    def test_trace_with_sample_is_a_usage_error(self, capsys, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as stop:
+            main(["--sample", "4", "--sample-interval", "120",
+                  "--trace", str(trace), "bench", "li"])
+        assert stop.value.code == 2
+        assert "--trace cannot be combined with --sample" in \
+            capsys.readouterr().err
+        assert not trace.exists()
+
     def test_sweep_runs_small(self, capsys):
         assert main(["--scale", "600", "--jobs", "2", "sweep",
                      "--max-alu", "0", "--max-mult", "0"]) == 0

@@ -1,8 +1,8 @@
 """Harness wiring of the sampled simulation engine.
 
-Covers the interval-level SimJob fan-out, cache fingerprinting of
-sampling parameters, per-interval fault-seed derivation and the
-figure/sweep sampled entry points.
+Covers the interval-level SimJob fan-out of ``ParallelRunner.run``,
+cache fingerprinting of sampling parameters, per-interval fault-seed
+derivation and sampled figure/sweep cells.
 """
 
 import dataclasses
@@ -19,11 +19,10 @@ from repro.harness.parallel import (
     FaultSpec,
     ParallelRunner,
     SimJob,
+    _expand,
     _warm_groups,
-    expand_sampled_job,
     interval_fault_spec,
     job_fingerprint,
-    run_sampled_jobs,
     warm_key,
 )
 from repro.harness.sweep import run_sweep
@@ -32,6 +31,7 @@ from repro.uarch import SampledResult, SamplingSpec, run_sampled, sampling
 from repro.uarch.config import LatencyConfig, ReeseConfig, starting_config
 from repro.uarch.observe import ObserveConfig
 from repro.uarch.sampling import WARM_FIELDS, WarmSweep, run_interval
+from repro.uarch.stats import Stats
 from repro.workloads.suite import trace_for
 
 SCALE = 2000
@@ -82,38 +82,43 @@ class TestFingerprint:
 
 
 class TestExpansion:
-    def test_requires_sampling_spec(self):
-        with pytest.raises(ValueError, match="sampling spec"):
-            expand_sampled_job(SimJob("li", starting_config(), SCALE))
+    """A whole sampled job runs as one job per interval."""
 
-    def test_rejects_already_indexed_job(self):
-        job = SimJob("li", starting_config(), SCALE,
-                     sampling=dataclasses.replace(SPEC, index=1))
-        with pytest.raises(ValueError, match="single-interval"):
-            expand_sampled_job(job)
-
-    def test_expands_one_job_per_interval(self):
+    def test_expands_one_job_per_interval(self, tmp_path):
+        trace_path = tmp_path / "out.jsonl"
         job = SimJob("li", starting_config(), SCALE, sampling=SPEC,
-                     trace_path="out.jsonl")
-        interval_jobs, total = expand_sampled_job(job)
+                     trace_path=str(trace_path))
+        runner = ParallelRunner(jobs=1, use_cache=False)
+        [result] = runner.run([job])
         program, trace = trace_for("li", SCALE)
-        assert total == len(trace)
+        assert result.total_instructions == len(trace)
         # Counted from the trace length alone, as the sweep selects them.
         sweep = WarmSweep(program, trace, job.config, SPEC)
-        assert len(interval_jobs) == len(sweep.selection.bounds)
-        assert [ij.sampling.index for ij in interval_jobs] == \
-            list(range(len(interval_jobs)))
+        assert result.intervals == sweep.selection.bounds
+        assert len(runner.telemetry.records) == len(sweep.selection.bounds)
+        assert [ij.sampling.index for ij in _expand(job)[0]] == \
+            list(range(len(sweep.selection.bounds)))
         # Trace-path side effects cannot be split across k pipelines.
-        assert all(ij.trace_path is None for ij in interval_jobs)
+        assert not trace_path.exists()
+        assert all(ij.trace_path is None for ij in _expand(job)[0])
 
     def test_injected_jobs_get_per_interval_seeds(self):
-        fault = FaultSpec.make("environmental", rate=1e-4, duration=3,
+        fault = FaultSpec.make("environmental", rate=1e-2, duration=3,
                                seed=11)
-        job = SimJob("li", starting_config(), SCALE, fault=fault,
-                     sampling=SPEC)
-        interval_jobs, _ = expand_sampled_job(job)
-        seeds = {dict(ij.fault.params)["seed"] for ij in interval_jobs}
-        assert len(seeds) == len(interval_jobs)
+        job = SimJob("li", starting_config().with_reese(), SCALE,
+                     fault=fault, sampling=SPEC)
+        runner = ParallelRunner(jobs=1, use_cache=False)
+        [result] = runner.run([job])
+        seeds = {dict(ij.fault.params)["seed"] for ij in _expand(job)[0]}
+        assert len(seeds) == len(result.intervals)
+        assert result.stats.strikes > 0
+        for index, stats in enumerate(result.interval_stats):
+            reference = _from_scratch(dataclasses.replace(
+                runner.resolve(job),
+                sampling=dataclasses.replace(SPEC, index=index),
+                fault=interval_fault_spec(fault, index),
+            ))
+            assert stats.state_dict() == reference.state_dict(), index
 
 
 class TestIntervalFaultSpec:
@@ -128,10 +133,12 @@ class TestIntervalFaultSpec:
 
 
 class TestRunSampledJobs:
+    """Whole sampled jobs through ``ParallelRunner.run``."""
+
     def test_matches_in_process_run_sampled(self, runner):
         cfg = starting_config().with_reese()
         job = SimJob("li", cfg, SCALE, sampling=SPEC)
-        [result] = run_sampled_jobs([job], runner)
+        [result] = runner.run([job])
         program, trace = trace_for("li", SCALE)
         # The runner folds the REPRO_PROFILE gate into the job.
         reference = run_sampled(
@@ -146,34 +153,29 @@ class TestRunSampledJobs:
     def test_worker_count_invariant(self, tmp_path):
         cfg = starting_config()
         job = SimJob("go", cfg, SCALE, sampling=SPEC)
-        [seq] = run_sampled_jobs(
-            [job], ParallelRunner(jobs=1, cache_dir=tmp_path / "a")
-        )
-        [par] = run_sampled_jobs(
-            [job], ParallelRunner(jobs=2, cache_dir=tmp_path / "b")
-        )
+        [seq] = ParallelRunner(jobs=1, cache_dir=tmp_path / "a").run([job])
+        [par] = ParallelRunner(jobs=2, cache_dir=tmp_path / "b").run([job])
         assert [s.state_dict() for s in seq.interval_stats] == \
             [s.state_dict() for s in par.interval_stats]
 
     def test_second_run_is_pure_cache_hit(self, runner):
         job = SimJob("li", starting_config(), SCALE, sampling=SPEC)
-        run_sampled_jobs([job], runner)
+        runner.run([job])
         assert runner.telemetry.cache_hits == 0
-        [again] = run_sampled_jobs([job], runner)
+        [again] = runner.run([job])
         assert runner.telemetry.cache_hits == runner.telemetry.jobs
         assert again.ipc > 0
 
     def test_whole_run_sampled_job_returns_merged_stats(self, runner):
         cfg = starting_config()
         job = SimJob("li", cfg, SCALE, sampling=SPEC)
-        [merged] = runner.run([job])
+        [result] = runner.run([job])
         program, trace = trace_for("li", SCALE)
         reference = run_sampled(
             program, trace, cfg, SPEC,
             observe=ObserveConfig(profile=runner.resolve(job).profile),
         )
-        assert merged.state_dict() == reference.stats.state_dict()
-
+        assert result.stats.state_dict() == reference.stats.state_dict()
 
     def test_whole_run_sampled_job_observes_like_its_intervals(
         self, runner
@@ -181,9 +183,32 @@ class TestRunSampledJobs:
         job = SimJob("li", starting_config().with_reese(), SCALE,
                      sampling=SPEC, observe=True, check_invariants=True)
         [whole] = runner.run([job])
-        [fanned] = run_sampled_jobs([job], runner)
-        assert whole.stage_metrics
-        assert whole.state_dict() == fanned.stats.state_dict()
+        fanned = runner.run(_expand(job)[0])
+        assert whole.stats.stage_metrics
+        assert whole.stats.state_dict() == \
+            Stats.merged(fanned).state_dict()
+
+    def test_mixed_batch_returns_each_kind_in_input_order(self):
+        cfg = starting_config()
+        whole = SimJob("li", cfg.with_reese(), SCALE, sampling=SPEC)
+        batch = [SimJob("go", cfg, SCALE), whole, _interval(whole, 1)]
+        runner = ParallelRunner(jobs=1, use_cache=False)
+        full, result, single = runner.run(batch)
+        assert isinstance(full, Stats) and isinstance(single, Stats)
+        assert isinstance(result, SampledResult)
+        program, trace = trace_for("li", SCALE)
+        reference = run_sampled(
+            program, trace, whole.config, SPEC,
+            observe=ObserveConfig(profile=runner.resolve(whole).profile),
+        )
+        assert [s.state_dict() for s in result.interval_stats] == \
+            [s.state_dict() for s in reference.interval_stats]
+        assert result.ipc == reference.ipc
+        assert single.state_dict() == reference.interval_stats[1].state_dict()
+        records = runner.telemetry.records
+        assert len(records) == 1 + len(result.intervals) + 1
+        assert [r.benchmark for r in records] == \
+            ["go"] + ["li"] * (len(result.intervals) + 1)
 
 
 class TestSampledEntryPoints:
@@ -334,7 +359,7 @@ class TestWarmGroups:
             return original(*args)
 
         job = SimJob("li", starting_config(), SCALE, sampling=SPEC)
-        interval_jobs, _ = expand_sampled_job(job)
+        interval_jobs = _expand(job)[0]
         monkeypatch.setattr(sampling, "mispredict_profile", slow_profile)
         runner = ParallelRunner(jobs=1, use_cache=False)
         runner.run(interval_jobs)
@@ -499,7 +524,7 @@ class TestGroupEquivalence:
     def test_mixed_batch_matches_from_scratch_intervals(self, workers):
         runner = ParallelRunner(jobs=workers, use_cache=False)
         interval_jobs = [
-            ij for job in _mixed_batch() for ij in expand_sampled_job(job)[0]
+            ij for job in _mixed_batch() for ij in _expand(job)[0]
         ]
         # Reversed: a group must still run its intervals in trace order.
         batch = interval_jobs[::-1]
@@ -514,7 +539,7 @@ class TestGroupEquivalence:
         runner = ParallelRunner(jobs=1, cache_dir=tmp_path)
         job = SimJob("li", starting_config().with_reese(), SCALE,
                      sampling=SPEC)
-        interval_jobs, _ = expand_sampled_job(job)
+        interval_jobs = _expand(job)[0]
         runner.run(interval_jobs[1::2])
         results = runner.run(interval_jobs)
         assert runner.telemetry.cache_hits == len(interval_jobs[1::2])

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import emulate
-from repro.harness.parallel import ParallelRunner, SimJob, run_sampled_jobs
+from repro.harness.parallel import ParallelRunner, SimJob, _expand
 from repro.uarch import Pipeline, SamplingSpec, run_sampled, starting_config
 from repro.workloads import MixProfile, generate_program
 from repro.workloads.suite import trace_for
@@ -90,7 +90,7 @@ class TestSamplingDeterminism:
         for workers in (1, 4):
             runner = ParallelRunner(jobs=workers,
                                     cache_dir=tmp_path / str(workers))
-            results[workers] = run_sampled_jobs(jobs, runner)
+            results[workers] = runner.run(jobs)
         for seq, par in zip(results[1], results[4]):
             assert [s.state_dict() for s in seq.interval_stats] == \
                 [s.state_dict() for s in par.interval_stats]
@@ -105,9 +105,9 @@ class TestSamplingDeterminism:
         job_a = SimJob("go", cfg, 2500, sampling=spec)
         job_b = SimJob("go", cfg.with_reese(), 2500, sampling=spec)
         runner = ParallelRunner(jobs=1, cache_dir=tmp_path)
-        both = run_sampled_jobs([job_a, job_b], runner)
-        solo_a = run_sampled_jobs([job_a], runner)[0]
-        solo_b = run_sampled_jobs([job_b], runner)[0]
+        both = runner.run([job_a, job_b])
+        [solo_a] = runner.run([job_a])
+        [solo_b] = runner.run([job_b])
         assert [s.state_dict() for s in both[0].interval_stats] == \
             [s.state_dict() for s in solo_a.interval_stats]
         assert [s.state_dict() for s in both[1].interval_stats] == \
@@ -117,9 +117,8 @@ class TestSamplingDeterminism:
         cfg = starting_config()
         spec = SamplingSpec(4, 120)
         job = SimJob("li", cfg, 2500, sampling=spec)
-        from repro.harness.parallel import expand_sampled_job
-
-        interval_jobs, _ = expand_sampled_job(job)
+        interval_jobs, _ = _expand(job)
+        assert len(interval_jobs) == spec.intervals
         for index, interval_job in enumerate(interval_jobs):
             assert interval_job.sampling == \
                 dataclasses.replace(spec, index=index)

@@ -180,6 +180,21 @@ class TestLazySurface:
         assert not hasattr(module, "no_such_name")
 
 
+def test_sampled_jobs_have_no_entry_point_of_their_own():
+    # A whole sampled job runs through ParallelRunner.run like any other.
+    from repro.harness import parallel
+    from repro.uarch import sampling
+
+    import repro.harness
+
+    for name in ("run_sampled_jobs", "expand_sampled_job"):
+        assert name not in repro.harness.__all__
+        assert not hasattr(parallel, name)
+    for name in ("selection", "selections"):
+        assert not hasattr(parallel.ParallelRunner(jobs=1), name)
+    assert not hasattr(sampling.WarmSweep, "result")
+
+
 def test_quick_compare_runs_on_its_own_imports():
     import repro
 
