@@ -214,7 +214,7 @@ def _cmd_faults(args) -> int:
         [result] = runner.run([job])
     except UnrecoverableFaultError as error:
         # REESE's retry budget ran out: the paper's machine stops here.
-        print(f"machine stopped: {error}")
+        print(error)
         return 1
     stats = result.stats if sampling else result
     detail = f" ({result.summary()})" if sampling else ""

@@ -42,6 +42,9 @@ is the single execution layer they all route through:
   which gives each the Stats it would get alone.  The sweep selects
   the group's intervals itself, and the runner caches that selection
   next to the interval Stats, so the parent replays no trace to merge.
+* A job whose config only adds units to pools that a held run of the
+  same trace (or interval) never exhausted is served that run's Stats
+  (:func:`_held_source`): the added units would never have been used.
 
 Worker lifecycle: each worker process keeps its own module-level
 memoised trace cache (:func:`repro.workloads.suite.trace_for`), so a
@@ -55,6 +58,7 @@ between campaigns.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -63,8 +67,8 @@ import pathlib
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    TypeVar, Union)
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple, TypeVar, Union)
 
 from ..arch.trace import PackedTrace, Records
 from ..env import env_flag
@@ -75,6 +79,7 @@ from ..reese.faults import (
     ScheduledFaultModel,
 )
 from ..uarch.config import MachineConfig
+from ..uarch.funits import POOL_FIELDS, FUPool
 from ..uarch.observe import ObserveConfig
 from ..uarch.pipeline import WarmState
 from ..uarch.sampling import (
@@ -359,6 +364,10 @@ class JobRecord:
     #: cached run's count).  Defaulted so older positional callers
     #: keep constructing records unchanged.
     cycles: int = 0
+    #: The config name of the held result the job was served from
+    #: (:func:`_held_source`), or ``None`` when it was simulated or
+    #: served from the cache.
+    served_from: Optional[str] = None
 
 
 @dataclass
@@ -372,15 +381,22 @@ class RunTelemetry:
     records: List[JobRecord] = field(default_factory=list)
 
     @property
+    def reused(self) -> int:
+        """Jobs served from a held result of the same process."""
+        return sum(record.served_from is not None for record in self.records)
+
+    @property
     def simulated(self) -> int:
-        return self.jobs - self.cache_hits
+        """Jobs that ran a simulation."""
+        return self.jobs - self.cache_hits - self.reused
 
     def summary(self) -> str:
         sim_time = sum(r.elapsed for r in self.records if not r.cached)
         return (
             f"[parallel] {self.jobs} jobs ({self.cache_hits} cache hits, "
-            f"{self.simulated} simulated) on {self.workers} worker(s); "
-            f"wall {self.wall_seconds:.2f}s, sim {sim_time:.2f}s"
+            f"{self.simulated} simulated), {self.reused} reused, on "
+            f"{self.workers} worker(s); wall {self.wall_seconds:.2f}s, "
+            f"sim {sim_time:.2f}s"
         )
 
 
@@ -444,6 +460,58 @@ _held_warm: Dict[str, WarmState] = {}
 #: like :data:`_held_warm`, so the configs of one trace share them.
 _held_records: Dict[Tuple[str, int, int], Records] = {}
 
+#: The simulated results of this process's latest trace (full runs) or
+#: sampled interval, under that key (benchmark, scale, resolved seed,
+#: sampling spec): per result the job, a copy of its Stats and the
+#: :data:`~repro.uarch.funits.POOL_FIELDS` whose pools it never
+#: exhausted.  Held one key at a time like :data:`_held_records`.
+_held_results: Dict[Tuple[Any, ...], List[Tuple[SimJob, Stats,
+                                                FrozenSet[str]]]] = {}
+
+
+def _reuse_key(job: SimJob) -> Tuple[Any, ...]:
+    return job.benchmark, job.scale, job.resolved_seed(), job.sampling
+
+
+def _hold(job: SimJob, stats: Stats, spare: FrozenSet[str]) -> None:
+    """Hold a simulated result that has a never-exhausted pool."""
+    if not spare or job.trace_path is not None:
+        return
+    key = _reuse_key(job)
+    held = _held_results.get(key)
+    if held is None:
+        _held_results.clear()
+        held = _held_results[key] = []
+    held.append((job, copy.deepcopy(stats), spare))
+
+
+def _held_source(job: SimJob) -> Optional[Tuple[Stats, str]]:
+    """A copy of a held result that is exactly ``job``'s, with the name
+    of the config it was simulated on.
+
+    A held job serves ``job`` when the two differ only in the config's
+    ``name`` and :data:`~repro.uarch.funits.POOL_FIELDS`, and every
+    count that differs is larger in ``job``, in a pool the held run
+    never exhausted: the extra units would never have been used.  A
+    config equal to a held one is the result cache's to serve, and a
+    job with a trace path always runs, because it must write its file.
+    """
+    if job.trace_path is not None:
+        return None
+    for held, stats, spare in _held_results.get(_reuse_key(job), ()):
+        counts = {name: getattr(held.config, name) for name in POOL_FIELDS}
+        grown = [name for name, count in counts.items()
+                 if getattr(job.config, name) != count]
+        if not grown or any(name not in spare
+                            or getattr(job.config, name) < counts[name]
+                            for name in grown):
+            continue
+        config = dataclasses.replace(job.config, name=held.config.name,
+                                     **counts)
+        if dataclasses.replace(job, config=config) == held:
+            return copy.deepcopy(stats), held.config.name
+    return None
+
 
 def _records(job: SimJob, trace: PackedTrace) -> Records:
     """The records of ``job``'s trace, materializing them only when the
@@ -470,7 +538,8 @@ def _warm_state(job: SimJob, program, trace) -> WarmState:
 
 
 def _simulate(job: SimJob, sweep: Optional[WarmSweep] = None) -> Stats:
-    """Simulate one resolved job in this process.
+    """Simulate one resolved job in this process, and hold its result
+    for :func:`_held_source`.
 
     ``sweep`` is the warm group's shared sweep for an interval job.
     """
@@ -483,15 +552,20 @@ def _simulate(job: SimJob, sweep: Optional[WarmSweep] = None) -> Stats:
         profile=job.profile,
     )
     fault = job.fault.build() if job.fault else None
+    pools: List[FUPool] = []
     if spec is not None:
-        return run_interval(
+        stats = run_interval(
             program, trace, job.config, spec, spec.index,
             fault_model=fault, warm=job.warm, observe=observe, sweep=sweep,
+            pools=pools,
         )
-    warm_state = _warm_state(job, program, trace) if job.warm else None
-    return run_model(program, _records(job, trace), job.config,
-                     fault_model=fault, warm=job.warm, observe=observe,
-                     warm_state=warm_state)
+    else:
+        warm_state = _warm_state(job, program, trace) if job.warm else None
+        stats = run_model(program, _records(job, trace), job.config,
+                          fault_model=fault, warm=job.warm, observe=observe,
+                          warm_state=warm_state, pools=pools)
+    _hold(job, stats, pools[0].never_exhausted())
+    return stats
 
 
 def _warm_groups(jobs: Sequence[SimJob], indices: Sequence[int],
@@ -529,15 +603,19 @@ def _warm_groups(jobs: Sequence[SimJob], indices: Sequence[int],
 
 def _execute_group(
     group: Sequence[SimJob],
-) -> Tuple[List[Tuple[Stats, float]], Optional[Selection], int]:
+) -> Tuple[List[Tuple[Stats, float, Optional[str]]], Optional[Selection],
+           int]:
     """Worker entry point: simulate one unit of work; report each job's
-    Stats and seconds, a warm group's interval selection, and the pid.
+    Stats, seconds and the config it was served from (``None`` when it
+    was simulated), a warm group's interval selection, and the pid.
 
     A warm group's jobs share one sweep, which selects the group's
     intervals itself.  Each job is charged the time since the previous
     job finished, so the sweep's shared work (profile, warm pass,
     replay) lands in the jobs' times and they sum to the unit's wall
-    time.
+    time.  A job that a held result serves (:func:`_held_source`) skips
+    its simulation; a group's jobs of one interval arrive together, so
+    an interval's results serve its later configs.
     """
     mark = time.perf_counter()
     first = group[0]
@@ -546,11 +624,11 @@ def _execute_group(
         program, trace = trace_for(first.benchmark, first.scale, first.seed)
         sweep = WarmSweep(program, trace, first.config, first.sampling,
                           first.warm)
-    out: List[Tuple[Stats, float]] = []
+    out: List[Tuple[Stats, float, Optional[str]]] = []
     for job in group:
-        stats = _simulate(job, sweep)
+        stats, source = _held_source(job) or (_simulate(job, sweep), None)
         now = time.perf_counter()
-        out.append((stats, now - mark))
+        out.append((stats, now - mark, source))
         mark = now
     return out, sweep.selection if sweep else None, os.getpid()
 
@@ -721,13 +799,13 @@ class ParallelRunner:
                         self.cache.put_selection(
                             selection_fingerprint(key), selection)
                     selections[key] = selection
-                for index, (stats, elapsed) in zip(unit, timed):
+                for index, (stats, elapsed, source) in zip(unit, timed):
                     job = batch[index]
                     results[index] = stats
                     records[index] = JobRecord(
                         index, job.benchmark, job.config.name, job.scale,
                         job.resolved_seed(), False, elapsed, pid,
-                        stats.cycles,
+                        stats.cycles, source,
                     )
                     if self.cache:
                         self.cache.put(fingerprints[index], stats)

@@ -151,7 +151,9 @@ def telemetry_report(telemetry: RunTelemetry, limit: int = 0) -> str:
             record.benchmark,
             record.config,
             str(record.scale),
-            "cache" if record.cached else "sim",
+            ("cache" if record.cached
+             else "sim" if record.served_from is None
+             else f"reuse {record.served_from}"),
             f"{record.elapsed:.3f}",
             str(record.worker),
         ])

@@ -19,13 +19,14 @@ made.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from ..arch.trace import Trace
 from ..env import env_int
 from ..isa.program import Program
 from ..reese.faults import FaultModel
 from ..uarch.config import MachineConfig
+from ..uarch.funits import FUPool
 from ..uarch.observe import ObserveConfig, build_observability
 from ..uarch.pipeline import Pipeline, WarmState
 from ..uarch.stats import Stats
@@ -57,6 +58,7 @@ def run_model(
     max_cycles: Optional[int] = None,
     observe: Optional[ObserveConfig] = None,
     warm_state: Optional[WarmState] = None,
+    pools: Optional[List[FUPool]] = None,
 ) -> Stats:
     """Simulate one program trace on one machine configuration.
 
@@ -74,6 +76,9 @@ def run_model(
         warm_state: the :class:`~repro.uarch.pipeline.WarmState` to run
             on, as :class:`~repro.uarch.pipeline.Pipeline` takes it
             (``warm`` is then ignored).
+        pools: when given, the run's :class:`~repro.uarch.funits.FUPool`
+            is appended to it, so the caller can read after the run
+            which pools were never exhausted.
     """
     pipeline = Pipeline(
         program,
@@ -84,6 +89,8 @@ def run_model(
         warm_state=warm_state,
         observers=build_observability(observe),
     )
+    if pools is not None:
+        pools.append(pipeline.fupool)
     return pipeline.run(max_cycles=max_cycles)
 
 

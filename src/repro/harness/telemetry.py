@@ -22,7 +22,8 @@ import pathlib
 from typing import Any, Dict, List, Optional
 
 #: Bump when the record layout changes (consumers check this).
-TELEMETRY_SCHEMA_VERSION = 1
+#: v2: records gained ``served_from``.
+TELEMETRY_SCHEMA_VERSION = 2
 
 
 def atomic_write_text(path: os.PathLike, text: str) -> None:
@@ -47,12 +48,14 @@ def job_record_dict(record) -> Dict[str, Any]:
     """One JSONL-ready dict for a :class:`~...parallel.JobRecord`.
 
     Derived throughput (``cycles_per_sec``) is included for simulated
-    jobs; cache hits carry ``null`` there — a 0-second "run" has no
-    meaningful rate, and pretending otherwise would corrupt any
-    downstream average.
+    jobs; cache hits and jobs served from a held result carry ``null``
+    there — a 0-second "run" has no meaningful rate, and pretending
+    otherwise would corrupt any downstream average.  ``served_from``
+    names the config whose held result served the job (else ``null``).
     """
     cycles_per_sec: Optional[float] = None
-    if not record.cached and record.elapsed > 0:
+    simulated = not record.cached and record.served_from is None
+    if simulated and record.elapsed > 0:
         cycles_per_sec = record.cycles / record.elapsed
     return {
         "schema": TELEMETRY_SCHEMA_VERSION,
@@ -66,6 +69,7 @@ def job_record_dict(record) -> Dict[str, Any]:
         "worker": record.worker,
         "cycles": record.cycles,
         "cycles_per_sec": cycles_per_sec,
+        "served_from": record.served_from,
     }
 
 

@@ -19,14 +19,29 @@ keeps one "exhausted at cycle" cell, shared by the classes that map to
 it: a failed acquire records its cycle there, and every later acquire
 of that cycle fails without scanning the pool.  This is exact because
 units only ever get busier within a cycle.
+
+A cell still at ``-1`` after a run says that no acquire, ``acquire_r``
+or ``available`` of its pool ever failed (:meth:`FUPool.never_exhausted`).
+Every grant takes the lowest-indexed free unit, so a unit added to such
+a pool would never have been used: the same run on that larger machine
+makes the same grants in the same units and ends with the same Stats.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..isa.instructions import FUClass
 from .config import MachineConfig
+
+#: MachineConfig count field -> the physical pool it sizes.
+POOL_FIELDS: Dict[str, str] = {
+    "int_alu": "ialu",
+    "int_mult": "imultdiv",
+    "fp_alu": "fpadd",
+    "fp_mult": "fpmultdiv",
+    "mem_ports": "mem",
+}
 
 
 class FUPool:
@@ -47,11 +62,8 @@ class FUPool:
         lat = config.latencies
         # Per-pool list of "next cycle this unit can accept an op".
         self._pools: Dict[str, List[int]] = {
-            "ialu": [0] * config.int_alu,
-            "imultdiv": [0] * config.int_mult,
-            "fpadd": [0] * config.fp_alu,
-            "fpmultdiv": [0] * config.fp_mult,
-            "mem": [0] * config.mem_ports,
+            key: [0] * getattr(config, name)
+            for name, key in POOL_FIELDS.items()
         }
         # Per-pool "the last R-stream grant of this unit holds it until
         # <cycle>" watermarks.  Only R grants write them: a later P
@@ -61,7 +73,7 @@ class FUPool:
             key: [0] * len(pool) for key, pool in self._pools.items()
         }
         # Per-pool one-item "every unit busy at cycle" cell.
-        cells = {key: [-1] for key in self._pools}
+        self._cells = cells = {key: [-1] for key in self._pools}
         #: FUClass -> its pool's exhausted cell: ``cell[0] == cycle``
         #: means an acquire of that class fails at ``cycle``.
         self.exhausted: Dict[FUClass, List[int]] = {}
@@ -171,3 +183,10 @@ class FUPool:
             if next_free > cycle and r_until[index] >= next_free:
                 return "R"
         return "P"
+
+    def never_exhausted(self) -> FrozenSet[str]:
+        """The :data:`POOL_FIELDS` whose pools never failed an acquire,
+        ``acquire_r`` or ``available`` (their exhausted cell is still
+        ``-1``): a run with more units in any of them is the same run."""
+        return frozenset(name for name, key in POOL_FIELDS.items()
+                         if self._cells[key][0] == -1)

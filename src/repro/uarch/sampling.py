@@ -93,6 +93,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 from ..arch.trace import Records, Trace, packed
 from ..reese.faults import FaultModel
 from .config import MachineConfig
+from .funits import FUPool
 from .observe import ObserveConfig, build_observability
 from .pipeline import Pipeline, WarmState
 from .stats import Stats
@@ -632,6 +633,7 @@ def run_interval(
     warm: bool = True,
     observe: Optional[ObserveConfig] = None,
     sweep: Optional[WarmSweep] = None,
+    pools: Optional[List[FUPool]] = None,
 ) -> Stats:
     """Detailed simulation of one measurement interval.
 
@@ -648,6 +650,9 @@ def run_interval(
             resets with every other counter at ``measure_from``).
         sweep: the warm group's :class:`WarmSweep`, built from this
             trace, ``spec`` (bar ``index``) and ``warm``.
+        pools: when given, the run's :class:`~repro.uarch.funits.FUPool`
+            is appended to it (as :func:`repro.harness.runner.run_model`
+            does).
     """
     if sweep is None:
         sweep = WarmSweep(program, trace, config, spec, warm)
@@ -663,6 +668,8 @@ def run_interval(
         measure_from=measure_start - warm_start,
         stop_after=end - 1 - warm_start,
     )
+    if pools is not None:
+        pools.append(pipeline.fupool)
     return pipeline.run()
 
 

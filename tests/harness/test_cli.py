@@ -164,8 +164,8 @@ class TestCommands:
         ])
         assert code == 1
         assert capsys.readouterr().out == (
-            "machine stopped: instruction #130 failed P/R comparison 3 "
-            "times; fault is not transient — machine stopped\n"
+            "instruction #130 failed P/R comparison 3 times; fault is not "
+            "transient — machine stopped\n"
         )
         assert list(tmp_path.rglob("*.json")) == []
 

@@ -11,7 +11,12 @@ import os
 
 import pytest
 
-from repro.harness.parallel import JobRecord, ParallelRunner, SimJob
+from repro.harness.parallel import (
+    JobRecord,
+    ParallelRunner,
+    RunTelemetry,
+    SimJob,
+)
 from repro.harness.reporting import metrics_report
 from repro.harness.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
@@ -92,6 +97,32 @@ class TestJobRecords:
         assert loaded == [job_record_dict(r) for r in records]
         assert _no_stray_tmp(tmp_path)
 
+    def test_served_record_names_its_source_and_has_no_rate(self):
+        record = JobRecord(2, "go", "starting+2alu+1mult+reese", 300, 7,
+                           False, 0.001, 123, 900,
+                           served_from="starting+2alu+reese")
+        out = job_record_dict(record)
+        assert out["served_from"] == "starting+2alu+reese"
+        assert out["cycles_per_sec"] is None
+        assert job_record_dict(JobRecord(
+            0, "go", "starting", 300, 7, False, 2.0, 123, 900,
+        ))["served_from"] is None
+
+    def test_summary_counts_served_jobs_apart(self):
+        records = [
+            JobRecord(0, "go", "a", 300, 7, True, 0.0, 1, 100),
+            JobRecord(1, "go", "b", 300, 7, False, 0.5, 1, 100),
+            JobRecord(2, "go", "c", 300, 7, False, 0.0, 1, 100,
+                      served_from="b"),
+        ]
+        telemetry = RunTelemetry(jobs=3, workers=1, cache_hits=1,
+                                 wall_seconds=0.6, records=records)
+        assert telemetry.reused == 1
+        assert telemetry.simulated == 1
+        assert telemetry.summary().startswith(
+            "[parallel] 3 jobs (1 cache hits, 1 simulated), 1 reused, on "
+            "1 worker(s);")
+
     def test_render_jsonl_is_canonical(self):
         text = render_jsonl([{"b": 1, "a": 2}])
         assert text == '{"a": 2, "b": 1}\n'
@@ -111,6 +142,7 @@ class TestRunnerIntegration:
         assert all(r["schema"] == TELEMETRY_SCHEMA_VERSION for r in records)
         assert all(r["cycles"] > 0 for r in records)
         assert not any(r["cached"] for r in records)
+        assert all(r["served_from"] is None for r in records)
         assert _no_stray_tmp(tmp_path)
 
     def test_cache_hits_recorded_with_cycles(self, tmp_path):

@@ -82,3 +82,48 @@ class TestAvailability:
         assert set(pool.issues) == {"ialu", "imultdiv", "fpadd",
                                     "fpmultdiv", "mem"}
         assert all(v == 0 for v in pool.issues.values())
+
+
+class TestNeverExhausted:
+    """Which pools never failed an acquire, ``acquire_r`` or
+    ``available``: a unit added to one of them would never be used."""
+
+    ALL = {"int_alu", "int_mult", "fp_alu", "fp_mult", "mem_ports"}
+
+    def test_untouched_pools_stay_unexhausted(self, pool):
+        assert pool.never_exhausted() == self.ALL
+
+    def test_granted_acquires_leave_the_pool_unexhausted(self, pool):
+        for _ in range(4):
+            assert pool.acquire(FUClass.INT_ALU, 0) == 1
+        assert pool.never_exhausted() == self.ALL
+
+    def test_failed_acquire_marks_the_pool(self, pool):
+        assert pool.acquire(FUClass.INT_DIV, 0) == 20
+        assert pool.acquire(FUClass.INT_MULT, 1) is None
+        assert pool.never_exhausted() == self.ALL - {"int_mult"}
+
+    def test_partial_r_grant_marks_the_pool(self, pool):
+        assert pool.acquire_r(FUClass.INT_ALU, 0, 5) == 4
+        assert pool.never_exhausted() == self.ALL - {"int_alu"}
+
+    def test_exact_r_grant_of_the_last_free_unit_does_not(self, pool):
+        assert pool.acquire(FUClass.INT_ALU, 0) == 1
+        assert pool.acquire_r(FUClass.INT_ALU, 0, 3) == 3
+        assert pool.never_exhausted() == self.ALL
+
+    def test_failed_available_marks_the_pool(self, pool):
+        for _ in range(2):
+            assert pool.acquire(FUClass.MEM_PORT, 0) == 0
+        assert pool.available(FUClass.MEM_PORT, 1)
+        assert pool.never_exhausted() == self.ALL
+        for _ in range(2):
+            pool.acquire(FUClass.MEM_PORT, 1)
+        assert not pool.available(FUClass.MEM_PORT, 1)
+        assert pool.never_exhausted() == self.ALL - {"mem_ports"}
+
+    def test_acquired_empty_pool_is_marked(self):
+        pool = FUPool(starting_config(fp_mult=0))
+        assert pool.never_exhausted() == self.ALL
+        assert pool.acquire(FUClass.FP_DIV, 0) is None
+        assert pool.never_exhausted() == self.ALL - {"fp_mult"}
